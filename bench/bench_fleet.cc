@@ -35,9 +35,10 @@ FleetArgs parse_fleet_args(int argc, char** argv) {
       args.base.quick = true;
     } else if (arg == "--obs") {
       args.base.obs = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + 10, nullptr, 10);
-      if (parsed > 0) args.base.threads = static_cast<std::size_t>(parsed);
+    } else if (arg.rfind("--threads=", 0) == 0 &&
+               corropt::bench::parse_thread_count(arg.substr(10),
+                                                  args.base.threads)) {
+      // Parsed; a malformed count falls through to the usage below.
     } else if (arg.rfind("--json-dir=", 0) == 0) {
       args.base.json_dir = arg.substr(11);
     } else if (arg.rfind("--dcs=", 0) == 0) {
@@ -53,8 +54,8 @@ FleetArgs parse_fleet_args(int argc, char** argv) {
           "  --quick       cap simulated duration at 10 days\n"
           "  --obs         collect per-DC metrics + decision journal\n"
           "                (OBS_fleet*.{jsonl,json})\n"
-          "  --threads=N   worker threads (default: BENCH_THREADS env or\n"
-          "                hardware concurrency)\n"
+          "  --threads=N   worker threads, 1..256 (default: BENCH_THREADS\n"
+          "                env or hardware concurrency)\n"
           "  --json-dir=D  directory for BENCH_fleet.json (default: .)\n"
           "  --dcs=N       data centers in the campaign (default: 70)\n"
           "  --seed=S      fleet base seed (default: 2017)\n",

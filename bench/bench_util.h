@@ -5,10 +5,12 @@
 // expected, CSV rows prefixed with "csv," for easy grepping.
 #pragma once
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/rng.h"
@@ -131,6 +133,8 @@ inline ScenarioJob make_dcn_job(std::string name, Dcn dcn,
 // --obs attaches a per-job obs sink and additionally writes
 // OBS_<exhibit>.jsonl (decision journal) and OBS_<exhibit>_metrics.json
 // (corropt-obs-metrics/1).
+inline constexpr std::size_t kMaxBenchThreads = 256;
+
 struct BenchArgs {
   std::size_t threads = configured_thread_count();
   bool quick = false;
@@ -174,6 +178,38 @@ inline void set_collect_obs(std::vector<ScenarioJob>& jobs, bool collect) {
   for (ScenarioJob& job : jobs) job.collect_obs = collect;
 }
 
+// Parses a --threads=N value into `threads`: a whole decimal number in
+// 1..kMaxBenchThreads, with no sign and no trailing bytes. Returns false
+// (leaving `threads` alone) on anything else.
+inline bool parse_thread_count(const std::string& value,
+                               std::size_t& threads) {
+  const char* last = value.data() + value.size();
+  std::size_t parsed = 0;
+  const auto [end, error] = std::from_chars(value.data(), last, parsed);
+  if (error != std::errc() || end != last || parsed == 0 ||
+      parsed > kMaxBenchThreads) {
+    return false;
+  }
+  threads = parsed;
+  return true;
+}
+
+// Prints the shared flags' usage and exits 2 (a bad command line).
+[[noreturn]] inline void bench_usage_exit(const char* program) {
+  std::fprintf(stderr,
+               "usage: %s [--quick] [--obs] [--threads=N] "
+               "[--json-dir=DIR]\n"
+               "  --quick       cap simulated duration at 10 days\n"
+               "  --obs         collect per-job metrics + decision "
+               "journal (OBS_<exhibit>*.{jsonl,json})\n"
+               "  --threads=N   worker threads, 1..%zu (default: "
+               "BENCH_THREADS env or hardware concurrency)\n"
+               "  --json-dir=D  directory for BENCH_<exhibit>.json "
+               "(default: .)\n",
+               program, kMaxBenchThreads);
+  std::exit(2);
+}
+
 inline BenchArgs parse_bench_args(int argc, char** argv) {
   BenchArgs args;
   for (int i = 1; i < argc; ++i) {
@@ -183,23 +219,13 @@ inline BenchArgs parse_bench_args(int argc, char** argv) {
     } else if (arg == "--obs") {
       args.obs = true;
     } else if (arg.rfind("--threads=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + 10, nullptr, 10);
-      if (parsed > 0) args.threads = static_cast<std::size_t>(parsed);
+      if (!parse_thread_count(arg.substr(10), args.threads)) {
+        bench_usage_exit(argv[0]);
+      }
     } else if (arg.rfind("--json-dir=", 0) == 0) {
       args.json_dir = arg.substr(11);
     } else {
-      std::fprintf(stderr,
-                   "usage: %s [--quick] [--obs] [--threads=N] "
-                   "[--json-dir=DIR]\n"
-                   "  --quick       cap simulated duration at 10 days\n"
-                   "  --obs         collect per-job metrics + decision "
-                   "journal (OBS_<exhibit>*.{jsonl,json})\n"
-                   "  --threads=N   worker threads (default: BENCH_THREADS "
-                   "env or hardware concurrency)\n"
-                   "  --json-dir=D  directory for BENCH_<exhibit>.json "
-                   "(default: .)\n",
-                   argv[0]);
-      std::exit(2);
+      bench_usage_exit(argv[0]);
     }
   }
   return args;

@@ -318,6 +318,33 @@ void PathCounter::refresh_counts_after_changes(
   }
 }
 
+const std::vector<std::uint64_t>& PathCounter::sync_live_counts(
+    LiveCounts& live) const {
+  const std::span<const std::uint64_t> current =
+      topo_->enabled_mask().words();
+  if (live.counts.size() != topo_->switch_count() ||
+      live.seen.size() != current.size()) {
+    up_paths_into(live.counts);
+    live.seen.assign(current.begin(), current.end());
+    return live.counts;
+  }
+  live.changed.clear();
+  for (std::size_t w = 0; w < current.size(); ++w) {
+    std::uint64_t flipped = live.seen[w] ^ current[w];
+    if (flipped == 0) continue;
+    live.seen[w] = current[w];
+    for (; flipped != 0; flipped &= flipped - 1) {
+      live.changed.push_back(LinkId(static_cast<LinkId::underlying_type>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(flipped)))));
+    }
+  }
+  if (!live.changed.empty()) {
+    refresh_counts_after_changes(live.counts, live.changed, nullptr,
+                                 live.scratch);
+  }
+  return live.counts;
+}
+
 void PathCounter::masked_violated_tors_into(
     std::vector<SwitchId>& violated, std::span<const std::uint64_t> baseline,
     std::span<const SwitchId> baseline_violated, const LinkMask& masked,

@@ -91,6 +91,26 @@ class PathCounter {
                                     std::vector<SwitchId>* touched_tors,
                                     SweepScratch& scratch) const;
 
+  // A long-lived count cache that follows the topology's enabled mask:
+  // `counts` hold the unmasked up-path counts under the enabled state
+  // whose bitset words are `seen`. Empty until the first sync.
+  struct LiveCounts {
+    std::vector<std::uint64_t> counts;
+    std::vector<std::uint64_t> seen;
+    std::vector<LinkId> changed;  // scratch: links the last sync folded
+    SweepScratch scratch;
+  };
+
+  // Brings `live` up to the current enabled mask and returns its counts,
+  // equal to what up_paths() would produce. The links whose bit differs
+  // from `live.seen` (one XOR per mask word) are folded in through
+  // refresh_counts_after_changes, so an unchanged mask, including a link
+  // disabled and re-enabled since the last sync, costs one word scan. An
+  // empty cache is filled by a full up_paths_into. The cache is keyed on
+  // the mask itself rather than the state version, so it stays exact
+  // across checkpoint restores that rewind the version.
+  const std::vector<std::uint64_t>& sync_live_counts(LiveCounts& live) const;
+
   // Fused variant for the optimizer's pruning pass: computes the ToRs
   // violated under `masked` directly during the incremental recount,
   // avoiding the separate all-ToRs scan. `baseline_violated` must be

@@ -14,6 +14,7 @@ CapacitySampler::CapacitySampler(SimContext& ctx) : ctx_(ctx) {
 
 void CapacitySampler::start() {
   samples_ = 0;
+  cached_ = false;
   Event sample;
   sample.due = 0;
   sample.type = EventType::kCapacitySample;
@@ -23,26 +24,31 @@ void CapacitySampler::start() {
 void CapacitySampler::handle_sample(const Event& event) {
   SimulationMetrics& metrics = *ctx_.metrics;
   const SimTime t = event.due;
-  const std::vector<std::uint64_t> counts = ctx_.paths.up_paths();
-  double worst = 1.0;
-  double sum = 0.0;
   const auto& tors = ctx_.topo.tors();
-  for (common::SwitchId tor : tors) {
-    const double design =
-        static_cast<double>(ctx_.paths.design_paths()[tor.index()]);
-    const double fraction =
-        design == 0.0 ? 1.0
-                      : static_cast<double>(counts[tor.index()]) / design;
-    worst = std::min(worst, fraction);
-    sum += fraction;
+  const std::uint64_t version = ctx_.topo.state_version();
+  if (!cached_ || cached_version_ != version) {
+    const std::vector<std::uint64_t>& counts = ctx_.up_paths();
+    worst_ = 1.0;
+    sum_ = 0.0;
+    for (common::SwitchId tor : tors) {
+      const double design =
+          static_cast<double>(ctx_.paths.design_paths()[tor.index()]);
+      const double fraction =
+          design == 0.0 ? 1.0
+                        : static_cast<double>(counts[tor.index()]) / design;
+      worst_ = std::min(worst_, fraction);
+      sum_ += fraction;
+    }
+    cached_ = true;
+    cached_version_ = version;
   }
-  metrics.worst_tor_fraction.push_back({t, worst});
+  metrics.worst_tor_fraction.push_back({t, worst_});
   metrics.disabled_links.push_back(
       {t, static_cast<double>(ctx_.topo.link_count() -
                               ctx_.topo.enabled_link_count())});
   if (!tors.empty()) {
     // Accumulate for the time-averaged mean; finalized at end of run.
-    metrics.mean_tor_fraction += sum / static_cast<double>(tors.size());
+    metrics.mean_tor_fraction += sum_ / static_cast<double>(tors.size());
   }
   ++samples_;
 
@@ -67,6 +73,7 @@ void CapacitySampler::snapshot_to(common::snap::Writer& w) const {
 void CapacitySampler::restore_from(common::snap::Reader& r) {
   r.expect_section(common::snap::tag('C', 'S', 'M', 'P'));
   samples_ = static_cast<std::size_t>(r.u64());
+  cached_ = false;
 }
 
 }  // namespace corropt::sim

@@ -6,7 +6,17 @@
 // mean-over-ToRs fraction for the Section 7.3 time average. Samples
 // fire *before* any other event due at the same instant (stratum 0),
 // preserving the legacy loop's sample-then-dispatch order.
+//
+// Most hours nothing changes, so the (worst, sum) pair of the last
+// sample is kept under the topology's state version and reused while
+// the version stands. When it moved, the pair is rescanned over the
+// shared live counts (SimContext::up_paths), which fold in only the links
+// that flipped. The pair is derived state: never checkpointed, dropped
+// by start() and restore_from() — a restored topology can carry a
+// version this simulation already cached for different link state.
 #pragma once
+
+#include <cstdint>
 
 #include "sim/sim_context.h"
 
@@ -35,6 +45,12 @@ class CapacitySampler {
 
   SimContext& ctx_;
   std::size_t samples_ = 0;
+  // The last sample's worst and summed ToR fractions, valid for link
+  // state version cached_version_ while cached_ holds.
+  bool cached_ = false;
+  std::uint64_t cached_version_ = 0;
+  double worst_ = 1.0;
+  double sum_ = 0.0;
 };
 
 }  // namespace corropt::sim

@@ -30,7 +30,7 @@ MitigationSimulation::MitigationSimulation(topology::Topology& topo,
       controller_(topo, controller_config(config)),
       paths_(topo),
       ctx_{topo,   config_, rng_,   state_,  injector_, controller_,
-           paths_, clock_,  queue_, nullptr, {}},
+           paths_, clock_,  queue_, nullptr, {},        {}},
       detection_(ctx_),
       maintenance_(ctx_),
       repair_(ctx_, detection_, maintenance_),

@@ -213,6 +213,38 @@ TEST_P(RefreshAfterChangesRandomTest, MatchesFullResweep) {
   }
 }
 
+// The live-count cache finds its changed links itself, from the enabled
+// mask: after any flips (including flips undone before the sync) it must
+// equal a fresh full sweep.
+TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
+  XgftSpec spec;
+  const int height = 2 + static_cast<int>(rng.uniform_index(2));
+  for (int i = 0; i < height; ++i) {
+    spec.children_per_node.push_back(
+        1 + static_cast<int>(rng.uniform_index(4)));
+    spec.parents_per_node.push_back(
+        1 + static_cast<int>(rng.uniform_index(3)));
+  }
+  Topology topo = topology::build_xgft(spec);
+  PathCounter counter(topo);
+  PathCounter::LiveCounts live;
+  EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths());
+  for (int round = 0; round < 6; ++round) {
+    for (std::size_t i = 0; i < topo.link_count(); ++i) {
+      const common::LinkId link(
+          static_cast<common::LinkId::underlying_type>(i));
+      if (rng.bernoulli(0.1)) topo.set_enabled(link, !topo.is_enabled(link));
+      if (rng.bernoulli(0.05)) {
+        topo.set_enabled(link, !topo.is_enabled(link));
+        topo.set_enabled(link, !topo.is_enabled(link));
+      }
+    }
+    EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths())
+        << "seed " << GetParam() << " round " << round;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, RefreshAfterChangesRandomTest,
                          ::testing::Range(0, 25));
 

@@ -176,5 +176,29 @@ TEST(ScenarioRunnerTest, WritesWellFormedMetricsJson) {
   std::remove(path.c_str());
 }
 
+BenchArgs parse_one(std::string flag) {
+  std::string program = "bench_test";
+  char* argv[] = {program.data(), flag.data(), nullptr};
+  return parse_bench_args(2, argv);
+}
+
+TEST(ParseBenchArgsTest, AcceptsThreadCountsInRange) {
+  EXPECT_EQ(parse_one("--threads=1").threads, 1u);
+  EXPECT_EQ(parse_one("--threads=4").threads, 4u);
+  EXPECT_EQ(parse_one("--threads=256").threads, kMaxBenchThreads);
+}
+
+// A thread count that is not a whole number in 1..256 is a bad command
+// line: usage on stderr and exit code 2, never a silent default.
+TEST(ParseBenchArgsDeathTest, RejectsMalformedThreadCounts) {
+  for (const char* flag :
+       {"--threads=0", "--threads=-1", "--threads=abc", "--threads=4x",
+        "--threads=", "--threads=+4", "--threads= 4", "--threads=257",
+        "--threads=99999999999999999999999"}) {
+    EXPECT_EXIT(parse_one(flag), ::testing::ExitedWithCode(2), "usage:")
+        << flag;
+  }
+}
+
 }  // namespace
 }  // namespace corropt::bench
