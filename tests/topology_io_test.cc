@@ -81,7 +81,7 @@ TEST_P(TopologyIoErrorTest, RejectsMalformedInput) {
 INSTANTIATE_TEST_SUITE_P(
     Malformed, TopologyIoErrorTest,
     ::testing::Values(
-        BadInput{"unknown_kind", "host,0,0,0,h\n"},
+        BadInput{"unsupported_row_kind", "host,0,0,0,h\n"},
         BadInput{"sparse_switch_ids", "switch,0,0,0,a\nswitch,2,1,0,b\n"},
         BadInput{"switch_after_link",
                  "switch,0,0,0,a\nswitch,1,1,0,b\nlink,0,0,1,1,-1\n"
@@ -91,7 +91,7 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"link_non_adjacent",
                  "switch,0,0,0,a\nswitch,1,2,0,b\nlink,0,0,1,1,-1\n"},
         BadInput{"short_switch_row", "switch,0,0\n"},
-        BadInput{"non_numeric", "switch,zero,0,0,a\n"}),
+        BadInput{"non_numeric_switch_id", "switch,zero,0,0,a\n"}),
     [](const ::testing::TestParamInfo<BadInput>& info) {
       return info.param.name;
     });
