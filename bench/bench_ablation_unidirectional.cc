@@ -9,7 +9,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/rng.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
 
@@ -20,12 +19,8 @@ int main() {
                       "disabling (large DCN, 90-day trace)");
 
   const topology::Topology topo = topology::build_large_dcn();
-  common::Rng rng(42);
-  trace::TraceParams params;
-  params.faults_per_link_per_day = bench::kFaultsPerLinkPerDay;
-  params.duration = 90 * common::kDay;
-  const auto events =
-      trace::CorruptionTraceGenerator(topo, params, rng).generate();
+  const auto events = bench::make_trace(topo, bench::kFaultsPerLinkPerDay,
+                                        90 * common::kDay, /*seed=*/42);
 
   std::size_t corrupting_links = 0;
   std::size_t up_only = 0, down_only = 0, both = 0;

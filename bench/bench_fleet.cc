@@ -8,11 +8,10 @@
 // and results merge in canonical key order — see DESIGN.md §11.
 
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
+#include <optional>
 #include <string>
-#include <vector>
 
 #include "bench_util.h"
 #include "fleet/fleet_campaign.h"
@@ -21,86 +20,32 @@
 
 namespace {
 
-struct FleetArgs {
-  corropt::bench::BenchArgs base;
-  std::size_t dcs = 70;  // the paper's deployment size
-  std::uint64_t seed = 2017;
-};
-
-FleetArgs parse_fleet_args(int argc, char** argv) {
-  FleetArgs args;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--quick") {
-      args.base.quick = true;
-    } else if (arg == "--obs") {
-      args.base.obs = true;
-    } else if (arg.rfind("--threads=", 0) == 0 &&
-               corropt::bench::parse_thread_count(arg.substr(10),
-                                                  args.base.threads)) {
-      // Parsed; a malformed count falls through to the usage below.
-    } else if (arg.rfind("--json-dir=", 0) == 0) {
-      args.base.json_dir = arg.substr(11);
-    } else if (arg.rfind("--dcs=", 0) == 0) {
-      const long parsed = std::strtol(arg.c_str() + 6, nullptr, 10);
-      if (parsed > 0) args.dcs = static_cast<std::size_t>(parsed);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      args.seed = std::strtoull(arg.c_str() + 7, nullptr, 10);
-    } else {
-      std::fprintf(
-          stderr,
-          "usage: %s [--quick] [--obs] [--threads=N] [--json-dir=DIR]\n"
-          "          [--dcs=N] [--seed=S]\n"
-          "  --quick       cap simulated duration at 10 days\n"
-          "  --obs         collect per-DC metrics + decision journal\n"
-          "                (OBS_fleet*.{jsonl,json})\n"
-          "  --threads=N   worker threads, 1..256 (default: BENCH_THREADS\n"
-          "                env or hardware concurrency)\n"
-          "  --json-dir=D  directory for BENCH_fleet.json (default: .)\n"
-          "  --dcs=N       data centers in the campaign (default: 70)\n"
-          "  --seed=S      fleet base seed (default: 2017)\n",
-          argv[0]);
-      std::exit(2);
-    }
-  }
-  return args;
-}
-
-// Adapts DcResults to bench::ScenarioResult so --obs reuses the standard
-// OBS_<exhibit>.jsonl / OBS_<exhibit>_metrics.json writers.
-std::vector<corropt::bench::ScenarioResult> to_scenario_results(
-    const std::vector<corropt::fleet::DcResult>& dcs) {
-  std::vector<corropt::bench::ScenarioResult> out;
-  out.reserve(dcs.size());
-  for (const corropt::fleet::DcResult& dc : dcs) {
-    corropt::bench::ScenarioResult r;
-    r.name = dc.name;
-    r.tags = {{"shape", corropt::fleet::shape_name(dc.shape)}};
-    r.metrics = dc.metrics;
-    r.link_count = dc.link_count;
-    r.wall_seconds = dc.wall_seconds;
-    r.has_obs = dc.has_obs;
-    r.obs_metrics = dc.obs_metrics;
-    r.journal = dc.journal;
-    r.journal_dropped = dc.journal_dropped;
-    out.push_back(std::move(r));
-  }
-  return out;
-}
+// Campaign sizes past this are a typo, not a fleet (the paper's has 70).
+constexpr std::uint64_t kMaxDcs = 1000;
 
 }  // namespace
 
 int main(int argc, char** argv) {
   using namespace corropt;
-  const FleetArgs args = parse_fleet_args(argc, argv);
+  std::optional<std::uint64_t> dcs;
+  std::optional<std::uint64_t> seed;
+  const bench::NumberFlag flags[] = {
+      {.name = "--dcs",
+       .help = "data centers in the campaign, 1..1000 (default: 70)",
+       .min = 1,
+       .max = kMaxDcs,
+       .value = &dcs},
+      {.name = "--seed", .help = "fleet base seed (default: 2017)",
+       .value = &seed},
+  };
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, flags);
   bench::print_header("Fleet deployment",
                       "CorrOpt across a heterogeneous fleet of data centers "
                       "(Section 7 deployment, synthesized)");
 
-  const common::SimDuration duration =
-      args.base.duration_or(90 * common::kDay);
-  const fleet::FleetSpec spec =
-      fleet::make_deployment_fleet(args.dcs, duration, args.seed);
+  const common::SimDuration duration = args.duration_or(90 * common::kDay);
+  const fleet::FleetSpec spec = fleet::make_deployment_fleet(
+      dcs.value_or(70), duration, seed.value_or(2017));
 
   std::size_t expected_links = 0;
   for (const fleet::DcSpec& dc : spec.dcs) {
@@ -108,11 +53,11 @@ int main(int argc, char** argv) {
   }
   std::printf("%zu DCs, %zu links, %.0f simulated days, %zu threads\n\n",
               spec.dcs.size(), expected_links, common::to_days(duration),
-              args.base.threads);
+              args.threads);
 
   fleet::CampaignOptions options;
-  options.threads = args.base.threads;
-  options.collect_obs = args.base.obs;
+  options.threads = args.threads;
+  options.collect_obs = args.obs;
   const auto start = std::chrono::steady_clock::now();
   const fleet::FleetResult result = fleet::FleetCampaign(spec).run(options);
   const double wall =
@@ -146,16 +91,12 @@ int main(int argc, char** argv) {
   std::printf("corrupting links never disabled: %zu\n",
               fm.undisabled_detections);
   std::printf("campaign wall time: %.2f s on %zu threads\n", wall,
-              args.base.threads);
+              args.threads);
 
-  const std::string path = args.base.json_path("fleet");
+  const std::string path = args.json_path("fleet");
   fleet::write_fleet_json_file(path, result, "bench_fleet");
   std::printf("wrote %s (%zu DCs)\n", path.c_str(), result.dcs.size());
 
-  if (args.base.obs) {
-    const auto scenario_results = to_scenario_results(result.dcs);
-    bench::write_obs_outputs(args.base, "fleet", "bench_fleet",
-                             scenario_results);
-  }
+  bench::write_obs_outputs(args, "fleet", "bench_fleet", result.dcs);
   return 0;
 }

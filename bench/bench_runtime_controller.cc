@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/hash.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -60,12 +61,9 @@ struct LoopOutcome {
 // cold and incremental loops — so it is masked; everything else must
 // match bit-for-bit.
 std::uint64_t journal_digest(const obs::EventJournal& journal) {
-  std::uint64_t digest = 1469598103934665603ull;
+  std::uint64_t digest = common::kFnvBasis;
   auto fold = [&digest](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      digest ^= (value >> (8 * byte)) & 0xffu;
-      digest *= 1099511628211ull;
-    }
+    digest = common::fnv1a(digest, value);
   };
   for (const obs::Event& event : journal.snapshot()) {
     fold(event.seq);

@@ -24,6 +24,7 @@
 #include "analysis/measurement_study.h"
 #include "analysis/study_accumulators.h"
 #include "bench_util.h"
+#include "common/hash.h"
 #include "common/thread_pool.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -54,18 +55,10 @@ double wall_seconds(F&& f) {
       .count();
 }
 
-std::uint64_t fnv1a(std::uint64_t h, std::uint64_t v) {
-  for (int b = 0; b < 8; ++b) {
-    h ^= (v >> (8 * b)) & 0xff;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 std::uint64_t digest(const analysis::DailyDropTotalsAccumulator& acc) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::uint64_t v : acc.corruption_per_day()) h = fnv1a(h, v);
-  for (std::uint64_t v : acc.congestion_per_day()) h = fnv1a(h, v);
+  std::uint64_t h = common::kFnvBasis;
+  for (std::uint64_t v : acc.corruption_per_day()) h = common::fnv1a(h, v);
+  for (std::uint64_t v : acc.congestion_per_day()) h = common::fnv1a(h, v);
   return h;
 }
 
@@ -129,8 +122,8 @@ int run_fig01_sweep(const bench::BenchArgs& args, obs::Sink* sink) {
       analysis::MeasurementStudy::run_many<
           analysis::DailyDropTotalsAccumulator>(studies, accs, &pool);
     });
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    for (const auto& acc : accs) h = fnv1a(h, digest(acc));
+    std::uint64_t h = common::kFnvBasis;
+    for (const auto& acc : accs) h = common::fnv1a(h, digest(acc));
     if (t == 1) {
       wall_1t = wall;
       reference = h;
@@ -155,8 +148,10 @@ int run_fig01_sweep(const bench::BenchArgs& args, obs::Sink* sink) {
     analysis::MeasurementStudy::run_many<FullScanDaily>(studies, {full},
                                                         &pool);
   });
-  std::uint64_t h_full = 0xcbf29ce484222325ULL;
-  for (const FullScanDaily& f : full) h_full = fnv1a(h_full, digest(f.inner));
+  std::uint64_t h_full = common::kFnvBasis;
+  for (const FullScanDaily& f : full) {
+    h_full = common::fnv1a(h_full, digest(f.inner));
+  }
   if (h_full != reference) digests_equal = false;
   std::printf("%10s %14.3f %18s %18llx\n", "full-scan", wall_full, "-",
               static_cast<unsigned long long>(h_full));

@@ -15,27 +15,18 @@ int main() {
                       "Integrated corruption losses with no mitigation vs "
                       "switch-local vs CorrOpt (large DCN, c=75%, 90 days)");
 
-  double none = 0.0, local = 0.0, corropt_penalty = 0.0;
-  {
-    // No mitigation: an impossible capacity requirement disables nothing
-    // and, with no tickets, nothing is ever repaired.
-    const auto outcome = bench::run_scenario(
-        bench::Dcn::kLarge, core::CheckerMode::kSwitchLocal, 1.0,
-        bench::kFaultsPerLinkPerDay, 90 * common::kDay, 909, 14);
-    none = outcome.metrics.integrated_penalty;
-  }
-  {
-    const auto outcome = bench::run_scenario(
-        bench::Dcn::kLarge, core::CheckerMode::kSwitchLocal, 0.75,
-        bench::kFaultsPerLinkPerDay, 90 * common::kDay, 909, 14);
-    local = outcome.metrics.integrated_penalty;
-  }
-  {
-    const auto outcome = bench::run_scenario(
-        bench::Dcn::kLarge, core::CheckerMode::kCorrOpt, 0.75,
-        bench::kFaultsPerLinkPerDay, 90 * common::kDay, 909, 14);
-    corropt_penalty = outcome.metrics.integrated_penalty;
-  }
+  const auto penalty = [](core::CheckerMode mode, double capacity_fraction) {
+    return bench::run_job(bench::make_dcn_job(
+                              "sec2", bench::Dcn::kLarge, mode,
+                              capacity_fraction, bench::kFaultsPerLinkPerDay,
+                              90 * common::kDay, 909, 14))
+        .metrics.integrated_penalty;
+  };
+  // No mitigation: an impossible capacity requirement disables nothing
+  // and, with no tickets, nothing is ever repaired.
+  const double none = penalty(core::CheckerMode::kSwitchLocal, 1.0);
+  const double local = penalty(core::CheckerMode::kSwitchLocal, 0.75);
+  const double corropt_penalty = penalty(core::CheckerMode::kCorrOpt, 0.75);
 
   std::printf("%-26s %16s %20s\n", "system", "penalty", "vs no mitigation");
   std::printf("%-26s %16.3e %20s\n", "none", none, "1x");

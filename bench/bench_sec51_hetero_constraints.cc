@@ -11,6 +11,7 @@
 // racks' upstream links.
 
 #include <cstdio>
+#include <vector>
 
 #include "bench_util.h"
 #include "corropt/controller.h"
@@ -25,26 +26,22 @@ int main() {
               "penalty");
   const core::CheckerMode modes[2] = {core::CheckerMode::kSwitchLocal,
                                       core::CheckerMode::kCorrOpt};
+  // The hot racks: every tenth ToR of the medium DCN.
+  const std::vector<common::SwitchId> tors =
+      topology::build_medium_dcn().tors();
   for (const core::CheckerMode mode : modes) {
-    topology::Topology topo = topology::build_medium_dcn();
-    const auto events = bench::make_trace(
-        topo, bench::kFaultsPerLinkPerDay, 90 * common::kDay, 505);
-
-    sim::ScenarioConfig config;
-    config.mode = mode;
     // Switch-local has one global threshold and must be provisioned for
     // the strictest rack; CorrOpt keeps the lax default and raises only
     // the hot racks via per-ToR overrides.
-    config.capacity_fraction =
-        mode == core::CheckerMode::kSwitchLocal ? 0.90 : 0.50;
-    config.duration = 90 * common::kDay;
-    config.seed = 10;
-    const auto& tors = topo.tors();
+    bench::ScenarioJob job = bench::make_dcn_job(
+        "sec51_hetero", bench::Dcn::kMedium, mode,
+        mode == core::CheckerMode::kSwitchLocal ? 0.90 : 0.50,
+        bench::kFaultsPerLinkPerDay, 90 * common::kDay, /*trace_seed=*/505,
+        /*sim_seed=*/10);
     for (std::size_t t = 0; t < tors.size(); t += 10) {
-      config.tor_overrides.emplace_back(tors[t], 0.90);
+      job.config.tor_overrides.emplace_back(tors[t], 0.90);
     }
-    sim::MitigationSimulation sim(topo, config);
-    const sim::SimulationMetrics metrics = sim.run(events);
+    const sim::SimulationMetrics metrics = bench::run_job(job).metrics;
     std::printf("%16s %16zu %16zu %14.3e\n", bench::mode_name(mode),
                 metrics.controller.disabled_on_arrival +
                     metrics.controller.disabled_on_activation,

@@ -5,18 +5,22 @@
 // expected, CSV rows prefixed with "csv," for easy grepping.
 #pragma once
 
+#include <algorithm>
 #include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
+#include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <system_error>
 #include <vector>
 
-#include "common/rng.h"
 #include "common/time.h"
 #include "scenario_runner.h"
-#include "sim/mitigation_sim.h"
+#include "sim/scenario.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
 
@@ -32,17 +36,11 @@ inline void print_header(const std::string& exhibit,
 inline std::vector<trace::TraceEvent> make_trace(
     const topology::Topology& topo, double faults_per_link_per_day,
     common::SimDuration duration, std::uint64_t seed) {
-  common::Rng rng(seed);
   trace::TraceParams params;
   params.faults_per_link_per_day = faults_per_link_per_day;
   params.duration = duration;
-  return trace::CorruptionTraceGenerator(topo, params, rng).generate();
+  return sim::make_trace(topo, params, seed);
 }
-
-struct ScenarioOutcome {
-  sim::SimulationMetrics metrics;
-  std::size_t link_count = 0;
-};
 
 // The paper's two evaluation topologies (Section 7.1).
 enum class Dcn { kMedium, kLarge };
@@ -54,31 +52,6 @@ inline topology::Topology build_dcn(Dcn dcn) {
 
 inline const char* dcn_name(Dcn dcn) {
   return dcn == Dcn::kMedium ? "medium (~16K links)" : "large (~34K links)";
-}
-
-// Builds the topology fresh (simulations mutate link state), replays the
-// identical trace (same seed), and runs one scenario.
-inline ScenarioOutcome run_scenario(Dcn dcn, core::CheckerMode mode,
-                                    double capacity_fraction,
-                                    double faults_per_link_per_day,
-                                    common::SimDuration duration,
-                                    std::uint64_t trace_seed,
-                                    std::uint64_t sim_seed,
-                                    double first_attempt_success = 0.8) {
-  topology::Topology topo = build_dcn(dcn);
-  const auto events =
-      make_trace(topo, faults_per_link_per_day, duration, trace_seed);
-  sim::ScenarioConfig config;
-  config.mode = mode;
-  config.capacity_fraction = capacity_fraction;
-  config.duration = duration;
-  config.seed = sim_seed;
-  config.outcome.first_attempt_success = first_attempt_success;
-  sim::MitigationSimulation sim(topo, config);
-  ScenarioOutcome outcome;
-  outcome.metrics = sim.run(events);
-  outcome.link_count = topo.link_count();
-  return outcome;
 }
 
 // Default synthetic fault density (see DESIGN.md): dense enough that
@@ -97,10 +70,9 @@ inline const char* mode_name(core::CheckerMode mode) {
   return "?";
 }
 
-// Builds a ScenarioJob equivalent to run_scenario() with the same
-// parameters: identical topology, trace, and simulation seeds, so a bench
-// converted to the ScenarioRunner reproduces its sequential numbers
-// exactly.
+// Builds the ScenarioJob of one paper-topology scenario: the DCN built
+// fresh per run, a trace of the given density from `trace_seed`, and the
+// checker mode and constraint under `sim_seed`.
 inline ScenarioJob make_dcn_job(std::string name, Dcn dcn,
                                 core::CheckerMode mode,
                                 double capacity_fraction,
@@ -126,13 +98,12 @@ inline ScenarioJob make_dcn_job(std::string name, Dcn dcn,
   return job;
 }
 
-// Flags shared by the converted sweep benches. BENCH_THREADS in the
-// environment seeds the default thread count; --threads overrides it.
-// --quick caps simulated durations (CI smoke runs), --json-dir moves
-// the BENCH_<exhibit>.json output out of the working directory, and
-// --obs attaches a per-job obs sink and additionally writes
-// OBS_<exhibit>.jsonl (decision journal) and OBS_<exhibit>_metrics.json
-// (corropt-obs-metrics/1).
+// Flags shared by the converted sweep benches. --threads sets the worker
+// count (default: hardware concurrency), --quick caps simulated
+// durations (CI smoke runs), --json-dir moves the BENCH_<exhibit>.json
+// output out of the working directory, and --obs attaches a per-job obs
+// sink and additionally writes OBS_<exhibit>.jsonl (decision journal)
+// and OBS_<exhibit>_metrics.json (corropt-obs-metrics/1).
 inline constexpr std::size_t kMaxBenchThreads = 256;
 
 struct BenchArgs {
@@ -161,71 +132,117 @@ struct BenchArgs {
 };
 
 // Writes the OBS_<exhibit> journal + metrics files when --obs was given;
-// call after the sweep with the same results passed to
-// write_metrics_json. Jobs must have been built with collect_obs set
-// (see set_collect_obs).
-inline void write_obs_outputs(const BenchArgs& args,
-                              const std::string& exhibit,
-                              const std::string& generator,
-                              const std::vector<ScenarioResult>& results) {
+// call after the sweep with its runs in output order — bench::
+// ScenarioResults or fleet::DcResults. Jobs must have been built with
+// collect_obs set (see set_collect_obs).
+template <typename Run>
+void write_obs_outputs(const BenchArgs& args, const std::string& exhibit,
+                       const std::string& generator,
+                       const std::vector<Run>& results) {
   if (!args.obs) return;
-  write_obs_jsonl(args.obs_jsonl_path(exhibit), results);
+  std::vector<const sim::ScenarioRun*> runs;
+  for (const sim::ScenarioRun& run : results) runs.push_back(&run);
+  write_obs_jsonl(args.obs_jsonl_path(exhibit), runs);
   write_obs_metrics_json(args.obs_metrics_path(exhibit), exhibit, generator,
-                         args.threads, results);
+                         args.threads, runs);
 }
 
 inline void set_collect_obs(std::vector<ScenarioJob>& jobs, bool collect) {
   for (ScenarioJob& job : jobs) job.collect_obs = collect;
 }
 
-// Parses a --threads=N value into `threads`: a whole decimal number in
-// 1..kMaxBenchThreads, with no sign and no trailing bytes. Returns false
-// (leaving `threads` alone) on anything else.
-inline bool parse_thread_count(const std::string& value,
-                               std::size_t& threads) {
-  const char* last = value.data() + value.size();
-  std::size_t parsed = 0;
-  const auto [end, error] = std::from_chars(value.data(), last, parsed);
-  if (error != std::errc() || end != last || parsed == 0 ||
-      parsed > kMaxBenchThreads) {
-    return false;
+// A bench-specific --<name>=N flag, held to the same rule as --threads:
+// a whole decimal number in min..max.
+struct NumberFlag {
+  std::string_view name;  // Including the dashes: "--dcs".
+  std::string_view help;  // One usage line.
+  std::uint64_t min = 0;
+  std::uint64_t max = std::numeric_limits<std::uint64_t>::max();
+  // Set when the flag is given; left alone otherwise.
+  std::optional<std::uint64_t>* value = nullptr;
+};
+
+// Parses `text` as a whole decimal number in min..max: digits only, no
+// sign, no surrounding bytes, no overflow. Returns nullopt otherwise.
+inline std::optional<std::uint64_t> parse_whole_number(std::string_view text,
+                                                       std::uint64_t min,
+                                                       std::uint64_t max) {
+  const char* last = text.data() + text.size();
+  std::uint64_t parsed = 0;
+  const auto [end, error] = std::from_chars(text.data(), last, parsed);
+  if (error != std::errc() || end != last || parsed < min || parsed > max) {
+    return std::nullopt;
   }
-  threads = parsed;
-  return true;
+  return parsed;
 }
 
-// Prints the shared flags' usage and exits 2 (a bad command line).
-[[noreturn]] inline void bench_usage_exit(const char* program) {
+// Prints the shared flags' usage (plus `extra`'s) and exits 2: a bad
+// command line.
+[[noreturn]] inline void bench_usage_exit(
+    const char* program, std::span<const NumberFlag> extra = {}) {
   std::fprintf(stderr,
                "usage: %s [--quick] [--obs] [--threads=N] "
-               "[--json-dir=DIR]\n"
+               "[--json-dir=DIR]",
+               program);
+  for (const NumberFlag& flag : extra) {
+    std::fprintf(stderr, " [%.*s=N]", static_cast<int>(flag.name.size()),
+                 flag.name.data());
+  }
+  std::fprintf(stderr,
+               "\n"
                "  --quick       cap simulated duration at 10 days\n"
                "  --obs         collect per-job metrics + decision "
                "journal (OBS_<exhibit>*.{jsonl,json})\n"
                "  --threads=N   worker threads, 1..%zu (default: "
-               "BENCH_THREADS env or hardware concurrency)\n"
+               "hardware concurrency)\n"
                "  --json-dir=D  directory for BENCH_<exhibit>.json "
                "(default: .)\n",
-               program, kMaxBenchThreads);
+               kMaxBenchThreads);
+  for (const NumberFlag& flag : extra) {
+    const std::string usage = std::string(flag.name) + "=N";
+    std::fprintf(stderr, "  %-13s %.*s\n", usage.c_str(),
+                 static_cast<int>(flag.help.size()), flag.help.data());
+  }
   std::exit(2);
 }
 
-inline BenchArgs parse_bench_args(int argc, char** argv) {
+// Parses the shared flags and `extra`; anything else, or a malformed
+// value, is bench_usage_exit.
+inline BenchArgs parse_bench_args(int argc, char** argv,
+                                  std::span<const NumberFlag> extra = {}) {
   BenchArgs args;
+  const auto number = [&](std::string_view value, std::uint64_t min,
+                          std::uint64_t max) {
+    const std::optional<std::uint64_t> parsed =
+        parse_whole_number(value, min, max);
+    if (!parsed) bench_usage_exit(argv[0], extra);
+    return *parsed;
+  };
   for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
+    const std::string_view arg = argv[i];
+    // The value of `--name=VALUE`, when `arg` is that flag.
+    const auto flag_value = [&arg](std::string_view name)
+        -> std::optional<std::string_view> {
+      if (!arg.starts_with(name) || arg.substr(name.size(), 1) != "=") {
+        return std::nullopt;
+      }
+      return arg.substr(name.size() + 1);
+    };
     if (arg == "--quick") {
       args.quick = true;
     } else if (arg == "--obs") {
       args.obs = true;
-    } else if (arg.rfind("--threads=", 0) == 0) {
-      if (!parse_thread_count(arg.substr(10), args.threads)) {
-        bench_usage_exit(argv[0]);
-      }
-    } else if (arg.rfind("--json-dir=", 0) == 0) {
-      args.json_dir = arg.substr(11);
+    } else if (const auto value = flag_value("--threads")) {
+      args.threads = number(*value, 1, kMaxBenchThreads);
+    } else if (const auto value = flag_value("--json-dir")) {
+      args.json_dir = std::string(*value);
     } else {
-      bench_usage_exit(argv[0]);
+      const auto flag =
+          std::find_if(extra.begin(), extra.end(), [&](const NumberFlag& f) {
+            return flag_value(f.name).has_value();
+          });
+      if (flag == extra.end()) bench_usage_exit(argv[0], extra);
+      *flag->value = number(*flag_value(flag->name), flag->min, flag->max);
     }
   }
   return args;

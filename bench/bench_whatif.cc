@@ -17,20 +17,21 @@
 // documents whose bytes must compare equal (cmp) to each other and
 // across --threads — the CI smoke contract.
 //
-// --replay-at=K additionally demonstrates journal time travel: restore
-// the base scenario's checkpoint at event boundary K and print the
-// decision journal exactly as it stood there.
+// --replay-at=K additionally demonstrates journal time travel: freeze
+// the base scenario at event boundary K and print the decision journal
+// exactly as it stood there — the journal a branch restored from that
+// checkpoint starts with.
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "bench_util.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "obs/journal.h"
@@ -41,57 +42,6 @@
 using namespace corropt;
 
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-
-std::uint64_t digest_series(std::uint64_t hash,
-                            const std::vector<sim::TimePoint>& series) {
-  for (const sim::TimePoint& p : series) {
-    hash = fnv1a(hash, &p.time, sizeof(p.time));
-    hash = fnv1a(hash, &p.value, sizeof(p.value));
-  }
-  return hash;
-}
-
-// Digest of every deterministic SimulationMetrics field.
-std::uint64_t digest_metrics(const sim::SimulationMetrics& m) {
-  std::uint64_t h = kFnvBasis;
-  const auto mix_f = [&h](double v) { h = fnv1a(h, &v, sizeof(v)); };
-  const auto mix_u = [&h](std::uint64_t v) { h = fnv1a(h, &v, sizeof(v)); };
-  mix_f(m.integrated_penalty);
-  mix_f(m.mean_tor_fraction);
-  mix_u(m.faults_injected);
-  mix_u(m.tickets_opened);
-  mix_u(m.repair_attempts);
-  mix_u(m.first_attempts);
-  mix_u(m.first_attempt_successes);
-  mix_u(m.redetections);
-  mix_u(m.polled_detections);
-  mix_f(m.mean_detection_latency_s);
-  mix_f(m.mean_ticket_resolution_s);
-  mix_u(m.maintenance_windows);
-  mix_u(m.maintenance_capacity_violations);
-  mix_f(m.collateral_link_seconds);
-  mix_u(m.undisabled_detections);
-  mix_u(m.controller.corruption_reports);
-  mix_u(m.controller.disabled_on_arrival);
-  mix_u(m.controller.disabled_on_activation);
-  mix_u(m.controller.tickets_issued);
-  mix_u(m.controller.optimizer_runs);
-  h = digest_series(h, m.penalty_series);
-  for (const double v : m.hourly_penalty) h = fnv1a(h, &v, sizeof(v));
-  h = digest_series(h, m.worst_tor_fraction);
-  h = digest_series(h, m.disabled_links);
-  return h;
-}
 
 std::uint64_t digest_obs(const obs::EventJournal& journal,
                          const obs::MetricsRegistry& registry) {
@@ -105,7 +55,7 @@ std::uint64_t digest_obs(const obs::EventJournal& journal,
   registry.snapshot().write_json(json, /*include_timers=*/false);
   json.end_object();
   const std::string bytes = out.str();
-  return fnv1a(kFnvBasis, bytes.data(), bytes.size());
+  return common::fnv1a(common::kFnvBasis, bytes.data(), bytes.size());
 }
 
 struct SinkSet {
@@ -180,7 +130,7 @@ std::vector<BranchOutcome> run_branched(
   std::vector<BranchOutcome> outcomes(futures.size());
   for (std::size_t i = 0; i < futures.size(); ++i) {
     outcomes[i].metrics = results[i].metrics;
-    outcomes[i].metrics_digest = digest_metrics(results[i].metrics);
+    outcomes[i].metrics_digest = sim::digest(results[i].metrics);
     outcomes[i].obs_digest = digest_obs(sinks[i].journal, sinks[i].registry);
   }
   return outcomes;
@@ -202,7 +152,7 @@ std::vector<BranchOutcome> run_fresh(
                                           start)
                 .count();
   for (std::size_t i = 0; i < futures.size(); ++i) {
-    outcomes[i].metrics_digest = digest_metrics(outcomes[i].metrics);
+    outcomes[i].metrics_digest = sim::digest(outcomes[i].metrics);
     outcomes[i].obs_digest = digest_obs(sinks[i].journal, sinks[i].registry);
   }
   return outcomes;
@@ -246,12 +196,9 @@ int replay_journal_at(std::uint64_t k, common::SimDuration duration) {
                  static_cast<unsigned long long>(k));
     return 1;
   }
-  topology::Topology branch_topo = topo_factory();
-  SinkSet sinks;
-  sim::MitigationSimulation sim(branch_topo,
-                                whatif_config(duration, &sinks.sink));
-  sim.restore_run(events, ckpt);
-  const auto journal = sinks.journal.snapshot();
+  // The prefix's own sink holds exactly the journal the checkpoint
+  // carries: what a branch restored from it starts with.
+  const auto journal = base_sinks.journal.snapshot();
   std::printf("journal at event boundary %llu (t=%.2f days): %zu records\n",
               static_cast<unsigned long long>(ckpt.steps),
               common::to_days(ckpt.time), journal.size());
@@ -267,23 +214,16 @@ int replay_journal_at(std::uint64_t k, common::SimDuration duration) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Strip --replay-at=K before the shared parser sees it.
-  std::vector<char*> rest{argv[0]};
-  std::uint64_t replay_at = 0;
-  bool do_replay = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--replay-at=", 12) == 0) {
-      replay_at = std::strtoull(argv[i] + 12, nullptr, 10);
-      do_replay = true;
-    } else {
-      rest.push_back(argv[i]);
-    }
-  }
-  const bench::BenchArgs args =
-      bench::parse_bench_args(static_cast<int>(rest.size()), rest.data());
+  std::optional<std::uint64_t> replay_at;
+  const bench::NumberFlag flags[] = {
+      {.name = "--replay-at",
+       .help = "print the journal as it stood at event boundary N",
+       .value = &replay_at},
+  };
+  const bench::BenchArgs args = bench::parse_bench_args(argc, argv, flags);
   const common::SimDuration duration =
       args.quick ? 6 * common::kDay : 45 * common::kDay;
-  if (do_replay) return replay_journal_at(replay_at, duration);
+  if (replay_at) return replay_journal_at(*replay_at, duration);
 
   bench::print_header(
       "Counterfactual what-if sweep (DESIGN.md §14)",

@@ -1,13 +1,10 @@
 #include "scenario_runner.h"
 
-#include <chrono>
-#include <cstdlib>
 #include <fstream>
 #include <stdexcept>
 #include <thread>
 
 #include "common/json.h"
-#include "common/rng.h"
 
 namespace corropt::bench {
 
@@ -86,33 +83,20 @@ std::vector<ScenarioResult> ScenarioRunner::run_branched(
   if (jobs.empty()) return {};
   const ScenarioJob& base_job = jobs.at(sweep.base);
 
-  // Shared inputs, computed once: the trace all jobs replay.
-  topology::Topology trace_topo = base_job.topology();
-  common::Rng trace_rng(base_job.trace_seed);
-  const std::vector<trace::TraceEvent> events =
-      trace::CorruptionTraceGenerator(trace_topo, base_job.trace, trace_rng)
-          .generate();
+  // Shared input, computed once: the trace all jobs replay.
+  const std::vector<trace::TraceEvent> events = sim::scenario_trace(base_job);
 
-  // The base prefix runs with its own sink when the sweep collects obs:
-  // the checkpoint then carries the journal/registry prefix into every
-  // branch, which replays it into the branch's sink on restore.
-  obs::MetricsRegistry base_registry;
-  obs::EventJournal base_journal;
-  obs::Sink base_sink{&base_registry, &base_journal, nullptr, 0};
-  sim::ScenarioConfig base_config = base_job.config;
-  if (base_job.collect_obs && base_config.sink == nullptr) {
-    base_config.sink = &base_sink;
-  }
-
-  sim::BranchRunner runner(base_job.topology);
   sim::StopPredicate stop =
       sweep.make_stop ? sweep.make_stop(events) : sim::StopPredicate{};
   if (!stop) {
     // No boundary requested: freeze immediately (the begin_run boundary).
     stop = [](const sim::MitigationSimulation&) { return true; };
   }
+  // When the sweep collects obs the prefix runs with its own sink, so the
+  // checkpoint carries the journal/registry prefix into every branch,
+  // which replays it into the branch's sink on restore.
   const sim::Checkpoint checkpoint =
-      runner.checkpoint_base(base_config, events, stop);
+      sim::checkpoint_scenario(base_job, events, stop);
   if (checkpoint.empty()) {
     // The prefix covered the whole horizon — nothing left to fork.
     return run(jobs);
@@ -120,71 +104,14 @@ std::vector<ScenarioResult> ScenarioRunner::run_branched(
 
   std::vector<ScenarioResult> results(jobs.size());
   common::parallel_for_each(pool_, jobs.size(), [&](std::size_t i) {
-    const auto start = std::chrono::steady_clock::now();
-    const ScenarioJob& job = jobs[i];
-    topology::Topology topo = job.topology();
-    obs::MetricsRegistry registry;
-    obs::EventJournal journal;
-    obs::Sink sink{&registry, &journal, nullptr, 0};
-    sim::ScenarioConfig config = job.config;
-    const bool collect = job.collect_obs && config.sink == nullptr;
-    if (collect) config.sink = &sink;
-
-    sim::MitigationSimulation sim(topo, config);
-    sim.restore_run(events, checkpoint);
-    while (sim.step()) {
-    }
-    ScenarioResult result;
-    result.name = job.name;
-    result.tags = job.tags;
-    result.metrics = sim.finish_run();
-    result.link_count = topo.link_count();
-    if (collect) {
-      result.has_obs = true;
-      result.obs_metrics = registry.snapshot();
-      result.journal = journal.snapshot();
-      result.journal_dropped = journal.dropped();
-    }
-    result.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-            .count();
-    results[i] = std::move(result);
+    results[i] = ScenarioResult{
+        sim::run_scenario(jobs[i], &events, &checkpoint), jobs[i].tags};
   });
   return results;
 }
 
 ScenarioResult run_job(const ScenarioJob& job) {
-  const auto start = std::chrono::steady_clock::now();
-  topology::Topology topo = job.topology();
-  common::Rng trace_rng(job.trace_seed);
-  const std::vector<trace::TraceEvent> events =
-      trace::CorruptionTraceGenerator(topo, job.trace, trace_rng).generate();
-
-  // Job-local observability: nothing is shared across workers, so the
-  // folded snapshot/journal are bit-identical for any pool size.
-  obs::MetricsRegistry registry;
-  obs::EventJournal journal;
-  obs::Sink sink{&registry, &journal, nullptr, 0};
-  sim::ScenarioConfig config = job.config;
-  const bool collect = job.collect_obs && config.sink == nullptr;
-  if (collect) config.sink = &sink;
-
-  sim::MitigationSimulation sim(topo, config);
-  ScenarioResult result;
-  result.name = job.name;
-  result.tags = job.tags;
-  result.metrics = sim.run(events);
-  result.link_count = topo.link_count();
-  if (collect) {
-    result.has_obs = true;
-    result.obs_metrics = registry.snapshot();
-    result.journal = journal.snapshot();
-    result.journal_dropped = journal.dropped();
-  }
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+  return ScenarioResult{sim::run_scenario(job), job.tags};
 }
 
 std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
@@ -198,10 +125,6 @@ std::uint64_t derive_seed(std::uint64_t base, std::uint64_t index) {
 }
 
 std::size_t configured_thread_count() {
-  if (const char* env = std::getenv("BENCH_THREADS")) {
-    const long parsed = std::strtol(env, nullptr, 10);
-    if (parsed > 0) return static_cast<std::size_t>(parsed);
-  }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
@@ -253,19 +176,19 @@ void write_metrics_json(const std::string& path, const std::string& exhibit,
 }
 
 void write_obs_jsonl(const std::string& path,
-                     const std::vector<ScenarioResult>& results) {
+                     const std::vector<const sim::ScenarioRun*>& runs) {
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("cannot open " + path + " for writing");
   }
   std::size_t events = 0;
-  for (const ScenarioResult& result : results) {
-    if (!result.has_obs) continue;
-    for (const obs::Event& event : result.journal) {
-      obs::write_event_jsonl(out, event, result.name);
+  for (const sim::ScenarioRun* run : runs) {
+    if (!run->obs) continue;
+    for (const obs::Event& event : run->obs->journal) {
+      obs::write_event_jsonl(out, event, run->name);
       out << '\n';
     }
-    events += result.journal.size();
+    events += run->obs->journal.size();
   }
   if (!out) {
     throw std::runtime_error("write to " + path + " failed");
@@ -276,7 +199,7 @@ void write_obs_jsonl(const std::string& path,
 void write_obs_metrics_json(const std::string& path,
                             const std::string& exhibit,
                             const std::string& generator, std::size_t threads,
-                            const std::vector<ScenarioResult>& results,
+                            const std::vector<const sim::ScenarioRun*>& runs,
                             bool include_timers) {
   std::ofstream out(path);
   if (!out) {
@@ -286,13 +209,13 @@ void write_obs_metrics_json(const std::string& path,
   open_metrics_document(json, "corropt-obs-metrics/1", exhibit, generator,
                         threads);
   std::size_t scenarios = 0;
-  for (const ScenarioResult& result : results) {
-    if (!result.has_obs) continue;
+  for (const sim::ScenarioRun* run : runs) {
+    if (!run->obs) continue;
     json.begin_object();
-    json.member("name", result.name);
-    json.member("journal_events", result.journal.size());
-    json.member("journal_dropped", result.journal_dropped);
-    result.obs_metrics.write_json(json, include_timers);
+    json.member("name", run->name);
+    json.member("journal_events", run->obs->journal.size());
+    json.member("journal_dropped", run->obs->journal_dropped);
+    run->obs->metrics.write_json(json, include_timers);
     json.end_object();
     ++scenarios;
   }

@@ -23,55 +23,22 @@
 
 #include "common/json.h"
 #include "common/thread_pool.h"
-#include "obs/sink.h"
-#include "sim/branch_runner.h"
-#include "sim/mitigation_sim.h"
-#include "topology/topology.h"
+#include "sim/scenario.h"
 #include "trace/trace.h"
 
 namespace corropt::bench {
 
-struct ScenarioJob {
-  // Human-readable identifier, unique within a sweep.
-  std::string name;
+// One sweep scenario: a sim::Scenario (name, topology factory, trace
+// recipe, config, collect_obs) plus the tags it serializes under. Every
+// job derives all randomness from its own seeds.
+struct ScenarioJob : sim::Scenario {
   // Machine-readable dimensions of this scenario (dcn, mode, constraint,
   // ...); serialized into the JSON output for downstream grouping.
   std::vector<std::pair<std::string, std::string>> tags;
-
-  // Builds a fresh topology. Called once per job, inside the worker —
-  // simulations mutate link state, so instances are never shared.
-  std::function<topology::Topology()> topology;
-
-  // Corruption-trace synthesis; `trace.duration` should match
-  // `config.duration` (the make_* helpers keep them in sync).
-  trace::TraceParams trace;
-  std::uint64_t trace_seed = 0;
-
-  // Simulation configuration, including the sim seed (`config.seed`).
-  sim::ScenarioConfig config;
-
-  // Attach a per-job obs sink (metrics registry + event journal) for the
-  // run and return the folded snapshot/journal in ScenarioResult. Each
-  // job gets its own registry, so aggregation across a sweep stays
-  // deterministic regardless of worker count. Ignored when the caller
-  // already wired `config.sink`.
-  bool collect_obs = false;
 };
 
-struct ScenarioResult {
-  std::string name;
+struct ScenarioResult : sim::ScenarioRun {
   std::vector<std::pair<std::string, std::string>> tags;
-  sim::SimulationMetrics metrics;
-  std::size_t link_count = 0;
-  // Wall-clock of this job alone; non-deterministic, like the timers
-  // section of `obs_metrics`.
-  double wall_seconds = 0.0;
-
-  // Filled when the job ran with collect_obs.
-  bool has_obs = false;
-  obs::MetricsSnapshot obs_metrics;
-  std::vector<obs::Event> journal;
-  std::uint64_t journal_dropped = 0;
 };
 
 // Describes the shared prefix of a branched sweep (run_branched below).
@@ -150,7 +117,7 @@ class ScenarioRunner {
 };
 
 // Runs one job synchronously on the calling thread (also used by the
-// runner's workers).
+// runner's workers): sim::run_scenario, tags attached.
 [[nodiscard]] ScenarioResult run_job(const ScenarioJob& job);
 
 // Splitmix64-derived per-job seed stream: unrelated seeds for nearby
@@ -160,9 +127,8 @@ class ScenarioRunner {
 [[nodiscard]] std::uint64_t derive_seed(std::uint64_t base,
                                         std::uint64_t index);
 
-// Number of worker threads a bench should use: the BENCH_THREADS
-// environment variable when set to a positive integer, otherwise
-// std::thread::hardware_concurrency() (at least 1).
+// Default worker-thread count of a bench without --threads:
+// std::thread::hardware_concurrency(), at least 1.
 [[nodiscard]] std::size_t configured_thread_count();
 
 struct MetricsJsonOptions {
@@ -193,20 +159,20 @@ void open_metrics_document(common::JsonWriter& json, const std::string& schema,
                            std::size_t threads = 0);
 void close_metrics_document(common::JsonWriter& json);
 
-// Writes the concatenated per-job journals of `results` as JSONL, one
-// event per line tagged with its scenario name, jobs in sweep order.
-// Fully deterministic for any worker count. Jobs without collected obs
-// are skipped.
+// Writes the concatenated journals of `runs` as JSONL, one event per
+// line tagged with its run's name, runs in the given order. Fully
+// deterministic for any worker count. Runs without an obs capture are
+// skipped.
 void write_obs_jsonl(const std::string& path,
-                     const std::vector<ScenarioResult>& results);
+                     const std::vector<const sim::ScenarioRun*>& runs);
 
-// Writes the per-job metric snapshots as one corropt-obs-metrics/1
-// document with a scenarios[] section per job. `include_timers` adds the
+// Writes the runs' metric snapshots as one corropt-obs-metrics/1
+// document with a scenarios[] section per run. `include_timers` adds the
 // wall-clock timer histograms (excluded from determinism comparisons).
 void write_obs_metrics_json(const std::string& path,
                             const std::string& exhibit,
                             const std::string& generator, std::size_t threads,
-                            const std::vector<ScenarioResult>& results,
+                            const std::vector<const sim::ScenarioRun*>& runs,
                             bool include_timers = true);
 
 }  // namespace corropt::bench

@@ -8,6 +8,13 @@
 
 namespace corropt::core {
 
+namespace {
+
+// Layout of the CTRL checkpoint section; version 2 dropped the audit log.
+constexpr std::uint16_t kSnapshotVersion = 2;
+
+}  // namespace
+
 Controller::Controller(topology::Topology& topo, ControllerConfig config,
                        PenaltyFunction penalty)
     : topo_(&topo),
@@ -29,11 +36,6 @@ void Controller::note_state_changed(
   if (!config_.incremental) return;
   optimizer_.note_links_changed(links);
   fast_checker_.note_links_changed(links);
-}
-
-void Controller::enable_audit_log(std::size_t capacity) {
-  audit_enabled_ = true;
-  audit_capacity_ = capacity;
 }
 
 void Controller::set_sink(obs::Sink* sink) {
@@ -71,16 +73,9 @@ void Controller::emit_link(obs::EventKind kind, obs::EventReason reason,
   sink_->emit(event);
 }
 
-void Controller::audit(ActionRecord record) {
-  if (!audit_enabled_) return;
-  if (audit_log_.size() >= audit_capacity_) audit_log_.pop_front();
-  audit_log_.push_back(record);
-}
-
 void Controller::issue_ticket(common::LinkId link) {
   ++stats_.tickets_issued;
   obs_tickets_.add();
-  audit({ActionRecord::Kind::kTicketIssued, link, corruption_.rate(link), 0});
   if (ticket_callback_) ticket_callback_(link);
 }
 
@@ -137,7 +132,6 @@ bool Controller::on_corruption_detected(common::LinkId link,
     obs_disabled_arrival_.add();
     CORROPT_LOG_INFO << "controller: disabled corrupting link "
                      << link.value() << " (loss rate " << loss_rate << ")";
-    audit({ActionRecord::Kind::kDisabled, link, loss_rate, 0});
     emit_link(obs::EventKind::kFastCheckVerdict,
               obs::EventReason::kDisabledVerdict, link, loss_rate);
     emit_link(obs::EventKind::kLinkDisabled, obs::EventReason::kArrival,
@@ -147,7 +141,6 @@ bool Controller::on_corruption_detected(common::LinkId link,
   }
   CORROPT_LOG_INFO << "controller: corrupting link " << link.value()
                    << " kept active: capacity constraint would be violated";
-  audit({ActionRecord::Kind::kRefusedCapacity, link, loss_rate, 0});
   obs_refused_capacity_.add();
   emit_link(obs::EventKind::kFastCheckVerdict,
             obs::EventReason::kRefusedCapacity, link, loss_rate);
@@ -166,7 +159,6 @@ void Controller::recheck_all_active() {
     if (arrival_disable(link)) {
       ++stats_.disabled_on_activation;
       obs_disabled_activation_.add();
-      audit({ActionRecord::Kind::kDisabled, link, corruption_.rate(link), 0});
       emit_link(obs::EventKind::kLinkDisabled, obs::EventReason::kActivation,
                 link, corruption_.rate(link));
       issue_ticket(link);
@@ -178,7 +170,6 @@ void Controller::on_link_repaired(common::LinkId link) {
   corruption_.unmark(link);
   topo_->set_enabled(link, true);
   note_state_changed({&link, 1});
-  audit({ActionRecord::Kind::kEnabled, link, 0.0, 0});
   emit_link(obs::EventKind::kLinkEnabled, obs::EventReason::kNone, link, 0.0);
   switch (config_.mode) {
     case CheckerMode::kSwitchLocal:
@@ -211,8 +202,6 @@ void Controller::on_link_repaired(common::LinkId link) {
       note_state_changed(result.disabled);
       stats_.disabled_on_activation += result.disabled.size();
       obs_disabled_activation_.add(result.disabled.size());
-      audit({ActionRecord::Kind::kOptimizerRun, common::LinkId(), 0.0,
-             result.disabled.size()});
       if (sink_ != nullptr) {
         obs::Event event;
         event.kind = obs::EventKind::kOptimizerRun;
@@ -223,8 +212,6 @@ void Controller::on_link_repaired(common::LinkId link) {
         sink_->emit(event);
       }
       for (common::LinkId disabled : result.disabled) {
-        audit({ActionRecord::Kind::kDisabled, disabled,
-               corruption_.rate(disabled), 0});
         emit_link(obs::EventKind::kLinkDisabled,
                   obs::EventReason::kActivation, disabled,
                   corruption_.rate(disabled));
@@ -236,15 +223,13 @@ void Controller::on_link_repaired(common::LinkId link) {
 }
 
 void Controller::on_corruption_cleared(common::LinkId link) {
-  audit({ActionRecord::Kind::kCorruptionCleared, link,
-         corruption_.rate(link), 0});
   emit_link(obs::EventKind::kCorruptionCleared, obs::EventReason::kNone, link,
             corruption_.rate(link));
   corruption_.unmark(link);
 }
 
 void Controller::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('C', 'T', 'R', 'L'), 1);
+  w.section(common::snap::tag('C', 'T', 'R', 'L'), kSnapshotVersion);
   w.u64(stats_.corruption_reports);
   w.u64(stats_.disabled_on_arrival);
   w.u64(stats_.disabled_on_activation);
@@ -252,19 +237,13 @@ void Controller::snapshot_to(common::snap::Writer& w) const {
   w.u64(stats_.optimizer_runs);
   corruption_.snapshot_to(w);
   fast_checker_.snapshot_to(w);
-  w.boolean(audit_enabled_);
-  w.u64(audit_capacity_);
-  w.u64(audit_log_.size());
-  for (const ActionRecord& record : audit_log_) {
-    w.u8(static_cast<std::uint8_t>(record.kind));
-    w.u32(record.link.value());
-    w.f64(record.loss_rate);
-    w.u64(record.detail);
-  }
 }
 
 void Controller::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('C', 'T', 'R', 'L'));
+  if (r.expect_section(common::snap::tag('C', 'T', 'R', 'L')) !=
+      kSnapshotVersion) {
+    common::snap::fail("controller section version mismatch");
+  }
   stats_.corruption_reports = r.u64();
   stats_.disabled_on_arrival = r.u64();
   stats_.disabled_on_activation = r.u64();
@@ -272,18 +251,6 @@ void Controller::restore_from(common::snap::Reader& r) {
   stats_.optimizer_runs = r.u64();
   corruption_.restore_from(r);
   fast_checker_.restore_from(r);
-  audit_enabled_ = r.boolean();
-  audit_capacity_ = r.u64();
-  audit_log_.clear();
-  const std::uint64_t records = r.u64();
-  for (std::uint64_t i = 0; i < records; ++i) {
-    ActionRecord record;
-    record.kind = static_cast<ActionRecord::Kind>(r.u8());
-    record.link = common::LinkId(r.u32());
-    record.loss_rate = r.f64();
-    record.detail = r.u64();
-    audit_log_.push_back(record);
-  }
   // The optimizer's derived caches are keyed by the topology's state
   // version; a restore can rewind the counter to a value already seen
   // with a different enabled mask, so a stale hit here would corrupt the

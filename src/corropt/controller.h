@@ -10,7 +10,6 @@
 // paper compares against (Figures 14-18).
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <span>
 #include <vector>
@@ -119,41 +118,18 @@ class Controller {
   // Read access to the optimizer (e.g. incremental_stats() in tests).
   [[nodiscard]] const Optimizer& optimizer() const { return optimizer_; }
 
-  // Structured audit trail of controller decisions, for operator
-  // tooling and post-incident review. Off by default; bounded to the
-  // most recent `capacity` records once enabled.
-  struct ActionRecord {
-    enum class Kind {
-      kDisabled,        // Link taken out of service.
-      kRefusedCapacity, // Corruption kept active: constraint would break.
-      kEnabled,         // Link returned to service after repair.
-      kTicketIssued,
-      kOptimizerRun,    // detail = links disabled by the run.
-      kCorruptionCleared,
-    };
-    Kind kind = Kind::kDisabled;
-    common::LinkId link;  // Invalid for kOptimizerRun.
-    double loss_rate = 0.0;
-    std::size_t detail = 0;
-  };
-  void enable_audit_log(std::size_t capacity = 4096);
-  [[nodiscard]] const std::deque<ActionRecord>& audit_log() const {
-    return audit_log_;
-  }
-
   // Attaches observability (DESIGN.md §8): decision counters and journal
   // events for every verdict, forwarded to the fast checker and
   // optimizer as well. The sink is write-only — attaching it never
   // changes a decision. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Checkpointing (DESIGN.md §14): stats, the corruption set, the fast
-  // checker's path-count cache, and the audit trail. The optimizer's
-  // derived state (baseline counts, incremental caches) is not
-  // serialized — it is version-keyed against the topology and
-  // re-derives deterministically, producing identical decisions either
-  // way. Config, constraint and callback belong to the restoring
-  // context and are untouched.
+  // Checkpointing (DESIGN.md §14): stats, the corruption set and the
+  // fast checker's path-count cache. The optimizer's derived state
+  // (baseline counts, incremental caches) is not serialized — it is
+  // version-keyed against the topology and re-derives deterministically,
+  // producing identical decisions either way. Config, constraint and
+  // callback belong to the restoring context and are untouched.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -167,7 +143,6 @@ class Controller {
   // unless config_.incremental). Must be called after every effective
   // set_enabled on topo_ outside the optimizer's own run.
   void note_state_changed(std::span<const common::LinkId> links);
-  void audit(ActionRecord record);
   // Journals a link-scoped event with the link's lower switch filled in.
   void emit_link(obs::EventKind kind, obs::EventReason reason,
                  common::LinkId link, double value);
@@ -182,9 +157,6 @@ class Controller {
   CorruptionSet corruption_;
   TicketCallback ticket_callback_;
   Stats stats_;
-  bool audit_enabled_ = false;
-  std::size_t audit_capacity_ = 0;
-  std::deque<ActionRecord> audit_log_;
 
   // Observability (all inert when sink_ is null).
   obs::Sink* sink_ = nullptr;

@@ -1,68 +1,39 @@
 #include "fleet/fleet_campaign.h"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
-#include "common/rng.h"
 #include "common/thread_pool.h"
-#include "obs/sink.h"
-#include "sim/mitigation_sim.h"
 
 namespace corropt::fleet {
 
 FleetCampaign::FleetCampaign(FleetSpec spec) : spec_(std::move(spec)) {}
 
 DcResult run_dc(const FleetSpec& fleet, const DcSpec& dc, bool collect_obs) {
-  const auto start = std::chrono::steady_clock::now();
+  // The DESIGN.md §7 recipe with the DC's derived seeds, so a 1-DC fleet
+  // reproduces a standalone MitigationSimulation run bit-for-bit
+  // (tests/fleet_test.cc holds the repo to that).
+  sim::Scenario scenario;
+  scenario.name = dc.name;
+  scenario.topology = [&dc] { return build_dc_topology(dc); };
+  scenario.trace = dc.trace;
+  scenario.trace_seed = derive_dc_seed(fleet.seed, dc.key, SeedStream::kTrace);
+  scenario.config = dc.config;
+  scenario.config.seed = derive_dc_seed(fleet.seed, dc.key, SeedStream::kSim);
+  scenario.collect_obs = collect_obs;
 
-  // Per-DC recipe, mirroring bench::run_job: fresh topology, sequential
-  // trace RNG from the derived trace seed, simulation seeded with the
-  // derived sim seed. A 1-DC fleet therefore reproduces a standalone
-  // MitigationSimulation run bit-for-bit (tests/fleet_test.cc holds the
-  // repo to that).
-  topology::Topology topo = build_dc_topology(dc);
-  common::Rng trace_rng(derive_dc_seed(fleet.seed, dc.key, SeedStream::kTrace));
-  const std::vector<trace::TraceEvent> events =
-      trace::CorruptionTraceGenerator(topo, dc.trace, trace_rng).generate();
-
-  // DC-local observability: nothing is shared across workers, so the
-  // folded snapshot/journal are bit-identical for any pool size.
-  obs::MetricsRegistry registry;
-  obs::EventJournal journal;
-  obs::Sink sink{&registry, &journal, nullptr, 0};
-  sim::ScenarioConfig config = dc.config;
-  config.seed = derive_dc_seed(fleet.seed, dc.key, SeedStream::kSim);
-  const bool collect = collect_obs && config.sink == nullptr;
-  if (collect) config.sink = &sink;
-
-  sim::MitigationSimulation sim(topo, config);
-
-  DcResult result;
-  result.name = dc.name;
-  result.key = dc.key;
-  result.shape = dc.shape;
-  result.backend = dc.config.backend.kind;
-  result.link_count = topo.link_count();
-  result.switch_count = topo.switch_count();
-  result.trace_events = events.size();
-  result.capacity_fraction = dc.config.capacity_fraction;
-  result.faults_per_link_per_day = dc.trace.faults_per_link_per_day;
-  result.metrics = sim.run(events);
-  for (const sim::TimePoint& p : result.metrics.worst_tor_fraction) {
-    result.min_worst_tor_fraction =
-        std::min(result.min_worst_tor_fraction, p.value);
+  sim::ScenarioRun run = sim::run_scenario(scenario);
+  double min_worst_tor_fraction = 1.0;
+  for (const sim::TimePoint& p : run.metrics.worst_tor_fraction) {
+    min_worst_tor_fraction = std::min(min_worst_tor_fraction, p.value);
   }
-  if (collect) {
-    result.has_obs = true;
-    result.obs_metrics = registry.snapshot();
-    result.journal = journal.snapshot();
-    result.journal_dropped = journal.dropped();
-  }
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return result;
+  return DcResult{std::move(run),
+                  dc.key,
+                  dc.shape,
+                  dc.config.backend.kind,
+                  dc.config.capacity_fraction,
+                  dc.trace.faults_per_link_per_day,
+                  min_worst_tor_fraction};
 }
 
 FleetMetrics merge_results(const std::vector<DcResult>& dcs) {

@@ -1,12 +1,12 @@
 // Fleet campaign driver: shard whole-DC simulations, merge deterministically.
 //
-// Each DC in a FleetSpec is one independent job — build the topology,
-// synthesize the corruption trace from the DC's derived trace seed, run a
-// MitigationSimulation with the DC's derived sim seed — executed across a
-// common::ThreadPool. Per-DC results are then ordered canonically (by
-// DcSpec::key) and folded into fleet-level aggregates in that order, so
-// both the per-DC rows and every floating-point sum are bit-identical for
-// any thread count and any submission order of FleetSpec::dcs.
+// Each DC in a FleetSpec is one sim::Scenario — the DC's topology, its
+// trace from the DC's derived trace seed, its config under the derived
+// sim seed — run by sim::run_scenario across a common::ThreadPool.
+// Per-DC results are then ordered canonically (by DcSpec::key) and folded
+// into fleet-level aggregates in that order, so both the per-DC rows and
+// every floating-point sum are bit-identical for any thread count and any
+// submission order of FleetSpec::dcs.
 #pragma once
 
 #include <cstdint>
@@ -14,37 +14,24 @@
 #include <vector>
 
 #include "fleet/fleet_spec.h"
-#include "obs/journal.h"
-#include "obs/metrics.h"
-#include "sim/metrics.h"
+#include "sim/scenario.h"
 
 namespace corropt::fleet {
 
-// Outcome of one DC's simulation.
-struct DcResult {
-  std::string name;
+// Outcome of one DC's simulation: its sim::ScenarioRun (name, metrics,
+// link/switch/trace-event counts, wall clock, obs capture) plus the
+// DC's identity and headline parameters. wall_seconds is printed in the
+// stdout table but never serialized into BENCH_fleet.json.
+struct DcResult : sim::ScenarioRun {
   std::uint64_t key = 0;
   DcShape shape = DcShape::kMediumDcn;
   // Detection backend the DC's config selected; tagged in the JSON row
   // only when non-default, so all-threshold fleets serialize unchanged.
   detect::BackendKind backend = detect::BackendKind::kThreshold;
-  std::size_t link_count = 0;
-  std::size_t switch_count = 0;
-  std::size_t trace_events = 0;
   double capacity_fraction = 0.0;
   double faults_per_link_per_day = 0.0;
-  sim::SimulationMetrics metrics;
   // Minimum over the run of the sampled worst-ToR spine-path fraction.
   double min_worst_tor_fraction = 1.0;
-  // Wall-clock of this DC's job alone. Non-deterministic: printed in the
-  // stdout table but never serialized into BENCH_fleet.json.
-  double wall_seconds = 0.0;
-
-  // Filled when the campaign ran with collect_obs.
-  bool has_obs = false;
-  obs::MetricsSnapshot obs_metrics;
-  std::vector<obs::Event> journal;
-  std::uint64_t journal_dropped = 0;
 };
 
 // Fleet-level aggregates, folded over DcResults in canonical key order.
@@ -118,8 +105,9 @@ class FleetCampaign {
 };
 
 // Runs one DC synchronously on the calling thread (also used by the
-// campaign's workers): fresh topology, trace from the DC's kTrace seed,
-// simulation with config.seed replaced by the DC's kSim seed.
+// campaign's workers): the DC's scenario is its topology, its trace from
+// the DC's kTrace seed, and its config with config.seed replaced by the
+// DC's kSim seed.
 [[nodiscard]] DcResult run_dc(const FleetSpec& fleet, const DcSpec& dc,
                               bool collect_obs = false);
 

@@ -3,21 +3,9 @@
 #include <bit>
 #include <chrono>
 
+#include "common/hash.h"
+
 namespace corropt::service {
-
-namespace {
-
-constexpr std::uint64_t kFnvPrime = 1099511628211ull;
-
-std::uint64_t fnv1a(std::uint64_t digest, std::uint64_t value) {
-  for (int byte = 0; byte < 8; ++byte) {
-    digest ^= (value >> (8 * byte)) & 0xffu;
-    digest *= kFnvPrime;
-  }
-  return digest;
-}
-
-}  // namespace
 
 ControlLoop::ControlLoop(topology::Topology& topo, ControlLoopConfig config,
                          obs::Sink* sink)
@@ -61,24 +49,25 @@ void ControlLoop::process(const TelemetryEvent& event) {
   latencies_.push_back(seconds);
   obs_decision_timer_.record(seconds);
 
-  digest_ = fnv1a(digest_, static_cast<std::uint64_t>(event.kind));
-  digest_ = fnv1a(digest_, static_cast<std::uint64_t>(event.link.value()));
-  digest_ = fnv1a(digest_, verdict);
-  digest_ = fnv1a(digest_,
+  digest_ = common::fnv1a(digest_, static_cast<std::uint64_t>(event.kind));
+  digest_ =
+      common::fnv1a(digest_, static_cast<std::uint64_t>(event.link.value()));
+  digest_ = common::fnv1a(digest_, verdict);
+  digest_ = common::fnv1a(digest_,
                   std::bit_cast<std::uint64_t>(controller_.active_penalty()));
 }
 
 std::uint64_t ControlLoop::decisions_digest() const {
   std::uint64_t digest = digest_;
   for (std::uint64_t word : topo_->enabled_mask().words()) {
-    digest = fnv1a(digest, word);
+    digest = common::fnv1a(digest, word);
   }
   const core::Controller::Stats& cs = controller_.stats();
-  digest = fnv1a(digest, cs.corruption_reports);
-  digest = fnv1a(digest, cs.disabled_on_arrival);
-  digest = fnv1a(digest, cs.disabled_on_activation);
-  digest = fnv1a(digest, cs.tickets_issued);
-  digest = fnv1a(digest, cs.optimizer_runs);
+  digest = common::fnv1a(digest, cs.corruption_reports);
+  digest = common::fnv1a(digest, cs.disabled_on_arrival);
+  digest = common::fnv1a(digest, cs.disabled_on_activation);
+  digest = common::fnv1a(digest, cs.tickets_issued);
+  digest = common::fnv1a(digest, cs.optimizer_runs);
   return digest;
 }
 

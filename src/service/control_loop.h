@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/hash.h"
 #include "corropt/controller.h"
 #include "corropt/penalty.h"
 #include "obs/sink.h"
@@ -76,7 +77,7 @@ class ControlLoop {
   obs::Sink* sink_;
   Stats stats_;
   std::vector<double> latencies_;
-  std::uint64_t digest_ = 1469598103934665603ull;  // FNV-1a offset basis.
+  std::uint64_t digest_ = common::kFnvBasis;
   obs::Histogram obs_decision_timer_;
 };
 

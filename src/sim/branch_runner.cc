@@ -4,19 +4,19 @@
 
 namespace corropt::sim {
 
+Scenario BranchRunner::scenario(const ScenarioConfig& config,
+                                std::string name) const {
+  Scenario scenario;
+  scenario.name = std::move(name);
+  scenario.topology = factory_;
+  scenario.config = config;
+  return scenario;
+}
+
 Checkpoint BranchRunner::checkpoint_base(
     const ScenarioConfig& config, const std::vector<trace::TraceEvent>& events,
     const StopPredicate& stop) const {
-  topology::Topology topo = factory_();
-  MitigationSimulation sim(topo, config);
-  sim.begin_run(events);
-  while (!sim.finished()) {
-    if (stop(sim)) return sim.snapshot();
-    if (!sim.step()) break;
-  }
-  // The base ran out before the predicate fired: nothing to branch from.
-  (void)sim.finish_run();
-  return Checkpoint{};
+  return checkpoint_scenario(scenario(config), events, stop);
 }
 
 Checkpoint BranchRunner::checkpoint_at_step(
@@ -34,12 +34,8 @@ std::vector<BranchResult> BranchRunner::run(
   std::vector<BranchResult> results(branches.size());
   common::parallel_for_each(pool, branches.size(), [&](std::size_t i) {
     const BranchSpec& spec = branches[i];
-    topology::Topology topo = factory_();
-    MitigationSimulation sim(topo, spec.config);
-    sim.restore_run(*spec.events, base);
-    while (sim.step()) {
-    }
-    results[i] = BranchResult{spec.name, sim.finish_run()};
+    results[i] =
+        run_scenario(scenario(spec.config, spec.name), spec.events, &base);
   });
   return results;
 }
@@ -47,9 +43,7 @@ std::vector<BranchResult> BranchRunner::run(
 SimulationMetrics BranchRunner::run_fresh(
     const ScenarioConfig& config,
     const std::vector<trace::TraceEvent>& events) const {
-  topology::Topology topo = factory_();
-  MitigationSimulation sim(topo, config);
-  return sim.run(events);
+  return run_scenario(scenario(config), &events).metrics;
 }
 
 }  // namespace corropt::sim

@@ -12,31 +12,22 @@
 // equivalence suite's digests), for any thread count.
 //
 // Threading: branches are independent simulations; the runner fans them
-// out over a caller-provided common::ThreadPool. Each branch allocates
-// its topology and sink-backing stores inside its task, so nothing is
-// shared between branches but the immutable checkpoint bytes.
+// out over a caller-provided common::ThreadPool. Base, branches and
+// fresh references are all sim::run_scenario / checkpoint_scenario runs
+// (sim/scenario.h), so nothing is shared between branches but the
+// immutable checkpoint bytes and each branch's trace.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
 #include "common/thread_pool.h"
 #include "sim/checkpoint.h"
-#include "sim/mitigation_sim.h"
+#include "sim/scenario.h"
 #include "trace/trace.h"
 
 namespace corropt::sim {
-
-// Builds a fresh instance of the run's topology. Called once per branch
-// (and once for the base), always producing structurally identical
-// fabrics; the checkpoint carries the admin/enabled state.
-using TopologyFactory = std::function<topology::Topology()>;
-
-// Evaluated between event dispatches of the base run; the first true
-// verdict freezes the checkpoint there.
-using StopPredicate = std::function<bool(const MitigationSimulation&)>;
 
 struct BranchSpec {
   // Label carried through to the result (scenario name in benches).
@@ -52,10 +43,8 @@ struct BranchSpec {
   const std::vector<trace::TraceEvent>* events = nullptr;
 };
 
-struct BranchResult {
-  std::string name;
-  SimulationMetrics metrics;
-};
+// A branch's run, named after its spec.
+using BranchResult = ScenarioRun;
 
 class BranchRunner {
  public:
@@ -92,6 +81,10 @@ class BranchRunner {
       const std::vector<trace::TraceEvent>& events) const;
 
  private:
+  // The scenario every method runs: this runner's topology, `config`.
+  [[nodiscard]] Scenario scenario(const ScenarioConfig& config,
+                                  std::string name = {}) const;
+
   TopologyFactory factory_;
 };
 

@@ -5,6 +5,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/time.h"
@@ -79,5 +80,9 @@ struct SimulationMetrics {
 // Folds a finished run's metrics into the sink's registry (DESIGN.md
 // §8); no-op without a sink or registry.
 void publish_metrics(const obs::Sink* sink, const SimulationMetrics& metrics);
+
+// FNV-1a digest of every SimulationMetrics field, scalars and series.
+// Two runs are metric-equivalent iff their digests match.
+[[nodiscard]] std::uint64_t digest(const SimulationMetrics& metrics);
 
 }  // namespace corropt::sim

@@ -51,36 +51,4 @@ std::string LossBucketHistogram::label(std::size_t bucket) const {
   return buf;
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo),
-      width_((hi - lo) / static_cast<double>(buckets)),
-      counts_(buckets, 0) {
-  assert(hi > lo);
-  assert(buckets > 0);
-}
-
-void Histogram::add(double value) {
-  if (value < lo_) return;
-  auto bucket = static_cast<std::size_t>((value - lo_) / width_);
-  if (bucket >= counts_.size()) {
-    // Values at or past hi land in the last bucket (closed upper edge).
-    bucket = counts_.size() - 1;
-  }
-  ++counts_[bucket];
-  ++total_;
-}
-
-std::size_t Histogram::count(std::size_t bucket) const {
-  assert(bucket < counts_.size());
-  return counts_[bucket];
-}
-
-double Histogram::bucket_lo(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket);
-}
-
-double Histogram::bucket_hi(std::size_t bucket) const {
-  return lo_ + width_ * static_cast<double>(bucket + 1);
-}
-
 }  // namespace corropt::stats

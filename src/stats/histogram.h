@@ -40,24 +40,4 @@ class LossBucketHistogram {
   std::size_t total_ = 0;
 };
 
-// Generic fixed-width histogram over [lo, hi) used by locality analysis.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double value);
-
-  [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bucket) const;
-  [[nodiscard]] std::size_t total() const { return total_; }
-  [[nodiscard]] double bucket_lo(std::size_t bucket) const;
-  [[nodiscard]] double bucket_hi(std::size_t bucket) const;
-
- private:
-  double lo_;
-  double width_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace corropt::stats

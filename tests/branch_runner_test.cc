@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
@@ -32,58 +33,6 @@
 
 namespace corropt::sim {
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-
-std::uint64_t digest_series(std::uint64_t hash,
-                            const std::vector<TimePoint>& series) {
-  for (const TimePoint& p : series) {
-    hash = fnv1a(hash, &p.time, sizeof(p.time));
-    hash = fnv1a(hash, &p.value, sizeof(p.value));
-  }
-  return hash;
-}
-
-// Digest of every deterministic SimulationMetrics field (scalars and
-// series; the controller block is part of the scalar set).
-std::uint64_t digest_metrics(const SimulationMetrics& m) {
-  std::uint64_t h = kFnvBasis;
-  const auto mix_f = [&h](double v) { h = fnv1a(h, &v, sizeof(v)); };
-  const auto mix_u = [&h](std::uint64_t v) { h = fnv1a(h, &v, sizeof(v)); };
-  mix_f(m.integrated_penalty);
-  mix_f(m.mean_tor_fraction);
-  mix_u(m.faults_injected);
-  mix_u(m.tickets_opened);
-  mix_u(m.repair_attempts);
-  mix_u(m.first_attempts);
-  mix_u(m.first_attempt_successes);
-  mix_u(m.redetections);
-  mix_u(m.polled_detections);
-  mix_f(m.mean_detection_latency_s);
-  mix_f(m.mean_ticket_resolution_s);
-  mix_u(m.maintenance_windows);
-  mix_u(m.maintenance_capacity_violations);
-  mix_f(m.collateral_link_seconds);
-  mix_u(m.undisabled_detections);
-  mix_u(m.controller.corruption_reports);
-  mix_u(m.controller.disabled_on_arrival);
-  mix_u(m.controller.disabled_on_activation);
-  mix_u(m.controller.tickets_issued);
-  mix_u(m.controller.optimizer_runs);
-  h = digest_series(h, m.penalty_series);
-  for (const double v : m.hourly_penalty) h = fnv1a(h, &v, sizeof(v));
-  h = digest_series(h, m.worst_tor_fraction);
-  h = digest_series(h, m.disabled_links);
-  return h;
-}
 
 std::string obs_bytes(const obs::EventJournal& journal,
                       const obs::MetricsRegistry& registry) {
@@ -191,7 +140,7 @@ TEST(BranchRunner, BranchEqualsFreshForEveryBackendAndThreadCount) {
       MitigationSimulation sim(topo, backend_config(kind, &sinks.sink));
       const SimulationMetrics metrics = sim.run(*trace_events);
       fresh.push_back(
-          {digest_metrics(metrics), obs_bytes(sinks.journal, sinks.registry)});
+          {digest(metrics), obs_bytes(sinks.journal, sinks.registry)});
     }
     ASSERT_NE(fresh[0].metrics_digest, fresh[1].metrics_digest)
         << "the divergent suffix must actually change the outcome";
@@ -214,7 +163,7 @@ TEST(BranchRunner, BranchEqualsFreshForEveryBackendAndThreadCount) {
       ASSERT_EQ(results.size(), traces.size());
       for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_EQ(results[i].name, specs[i].name);
-        EXPECT_EQ(digest_metrics(results[i].metrics),
+        EXPECT_EQ(digest(results[i].metrics),
                   fresh[i].metrics_digest)
             << "branch " << specs[i].name
             << " metrics diverged from the fresh run";
@@ -239,7 +188,7 @@ TEST(BranchRunner, RunFreshMatchesPlainRun) {
   topology::Topology topo = make_topology();
   MitigationSimulation sim(topo, config);
   const SimulationMetrics direct = sim.run(events);
-  EXPECT_EQ(digest_metrics(via_runner), digest_metrics(direct));
+  EXPECT_EQ(digest(via_runner), digest(direct));
 }
 
 // Counterfactual mode: same history, different future *configuration*.
@@ -314,7 +263,7 @@ TEST(BranchRunner, CounterfactualConfigBranchesRunClean) {
   MitigationSimulation fresh(
       topo, backend_config(detect::BackendKind::kThreshold, &fresh_sinks.sink));
   const SimulationMetrics fresh_metrics = fresh.run(events);
-  EXPECT_NE(digest_metrics(results[3].metrics), digest_metrics(fresh_metrics));
+  EXPECT_NE(digest(results[3].metrics), digest(fresh_metrics));
 }
 
 }  // namespace

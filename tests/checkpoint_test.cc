@@ -27,6 +27,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
@@ -46,84 +47,25 @@
 namespace corropt::sim {
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
-
 std::string fmt_double(double value) {
   char buffer[64];
   std::snprintf(buffer, sizeof(buffer), "%.17g", value);
   return buffer;
 }
 
-std::uint64_t digest_series(const std::vector<TimePoint>& series) {
-  std::uint64_t hash = kFnvBasis;
-  for (const TimePoint& p : series) {
-    hash = fnv1a(hash, &p.time, sizeof(p.time));
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &p.value, sizeof(bits));
-    hash = fnv1a(hash, &bits, sizeof(bits));
-  }
-  return hash;
-}
-
-std::uint64_t digest_doubles(const std::vector<double>& values) {
-  std::uint64_t hash = kFnvBasis;
-  for (const double value : values) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof(bits));
-    hash = fnv1a(hash, &bits, sizeof(bits));
-  }
-  return hash;
-}
-
 // One deterministic text fingerprint of everything a run can observably
-// produce: metrics scalars at full precision, series digests, journal
-// JSONL digest, registry JSON digest. Two runs are byte-equivalent iff
-// their fingerprints compare equal.
+// produce: a few headline scalars at full precision (for readable
+// diffs), the metrics digest, journal JSONL digest, registry JSON
+// digest. Two runs are byte-equivalent iff their fingerprints compare
+// equal.
 std::string fingerprint(const SimulationMetrics& metrics,
                         const obs::EventJournal& journal,
                         const obs::MetricsRegistry& registry) {
   std::ostringstream out;
   out << "integrated_penalty=" << fmt_double(metrics.integrated_penalty)
-      << "\nmean_tor_fraction=" << fmt_double(metrics.mean_tor_fraction)
       << "\nfaults_injected=" << metrics.faults_injected
       << "\ntickets_opened=" << metrics.tickets_opened
-      << "\nrepair_attempts=" << metrics.repair_attempts
-      << "\nfirst_attempts=" << metrics.first_attempts
-      << "\nfirst_attempt_successes=" << metrics.first_attempt_successes
-      << "\nredetections=" << metrics.redetections
-      << "\npolled_detections=" << metrics.polled_detections
-      << "\nmean_detection_latency_s="
-      << fmt_double(metrics.mean_detection_latency_s)
-      << "\nmean_ticket_resolution_s="
-      << fmt_double(metrics.mean_ticket_resolution_s)
-      << "\nmaintenance_windows=" << metrics.maintenance_windows
-      << "\nmaintenance_capacity_violations="
-      << metrics.maintenance_capacity_violations
-      << "\ncollateral_link_seconds="
-      << fmt_double(metrics.collateral_link_seconds)
-      << "\nundisabled_detections=" << metrics.undisabled_detections
-      << "\ncontroller.reports=" << metrics.controller.corruption_reports
-      << "\ncontroller.arrival=" << metrics.controller.disabled_on_arrival
-      << "\ncontroller.activation="
-      << metrics.controller.disabled_on_activation
-      << "\ncontroller.tickets=" << metrics.controller.tickets_issued
-      << "\ncontroller.optimizer_runs=" << metrics.controller.optimizer_runs
-      << "\npenalty_series=" << metrics.penalty_series.size() << ":"
-      << digest_series(metrics.penalty_series)
-      << "\nhourly_penalty=" << metrics.hourly_penalty.size() << ":"
-      << digest_doubles(metrics.hourly_penalty)
-      << "\nworst_tor_fraction=" << metrics.worst_tor_fraction.size() << ":"
-      << digest_series(metrics.worst_tor_fraction)
-      << "\ndisabled_links=" << metrics.disabled_links.size() << ":"
-      << digest_series(metrics.disabled_links);
+      << "\nmetrics_digest=" << digest(metrics);
 
   std::ostringstream journal_bytes;
   for (const obs::Event& event : journal.snapshot()) {
@@ -133,7 +75,8 @@ std::string fingerprint(const SimulationMetrics& metrics,
   const std::string journal_str = journal_bytes.str();
   out << "\njournal=" << journal.snapshot().size() << ":"
       << journal.dropped() << ":"
-      << fnv1a(kFnvBasis, journal_str.data(), journal_str.size());
+      << common::fnv1a(common::kFnvBasis, journal_str.data(),
+                       journal_str.size());
 
   std::ostringstream registry_bytes;
   {
@@ -144,7 +87,9 @@ std::string fingerprint(const SimulationMetrics& metrics,
   }
   const std::string registry_str = registry_bytes.str();
   out << "\nobs_metrics=" << registry_str.size() << ":"
-      << fnv1a(kFnvBasis, registry_str.data(), registry_str.size()) << "\n";
+      << common::fnv1a(common::kFnvBasis, registry_str.data(),
+                       registry_str.size())
+      << "\n";
   return out.str();
 }
 

@@ -25,6 +25,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/hash.h"
 #include "common/json.h"
 #include "common/rng.h"
 #include "obs/journal.h"
@@ -39,15 +40,6 @@ namespace {
 
 constexpr char kFixtureRelPath[] = "/tests/golden/sim_equivalence.txt";
 
-std::uint64_t fnv1a(std::uint64_t hash, const void* data, std::size_t size) {
-  const auto* bytes = static_cast<const unsigned char*>(data);
-  for (std::size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ULL;
-  }
-  return hash;
-}
-constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
 
 std::string fmt_double(double value) {
   char buffer[64];
@@ -56,22 +48,22 @@ std::string fmt_double(double value) {
 }
 
 std::uint64_t digest_series(const std::vector<TimePoint>& series) {
-  std::uint64_t hash = kFnvBasis;
+  std::uint64_t hash = common::kFnvBasis;
   for (const TimePoint& p : series) {
-    hash = fnv1a(hash, &p.time, sizeof(p.time));
+    hash = common::fnv1a(hash, &p.time, sizeof(p.time));
     std::uint64_t bits = 0;
     std::memcpy(&bits, &p.value, sizeof(bits));
-    hash = fnv1a(hash, &bits, sizeof(bits));
+    hash = common::fnv1a(hash, &bits, sizeof(bits));
   }
   return hash;
 }
 
 std::uint64_t digest_doubles(const std::vector<double>& values) {
-  std::uint64_t hash = kFnvBasis;
+  std::uint64_t hash = common::kFnvBasis;
   for (const double value : values) {
     std::uint64_t bits = 0;
     std::memcpy(&bits, &value, sizeof(bits));
-    hash = fnv1a(hash, &bits, sizeof(bits));
+    hash = common::fnv1a(hash, &bits, sizeof(bits));
   }
   return hash;
 }
@@ -203,7 +195,8 @@ Lines run_config(const Params& params) {
   add_u64("journal.events", journal.snapshot().size());
   add_u64("journal.bytes", journal_str.size());
   add_u64("journal.digest",
-          fnv1a(kFnvBasis, journal_str.data(), journal_str.size()));
+          common::fnv1a(common::kFnvBasis, journal_str.data(),
+                        journal_str.size()));
 
   // Metric registry snapshot (timers carry wall clock and are excluded,
   // the same exception DESIGN.md (sec)7 sanctions).
@@ -217,7 +210,8 @@ Lines run_config(const Params& params) {
   const std::string registry_str = registry_bytes.str();
   add_u64("obs_metrics.bytes", registry_str.size());
   add_u64("obs_metrics.digest",
-          fnv1a(kFnvBasis, registry_str.data(), registry_str.size()));
+          common::fnv1a(common::kFnvBasis, registry_str.data(),
+                        registry_str.size()));
   return lines;
 }
 

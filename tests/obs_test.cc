@@ -227,7 +227,7 @@ ScenarioJob make_obs_job(std::size_t solver_threads, bool collect_obs) {
 
 std::string journal_jsonl(const ScenarioResult& result) {
   std::ostringstream out;
-  for (const obs::Event& event : result.journal) {
+  for (const obs::Event& event : result.obs->journal) {
     obs::write_event_jsonl(out, event, result.name);
     out << '\n';
   }
@@ -238,7 +238,7 @@ std::string deterministic_snapshot_json(const ScenarioResult& result) {
   std::ostringstream out;
   common::JsonWriter json(out);
   json.begin_object();
-  result.obs_metrics.write_json(json, /*include_timers=*/false);
+  result.obs->metrics.write_json(json, /*include_timers=*/false);
   json.end_object();
   return out.str();
 }
@@ -258,8 +258,8 @@ TEST(ObsIntegrationTest, AttachedSinkIsWriteOnly) {
   // to a detached run.
   const ScenarioResult detached = run_job(make_obs_job(1, false));
   const ScenarioResult attached = run_job(make_obs_job(1, true));
-  EXPECT_FALSE(detached.has_obs);
-  ASSERT_TRUE(attached.has_obs);
+  EXPECT_FALSE(detached.obs);
+  ASSERT_TRUE(attached.obs);
 
   const sim::SimulationMetrics& a = detached.metrics;
   const sim::SimulationMetrics& b = attached.metrics;
@@ -290,10 +290,10 @@ TEST(ObsIntegrationTest, JournalAndMetricsInvariantUnderSolverThreads) {
   // section (wall clock) may differ.
   const ScenarioResult one = run_job(make_obs_job(1, true));
   const ScenarioResult four = run_job(make_obs_job(4, true));
-  ASSERT_TRUE(one.has_obs);
-  ASSERT_TRUE(four.has_obs);
-  EXPECT_FALSE(one.journal.empty());
-  EXPECT_EQ(one.journal_dropped, 0u);
+  ASSERT_TRUE(one.obs);
+  ASSERT_TRUE(four.obs);
+  EXPECT_FALSE(one.obs->journal.empty());
+  EXPECT_EQ(one.obs->journal_dropped, 0u);
   EXPECT_EQ(journal_jsonl(one), journal_jsonl(four));
   EXPECT_EQ(deterministic_snapshot_json(one),
             deterministic_snapshot_json(four));
@@ -324,8 +324,8 @@ TEST(ObsIntegrationTest, RunnerPoolSizeDoesNotAffectCollectedObs) {
 
 TEST(ObsIntegrationTest, CountersAgreeWithSimulationMetrics) {
   const ScenarioResult result = run_job(make_obs_job(1, true));
-  ASSERT_TRUE(result.has_obs);
-  const obs::MetricsSnapshot& snap = result.obs_metrics;
+  ASSERT_TRUE(result.obs);
+  const obs::MetricsSnapshot& snap = result.obs->metrics;
   const sim::SimulationMetrics& metrics = result.metrics;
   EXPECT_EQ(counter_value(snap, "sim.faults_injected"),
             metrics.faults_injected);
@@ -350,10 +350,10 @@ TEST(ObsIntegrationTest, JournalReconstructsFigure14PenaltySeries) {
   // integrated_penalty (up to floating-point association — the internal
   // integral splits spans at capacity samples and hourly bins).
   const ScenarioResult result = run_job(make_obs_job(1, true));
-  ASSERT_TRUE(result.has_obs);
+  ASSERT_TRUE(result.obs);
 
   std::vector<sim::TimePoint> reconstructed;
-  for (const obs::Event& event : result.journal) {
+  for (const obs::Event& event : result.obs->journal) {
     if (event.kind != obs::EventKind::kPenaltySample) continue;
     reconstructed.push_back({event.time, event.value});
   }
@@ -388,7 +388,7 @@ TEST(ObsIntegrationTest, CallerSinkWinsOverCollectObs) {
   ScenarioJob job = make_obs_job(1, true);
   job.config.sink = &sink;
   const ScenarioResult result = run_job(job);
-  EXPECT_FALSE(result.has_obs);
+  EXPECT_FALSE(result.obs);
   EXPECT_FALSE(journal.snapshot().empty());
   EXPECT_GT(registry.snapshot().counters.size(), 0u);
 }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/hash.h"
 #include "corropt/corruption_set.h"
 #include "corropt/penalty.h"
 #include "obs/journal.h"
@@ -56,12 +57,9 @@ service::ControlLoopConfig loop_config(bool incremental,
 // field is subsets_evaluated, a search-effort diagnostic the
 // equivalence contract exempts.
 std::uint64_t journal_digest(const obs::EventJournal& journal) {
-  std::uint64_t digest = 1469598103934665603ull;
+  std::uint64_t digest = common::kFnvBasis;
   auto fold = [&digest](std::uint64_t value) {
-    for (int byte = 0; byte < 8; ++byte) {
-      digest ^= (value >> (8 * byte)) & 0xffu;
-      digest *= 1099511628211ull;
-    }
+    digest = common::fnv1a(digest, value);
   };
   for (const obs::Event& event : journal.snapshot()) {
     fold(event.seq);

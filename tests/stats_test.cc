@@ -180,20 +180,5 @@ TEST(LossBuckets, BoundaryExactlyOnEdge) {
   EXPECT_EQ(h.count(0), 0u);
 }
 
-TEST(Histogram, FixedWidthBuckets) {
-  Histogram h(0.0, 1.0, 4);
-  h.add(0.1);
-  h.add(0.30);
-  h.add(0.99);
-  h.add(1.0);   // lands in the last bucket (closed upper edge)
-  h.add(-0.1);  // below range: dropped
-  EXPECT_EQ(h.total(), 4u);
-  EXPECT_EQ(h.count(0), 1u);
-  EXPECT_EQ(h.count(1), 1u);
-  EXPECT_EQ(h.count(3), 2u);
-  EXPECT_DOUBLE_EQ(h.bucket_lo(1), 0.25);
-  EXPECT_DOUBLE_EQ(h.bucket_hi(1), 0.5);
-}
-
 }  // namespace
 }  // namespace corropt::stats
