@@ -2,8 +2,9 @@
 //
 // Replays synthesized burst/churn telemetry streams against two
 // identically configured control loops on the large DCN — one cold
-// (every event pays full path recounts), one incremental (persistent
-// optimizer / fast-checker state) — and reports sustained decisions/sec
+// (every optimizer run solves every segment afresh), one incremental
+// (the optimizer's segment and closure caches kept across runs; both
+// loops keep mask-keyed path counts) — and reports sustained decisions/sec
 // plus p50/p99 per-event latency for each. The two loops must be
 // decision-equivalent: the bench folds every decision and every journal
 // record (search-effort fields masked) into digests and reports their

@@ -18,7 +18,6 @@
 
 #include <concepts>
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <span>
 #include <vector>
@@ -172,12 +171,6 @@ class MeasurementStudy {
       }
     }
   }
-
-  // Legacy sequential entry point: visits every poll sample of every
-  // direction, direction-major (all epochs of direction 0, then
-  // direction 1, ...).
-  void run(const std::function<void(const telemetry::PollSample&)>& visit)
-      const;
 
   // The keyed sample at (dir, t): the unit of work every entry point
   // above shares. Pure in (construction state, dir, t).

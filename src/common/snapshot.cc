@@ -76,6 +76,12 @@ double Reader::f64() {
   return std::bit_cast<double>(bits);
 }
 
+std::size_t Reader::length() {
+  const std::uint64_t n = u64();
+  if (n > remaining()) fail("length prefix exceeds the remaining bytes");
+  return static_cast<std::size_t>(n);
+}
+
 std::string_view Reader::str() {
   const std::uint64_t n = u64();
   if (bytes_.size() - pos_ < n) fail("truncated (str)");

@@ -67,6 +67,10 @@ class Reader {
   std::int64_t i64();
   double f64();
   bool boolean() { return u8() != 0; }
+  // Element count of a length-prefixed sequence. Every element takes at
+  // least one byte, so a count above remaining() is malformed and fails
+  // here instead of turning into an unbounded allocation.
+  std::size_t length();
   std::string_view str();
   std::string_view blob() { return str(); }
   // Skips a length-prefixed payload without decoding it.

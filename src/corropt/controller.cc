@@ -25,17 +25,7 @@ Controller::Controller(topology::Topology& topo, ControllerConfig config,
       switch_local_(topo, switch_local_threshold(config.capacity_fraction,
                                                  std::max(1, topo.top_level()))),
       optimizer_(topo, constraint_, penalty, config.optimizer) {
-  if (config_.incremental) {
-    optimizer_.set_incremental(true);
-    fast_checker_.set_incremental(true);
-  }
-}
-
-void Controller::note_state_changed(
-    std::span<const common::LinkId> links) {
-  if (!config_.incremental) return;
-  optimizer_.note_links_changed(links);
-  fast_checker_.note_links_changed(links);
+  optimizer_.set_incremental(config_.incremental);
 }
 
 void Controller::set_sink(obs::Sink* sink) {
@@ -82,11 +72,7 @@ void Controller::issue_ticket(common::LinkId link) {
 bool Controller::arrival_disable(common::LinkId link) {
   switch (config_.mode) {
     case CheckerMode::kSwitchLocal:
-      if (switch_local_.try_disable(link)) {
-        note_state_changed({&link, 1});
-        return true;
-      }
-      return false;
+      return switch_local_.try_disable(link);
     case CheckerMode::kFastCheckerOnly:
     case CheckerMode::kCorrOpt: {
       if (config_.account_collateral_repair) {
@@ -100,16 +86,9 @@ bool Controller::arrival_disable(common::LinkId link) {
           return topo_->is_enabled(link) ? false : true;
         }
         topo_->set_enabled(link, false);
-        note_state_changed({&link, 1});
         return true;
       }
-      if (fast_checker_.try_disable(link)) {
-        // The fast checker's own cache self-maintained; the note reaches
-        // the optimizer's pending list.
-        note_state_changed({&link, 1});
-        return true;
-      }
-      return false;
+      return fast_checker_.try_disable(link);
     }
   }
   return false;
@@ -169,7 +148,6 @@ void Controller::recheck_all_active() {
 void Controller::on_link_repaired(common::LinkId link) {
   corruption_.unmark(link);
   topo_->set_enabled(link, true);
-  note_state_changed({&link, 1});
   emit_link(obs::EventKind::kLinkEnabled, obs::EventReason::kNone, link, 0.0);
   switch (config_.mode) {
     case CheckerMode::kSwitchLocal:
@@ -197,9 +175,6 @@ void Controller::on_link_repaired(common::LinkId link) {
               "controller: incremental optimizer diverged from cold solve");
         }
       }
-      // The optimizer already noted its own disables internally; this
-      // reaches the fast checker's cached counts.
-      note_state_changed(result.disabled);
       stats_.disabled_on_activation += result.disabled.size();
       obs_disabled_activation_.add(result.disabled.size());
       if (sink_ != nullptr) {
@@ -251,12 +226,6 @@ void Controller::restore_from(common::snap::Reader& r) {
   stats_.optimizer_runs = r.u64();
   corruption_.restore_from(r);
   fast_checker_.restore_from(r);
-  // The optimizer's derived caches are keyed by the topology's state
-  // version; a restore can rewind the counter to a value already seen
-  // with a different enabled mask, so a stale hit here would corrupt the
-  // next run. Dropping them is free of observable effects: re-derivation
-  // is deterministic and touches no metrics.
-  optimizer_.drop_derived_state();
 }
 
 }  // namespace corropt::core

@@ -8,10 +8,14 @@
 // controller is also configurable to emulate the state-of-the-art
 // switch-local checker and the fast-checker-only ablation, which the
 // paper compares against (Figures 14-18).
+//
+// The fast checker's and optimizer's path counts follow the topology's
+// enabled mask (DESIGN.md §12), so links flipped by anyone — this
+// controller, repairs, maintenance, an operator, a checkpoint restore —
+// need no report to them.
 #pragma once
 
 #include <functional>
-#include <span>
 #include <vector>
 
 #include "common/ids.h"
@@ -50,14 +54,14 @@ struct ControllerConfig {
   // breakout bundle off. (The switch-local baseline has no equivalent.)
   bool account_collateral_repair = false;
 
-  // Incremental control loop (DESIGN.md §12): keep the optimizer's and
-  // fast checker's derived state (path counts, closures, segment
-  // solutions) alive across events, invalidating only what each change
-  // touches. Decisions — disable sets, enabled mask, penalties, tickets,
+  // Incremental control loop (DESIGN.md §12): keep the optimizer's
+  // per-ToR closures and segment solutions alive across events, reusing
+  // a solution while its sweep region is unchanged. The path counts of
+  // the fast checker and optimizer follow the enabled mask in either
+  // mode. Decisions — disable sets, enabled mask, penalties, tickets,
   // journal decision events — are identical to the default cold path;
-  // only search-effort diagnostics (kOptimizerRun.detail1, the
-  // optimizer.subsets_evaluated / cache-skip counters, and
-  // fastcheck.cache_refreshes / delta_updates) may differ.
+  // only search-effort diagnostics (kOptimizerRun.detail1 and the
+  // optimizer.subsets_evaluated / cache-skip counters) may differ.
   bool incremental = false;
   // Debug mode: after every optimizer run, replay the event cold on a
   // topology copy and throw std::logic_error if the disable set, the
@@ -126,10 +130,11 @@ class Controller {
 
   // Checkpointing (DESIGN.md §14): stats, the corruption set and the
   // fast checker's path-count cache. The optimizer's derived state
-  // (baseline counts, incremental caches) is not serialized — it is
-  // version-keyed against the topology and re-derives deterministically,
-  // producing identical decisions either way. Config, constraint and
-  // callback belong to the restoring context and are untouched.
+  // (baseline counts, incremental caches) is not serialized: it is
+  // keyed on the enabled mask, so whatever it holds stays exact across
+  // the restore, and decisions are identical either way. Config,
+  // constraint and callback belong to the restoring context and are
+  // untouched.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -139,10 +144,6 @@ class Controller {
   void recheck_all_active();
   void issue_ticket(common::LinkId link);
   bool arrival_disable(common::LinkId link);
-  // Reports an enabled-state change to the incremental caches (no-op
-  // unless config_.incremental). Must be called after every effective
-  // set_enabled on topo_ outside the optimizer's own run.
-  void note_state_changed(std::span<const common::LinkId> links);
   // Journals a link-scoped event with the link's lower switch filled in.
   void emit_link(obs::EventKind kind, obs::EventReason reason,
                  common::LinkId link, double value);

@@ -4,6 +4,14 @@
 
 namespace corropt::core {
 
+namespace {
+
+// Layout of the FCHK checkpoint section; version 2 keys the counts on
+// the enabled mask instead of the state version.
+constexpr std::uint16_t kSnapshotVersion = 2;
+
+}  // namespace
+
 FastChecker::FastChecker(topology::Topology& topo,
                          const CapacityConstraint& constraint)
     : topo_(&topo), constraint_(&constraint), paths_(topo) {
@@ -17,7 +25,6 @@ void FastChecker::set_sink(obs::Sink* sink) {
     obs_checks_ = obs::Counter();
     obs_disables_ = obs::Counter();
     obs_cache_refreshes_ = obs::Counter();
-    obs_delta_updates_ = obs::Counter();
     obs_closure_switches_ = obs::Counter();
     obs_check_timer_ = obs::Histogram();
     return;
@@ -26,38 +33,14 @@ void FastChecker::set_sink(obs::Sink* sink) {
   obs_checks_ = metrics.counter("fastcheck.checks");
   obs_disables_ = metrics.counter("fastcheck.disables");
   obs_cache_refreshes_ = metrics.counter("fastcheck.cache_refreshes");
-  // Registered only in incremental mode: the default path must leave the
-  // metrics registry (and thus the golden digests) untouched.
-  obs_delta_updates_ = incremental_ ? metrics.counter("fastcheck.delta_updates")
-                                    : obs::Counter();
   obs_closure_switches_ = metrics.counter("fastcheck.closure_switches");
   obs_check_timer_ = metrics.timer("fastcheck.check_s");
 }
 
-void FastChecker::note_links_changed(
-    std::span<const common::LinkId> links) {
-  if (!incremental_ || !cache_valid_) return;
-  const std::uint64_t version = topo_->state_version();
-  if (cached_version_ == version) return;
-  // Each effective enabled-state change bumps the version by one; a gap
-  // this note cannot account for means an unnoted change slipped in, so
-  // the delta fold would miss links. Drop the cache and resweep lazily.
-  if (version - cached_version_ > links.size()) {
-    cache_valid_ = false;
-    return;
-  }
-  paths_.refresh_counts_after_changes(cached_counts_, links, nullptr,
-                                      note_scratch_);
-  cached_version_ = version;
-  obs_delta_updates_.add();
-}
-
-void FastChecker::refresh_cache() {
-  if (cache_valid_ && cached_version_ == topo_->state_version()) return;
-  cached_counts_ = paths_.up_paths();
-  cached_version_ = topo_->state_version();
-  cache_valid_ = true;
-  obs_cache_refreshes_.add();
+void FastChecker::sync() {
+  const bool cold = live_.counts.empty();
+  paths_.sync_live_counts(live_);
+  if (cold || !live_.changed.empty()) obs_cache_refreshes_.add();
 }
 
 FastChecker::ClosureResult FastChecker::evaluate_closure(
@@ -103,7 +86,7 @@ FastChecker::ClosureResult FastChecker::evaluate_closure(
       const std::int32_t upper_slot = slot_[upper.index()];
       total += upper_slot >= 0
                    ? new_counts[static_cast<std::size_t>(upper_slot)]
-                   : cached_counts_[upper.index()];
+                   : live_.counts[upper.index()];
     }
     new_counts[i] = total;
     result.updates.emplace_back(closure_[i], total);
@@ -127,7 +110,7 @@ bool FastChecker::can_disable(common::LinkId link) {
   const obs::ScopedTimer timer(obs_check_timer_,
                                sink_ != nullptr ? sink_->trace : nullptr,
                                "fastcheck.can_disable");
-  refresh_cache();
+  sync();
   const ClosureResult result = evaluate_closure(link);
   obs_checks_.add();
   obs_closure_switches_.add(result.updates.size());
@@ -149,36 +132,47 @@ bool FastChecker::try_disable(common::LinkId link) {
   const obs::ScopedTimer timer(obs_check_timer_,
                                sink_ != nullptr ? sink_->trace : nullptr,
                                "fastcheck.try_disable");
-  refresh_cache();
+  sync();
   const ClosureResult result = evaluate_closure(link);
   obs_checks_.add();
   obs_closure_switches_.add(result.updates.size());
   if (!result.feasible) return false;
   obs_disables_.add();
   topo_->set_enabled(link, false);
-  // Fold the closure's new counts into the cache so consecutive
-  // decisions stay incremental.
+  // Fold the closure's new counts and the flipped bit into the live
+  // counts so the next sync finds nothing to redo.
   for (const auto& [sw, value] : result.updates) {
-    cached_counts_[sw.index()] = value;
+    live_.counts[sw.index()] = value;
   }
-  cached_version_ = topo_->state_version();
+  live_.seen[link.index() / 64] &= ~(std::uint64_t{1} << (link.index() % 64));
   return true;
 }
 
 void FastChecker::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('F', 'C', 'H', 'K'), 1);
-  w.boolean(cache_valid_);
-  w.u64(cached_version_);
-  w.u64(cached_counts_.size());
-  for (std::uint64_t count : cached_counts_) w.u64(count);
+  w.section(common::snap::tag('F', 'C', 'H', 'K'), kSnapshotVersion);
+  w.u64(live_.seen.size());
+  for (std::uint64_t word : live_.seen) w.u64(word);
+  w.u64(live_.counts.size());
+  for (std::uint64_t count : live_.counts) w.u64(count);
 }
 
 void FastChecker::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('F', 'C', 'H', 'K'));
-  cache_valid_ = r.boolean();
-  cached_version_ = r.u64();
-  cached_counts_.resize(r.u64());
-  for (std::uint64_t& count : cached_counts_) count = r.u64();
+  if (r.expect_section(common::snap::tag('F', 'C', 'H', 'K')) !=
+      kSnapshotVersion) {
+    common::snap::fail("fast checker section version mismatch");
+  }
+  // Each vector is empty (a cache never filled) or sized for this
+  // topology; anything else belongs to another fabric.
+  auto read = [&r](std::vector<std::uint64_t>& out, std::size_t expected) {
+    const std::size_t n = r.length();
+    if (n != 0 && n != expected) {
+      common::snap::fail("fast checker counts do not match the topology");
+    }
+    out.resize(n);
+    for (std::uint64_t& value : out) value = r.u64();
+  };
+  read(live_.seen, topo_->enabled_mask().words().size());
+  read(live_.counts, topo_->switch_count());
 }
 
 }  // namespace corropt::core

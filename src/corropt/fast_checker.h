@@ -9,9 +9,10 @@
 // switch directly downstream of l" — the checker caches the network's
 // path counts and, per decision, recomputes only the downward closure of
 // the candidate's lower endpoint: O(1) work per link of the affected
-// subtree rather than of the whole DCN. A topology state-version counter
-// keeps the cache coherent when other actors (the optimizer, repairs)
-// flip links.
+// subtree rather than of the whole DCN. The cache is a
+// PathCounter::LiveCounts keyed on the enabled mask (DESIGN.md §12):
+// links other actors flipped (the optimizer, repairs, operators) are
+// folded in by the next decision's sync, with no change notes.
 //
 // Precondition for the incremental path: the network currently satisfies
 // every ToR's constraint (the controller maintains this invariant). ToRs
@@ -58,29 +59,19 @@ class FastChecker {
   [[nodiscard]] const PathCounter& paths() const { return paths_; }
 
   // Attaches observability: per-decision counters ("fastcheck.checks",
-  // ".disables", ".cache_refreshes", ".delta_updates",
-  // ".closure_switches") and the "fastcheck.check_s" wall-clock timer.
-  // Pass nullptr to detach.
+  // ".disables", ".cache_refreshes", ".closure_switches") and the
+  // "fastcheck.check_s" wall-clock timer. A cache refresh is a decision
+  // whose sync had to fold flipped links or fill the cache cold. Pass
+  // nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Incremental mode (DESIGN.md §12): when on, note_links_changed folds
-  // an external enabled-state change into the cached counts by
-  // recounting only the changed links' downward closure, instead of the
-  // full-fabric refresh the next decision would otherwise pay. Verdicts
-  // are identical either way.
-  void set_incremental(bool enabled) { incremental_ = enabled; }
-
-  // Reports external enabled-state changes of `links` (the checker's own
-  // try_disable already self-maintains). No-op outside incremental mode
-  // or when the cache is cold; unnoted changes are still caught by the
-  // state-version check and trigger a full refresh.
-  void note_links_changed(std::span<const common::LinkId> links);
-
-  // Checkpointing (DESIGN.md §14): the path-count cache and its version
-  // key. Serialized faithfully — invalidating instead would make a
-  // restored run pay (and count, via fastcheck.cache_refreshes) an
-  // extra refresh the equivalent fresh run never performs, breaking
-  // registry-digest equivalence.
+  // Checkpointing (DESIGN.md §14): the live counts and the enabled mask
+  // they were taken under. Serialized faithfully — dropping them instead
+  // would make a restored run pay (and count, via
+  // fastcheck.cache_refreshes) a cold fill the equivalent fresh run
+  // never performs, breaking registry-digest equivalence. Restoring into
+  // a topology whose mask differs is exact: the next sync folds the
+  // difference.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -92,9 +83,8 @@ class FastChecker {
     std::vector<std::pair<common::SwitchId, std::uint64_t>> updates;
   };
 
-  // Recomputes cached path counts from scratch when the topology changed
-  // behind our back.
-  void refresh_cache();
+  // Brings the live counts up to the current enabled mask.
+  void sync();
   // Evaluates the downstream closure of `link`'s lower endpoint with the
   // link masked off.
   ClosureResult evaluate_closure(common::LinkId link);
@@ -102,11 +92,7 @@ class FastChecker {
   topology::Topology* topo_;
   const CapacityConstraint* constraint_;
   PathCounter paths_;
-  std::vector<std::uint64_t> cached_counts_;
-  std::uint64_t cached_version_ = 0;
-  bool cache_valid_ = false;
-  bool incremental_ = false;
-  PathCounter::SweepScratch note_scratch_;
+  PathCounter::LiveCounts live_;
   // Scratch for closure traversal.
   std::vector<char> in_closure_;
   std::vector<common::SwitchId> closure_;
@@ -117,7 +103,6 @@ class FastChecker {
   obs::Counter obs_checks_;
   obs::Counter obs_disables_;
   obs::Counter obs_cache_refreshes_;
-  obs::Counter obs_delta_updates_;
   obs::Counter obs_closure_switches_;
   obs::Histogram obs_check_timer_;
 };

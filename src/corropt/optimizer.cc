@@ -111,110 +111,27 @@ Optimizer::Optimizer(topology::Topology& topo,
       scratch_(std::make_unique<OptimizerSegmentScratch>()) {
   scratch_paths_.resize(topo.switch_count(), 0);
   scratch_mask_.assign(topo.link_count());
-  refresh_baseline();
 }
 
 Optimizer::~Optimizer() = default;
 
-void Optimizer::refresh_baseline() {
-  if (baseline_version_ == topo_->state_version() &&
-      !baseline_counts_.empty()) {
-    return;
-  }
-  if (incremental_ && !baseline_counts_.empty() && !pending_changed_.empty()) {
-    // Every effective enabled-state change since the baseline was taken
-    // is in pending_changed_ (sync_incremental_state degrades to a cold
-    // rebuild otherwise), so recounting the downward closure of those
-    // links brings the counts to the current state exactly.
-    paths_.refresh_counts_after_changes(baseline_counts_, pending_changed_,
-                                        &touched_tors_, sweep_scratch_);
-    merge_baseline_violated();
-    ++inc_stats_.baseline_delta_recounts;
-  } else {
-    paths_.up_paths_into(baseline_counts_);
-    baseline_violated_ = paths_.violated_tors(baseline_counts_, *constraint_);
-    if (incremental_) ++inc_stats_.baseline_full_recounts;
-  }
-  pending_changed_.clear();
-  baseline_version_ = topo_->state_version();
-}
-
-void Optimizer::merge_baseline_violated() {
-  if (touched_tors_.empty()) return;
-  // Both lists are id-sorted: baseline_violated_ by construction
-  // (violated_tors / masked_violated_tors_into), touched_tors_ because
-  // sweep nodes come in id order within the ToR level. Two-pointer merge
-  // re-evaluating only the touched ToRs' verdicts.
-  std::vector<SwitchId> merged;
-  merged.reserve(baseline_violated_.size() + touched_tors_.size());
-  std::size_t a = 0;
-  std::size_t b = 0;
-  while (a < baseline_violated_.size() || b < touched_tors_.size()) {
-    if (b == touched_tors_.size() ||
-        (a < baseline_violated_.size() &&
-         baseline_violated_[a] < touched_tors_[b])) {
-      merged.push_back(baseline_violated_[a++]);
-      continue;
-    }
-    const SwitchId tor = touched_tors_[b++];
-    if (a < baseline_violated_.size() && baseline_violated_[a] == tor) ++a;
-    if (constraint_->below_min(tor, paths_.design_paths()[tor.index()],
-                               baseline_counts_[tor.index()])) {
-      merged.push_back(tor);
-    }
-  }
-  baseline_violated_ = std::move(merged);
-}
-
-void Optimizer::drop_derived_state() {
-  baseline_counts_.clear();
-  baseline_violated_.clear();
-  baseline_version_ = 0;
-  pending_changed_.clear();
-  drift_ = false;
-  segment_cache_.clear();
-  if (incremental_) tracked_version_ = topo_->state_version();
-}
-
-void Optimizer::set_incremental(bool enabled) {
-  if (enabled == incremental_) return;
-  incremental_ = enabled;
-  pending_changed_.clear();
-  drift_ = false;
-  if (enabled) {
-    tracked_version_ = topo_->state_version();
-    if (closures_ == nullptr) {
-      closures_ = std::make_unique<TorClosureCache>(paths_);
-    }
-  } else {
-    segment_cache_.clear();
-    closures_.reset();
-  }
-}
-
-void Optimizer::note_links_changed(std::span<const LinkId> links) {
+void Optimizer::sync_baseline() {
+  const bool cold = baseline_.counts.empty();
+  paths_.sync_live_counts(baseline_);
+  if (!cold && baseline_.changed.empty()) return;
+  baseline_violated_ = paths_.violated_tors(baseline_.counts, *constraint_);
   if (!incremental_) return;
-  const std::uint64_t version = topo_->state_version();
-  // No version movement means no effective enabled-state change (a
-  // corruption-rate-only change is caught by the per-candidate rate
-  // comparison at reuse time, so it needs no invalidation here).
-  if (version == tracked_version_) return;
-  const std::uint64_t delta = version - tracked_version_;
-  tracked_version_ = version;
-  if (drift_) return;
-  // Every effective enabled-state change bumps the version by exactly
-  // one, and callers note each change they make. A version gap larger
-  // than this note can account for means something changed behind our
-  // back with no note — the pending list is incomplete, so fall cold.
-  if (delta > links.size() ||
-      pending_changed_.size() + links.size() > kMaxPendingChanges) {
-    drift_ = true;  // Next run rebuilds from scratch.
+  if (cold) {
+    ++inc_stats_.baseline_full_recounts;
     return;
   }
-  pending_changed_.insert(pending_changed_.end(), links.begin(), links.end());
+  ++inc_stats_.baseline_delta_recounts;
+  // A cached segment stays fresh only while no link of its sweep region
+  // differs from the mask it was solved under. The flipped links include
+  // this optimizer's own disables from the previous run.
   for (auto& [key, entry] : segment_cache_) {
     if (!entry.fresh) continue;
-    for (LinkId link : links) {
+    for (LinkId link : baseline_.changed) {
       if (entry.region.test(link.index())) {
         entry.fresh = false;
         break;
@@ -223,20 +140,16 @@ void Optimizer::note_links_changed(std::span<const LinkId> links) {
   }
 }
 
-void Optimizer::sync_incremental_state() {
-  ++inc_stats_.runs;
-  if (topo_->state_version() != tracked_version_) {
-    // The topology changed behind our back (no note_links_changed):
-    // the pending list is incomplete, so nothing cached can be trusted.
-    drift_ = true;
-    tracked_version_ = topo_->state_version();
-  }
-  if (drift_) {
-    ++inc_stats_.cold_fallbacks;
+void Optimizer::set_incremental(bool enabled) {
+  if (enabled == incremental_) return;
+  incremental_ = enabled;
+  if (enabled) {
+    if (closures_ == nullptr) {
+      closures_ = std::make_unique<TorClosureCache>(paths_);
+    }
+  } else {
     segment_cache_.clear();
-    baseline_counts_.clear();  // Forces a full recount in refresh_baseline.
-    pending_changed_.clear();
-    drift_ = false;
+    closures_.reset();
   }
 }
 
@@ -627,13 +540,14 @@ OptimizerResult Optimizer::run(const CorruptionSet& corruption) {
 }
 
 OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
-  if (incremental_) sync_incremental_state();
+  if (incremental_) ++inc_stats_.runs;
   OptimizerResult result;
   const std::vector<LinkId> candidates = corruption.active(*topo_);
   if (candidates.empty()) {
     result.remaining_penalty = 0.0;
     return result;
   }
+  sync_baseline();
 
   std::vector<LinkId> to_disable;
   std::vector<LinkId> contested = candidates;
@@ -641,12 +555,11 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
 
   if (config_.use_pruning) {
     // Hypothetically disable everything and see which ToRs complain. The
-    // recount is incremental against cached unmasked counts: only the
+    // recount is incremental against the live unmasked counts: only the
     // downward closure of the candidates can change.
-    refresh_baseline();
     scratch_mask_.assign(topo_->link_count());
     for (LinkId link : candidates) scratch_mask_.set(link.index());
-    paths_.masked_violated_tors_into(endangered, baseline_counts_,
+    paths_.masked_violated_tors_into(endangered, baseline_.counts,
                                      baseline_violated_, scratch_mask_,
                                      candidates, *constraint_, scratch_paths_,
                                      sweep_scratch_);
@@ -662,7 +575,6 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
       result.disabled = candidates;
       result.remaining_penalty =
           corruption.total_active_penalty(*topo_, penalty_);
-      note_links_changed(result.disabled);
       return result;
     }
     // Links not upstream of any endangered ToR are safe. In incremental
@@ -705,8 +617,8 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   for (LinkId link : to_disable) topo_->set_enabled(link, false);
 
   // Incremental reuse: a cached solution answers a segment outright when
-  // its candidates, ToRs, and rates are identical and no noted change
-  // touched its sweep region since it was solved. A content-identical
+  // its candidates, ToRs, and rates are identical and no link of its
+  // sweep region flipped since it was solved. A content-identical
   // but stale (or rate-shifted) entry instead warm-starts the solve.
   // Warm pointers reference live cache entries; the cache is not mutated
   // until after the (possibly parallel) solves complete.
@@ -785,10 +697,10 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     }
   }
 
-  // Persist the freshly solved segments for the next run, then note our
-  // own disables: the baseline delta-recount needs them pending, and any
-  // cache entry whose region they touch (including ones just stored that
-  // selected a link) must go stale — its pre-disable state is gone.
+  // Persist the freshly solved segments for the next run. The next
+  // run's baseline sync finds this run's disables among the flipped
+  // links and stales every entry whose region they touch (including ones
+  // just stored that selected a link).
   if (incremental_) {
     for (std::size_t i = 0; i < segments.size(); ++i) {
       if (reused[i] != 0) continue;
@@ -815,7 +727,6 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     result.disabled_penalty += penalty_(corruption.rate(link));
   }
   result.remaining_penalty = corruption.total_active_penalty(*topo_, penalty_);
-  note_links_changed(result.disabled);
   return result;
 }
 

@@ -9,7 +9,10 @@
 //      the ToRs V whose constraints would be violated. Every corrupting
 //      link not upstream of V is safe to disable outright (ToRs outside V
 //      tolerate even the full set, and feasibility is monotone in the set
-//      of enabled links).
+//      of enabled links). The recount starts from baseline counts kept
+//      in a PathCounter::LiveCounts that follows the topology's enabled
+//      mask (DESIGN.md §12), so it walks only the candidates' downward
+//      closure and nobody has to report link changes to the optimizer.
 //   2. Segmentation (Section 8): the remaining candidates split into
 //      independent segments per the endangered ToRs they share.
 //   3. Branch-and-bound per segment: candidates are ordered by descending
@@ -36,7 +39,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -115,10 +117,12 @@ struct OptimizerIncrementalStats {
   // Solves that started from a warm-start hint (previous solution of a
   // content-identical segment whose rates changed).
   std::size_t warm_hints = 0;
+  // Baseline syncs that filled the live counts cold (normally only the
+  // first one) and syncs that folded in flipped links.
   std::size_t baseline_full_recounts = 0;
   std::size_t baseline_delta_recounts = 0;
-  // Runs that had to rebuild everything because the topology changed
-  // without a note_links_changed() call (or the pending set overflowed).
+  // Always 0: the baseline follows the enabled mask, so no change can go
+  // unnoticed and force a cold rebuild. Kept because perfbench reads it.
   std::size_t cold_fallbacks = 0;
 };
 
@@ -147,38 +151,20 @@ class Optimizer {
   // bit-identical for any `solver_threads`. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Incremental mode (DESIGN.md §12). When on, the optimizer keeps its
-  // baseline path counts, per-ToR upstream closures, and per-segment
-  // solutions alive across runs, invalidating only what a noted link
-  // change can actually affect. Decisions are identical to a cold solve
-  // (disable set, penalties, enabled mask); only search-effort
-  // diagnostics (subsets_evaluated and friends) may differ. Requires
-  // the caller to report every external enabled-state or corruption-
-  // rate change via note_links_changed(); an unnoted topology change is
-  // detected by state_version and degrades to a cold solve.
+  // Incremental mode (DESIGN.md §12). When on, the optimizer also keeps
+  // per-ToR upstream closures and per-segment solutions alive across
+  // runs; a cached solution is reused while no link of its sweep region
+  // flipped and its candidates and rates are unchanged. Decisions are
+  // identical to a cold solve (disable set, penalties, enabled mask);
+  // only search-effort diagnostics (subsets_evaluated and friends) may
+  // differ. The baseline path counts follow the enabled mask in either
+  // mode, so callers report no changes.
   void set_incremental(bool enabled);
   [[nodiscard]] bool incremental() const { return incremental_; }
-
-  // Reports that the enabled state or corruption rate of `links` changed
-  // since the last run()/note. Cheap: appends to a pending list and
-  // drops cached segment solutions whose sweep region intersects the
-  // changed links. Safe to call with links the optimizer itself just
-  // disabled (their entries simply go stale). No-op outside incremental
-  // mode.
-  void note_links_changed(std::span<const LinkId> links);
 
   [[nodiscard]] const OptimizerIncrementalStats& incremental_stats() const {
     return inc_stats_;
   }
-
-  // Drops all derived state (baseline path counts, incremental caches).
-  // Called on checkpoint restore (DESIGN.md §14): the caches are keyed
-  // by the topology's state version, and a restore can rewind the
-  // version counter to a value this optimizer already saw with a
-  // *different* enabled mask — a stale hit would silently corrupt the
-  // next run. Re-derivation is deterministic and touches no metrics, so
-  // dropping keeps branch runs bit-identical to fresh ones.
-  void drop_derived_state();
 
  private:
   OptimizerResult run_impl(const CorruptionSet& corruption);
@@ -211,18 +197,16 @@ class Optimizer {
   common::DynamicBitset scratch_mask_;
   std::vector<char> scratch_visited_;
   std::unique_ptr<OptimizerSegmentScratch> scratch_;
-  // Unmasked path counts (and the ToRs they violate, normally none) for
-  // the current enabled state, keyed by the topology's state version;
-  // lets the pruning pass recount only the downward closure of the
-  // candidate links instead of the whole fabric.
-  std::vector<std::uint64_t> baseline_counts_;
+  // Unmasked path counts (and the ToRs they violate, normally none),
+  // following the enabled mask; lets the pruning pass recount only the
+  // downward closure of the candidate links instead of the whole fabric.
+  PathCounter::LiveCounts baseline_;
   std::vector<SwitchId> baseline_violated_;
-  std::uint64_t baseline_version_ = 0;
   PathCounter::SweepScratch sweep_scratch_;
 
   // --- Incremental mode state (DESIGN.md §12) ---
   // A previously solved segment kept across runs. Reused verbatim when
-  // its sweep region saw no noted change and the candidate set + rates
+  // no link of its sweep region flipped and the candidate set + rates
   // are identical; otherwise its `selected` flags warm-start the solve.
   struct CachedSegment {
     std::vector<LinkId> links;    // Segment candidates, id-sorted.
@@ -232,22 +216,10 @@ class Optimizer {
     std::vector<char> selected;   // Solution flags, per candidate.
     double penalty = 0.0;
     bool exact = true;
-    bool fresh = false;  // False once a noted change touches `region`.
+    bool fresh = false;  // False once a link of `region` flips.
   };
 
-  void sync_incremental_state();
-  // Re-evaluates the violation flag of the ToRs in touched_tors_ and
-  // merges the result into the id-sorted baseline_violated_.
-  void merge_baseline_violated();
-
   bool incremental_ = false;
-  // Set when the topology changed without a note (or pending overflow);
-  // the next run clears all incremental state first.
-  bool drift_ = false;
-  std::uint64_t tracked_version_ = 0;
-  std::vector<LinkId> pending_changed_;
-  static constexpr std::size_t kMaxPendingChanges = 1024;
-  std::vector<SwitchId> touched_tors_;
   std::unique_ptr<TorClosureCache> closures_;
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
@@ -266,7 +238,10 @@ class Optimizer {
   obs::Histogram obs_disabled_per_run_;
   obs::Histogram obs_run_timer_;
 
-  void refresh_baseline();
+  // Brings baseline_ to the current enabled mask; when anything moved,
+  // recomputes baseline_violated_ and stales the cached segments whose
+  // region holds a flipped link.
+  void sync_baseline();
 };
 
 }  // namespace corropt::core

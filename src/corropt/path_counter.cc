@@ -271,9 +271,8 @@ void PathCounter::up_paths_masked_from_baseline(
 
 void PathCounter::refresh_counts_after_changes(
     std::vector<std::uint64_t>& counts, std::span<const LinkId> changed_links,
-    std::vector<SwitchId>* touched_tors, SweepScratch& scratch) const {
+    SweepScratch& scratch) const {
   assert(counts.size() == topo_->switch_count());
-  if (touched_tors != nullptr) touched_tors->clear();
 
   const std::size_t switches = topo_->switch_count();
   if (scratch.stamp.size() != switches) scratch.stamp.assign(switches, 0);
@@ -305,16 +304,12 @@ void PathCounter::refresh_counts_after_changes(
 
   // Recompute closure members in level-descending order against the
   // current enabled mask; out-of-closure reads stay valid (their counts
-  // did not change). Nodes within the ToR level come in id order, so
-  // touched_tors is id-sorted for the caller's merge.
+  // did not change).
   const std::uint64_t* ew = topo_->enabled_mask().words().data();
   SliceMemo memo;
   for (const SweepNode& node : nodes_) {
     if (scratch.stamp[node.sw] != epoch) continue;
     counts[node.sw] = node_sum(node, ew, nullptr, counts.data(), memo);
-    if (touched_tors != nullptr && (node.flags & kNodeTor) != 0) {
-      touched_tors->push_back(SwitchId(node.sw));
-    }
   }
 }
 
@@ -326,6 +321,7 @@ const std::vector<std::uint64_t>& PathCounter::sync_live_counts(
       live.seen.size() != current.size()) {
     up_paths_into(live.counts);
     live.seen.assign(current.begin(), current.end());
+    live.changed.clear();
     return live.counts;
   }
   live.changed.clear();
@@ -339,8 +335,7 @@ const std::vector<std::uint64_t>& PathCounter::sync_live_counts(
     }
   }
   if (!live.changed.empty()) {
-    refresh_counts_after_changes(live.counts, live.changed, nullptr,
-                                 live.scratch);
+    refresh_counts_after_changes(live.counts, live.changed, live.scratch);
   }
   return live.counts;
 }

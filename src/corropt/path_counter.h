@@ -80,24 +80,23 @@ class PathCounter {
   // Recomputes the downward closure of the changed links' lower
   // endpoints against the current enabled mask, leaving every other
   // entry untouched; the result equals what up_paths_into would produce
-  // from scratch. When `touched_tors` is non-null it receives the ToRs
-  // inside the closure (id-sorted) — the only ToRs whose constraint
-  // verdict can have changed. Unlike the masked variants above, the
+  // from scratch. Unlike the masked variants above, the
   // closure is seeded from *all* changed links, conducting or not: a
   // just-disabled link no longer conducts but its removal still changed
   // its downstream counts.
   void refresh_counts_after_changes(std::vector<std::uint64_t>& counts,
                                     std::span<const LinkId> changed_links,
-                                    std::vector<SwitchId>* touched_tors,
                                     SweepScratch& scratch) const;
 
   // A long-lived count cache that follows the topology's enabled mask:
   // `counts` hold the unmasked up-path counts under the enabled state
-  // whose bitset words are `seen`. Empty until the first sync.
+  // whose bitset words are `seen`. Empty until the first sync. Every
+  // count cache in the corropt layer is one of these (DESIGN.md §12).
   struct LiveCounts {
     std::vector<std::uint64_t> counts;
     std::vector<std::uint64_t> seen;
-    std::vector<LinkId> changed;  // scratch: links the last sync folded
+    // Links the last sync folded in, id-sorted; empty after a cold fill.
+    std::vector<LinkId> changed;
     SweepScratch scratch;
   };
 
@@ -107,8 +106,9 @@ class PathCounter {
   // refresh_counts_after_changes, so an unchanged mask, including a link
   // disabled and re-enabled since the last sync, costs one word scan. An
   // empty cache is filled by a full up_paths_into. The cache is keyed on
-  // the mask itself rather than the state version, so it stays exact
-  // across checkpoint restores that rewind the version.
+  // the mask itself rather than the state version, so it needs no change
+  // notes and stays exact across checkpoint restores that rewind the
+  // version.
   const std::vector<std::uint64_t>& sync_live_counts(LiveCounts& live) const;
 
   // Fused variant for the optimizer's pruning pass: computes the ToRs

@@ -271,7 +271,7 @@ void SketchBackend::restore_from(common::snap::Reader& r) {
   }
   for (std::uint64_t& v : inserted_) v = r.u64();
   std::fill(dirty_.begin(), dirty_.end(), 0);
-  dirty_list_.resize(r.u64());
+  dirty_list_.resize(r.length());
   for (common::SwitchId& sw : dirty_list_) {
     sw = common::SwitchId(r.u32());
     dirty_[sw.index()] = 1;

@@ -255,9 +255,9 @@ void VotingBackend::restore_from(common::snap::Reader& r) {
   }
   for (std::uint64_t& v : votes_) v = r.u64();
   for (std::uint64_t& f : flows_through_) f = r.u64();
-  bad_paths_.assign(r.u64(), {});
+  bad_paths_.assign(r.length(), {});
   for (std::vector<common::LinkId>& path : bad_paths_) {
-    path.resize(r.u64());
+    path.resize(r.length());
     for (common::LinkId& link : path) link = common::LinkId(r.u32());
   }
   for (char& b : believed_) b = static_cast<char>(r.u8());

@@ -118,9 +118,9 @@ void FaultInjector::restore_from(common::snap::Reader& r) {
     Fault fault;
     fault.id = FaultId(r.u32());
     fault.cause = static_cast<RootCause>(r.u8());
-    fault.links.resize(r.u64());
+    fault.links.resize(r.length());
     for (LinkId& link : fault.links) link = LinkId(r.u32());
-    fault.effects.resize(r.u64());
+    fault.effects.resize(r.length());
     for (DirectionEffect& e : fault.effects) {
       e.direction = DirectionId(r.u32());
       e.extra_attenuation_db = r.f64();
@@ -128,7 +128,7 @@ void FaultInjector::restore_from(common::snap::Reader& r) {
       e.tx_decay_db_per_day = r.f64();
       e.corruption_rate = r.f64();
     }
-    fault.fixing_actions.resize(r.u64());
+    fault.fixing_actions.resize(r.length());
     for (RepairAction& action : fault.fixing_actions) {
       action = static_cast<RepairAction>(r.u8());
     }

@@ -89,7 +89,7 @@ void TicketQueue::restore_from(common::snap::Reader& r) {
     const TicketId id = ticket.id;
     open_.emplace(id, std::move(ticket));
   }
-  std::vector<SimTime> schedule(r.u64());
+  std::vector<SimTime> schedule(r.length());
   for (SimTime& t : schedule) t = r.i64();
   next_id_ = static_cast<TicketId::underlying_type>(r.u64());
 

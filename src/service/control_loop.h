@@ -4,9 +4,9 @@
 // events stream in, each is dispatched to the controller under a
 // wall-clock latency measurement, and a running digest captures every
 // decision the loop makes. Two loops fed the same stream — one cold
-// (every event pays full recounts), one incremental (persistent
-// optimizer/fast-checker state, invalidated per change) — must produce
-// equal digests; bench_runtime_controller and the CI bench smoke assert
+// (every optimizer run solves every segment afresh), one incremental
+// (the optimizer's segment and closure caches kept across runs) — must
+// produce equal digests; bench_runtime_controller and the CI bench smoke assert
 // exactly that while comparing their sustained decisions/sec.
 #pragma once
 

@@ -50,7 +50,7 @@ void EventQueue::snapshot_to(common::snap::Writer& w) const {
 
 void EventQueue::restore_from(common::snap::Reader& r) {
   r.expect_section(common::snap::tag('E', 'V', 'T', 'Q'));
-  heap_.resize(r.u64());
+  heap_.resize(r.length());
   for (Entry& entry : heap_) {
     entry.event.due = r.i64();
     const std::uint8_t type = r.u8();

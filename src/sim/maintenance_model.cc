@@ -87,7 +87,7 @@ void MaintenanceModel::restore_from(common::snap::Reader& r) {
   for (std::uint64_t i = 0; i < windows; ++i) {
     const common::LinkId link(r.u32());
     std::vector<common::LinkId>& taken = collateral_down_[link];
-    taken.resize(r.u64());
+    taken.resize(r.length());
     for (common::LinkId& peer : taken) peer = common::LinkId(r.u32());
   }
 }

@@ -161,7 +161,7 @@ void write_series(common::snap::Writer& w,
 }
 
 void read_series(common::snap::Reader& r, std::vector<TimePoint>& series) {
-  series.resize(r.u64());
+  series.resize(r.length());
   for (TimePoint& p : series) {
     p.time = r.i64();
     p.value = r.f64();
@@ -200,7 +200,7 @@ void read_metrics(common::snap::Reader& r, SimulationMetrics& m) {
   r.expect_section(kMetricsTag);
   read_series(r, m.penalty_series);
   m.integrated_penalty = r.f64();
-  m.hourly_penalty.resize(r.u64());
+  m.hourly_penalty.resize(r.length());
   for (double& v : m.hourly_penalty) v = r.f64();
   read_series(r, m.worst_tor_fraction);
   read_series(r, m.disabled_links);
@@ -215,7 +215,7 @@ void read_metrics(common::snap::Reader& r, SimulationMetrics& m) {
   m.mean_detection_latency_s = r.f64();
   m.false_positive_detections = static_cast<std::size_t>(r.u64());
   m.missed_detections = static_cast<std::size_t>(r.u64());
-  m.detection_latencies_s.resize(r.u64());
+  m.detection_latencies_s.resize(r.length());
   for (double& v : m.detection_latencies_s) v = r.f64();
   m.mean_ticket_resolution_s = r.f64();
   m.maintenance_windows = static_cast<std::size_t>(r.u64());
@@ -284,7 +284,7 @@ void read_obs(common::snap::Reader& r, const obs::Sink* sink) {
   const bool has_journal = r.boolean();
   const bool has_registry = r.boolean();
   if (has_journal) {
-    std::vector<obs::Event> events(r.u64());
+    std::vector<obs::Event> events(r.length());
     for (obs::Event& e : events) {
       e.seq = r.u64();
       e.time = r.i64();
@@ -306,20 +306,20 @@ void read_obs(common::snap::Reader& r, const obs::Sink* sink) {
   }
   if (has_registry) {
     obs::MetricsSnapshot snap;
-    snap.counters.resize(r.u64());
+    snap.counters.resize(r.length());
     for (auto& c : snap.counters) {
       c.name = std::string(r.str());
       c.value = r.u64();
     }
-    snap.gauges.resize(r.u64());
+    snap.gauges.resize(r.length());
     for (auto& g : snap.gauges) {
       g.name = std::string(r.str());
       g.value = r.f64();
     }
-    snap.histograms.resize(r.u64());
+    snap.histograms.resize(r.length());
     for (auto& h : snap.histograms) {
       h.name = std::string(r.str());
-      h.bounds.resize(r.u64());
+      h.bounds.resize(r.length());
       for (double& b : h.bounds) b = r.f64();
       h.counts.resize(h.bounds.size() + 1);
       for (std::uint64_t& c : h.counts) c = r.u64();

@@ -132,15 +132,16 @@ class Topology {
     return enabled_links_;
   }
   // Monotonic counter bumped by every effective link-state change;
-  // consumers (e.g. the fast checker's path-count cache) use it to
-  // detect staleness.
+  // consumers (e.g. the corruption set's penalty memo) use it to detect
+  // staleness. Path-count caches key on enabled_mask() instead.
   [[nodiscard]] std::uint64_t state_version() const { return version_; }
 
   // --- checkpointing (DESIGN.md §14) ---------------------------------
   // Serializes the dynamic link state: the enabled bitset, the enabled
-  // count, and the monotonic state version (restored faithfully so that
-  // version-keyed caches — the fast checker's path counts, the
-  // optimizer's baseline — stay coherent across a restore). Structure
+  // count, and the monotonic state version (restored faithfully;
+  // version-keyed caches still drop their memo on restore, since a
+  // rewound version can collide with one seen under other link state).
+  // Structure
   // (switches, links, breakout groups) is not serialized: restore
   // targets a topology rebuilt by the same factory, guarded by the
   // link count.

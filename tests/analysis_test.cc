@@ -14,6 +14,21 @@
 namespace corropt::analysis {
 namespace {
 
+// Visits every poll sample of the study window, direction-major, through
+// the keyed sample() grid that run() tiles.
+template <typename Visit>
+void for_each_sample(const MeasurementStudy& study, const StudyConfig& config,
+                     Visit&& visit) {
+  const common::SimTime end = config.days * common::kDay;
+  for (std::size_t d = 0; d < study.topo().direction_count(); ++d) {
+    const common::DirectionId dir(
+        static_cast<common::DirectionId::underlying_type>(d));
+    for (common::SimTime t = 0; t < end; t += config.epoch) {
+      visit(study.sample(dir, t));
+    }
+  }
+}
+
 TEST(Locality, SwitchFractionCountsIncidentSwitches) {
   const auto topo = topology::build_fat_tree(4);  // 20 switches
   const auto tor = topo.tors().front();
@@ -83,7 +98,7 @@ TEST(MeasurementStudy, CorruptionStableCongestionVariable) {
 
   std::unordered_map<std::uint32_t, stats::RunningStats> corruption_series;
   std::unordered_map<std::uint32_t, stats::RunningStats> congestion_series;
-  study.run([&](const telemetry::PollSample& sample) {
+  for_each_sample(study, config, [&](const telemetry::PollSample& sample) {
     if (sample.packets == 0) return;
     corruption_series[sample.direction.value()].add(
         sample.corruption_loss_rate());
@@ -120,7 +135,7 @@ TEST(MeasurementStudy, CorruptionUncorrelatedCongestionCorrelated) {
 
   std::unordered_map<std::uint32_t, stats::PearsonAccumulator> corr_acc;
   std::unordered_map<std::uint32_t, stats::PearsonAccumulator> cong_acc;
-  study.run([&](const telemetry::PollSample& sample) {
+  for_each_sample(study, config, [&](const telemetry::PollSample& sample) {
     if (sample.packets == 0) return;
     const double corruption = sample.corruption_loss_rate();
     const double congestion = sample.congestion_loss_rate();
@@ -156,13 +171,13 @@ TEST(MeasurementStudy, DeterministicAcrossRuns) {
   double sum_a = 0.0, sum_b = 0.0;
   {
     MeasurementStudy study(topo, config);
-    study.run([&](const telemetry::PollSample& s) {
+    for_each_sample(study, config, [&](const telemetry::PollSample& s) {
       sum_a += static_cast<double>(s.corruption_drops) + s.utilization;
     });
   }
   {
     MeasurementStudy study(topo, config);
-    study.run([&](const telemetry::PollSample& s) {
+    for_each_sample(study, config, [&](const telemetry::PollSample& s) {
       sum_b += static_cast<double>(s.corruption_drops) + s.utilization;
     });
   }

@@ -13,9 +13,10 @@
 // at the midpoint boundary.
 //
 // The remaining cases pin down specific hidden-state hazards that were
-// fixed for checkpointing: the optimizer's version-keyed baseline cache,
-// the CorruptionSet's memoized penalty (raw Topology pointer), and the
-// fault injector's id-ordered active set.
+// fixed for checkpointing: path-count caches meeting a rewound state
+// version, the CorruptionSet's memoized penalty (raw Topology pointer),
+// and the fault injector's id-ordered active set; and malformed length
+// prefixes, which must fail instead of allocating.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -220,6 +221,25 @@ TEST(SnapshotCodec, HardErrorsOnMismatchAndTruncation) {
   EXPECT_THROW((void)empty.str(), std::runtime_error);
 }
 
+// Every sequence element takes at least one byte, so a length prefix
+// above the remaining bytes is malformed and must fail before any
+// allocation is sized from it.
+TEST(SnapshotCodec, LengthRejectsCountBeyondRemainingBytes) {
+  common::snap::Writer w;
+  w.u64(3);
+  w.u8(1);
+  w.u8(2);
+  w.u8(3);
+  w.u64(std::uint64_t{1} << 40);
+  const std::string bytes = w.take();
+  common::snap::Reader r(bytes);
+  EXPECT_EQ(r.length(), 3u);
+  (void)r.u8();
+  (void)r.u8();
+  (void)r.u8();
+  EXPECT_THROW((void)r.length(), std::runtime_error);
+}
+
 // --- The core property: every event boundary round-trips -------------
 
 TEST(CheckpointRoundTrip, EveryEventBoundaryReplaysByteIdentically) {
@@ -357,11 +377,11 @@ TEST(CheckpointRoundTrip, MidpointAcrossSimMatrixGrid) {
 
 // --- Hidden-state regressions -----------------------------------------
 
-// The optimizer's baseline/segment caches are keyed by the topology's
-// state version; restoring the same checkpoint twice into one simulation
-// rewinds that version to a value the optimizer has already seen with a
-// different enabled mask. Without Controller::restore_from dropping the
-// derived state, the second replay would reuse a stale baseline.
+// Restoring the same checkpoint twice into one simulation rewinds the
+// topology's state version to a value the controller has already seen
+// with a different enabled mask. A path-count cache keyed on that
+// version would reuse stale counts on the second replay; the mask-keyed
+// caches fold the difference in.
 TEST(CheckpointHiddenState, SameCheckpointTwiceIntoDirtySim) {
   topology::Topology driver_topo = small_topology();
   const auto events = small_trace(driver_topo);
@@ -387,6 +407,39 @@ TEST(CheckpointHiddenState, SameCheckpointTwiceIntoDirtySim) {
         fingerprint(metrics, mirror_sinks.journal, mirror_sinks.registry));
   }
   EXPECT_EQ(prints[0], prints[1]);
+}
+
+// A real simulation checkpoint whose fast-checker section claims 2^40
+// words must be rejected as malformed, not turned into an allocation.
+TEST(CheckpointHiddenState, InflatedFastCheckerCountThrows) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  MitigationSimulation base(topo, small_config(nullptr));
+  base.begin_run(events);
+  while (base.now() < common::kDay && base.step()) {
+  }
+  Checkpoint ckpt = base.snapshot();
+
+  // Locate the FCHK section header (tag, version 2) and replace the
+  // length prefix that follows it.
+  common::snap::Writer header;
+  header.section(common::snap::tag('F', 'C', 'H', 'K'), 2);
+  const std::string marker = header.take();
+  const std::size_t at = ckpt.bytes.find(marker);
+  ASSERT_NE(at, std::string::npos);
+  ASSERT_EQ(ckpt.bytes.find(marker, at + 1), std::string::npos);
+  const std::size_t length_at = at + marker.size();
+  std::size_t length_end = length_at;
+  while ((static_cast<unsigned char>(ckpt.bytes[length_end]) & 0x80) != 0) {
+    ++length_end;
+  }
+  common::snap::Writer inflated;
+  inflated.u64(std::uint64_t{1} << 40);
+  ckpt.bytes.replace(length_at, length_end + 1 - length_at, inflated.take());
+
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  EXPECT_THROW(mirror.restore_run(events, ckpt), std::runtime_error);
 }
 
 // CorruptionSet memoizes total_active_penalty under (topology pointer,

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "corropt/fast_checker.h"
 #include "corropt/path_counter.h"
 #include "example_topologies.h"
@@ -131,8 +134,9 @@ class IncrementalEquivalenceTest : public ::testing::TestWithParam<int> {};
 
 // Property: the incremental (downstream-closure) decision agrees with a
 // full masked sweep on every candidate, across random feasible states
-// reached through interleaved disables and external enables/disables
-// (which force cache refreshes).
+// reached through interleaved disables and external enables and
+// disables behind the checker's back, starting from state restored out
+// of a checker built on another enabled mask.
 TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 1013 + 3);
   topology::XgftSpec spec;
@@ -145,12 +149,50 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
   }
   auto topo = topology::build_xgft(spec);
   CapacityConstraint constraint(rng.uniform(0.3, 0.8));
-  FastChecker checker(topo, constraint);
-
-  for (int step = 0; step < 60; ++step) {
-    const common::LinkId link(static_cast<common::LinkId::underlying_type>(
+  auto random_link = [&] {
+    return common::LinkId(static_cast<common::LinkId::underlying_type>(
         rng.uniform_index(topo.link_count())));
-    const int action = static_cast<int>(rng.uniform_index(3));
+  };
+  // External disable behind the checker's back, kept only when every
+  // ToR stays feasible (the checker's precondition).
+  auto external_disable = [&](topology::Topology& fabric,
+                              common::LinkId link) {
+    fabric.set_enabled(link, false);
+    const PathCounter fabric_counter(fabric);
+    if (!fabric_counter.feasible(fabric_counter.up_paths(), constraint)) {
+      fabric.set_enabled(link, true);
+    }
+  };
+
+  // A twin fabric takes other links down than this one, so a checker
+  // built on it counts paths under another mask, possibly at the same
+  // state version. Its state, restored here, must still decide right.
+  topology::Topology twin = topo;
+  for (int i = 0; i < 3; ++i) {
+    external_disable(twin, random_link());
+    external_disable(topo, random_link());
+  }
+  FastChecker twin_checker(twin, constraint);
+  for (std::size_t i = 0; i < twin.link_count(); ++i) {
+    (void)twin_checker.can_disable(
+        common::LinkId(static_cast<common::LinkId::underlying_type>(i)));
+  }
+  common::snap::Writer w;
+  twin_checker.snapshot_to(w);
+  const std::string bytes = w.take();
+  common::snap::Reader r(bytes);
+  FastChecker checker(topo, constraint);
+  checker.restore_from(r);
+  EXPECT_TRUE(r.at_end());
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    const common::LinkId link(static_cast<common::LinkId::underlying_type>(i));
+    EXPECT_EQ(checker.can_disable(link), checker.can_disable(link, {}))
+        << "seed " << GetParam() << " after restore, link " << link.value();
+  }
+
+  for (int step = 0; step < 80; ++step) {
+    const common::LinkId link = random_link();
+    const int action = static_cast<int>(rng.uniform_index(4));
     if (action == 0) {
       // Compare incremental vs full on the same candidate.
       const bool incremental = checker.can_disable(link);
@@ -162,6 +204,8 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
     } else if (action == 1) {
       // External re-enable behind the checker's back.
       topo.set_enabled(link, true);
+    } else if (action == 2) {
+      external_disable(topo, link);
     } else {
       checker.try_disable(link);
     }

@@ -121,32 +121,34 @@ TEST(MeasurementStudyParallel, LossCapableFastPathMatchesFullScan) {
   }
 }
 
-TEST(MeasurementStudyParallel, VisitorRunMatchesAccumulatorRun) {
+TEST(MeasurementStudyParallel, SampleGridMatchesAccumulatorRun) {
   const auto topo = topology::build_fat_tree(8);
-  const MeasurementStudy study(topo, small_config(common::kHour));
+  const StudyConfig config = small_config(common::kHour);
+  const MeasurementStudy study(topo, config);
 
   FullScanTotals from_accumulator(topo.direction_count());
   study.run(from_accumulator, nullptr);
 
-  DirectionTotalsAccumulator from_visitor(topo.direction_count());
-  auto partial = from_visitor.make_partial();
-  std::uint32_t last_direction = 0;
-  bool ascending = true;
+  // Every (direction, epoch) of the window through sample(), one partial,
+  // direction-major: run() must cover exactly this grid.
+  DirectionTotalsAccumulator from_grid(topo.direction_count());
+  auto partial = from_grid.make_partial();
   std::size_t samples = 0;
-  study.run([&](const PollSample& s) {
-    ascending = ascending && s.direction.value() >= last_direction;
-    last_direction = s.direction.value();
-    partial.add(s);
-    ++samples;
-  });
-  from_visitor.merge(partial);
+  for (std::size_t d = 0; d < topo.direction_count(); ++d) {
+    const common::DirectionId dir(
+        static_cast<common::DirectionId::underlying_type>(d));
+    for (common::SimTime t = 0; t < config.days * common::kDay;
+         t += config.epoch) {
+      partial.add(study.sample(dir, t));
+      ++samples;
+    }
+  }
+  from_grid.merge(partial);
 
-  // The legacy visitor walks the whole fabric direction-major.
-  EXPECT_TRUE(ascending);
   const auto epochs = static_cast<std::size_t>(
       2 * (common::kDay / common::kHour));
   EXPECT_EQ(samples, topo.direction_count() * epochs);
-  expect_same_totals(from_visitor, from_accumulator.inner);
+  expect_same_totals(from_grid, from_accumulator.inner);
 }
 
 TEST(MeasurementStudyParallel, RunManyMatchesSoloRuns) {

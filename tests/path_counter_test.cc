@@ -157,10 +157,8 @@ INSTANTIATE_TEST_SUITE_P(RandomTopologies, IncrementalSweepRandomTest,
 
 class RefreshAfterChangesRandomTest : public ::testing::TestWithParam<int> {};
 
-// The in-place delta recount used by the incremental optimizer baseline
-// must agree with a fresh full sweep after arbitrary enable/disable
-// flips, and must report exactly the ToRs whose counts changed, in id
-// order (the merge in Optimizer::merge_baseline_violated relies on it).
+// The in-place delta recount behind every live count cache must agree
+// with a fresh full sweep after arbitrary enable/disable flips.
 TEST_P(RefreshAfterChangesRandomTest, MatchesFullResweep) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   XgftSpec spec;
@@ -194,28 +192,16 @@ TEST_P(RefreshAfterChangesRandomTest, MatchesFullResweep) {
         changed.push_back(link);
       }
     }
-    const std::vector<std::uint64_t> before = counts;
-    std::vector<common::SwitchId> touched;
-    counter.refresh_counts_after_changes(counts, changed, &touched, scratch);
+    counter.refresh_counts_after_changes(counts, changed, scratch);
     EXPECT_EQ(counts, counter.up_paths())
         << "seed " << GetParam() << " round " << round;
-    // touched is id-sorted and covers every ToR whose count changed.
-    for (std::size_t i = 1; i < touched.size(); ++i) {
-      EXPECT_LT(touched[i - 1], touched[i]);
-    }
-    for (common::SwitchId tor : topo.tors()) {
-      if (before[tor.index()] != counts[tor.index()]) {
-        EXPECT_TRUE(std::binary_search(touched.begin(), touched.end(), tor))
-            << "seed " << GetParam() << " round " << round << " tor "
-            << tor.value();
-      }
-    }
   }
 }
 
 // The live-count cache finds its changed links itself, from the enabled
 // mask: after any flips (including flips undone before the sync) it must
-// equal a fresh full sweep.
+// equal a fresh full sweep, and `changed` must list exactly the links
+// whose state differs from the previous sync (none after a cold fill).
 TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
   XgftSpec spec;
@@ -231,6 +217,7 @@ TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
   PathCounter::LiveCounts live;
   EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths());
   for (int round = 0; round < 6; ++round) {
+    const LinkMask before = topo.enabled_mask();
     for (std::size_t i = 0; i < topo.link_count(); ++i) {
       const common::LinkId link(
           static_cast<common::LinkId::underlying_type>(i));
@@ -242,7 +229,19 @@ TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
     }
     EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths())
         << "seed " << GetParam() << " round " << round;
+    std::vector<common::LinkId> flipped;
+    for (std::size_t i = 0; i < topo.link_count(); ++i) {
+      if (before.test(i) != topo.enabled_mask().test(i)) {
+        flipped.push_back(common::LinkId(
+            static_cast<common::LinkId::underlying_type>(i)));
+      }
+    }
+    EXPECT_EQ(live.changed, flipped)
+        << "seed " << GetParam() << " round " << round;
   }
+  live.counts.clear();
+  EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths());
+  EXPECT_TRUE(live.changed.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, RefreshAfterChangesRandomTest,

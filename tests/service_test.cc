@@ -1,15 +1,18 @@
 // Tests for the runtime control-loop service (DESIGN.md §12): churn
 // stream synthesis, cold-vs-incremental decision equivalence after every
-// event, the drift (unnoted external change) escape hatch, segment
-// solution reuse, and the corruption-set penalty cache it leans on.
+// event, external link changes and checkpoint restores with no change
+// notes, segment solution reuse, and the corruption-set penalty cache it
+// leans on.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/hash.h"
+#include "common/snapshot.h"
 #include "corropt/corruption_set.h"
 #include "corropt/penalty.h"
 #include "obs/journal.h"
@@ -196,7 +199,12 @@ TEST(ServiceTest, VerifyIncrementalModeAcceptsChurn) {
   EXPECT_GT(loop.controller().stats().optimizer_runs, 0u);
 }
 
-TEST(ServiceTest, UnnotedExternalChangeFallsBackCold) {
+// Links flipped outside the controller need no report: the path-count
+// caches follow the enabled mask. Operator disables, a link disabled
+// and re-enabled between events, and a checkpoint restored into a loop
+// with a different history all leave the incremental loop deciding
+// exactly like the cold one, without a second full baseline recount.
+TEST(ServiceTest, ExternalChangesNeedNoNote) {
   const topology::Topology base = make_test_clos();
   const auto events =
       service::make_churn_stream(base, demanding_churn(2026));
@@ -204,42 +212,91 @@ TEST(ServiceTest, UnnotedExternalChangeFallsBackCold) {
   topology::Topology warm_topo = base;
   service::ControlLoop cold(cold_topo, loop_config(false, 1));
   service::ControlLoop warm(warm_topo, loop_config(true, 1));
+  // A loop with another history, which later takes over from a
+  // checkpoint of the warm loop.
+  topology::Topology dirty_topo = base;
+  service::ControlLoop dirty(dirty_topo, loop_config(true, 1));
+  const auto other = service::make_churn_stream(base, demanding_churn(99));
+  for (std::size_t i = 0; i < other.size() / 2; ++i) dirty.process(other[i]);
 
-  const std::size_t half = events.size() / 2;
-  for (std::size_t i = 0; i < half; ++i) {
-    cold.process(events[i]);
-    warm.process(events[i]);
-  }
-  // An operator (not the controller) takes a healthy link down in both
-  // worlds. The incremental loop was never notified: its next optimizer
-  // run must detect the version drift and rebuild cold — and keep
-  // matching the cold loop afterwards.
-  common::LinkId victim;
-  for (std::size_t i = 0; i < base.link_count(); ++i) {
-    if (cold_topo.is_enabled(common::LinkId(i)) &&
-        warm.controller().corruption().rate(common::LinkId(i)) == 0.0) {
-      victim = common::LinkId(i);
-      break;
+  // A healthy enabled link not yet used by this test.
+  std::vector<common::LinkId> used;
+  auto healthy_link = [&]() {
+    for (std::size_t i = 0; i < base.link_count(); ++i) {
+      const common::LinkId link(
+          static_cast<common::LinkId::underlying_type>(i));
+      if (cold_topo.is_enabled(link) &&
+          cold.controller().corruption().rate(link) == 0.0 &&
+          std::find(used.begin(), used.end(), link) == used.end()) {
+        used.push_back(link);
+        return link;
+      }
     }
+    return common::LinkId();
+  };
+  std::vector<topology::Topology*> worlds = {&cold_topo, &warm_topo};
+  auto set_everywhere = [&](common::LinkId link, bool enabled) {
+    ASSERT_TRUE(link.valid());
+    for (topology::Topology* topo : worlds) topo->set_enabled(link, enabled);
+  };
+  std::vector<service::ControlLoop*> loops = {&warm};
+  auto replay = [&](std::size_t begin, std::size_t end) {
+    for (std::size_t i = begin; i < end; ++i) {
+      cold.process(events[i]);
+      for (service::ControlLoop* loop : loops) {
+        loop->process(events[i]);
+        ASSERT_TRUE(cold_topo.enabled_mask() ==
+                    loop->controller().topo().enabled_mask())
+            << "diverged after event " << i;
+        ASSERT_EQ(cold.controller().active_penalty(),
+                  loop->controller().active_penalty())
+            << "active penalty diverged after event " << i;
+      }
+    }
+  };
+
+  const std::size_t quarter = events.size() / 4;
+  replay(0, quarter);
+  // Operator disables in every world.
+  set_everywhere(healthy_link(), false);
+  set_everywhere(healthy_link(), false);
+  replay(quarter, 2 * quarter);
+  // A link taken down and brought back before the next event.
+  const common::LinkId bounced = healthy_link();
+  set_everywhere(bounced, false);
+  set_everywhere(bounced, true);
+  replay(2 * quarter, 3 * quarter);
+
+  // Restore the warm loop's topology and controller into the dirty loop
+  // mid-stream; from here on it must decide like the other two.
+  common::snap::Writer w;
+  warm_topo.snapshot_to(w);
+  warm.controller().snapshot_to(w);
+  const std::string bytes = w.take();
+  common::snap::Reader r(bytes);
+  dirty_topo.restore_from(r);
+  dirty.controller().restore_from(r);
+  EXPECT_TRUE(r.at_end());
+  worlds.push_back(&dirty_topo);
+  loops.push_back(&dirty);
+  replay(3 * quarter, events.size());
+
+  for (const service::ControlLoop* loop : {&warm, &dirty}) {
+    const core::OptimizerIncrementalStats& stats =
+        loop->controller().optimizer().incremental_stats();
+    EXPECT_EQ(stats.baseline_full_recounts, 1u);
+    EXPECT_GT(stats.baseline_delta_recounts, 0u);
+    EXPECT_EQ(stats.cold_fallbacks, 0u);
   }
-  ASSERT_TRUE(victim.valid());
-  cold_topo.set_enabled(victim, false);
-  warm_topo.set_enabled(victim, false);
-  for (std::size_t i = half; i < events.size(); ++i) {
-    cold.process(events[i]);
-    warm.process(events[i]);
-    ASSERT_TRUE(cold_topo.enabled_mask() == warm_topo.enabled_mask())
-        << "diverged after event " << i;
-  }
-  EXPECT_GE(warm.controller().optimizer().incremental_stats().cold_fallbacks,
-            1u);
 }
 
 TEST(ServiceTest, UnchangedSegmentIsReused) {
   // A contested segment in pod 0 (an agg's full uplink bundle corrupting
   // under a demanding constraint) plus repair churn confined to pod 3:
   // the pod-0 segment's sweep region never changes between optimizer
-  // runs, so the second run must answer it from the cache.
+  // runs, so the second run must answer it from the cache. A region link
+  // taken down and brought back between runs leaves the mask, and so
+  // the cached solution, as it was.
   topology::Topology topo = make_test_clos();
   service::ControlLoopConfig config = loop_config(true, 1);
   service::ControlLoop loop(topo, config);
@@ -264,6 +321,15 @@ TEST(ServiceTest, UnchangedSegmentIsReused) {
       loop.controller().optimizer().incremental_stats();
   EXPECT_GE(stats.runs, 3u);
   EXPECT_GE(stats.segment_reuses, 1u);
+
+  const std::size_t reuses = stats.segment_reuses;
+  const common::LinkId region_link = topo.switch_at(tor0).uplinks[1];
+  topo.set_enabled(region_link, false);
+  topo.set_enabled(region_link, true);
+  loop.process({now++, service::TelemetryKind::kCorruptionDetected, far_link,
+                1e-4});
+  loop.process({now++, service::TelemetryKind::kLinkRepaired, far_link, 0.0});
+  EXPECT_GT(stats.segment_reuses, reuses);
 }
 
 // Satellite: CorruptionSet::total_active_penalty is cached behind the
