@@ -1,18 +1,18 @@
 // Runtime control-loop throughput (DESIGN.md §12).
 //
-// Replays synthesized burst/churn telemetry streams against two
-// identically configured control loops on the large DCN — one cold
-// (every optimizer run solves every segment afresh), one incremental
-// (the optimizer's segment and closure caches kept across runs; both
-// loops keep mask-keyed path counts) — and reports sustained decisions/sec
-// plus p50/p99 per-event latency for each. The two loops must be
-// decision-equivalent: the bench folds every decision and every journal
-// record (search-effort fields masked) into digests and reports their
-// equality, which the CI bench smoke asserts.
+// Replays synthesized burst/churn telemetry streams through a control
+// loop on the large DCN (the optimizer keeps its segment and closure
+// caches across events, as it always does) and reports sustained
+// decisions/sec plus p50/p99 per-event latency. An untimed second replay
+// of the same stream runs with verify_incremental, which re-solves every
+// optimizer run with a fresh optimizer and throws on any divergence,
+// search counters included. The bench folds every decision and every
+// journal record (nothing masked) of both replays into digests and
+// reports their equality, which the CI bench smoke asserts.
 //
 //   bench_runtime_controller [--quick] [--threads=N] [--json-dir=DIR]
 //
-// --threads sets the optimizer's solver_threads in both loops (the
+// --threads sets the optimizer's solver_threads in both replays (the
 // stream replay itself is serial so latency numbers stay honest).
 #include <algorithm>
 #include <bit>
@@ -57,10 +57,9 @@ struct LoopOutcome {
   std::size_t cold_fallbacks = 0;
 };
 
-// FNV-1a over the journal's decision records. kOptimizerRun.detail1 is
-// subsets_evaluated — search effort, legitimately different between the
-// cold and incremental loops — so it is masked; everything else must
-// match bit-for-bit.
+// FNV-1a over every field of the journal's records, kOptimizerRun.detail1
+// (subsets_evaluated) included: the cached optimizer reports the search
+// effort of a cold solve, so nothing is exempt.
 std::uint64_t journal_digest(const obs::EventJournal& journal) {
   std::uint64_t digest = common::kFnvBasis;
   auto fold = [&digest](std::uint64_t value) {
@@ -77,13 +76,13 @@ std::uint64_t journal_digest(const obs::EventJournal& journal) {
     fold(std::bit_cast<std::uint64_t>(event.value));
     fold(std::bit_cast<std::uint64_t>(event.value2));
     fold(event.detail0);
-    fold(event.kind == obs::EventKind::kOptimizerRun ? 0 : event.detail1);
+    fold(event.detail1);
   }
   return digest;
 }
 
 LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
-                   bool incremental, std::size_t solver_threads) {
+                   bool verify, std::size_t solver_threads) {
   topology::Topology topo = bench::build_dcn(bench::Dcn::kLarge);
   obs::MetricsRegistry metrics;
   obs::EventJournal journal;
@@ -93,7 +92,7 @@ LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
   config.controller.mode = core::CheckerMode::kCorrOpt;
   config.controller.capacity_fraction = 0.875;
   config.controller.optimizer.solver_threads = solver_threads;
-  config.controller.incremental = incremental;
+  config.controller.verify_incremental = verify;
   service::ControlLoop loop(topo, config, &sink);
 
   for (const service::TelemetryEvent& event : stream) loop.process(event);
@@ -123,9 +122,8 @@ double percentile_ms(std::vector<double> latencies, double p) {
 
 int main(int argc, char** argv) {
   const bench::BenchArgs args = bench::parse_bench_args(argc, argv);
-  bench::print_header(
-      "Runtime control loop",
-      "Sustained decisions/sec, cold vs incremental, large DCN");
+  bench::print_header("Runtime control loop",
+                      "Sustained decisions/sec, large DCN");
 
   const common::SimDuration duration =
       args.duration_or(30 * common::kDay);
@@ -146,66 +144,58 @@ int main(int argc, char** argv) {
     const std::vector<service::TelemetryEvent> stream =
         service::make_churn_stream(stream_topo, params);
 
-    const LoopOutcome cold = replay(stream, false, args.threads);
-    const LoopOutcome warm = replay(stream, true, args.threads);
+    const LoopOutcome loop = replay(stream, false, args.threads);
+    // Throws std::logic_error if any optimizer run diverges from a
+    // fresh optimizer's.
+    const LoopOutcome verified = replay(stream, true, args.threads);
 
-    for (const auto& [mode, outcome] :
-         {std::pair<const char*, const LoopOutcome&>{"cold", cold},
-          {"incremental", warm}}) {
-      const double dps =
-          outcome.stats.busy_seconds > 0.0
-              ? static_cast<double>(outcome.stats.events) /
-                    outcome.stats.busy_seconds
-              : 0.0;
-      const double mean_ms =
-          outcome.stats.events > 0
-              ? outcome.stats.busy_seconds /
-                    static_cast<double>(outcome.stats.events) * 1e3
-              : 0.0;
-      const double p50 = percentile_ms(outcome.latencies, 0.50);
-      const double p99 = percentile_ms(outcome.latencies, 0.99);
-      std::printf("%-12s %-12s %8zu %12.1f %10.4f %10.4f %10.4f\n",
-                  scenario.name, mode, outcome.stats.events, dps, mean_ms,
-                  p50, p99);
-      std::printf("csv,%s,%s,%zu,%.3f,%.6f,%.6f,%.6f\n", scenario.name, mode,
-                  outcome.stats.events, dps, mean_ms, p50, p99);
-      bench::StudyScenario row;
-      row.name = std::string(scenario.name) + "/" + mode;
-      const double days =
-          static_cast<double>(duration) / static_cast<double>(common::kDay);
-      row.metrics = {
-          {"events", static_cast<double>(outcome.stats.events)},
-          {"events_per_day",
-           days > 0.0 ? static_cast<double>(outcome.stats.events) / days
-                      : 0.0},
-          {"decisions_per_sec", dps},
-          {"mean_ms", mean_ms},
-          {"p50_ms", p50},
-          {"p99_ms", p99},
-      };
-      rows.push_back(std::move(row));
-    }
-
-    const bool digest_equal = cold.decisions_digest == warm.decisions_digest;
-    const bool journal_equal = cold.journal_digest == warm.journal_digest;
-    const double speedup =
-        cold.stats.busy_seconds > 0.0 && warm.stats.busy_seconds > 0.0
-            ? cold.stats.busy_seconds / warm.stats.busy_seconds
+    const double dps =
+        loop.stats.busy_seconds > 0.0
+            ? static_cast<double>(loop.stats.events) / loop.stats.busy_seconds
             : 0.0;
+    const double mean_ms =
+        loop.stats.events > 0 ? loop.stats.busy_seconds /
+                                    static_cast<double>(loop.stats.events) *
+                                    1e3
+                              : 0.0;
+    const double p50 = percentile_ms(loop.latencies, 0.50);
+    const double p99 = percentile_ms(loop.latencies, 0.99);
+    std::printf("%-12s %-12s %8zu %12.1f %10.4f %10.4f %10.4f\n",
+                scenario.name, "loop", loop.stats.events, dps, mean_ms, p50,
+                p99);
+    std::printf("csv,%s,%s,%zu,%.3f,%.6f,%.6f,%.6f\n", scenario.name, "loop",
+                loop.stats.events, dps, mean_ms, p50, p99);
+    const double days =
+        static_cast<double>(duration) / static_cast<double>(common::kDay);
+    bench::StudyScenario row;
+    row.name = std::string(scenario.name) + "/loop";
+    row.metrics = {
+        {"events", static_cast<double>(loop.stats.events)},
+        {"events_per_day",
+         days > 0.0 ? static_cast<double>(loop.stats.events) / days : 0.0},
+        {"decisions_per_sec", dps},
+        {"mean_ms", mean_ms},
+        {"p50_ms", p50},
+        {"p99_ms", p99},
+    };
+    rows.push_back(std::move(row));
+
+    const bool digest_equal =
+        loop.decisions_digest == verified.decisions_digest;
+    const bool journal_equal = loop.journal_digest == verified.journal_digest;
     std::printf(
-        "%-12s summary: speedup %.2fx, digest %s, journal %s, "
+        "%-12s summary: verified replay digest %s, journal %s, "
         "segment reuses %zu, cold fallbacks %zu\n",
-        scenario.name, speedup, digest_equal ? "EQUAL" : "DIVERGED",
-        journal_equal ? "EQUAL" : "DIVERGED", warm.segment_reuses,
-        warm.cold_fallbacks);
+        scenario.name, digest_equal ? "EQUAL" : "DIVERGED",
+        journal_equal ? "EQUAL" : "DIVERGED", loop.segment_reuses,
+        loop.cold_fallbacks);
     bench::StudyScenario summary;
     summary.name = std::string(scenario.name) + "/summary";
     summary.metrics = {
-        {"speedup", speedup},
         {"digest_equal", digest_equal ? 1.0 : 0.0},
         {"journal_digest_equal", journal_equal ? 1.0 : 0.0},
-        {"segment_reuses", static_cast<double>(warm.segment_reuses)},
-        {"cold_fallbacks", static_cast<double>(warm.cold_fallbacks)},
+        {"segment_reuses", static_cast<double>(loop.segment_reuses)},
+        {"cold_fallbacks", static_cast<double>(loop.cold_fallbacks)},
     };
     rows.push_back(std::move(summary));
   }

@@ -12,6 +12,7 @@ CapacityConstraint::CapacityConstraint(double uniform_fraction)
 void CapacityConstraint::set_tor_fraction(SwitchId tor, double fraction) {
   assert(fraction >= 0.0 && fraction <= 1.0);
   overrides_[tor] = fraction;
+  ++version_;
 }
 
 double CapacityConstraint::override_or_default(SwitchId tor) const {

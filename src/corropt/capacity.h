@@ -28,6 +28,10 @@ class CapacityConstraint {
   // Overrides the threshold for one ToR (hot racks get more headroom).
   void set_tor_fraction(SwitchId tor, double fraction);
 
+  // Bumped by every override, so caches of what the constraint requires
+  // (the optimizer's solved segments) can tell they went stale.
+  [[nodiscard]] std::uint64_t version() const { return version_; }
+
   [[nodiscard]] double fraction(SwitchId tor) const {
     if (overrides_.empty()) return default_fraction_;  // Hot path: no lookup.
     return override_or_default(tor);
@@ -56,6 +60,7 @@ class CapacityConstraint {
   [[nodiscard]] double override_or_default(SwitchId tor) const;
 
   double default_fraction_;
+  std::uint64_t version_ = 0;
   std::unordered_map<SwitchId, double> overrides_;
 };
 

@@ -24,9 +24,7 @@ Controller::Controller(topology::Topology& topo, ControllerConfig config,
       fast_checker_(topo, constraint_),
       switch_local_(topo, switch_local_threshold(config.capacity_fraction,
                                                  std::max(1, topo.top_level()))),
-      optimizer_(topo, constraint_, penalty, config.optimizer) {
-  optimizer_.set_incremental(config_.incremental);
-}
+      optimizer_(topo, constraint_, penalty, config.optimizer) {}
 
 void Controller::set_sink(obs::Sink* sink) {
   sink_ = sink;
@@ -167,12 +165,10 @@ void Controller::on_link_repaired(common::LinkId link) {
       if (cold_topo != nullptr) {
         Optimizer cold(*cold_topo, constraint_, penalty_, config_.optimizer);
         const OptimizerResult cold_result = cold.run(corruption_);
-        if (cold_result.disabled != result.disabled ||
-            cold_result.disabled_penalty != result.disabled_penalty ||
-            cold_result.remaining_penalty != result.remaining_penalty ||
+        if (!same_outcome(cold_result, result) ||
             !(cold_topo->enabled_mask() == topo_->enabled_mask())) {
           throw std::logic_error(
-              "controller: incremental optimizer diverged from cold solve");
+              "controller: cached optimizer diverged from cold solve");
         }
       }
       stats_.disabled_on_activation += result.disabled.size();

@@ -12,7 +12,11 @@
 // The fast checker's and optimizer's path counts follow the topology's
 // enabled mask (DESIGN.md §12), so links flipped by anyone — this
 // controller, repairs, maintenance, an operator, a checkpoint restore —
-// need no report to them.
+// need no report to them. The optimizer's cross-run caches have no off
+// switch and leave no trace in any result: a reused segment reports the
+// search counters of the solve it replays, so the journal and metrics of
+// a controller restored from a checkpoint (caches empty) match those of
+// the one that kept running.
 #pragma once
 
 #include <functional>
@@ -54,19 +58,14 @@ struct ControllerConfig {
   // breakout bundle off. (The switch-local baseline has no equivalent.)
   bool account_collateral_repair = false;
 
-  // Incremental control loop (DESIGN.md §12): keep the optimizer's
-  // per-ToR closures and segment solutions alive across events, reusing
-  // a solution while its sweep region is unchanged. The path counts of
-  // the fast checker and optimizer follow the enabled mask in either
-  // mode. Decisions — disable sets, enabled mask, penalties, tickets,
-  // journal decision events — are identical to the default cold path;
-  // only search-effort diagnostics (kOptimizerRun.detail1 and the
-  // optimizer.subsets_evaluated / cache-skip counters) may differ.
+  // No effect: the optimizer always keeps its caches (DESIGN.md §12).
+  // Kept because perfbench's control_storm workload sets it.
   bool incremental = false;
-  // Debug mode: after every optimizer run, replay the event cold on a
-  // topology copy and throw std::logic_error if the disable set, the
-  // penalties, or the resulting enabled mask diverge. Expensive; for
-  // tests and the CI bench smoke only.
+  // Debug mode: after every optimizer run, replay the event with a fresh
+  // optimizer on a topology copy and throw std::logic_error if any
+  // result field but segment_reuses (same_outcome: disable set,
+  // penalties, search counters) or the resulting enabled mask diverges.
+  // Expensive; for tests and the CI bench smoke only.
   bool verify_incremental = false;
 };
 
@@ -130,9 +129,9 @@ class Controller {
 
   // Checkpointing (DESIGN.md §14): stats, the corruption set and the
   // fast checker's path-count cache. The optimizer's derived state
-  // (baseline counts, incremental caches) is not serialized: it is
-  // keyed on the enabled mask, so whatever it holds stays exact across
-  // the restore, and decisions are identical either way. Config,
+  // (baseline counts, closures, solved segments) is not serialized: it
+  // is keyed on the enabled mask, so whatever it holds stays exact
+  // across the restore, and results are identical either way. Config,
   // constraint and callback belong to the restoring context and are
   // untouched.
   void snapshot_to(common::snap::Writer& w) const;

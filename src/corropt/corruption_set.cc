@@ -33,7 +33,6 @@ std::vector<LinkId> CorruptionSet::active(
   for (const auto& [link, entry] : entries_) {
     if (topo.is_enabled(link)) out.push_back(link);
   }
-  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -51,14 +50,6 @@ std::vector<LinkId> CorruptionSet::active_in_detection_order(
   return out;
 }
 
-std::vector<LinkId> CorruptionSet::links_sorted() const {
-  std::vector<LinkId> out;
-  out.reserve(entries_.size());
-  for (const auto& [link, entry] : entries_) out.push_back(link);
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
 double CorruptionSet::total_active_penalty(
     const topology::Topology& topo, const PenaltyFunction& penalty) const {
   if (penalty_cache_.valid && penalty_cache_.topo == &topo &&
@@ -66,12 +57,11 @@ double CorruptionSet::total_active_penalty(
       penalty_cache_.epoch == epoch_ && penalty_cache_.penalty == penalty) {
     return penalty_cache_.value;
   }
-  // Fold in link-id order: a floating-point sum in hash-map order would
-  // depend on the map's insert/erase history, which differs between a
-  // restored run and the fresh run it must match byte for byte.
+  // Fold in link-id order (the map's), so a restored run and the fresh
+  // run it must match byte for byte sum in the same order.
   double total = 0.0;
-  for (LinkId link : links_sorted()) {
-    if (topo.is_enabled(link)) total += penalty(entries_.at(link).rate);
+  for (const auto& [link, entry] : entries_) {
+    if (topo.is_enabled(link)) total += penalty(entry.rate);
   }
   penalty_cache_ = PenaltyCache{true, &topo, topo.state_version(), epoch_,
                                 penalty, total};
@@ -81,8 +71,7 @@ double CorruptionSet::total_active_penalty(
 void CorruptionSet::snapshot_to(common::snap::Writer& w) const {
   w.section(common::snap::tag('C', 'O', 'R', 'R'), 1);
   w.u64(entries_.size());
-  for (LinkId link : links_sorted()) {
-    const Entry& entry = entries_.at(link);
+  for (const auto& [link, entry] : entries_) {
     w.u32(link.value());
     w.f64(entry.rate);
     w.u64(entry.detected_seq);

@@ -8,7 +8,7 @@
 // await repair.
 #pragma once
 
-#include <unordered_map>
+#include <map>
 #include <vector>
 
 #include "common/ids.h"
@@ -50,16 +50,14 @@ class CorruptionSet {
   [[nodiscard]] double rate(LinkId link) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
-  [[nodiscard]] const std::unordered_map<LinkId, Entry>& entries() const {
+  // All marked links (enabled or not) in increasing link-id order. The
+  // order is load-bearing wherever the visit order reaches an observable
+  // result (floating-point sums, suspect sets): it depends on the set's
+  // contents only, never on its insert/erase history, which a checkpoint
+  // restore cannot (and should not) reproduce.
+  [[nodiscard]] const std::map<LinkId, Entry>& entries() const {
     return entries_;
   }
-
-  // All marked links (enabled or not) in increasing link-id order. Use
-  // this instead of iterating entries() wherever the visit order can
-  // reach an observable result (floating-point sums, suspect sets):
-  // hash-map order is a function of the map's insert/erase *history*,
-  // which a checkpoint restore cannot (and should not) reproduce.
-  [[nodiscard]] std::vector<LinkId> links_sorted() const;
 
   // Corrupting links that are still enabled (and hence incur penalty),
   // in increasing link-id order.
@@ -72,10 +70,11 @@ class CorruptionSet {
       const topology::Topology& topo) const;
 
   // Total penalty per unit time of active corrupting links:
-  // sum of I(f_l) over enabled corrupting links. O(1) while neither the
-  // set (epoch) nor the topology's link state (state_version) changed
-  // since the last call with the same topology and penalty function; the
-  // entries_ rescan only runs when one of those keys moved.
+  // sum of I(f_l) over enabled corrupting links, folded in link-id
+  // order. O(1) while neither the set (epoch) nor the topology's link
+  // state (state_version) changed since the last call with the same
+  // topology and penalty function; the entries_ rescan only runs when
+  // one of those keys moved.
   [[nodiscard]] double total_active_penalty(
       const topology::Topology& topo, const PenaltyFunction& penalty) const;
 
@@ -87,7 +86,7 @@ class CorruptionSet {
   void restore_from(common::snap::Reader& r);
 
  private:
-  std::unordered_map<LinkId, Entry> entries_;
+  std::map<LinkId, Entry> entries_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t epoch_ = 0;
 

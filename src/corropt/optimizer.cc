@@ -1,7 +1,6 @@
 #include "corropt/optimizer.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -32,14 +31,19 @@ struct OptimizerSegmentScratch {
     std::int32_t cand = -1;
   };
 
-  // Region discovery, indexed by switch.
+  // Region discovery, indexed by switch. Between solves only the
+  // previous `region`'s flags are set and only the previous candidates'
+  // cand_of entries are >= 0, so a solve resets just those. `baseline`
+  // and `slot_of` are written for a region switch before any read.
   std::vector<char> in_region;
   std::vector<char> affected;
   std::vector<std::uint64_t> baseline;
   std::vector<std::uint32_t> slot_of;
-  std::vector<std::uint32_t> frontier;
   // Candidate lookup, indexed by link.
   std::vector<std::int32_t> cand_of;
+  std::vector<std::uint32_t> cand_links;
+  // The region's switches, sorted by sweep position once discovered.
+  std::vector<std::uint32_t> region;
   // Compiled region: affected switches in level-descending order.
   std::vector<std::uint32_t> order;       // switch index per slot
   std::vector<std::uint32_t> edge_offset;  // slot count + 1 entries
@@ -57,21 +61,15 @@ struct OptimizerSegmentScratch {
   std::vector<std::uint32_t> reject_cache;
 };
 
-struct OptimizerSegmentOutcome {
-  // selected[i] != 0 -> disable segment.links[i].
-  std::vector<char> selected;
-  double penalty = 0.0;
-  bool exact = true;
-  std::size_t subsets_evaluated = 0;
-  std::size_t cache_skips = 0;
-  std::size_t accept_skips = 0;
-  std::size_t bound_skips = 0;
-  // Sweep-region link mask (every installed uplink of every in-region
-  // switch); only filled when the solve was asked to capture it. A later
-  // enabled-state change outside this mask cannot alter the segment's
-  // feasibility sweeps, which is what makes cached solutions reusable.
-  LinkMask region;
-};
+bool same_outcome(const OptimizerResult& a, const OptimizerResult& b) {
+  return a.disabled == b.disabled && a.disabled_penalty == b.disabled_penalty &&
+         a.remaining_penalty == b.remaining_penalty && a.exact == b.exact &&
+         a.pruned_safe_disables == b.pruned_safe_disables &&
+         a.segments == b.segments &&
+         a.subsets_evaluated == b.subsets_evaluated &&
+         a.cache_skips == b.cache_skips && a.accept_skips == b.accept_skips &&
+         a.bound_skips == b.bound_skips;
+}
 
 namespace {
 
@@ -108,7 +106,13 @@ Optimizer::Optimizer(topology::Topology& topo,
       penalty_(penalty),
       config_(config),
       paths_(topo),
-      scratch_(std::make_unique<OptimizerSegmentScratch>()) {
+      scratch_(std::make_unique<OptimizerSegmentScratch>()),
+      closures_(paths_) {
+  const std::span<const std::uint32_t> sweep = paths_.sweep_order();
+  sweep_pos_.resize(topo.switch_count());
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    sweep_pos_[sweep[i]] = static_cast<std::uint32_t>(i);
+  }
   scratch_paths_.resize(topo.switch_count(), 0);
   scratch_mask_.assign(topo.link_count());
 }
@@ -118,75 +122,84 @@ Optimizer::~Optimizer() = default;
 void Optimizer::sync_baseline() {
   const bool cold = baseline_.counts.empty();
   paths_.sync_live_counts(baseline_);
-  if (!cold && baseline_.changed.empty()) return;
+  const bool constraint_moved = constraint_version_ != constraint_->version();
+  if (!cold && baseline_.changed.empty() && !constraint_moved) return;
   baseline_violated_ = paths_.violated_tors(baseline_.counts, *constraint_);
-  if (!incremental_) return;
+  if (constraint_moved) {
+    constraint_version_ = constraint_->version();
+    segment_cache_.clear();
+  }
   if (cold) {
     ++inc_stats_.baseline_full_recounts;
     return;
   }
+  if (baseline_.changed.empty()) return;
   ++inc_stats_.baseline_delta_recounts;
-  // A cached segment stays fresh only while no link of its sweep region
+  // A cached segment survives only while no link of its sweep region
   // differs from the mask it was solved under. The flipped links include
   // this optimizer's own disables from the previous run.
-  for (auto& [key, entry] : segment_cache_) {
-    if (!entry.fresh) continue;
-    for (LinkId link : baseline_.changed) {
-      if (entry.region.test(link.index())) {
-        entry.fresh = false;
-        break;
-      }
-    }
+  std::vector<std::uint32_t> lowers;
+  lowers.reserve(baseline_.changed.size());
+  for (LinkId link : baseline_.changed) {
+    lowers.push_back(
+        static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
   }
-}
-
-void Optimizer::set_incremental(bool enabled) {
-  if (enabled == incremental_) return;
-  incremental_ = enabled;
-  if (enabled) {
-    if (closures_ == nullptr) {
-      closures_ = std::make_unique<TorClosureCache>(paths_);
-    }
-  } else {
-    segment_cache_.clear();
-    closures_.reset();
-  }
+  std::erase_if(segment_cache_, [&lowers](const auto& item) {
+    const common::DynamicBitset& region = item.second.region;
+    return std::any_of(lowers.begin(), lowers.end(),
+                       [&region](std::uint32_t sw) { return region.test(sw); });
+  });
 }
 
 void Optimizer::compile_region(const Segment& segment,
                                OptimizerSegmentScratch& s) const {
-  const std::size_t switches = topo_->switch_count();
-  s.in_region.assign(switches, 0);
-  s.affected.assign(switches, 0);
-  s.baseline.assign(switches, 0);
-  s.slot_of.assign(switches, kNoSlot);
-  s.cand_of.assign(topo_->link_count(), -1);
+  if (s.in_region.size() != topo_->switch_count()) {
+    const std::size_t switches = topo_->switch_count();
+    s.in_region.assign(switches, 0);
+    s.affected.assign(switches, 0);
+    s.baseline.assign(switches, 0);
+    s.slot_of.assign(switches, kNoSlot);
+    s.cand_of.assign(topo_->link_count(), -1);
+    s.region.clear();
+    s.cand_links.clear();
+  }
+  for (std::uint32_t sw : s.region) {
+    s.in_region[sw] = 0;
+    s.affected[sw] = 0;
+  }
+  for (std::uint32_t link : s.cand_links) s.cand_of[link] = -1;
+  s.cand_links.clear();
   for (std::size_t i = 0; i < segment.links.size(); ++i) {
-    s.cand_of[segment.links[i].index()] = static_cast<std::int32_t>(i);
+    const auto link = static_cast<std::uint32_t>(segment.links[i].index());
+    s.cand_of[link] = static_cast<std::int32_t>(i);
+    s.cand_links.push_back(link);
   }
 
   // Upstream closure of the segment's ToRs over *installed* links: a
   // disabled link upstream of an endangered ToR still belongs to the
-  // region, since re-enabling decisions may involve it.
-  s.frontier.clear();
+  // region, since re-enabling decisions may involve it. The region list
+  // doubles as the BFS queue.
+  s.region.clear();
   for (SwitchId tor : segment.tors) {
     if (!s.in_region[tor.index()]) {
       s.in_region[tor.index()] = 1;
-      s.frontier.push_back(static_cast<std::uint32_t>(tor.index()));
+      s.region.push_back(static_cast<std::uint32_t>(tor.index()));
     }
   }
-  while (!s.frontier.empty()) {
-    const std::uint32_t current = s.frontier.back();
-    s.frontier.pop_back();
-    const PathCounter::UplinkSpan span = paths_.uplinks_of(current);
+  for (std::size_t next = 0; next < s.region.size(); ++next) {
+    const PathCounter::UplinkSpan span = paths_.uplinks_of(s.region[next]);
     for (std::size_t u = 0; u < span.count; ++u) {
       const std::uint32_t upper = span.upper[u];
       if (!s.in_region[upper]) {
         s.in_region[upper] = 1;
-        s.frontier.push_back(upper);
+        s.region.push_back(upper);
       }
     }
   }
+  std::sort(s.region.begin(), s.region.end(),
+            [this](std::uint32_t a, std::uint32_t b) {
+              return sweep_pos_[a] < sweep_pos_[b];
+            });
 
   // One level-descending pass computes baseline counts (current enabled
   // state, no candidate removed), affectedness, and the compiled edges.
@@ -198,12 +211,9 @@ void Optimizer::compile_region(const Segment& segment,
   s.const_base.clear();
   s.required.clear();
   const common::DynamicBitset& enabled = topo_->enabled_mask();
-  const std::span<const std::uint32_t> sweep = paths_.sweep_order();
   const std::size_t top_count = paths_.top_switch_count();
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    const std::uint32_t sw = sweep[i];
-    if (!s.in_region[sw]) continue;
-    if (i < top_count) {
+  for (const std::uint32_t sw : s.region) {
+    if (sweep_pos_[sw] < top_count) {
       s.baseline[sw] = 1;  // Top level: constant, never affected.
       continue;
     }
@@ -253,27 +263,13 @@ void Optimizer::compile_region(const Segment& segment,
 
 OptimizerSegmentOutcome Optimizer::solve_segment(
     const Segment& segment, const CorruptionSet& corruption,
-    OptimizerSegmentScratch& s, const std::vector<char>* warm,
-    bool capture_region) const {
+    OptimizerSegmentScratch& s) const {
   assert(!segment.links.empty());
   const std::size_t n = segment.links.size();
   OptimizerSegmentOutcome out;
   out.selected.assign(n, 0);
 
   compile_region(segment, s);
-  if (capture_region) {
-    // All installed uplinks of in-region switches: the exact dependence
-    // set of every feasibility sweep this solve can run.
-    out.region.assign(topo_->link_count());
-    for (std::size_t sw = 0; sw < s.in_region.size(); ++sw) {
-      if (!s.in_region[sw]) continue;
-      const PathCounter::UplinkSpan span = paths_.uplinks_of(
-          static_cast<std::uint32_t>(sw));
-      for (std::size_t u = 0; u < span.count; ++u) {
-        out.region.set(span.link[u]);
-      }
-    }
-  }
 
   // Disabling links never adds paths, so a ToR already below its
   // requirement at baseline dooms every subset: return the empty
@@ -417,28 +413,6 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
     return ok;
   };
 
-  // Warm-start hint (incremental mode): a previous solution of this
-  // segment, evaluated once so its verdict lands in the accept or reject
-  // cache as a proven fact. Cache answers always equal what a sweep
-  // would report (monotonicity both ways), so the DFS below makes
-  // bit-identical decisions with or without the hint — only the number
-  // of sweeps changes. Skipped if any hinted candidate failed the
-  // singleton prefilter (the old solution cannot be feasible now) or the
-  // hint is a singleton (already seeded above).
-  if (warm != nullptr && warm->size() == n) {
-    std::uint32_t hint = 0;
-    bool usable = true;
-    for (std::size_t i = 0; i < n; ++i) {
-      if ((*warm)[i] == 0) continue;
-      if (s.pos_bit[i] == 0) {
-        usable = false;
-        break;
-      }
-      hint |= s.pos_bit[i];
-    }
-    if (usable && std::popcount(hint) >= 2) evaluate(hint);
-  }
-
   std::uint32_t best_mask = 0;
   bool best_from_dfs = false;
   // `mask` is the committed prefix over positions [0, j); `feasible`
@@ -540,7 +514,7 @@ OptimizerResult Optimizer::run(const CorruptionSet& corruption) {
 }
 
 OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
-  if (incremental_) ++inc_stats_.runs;
+  ++inc_stats_.runs;
   OptimizerResult result;
   const std::vector<LinkId> candidates = corruption.active(*topo_);
   if (candidates.empty()) {
@@ -566,8 +540,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     if (endangered.empty()) {
       // The full set is feasible: disable everything. `candidates` is
       // the id-sorted active set, so summing over it keeps the
-      // floating-point fold order independent of the corruption map's
-      // insert/erase history (checkpoint restores rebuild that map).
+      // floating-point fold order fixed.
       for (LinkId link : candidates) {
         result.disabled_penalty += penalty_(corruption.rate(link));
       }
@@ -577,19 +550,15 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
           corruption.total_active_penalty(*topo_, penalty_);
       return result;
     }
-    // Links not upstream of any endangered ToR are safe. In incremental
-    // mode the union of memoized per-ToR closures is the same mask.
-    if (incremental_) {
-      scratch_mask_.assign(topo_->link_count());
-      for (SwitchId tor : endangered) {
-        scratch_mask_ |= closures_->closure(tor);
-      }
-    } else {
-      paths_.upstream_links_into(scratch_mask_, scratch_visited_, endangered);
+    // Links not upstream of any endangered ToR are safe: a link is
+    // upstream iff its lower endpoint is in some endangered ToR's closure.
+    scratch_switches_.assign(topo_->switch_count());
+    for (SwitchId tor : endangered) {
+      scratch_switches_ |= closures_.closure(tor);
     }
     contested.clear();
     for (LinkId link : candidates) {
-      if (scratch_mask_.test(link.index())) {
+      if (scratch_switches_.test(topo_->link_at(link).lower.index())) {
         contested.push_back(link);
       } else {
         to_disable.push_back(link);
@@ -602,8 +571,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
 
   std::vector<Segment> segments;
   if (config_.use_segmentation) {
-    segments = segment_candidates(paths_, contested, endangered,
-                                  incremental_ ? closures_.get() : nullptr);
+    segments = segment_candidates(paths_, contested, endangered, &closures_);
   } else if (!contested.empty()) {
     Segment all;
     all.links = contested;
@@ -614,71 +582,70 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
 
   // Disable the safe links before solving segments so their (absent)
   // contribution to path counts is reflected in feasibility sweeps.
+  // Safe links lie outside every segment's region, so cached entries
+  // are unaffected.
   for (LinkId link : to_disable) topo_->set_enabled(link, false);
 
-  // Incremental reuse: a cached solution answers a segment outright when
-  // its candidates, ToRs, and rates are identical and no link of its
-  // sweep region flipped since it was solved. A content-identical
-  // but stale (or rate-shifted) entry instead warm-starts the solve.
-  // Warm pointers reference live cache entries; the cache is not mutated
-  // until after the (possibly parallel) solves complete.
+  // Segment reuse: a cached outcome answers a segment outright when its
+  // candidates, ToRs and rates are identical; sync_baseline already
+  // erased every entry whose region flipped.
   std::vector<OptimizerSegmentOutcome> outcomes(segments.size());
-  std::vector<const std::vector<char>*> warm(segments.size(), nullptr);
-  std::vector<char> reused(segments.size(), 0);
-  if (incremental_) {
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-      const Segment& segment = segments[i];
-      const auto it = segment_cache_.find(
-          static_cast<std::uint32_t>(segment.links.front().index()));
-      if (it == segment_cache_.end()) continue;
-      const CachedSegment& entry = it->second;
-      if (entry.links != segment.links || entry.tors != segment.tors) continue;
-      bool rates_match = true;
-      for (std::size_t k = 0; k < segment.links.size(); ++k) {
-        if (entry.rates[k] != corruption.rate(segment.links[k])) {
-          rates_match = false;
-          break;
-        }
-      }
-      if (entry.fresh && rates_match) {
-        outcomes[i].selected = entry.selected;
-        outcomes[i].penalty = entry.penalty;
-        outcomes[i].exact = entry.exact;
-        reused[i] = 1;
-        ++result.segment_reuses;
-        ++inc_stats_.segment_reuses;
-      } else {
-        warm[i] = &entry.selected;
-        ++inc_stats_.warm_hints;
-      }
+  std::vector<std::size_t> to_solve;
+  for (std::size_t i = 0; i < segments.size(); ++i) {
+    const Segment& segment = segments[i];
+    const auto it = segment_cache_.find(
+        static_cast<std::uint32_t>(segment.links.front().index()));
+    bool hit = it != segment_cache_.end() &&
+               it->second.links == segment.links &&
+               it->second.tors == segment.tors;
+    for (std::size_t k = 0; hit && k < segment.links.size(); ++k) {
+      hit = it->second.rates[k] == corruption.rate(segment.links[k]);
     }
+    if (!hit) {
+      to_solve.push_back(i);
+      continue;
+    }
+    outcomes[i] = it->second.outcome;
+    ++result.segment_reuses;
   }
+  inc_stats_.segment_reuses += result.segment_reuses;
+  inc_stats_.segment_solves += to_solve.size();
 
   // Solve segments against the shared pre-segment state; candidates of
   // one segment never enter another segment's sweep region (segmentation
   // would have merged them), so deferring the set_enabled calls keeps
   // this bit-identical to the serial schedule for any thread count.
   const std::size_t workers = std::min(
-      std::max<std::size_t>(config_.solver_threads, 1), segments.size());
+      std::max<std::size_t>(config_.solver_threads, 1), to_solve.size());
   if (workers > 1) {
     common::ThreadPool pool(workers);
-    common::parallel_for_each(pool, segments.size(), [&](std::size_t i) {
-      if (reused[i] != 0) return;
+    common::parallel_for_each(pool, to_solve.size(), [&](std::size_t j) {
       OptimizerSegmentScratch scratch;
-      outcomes[i] =
-          solve_segment(segments[i], corruption, scratch, warm[i],
-                        incremental_);
+      const std::size_t i = to_solve[j];
+      outcomes[i] = solve_segment(segments[i], corruption, scratch);
     });
   } else {
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-      if (reused[i] != 0) continue;
-      outcomes[i] =
-          solve_segment(segments[i], corruption, *scratch_, warm[i],
-                        incremental_);
+    for (std::size_t i : to_solve) {
+      outcomes[i] = solve_segment(segments[i], corruption, *scratch_);
     }
   }
-  if (incremental_) {
-    inc_stats_.segment_solves += segments.size() - result.segment_reuses;
+
+  // Keep the fresh outcomes for later runs. The next sync finds this
+  // run's disables among the flipped links and erases every entry whose
+  // region they touch, including ones just stored that selected a link.
+  for (std::size_t i : to_solve) {
+    const Segment& segment = segments[i];
+    CachedSegment& entry = segment_cache_[
+        static_cast<std::uint32_t>(segment.links.front().index())];
+    entry.links = segment.links;
+    entry.tors = segment.tors;
+    entry.rates.resize(segment.links.size());
+    for (std::size_t k = 0; k < segment.links.size(); ++k) {
+      entry.rates[k] = corruption.rate(segment.links[k]);
+    }
+    entry.region.assign(topo_->switch_count());
+    for (SwitchId tor : segment.tors) entry.region |= closures_.closure(tor);
+    entry.outcome = outcomes[i];
   }
 
   for (std::size_t i = 0; i < segments.size(); ++i) {
@@ -694,31 +661,6 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
         topo_->set_enabled(segment.links[k], false);
         to_disable.push_back(segment.links[k]);
       }
-    }
-  }
-
-  // Persist the freshly solved segments for the next run. The next
-  // run's baseline sync finds this run's disables among the flipped
-  // links and stales every entry whose region they touch (including ones
-  // just stored that selected a link).
-  if (incremental_) {
-    for (std::size_t i = 0; i < segments.size(); ++i) {
-      if (reused[i] != 0) continue;
-      const Segment& segment = segments[i];
-      const OptimizerSegmentOutcome& outcome = outcomes[i];
-      CachedSegment& entry = segment_cache_[
-          static_cast<std::uint32_t>(segment.links.front().index())];
-      entry.links = segment.links;
-      entry.tors = segment.tors;
-      entry.rates.resize(segment.links.size());
-      for (std::size_t k = 0; k < segment.links.size(); ++k) {
-        entry.rates[k] = corruption.rate(segment.links[k]);
-      }
-      entry.region = outcome.region;
-      entry.selected = outcome.selected;
-      entry.penalty = outcome.penalty;
-      entry.exact = outcome.exact;
-      entry.fresh = true;
     }
   }
 

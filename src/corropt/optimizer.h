@@ -32,6 +32,14 @@
 // the shared pre-segment topology state and applying the chosen disables
 // serially afterward is bit-identical to the serial schedule.
 //
+// Across runs the optimizer keeps two caches (DESIGN.md §12), and there
+// is no mode without them: per-ToR upstream switch sets, which depend
+// only on the installed wiring, and per-segment solve outcomes, erased
+// as soon as a link of their sweep region flips. A reused outcome
+// reports the search counters of the solve that produced it, which are
+// exactly what a cold solve of the same inputs would count, so the
+// caches are invisible in every result field but `segment_reuses`.
+//
 // The result maximizes the total disabled penalty, i.e. minimizes the
 // residual penalty sum over links of (1 - d_l) * I(f_l), subject to every
 // ToR keeping its required fraction of valley-free paths to the spine.
@@ -103,20 +111,23 @@ struct OptimizerResult {
   std::size_t accept_skips = 0;
   // Branches cut by the penalty upper-bound test.
   std::size_t bound_skips = 0;
-  // Segments answered from the incremental cache without a solve
-  // (always 0 outside incremental mode).
+  // Segments answered from the segment cache without a solve. The only
+  // field a cold solve of the same inputs may report differently.
   std::size_t segment_reuses = 0;
 };
 
-// Cumulative diagnostics for the incremental mode (DESIGN.md §12).
+// True when two runs made the same decisions with the same search
+// effort: every field equal except `segment_reuses`. The contract
+// between the cached optimizer and a fresh one (verify_incremental).
+[[nodiscard]] bool same_outcome(const OptimizerResult& a,
+                                const OptimizerResult& b);
+
+// Cumulative diagnostics of the cross-run caches (DESIGN.md §12).
 // Purely observational: none of these influence decisions.
 struct OptimizerIncrementalStats {
   std::size_t runs = 0;
   std::size_t segment_solves = 0;
   std::size_t segment_reuses = 0;
-  // Solves that started from a warm-start hint (previous solution of a
-  // content-identical segment whose rates changed).
-  std::size_t warm_hints = 0;
   // Baseline syncs that filled the live counts cold (normally only the
   // first one) and syncs that folded in flipped links.
   std::size_t baseline_full_recounts = 0;
@@ -129,7 +140,18 @@ struct OptimizerIncrementalStats {
 // Per-solve scratch and the compiled sweep region; defined in the .cc.
 // Each concurrent segment solver owns one, so no state is shared.
 struct OptimizerSegmentScratch;
-struct OptimizerSegmentOutcome;
+
+// What one segment solve decided and how hard it searched.
+struct OptimizerSegmentOutcome {
+  // selected[i] != 0 -> disable segment.links[i].
+  std::vector<char> selected;
+  double penalty = 0.0;
+  bool exact = true;
+  std::size_t subsets_evaluated = 0;
+  std::size_t cache_skips = 0;
+  std::size_t accept_skips = 0;
+  std::size_t bound_skips = 0;
+};
 
 class Optimizer {
  public:
@@ -151,17 +173,6 @@ class Optimizer {
   // bit-identical for any `solver_threads`. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Incremental mode (DESIGN.md §12). When on, the optimizer also keeps
-  // per-ToR upstream closures and per-segment solutions alive across
-  // runs; a cached solution is reused while no link of its sweep region
-  // flipped and its candidates and rates are unchanged. Decisions are
-  // identical to a cold solve (disable set, penalties, enabled mask);
-  // only search-effort diagnostics (subsets_evaluated and friends) may
-  // differ. The baseline path counts follow the enabled mask in either
-  // mode, so callers report no changes.
-  void set_incremental(bool enabled);
-  [[nodiscard]] bool incremental() const { return incremental_; }
-
   [[nodiscard]] const OptimizerIncrementalStats& incremental_stats() const {
     return inc_stats_;
   }
@@ -171,17 +182,13 @@ class Optimizer {
 
   // Exact branch-and-bound (or greedy, over-budget) search within one
   // segment. Pure with respect to `topo_`: reads link state, never
-  // writes, so segments may be solved concurrently. `warm`, when
-  // non-null, is a previous solution (per-candidate selected flags, in
-  // segment link order) evaluated once after cache setup to seed the
-  // accept/reject caches — it never changes the decision, only the
-  // search effort. `capture_region` additionally records the segment's
-  // sweep-region link mask in the outcome (for incremental caching).
+  // writes, so segments may be solved concurrently. The outcome,
+  // search counters included, is a function of the segment, its
+  // candidates' rates, the enabled state of its sweep region, the
+  // constraint and the config alone.
   OptimizerSegmentOutcome solve_segment(const Segment& segment,
                                         const CorruptionSet& corruption,
-                                        OptimizerSegmentScratch& scratch,
-                                        const std::vector<char>* warm,
-                                        bool capture_region) const;
+                                        OptimizerSegmentScratch& scratch) const;
 
   // Builds the affected-switch sweep region of one segment into scratch.
   void compile_region(const Segment& segment,
@@ -192,10 +199,12 @@ class Optimizer {
   PenaltyFunction penalty_;
   OptimizerConfig config_;
   PathCounter paths_;
+  // Position of each switch in paths_.sweep_order().
+  std::vector<std::uint32_t> sweep_pos_;
   // Scratch reused across runs (serial phases only).
   std::vector<std::uint64_t> scratch_paths_;
   common::DynamicBitset scratch_mask_;
-  std::vector<char> scratch_visited_;
+  common::DynamicBitset scratch_switches_;
   std::unique_ptr<OptimizerSegmentScratch> scratch_;
   // Unmasked path counts (and the ToRs they violate, normally none),
   // following the enabled mask; lets the pruning pass recount only the
@@ -204,25 +213,28 @@ class Optimizer {
   std::vector<SwitchId> baseline_violated_;
   PathCounter::SweepScratch sweep_scratch_;
 
-  // --- Incremental mode state (DESIGN.md §12) ---
-  // A previously solved segment kept across runs. Reused verbatim when
-  // no link of its sweep region flipped and the candidate set + rates
-  // are identical; otherwise its `selected` flags warm-start the solve.
+  // --- Cross-run caches (DESIGN.md §12) ---
+  // A solved segment kept across runs, reused verbatim while its
+  // candidates, ToRs and rates are identical. `region` is the segment's
+  // sweep region as a switch mask (the union of its ToRs' closures): a
+  // solve reads the enabled state of exactly the uplinks whose lower
+  // endpoint is in it, so the entry is erased once such a link flips.
   struct CachedSegment {
     std::vector<LinkId> links;    // Segment candidates, id-sorted.
     std::vector<SwitchId> tors;   // Endangered ToRs of the segment.
     std::vector<double> rates;    // Corruption rate per candidate.
-    LinkMask region;              // Sweep-region link mask (uplinks).
-    std::vector<char> selected;   // Solution flags, per candidate.
-    double penalty = 0.0;
-    bool exact = true;
-    bool fresh = false;  // False once a link of `region` flips.
+    common::DynamicBitset region;
+    // The solve's selection, penalty and search counters, reported
+    // again on every reuse.
+    OptimizerSegmentOutcome outcome;
   };
 
-  bool incremental_ = false;
-  std::unique_ptr<TorClosureCache> closures_;
+  TorClosureCache closures_;
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
+  // The constraint version the cache and baseline_violated_ were taken
+  // under; a per-ToR override changes what every solve requires.
+  std::uint64_t constraint_version_ = 0;
   OptimizerIncrementalStats inc_stats_;
 
   // Observability (all inert when sink_ is null).
@@ -239,8 +251,8 @@ class Optimizer {
   obs::Histogram obs_run_timer_;
 
   // Brings baseline_ to the current enabled mask; when anything moved,
-  // recomputes baseline_violated_ and stales the cached segments whose
-  // region holds a flipped link.
+  // recomputes baseline_violated_ and erases the cached segments whose
+  // region holds a flipped link (all of them when the constraint moved).
   void sync_baseline();
 };
 

@@ -411,19 +411,17 @@ bool PathCounter::feasible(std::span<const std::uint64_t> up_paths,
   return true;
 }
 
-void PathCounter::upstream_links_into(LinkMask& mask,
-                                      std::vector<char>& visited_scratch,
-                                      std::span<const SwitchId> from) const {
-  mask.assign(topo_->link_count());
-  visited_scratch.assign(topo_->switch_count(), 0);
+LinkMask PathCounter::upstream_links(std::span<const SwitchId> from) const {
+  LinkMask mask(topo_->link_count());
+  std::vector<char> visited(topo_->switch_count(), 0);
   // The upstream closure follows *installed* links (enabled or not):
   // a disabled link upstream of a violated ToR still belongs to the
   // pruned sub-topology, since re-enabling decisions may involve it.
   std::vector<std::uint32_t> frontier;
   frontier.reserve(from.size());
   for (SwitchId id : from) {
-    if (!visited_scratch[id.index()]) {
-      visited_scratch[id.index()] = 1;
+    if (!visited[id.index()]) {
+      visited[id.index()] = 1;
       frontier.push_back(static_cast<std::uint32_t>(id.index()));
     }
   }
@@ -435,18 +433,12 @@ void PathCounter::upstream_links_into(LinkMask& mask,
     for (std::uint32_t u = begin; u < end; ++u) {
       mask.set(up_link_[u]);
       const std::uint32_t upper = up_upper_[u];
-      if (!visited_scratch[upper]) {
-        visited_scratch[upper] = 1;
+      if (!visited[upper]) {
+        visited[upper] = 1;
         frontier.push_back(upper);
       }
     }
   }
-}
-
-LinkMask PathCounter::upstream_links(std::span<const SwitchId> from) const {
-  LinkMask mask;
-  std::vector<char> visited;
-  upstream_links_into(mask, visited, from);
   return mask;
 }
 

@@ -143,16 +143,11 @@ class PathCounter {
   [[nodiscard]] bool feasible(std::span<const std::uint64_t> up_paths,
                               const CapacityConstraint& constraint) const;
 
-  // Links lying on some upward path from any switch in `from`: the
-  // upstream closure used by the optimizer's topology pruning.
+  // Links lying on some upward path from any switch in `from`, disabled
+  // links included: the upstream closure of the optimizer's topology
+  // pruning, which reads it as TorClosureCache's switch sets.
   [[nodiscard]] LinkMask upstream_links(
       std::span<const SwitchId> from) const;
-
-  // Allocation-free variant for repeated closure queries: `mask` is
-  // cleared and resized to link_count; `visited_scratch` is a caller-
-  // owned per-switch flag buffer (resized here, cleared on return).
-  void upstream_links_into(LinkMask& mask, std::vector<char>& visited_scratch,
-                           std::span<const SwitchId> from) const;
 
   // --- CSR accessors (used by the optimizer's restricted region sweeps) --
   // Switch indices ordered top level first, then strictly descending

@@ -7,9 +7,11 @@
 // from 2^|R| to a sum of much smaller powers.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/bitset.h"
 #include "common/ids.h"
 #include "corropt/path_counter.h"
 
@@ -22,31 +24,29 @@ struct Segment {
   std::vector<SwitchId> tors;
 };
 
-// Lazily memoized per-ToR upstream closure masks. A ToR's closure
-// follows *installed* links regardless of enabled state (see
-// PathCounter::upstream_links_into), so a built mask never goes stale:
-// the cache is valid for the lifetime of the topology's structure. The
-// incremental optimizer (DESIGN.md §12) keeps one across runs so the
-// per-endangered-ToR closure walks of segmentation and pruning become
-// lookups after the first event that touches a ToR.
+// Lazily memoized per-ToR upstream switch sets. A link lies on some
+// upward path from a ToR (it is in PathCounter::upstream_links({tor}))
+// iff its lower endpoint is in the ToR's upstream switch set, so
+// membership tests read `link_at(link).lower` against the mask. The set
+// follows *installed* links regardless of enabled state, so a built mask
+// never goes stale: the cache is valid for the lifetime of the
+// topology's structure. The optimizer keeps one for good (DESIGN.md §12),
+// making the per-endangered-ToR closure walks of segmentation and
+// pruning lookups after the first event that touches a ToR; a mask costs
+// switch_count bits, not link_count.
 class TorClosureCache {
  public:
   explicit TorClosureCache(const PathCounter& paths) : paths_(&paths) {}
 
-  // The upstream link mask of `tor` (== paths.upstream_links({tor})).
-  [[nodiscard]] const LinkMask& closure(SwitchId tor) {
-    if (masks_.empty()) masks_.resize(paths_->topo().switch_count());
-    LinkMask& mask = masks_[tor.index()];
-    if (mask.empty()) {
-      paths_->upstream_links_into(mask, visited_scratch_, {&tor, 1});
-    }
-    return mask;
-  }
+  // The switches reachable upward from `tor` over installed links, `tor`
+  // itself included, as a switch_count-bit mask.
+  [[nodiscard]] const common::DynamicBitset& closure(SwitchId tor);
 
  private:
   const PathCounter* paths_;
-  std::vector<LinkMask> masks_;  // Indexed by switch; empty = not built.
-  std::vector<char> visited_scratch_;
+  // Indexed by switch; empty = not built (a built mask holds its ToR).
+  std::vector<common::DynamicBitset> masks_;
+  std::vector<std::uint32_t> frontier_;
 };
 
 // Partitions `candidates` into independent segments with respect to the
@@ -54,7 +54,7 @@ class TorClosureCache {
 // (their violation, if any, cannot be influenced by the candidates).
 // Candidates upstream of no endangered ToR are also dropped — they are
 // the "safe to disable" links the optimizer's pruning already handles.
-// `closures`, when non-null, memoizes the per-ToR upstream masks across
+// `closures`, when non-null, memoizes the per-ToR upstream sets across
 // calls; the result is identical either way.
 [[nodiscard]] std::vector<Segment> segment_candidates(
     const PathCounter& paths, std::span<const LinkId> candidates,

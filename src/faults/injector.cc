@@ -10,12 +10,22 @@ namespace corropt::faults {
 FaultInjector::FaultInjector(telemetry::NetworkState& state)
     : state_(&state) {}
 
+void FaultInjector::index(const Fault& fault) {
+  // Ids only grow, so appending keeps every list in id order. A link
+  // named twice by one fault is listed once.
+  for (const DirectionEffect& effect : fault.effects) {
+    by_direction_[effect.direction].push_back(fault.id);
+  }
+  for (LinkId link : fault.links) {
+    std::vector<FaultId>& ids = by_link_[link];
+    if (ids.empty() || ids.back() != fault.id) ids.push_back(fault.id);
+  }
+}
+
 FaultId FaultInjector::inject(Fault fault) {
   const FaultId id(next_id_++);
   fault.id = id;
-  for (const DirectionEffect& effect : fault.effects) {
-    by_direction_[effect.direction].push_back(id);
-  }
+  index(fault);
   const auto [it, inserted] = active_.emplace(id, std::move(fault));
   assert(inserted);
   for (const DirectionEffect& effect : it->second.effects) {
@@ -29,6 +39,12 @@ void FaultInjector::clear(FaultId id) {
   if (it == active_.end()) return;
   const Fault fault = std::move(it->second);
   active_.erase(it);
+  for (LinkId link : fault.links) {
+    const auto found = by_link_.find(link);
+    if (found == by_link_.end()) continue;  // Listed twice; already gone.
+    std::erase(found->second, id);
+    if (found->second.empty()) by_link_.erase(found);
+  }
   for (const DirectionEffect& effect : fault.effects) {
     auto& ids = by_direction_[effect.direction];
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
@@ -62,48 +78,33 @@ const Fault* FaultInjector::fault(FaultId id) const {
   return it == active_.end() ? nullptr : &it->second;
 }
 
-std::vector<FaultId> FaultInjector::faults_on_link(LinkId link) const {
-  std::vector<FaultId> out;
-  for (const auto& [id, fault] : active_) {
-    if (std::find(fault.links.begin(), fault.links.end(), link) !=
-        fault.links.end()) {
-      out.push_back(id);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-std::vector<const Fault*> FaultInjector::active_faults() const {
-  std::vector<const Fault*> out;
-  out.reserve(active_.size());
-  for (const auto& [id, fault] : active_) out.push_back(&fault);
-  std::sort(out.begin(), out.end(),
-            [](const Fault* a, const Fault* b) { return a->id < b->id; });
-  return out;
+std::span<const FaultId> FaultInjector::faults_on_link(LinkId link) const {
+  const auto it = by_link_.find(link);
+  if (it == by_link_.end()) return {};
+  return it->second;
 }
 
 void FaultInjector::snapshot_to(common::snap::Writer& w) const {
   w.section(common::snap::tag('F', 'L', 'T', 'S'), 1);
   w.u64(active_.size());
-  for (const Fault* fault : active_faults()) {
-    w.u32(fault->id.value());
-    w.u8(static_cast<std::uint8_t>(fault->cause));
-    w.u64(fault->links.size());
-    for (LinkId link : fault->links) w.u32(link.value());
-    w.u64(fault->effects.size());
-    for (const DirectionEffect& e : fault->effects) {
+  for (const auto& [id, fault] : active_) {
+    w.u32(fault.id.value());
+    w.u8(static_cast<std::uint8_t>(fault.cause));
+    w.u64(fault.links.size());
+    for (LinkId link : fault.links) w.u32(link.value());
+    w.u64(fault.effects.size());
+    for (const DirectionEffect& e : fault.effects) {
       w.u32(e.direction.value());
       w.f64(e.extra_attenuation_db);
       w.f64(e.tx_power_delta_db);
       w.f64(e.tx_decay_db_per_day);
       w.f64(e.corruption_rate);
     }
-    w.u64(fault->fixing_actions.size());
-    for (RepairAction action : fault->fixing_actions) {
+    w.u64(fault.fixing_actions.size());
+    for (RepairAction action : fault.fixing_actions) {
       w.u8(static_cast<std::uint8_t>(action));
     }
-    w.i64(fault->onset);
+    w.i64(fault.onset);
   }
   w.u64(next_id_);
   w.i64(now_);
@@ -113,6 +114,7 @@ void FaultInjector::restore_from(common::snap::Reader& r) {
   r.expect_section(common::snap::tag('F', 'L', 'T', 'S'));
   active_.clear();
   by_direction_.clear();
+  by_link_.clear();
   const std::uint64_t count = r.u64();
   for (std::uint64_t i = 0; i < count; ++i) {
     Fault fault;
@@ -134,10 +136,8 @@ void FaultInjector::restore_from(common::snap::Reader& r) {
     }
     fault.onset = r.i64();
     // Faults arrive in id order, which is injection order, so the
-    // rebuilt per-direction lists match the live ones exactly.
-    for (const DirectionEffect& e : fault.effects) {
-      by_direction_[e.direction].push_back(fault.id);
-    }
+    // rebuilt per-direction and per-link lists match the live ones.
+    index(fault);
     active_.emplace(fault.id, std::move(fault));
   }
   next_id_ = static_cast<common::FaultId::underlying_type>(r.u64());

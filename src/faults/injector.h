@@ -7,7 +7,10 @@
 // corruption rates combine as independent drop processes.
 #pragma once
 
+#include <map>
 #include <optional>
+#include <ranges>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -38,23 +41,30 @@ class FaultInjector {
   void advance(common::SimTime now);
 
   [[nodiscard]] const Fault* fault(FaultId id) const;
-  // Ids of active faults affecting `link`, in injection order.
-  [[nodiscard]] std::vector<FaultId> faults_on_link(LinkId link) const;
+  // Ids of active faults affecting `link`, in injection order, read from
+  // a per-link index. The span is invalidated by the next inject, clear
+  // or restore: copy it before clearing the faults it names.
+  [[nodiscard]] std::span<const FaultId> faults_on_link(LinkId link) const;
   [[nodiscard]] std::size_t active_fault_count() const {
     return active_.size();
   }
-  // All active faults, in increasing fault-id (== injection) order.
-  // The order is load-bearing: the penalty accountant folds these
-  // faults' links into a floating-point sum and the detection pipeline
-  // builds its suspect set from them, so an unspecified (hash-map)
-  // order would make results depend on container history — exactly the
-  // hidden state a checkpoint restore cannot reproduce.
-  [[nodiscard]] std::vector<const Fault*> active_faults() const;
+  // All active faults as `const Fault*`, in increasing fault-id
+  // (== injection) order, viewed in place: no allocation, no sort. The
+  // order is load-bearing: the penalty accountant folds these faults'
+  // links into a floating-point sum and the detection pipeline builds
+  // its suspect set from them, so an unspecified (hash-map) order would
+  // make results depend on container history — exactly the hidden state
+  // a checkpoint restore cannot reproduce.
+  [[nodiscard]] auto active_faults() const {
+    return active_ | std::views::transform(
+                         [](const auto& item) { return &item.second; });
+  }
 
   // Checkpointing (DESIGN.md §14): active faults (id order), the id
-  // counter and the decay clock. `by_direction_` is rebuilt (id order ==
-  // injection order, which erase preserves); the physical state arrays
-  // are NetworkState's to serialize, so restore does not rebuild them.
+  // counter and the decay clock. `by_direction_` and `by_link_` are
+  // rebuilt (id order == injection order, which erase preserves); the
+  // physical state arrays are NetworkState's to serialize, so restore
+  // does not rebuild them.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -63,10 +73,16 @@ class FaultInjector {
   // folding in every active effect that targets it.
   void rebuild_direction(DirectionId dir);
 
+  // Indexes an active fault under its directions and links.
+  void index(const Fault& fault);
+
   telemetry::NetworkState* state_;
-  std::unordered_map<FaultId, Fault> active_;
+  // Ordered by id, so iteration is injection order.
+  std::map<FaultId, Fault> active_;
   // Direction -> ids of active faults with an effect on it.
   std::unordered_map<DirectionId, std::vector<FaultId>> by_direction_;
+  // Link -> ids of active faults listing it, each id once.
+  std::unordered_map<LinkId, std::vector<FaultId>> by_link_;
   common::FaultId::underlying_type next_id_ = 0;
   common::SimTime now_ = 0;
 };

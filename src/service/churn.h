@@ -7,8 +7,8 @@
 // (exponential time-to-repair, matching the paper's ~2-day ticket
 // service times) or a monitoring retraction for reports that decay on
 // their own. The stream is time-sorted and deterministic in the seed,
-// so cold and incremental control loops can replay the identical event
-// sequence for equivalence checks (DESIGN.md §12).
+// so a control loop and its verify_incremental replay see the identical
+// event sequence for equivalence checks (DESIGN.md §12).
 #pragma once
 
 #include <cstdint>

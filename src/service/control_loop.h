@@ -3,11 +3,11 @@
 // Wraps corropt::core::Controller as a long-lived service: telemetry
 // events stream in, each is dispatched to the controller under a
 // wall-clock latency measurement, and a running digest captures every
-// decision the loop makes. Two loops fed the same stream — one cold
-// (every optimizer run solves every segment afresh), one incremental
-// (the optimizer's segment and closure caches kept across runs) — must
-// produce equal digests; bench_runtime_controller and the CI bench smoke assert
-// exactly that while comparing their sustained decisions/sec.
+// decision the loop makes. The optimizer keeps its segment and closure
+// caches across events; a replay of the same stream with
+// verify_incremental re-solving every optimizer run cold must produce
+// the same digests, which bench_runtime_controller and the CI bench
+// smoke assert next to the loop's sustained decisions/sec.
 #pragma once
 
 #include <cstdint>
@@ -23,8 +23,8 @@
 namespace corropt::service {
 
 struct ControlLoopConfig {
-  // Controller configuration, including the incremental /
-  // verify_incremental switches (core::ControllerConfig).
+  // Controller configuration, including the verify_incremental debug
+  // switch (core::ControllerConfig).
   core::ControllerConfig controller;
   core::PenaltyFunction penalty = core::PenaltyFunction::linear();
 };

@@ -164,7 +164,7 @@ void DetectionPipeline::handle_poll(const Event& event) {
   for (const faults::Fault* fault : ctx_.injector.active_faults()) {
     for (common::LinkId link : fault->links) add(link);
   }
-  for (common::LinkId link : ctx_.controller.corruption().links_sorted()) {
+  for (const auto& [link, entry] : ctx_.controller.corruption().entries()) {
     add(link);
   }
   for (const auto& [link, onset] : pending_detection_) add(link);

@@ -2,8 +2,10 @@
 
 #include <cassert>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "obs/journal.h"
 
@@ -63,8 +65,10 @@ void RepairPipeline::open_ticket(common::LinkId link, SimTime now) {
 }
 
 bool RepairPipeline::attempt_repair(const Event& event) {
-  const std::vector<common::FaultId> faults =
+  // A copy: clearing a fault edits the injector's per-link index.
+  const std::span<const common::FaultId> on_link =
       ctx_.injector.faults_on_link(event.link);
+  const std::vector<common::FaultId> faults(on_link.begin(), on_link.end());
   if (faults.empty()) return true;  // Fixed via a shared-component peer.
 
   switch (ctx_.config.repair_model) {

@@ -9,7 +9,9 @@
 // re-runs the fan-out on 1- and 4-thread pools expecting identical
 // results. A final case exercises the counterfactual mode: restoring a
 // threshold-backend checkpoint into voting/sketch branches (the backend
-// payload is skipped; evidence restarts fresh).
+// payload is skipped; evidence restarts fresh). A storm case checks the
+// contract where the optimizer's cross-run caches make the branch and
+// the fresh run do different amounts of solving.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -28,24 +30,30 @@
 #include "obs/sink.h"
 #include "sim/branch_runner.h"
 #include "sim/mitigation_sim.h"
+#include "sim/scenario.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
 
 namespace corropt::sim {
 namespace {
 
-std::string obs_bytes(const obs::EventJournal& journal,
-                      const obs::MetricsRegistry& registry) {
+std::string obs_bytes(const std::vector<obs::Event>& journal,
+                      const obs::MetricsSnapshot& metrics) {
   std::ostringstream out;
-  for (const obs::Event& event : journal.snapshot()) {
+  for (const obs::Event& event : journal) {
     obs::write_event_jsonl(out, event);
     out << '\n';
   }
   common::JsonWriter json(out);
   json.begin_object();
-  registry.snapshot().write_json(json, /*include_timers=*/false);
+  metrics.write_json(json, /*include_timers=*/false);
   json.end_object();
   return out.str();
+}
+
+std::string obs_bytes(const obs::EventJournal& journal,
+                      const obs::MetricsRegistry& registry) {
+  return obs_bytes(journal.snapshot(), registry.snapshot());
 }
 
 topology::Topology make_topology() {
@@ -174,6 +182,62 @@ TEST(BranchRunner, BranchEqualsFreshForEveryBackendAndThreadCount) {
       }
     }
   }
+}
+
+// The storm regime of bench_whatif in miniature: dense bursty faults
+// under a demanding constraint keep contested segments alive across many
+// optimizer runs. Past the fork point the fresh run answers segments
+// from the caches it built up, while the branch, restored with empty
+// caches, solves them cold. A reused segment reports the search counters
+// of the solve it replays, so journal (kOptimizerRun.detail1 included)
+// and registry bytes still match.
+TEST(BranchRunner, StormBranchEqualsFreshDespiteColdOptimizerCaches) {
+  Scenario scenario;
+  scenario.name = "storm";
+  scenario.topology = [] {
+    topology::ClosSpec spec;
+    spec.pods = 4;
+    spec.tors_per_pod = 4;
+    spec.aggs_per_pod = 4;
+    spec.spine_group_size = 4;
+    return topology::build_clos(spec);
+  };
+  scenario.trace.faults_per_link_per_day = 0.05;
+  scenario.trace.p_burst = 0.25;
+  scenario.trace.burst_max = 4;
+  scenario.trace.duration = 6 * common::kDay;
+  scenario.trace_seed = 17;
+  scenario.config.mode = core::CheckerMode::kCorrOpt;
+  scenario.config.capacity_fraction = 0.875;
+  scenario.config.duration = scenario.trace.duration;
+  scenario.config.seed = 5;
+  scenario.collect_obs = true;
+
+  const std::vector<trace::TraceEvent> events = scenario_trace(scenario);
+  const common::SimTime fork = 3 * common::kDay;
+  const Checkpoint base = checkpoint_scenario(
+      scenario, events,
+      [fork](const MitigationSimulation& sim) { return sim.now() >= fork; });
+  ASSERT_FALSE(base.empty());
+
+  const ScenarioRun fresh = run_scenario(scenario, &events);
+  const ScenarioRun branch = run_scenario(scenario, &events, &base);
+  ASSERT_TRUE(fresh.obs.has_value());
+  ASSERT_TRUE(branch.obs.has_value());
+  EXPECT_EQ(digest(branch.metrics), digest(fresh.metrics));
+  EXPECT_EQ(obs_bytes(branch.obs->journal, branch.obs->metrics),
+            obs_bytes(fresh.obs->journal, fresh.obs->metrics));
+
+  // The suffix must search contested segments, or the caches had nothing
+  // to answer.
+  std::size_t searched_after_fork = 0;
+  for (const obs::Event& event : fresh.obs->journal) {
+    if (event.kind == obs::EventKind::kOptimizerRun && event.time >= fork &&
+        event.detail1 > 0) {
+      ++searched_after_fork;
+    }
+  }
+  EXPECT_GT(searched_after_fork, 3u);
 }
 
 // run_fresh is the reference implementation the contract is stated

@@ -1,8 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <map>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
+#include "common/snapshot.h"
 #include "faults/fault_factory.h"
 #include "faults/injector.h"
 #include "telemetry/network_state.h"
@@ -308,6 +315,105 @@ TEST(Injector, FaultAccessors) {
   EXPECT_GT(fault->peak_corruption_rate(), 0.0);
   EXPECT_EQ(injector.active_faults().size(), 1u);
   EXPECT_EQ(injector.fault(common::FaultId(99)), nullptr);
+}
+
+// The injector's id-ordered fault store and per-link index must answer
+// exactly what a brute-force scan of the live faults would: active
+// faults in id order, and per link the ids of the faults listing it, in
+// id order. Checked after every inject (shared-component faults span
+// several links) and clear, and again after a snapshot/restore.
+std::vector<FaultId> scan_ids(const std::map<FaultId, Fault>& live) {
+  std::vector<FaultId> ids;
+  for (const auto& [id, fault] : live) ids.push_back(id);
+  return ids;
+}
+
+std::vector<FaultId> scan_link(const std::map<FaultId, Fault>& live,
+                               common::LinkId link) {
+  std::vector<FaultId> ids;
+  for (const auto& [id, fault] : live) {
+    if (std::find(fault.links.begin(), fault.links.end(), link) !=
+        fault.links.end()) {
+      ids.push_back(id);
+    }
+  }
+  return ids;
+}
+
+void expect_matches_scan(const FaultInjector& injector,
+                         const std::map<FaultId, Fault>& live,
+                         std::size_t link_count, const std::string& when) {
+  std::vector<FaultId> ordered;
+  for (const Fault* fault : injector.active_faults()) {
+    ordered.push_back(fault->id);
+  }
+  EXPECT_EQ(ordered, scan_ids(live)) << when;
+  EXPECT_EQ(injector.active_fault_count(), live.size()) << when;
+  for (std::size_t i = 0; i < link_count; ++i) {
+    const common::LinkId link(
+        static_cast<common::LinkId::underlying_type>(i));
+    const std::span<const FaultId> indexed = injector.faults_on_link(link);
+    EXPECT_EQ(std::vector<FaultId>(indexed.begin(), indexed.end()),
+              scan_link(live, link))
+        << when << ", link " << i;
+  }
+}
+
+TEST(Injector, OrderAndLinkIndexMatchBruteForceScan) {
+  Fixture f;
+  FaultFactory factory(f.topo, {}, f.rng);
+  FaultInjector injector(f.state);
+  std::map<FaultId, Fault> live;
+  std::size_t shared = 0;
+  for (int op = 0; op < 120; ++op) {
+    // Mostly injects, concentrated on a few links so faults pile up on
+    // one link, with shared-component faults forced every fourth time.
+    if (live.empty() || f.rng.uniform_index(3) != 0) {
+      const common::LinkId link(static_cast<common::LinkId::underlying_type>(
+          f.rng.uniform_index(8)));
+      Fault fault =
+          op % 4 == 0
+              ? factory.make_fault(link, RootCause::kSharedComponent, op)
+              : factory.make_random_fault(link, op);
+      if (fault.links.size() > 1) ++shared;
+      const FaultId id = injector.inject(fault);
+      fault.id = id;
+      live.emplace(id, std::move(fault));
+      expect_matches_scan(injector, live, f.topo.link_count(),
+                          "after inject " + std::to_string(id.value()));
+    } else {
+      auto victim = live.begin();
+      std::advance(victim, static_cast<long>(
+                               f.rng.uniform_index(live.size())));
+      const FaultId id = victim->first;
+      injector.clear(id);
+      live.erase(victim);
+      expect_matches_scan(injector, live, f.topo.link_count(),
+                          "after clear " + std::to_string(id.value()));
+    }
+  }
+  ASSERT_GT(shared, 0u);
+  ASSERT_GT(live.size(), 3u);
+
+  common::snap::Writer w;
+  injector.snapshot_to(w);
+  const std::string bytes = w.take();
+  telemetry::NetworkState state2(f.topo, f.tech);
+  FaultInjector restored(state2);
+  common::snap::Reader r(bytes);
+  restored.restore_from(r);
+  expect_matches_scan(restored, live, f.topo.link_count(), "after restore");
+  // The restored index keeps working through further churn.
+  const FaultId first = live.begin()->first;
+  restored.clear(first);
+  live.erase(first);
+  Fault fault = factory.make_fault(common::LinkId(3),
+                                   RootCause::kSharedComponent, 500);
+  const FaultId id = restored.inject(fault);
+  fault.id = id;
+  live.emplace(id, std::move(fault));
+  expect_matches_scan(restored, live, f.topo.link_count(),
+                      "after restore and churn");
 }
 
 }  // namespace

@@ -319,5 +319,30 @@ TEST(Optimizer, ThreadCountDoesNotChangeResults) {
   }
 }
 
+// A cached segment outcome is keyed on its region's links, candidates
+// and rates; a per-ToR constraint override changes what the solve
+// requires without flipping any link, so it must drop the cache.
+TEST(Optimizer, ConstraintOverrideInvalidatesCachedSegments) {
+  auto topo = topology::build_fat_tree(4);
+  CapacityConstraint constraint(0.75);
+  const common::SwitchId tor = topo.tors().front();
+  CorruptionSet corruption;
+  // Both uplinks of a ToR with 4 paths: at c = 0.75 neither may go.
+  for (common::LinkId link : topo.switch_at(tor).uplinks) {
+    corruption.mark(link, 1e-3);
+  }
+  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  EXPECT_TRUE(optimizer.run(corruption).disabled.empty());
+  const OptimizerResult again = optimizer.run(corruption);
+  EXPECT_TRUE(again.disabled.empty());
+  EXPECT_EQ(again.segment_reuses, 1u);
+
+  // At c = 0.5 one uplink may go.
+  constraint.set_tor_fraction(tor, 0.5);
+  const OptimizerResult relaxed = optimizer.run(corruption);
+  EXPECT_EQ(relaxed.segment_reuses, 0u);
+  EXPECT_EQ(relaxed.disabled.size(), 1u);
+}
+
 }  // namespace
 }  // namespace corropt::core

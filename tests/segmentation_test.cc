@@ -92,19 +92,28 @@ TEST(Segmentation, PartitionIsExhaustiveAndDisjoint) {
 }
 
 TEST(TorClosureCache, MatchesUpstreamLinks) {
-  // The memoized per-ToR closure (used by the incremental optimizer for
-  // pruning and segmentation) must equal the uncached upstream sweep,
-  // including disabled links.
+  // The memoized per-ToR switch set (used by the optimizer for pruning
+  // and segmentation) must select exactly the uncached upstream link
+  // sweep, disabled links included: a link is upstream of the ToR iff
+  // its lower endpoint is in the set.
   auto topo = topology::build_fat_tree(4);
   topo.set_enabled(topo.switch_at(topo.tors()[0]).uplinks[0], false);
   PathCounter counter(topo);
   TorClosureCache cache(counter);
   for (common::SwitchId tor : topo.tors()) {
-    const LinkMask& cached = cache.closure(tor);
+    const common::DynamicBitset switches = cache.closure(tor);
+    ASSERT_EQ(switches.size(), topo.switch_count());
+    EXPECT_TRUE(switches.test(tor.index())) << "tor " << tor.value();
     const LinkMask direct = counter.upstream_links({&tor, 1});
-    EXPECT_TRUE(cached == direct) << "tor " << tor.value();
+    for (std::size_t i = 0; i < topo.link_count(); ++i) {
+      const common::LinkId link(
+          static_cast<common::LinkId::underlying_type>(i));
+      EXPECT_EQ(switches.test(topo.link_at(link).lower.index()),
+                direct.test(i))
+          << "tor " << tor.value() << " link " << i;
+    }
     // Second lookup serves the memo and must be identical.
-    EXPECT_TRUE(cache.closure(tor) == direct);
+    EXPECT_TRUE(cache.closure(tor) == switches);
   }
 }
 

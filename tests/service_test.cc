@@ -1,19 +1,19 @@
 // Tests for the runtime control-loop service (DESIGN.md §12): churn
-// stream synthesis, cold-vs-incremental decision equivalence after every
-// event, external link changes and checkpoint restores with no change
-// notes, segment solution reuse, and the corruption-set penalty cache it
-// leans on.
+// stream synthesis, the cached optimizer matching a fresh one after
+// every event (search counters included), external link changes and
+// checkpoint restores with no change notes, segment solution reuse, and
+// the corruption-set penalty cache it leans on.
 #include <algorithm>
-#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "common/hash.h"
 #include "common/snapshot.h"
+#include "corropt/capacity.h"
 #include "corropt/corruption_set.h"
+#include "corropt/optimizer.h"
 #include "corropt/penalty.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
@@ -46,38 +46,35 @@ service::ChurnParams demanding_churn(std::uint64_t seed) {
   return params;
 }
 
-service::ControlLoopConfig loop_config(bool incremental,
-                                       std::size_t solver_threads) {
+service::ControlLoopConfig loop_config(std::size_t solver_threads) {
   service::ControlLoopConfig config;
   config.controller.mode = core::CheckerMode::kCorrOpt;
   config.controller.capacity_fraction = 0.875;
   config.controller.optimizer.solver_threads = solver_threads;
-  config.controller.incremental = incremental;
   return config;
 }
 
-// FNV-1a over journal records with kOptimizerRun.detail1 masked: that
-// field is subsets_evaluated, a search-effort diagnostic the
-// equivalence contract exempts.
-std::uint64_t journal_digest(const obs::EventJournal& journal) {
-  std::uint64_t digest = common::kFnvBasis;
-  auto fold = [&digest](std::uint64_t value) {
-    digest = common::fnv1a(digest, value);
-  };
-  for (const obs::Event& event : journal.snapshot()) {
-    fold(event.seq);
-    fold(static_cast<std::uint64_t>(event.time));
-    fold(static_cast<std::uint64_t>(event.kind));
-    fold(static_cast<std::uint64_t>(event.reason));
-    fold(event.link.value());
-    fold(event.sw.value());
-    fold(event.ticket.value());
-    fold(std::bit_cast<std::uint64_t>(event.value));
-    fold(std::bit_cast<std::uint64_t>(event.value2));
-    fold(event.detail0);
-    fold(event.kind == obs::EventKind::kOptimizerRun ? 0 : event.detail1);
+std::uint64_t counter_value(const obs::MetricsRegistry& metrics,
+                            const std::string& name) {
+  for (const auto& counter : metrics.snapshot().counters) {
+    if (counter.name == name) return counter.value;
   }
-  return digest;
+  return 0;
+}
+
+// The registry counters one optimizer run adds to, in the order the
+// equivalence test reads them back into an OptimizerResult.
+const char* const kRunCounters[] = {
+    "optimizer.pruned_safe_disables", "optimizer.segments",
+    "optimizer.subsets_evaluated",    "optimizer.cache_skips",
+    "optimizer.accept_skips",         "optimizer.bound_skips"};
+
+std::vector<std::uint64_t> run_counters(const obs::MetricsRegistry& metrics) {
+  std::vector<std::uint64_t> values;
+  for (const char* name : kRunCounters) {
+    values.push_back(counter_value(metrics, name));
+  }
+  return values;
 }
 
 TEST(ChurnStreamTest, DeterministicInSeed) {
@@ -126,59 +123,92 @@ TEST(ChurnStreamTest, WellFormed) {
   EXPECT_EQ(detections, closures);
 }
 
-// The tentpole contract: the incremental control loop makes identical
-// decisions to a cold one after every single event, for serial and
-// parallel segment solving.
+// The cache contract: after every event, the controller's optimizer run
+// equals that of a genuinely cold oracle — a fresh Optimizer handed the
+// same corruption set on a copy of the topology — in every result field
+// but segment_reuses, search counters included, for serial and parallel
+// segment solving. The run is read back from the journal (with
+// kOptimizerRun.detail1, subsets_evaluated, unmasked) and the registry.
 class EquivalenceTest : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(EquivalenceTest, IncrementalMatchesColdAfterEveryEvent) {
   const std::size_t solver_threads = GetParam();
-  const topology::Topology base = make_test_clos();
-  const auto events =
-      service::make_churn_stream(base, demanding_churn(2026));
+  topology::Topology topo = make_test_clos();
+  const auto events = service::make_churn_stream(topo, demanding_churn(2026));
   ASSERT_GT(events.size(), 50u);
 
-  topology::Topology cold_topo = base;
-  topology::Topology warm_topo = base;
-  obs::MetricsRegistry cold_metrics, warm_metrics;
-  obs::EventJournal cold_journal, warm_journal;
-  obs::Sink cold_sink{&cold_metrics, &cold_journal, nullptr, 0};
-  obs::Sink warm_sink{&warm_metrics, &warm_journal, nullptr, 0};
-  service::ControlLoop cold(cold_topo, loop_config(false, solver_threads),
-                            &cold_sink);
-  service::ControlLoop warm(warm_topo, loop_config(true, solver_threads),
-                            &warm_sink);
+  const service::ControlLoopConfig config = loop_config(solver_threads);
+  obs::MetricsRegistry metrics;
+  obs::EventJournal journal;
+  obs::Sink sink{&metrics, &journal, nullptr, 0};
+  service::ControlLoop loop(topo, config, &sink);
+  const core::CapacityConstraint constraint(
+      config.controller.capacity_fraction);
 
-  std::size_t refused_seen = 0;
+  std::size_t optimizer_runs = 0;
+  std::size_t searched_runs = 0;
   for (std::size_t i = 0; i < events.size(); ++i) {
-    cold.process(events[i]);
-    warm.process(events[i]);
-    ASSERT_TRUE(cold_topo.enabled_mask() == warm_topo.enabled_mask())
+    const service::TelemetryEvent& event = events[i];
+    if (event.kind != service::TelemetryKind::kLinkRepaired) {
+      loop.process(event);
+      continue;
+    }
+    // The controller's repair path, replayed cold: unmark, re-enable,
+    // solve with an optimizer that has never run before.
+    topology::Topology cold_topo = topo;
+    core::CorruptionSet corruption = loop.controller().corruption();
+    corruption.unmark(event.link);
+    cold_topo.set_enabled(event.link, true);
+    core::Optimizer cold(cold_topo, constraint, config.penalty,
+                         config.controller.optimizer);
+    const core::OptimizerResult want = cold.run(corruption);
+
+    const std::vector<std::uint64_t> before = run_counters(metrics);
+    const std::size_t journal_before = journal.snapshot().size();
+    loop.process(event);
+    const std::vector<std::uint64_t> after = run_counters(metrics);
+    const std::vector<obs::Event> records = journal.snapshot();
+
+    core::OptimizerResult got;
+    bool journaled = false;
+    for (std::size_t r = journal_before; r < records.size(); ++r) {
+      const obs::Event& record = records[r];
+      if (record.kind == obs::EventKind::kOptimizerRun) {
+        journaled = true;
+        got.disabled_penalty = record.value;
+        got.remaining_penalty = record.value2;
+        EXPECT_EQ(record.detail0, want.disabled.size()) << "event " << i;
+        got.subsets_evaluated = record.detail1;
+      } else if (journaled && record.kind == obs::EventKind::kLinkDisabled) {
+        got.disabled.push_back(record.link);
+      }
+    }
+    ASSERT_TRUE(journaled) << "event " << i;
+    got.pruned_safe_disables = after[0] - before[0];
+    got.segments = after[1] - before[1];
+    ASSERT_EQ(got.subsets_evaluated, after[2] - before[2]) << "event " << i;
+    got.cache_skips = after[3] - before[3];
+    got.accept_skips = after[4] - before[4];
+    got.bound_skips = after[5] - before[5];
+    // The journal does not carry `exact`; the oracle's stands in.
+    got.exact = want.exact;
+    ASSERT_TRUE(core::same_outcome(got, want))
+        << "optimizer run diverged from the cold oracle at event " << i
+        << ": subsets " << got.subsets_evaluated << " vs "
+        << want.subsets_evaluated << ", disabled " << got.disabled.size()
+        << " vs " << want.disabled.size();
+    ASSERT_TRUE(cold_topo.enabled_mask() == topo.enabled_mask())
         << "enabled mask diverged after event " << i;
-    ASSERT_EQ(cold.controller().active_penalty(),
-              warm.controller().active_penalty())
-        << "active penalty diverged after event " << i;
-    const core::Controller::Stats& cs = cold.controller().stats();
-    const core::Controller::Stats& ws = warm.controller().stats();
-    ASSERT_EQ(cs.corruption_reports, ws.corruption_reports);
-    ASSERT_EQ(cs.disabled_on_arrival, ws.disabled_on_arrival);
-    ASSERT_EQ(cs.disabled_on_activation, ws.disabled_on_activation);
-    ASSERT_EQ(cs.tickets_issued, ws.tickets_issued);
-    ASSERT_EQ(cs.optimizer_runs, ws.optimizer_runs);
-    ASSERT_EQ(cold.controller().corruption().size(),
-              warm.controller().corruption().size());
-    refused_seen = std::max(
-        refused_seen, cs.corruption_reports - cs.disabled_on_arrival);
+    ++optimizer_runs;
+    if (want.subsets_evaluated > 0) ++searched_runs;
   }
-  EXPECT_EQ(cold.decisions_digest(), warm.decisions_digest());
-  EXPECT_EQ(journal_digest(cold_journal), journal_digest(warm_journal));
-  // The scenario must actually have exercised contested capacity,
-  // otherwise the equivalence above is vacuous.
-  EXPECT_GT(refused_seen, 0u);
-  EXPECT_GT(warm.controller().stats().optimizer_runs, 5u);
+  // The scenario must actually have searched contested segments and
+  // answered some from the cache, otherwise the equality is vacuous.
+  EXPECT_GT(optimizer_runs, 5u);
+  EXPECT_GT(searched_runs, 0u);
   const core::OptimizerIncrementalStats& stats =
-      warm.controller().optimizer().incremental_stats();
-  EXPECT_GT(stats.runs, 0u);
+      loop.controller().optimizer().incremental_stats();
+  EXPECT_GT(stats.segment_reuses, 0u);
   EXPECT_EQ(stats.cold_fallbacks, 0u);
   EXPECT_GT(stats.baseline_delta_recounts, 0u);
 }
@@ -189,10 +219,11 @@ INSTANTIATE_TEST_SUITE_P(SolverThreads, EquivalenceTest,
 TEST(ServiceTest, VerifyIncrementalModeAcceptsChurn) {
   topology::Topology topo = make_test_clos();
   const auto events = service::make_churn_stream(topo, demanding_churn(5));
-  service::ControlLoopConfig config = loop_config(true, 1);
+  service::ControlLoopConfig config = loop_config(1);
   config.controller.verify_incremental = true;
   service::ControlLoop loop(topo, config);
-  // Throws std::logic_error on any incremental-vs-cold divergence.
+  // Throws std::logic_error on any cached-vs-cold divergence, search
+  // counters included.
   for (const service::TelemetryEvent& event : events) {
     ASSERT_NO_THROW(loop.process(event));
   }
@@ -202,20 +233,24 @@ TEST(ServiceTest, VerifyIncrementalModeAcceptsChurn) {
 // Links flipped outside the controller need no report: the path-count
 // caches follow the enabled mask. Operator disables, a link disabled
 // and re-enabled between events, and a checkpoint restored into a loop
-// with a different history all leave the incremental loop deciding
-// exactly like the cold one, without a second full baseline recount.
+// with a different history all leave the checked loops deciding exactly
+// like the reference loop, every optimizer run matching a fresh
+// optimizer (verify_incremental), without a second full baseline
+// recount.
 TEST(ServiceTest, ExternalChangesNeedNoNote) {
   const topology::Topology base = make_test_clos();
   const auto events =
       service::make_churn_stream(base, demanding_churn(2026));
-  topology::Topology cold_topo = base;
+  topology::Topology reference_topo = base;
   topology::Topology warm_topo = base;
-  service::ControlLoop cold(cold_topo, loop_config(false, 1));
-  service::ControlLoop warm(warm_topo, loop_config(true, 1));
+  service::ControlLoopConfig checked = loop_config(1);
+  checked.controller.verify_incremental = true;
+  service::ControlLoop reference(reference_topo, loop_config(1));
+  service::ControlLoop warm(warm_topo, checked);
   // A loop with another history, which later takes over from a
   // checkpoint of the warm loop.
   topology::Topology dirty_topo = base;
-  service::ControlLoop dirty(dirty_topo, loop_config(true, 1));
+  service::ControlLoop dirty(dirty_topo, checked);
   const auto other = service::make_churn_stream(base, demanding_churn(99));
   for (std::size_t i = 0; i < other.size() / 2; ++i) dirty.process(other[i]);
 
@@ -225,8 +260,8 @@ TEST(ServiceTest, ExternalChangesNeedNoNote) {
     for (std::size_t i = 0; i < base.link_count(); ++i) {
       const common::LinkId link(
           static_cast<common::LinkId::underlying_type>(i));
-      if (cold_topo.is_enabled(link) &&
-          cold.controller().corruption().rate(link) == 0.0 &&
+      if (reference_topo.is_enabled(link) &&
+          reference.controller().corruption().rate(link) == 0.0 &&
           std::find(used.begin(), used.end(), link) == used.end()) {
         used.push_back(link);
         return link;
@@ -234,7 +269,7 @@ TEST(ServiceTest, ExternalChangesNeedNoNote) {
     }
     return common::LinkId();
   };
-  std::vector<topology::Topology*> worlds = {&cold_topo, &warm_topo};
+  std::vector<topology::Topology*> worlds = {&reference_topo, &warm_topo};
   auto set_everywhere = [&](common::LinkId link, bool enabled) {
     ASSERT_TRUE(link.valid());
     for (topology::Topology* topo : worlds) topo->set_enabled(link, enabled);
@@ -242,13 +277,13 @@ TEST(ServiceTest, ExternalChangesNeedNoNote) {
   std::vector<service::ControlLoop*> loops = {&warm};
   auto replay = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
-      cold.process(events[i]);
+      reference.process(events[i]);
       for (service::ControlLoop* loop : loops) {
         loop->process(events[i]);
-        ASSERT_TRUE(cold_topo.enabled_mask() ==
+        ASSERT_TRUE(reference_topo.enabled_mask() ==
                     loop->controller().topo().enabled_mask())
             << "diverged after event " << i;
-        ASSERT_EQ(cold.controller().active_penalty(),
+        ASSERT_EQ(reference.controller().active_penalty(),
                   loop->controller().active_penalty())
             << "active penalty diverged after event " << i;
       }
@@ -298,7 +333,7 @@ TEST(ServiceTest, UnchangedSegmentIsReused) {
   // taken down and brought back between runs leaves the mask, and so
   // the cached solution, as it was.
   topology::Topology topo = make_test_clos();
-  service::ControlLoopConfig config = loop_config(true, 1);
+  service::ControlLoopConfig config = loop_config(1);
   service::ControlLoop loop(topo, config);
 
   const common::SwitchId tor0 = topo.tors().front();

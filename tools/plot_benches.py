@@ -151,14 +151,14 @@ def absorb_json(doc, rows):
                 repr(metrics.get("candidates", metrics.get("links", 0.0))),
             ])
     elif exhibit == "runtime_controller":
-        # Per-mode rows: scenario, mode, churn rate (events/day), dec/sec,
-        # mean/p50/p99 latency ms. Summary rows carry the speedup.
+        # Loop rows: scenario, mode, churn rate (events/day), dec/sec,
+        # mean/p50/p99 latency ms. Summary rows carry the segment reuses.
         for scenario in doc["scenarios"]:
             name, _, mode = scenario["name"].partition("/")
             metrics = scenario["metrics"]
             if mode == "summary":
                 rows["runtime_controller_summary"].append(
-                    [name, repr(metrics["speedup"])])
+                    [name, repr(metrics["segment_reuses"])])
                 continue
             rows["runtime_controller"].append([
                 name, mode,
@@ -382,9 +382,9 @@ def main():
         save(fig, "runtime_fastchecker.png")
 
     if "runtime_controller" in rows:
-        # Decision latency and sustained throughput vs churn rate, cold
-        # vs incremental (DESIGN.md §12, EXPERIMENTS.md runtime section).
-        styles = {"cold": "o--", "incremental": "s-"}
+        # Decision latency and sustained throughput vs churn rate
+        # (DESIGN.md §12, EXPERIMENTS.md runtime section).
+        styles = {"loop": "s-"}
         by_mode = collections.defaultdict(lambda: ([], [], [], []))
         for r in rows["runtime_controller"]:
             mode, churn = r[1], float(r[2])
