@@ -60,7 +60,8 @@ int main() {
     testing::Fig10Example ex = testing::make_fig10_example();
     core::CorruptionSet corruption;
     for (common::LinkId link : ex.corrupting) corruption.mark(link, 1e-3);
-    core::Optimizer optimizer(ex.topo, constraint,
+    core::PathCounter paths(ex.topo);
+    core::Optimizer optimizer(ex.topo, paths, constraint,
                               core::PenaltyFunction::linear());
     const core::OptimizerResult result = optimizer.run(corruption);
     report("(c) optimal (CorrOpt)", ex.topo, ex.tor, result.disabled.size());

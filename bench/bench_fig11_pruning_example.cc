@@ -55,7 +55,8 @@ int main() {
   corruption.mark(ex.h_q, 1e-4);
   corruption.mark(ex.j_r, 1e-3);
   corruption.mark(ex.s_x, 1e-5);
-  core::Optimizer optimizer(ex.topo, constraint,
+  core::PathCounter paths(ex.topo);
+  core::Optimizer optimizer(ex.topo, paths, constraint,
                             core::PenaltyFunction::linear());
   const core::OptimizerResult result = optimizer.run(corruption);
   std::printf(

@@ -148,7 +148,8 @@ int main(int argc, char** argv) {
         opt.use_segmentation = config.segmentation;
         opt.use_reject_cache = config.reject_cache;
         opt.prefilter_singletons = config.prefilter;
-        core::Optimizer optimizer(topo, constraint,
+        core::PathCounter paths(topo);
+        core::Optimizer optimizer(topo, paths, constraint,
                                   core::PenaltyFunction::linear(), opt);
         AblationOutcome outcome;
         outcome.corrupting = corruption.size();

@@ -20,7 +20,8 @@ void BM_FastCheckerDecision(benchmark::State& state) {
   const int k = static_cast<int>(state.range(0));
   topology::Topology topo = topology::build_fat_tree(k);
   core::CapacityConstraint constraint(0.75);
-  core::FastChecker checker(topo, constraint);
+  core::PathCounter paths(topo);
+  core::FastChecker checker(topo, paths, constraint);
   common::Rng rng(1);
   for (auto _ : state) {
     const common::LinkId link(static_cast<common::LinkId::underlying_type>(
@@ -34,7 +35,8 @@ BENCHMARK(BM_FastCheckerDecision)->Arg(16)->Arg(24)->Arg(32)->Arg(40);
 void BM_FastCheckerLargeDcn(benchmark::State& state) {
   topology::Topology topo = topology::build_large_dcn();
   core::CapacityConstraint constraint(0.75);
-  core::FastChecker checker(topo, constraint);
+  core::PathCounter paths(topo);
+  core::FastChecker checker(topo, paths, constraint);
   common::Rng rng(2);
   for (auto _ : state) {
     const common::LinkId link(static_cast<common::LinkId::underlying_type>(
@@ -50,7 +52,8 @@ BENCHMARK(BM_FastCheckerLargeDcn);
 void BM_FastCheckerLargeDcnFullSweep(benchmark::State& state) {
   topology::Topology topo = topology::build_large_dcn();
   core::CapacityConstraint constraint(0.75);
-  core::FastChecker checker(topo, constraint);
+  core::PathCounter paths(topo);
+  core::FastChecker checker(topo, paths, constraint);
   common::Rng rng(2);
   for (auto _ : state) {
     const common::LinkId link(static_cast<common::LinkId::underlying_type>(

@@ -39,7 +39,8 @@ void BM_OptimizerRun(benchmark::State& state) {
     for (const auto& [link, rate] : corruption.entries()) {
       topo.set_enabled(link, true);
     }
-    core::Optimizer optimizer(topo, constraint,
+    core::PathCounter paths(topo);
+    core::Optimizer optimizer(topo, paths, constraint,
                               core::PenaltyFunction::linear());
     state.ResumeTiming();
     benchmark::DoNotOptimize(optimizer.run(corruption));
@@ -65,7 +66,8 @@ void BM_OptimizerRunObs(benchmark::State& state) {
     for (const auto& [link, rate] : corruption.entries()) {
       topo.set_enabled(link, true);
     }
-    core::Optimizer optimizer(topo, constraint,
+    core::PathCounter paths(topo);
+    core::Optimizer optimizer(topo, paths, constraint,
                               core::PenaltyFunction::linear());
     optimizer.set_sink(&sink);
     state.ResumeTiming();
@@ -90,7 +92,8 @@ void BM_OptimizerNoPruning(benchmark::State& state) {
     for (const auto& [link, rate] : corruption.entries()) {
       topo.set_enabled(link, true);
     }
-    core::Optimizer optimizer(topo, constraint,
+    core::PathCounter paths(topo);
+    core::Optimizer optimizer(topo, paths, constraint,
                               core::PenaltyFunction::linear(), config);
     state.ResumeTiming();
     benchmark::DoNotOptimize(optimizer.run(corruption));

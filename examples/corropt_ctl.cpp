@@ -132,15 +132,16 @@ int cmd_plan(int argc, char** argv) {
               corruption.size(), capacity * 100.0);
   // Phase 1: the fast checker, per link in detection order (as the
   // controller would have run it online).
-  core::FastChecker checker(*topo, constraint);
+  core::PathCounter paths(*topo);
+  core::FastChecker checker(*topo, paths, constraint);
   for (common::LinkId link : corruption.active_in_detection_order(*topo)) {
     const bool disabled = checker.try_disable(link);
     std::printf("  fast checker: link %-6u rate %.2e -> %s\n", link.value(),
                 corruption.rate(link),
                 disabled ? "DISABLE" : "keep (capacity)");
   }
-  // Phase 2: the optimizer over whatever is left.
-  core::Optimizer optimizer(*topo, constraint,
+  // Phase 2: the optimizer over whatever is left, on the same counts.
+  core::Optimizer optimizer(*topo, paths, constraint,
                             core::PenaltyFunction::linear());
   const core::OptimizerResult result = optimizer.run(corruption);
   for (common::LinkId link : result.disabled) {

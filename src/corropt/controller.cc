@@ -21,10 +21,11 @@ Controller::Controller(topology::Topology& topo, ControllerConfig config,
       config_(config),
       penalty_(penalty),
       constraint_(config.capacity_fraction),
-      fast_checker_(topo, constraint_),
+      paths_(topo),
+      fast_checker_(topo, paths_, constraint_),
       switch_local_(topo, switch_local_threshold(config.capacity_fraction,
                                                  std::max(1, topo.top_level()))),
-      optimizer_(topo, constraint_, penalty, config.optimizer) {}
+      optimizer_(topo, paths_, constraint_, penalty, config.optimizer) {}
 
 void Controller::set_sink(obs::Sink* sink) {
   sink_ = sink;
@@ -163,7 +164,9 @@ void Controller::on_link_repaired(common::LinkId link) {
       }
       const OptimizerResult result = optimizer_.run(corruption_);
       if (cold_topo != nullptr) {
-        Optimizer cold(*cold_topo, constraint_, penalty_, config_.optimizer);
+        PathCounter cold_paths(*cold_topo, paths_.index());
+        Optimizer cold(*cold_topo, cold_paths, constraint_, penalty_,
+                       config_.optimizer);
         const OptimizerResult cold_result = cold.run(corruption_);
         if (!same_outcome(cold_result, result) ||
             !(cold_topo->enabled_mask() == topo_->enabled_mask())) {

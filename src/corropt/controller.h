@@ -9,14 +9,15 @@
 // switch-local checker and the fast-checker-only ablation, which the
 // paper compares against (Figures 14-18).
 //
-// The fast checker's and optimizer's path counts follow the topology's
-// enabled mask (DESIGN.md §12), so links flipped by anyone — this
-// controller, repairs, maintenance, an operator, a checkpoint restore —
-// need no report to them. The optimizer's cross-run caches have no off
-// switch and leave no trace in any result: a reused segment reports the
-// search counters of the solve it replays, so the journal and metrics of
-// a controller restored from a checkpoint (caches empty) match those of
-// the one that kept running.
+// The controller owns the topology's one PathCounter, whose live counts
+// the fast checker, the optimizer and a simulation's components share
+// (DESIGN.md §12). They follow the enabled mask, so links flipped by
+// anyone — this controller, repairs, maintenance, an operator, a
+// checkpoint restore — need no report. The optimizer's cross-run caches
+// have no off switch and leave no trace in any result: a reused segment
+// reports the search counters of the solve it replays, so the journal
+// and metrics of a controller restored from a checkpoint (caches empty)
+// match those of the one that kept running.
 #pragma once
 
 #include <functional>
@@ -62,7 +63,8 @@ struct ControllerConfig {
   // Kept because perfbench's control_storm workload sets it.
   bool incremental = false;
   // Debug mode: after every optimizer run, replay the event with a fresh
-  // optimizer on a topology copy and throw std::logic_error if any
+  // optimizer (empty counts and caches) on a topology copy sharing the
+  // fabric index, and throw std::logic_error if any
   // result field but segment_reuses (same_outcome: disable set,
   // penalties, search counters) or the resulting enabled mask diverges.
   // Expensive; for tests and the CI bench smoke only.
@@ -120,6 +122,8 @@ class Controller {
   [[nodiscard]] const Stats& stats() const { return stats_; }
   // Read access to the optimizer (e.g. incremental_stats() in tests).
   [[nodiscard]] const Optimizer& optimizer() const { return optimizer_; }
+  // The path counter the fast checker and the optimizer share.
+  [[nodiscard]] PathCounter& paths() { return paths_; }
 
   // Attaches observability (DESIGN.md §8): decision counters and journal
   // events for every verdict, forwarded to the fast checker and
@@ -128,12 +132,11 @@ class Controller {
   void set_sink(obs::Sink* sink);
 
   // Checkpointing (DESIGN.md §14): stats, the corruption set and the
-  // fast checker's path-count cache. The optimizer's derived state
-  // (baseline counts, closures, solved segments) is not serialized: it
-  // is keyed on the enabled mask, so whatever it holds stays exact
-  // across the restore, and results are identical either way. Config,
-  // constraint and callback belong to the restoring context and are
-  // untouched.
+  // fast checker's last mask words. The live counts and the optimizer's
+  // state (mask words, closures, solved segments) are not serialized:
+  // keyed on the enabled mask, they stay exact across the restore, and
+  // results are identical either way. Config, constraint and callback
+  // belong to the restoring context and are untouched.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -151,6 +154,7 @@ class Controller {
   ControllerConfig config_;
   PenaltyFunction penalty_;
   CapacityConstraint constraint_;
+  PathCounter paths_;
   FastChecker fast_checker_;
   SwitchLocalChecker switch_local_;
   Optimizer optimizer_;

@@ -1,20 +1,22 @@
 #include "corropt/fast_checker.h"
 
 #include <algorithm>
+#include <cassert>
 
 namespace corropt::core {
 
 namespace {
 
-// Layout of the FCHK checkpoint section; version 2 keys the counts on
-// the enabled mask instead of the state version.
-constexpr std::uint16_t kSnapshotVersion = 2;
+// Layout of the FCHK checkpoint section; version 3 stores only the mask
+// words of the last decision (version 2 also stored the counts).
+constexpr std::uint16_t kSnapshotVersion = 3;
 
 }  // namespace
 
-FastChecker::FastChecker(topology::Topology& topo,
+FastChecker::FastChecker(topology::Topology& topo, PathCounter& paths,
                          const CapacityConstraint& constraint)
-    : topo_(&topo), constraint_(&constraint), paths_(topo) {
+    : topo_(&topo), paths_(&paths), constraint_(&constraint) {
+  assert(&paths.topo() == &topo);
   in_closure_.assign(topo.switch_count(), 0);
   slot_.assign(topo.switch_count(), -1);
 }
@@ -37,14 +39,17 @@ void FastChecker::set_sink(obs::Sink* sink) {
   obs_check_timer_ = metrics.timer("fastcheck.check_s");
 }
 
-void FastChecker::sync() {
-  const bool cold = live_.counts.empty();
-  paths_.sync_live_counts(live_);
-  if (cold || !live_.changed.empty()) obs_cache_refreshes_.add();
+const std::vector<std::uint64_t>& FastChecker::sync() {
+  const std::span<const std::uint64_t> mask = topo_->enabled_mask().words();
+  if (!std::ranges::equal(seen_, mask)) {
+    seen_.assign(mask.begin(), mask.end());
+    obs_cache_refreshes_.add();
+  }
+  return paths_->live_counts();
 }
 
 FastChecker::ClosureResult FastChecker::evaluate_closure(
-    common::LinkId link) {
+    common::LinkId link, const std::vector<std::uint64_t>& counts) {
   // Downward closure of the link's lower endpoint: exactly the switches
   // whose up-path counts the removal can change.
   closure_.clear();
@@ -86,12 +91,12 @@ FastChecker::ClosureResult FastChecker::evaluate_closure(
       const std::int32_t upper_slot = slot_[upper.index()];
       total += upper_slot >= 0
                    ? new_counts[static_cast<std::size_t>(upper_slot)]
-                   : live_.counts[upper.index()];
+                   : counts[upper.index()];
     }
     new_counts[i] = total;
     result.updates.emplace_back(closure_[i], total);
     if (sw.level == 0 &&
-        constraint_->below_min(sw.id, paths_.design_paths()[sw.id.index()],
+        constraint_->below_min(sw.id, paths_->design_paths()[sw.id.index()],
                                total)) {
       result.feasible = false;
     }
@@ -110,8 +115,7 @@ bool FastChecker::can_disable(common::LinkId link) {
   const obs::ScopedTimer timer(obs_check_timer_,
                                sink_ != nullptr ? sink_->trace : nullptr,
                                "fastcheck.can_disable");
-  sync();
-  const ClosureResult result = evaluate_closure(link);
+  const ClosureResult result = evaluate_closure(link, sync());
   obs_checks_.add();
   obs_closure_switches_.add(result.updates.size());
   return result.feasible;
@@ -123,8 +127,8 @@ bool FastChecker::can_disable(
   LinkMask off(topo_->link_count());
   off.set(link.index());
   for (common::LinkId extra : also_off) off.set(extra.index());
-  const std::vector<std::uint64_t> counts = paths_.up_paths(&off);
-  return paths_.feasible(counts, *constraint_);
+  const std::vector<std::uint64_t> counts = paths_->up_paths(&off);
+  return paths_->feasible(counts, *constraint_);
 }
 
 bool FastChecker::try_disable(common::LinkId link) {
@@ -132,28 +136,24 @@ bool FastChecker::try_disable(common::LinkId link) {
   const obs::ScopedTimer timer(obs_check_timer_,
                                sink_ != nullptr ? sink_->trace : nullptr,
                                "fastcheck.try_disable");
-  sync();
-  const ClosureResult result = evaluate_closure(link);
+  const ClosureResult result = evaluate_closure(link, sync());
   obs_checks_.add();
   obs_closure_switches_.add(result.updates.size());
   if (!result.feasible) return false;
   obs_disables_.add();
   topo_->set_enabled(link, false);
-  // Fold the closure's new counts and the flipped bit into the live
-  // counts so the next sync finds nothing to redo.
-  for (const auto& [sw, value] : result.updates) {
-    live_.counts[sw.index()] = value;
-  }
-  live_.seen[link.index() / 64] &= ~(std::uint64_t{1} << (link.index() % 64));
+  // Fold the closure's new counts into the shared counts and the flipped
+  // bit into both masks, so neither the next read nor this checker's
+  // next decision redoes it. The optimizer still sees the flip.
+  paths_->fold_disable(link, result.updates);
+  seen_[link.index() / 64] &= ~(std::uint64_t{1} << (link.index() % 64));
   return true;
 }
 
 void FastChecker::snapshot_to(common::snap::Writer& w) const {
   w.section(common::snap::tag('F', 'C', 'H', 'K'), kSnapshotVersion);
-  w.u64(live_.seen.size());
-  for (std::uint64_t word : live_.seen) w.u64(word);
-  w.u64(live_.counts.size());
-  for (std::uint64_t count : live_.counts) w.u64(count);
+  w.u64(seen_.size());
+  for (std::uint64_t word : seen_) w.u64(word);
 }
 
 void FastChecker::restore_from(common::snap::Reader& r) {
@@ -161,18 +161,14 @@ void FastChecker::restore_from(common::snap::Reader& r) {
       kSnapshotVersion) {
     common::snap::fail("fast checker section version mismatch");
   }
-  // Each vector is empty (a cache never filled) or sized for this
-  // topology; anything else belongs to another fabric.
-  auto read = [&r](std::vector<std::uint64_t>& out, std::size_t expected) {
-    const std::size_t n = r.length();
-    if (n != 0 && n != expected) {
-      common::snap::fail("fast checker counts do not match the topology");
-    }
-    out.resize(n);
-    for (std::uint64_t& value : out) value = r.u64();
-  };
-  read(live_.seen, topo_->enabled_mask().words().size());
-  read(live_.counts, topo_->switch_count());
+  // Empty (no decision yet) or sized for this topology; anything else
+  // belongs to another fabric.
+  const std::size_t n = r.length();
+  if (n != 0 && n != topo_->enabled_mask().words().size()) {
+    common::snap::fail("fast checker mask does not match the topology");
+  }
+  seen_.resize(n);
+  for (std::uint64_t& word : seen_) word = r.u64();
 }
 
 }  // namespace corropt::core

@@ -6,13 +6,13 @@
 // and disables it iff no capacity constraint would be violated. Following
 // the paper's implementation note — "we check the downstream of l,
 // updating the path counts with the same method, beginning with the
-// switch directly downstream of l" — the checker caches the network's
-// path counts and, per decision, recomputes only the downward closure of
-// the candidate's lower endpoint: O(1) work per link of the affected
-// subtree rather than of the whole DCN. The cache is a
-// PathCounter::LiveCounts keyed on the enabled mask (DESIGN.md §12):
-// links other actors flipped (the optimizer, repairs, operators) are
-// folded in by the next decision's sync, with no change notes.
+// switch directly downstream of l" — the checker reads the live path
+// counts of the controller's PathCounter (shared with the optimizer,
+// keyed on the enabled mask; DESIGN.md §12) and, per decision, recomputes
+// only the downward closure of the candidate's lower endpoint: O(1) work
+// per link of the affected subtree rather than of the whole DCN. Links
+// other actors flipped are folded in by the next read, with no change
+// notes; the checker itself keeps only its last decision's mask words.
 //
 // Precondition for the incremental path: the network currently satisfies
 // every ToR's constraint (the controller maintains this invariant). ToRs
@@ -35,8 +35,10 @@ namespace corropt::core {
 
 class FastChecker {
  public:
-  // The checker mutates link state on `topo` when it disables a link.
-  FastChecker(topology::Topology& topo, const CapacityConstraint& constraint);
+  // The checker disables links on `topo` and reads and updates the live
+  // counts of `paths`, which must count `topo`.
+  FastChecker(topology::Topology& topo, PathCounter& paths,
+              const CapacityConstraint& constraint);
 
   // Returns true (and disables `link`) when the network stays feasible
   // with `link` off; otherwise leaves the link enabled and returns false.
@@ -56,22 +58,17 @@ class FastChecker {
                                  std::span<const common::LinkId> also_off)
       const;
 
-  [[nodiscard]] const PathCounter& paths() const { return paths_; }
-
   // Attaches observability: per-decision counters ("fastcheck.checks",
   // ".disables", ".cache_refreshes", ".closure_switches") and the
   // "fastcheck.check_s" wall-clock timer. A cache refresh is a decision
-  // whose sync had to fold flipped links or fill the cache cold. Pass
-  // nullptr to detach.
+  // that finds the enabled mask differing from the one this checker last
+  // decided under (or finds none). Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Checkpointing (DESIGN.md §14): the live counts and the enabled mask
-  // they were taken under. Serialized faithfully — dropping them instead
-  // would make a restored run pay (and count, via
-  // fastcheck.cache_refreshes) a cold fill the equivalent fresh run
-  // never performs, breaking registry-digest equivalence. Restoring into
-  // a topology whose mask differs is exact: the next sync folds the
-  // difference.
+  // Checkpointing (DESIGN.md §14): the mask words of the last decision,
+  // so a restored run counts the cache refreshes of the run that kept
+  // going. The shared counts are not serialized; the first read after a
+  // restore fills or folds them, which no counter observes.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -83,16 +80,18 @@ class FastChecker {
     std::vector<std::pair<common::SwitchId, std::uint64_t>> updates;
   };
 
-  // Brings the live counts up to the current enabled mask.
-  void sync();
+  // Records the mask this decision runs under; returns the live counts.
+  const std::vector<std::uint64_t>& sync();
   // Evaluates the downstream closure of `link`'s lower endpoint with the
-  // link masked off.
-  ClosureResult evaluate_closure(common::LinkId link);
+  // link masked off, against the live `counts`.
+  ClosureResult evaluate_closure(common::LinkId link,
+                                 const std::vector<std::uint64_t>& counts);
 
   topology::Topology* topo_;
+  PathCounter* paths_;
   const CapacityConstraint* constraint_;
-  PathCounter paths_;
-  PathCounter::LiveCounts live_;
+  // Enabled-mask words of the last decision; empty before the first.
+  std::vector<std::uint64_t> seen_;
   // Scratch for closure traversal.
   std::vector<char> in_closure_;
   std::vector<common::SwitchId> closure_;

@@ -98,61 +98,59 @@ bool region_feasible(OptimizerSegmentScratch& s, SelectedFn&& selected) {
 
 }  // namespace
 
-Optimizer::Optimizer(topology::Topology& topo,
+Optimizer::Optimizer(topology::Topology& topo, PathCounter& paths,
                      const CapacityConstraint& constraint,
                      PenaltyFunction penalty, OptimizerConfig config)
     : topo_(&topo),
       constraint_(&constraint),
       penalty_(penalty),
       config_(config),
-      paths_(topo),
+      paths_(&paths),
       scratch_(std::make_unique<OptimizerSegmentScratch>()),
-      closures_(paths_) {
-  const std::span<const std::uint32_t> sweep = paths_.sweep_order();
-  sweep_pos_.resize(topo.switch_count());
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
-    sweep_pos_[sweep[i]] = static_cast<std::uint32_t>(i);
-  }
+      closures_(paths) {
+  assert(&paths.topo() == &topo);
   scratch_paths_.resize(topo.switch_count(), 0);
   scratch_mask_.assign(topo.link_count());
 }
 
 Optimizer::~Optimizer() = default;
 
-void Optimizer::sync_baseline() {
-  const bool cold = baseline_.counts.empty();
-  paths_.sync_live_counts(baseline_);
+const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
+  const std::vector<std::uint64_t>& counts = paths_->live_counts();
+  // Lower endpoints of the links flipped since the previous run, which
+  // include that run's own disables.
+  std::vector<std::uint32_t> lowers;
+  const bool cold = !for_each_flip(
+      seen_, topo_->enabled_mask().words(), [&](LinkId link) {
+        lowers.push_back(
+            static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
+      });
   const bool constraint_moved = constraint_version_ != constraint_->version();
-  if (!cold && baseline_.changed.empty() && !constraint_moved) return;
-  baseline_violated_ = paths_.violated_tors(baseline_.counts, *constraint_);
+  if (!cold && lowers.empty() && !constraint_moved) return counts;
+  baseline_violated_ = paths_->violated_tors(counts, *constraint_);
   if (constraint_moved) {
     constraint_version_ = constraint_->version();
     segment_cache_.clear();
   }
   if (cold) {
     ++inc_stats_.baseline_full_recounts;
-    return;
+    return counts;
   }
-  if (baseline_.changed.empty()) return;
+  if (lowers.empty()) return counts;
   ++inc_stats_.baseline_delta_recounts;
   // A cached segment survives only while no link of its sweep region
-  // differs from the mask it was solved under. The flipped links include
-  // this optimizer's own disables from the previous run.
-  std::vector<std::uint32_t> lowers;
-  lowers.reserve(baseline_.changed.size());
-  for (LinkId link : baseline_.changed) {
-    lowers.push_back(
-        static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
-  }
+  // differs from the mask it was solved under.
   std::erase_if(segment_cache_, [&lowers](const auto& item) {
     const common::DynamicBitset& region = item.second.region;
     return std::any_of(lowers.begin(), lowers.end(),
                        [&region](std::uint32_t sw) { return region.test(sw); });
   });
+  return counts;
 }
 
 void Optimizer::compile_region(const Segment& segment,
                                OptimizerSegmentScratch& s) const {
+  const FabricIndex& fabric = *paths_->index();
   if (s.in_region.size() != topo_->switch_count()) {
     const std::size_t switches = topo_->switch_count();
     s.in_region.assign(switches, 0);
@@ -187,7 +185,7 @@ void Optimizer::compile_region(const Segment& segment,
     }
   }
   for (std::size_t next = 0; next < s.region.size(); ++next) {
-    const PathCounter::UplinkSpan span = paths_.uplinks_of(s.region[next]);
+    const FabricIndex::UplinkSpan span = fabric.uplinks_of(s.region[next]);
     for (std::size_t u = 0; u < span.count; ++u) {
       const std::uint32_t upper = span.upper[u];
       if (!s.in_region[upper]) {
@@ -196,9 +194,10 @@ void Optimizer::compile_region(const Segment& segment,
       }
     }
   }
+  const std::span<const std::uint32_t> sweep_pos = fabric.sweep_pos;
   std::sort(s.region.begin(), s.region.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return sweep_pos_[a] < sweep_pos_[b];
+            [sweep_pos](std::uint32_t a, std::uint32_t b) {
+              return sweep_pos[a] < sweep_pos[b];
             });
 
   // One level-descending pass computes baseline counts (current enabled
@@ -211,13 +210,13 @@ void Optimizer::compile_region(const Segment& segment,
   s.const_base.clear();
   s.required.clear();
   const common::DynamicBitset& enabled = topo_->enabled_mask();
-  const std::size_t top_count = paths_.top_switch_count();
+  const std::size_t top_count = fabric.top_count;
   for (const std::uint32_t sw : s.region) {
-    if (sweep_pos_[sw] < top_count) {
+    if (sweep_pos[sw] < top_count) {
       s.baseline[sw] = 1;  // Top level: constant, never affected.
       continue;
     }
-    const PathCounter::UplinkSpan span = paths_.uplinks_of(sw);
+    const FabricIndex::UplinkSpan span = fabric.uplinks_of(sw);
     std::uint64_t base_total = 0;
     bool affected = false;
     for (std::size_t u = 0; u < span.count; ++u) {
@@ -254,7 +253,7 @@ void Optimizer::compile_region(const Segment& segment,
     const topology::Switch& info = topo_->switches()[sw];
     s.required.push_back(
         info.level == 0
-            ? constraint_->min_paths(info.id, paths_.design_paths()[sw])
+            ? constraint_->min_paths(info.id, fabric.design_paths[sw])
             : 0);
   }
   s.edge_offset.push_back(static_cast<std::uint32_t>(s.edges.size()));
@@ -276,7 +275,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
   // solution without enumerating anything.
   for (SwitchId tor : segment.tors) {
     const std::uint64_t required =
-        constraint_->min_paths(tor, paths_.design_paths()[tor.index()]);
+        constraint_->min_paths(tor, paths_->design_paths()[tor.index()]);
     if (s.baseline[tor.index()] < required) return out;
   }
 
@@ -521,7 +520,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     result.remaining_penalty = 0.0;
     return result;
   }
-  sync_baseline();
+  const std::vector<std::uint64_t>& baseline = sync_baseline();
 
   std::vector<LinkId> to_disable;
   std::vector<LinkId> contested = candidates;
@@ -533,10 +532,10 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     // downward closure of the candidates can change.
     scratch_mask_.assign(topo_->link_count());
     for (LinkId link : candidates) scratch_mask_.set(link.index());
-    paths_.masked_violated_tors_into(endangered, baseline_.counts,
-                                     baseline_violated_, scratch_mask_,
-                                     candidates, *constraint_, scratch_paths_,
-                                     sweep_scratch_);
+    paths_->masked_violated_tors_into(endangered, baseline,
+                                      baseline_violated_, scratch_mask_,
+                                      candidates, *constraint_,
+                                      scratch_paths_, sweep_scratch_);
     if (endangered.empty()) {
       // The full set is feasible: disable everything. `candidates` is
       // the id-sorted active set, so summing over it keeps the
@@ -571,7 +570,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
 
   std::vector<Segment> segments;
   if (config_.use_segmentation) {
-    segments = segment_candidates(paths_, contested, endangered, &closures_);
+    segments = segment_candidates(*paths_, contested, endangered, &closures_);
   } else if (!contested.empty()) {
     Segment all;
     all.links = contested;

@@ -9,10 +9,10 @@
 //      the ToRs V whose constraints would be violated. Every corrupting
 //      link not upstream of V is safe to disable outright (ToRs outside V
 //      tolerate even the full set, and feasibility is monotone in the set
-//      of enabled links). The recount starts from baseline counts kept
-//      in a PathCounter::LiveCounts that follows the topology's enabled
-//      mask (DESIGN.md §12), so it walks only the candidates' downward
-//      closure and nobody has to report link changes to the optimizer.
+//      of enabled links). The recount starts from the live counts of the
+//      controller's PathCounter, shared with the fast checker and keyed
+//      on the enabled mask (DESIGN.md §12), so it walks only the
+//      candidates' downward closure and needs no change reports.
 //   2. Segmentation (Section 8): the remaining candidates split into
 //      independent segments per the endangered ToRs they share.
 //   3. Branch-and-bound per segment: candidates are ordered by descending
@@ -35,10 +35,12 @@
 // Across runs the optimizer keeps two caches (DESIGN.md §12), and there
 // is no mode without them: per-ToR upstream switch sets, which depend
 // only on the installed wiring, and per-segment solve outcomes, erased
-// as soon as a link of their sweep region flips. A reused outcome
-// reports the search counters of the solve that produced it, which are
-// exactly what a cold solve of the same inputs would count, so the
-// caches are invisible in every result field but `segment_reuses`.
+// as soon as a link of their sweep region flips (an XOR of the mask words
+// of the previous run against the current mask, so the fast checker's
+// disables count too). A reused outcome reports the search counters of
+// the solve that produced it, which are exactly what a cold solve of the
+// same inputs would count, so the caches are invisible in every result
+// field but `segment_reuses`.
 //
 // The result maximizes the total disabled penalty, i.e. minimizes the
 // residual penalty sum over links of (1 - d_l) * I(f_l), subject to every
@@ -128,8 +130,8 @@ struct OptimizerIncrementalStats {
   std::size_t runs = 0;
   std::size_t segment_solves = 0;
   std::size_t segment_reuses = 0;
-  // Baseline syncs that filled the live counts cold (normally only the
-  // first one) and syncs that folded in flipped links.
+  // Runs that found no mask of a previous run to compare with (normally
+  // only the first one) and runs that found links flipped since.
   std::size_t baseline_full_recounts = 0;
   std::size_t baseline_delta_recounts = 0;
   // Always 0: the baseline follows the enabled mask, so no change can go
@@ -155,8 +157,10 @@ struct OptimizerSegmentOutcome {
 
 class Optimizer {
  public:
-  Optimizer(topology::Topology& topo, const CapacityConstraint& constraint,
-            PenaltyFunction penalty, OptimizerConfig config = {});
+  // Disables links on `topo`; `paths` must count `topo`.
+  Optimizer(topology::Topology& topo, PathCounter& paths,
+            const CapacityConstraint& constraint, PenaltyFunction penalty,
+            OptimizerConfig config = {});
   ~Optimizer();
 
   Optimizer(const Optimizer&) = delete;
@@ -198,18 +202,15 @@ class Optimizer {
   const CapacityConstraint* constraint_;
   PenaltyFunction penalty_;
   OptimizerConfig config_;
-  PathCounter paths_;
-  // Position of each switch in paths_.sweep_order().
-  std::vector<std::uint32_t> sweep_pos_;
+  PathCounter* paths_;
   // Scratch reused across runs (serial phases only).
   std::vector<std::uint64_t> scratch_paths_;
   common::DynamicBitset scratch_mask_;
   common::DynamicBitset scratch_switches_;
   std::unique_ptr<OptimizerSegmentScratch> scratch_;
-  // Unmasked path counts (and the ToRs they violate, normally none),
-  // following the enabled mask; lets the pruning pass recount only the
-  // downward closure of the candidate links instead of the whole fabric.
-  PathCounter::LiveCounts baseline_;
+  // Enabled-mask words of the previous run (empty before the first) and
+  // the ToRs the live counts violated then, normally none.
+  std::vector<std::uint64_t> seen_;
   std::vector<SwitchId> baseline_violated_;
   PathCounter::SweepScratch sweep_scratch_;
 
@@ -250,10 +251,10 @@ class Optimizer {
   obs::Histogram obs_disabled_per_run_;
   obs::Histogram obs_run_timer_;
 
-  // Brings baseline_ to the current enabled mask; when anything moved,
+  // Returns the live counts; when the mask moved since the previous run,
   // recomputes baseline_violated_ and erases the cached segments whose
   // region holds a flipped link (all of them when the constraint moved).
-  void sync_baseline();
+  const std::vector<std::uint64_t>& sync_baseline();
 };
 
 }  // namespace corropt::core

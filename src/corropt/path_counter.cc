@@ -27,52 +27,56 @@ inline std::uint64_t all_ones(std::uint32_t count) {
 
 }  // namespace
 
-PathCounter::PathCounter(const topology::Topology& topo) : topo_(&topo) {
+FabricIndex::FabricIndex(const topology::Topology& topo) {
   const std::size_t switches = topo.switch_count();
   const std::size_t links = topo.link_count();
 
   // Flatten per-switch uplink lists into CSR arrays indexed by switch.
-  up_offset_.assign(switches + 1, 0);
-  up_link_.reserve(links);
-  up_upper_.reserve(links);
+  up_offset.assign(switches + 1, 0);
+  up_link.reserve(links);
+  up_upper.reserve(links);
   for (std::size_t s = 0; s < switches; ++s) {
-    up_offset_[s] = static_cast<std::uint32_t>(up_link_.size());
+    up_offset[s] = static_cast<std::uint32_t>(up_link.size());
     for (LinkId uplink : topo.switches()[s].uplinks) {
-      up_link_.push_back(static_cast<std::uint32_t>(uplink.index()));
-      up_upper_.push_back(
+      up_link.push_back(static_cast<std::uint32_t>(uplink.index()));
+      up_upper.push_back(
           static_cast<std::uint32_t>(topo.link_at(uplink).upper.index()));
     }
   }
-  up_offset_[switches] = static_cast<std::uint32_t>(up_link_.size());
+  up_offset[switches] = static_cast<std::uint32_t>(up_link.size());
 
 
   // Inverted CSR: counting sort of links by upper endpoint.
-  down_offset_.assign(switches + 1, 0);
+  down_offset.assign(switches + 1, 0);
   for (const topology::Link& link : topo.links()) {
-    ++down_offset_[link.upper.index() + 1];
+    ++down_offset[link.upper.index() + 1];
   }
   for (std::size_t s = 0; s < switches; ++s) {
-    down_offset_[s + 1] += down_offset_[s];
+    down_offset[s + 1] += down_offset[s];
   }
-  down_lower_.resize(topo.link_count());
+  down_lower.resize(topo.link_count());
   {
-    std::vector<std::uint32_t> cursor(down_offset_.begin(),
-                                      down_offset_.end() - 1);
+    std::vector<std::uint32_t> cursor(down_offset.begin(),
+                                      down_offset.end() - 1);
     for (const topology::Link& link : topo.links()) {
-      down_lower_[cursor[link.upper.index()]++] =
+      down_lower[cursor[link.upper.index()]++] =
           static_cast<std::uint32_t>(link.lower.index());
     }
   }
 
-  // Level-descending switch order; the leading top_count_ entries are the
+  // Level-descending switch order; the leading top_count entries are the
   // top-level switches whose path count is the constant 1.
-  order_.reserve(switches);
+  order.reserve(switches);
   const int top = topo.top_level();
   for (int level = top; level >= 0; --level) {
     for (SwitchId id : topo.switches_at_level(level)) {
-      order_.push_back(static_cast<std::uint32_t>(id.index()));
+      order.push_back(static_cast<std::uint32_t>(id.index()));
     }
-    if (level == top) top_count_ = order_.size();
+    if (level == top) top_count = order.size();
+  }
+  sweep_pos.resize(switches);
+  for (std::size_t i = 0; i < order.size(); ++i) {
+    sweep_pos[order[i]] = static_cast<std::uint32_t>(i);
   }
 
   // Packed per-switch sweep metadata, in sweep (level-descending) order.
@@ -82,13 +86,13 @@ PathCounter::PathCounter(const topology::Topology& topo) : topo_(&topo) {
   // consecutive upper ids (a ToR's aggs, an agg's spines) let the
   // all-active case sum a sequential counts slice; uppers all at the top
   // level (count == 1 always) reduce the sum to a popcount.
-  nodes_.reserve(order_.size() - top_count_);
-  for (std::size_t i = top_count_; i < order_.size(); ++i) {
-    const std::uint32_t s = order_[i];
+  nodes.reserve(order.size() - top_count);
+  for (std::size_t i = top_count; i < order.size(); ++i) {
+    const std::uint32_t s = order[i];
     SweepNode node;
     node.sw = s;
-    node.begin = up_offset_[s];
-    node.count = up_offset_[s + 1] - node.begin;
+    node.begin = up_offset[s];
+    node.count = up_offset[s + 1] - node.begin;
     node.link_base = kScatteredUplinks;
     node.ubase = kScatteredUplinks;
     node.flags = topo.switches()[s].level == 0 ? kNodeTor : 0;
@@ -97,52 +101,58 @@ PathCounter::PathCounter(const topology::Topology& topo) : topo_(&topo) {
     bool consecutive_uppers = contiguous;
     for (std::uint32_t u = node.begin; u < node.begin + node.count; ++u) {
       const std::uint32_t k = u - node.begin;
-      if (up_link_[u] != up_link_[node.begin] + k) contiguous = false;
-      if (up_upper_[u] != up_upper_[node.begin] + k) {
+      if (up_link[u] != up_link[node.begin] + k) contiguous = false;
+      if (up_upper[u] != up_upper[node.begin] + k) {
         consecutive_uppers = false;
       }
-      if (topo.switches()[up_upper_[u]].level != top) at_top = false;
+      if (topo.switches()[up_upper[u]].level != top) at_top = false;
     }
     if (contiguous) {
-      node.link_base = up_link_[node.begin];
-      if (consecutive_uppers) node.ubase = up_upper_[node.begin];
+      node.link_base = up_link[node.begin];
+      if (consecutive_uppers) node.ubase = up_upper[node.begin];
       if (at_top) node.flags |= kNodeUppersAtTop;
     }
-    nodes_.push_back(node);
+    nodes.push_back(node);
   }
 
   // Design capacity: sweep with every installed link conducting.
-  design_paths_.assign(switches, 0);
-  for (std::size_t i = 0; i < top_count_; ++i) design_paths_[order_[i]] = 1;
-  for (std::size_t i = top_count_; i < order_.size(); ++i) {
-    const std::uint32_t s = order_[i];
-    std::uint64_t total = 0;
-    const std::uint32_t begin = up_offset_[s];
-    const std::uint32_t end = up_offset_[s + 1];
-    for (std::uint32_t u = begin; u < end; ++u) {
-      total += design_paths_[up_upper_[u]];
-    }
-    design_paths_[s] = total;
+  const std::vector<std::uint64_t> all_on((links + 63) / 64, ~0ull);
+  design_paths.assign(switches, 0);
+  for (std::size_t i = 0; i < top_count; ++i) design_paths[order[i]] = 1;
+  SliceMemo memo;
+  for (const SweepNode& node : nodes) {
+    design_paths[node.sw] =
+        node_sum(node, all_on.data(), nullptr, design_paths.data(), memo);
   }
+}
+
+PathCounter::PathCounter(const topology::Topology& topo)
+    : PathCounter(topo, std::make_shared<const FabricIndex>(topo)) {}
+
+PathCounter::PathCounter(const topology::Topology& topo,
+                         std::shared_ptr<const FabricIndex> index)
+    : topo_(&topo), index_(std::move(index)) {
+  assert(index_->design_paths.size() == topo.switch_count());
 }
 
 void PathCounter::up_paths_into(std::vector<std::uint64_t>& out,
                                 const LinkMask* extra_off) const {
+  const FabricIndex& ix = *index_;
   out.assign(topo_->switch_count(), 0);
-  for (std::size_t i = 0; i < top_count_; ++i) out[order_[i]] = 1;
+  for (std::size_t i = 0; i < ix.top_count; ++i) out[ix.order[i]] = 1;
   const std::uint64_t* ew = topo_->enabled_mask().words().data();
   const std::uint64_t* xw = nullptr;
   if (extra_off != nullptr) {
     assert(extra_off->size() == topo_->link_count());
     xw = extra_off->words().data();
   }
-  SliceMemo memo;
-  for (const SweepNode& node : nodes_) {
-    out[node.sw] = node_sum(node, ew, xw, out.data(), memo);
+  FabricIndex::SliceMemo memo;
+  for (const FabricIndex::SweepNode& node : ix.nodes) {
+    out[node.sw] = ix.node_sum(node, ew, xw, out.data(), memo);
   }
 }
 
-std::uint64_t PathCounter::node_sum(const SweepNode& node,
+std::uint64_t FabricIndex::node_sum(const SweepNode& node,
                                     const std::uint64_t* enabled_words,
                                     const std::uint64_t* masked_words,
                                     const std::uint64_t* counts,
@@ -159,7 +169,7 @@ std::uint64_t PathCounter::node_sum(const SweepNode& node,
       // Every active uplink contributes exactly 1.
       return static_cast<std::uint64_t>(std::popcount(bits));
     }
-    const std::uint32_t* upper = up_upper_.data() + node.begin;
+    const std::uint32_t* upper = up_upper.data() + node.begin;
     if (bits == all_ones(count)) {
       if (node.ubase != kScatteredUplinks) {
         // Consecutive uppers: a sequential slice sum. Pod siblings share
@@ -201,143 +211,78 @@ std::uint64_t PathCounter::node_sum(const SweepNode& node,
     }
   } else {
     for (std::uint32_t u = node.begin; u < node.begin + count; ++u) {
-      const std::uint32_t link = up_link_[u];
+      const std::uint32_t link = up_link[u];
       const bool active =
           ((enabled_words[link >> 6] >> (link & 63u)) & 1u) != 0 &&
           (masked_words == nullptr ||
            ((masked_words[link >> 6] >> (link & 63u)) & 1u) == 0);
-      if (active) total += counts[up_upper_[u]];
+      if (active) total += counts[up_upper[u]];
     }
   }
   return total;
 }
 
-std::uint64_t PathCounter::mark_masked_closure(
-    std::span<const LinkId> masked_links, SweepScratch& scratch) const {
+std::uint64_t PathCounter::begin_closure(SweepScratch& scratch) const {
   const std::size_t switches = topo_->switch_count();
   if (scratch.stamp.size() != switches) scratch.stamp.assign(switches, 0);
-  const std::uint64_t epoch = ++scratch.epoch;
   scratch.frontier.clear();
+  return ++scratch.epoch;
+}
 
-  // Seed with the lower endpoints of masked links that are actually
-  // conducting (masking an already-disabled link changes nothing).
-  const common::DynamicBitset& enabled = topo_->enabled_mask();
-  for (LinkId link : masked_links) {
-    if (!enabled.test(link.index())) continue;
-    const std::uint32_t lower =
-        static_cast<std::uint32_t>(topo_->link_at(link).lower.index());
-    if (scratch.stamp[lower] != epoch) {
-      scratch.stamp[lower] = epoch;
-      scratch.frontier.push_back(lower);
-    }
+void PathCounter::seed(SweepScratch& scratch, std::uint64_t epoch,
+                       LinkId link) const {
+  const std::size_t lower = topo_->link_at(link).lower.index();
+  if (scratch.stamp[lower] != epoch) {
+    scratch.stamp[lower] = epoch;
+    scratch.frontier.push_back(static_cast<std::uint32_t>(lower));
   }
+}
 
-  // Downward closure: every switch with an upward path through a masked
-  // link. Counts of switches outside the closure keep their baseline.
+void PathCounter::close_downward(SweepScratch& scratch,
+                                 std::uint64_t epoch) const {
+  const FabricIndex& ix = *index_;
   for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
     const std::uint32_t s = scratch.frontier[head];
-    const std::uint32_t begin = down_offset_[s];
-    const std::uint32_t end = down_offset_[s + 1];
-    for (std::uint32_t d = begin; d < end; ++d) {
-      const std::uint32_t lower = down_lower_[d];
+    for (std::uint32_t d = ix.down_offset[s]; d < ix.down_offset[s + 1];
+         ++d) {
+      const std::uint32_t lower = ix.down_lower[d];
       if (scratch.stamp[lower] != epoch) {
         scratch.stamp[lower] = epoch;
         scratch.frontier.push_back(lower);
       }
     }
   }
-  return epoch;
 }
 
-void PathCounter::up_paths_masked_from_baseline(
-    std::vector<std::uint64_t>& out, std::span<const std::uint64_t> baseline,
-    const LinkMask& masked, std::span<const LinkId> masked_links,
-    SweepScratch& scratch) const {
-  assert(baseline.size() == topo_->switch_count());
-  assert(masked.size() == topo_->link_count());
-  out.assign(baseline.begin(), baseline.end());
-  const std::uint64_t epoch = mark_masked_closure(masked_links, scratch);
-
-  // Recompute affected switches in level-descending order; `out` holds
-  // the merged counts, so uplink reads need no affected/unaffected split.
+const std::vector<std::uint64_t>& PathCounter::live_counts() {
+  std::vector<std::uint64_t>& counts = live_.counts;
+  SweepScratch& scratch = live_.scratch;
+  const std::uint64_t epoch = begin_closure(scratch);
+  if (!for_each_flip(live_.seen, topo_->enabled_mask().words(),
+                     [&](LinkId link) { seed(scratch, epoch, link); })) {
+    up_paths_into(counts);
+    return counts;
+  }
+  if (scratch.frontier.empty()) return counts;
+  // Recompute the flipped links' downward closure in sweep order against
+  // the current enabled mask; counts outside it did not change.
+  close_downward(scratch, epoch);
+  const FabricIndex& ix = *index_;
   const std::uint64_t* ew = topo_->enabled_mask().words().data();
-  const std::uint64_t* xw = masked.words().data();
-  SliceMemo memo;
-  for (const SweepNode& node : nodes_) {
+  FabricIndex::SliceMemo memo;
+  for (const FabricIndex::SweepNode& node : ix.nodes) {
     if (scratch.stamp[node.sw] != epoch) continue;
-    out[node.sw] = node_sum(node, ew, xw, out.data(), memo);
+    counts[node.sw] = ix.node_sum(node, ew, nullptr, counts.data(), memo);
   }
+  return counts;
 }
 
-void PathCounter::refresh_counts_after_changes(
-    std::vector<std::uint64_t>& counts, std::span<const LinkId> changed_links,
-    SweepScratch& scratch) const {
-  assert(counts.size() == topo_->switch_count());
-
-  const std::size_t switches = topo_->switch_count();
-  if (scratch.stamp.size() != switches) scratch.stamp.assign(switches, 0);
-  const std::uint64_t epoch = ++scratch.epoch;
-  scratch.frontier.clear();
-
-  // Seed every changed link's lower endpoint unconditionally: whether
-  // the flip enabled or disabled the link, the counts below it moved.
-  for (LinkId link : changed_links) {
-    const std::uint32_t lower =
-        static_cast<std::uint32_t>(topo_->link_at(link).lower.index());
-    if (scratch.stamp[lower] != epoch) {
-      scratch.stamp[lower] = epoch;
-      scratch.frontier.push_back(lower);
-    }
-  }
-  for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
-    const std::uint32_t s = scratch.frontier[head];
-    const std::uint32_t begin = down_offset_[s];
-    const std::uint32_t end = down_offset_[s + 1];
-    for (std::uint32_t d = begin; d < end; ++d) {
-      const std::uint32_t lower = down_lower_[d];
-      if (scratch.stamp[lower] != epoch) {
-        scratch.stamp[lower] = epoch;
-        scratch.frontier.push_back(lower);
-      }
-    }
-  }
-
-  // Recompute closure members in level-descending order against the
-  // current enabled mask; out-of-closure reads stay valid (their counts
-  // did not change).
-  const std::uint64_t* ew = topo_->enabled_mask().words().data();
-  SliceMemo memo;
-  for (const SweepNode& node : nodes_) {
-    if (scratch.stamp[node.sw] != epoch) continue;
-    counts[node.sw] = node_sum(node, ew, nullptr, counts.data(), memo);
-  }
-}
-
-const std::vector<std::uint64_t>& PathCounter::sync_live_counts(
-    LiveCounts& live) const {
-  const std::span<const std::uint64_t> current =
-      topo_->enabled_mask().words();
-  if (live.counts.size() != topo_->switch_count() ||
-      live.seen.size() != current.size()) {
-    up_paths_into(live.counts);
-    live.seen.assign(current.begin(), current.end());
-    live.changed.clear();
-    return live.counts;
-  }
-  live.changed.clear();
-  for (std::size_t w = 0; w < current.size(); ++w) {
-    std::uint64_t flipped = live.seen[w] ^ current[w];
-    if (flipped == 0) continue;
-    live.seen[w] = current[w];
-    for (; flipped != 0; flipped &= flipped - 1) {
-      live.changed.push_back(LinkId(static_cast<LinkId::underlying_type>(
-          w * 64 + static_cast<std::size_t>(std::countr_zero(flipped)))));
-    }
-  }
-  if (!live.changed.empty()) {
-    refresh_counts_after_changes(live.counts, live.changed, live.scratch);
-  }
-  return live.counts;
+void PathCounter::fold_disable(
+    LinkId link,
+    std::span<const std::pair<SwitchId, std::uint64_t>> updates) {
+  assert(!live_.counts.empty() && !topo_->is_enabled(link));
+  for (const auto& [sw, value] : updates) live_.counts[sw.index()] = value;
+  live_.seen[link.index() / 64] &= ~(std::uint64_t{1} << (link.index() % 64));
 }
 
 void PathCounter::masked_violated_tors_into(
@@ -349,17 +294,25 @@ void PathCounter::masked_violated_tors_into(
   assert(masked.size() == topo_->link_count());
   violated.clear();
   counts.assign(baseline.begin(), baseline.end());
-  const std::uint64_t epoch = mark_masked_closure(masked_links, scratch);
+  // Seed with the lower endpoints of masked links that are actually
+  // conducting (masking an already-disabled link changes nothing).
+  const std::uint64_t epoch = begin_closure(scratch);
+  for (LinkId link : masked_links) {
+    if (topo_->is_enabled(link)) seed(scratch, epoch, link);
+  }
+  close_downward(scratch, epoch);
 
+  const FabricIndex& ix = *index_;
   const std::uint64_t* ew = topo_->enabled_mask().words().data();
   const std::uint64_t* xw = masked.words().data();
-  SliceMemo memo;
-  for (const SweepNode& node : nodes_) {
+  FabricIndex::SliceMemo memo;
+  for (const FabricIndex::SweepNode& node : ix.nodes) {
     if (scratch.stamp[node.sw] != epoch) continue;
-    const std::uint64_t total = node_sum(node, ew, xw, counts.data(), memo);
+    const std::uint64_t total =
+        ix.node_sum(node, ew, xw, counts.data(), memo);
     counts[node.sw] = total;
-    if ((node.flags & kNodeTor) != 0 &&
-        constraint.below_min(SwitchId(node.sw), design_paths_[node.sw],
+    if ((node.flags & FabricIndex::kNodeTor) != 0 &&
+        constraint.below_min(SwitchId(node.sw), ix.design_paths[node.sw],
                              total)) {
       violated.push_back(SwitchId(node.sw));
     }
@@ -392,7 +345,7 @@ std::vector<SwitchId> PathCounter::violated_tors(
     const CapacityConstraint& constraint) const {
   std::vector<SwitchId> violated;
   for (SwitchId tor : topo_->tors()) {
-    if (constraint.below_min(tor, design_paths_[tor.index()],
+    if (constraint.below_min(tor, design_paths()[tor.index()],
                              up_paths[tor.index()])) {
       violated.push_back(tor);
     }
@@ -403,7 +356,7 @@ std::vector<SwitchId> PathCounter::violated_tors(
 bool PathCounter::feasible(std::span<const std::uint64_t> up_paths,
                            const CapacityConstraint& constraint) const {
   for (SwitchId tor : topo_->tors()) {
-    if (constraint.below_min(tor, design_paths_[tor.index()],
+    if (constraint.below_min(tor, design_paths()[tor.index()],
                              up_paths[tor.index()])) {
       return false;
     }
@@ -428,11 +381,10 @@ LinkMask PathCounter::upstream_links(std::span<const SwitchId> from) const {
   while (!frontier.empty()) {
     const std::uint32_t current = frontier.back();
     frontier.pop_back();
-    const std::uint32_t begin = up_offset_[current];
-    const std::uint32_t end = up_offset_[current + 1];
-    for (std::uint32_t u = begin; u < end; ++u) {
-      mask.set(up_link_[u]);
-      const std::uint32_t upper = up_upper_[u];
+    const FabricIndex::UplinkSpan span = index_->uplinks_of(current);
+    for (std::size_t u = 0; u < span.count; ++u) {
+      mask.set(span.link[u]);
+      const std::uint32_t upper = span.upper[u];
       if (!visited[upper]) {
         visited[upper] = 1;
         frontier.push_back(upper);

@@ -7,17 +7,21 @@
 // path count is the sum of its active uplinks' upper-endpoint counts.
 //
 // The sweep is the hottest loop in the system (every optimizer pruning
-// pass and every full feasibility recount runs it), so the counter
-// flattens the topology's per-switch uplink vectors into CSR arrays at
-// construction: one level-descending switch order plus contiguous
+// pass and every full feasibility recount runs it), so a FabricIndex
+// flattens the topology's per-switch uplink vectors into CSR arrays once
+// per wiring: one level-descending switch order plus contiguous
 // (link index, upper switch index) pairs per switch. A sweep then streams
 // through two uint32 arrays and two bitsets instead of pointer-chasing
-// Switch and Link structs. This module also keeps the brute-force DFS
-// enumerator used to verify the sweep in tests.
+// Switch and Link structs. A PathCounter pairs that shared index with a
+// topology's link state and its live counts. This module also keeps the
+// brute-force DFS enumerator used to verify the sweep in tests.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/bitset.h"
@@ -34,146 +38,13 @@ using common::SwitchId;
 // administratively disabled links. Sized topology.link_count().
 using LinkMask = common::DynamicBitset;
 
-class PathCounter {
- public:
-  explicit PathCounter(const topology::Topology& topo);
+// The fabric's wiring as the sweeps read it, built once per topology
+// shape. Immutable and free of link state and topology pointers, so one
+// index is shared read-only (shared_ptr<const>) by every PathCounter
+// over a topology with this wiring, copies of the topology included.
+struct FabricIndex {
+  explicit FabricIndex(const topology::Topology& topo);
 
-  // paths[switch.index()] = number of upward paths from the switch to the
-  // top level through links that are enabled and not masked. `extra_off`
-  // may be null (no extra removals).
-  [[nodiscard]] std::vector<std::uint64_t> up_paths(
-      const LinkMask* extra_off = nullptr) const;
-
-  // Allocation-free variant: writes the counts into `out` (resized to
-  // switch_count). The optimizer's pruning pass calls this once per run
-  // with a reused scratch buffer.
-  void up_paths_into(std::vector<std::uint64_t>& out,
-                     const LinkMask* extra_off = nullptr) const;
-
-  // Reusable state for up_paths_masked_from_baseline: per-switch visit
-  // stamps (epoch-tagged so they are never cleared) plus a BFS frontier.
-  struct SweepScratch {
-    std::vector<std::uint64_t> stamp;
-    std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> frontier;
-  };
-
-  // Incremental masked recount. `baseline` must hold the unmasked counts
-  // for the topology's *current* enabled state (i.e. what up_paths_into
-  // with no mask would produce right now). Only switches in the downward
-  // closure of the masked links' lower endpoints can differ from the
-  // baseline, so the sweep recomputes exactly those and copies the rest.
-  // Semantically identical to up_paths_into(out, &masked), far cheaper
-  // when few links are masked. `masked_links` must list every set bit of
-  // `masked` (extra entries for already-disabled links are harmless).
-  void up_paths_masked_from_baseline(std::vector<std::uint64_t>& out,
-                                     std::span<const std::uint64_t> baseline,
-                                     const LinkMask& masked,
-                                     std::span<const LinkId> masked_links,
-                                     SweepScratch& scratch) const;
-
-  // In-place delta refresh for long-lived count caches. `counts` must
-  // hold the unmasked up-path counts of a *previous* enabled state that
-  // differs from the topology's current state only on `changed_links`
-  // (each listed link flipped enabled<->disabled any number of times;
-  // unchanged links may appear too — they just widen the recount).
-  // Recomputes the downward closure of the changed links' lower
-  // endpoints against the current enabled mask, leaving every other
-  // entry untouched; the result equals what up_paths_into would produce
-  // from scratch. Unlike the masked variants above, the
-  // closure is seeded from *all* changed links, conducting or not: a
-  // just-disabled link no longer conducts but its removal still changed
-  // its downstream counts.
-  void refresh_counts_after_changes(std::vector<std::uint64_t>& counts,
-                                    std::span<const LinkId> changed_links,
-                                    SweepScratch& scratch) const;
-
-  // A long-lived count cache that follows the topology's enabled mask:
-  // `counts` hold the unmasked up-path counts under the enabled state
-  // whose bitset words are `seen`. Empty until the first sync. Every
-  // count cache in the corropt layer is one of these (DESIGN.md §12).
-  struct LiveCounts {
-    std::vector<std::uint64_t> counts;
-    std::vector<std::uint64_t> seen;
-    // Links the last sync folded in, id-sorted; empty after a cold fill.
-    std::vector<LinkId> changed;
-    SweepScratch scratch;
-  };
-
-  // Brings `live` up to the current enabled mask and returns its counts,
-  // equal to what up_paths() would produce. The links whose bit differs
-  // from `live.seen` (one XOR per mask word) are folded in through
-  // refresh_counts_after_changes, so an unchanged mask, including a link
-  // disabled and re-enabled since the last sync, costs one word scan. An
-  // empty cache is filled by a full up_paths_into. The cache is keyed on
-  // the mask itself rather than the state version, so it needs no change
-  // notes and stays exact across checkpoint restores that rewind the
-  // version.
-  const std::vector<std::uint64_t>& sync_live_counts(LiveCounts& live) const;
-
-  // Fused variant for the optimizer's pruning pass: computes the ToRs
-  // violated under `masked` directly during the incremental recount,
-  // avoiding the separate all-ToRs scan. `baseline_violated` must be
-  // violated_tors(baseline, constraint) (ToRs outside the closure keep
-  // their baseline status). Result equals
-  // violated_tors(up_paths(&masked), constraint), in ToR id order.
-  // `counts` is caller-owned scratch for the merged counts.
-  void masked_violated_tors_into(std::vector<SwitchId>& violated,
-                                 std::span<const std::uint64_t> baseline,
-                                 std::span<const SwitchId> baseline_violated,
-                                 const LinkMask& masked,
-                                 std::span<const LinkId> masked_links,
-                                 const CapacityConstraint& constraint,
-                                 std::vector<std::uint64_t>& counts,
-                                 SweepScratch& scratch) const;
-
-  // Path counts through every installed link regardless of enabled state:
-  // the topology's design capacity, the denominator of the constraint.
-  [[nodiscard]] const std::vector<std::uint64_t>& design_paths() const {
-    return design_paths_;
-  }
-
-  // ToRs whose available paths fall below their constraint under the
-  // given counts.
-  [[nodiscard]] std::vector<SwitchId> violated_tors(
-      std::span<const std::uint64_t> up_paths,
-      const CapacityConstraint& constraint) const;
-
-  // True when no ToR violates its constraint under the given counts.
-  [[nodiscard]] bool feasible(std::span<const std::uint64_t> up_paths,
-                              const CapacityConstraint& constraint) const;
-
-  // Links lying on some upward path from any switch in `from`, disabled
-  // links included: the upstream closure of the optimizer's topology
-  // pruning, which reads it as TorClosureCache's switch sets.
-  [[nodiscard]] LinkMask upstream_links(
-      std::span<const SwitchId> from) const;
-
-  // --- CSR accessors (used by the optimizer's restricted region sweeps) --
-  // Switch indices ordered top level first, then strictly descending
-  // level; a top-down sweep visiting this order sees every switch after
-  // all of its uplink upper endpoints.
-  [[nodiscard]] std::span<const std::uint32_t> sweep_order() const {
-    return order_;
-  }
-  // Number of leading sweep_order entries at the top level (path count 1).
-  [[nodiscard]] std::size_t top_switch_count() const { return top_count_; }
-  // Contiguous uplink (link index, upper switch index) pairs of a switch.
-  struct UplinkSpan {
-    const std::uint32_t* link;
-    const std::uint32_t* upper;
-    std::size_t count;
-  };
-  [[nodiscard]] UplinkSpan uplinks_of(std::size_t switch_index) const {
-    const std::uint32_t begin = up_offset_[switch_index];
-    const std::uint32_t end = up_offset_[switch_index + 1];
-    return {up_link_.data() + begin, up_upper_.data() + begin,
-            static_cast<std::size_t>(end - begin)};
-  }
-
-  [[nodiscard]] const topology::Topology& topo() const { return *topo_; }
-
- private:
   // Sentinel: the switch's uplink link ids (or upper switch ids) are not
   // one contiguous run of <= 64, so sweeps fall back to per-link tests.
   static constexpr std::uint32_t kScatteredUplinks = 0xFFFFFFFFu;
@@ -214,24 +85,167 @@ class PathCounter {
                                        const std::uint64_t* counts,
                                        SliceMemo& memo) const;
 
-  // Stamps the downward closure of the conducting masked links into
-  // scratch (epoch-tagged) and returns the new epoch.
-  std::uint64_t mark_masked_closure(std::span<const LinkId> masked_links,
-                                    SweepScratch& scratch) const;
+  // Contiguous uplink (link index, upper switch index) pairs of a switch.
+  struct UplinkSpan {
+    const std::uint32_t* link;
+    const std::uint32_t* upper;
+    std::size_t count;
+  };
+  [[nodiscard]] UplinkSpan uplinks_of(std::size_t switch_index) const {
+    const std::uint32_t begin = up_offset[switch_index];
+    const std::uint32_t end = up_offset[switch_index + 1];
+    return {up_link.data() + begin, up_upper.data() + begin,
+            static_cast<std::size_t>(end - begin)};
+  }
 
-  const topology::Topology* topo_;
-  std::vector<std::uint64_t> design_paths_;
+  // Path counts through every installed link regardless of enabled state:
+  // the topology's design capacity, the denominator of the constraint.
+  std::vector<std::uint64_t> design_paths;
   // CSR: uplinks grouped by lower-switch index.
-  std::vector<std::uint32_t> up_offset_;  // switch_count + 1 entries
-  std::vector<std::uint32_t> up_link_;    // link index per uplink
-  std::vector<std::uint32_t> up_upper_;   // upper switch index per uplink
-  std::vector<std::uint32_t> order_;      // level-descending switch indices
-  std::size_t top_count_ = 0;
-  std::vector<SweepNode> nodes_;          // non-top switches, sweep order
+  std::vector<std::uint32_t> up_offset;  // switch_count + 1 entries
+  std::vector<std::uint32_t> up_link;    // link index per uplink
+  std::vector<std::uint32_t> up_upper;   // upper switch index per uplink
+  // Switch indices ordered top level first, then strictly descending
+  // level; a top-down sweep visiting this order sees every switch after
+  // all of its uplink upper endpoints. The leading top_count entries are
+  // the top level (path count 1).
+  std::vector<std::uint32_t> order;
+  std::size_t top_count = 0;
+  std::vector<std::uint32_t> sweep_pos;  // position of each switch in order
+  std::vector<SweepNode> nodes;          // non-top switches, sweep order
   // Inverted CSR for downward closures: lower endpoints of each switch's
   // downlinks (duplicates possible with parallel links; harmless).
-  std::vector<std::uint32_t> down_offset_;  // switch_count + 1 entries
-  std::vector<std::uint32_t> down_lower_;
+  std::vector<std::uint32_t> down_offset;  // switch_count + 1 entries
+  std::vector<std::uint32_t> down_lower;
+};
+
+// Calls visit(link) for every link whose bit differs between `seen` and
+// `mask`, in id order, then makes `seen` equal `mask`: one XOR per word,
+// so a link flipped and flipped back costs nothing. Returns false, having
+// visited nothing, when `seen` was empty (no mask seen yet). Each reader
+// of a controller's shared counts finds its own flips this way.
+template <typename Visit>
+bool for_each_flip(std::vector<std::uint64_t>& seen,
+                   std::span<const std::uint64_t> mask, Visit&& visit) {
+  if (seen.empty()) {
+    seen.assign(mask.begin(), mask.end());
+    return false;
+  }
+  for (std::size_t w = 0; w < mask.size(); ++w) {
+    std::uint64_t flipped = seen[w] ^ mask[w];
+    if (flipped == 0) continue;
+    seen[w] = mask[w];
+    for (; flipped != 0; flipped &= flipped - 1) {
+      visit(LinkId(static_cast<LinkId::underlying_type>(
+          w * 64 + static_cast<std::size_t>(std::countr_zero(flipped)))));
+    }
+  }
+  return true;
+}
+
+// The path counts of one topology: its wiring (a shared FabricIndex) and
+// the one set of live counts that follows its enabled mask. A controller
+// owns the only PathCounter of its topology; the fast checker, the
+// optimizer and the simulator's components borrow it (DESIGN.md §12).
+class PathCounter {
+ public:
+  // Builds an index of `topo`'s wiring, or shares `index`, which must
+  // come from `topo` or a topology with the same wiring (a copy).
+  explicit PathCounter(const topology::Topology& topo);
+  PathCounter(const topology::Topology& topo,
+              std::shared_ptr<const FabricIndex> index);
+
+  // paths[switch.index()] = number of upward paths from the switch to the
+  // top level through links that are enabled and not masked. `extra_off`
+  // may be null (no extra removals).
+  [[nodiscard]] std::vector<std::uint64_t> up_paths(
+      const LinkMask* extra_off = nullptr) const;
+
+  // Allocation-free variant: writes the counts into `out` (resized to
+  // switch_count).
+  void up_paths_into(std::vector<std::uint64_t>& out,
+                     const LinkMask* extra_off = nullptr) const;
+
+  // Reusable state for the closure recounts: per-switch visit stamps
+  // (epoch-tagged so they are never cleared) plus a BFS frontier.
+  struct SweepScratch {
+    std::vector<std::uint64_t> stamp;
+    std::uint64_t epoch = 0;
+    std::vector<std::uint32_t> frontier;
+  };
+
+  // The live counts, equal to up_paths() now. The first call is a full
+  // sweep; later calls recount only the downward closure of the links
+  // flipped since the previous call, seeded from every flipped link
+  // (a just-disabled link no longer conducts, but its removal still
+  // changed the counts below it). Keyed on the mask itself, so nobody
+  // reports link changes and restores that rewind the state version stay
+  // exact.
+  const std::vector<std::uint64_t>& live_counts();
+
+  // Folds in a disable whose closure the caller already recounted: `link`
+  // was on at the last live_counts() call and `updates` hold the new
+  // counts of its downward closure.
+  void fold_disable(
+      LinkId link,
+      std::span<const std::pair<SwitchId, std::uint64_t>> updates);
+
+  // The optimizer's pruning pass: the ToRs violated under `masked`, found
+  // while recounting only the masked links' downward closure. `baseline`
+  // must hold the unmasked counts of the current enabled state and
+  // `baseline_violated` violated_tors(baseline, constraint). Equals
+  // violated_tors(up_paths(&masked), constraint), in ToR id order, and
+  // leaves up_paths(&masked) in `counts`. `masked_links` must list every
+  // set bit of `masked` (already-disabled extras are harmless).
+  void masked_violated_tors_into(std::vector<SwitchId>& violated,
+                                 std::span<const std::uint64_t> baseline,
+                                 std::span<const SwitchId> baseline_violated,
+                                 const LinkMask& masked,
+                                 std::span<const LinkId> masked_links,
+                                 const CapacityConstraint& constraint,
+                                 std::vector<std::uint64_t>& counts,
+                                 SweepScratch& scratch) const;
+
+  [[nodiscard]] const std::vector<std::uint64_t>& design_paths() const {
+    return index_->design_paths;
+  }
+
+  // ToRs whose available paths fall below their constraint under the
+  // given counts.
+  [[nodiscard]] std::vector<SwitchId> violated_tors(
+      std::span<const std::uint64_t> up_paths,
+      const CapacityConstraint& constraint) const;
+
+  // True when no ToR violates its constraint under the given counts.
+  [[nodiscard]] bool feasible(std::span<const std::uint64_t> up_paths,
+                              const CapacityConstraint& constraint) const;
+
+  // Links lying on some upward path from any switch in `from`, disabled
+  // links included.
+  [[nodiscard]] LinkMask upstream_links(
+      std::span<const SwitchId> from) const;
+
+  [[nodiscard]] const std::shared_ptr<const FabricIndex>& index() const {
+    return index_;
+  }
+  [[nodiscard]] const topology::Topology& topo() const { return *topo_; }
+
+ private:
+  // The closure of a recount: open one (returns its epoch), seed it with
+  // links' lower endpoints, then grow it downward.
+  std::uint64_t begin_closure(SweepScratch& scratch) const;
+  void seed(SweepScratch& scratch, std::uint64_t epoch, LinkId link) const;
+  void close_downward(SweepScratch& scratch, std::uint64_t epoch) const;
+
+  const topology::Topology* topo_;
+  std::shared_ptr<const FabricIndex> index_;
+  // The live counts and the enabled-mask words they were taken under.
+  struct LiveCounts {
+    std::vector<std::uint64_t> counts;
+    std::vector<std::uint64_t> seen;
+    SweepScratch scratch;
+  };
+  LiveCounts live_;
 };
 
 // Exhaustive DFS path enumeration; exponential, for tests only.

@@ -37,7 +37,7 @@ const common::DynamicBitset& TorClosureCache::closure(SwitchId tor) {
   while (!frontier_.empty()) {
     const std::uint32_t current = frontier_.back();
     frontier_.pop_back();
-    const PathCounter::UplinkSpan span = paths_->uplinks_of(current);
+    const FabricIndex::UplinkSpan span = paths_->index()->uplinks_of(current);
     for (std::size_t u = 0; u < span.count; ++u) {
       if (mask.test(span.upper[u])) continue;
       mask.set(span.upper[u]);

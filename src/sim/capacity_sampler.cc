@@ -27,7 +27,7 @@ void CapacitySampler::handle_sample(const Event& event) {
   const auto& tors = ctx_.topo.tors();
   const std::uint64_t version = ctx_.topo.state_version();
   if (!cached_ || cached_version_ != version) {
-    const std::vector<std::uint64_t>& counts = ctx_.up_paths();
+    const std::vector<std::uint64_t>& counts = ctx_.paths.live_counts();
     worst_ = 1.0;
     sum_ = 0.0;
     for (common::SwitchId tor : tors) {

@@ -41,7 +41,8 @@ void MaintenanceModel::start(common::LinkId link) {
   metrics.collateral_link_seconds +=
       static_cast<double>(taken.size()) *
       static_cast<double>(ctx_.config.maintenance_window);
-  if (!taken.empty() && !ctx_.paths.feasible(ctx_.up_paths(), constraint_)) {
+  if (!taken.empty() &&
+      !ctx_.paths.feasible(ctx_.paths.live_counts(), constraint_)) {
     ++metrics.maintenance_capacity_violations;
   }
   obs::Event event;

@@ -28,9 +28,8 @@ MitigationSimulation::MitigationSimulation(topology::Topology& topo,
       state_(topo, telemetry::default_tech()),
       injector_(state_),
       controller_(topo, controller_config(config)),
-      paths_(topo),
-      ctx_{topo,   config_, rng_,   state_,  injector_, controller_,
-           paths_, clock_,  queue_, nullptr, {},        {}},
+      ctx_{topo, config_, rng_, state_, injector_, controller_,
+           controller_.paths(), clock_, queue_, nullptr, {}},
       detection_(ctx_),
       maintenance_(ctx_),
       repair_(ctx_, detection_, maintenance_),

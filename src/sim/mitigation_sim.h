@@ -20,7 +20,6 @@
 
 #include "common/rng.h"
 #include "corropt/controller.h"
-#include "corropt/path_counter.h"
 #include "faults/injector.h"
 #include "sim/capacity_sampler.h"
 #include "sim/checkpoint.h"
@@ -80,6 +79,9 @@ class MitigationSimulation {
   void restore_run(const std::vector<trace::TraceEvent>& events,
                    const Checkpoint& ckpt);
 
+  // The state the components share, for inspection.
+  [[nodiscard]] const SimContext& context() const { return ctx_; }
+
  private:
   // kFault handler: injects the next trace event and hands the lossy
   // links to the detection pipeline, then schedules the following fault.
@@ -91,7 +93,6 @@ class MitigationSimulation {
   telemetry::NetworkState state_;
   faults::FaultInjector injector_;
   core::Controller controller_;
-  core::PathCounter paths_;
 
   // Kernel. The context references everything above plus the kernel, so
   // declaration order matters: domain state, kernel, context, components.

@@ -11,9 +11,9 @@
 //   - `link_mark` is a shared per-link scratch pad for the dedup scans
 //     (suspect sets, affected sets, penalty accounting). Every user
 //     restores the bits it set, so the vector is all-zero between uses.
-//   - `live_paths` holds the fabric's up-path counts, shared by the
-//     capacity sampler and the maintenance model; read it through
-//     up_paths(), which folds in whatever links changed since.
+//   - `paths` is the controller's path counter, borrowed: the capacity
+//     sampler and the maintenance model read the same live counts the
+//     fast checker and the optimizer decide on (never checkpointed).
 //   - Domain state that only one component needs (the ticket queue, the
 //     SNMP monitor, the collateral bookkeeping, ...) lives inside that
 //     component, not here.
@@ -49,17 +49,8 @@ struct SimContext {
   SimulationMetrics* metrics = nullptr;
   // Reusable per-link dedup flags; all-zero between uses (see above).
   std::vector<char> link_mark;
-  // Up-path counts of the live fabric, read through up_paths(). Derived
-  // from the enabled mask, so never checkpointed.
-  core::PathCounter::LiveCounts live_paths;
 
   [[nodiscard]] obs::Sink* sink() const { return config.sink; }
-
-  // Per-switch up-path counts for the current link state, folded forward
-  // from the links that flipped since the last call.
-  const std::vector<std::uint64_t>& up_paths() {
-    return paths.sync_live_counts(live_paths);
-  }
 
   // Journals an event (no-op without a sink); link-valid events get the
   // link's lower switch filled in.

@@ -25,6 +25,7 @@
 #include <cstring>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -33,6 +34,7 @@
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "corropt/corruption_set.h"
+#include "corropt/path_counter.h"
 #include "corropt/penalty.h"
 #include "faults/fault_factory.h"
 #include "faults/injector.h"
@@ -409,26 +411,38 @@ TEST(CheckpointHiddenState, SameCheckpointTwiceIntoDirtySim) {
   EXPECT_EQ(prints[0], prints[1]);
 }
 
+// A mid-run checkpoint of the dense scenario, for the tests that edit
+// checkpoint bytes.
+Checkpoint midday_checkpoint(const std::vector<trace::TraceEvent>& events) {
+  topology::Topology topo = small_topology();
+  MitigationSimulation base(topo, small_config(nullptr));
+  base.begin_run(events);
+  while (base.now() < common::kDay && base.step()) {
+  }
+  return base.snapshot();
+}
+
+// Offset just past the fast checker's section header (tag, version 3),
+// which must occur exactly once.
+std::size_t fchk_payload_at(const std::string& bytes) {
+  common::snap::Writer header;
+  header.section(common::snap::tag('F', 'C', 'H', 'K'), 3);
+  const std::string marker = header.take();
+  const std::size_t at = bytes.find(marker);
+  EXPECT_NE(at, std::string::npos);
+  EXPECT_EQ(bytes.find(marker, at + 1), std::string::npos);
+  return at + marker.size();
+}
+
 // A real simulation checkpoint whose fast-checker section claims 2^40
 // words must be rejected as malformed, not turned into an allocation.
 TEST(CheckpointHiddenState, InflatedFastCheckerCountThrows) {
   topology::Topology topo = small_topology();
   const auto events = small_trace(topo);
-  MitigationSimulation base(topo, small_config(nullptr));
-  base.begin_run(events);
-  while (base.now() < common::kDay && base.step()) {
-  }
-  Checkpoint ckpt = base.snapshot();
+  Checkpoint ckpt = midday_checkpoint(events);
 
-  // Locate the FCHK section header (tag, version 2) and replace the
-  // length prefix that follows it.
-  common::snap::Writer header;
-  header.section(common::snap::tag('F', 'C', 'H', 'K'), 2);
-  const std::string marker = header.take();
-  const std::size_t at = ckpt.bytes.find(marker);
-  ASSERT_NE(at, std::string::npos);
-  ASSERT_EQ(ckpt.bytes.find(marker, at + 1), std::string::npos);
-  const std::size_t length_at = at + marker.size();
+  // Replace the length prefix that follows the FCHK section header.
+  const std::size_t length_at = fchk_payload_at(ckpt.bytes);
   std::size_t length_end = length_at;
   while ((static_cast<unsigned char>(ckpt.bytes[length_end]) & 0x80) != 0) {
     ++length_end;
@@ -440,6 +454,96 @@ TEST(CheckpointHiddenState, InflatedFastCheckerCountThrows) {
   topology::Topology mirror_topo = small_topology();
   MitigationSimulation mirror(mirror_topo, small_config(nullptr));
   EXPECT_THROW(mirror.restore_run(events, ckpt), std::runtime_error);
+}
+
+// FCHK version 2 carried the checker's own path counts after its mask
+// words. A checkpoint holding such a section, well formed for its
+// version, must be rejected rather than misread as version 3.
+TEST(CheckpointHiddenState, FastCheckerVersion2SectionRejected) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  Checkpoint ckpt = midday_checkpoint(events);
+
+  const std::size_t payload_at = fchk_payload_at(ckpt.bytes);
+  common::snap::Reader payload(
+      std::string_view(ckpt.bytes).substr(payload_at));
+  std::vector<std::uint64_t> seen(payload.length());
+  for (std::uint64_t& word : seen) word = payload.u64();
+  const std::size_t payload_end = ckpt.bytes.size() - payload.remaining();
+
+  common::snap::Writer v2;
+  v2.section(common::snap::tag('F', 'C', 'H', 'K'), 2);
+  v2.u64(seen.size());
+  for (std::uint64_t word : seen) v2.u64(word);
+  const std::vector<std::uint64_t> counts =
+      core::PathCounter(topo).up_paths();
+  v2.u64(counts.size());
+  for (std::uint64_t count : counts) v2.u64(count);
+  common::snap::Writer v3_header;
+  v3_header.section(common::snap::tag('F', 'C', 'H', 'K'), 3);
+  const std::size_t section_at = payload_at - v3_header.take().size();
+  ckpt.bytes.replace(section_at, payload_end - section_at, v2.take());
+
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  try {
+    mirror.restore_run(events, ckpt);
+    ADD_FAILURE() << "a version 2 FCHK section was accepted";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find("fast checker section version"),
+              std::string::npos)
+        << error.what();
+  }
+}
+
+std::uint64_t counter_value(const obs::MetricsRegistry& registry,
+                            const std::string& name) {
+  for (const auto& counter : registry.snapshot().counters) {
+    if (counter.name == name) return counter.value;
+  }
+  ADD_FAILURE() << "no counter " << name;
+  return 0;
+}
+
+// FCHK stores only the mask words of the checker's last decision; the
+// shared path counts are filled cold after a restore. That fill must
+// not show in the fast checker's counters: a run restored mid-way
+// reports the same refreshes and closure sizes as the one that kept
+// going.
+TEST(CheckpointHiddenState, RestoredRunCountsSameFastCheckerWork) {
+  // Collateral-aware arrivals take the full-sweep check; this case needs
+  // the incremental one.
+  const auto configure = [](obs::Sink* sink) {
+    ScenarioConfig config = small_config(sink);
+    config.account_collateral_repair = false;
+    return config;
+  };
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  SinkSet fresh_sinks;
+  MitigationSimulation fresh(topo, configure(&fresh_sinks.sink));
+  fresh.begin_run(events);
+  while (fresh.now() < common::kDay && fresh.step()) {
+  }
+  const Checkpoint ckpt = fresh.snapshot();
+  while (fresh.step()) {
+  }
+  (void)fresh.finish_run();
+
+  topology::Topology branch_topo = small_topology();
+  SinkSet branch_sinks;
+  MitigationSimulation branch(branch_topo, configure(&branch_sinks.sink));
+  branch.restore_run(events, ckpt);
+  while (branch.step()) {
+  }
+  (void)branch.finish_run();
+
+  for (const char* name :
+       {"fastcheck.cache_refreshes", "fastcheck.closure_switches"}) {
+    const std::uint64_t want = counter_value(fresh_sinks.registry, name);
+    EXPECT_GT(want, 0u) << name;
+    EXPECT_EQ(counter_value(branch_sinks.registry, name), want) << name;
+  }
 }
 
 // CorruptionSet memoizes total_active_penalty under (topology pointer,

@@ -3,6 +3,7 @@
 #include <vector>
 
 #include "corropt/controller.h"
+#include "corropt/path_counter.h"
 #include "example_topologies.h"
 #include "topology/fat_tree.h"
 
@@ -198,6 +199,77 @@ TEST(Controller, ReportOnDisabledLinkIssuesNoDuplicateTicket) {
   EXPECT_EQ(controller.stats().tickets_issued, 1u);
   // The rate update is retained.
   EXPECT_DOUBLE_EQ(controller.corruption().rate(link), 2e-4);
+}
+
+// The fast checker, the optimizer and anybody else who flips a link all
+// work on the controller's one PathCounter. After every step its live
+// counts must equal a cold recount and the optimizer must agree with a
+// fresh one (verify_incremental throws otherwise). A cached segment
+// survives flips outside its region, but a fast-checker disable inside
+// it must erase the segment: the checker folds its disable into the
+// shared counts, so only the optimizer's own mask words still show it.
+TEST(Controller, SharedPathCounterFollowsEveryActor) {
+  auto topo = topology::build_fat_tree(4);
+  ControllerConfig config;
+  config.capacity_fraction = 0.75;  // Each ToR needs 3 of its 4 paths.
+  config.verify_incremental = true;
+  Controller controller(topo, config);
+  PathCounter& paths = controller.paths();
+  const OptimizerIncrementalStats& stats =
+      controller.optimizer().incremental_stats();
+  auto expect_counts_exact = [&paths](const char* step) {
+    EXPECT_EQ(paths.live_counts(), paths.up_paths()) << step;
+  };
+
+  // Pod 0: both uplinks of ToR `tor` corrupt. Either disable would leave
+  // it two paths, so both wait as one segment nothing can be cut from.
+  const auto tor = topo.tors().front();
+  const auto tor_up0 = topo.switch_at(tor).uplinks[0];
+  const auto tor_up1 = topo.switch_at(tor).uplinks[1];
+  // An agg uplink inside that segment's region, and agg uplinks of two
+  // other pods: each costs the ToRs below it one path.
+  const auto inner =
+      topo.switch_at(topo.link_at(tor_up0).upper).uplinks[0];
+  auto agg_uplink_of_tor = [&topo](std::size_t tor_index) {
+    const auto up = topo.switch_at(topo.tors()[tor_index]).uplinks[0];
+    return topo.switch_at(topo.link_at(up).upper).uplinks[0];
+  };
+  const auto far = agg_uplink_of_tor(topo.tors().size() - 1);
+  const auto actor = agg_uplink_of_tor(2);
+  // Flaps `far` through a fast-checker disable and a repair; the repair
+  // runs the optimizer.
+  auto flap_far = [&] {
+    EXPECT_TRUE(controller.on_corruption_detected(far, 1e-4));
+    expect_counts_exact("fast-checker disable");
+    controller.on_link_repaired(far);
+    expect_counts_exact("repair and optimizer run");
+  };
+
+  EXPECT_FALSE(controller.on_corruption_detected(tor_up0, 2e-3));
+  EXPECT_FALSE(controller.on_corruption_detected(tor_up1, 1e-3));
+  expect_counts_exact("refused disables");
+  flap_far();
+  EXPECT_EQ(stats.segment_solves, 1u);
+  EXPECT_EQ(stats.segment_reuses, 0u);
+
+  // Another actor flips a link outside the region: the segment is reused.
+  topo.set_enabled(actor, false);
+  expect_counts_exact("external disable");
+  flap_far();
+  EXPECT_EQ(stats.segment_solves, 1u);
+  EXPECT_EQ(stats.segment_reuses, 1u);
+
+  // The fast checker disables a link inside the region: solved afresh.
+  EXPECT_TRUE(controller.on_corruption_detected(inner, 1e-5));
+  expect_counts_exact("fast-checker disable inside the region");
+  topo.set_enabled(actor, true);
+  expect_counts_exact("external re-enable");
+  flap_far();
+  EXPECT_EQ(stats.segment_solves, 2u);
+  EXPECT_EQ(stats.segment_reuses, 1u);
+  EXPECT_TRUE(topo.is_enabled(tor_up0));
+  EXPECT_TRUE(topo.is_enabled(tor_up1));
+  EXPECT_EQ(controller.stats().optimizer_runs, 3u);
 }
 
 }  // namespace

@@ -16,7 +16,8 @@ namespace {
 TEST(FastChecker, DisablesWhenCapacityPermits) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.5);  // Each ToR may lose half its paths.
-  FastChecker checker(topo, constraint);
+  PathCounter paths(topo);
+  FastChecker checker(topo, paths, constraint);
   const auto tor = topo.tors().front();
   const auto uplinks = topo.switch_at(tor).uplinks;
   EXPECT_TRUE(checker.try_disable(uplinks[0]));  // 2/4 left: OK.
@@ -28,7 +29,8 @@ TEST(FastChecker, DisablesWhenCapacityPermits) {
 TEST(FastChecker, IdempotentOnDisabledLinks) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.5);
-  FastChecker checker(topo, constraint);
+  PathCounter paths(topo);
+  FastChecker checker(topo, paths, constraint);
   const auto link = topo.switch_at(topo.tors().front()).uplinks[0];
   EXPECT_TRUE(checker.try_disable(link));
   EXPECT_TRUE(checker.try_disable(link));
@@ -40,7 +42,8 @@ TEST(FastChecker, ConsidersRemoteTors) {
   // must account for ToRs that are not adjacent to the link.
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.75);  // Each ToR needs 3 of 4 paths.
-  FastChecker checker(topo, constraint);
+  PathCounter paths(topo);
+  FastChecker checker(topo, paths, constraint);
   const auto tor = topo.tors().front();
   // Disable one ToR uplink elsewhere first... the pod ToR is at 4/4 now;
   // one agg-spine uplink in the pod removes 1 path from both pod ToRs.
@@ -55,7 +58,8 @@ TEST(FastChecker, ConsidersRemoteTors) {
 TEST(FastChecker, CanDisableDoesNotMutate) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.5);
-  FastChecker checker(topo, constraint);
+  PathCounter paths(topo);
+  FastChecker checker(topo, paths, constraint);
   const auto link = topo.switch_at(topo.tors().front()).uplinks[0];
   EXPECT_TRUE(checker.can_disable(link));
   EXPECT_TRUE(topo.is_enabled(link));
@@ -67,7 +71,8 @@ TEST(FastChecker, BeatsSwitchLocalOnFig10Example) {
   // every corrupting link that keeps T at >= 60% of its 25 paths.
   testing::Fig10Example ex = testing::make_fig10_example();
   CapacityConstraint constraint(0.6);
-  FastChecker checker(ex.topo, constraint);
+  PathCounter paths(ex.topo);
+  FastChecker checker(ex.topo, paths, constraint);
   std::size_t disabled = 0;
   for (common::LinkId link : ex.corrupting) {
     if (checker.try_disable(link)) ++disabled;
@@ -99,7 +104,8 @@ TEST_P(FastCheckerPropertyTest, NeverViolatesConstraint) {
   auto topo = topology::build_xgft(spec);
   const double fraction = rng.uniform(0.3, 0.9);
   CapacityConstraint constraint(fraction);
-  FastChecker checker(topo, constraint);
+  PathCounter paths(topo);
+  FastChecker checker(topo, paths, constraint);
   PathCounter counter(topo);
 
   for (int step = 0; step < 40; ++step) {
@@ -172,7 +178,8 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
     external_disable(twin, random_link());
     external_disable(topo, random_link());
   }
-  FastChecker twin_checker(twin, constraint);
+  PathCounter twin_paths(twin);
+  FastChecker twin_checker(twin, twin_paths, constraint);
   for (std::size_t i = 0; i < twin.link_count(); ++i) {
     (void)twin_checker.can_disable(
         common::LinkId(static_cast<common::LinkId::underlying_type>(i)));
@@ -181,7 +188,8 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
   twin_checker.snapshot_to(w);
   const std::string bytes = w.take();
   common::snap::Reader r(bytes);
-  FastChecker checker(topo, constraint);
+  PathCounter paths(topo);
+  FastChecker checker(topo, paths, constraint);
   checker.restore_from(r);
   EXPECT_TRUE(r.at_end());
   for (std::size_t i = 0; i < topo.link_count(); ++i) {

@@ -52,7 +52,8 @@ TEST(OptimizerDeep, BeatsGreedyOnHeterogeneousCosts) {
   for (int i = 0; i < 3; ++i) smalls.push_back(topo.switch_at(agg1).uplinks[i]);
   for (int i = 0; i < 2; ++i) smalls.push_back(topo.switch_at(agg2).uplinks[i]);
   for (common::LinkId link : smalls) corruption.mark(link, 3e-4);
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.exact);
   EXPECT_TRUE(topo.is_enabled(bad_uplink))
@@ -81,7 +82,9 @@ TEST(OptimizerDeep, RejectCacheSkipsSupersets) {
   }
 
   OptimizerConfig with_cache;
-  Optimizer cached(topo, constraint, PenaltyFunction::linear(), with_cache);
+  PathCounter cached_paths(topo);
+  Optimizer cached(topo, cached_paths, constraint, PenaltyFunction::linear(),
+                   with_cache);
   const OptimizerResult cached_result = cached.run(corruption);
   EXPECT_TRUE(cached_result.exact);
   EXPECT_GT(cached_result.cache_skips, 0u);
@@ -98,7 +101,9 @@ TEST(OptimizerDeep, RejectCacheSkipsSupersets) {
   }
   OptimizerConfig no_cache;
   no_cache.use_reject_cache = false;
-  Optimizer uncached(topo2, constraint, PenaltyFunction::linear(), no_cache);
+  PathCounter uncached_paths(topo2);
+  Optimizer uncached(topo2, uncached_paths, constraint,
+                     PenaltyFunction::linear(), no_cache);
   const OptimizerResult uncached_result = uncached.run(corruption2);
   EXPECT_NEAR(uncached_result.disabled_penalty,
               cached_result.disabled_penalty, 1e-15);
@@ -125,7 +130,8 @@ TEST(OptimizerDeep, WorksOnFourTierTopologies) {
         common::LinkId(static_cast<common::LinkId::underlying_type>(index)),
         rng.log_uniform(1e-6, 1e-3));
   }
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.exact);
   EXPECT_TRUE(counter.feasible(counter.up_paths(), constraint));
@@ -151,7 +157,8 @@ TEST(OptimizerDeep, StepPenaltyIgnoresSubThresholdLinks) {
   const auto big = topo.switch_at(agg1).uplinks[0];
   corruption.mark(small, 9e-5);  // Below the 1e-4 SLA.
   corruption.mark(big, 2e-4);   // Above it.
-  Optimizer optimizer(topo, constraint, PenaltyFunction::step(1e-4));
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::step(1e-4));
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_FALSE(topo.is_enabled(big));
   // The sub-threshold link may or may not be disabled (zero penalty
@@ -164,7 +171,8 @@ TEST(OptimizerDeep, EmptyCorruptionSetIsNoop) {
   auto topo = topology::build_fat_tree(4);
   CapacityConstraint constraint(0.75);
   CorruptionSet corruption;
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.disabled.empty());
   EXPECT_TRUE(result.exact);
@@ -183,7 +191,8 @@ TEST(OptimizerDeep, RepeatedRunsAreIdempotent) {
         common::LinkId(static_cast<common::LinkId::underlying_type>(index)),
         rng.log_uniform(1e-6, 1e-3));
   }
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult first = optimizer.run(corruption);
   const OptimizerResult second = optimizer.run(corruption);
   EXPECT_TRUE(second.disabled.empty())

@@ -49,7 +49,8 @@ TEST(Optimizer, DisablesEverythingUnderLaxConstraint) {
                         rng.uniform_index(topo.link_count()))),
                     1e-4);
   }
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.exact);
   EXPECT_EQ(result.disabled.size(), corruption.size());
@@ -64,7 +65,8 @@ TEST(Optimizer, Fig10OptimalDisablesTwelve) {
   CapacityConstraint constraint(0.6);
   CorruptionSet corruption;
   for (common::LinkId link : ex.corrupting) corruption.mark(link, 1e-3);
-  Optimizer optimizer(ex.topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(ex.topo);
+  Optimizer optimizer(ex.topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.exact);
   EXPECT_EQ(result.disabled.size(), 12u);  // Figure 10(c).
@@ -85,7 +87,8 @@ TEST(Optimizer, Fig11PruningDisablesSafeLinks) {
   corruption.mark(ex.h_q, 1e-4);
   corruption.mark(ex.j_r, 1e-3);  // Worse than s_x.
   corruption.mark(ex.s_x, 1e-5);
-  Optimizer optimizer(ex.topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(ex.topo);
+  Optimizer optimizer(ex.topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.exact);
   // G-P and H-Q are upstream of no endangered ToR: pruned as safe.
@@ -112,7 +115,8 @@ TEST(Optimizer, PrefersHigherPenaltySubset) {
   CorruptionSet corruption;
   corruption.mark(a, 1e-5);
   corruption.mark(b, 3e-3);
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(topo.is_enabled(a));
   EXPECT_FALSE(topo.is_enabled(b));
@@ -177,7 +181,8 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
   config.prefilter_singletons = ablation.prefilter;
   config.use_accept_cache = ablation.accept_cache;
   config.use_bound = ablation.bound;
-  Optimizer optimizer(topo, constraint, penalty, config);
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, penalty, config);
   const OptimizerResult result = optimizer.run(corruption);
 
   EXPECT_TRUE(result.exact);
@@ -201,7 +206,8 @@ TEST(Optimizer, RespectsExistingDisabledLinks) {
   CapacityConstraint constraint(0.5);   // Needs 2 of 4 paths.
   CorruptionSet corruption;
   corruption.mark(uplinks[1], 1e-3);
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.disabled.empty())
       << "disabling the second uplink would leave 0 of 4 paths";
@@ -216,7 +222,8 @@ TEST(Optimizer, DisabledCorruptingLinksAreNotCandidates) {
   CorruptionSet corruption;
   corruption.mark(link, 1e-3);  // Corrupting but already off.
   CapacityConstraint constraint(0.5);
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_TRUE(result.disabled.empty());
   EXPECT_DOUBLE_EQ(result.disabled_penalty, 0.0);
@@ -239,7 +246,9 @@ TEST(Optimizer, GreedyFallbackOnHugeSegment) {
   }
   OptimizerConfig config;
   config.max_exact_segment = 1;
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear(), config);
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear(),
+                      config);
   const OptimizerResult result = optimizer.run(corruption);
   PathCounter counter(topo);
   EXPECT_TRUE(counter.feasible(counter.up_paths(), constraint));
@@ -264,7 +273,8 @@ TEST(Optimizer, SegmentationSplitsIndependentPods) {
   corruption.mark(topo.switch_at(agg0).uplinks[1], 1e-4);
   corruption.mark(topo.switch_at(agg1).uplinks[0], 1e-3);
   corruption.mark(topo.switch_at(agg1).uplinks[1], 1e-4);
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_EQ(result.segments, 2u);
   EXPECT_TRUE(result.exact);
@@ -289,7 +299,9 @@ OptimizerResult run_medium_instance(std::size_t solver_threads,
   CapacityConstraint constraint(0.875);
   OptimizerConfig config;
   config.solver_threads = solver_threads;
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear(), config);
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear(),
+                      config);
   const OptimizerResult result = optimizer.run(corruption);
   mask_out = topo.enabled_mask();
   return result;
@@ -331,7 +343,8 @@ TEST(Optimizer, ConstraintOverrideInvalidatesCachedSegments) {
   for (common::LinkId link : topo.switch_at(tor).uplinks) {
     corruption.mark(link, 1e-3);
   }
-  Optimizer optimizer(topo, constraint, PenaltyFunction::linear());
+  PathCounter paths(topo);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   EXPECT_TRUE(optimizer.run(corruption).disabled.empty());
   const OptimizerResult again = optimizer.run(corruption);
   EXPECT_TRUE(again.disabled.empty());

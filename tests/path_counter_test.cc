@@ -1,5 +1,6 @@
 #include <algorithm>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -98,9 +99,9 @@ INSTANTIATE_TEST_SUITE_P(RandomTopologies, PathCounterRandomTest,
 
 class IncrementalSweepRandomTest : public ::testing::TestWithParam<int> {};
 
-// The incremental closure recount and the fused violated-ToR variant
-// must agree with a full masked sweep on random topologies, disabled
-// sets, and masks.
+// The fused incremental closure recount behind the optimizer's pruning
+// pass must agree with a full masked sweep on random topologies,
+// disabled sets, and masks: both its counts and its violated ToRs.
 TEST_P(IncrementalSweepRandomTest, MatchesFullMaskedSweep) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 977 + 13);
   XgftSpec spec;
@@ -137,11 +138,6 @@ TEST_P(IncrementalSweepRandomTest, MatchesFullMaskedSweep) {
   const std::vector<std::uint64_t> full = counter.up_paths(&mask);
 
   PathCounter::SweepScratch scratch;
-  std::vector<std::uint64_t> incremental;
-  counter.up_paths_masked_from_baseline(incremental, baseline, mask,
-                                        masked_links, scratch);
-  EXPECT_EQ(incremental, full) << "seed " << GetParam();
-
   std::vector<common::SwitchId> violated;
   std::vector<std::uint64_t> counts;
   counter.masked_violated_tors_into(violated, baseline, baseline_violated,
@@ -149,7 +145,7 @@ TEST_P(IncrementalSweepRandomTest, MatchesFullMaskedSweep) {
                                     scratch);
   EXPECT_EQ(violated, counter.violated_tors(full, constraint))
       << "seed " << GetParam();
-  EXPECT_EQ(counts, full);
+  EXPECT_EQ(counts, full) << "seed " << GetParam();
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, IncrementalSweepRandomTest,
@@ -157,8 +153,8 @@ INSTANTIATE_TEST_SUITE_P(RandomTopologies, IncrementalSweepRandomTest,
 
 class RefreshAfterChangesRandomTest : public ::testing::TestWithParam<int> {};
 
-// The in-place delta recount behind every live count cache must agree
-// with a fresh full sweep after arbitrary enable/disable flips.
+// The delta recount behind the live counts must agree with a fresh full
+// sweep after arbitrary enable/disable flips of a partly disabled fabric.
 TEST_P(RefreshAfterChangesRandomTest, MatchesFullResweep) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 7919 + 3);
   XgftSpec spec;
@@ -178,30 +174,28 @@ TEST_P(RefreshAfterChangesRandomTest, MatchesFullResweep) {
     }
   }
   PathCounter counter(topo);
-  std::vector<std::uint64_t> counts = counter.up_paths();
-  PathCounter::SweepScratch scratch;
+  EXPECT_EQ(counter.live_counts(), counter.up_paths());
 
   // Several rounds of random flips, each folded in with a delta recount.
   for (int round = 0; round < 4; ++round) {
-    std::vector<common::LinkId> changed;
     for (std::size_t i = 0; i < topo.link_count(); ++i) {
       if (rng.bernoulli(0.12)) {
         const common::LinkId link(
             static_cast<common::LinkId::underlying_type>(i));
         topo.set_enabled(link, !topo.is_enabled(link));
-        changed.push_back(link);
       }
     }
-    counter.refresh_counts_after_changes(counts, changed, scratch);
-    EXPECT_EQ(counts, counter.up_paths())
+    EXPECT_EQ(counter.live_counts(), counter.up_paths())
         << "seed " << GetParam() << " round " << round;
   }
 }
 
-// The live-count cache finds its changed links itself, from the enabled
-// mask: after any flips (including flips undone before the sync) it must
-// equal a fresh full sweep, and `changed` must list exactly the links
-// whose state differs from the previous sync (none after a cold fill).
+// The live counts find their changed links themselves, from the enabled
+// mask: after any flips (including flips undone before the read) they
+// must equal a fresh full sweep. A reader's own mask words, walked with
+// for_each_flip, must report exactly the links whose state differs from
+// its previous look. A counter over a copy of the topology that shares
+// the index must count the copy's links, not the original's.
 TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 104729 + 11);
   XgftSpec spec;
@@ -214,8 +208,11 @@ TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
   }
   Topology topo = topology::build_xgft(spec);
   PathCounter counter(topo);
-  PathCounter::LiveCounts live;
-  EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths());
+  EXPECT_EQ(counter.live_counts(), counter.up_paths());
+  const std::span<const std::uint64_t> words = topo.enabled_mask().words();
+  std::vector<std::uint64_t> seen(words.begin(), words.end());
+  Topology copy = topo;
+  PathCounter shared(copy, counter.index());
   for (int round = 0; round < 6; ++round) {
     const LinkMask before = topo.enabled_mask();
     for (std::size_t i = 0; i < topo.link_count(); ++i) {
@@ -226,8 +223,11 @@ TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
         topo.set_enabled(link, !topo.is_enabled(link));
         topo.set_enabled(link, !topo.is_enabled(link));
       }
+      if (rng.bernoulli(0.1)) copy.set_enabled(link, !copy.is_enabled(link));
     }
-    EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths())
+    EXPECT_EQ(counter.live_counts(), counter.up_paths())
+        << "seed " << GetParam() << " round " << round;
+    EXPECT_EQ(shared.live_counts(), PathCounter(copy).up_paths())
         << "seed " << GetParam() << " round " << round;
     std::vector<common::LinkId> flipped;
     for (std::size_t i = 0; i < topo.link_count(); ++i) {
@@ -236,12 +236,15 @@ TEST_P(RefreshAfterChangesRandomTest, LiveCountsFollowEnabledMask) {
             static_cast<common::LinkId::underlying_type>(i)));
       }
     }
-    EXPECT_EQ(live.changed, flipped)
+    std::vector<common::LinkId> reported;
+    for_each_flip(seen, topo.enabled_mask().words(),
+                  [&reported](common::LinkId link) {
+                    reported.push_back(link);
+                  });
+    EXPECT_EQ(reported, flipped)
         << "seed " << GetParam() << " round " << round;
+    EXPECT_TRUE(std::ranges::equal(seen, topo.enabled_mask().words()));
   }
-  live.counts.clear();
-  EXPECT_EQ(counter.sync_live_counts(live), counter.up_paths());
-  EXPECT_TRUE(live.changed.empty());
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, RefreshAfterChangesRandomTest,

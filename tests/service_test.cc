@@ -159,7 +159,8 @@ TEST_P(EquivalenceTest, IncrementalMatchesColdAfterEveryEvent) {
     core::CorruptionSet corruption = loop.controller().corruption();
     corruption.unmark(event.link);
     cold_topo.set_enabled(event.link, true);
-    core::Optimizer cold(cold_topo, constraint, config.penalty,
+    core::PathCounter cold_paths(cold_topo);
+    core::Optimizer cold(cold_topo, cold_paths, constraint, config.penalty,
                          config.controller.optimizer);
     const core::OptimizerResult want = cold.run(corruption);
 

@@ -37,6 +37,24 @@ TEST(MitigationSim, EmptyTraceIsQuiet) {
   }
 }
 
+// The components read the controller's live counts: the context borrows
+// the controller's one PathCounter rather than keeping its own, and the
+// counts still equal a cold recount after a run in which every actor
+// flipped links.
+TEST(MitigationSim, ContextSharesControllerPathCounter) {
+  auto topo = topology::build_fat_tree(4);
+  ScenarioConfig config;
+  config.duration = 5 * common::kDay;
+  MitigationSimulation sim(topo, config);
+  const SimContext& ctx = sim.context();
+  EXPECT_EQ(&ctx.paths, &ctx.controller.paths());
+  EXPECT_EQ(&ctx.paths.topo(), &topo);
+  const SimulationMetrics metrics =
+      sim.run(make_trace(topo, 0.2, config.duration, 7));
+  EXPECT_GT(metrics.tickets_opened, 0u);
+  EXPECT_EQ(ctx.paths.live_counts(), ctx.paths.up_paths());
+}
+
 TEST(MitigationSim, SingleFaultLifecycle) {
   auto topo = topology::build_fat_tree(8);
   ScenarioConfig config;

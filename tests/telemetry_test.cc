@@ -242,8 +242,8 @@ TEST(Monitor, KeyedSampleIsPureInItsKey) {
   const PollSample a = sample_direction_keyed(state, up, 900, common::kHour,
                                               load, /*poll_seed=*/77);
   for (int i = 0; i < 5; ++i) {
-    sample_direction_keyed(state, up, 1800 + 900 * i, common::kHour, load,
-                           77);
+    (void)sample_direction_keyed(state, up, 1800 + 900 * i, common::kHour,
+                                 load, 77);
   }
   const PollSample b = sample_direction_keyed(state, up, 900, common::kHour,
                                               load, 77);
