@@ -6,13 +6,15 @@
 // and disables it iff no capacity constraint would be violated. Following
 // the paper's implementation note — "we check the downstream of l,
 // updating the path counts with the same method, beginning with the
-// switch directly downstream of l" — the checker reads the live path
-// counts of the controller's PathCounter (shared with the optimizer,
-// keyed on the enabled mask; DESIGN.md §12) and, per decision, recomputes
-// only the downward closure of the candidate's lower endpoint: O(1) work
-// per link of the affected subtree rather than of the whole DCN. Links
-// other actors flipped are folded in by the next read, with no change
-// notes; the checker itself keeps only its last decision's mask words.
+// switch directly downstream of l" — the checker asks the controller's
+// PathCounter (shared with the optimizer, keyed on the enabled mask;
+// DESIGN.md §12), which recounts, in place in its live counts, only the
+// downward closure of the candidate's lower endpoint with the same
+// closure walk the live counts use: O(1) work per link of the affected
+// subtree rather than of the whole DCN. A refused disable or a mere
+// query puts the closure's old counts back. Links other actors flipped
+// are folded in by the next read, with no change notes; the checker
+// itself keeps only its last decision's mask words.
 //
 // Precondition for the incremental path: the network currently satisfies
 // every ToR's constraint (the controller maintains this invariant). ToRs
@@ -73,29 +75,15 @@ class FastChecker {
   void restore_from(common::snap::Reader& r);
 
  private:
-  struct ClosureResult {
-    bool feasible = true;
-    // (switch, new up-path count) pairs for the downstream closure,
-    // applied to the cache when the disable goes through.
-    std::vector<std::pair<common::SwitchId, std::uint64_t>> updates;
-  };
-
-  // Records the mask this decision runs under; returns the live counts.
-  const std::vector<std::uint64_t>& sync();
-  // Evaluates the downstream closure of `link`'s lower endpoint with the
-  // link masked off, against the live `counts`.
-  ClosureResult evaluate_closure(common::LinkId link,
-                                 const std::vector<std::uint64_t>& counts);
+  // One decision on the enabled `link`: records the mask it runs under,
+  // asks the path counter and counts the work.
+  PathCounter::DisableCheck check(common::LinkId link, bool keep);
 
   topology::Topology* topo_;
   PathCounter* paths_;
   const CapacityConstraint* constraint_;
   // Enabled-mask words of the last decision; empty before the first.
   std::vector<std::uint64_t> seen_;
-  // Scratch for closure traversal.
-  std::vector<char> in_closure_;
-  std::vector<common::SwitchId> closure_;
-  std::vector<std::int32_t> slot_;
 
   // Observability (all inert when sink_ is null).
   obs::Sink* sink_ = nullptr;

@@ -1,6 +1,7 @@
 #include "corropt/optimizer.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <limits>
 #include <utility>
@@ -31,19 +32,14 @@ struct OptimizerSegmentScratch {
     std::int32_t cand = -1;
   };
 
-  // Region discovery, indexed by switch. Between solves only the
-  // previous `region`'s flags are set and only the previous candidates'
-  // cand_of entries are >= 0, so a solve resets just those. `baseline`
-  // and `slot_of` are written for a region switch before any read.
-  std::vector<char> in_region;
-  std::vector<char> affected;
-  std::vector<std::uint64_t> baseline;
+  // Dense slot of each affected switch, kNoSlot elsewhere; between
+  // solves only the previous `order`'s entries are set and only the
+  // previous candidates' cand_of entries are >= 0, so a solve resets
+  // just those.
   std::vector<std::uint32_t> slot_of;
   // Candidate lookup, indexed by link.
   std::vector<std::int32_t> cand_of;
   std::vector<std::uint32_t> cand_links;
-  // The region's switches, sorted by sweep position once discovered.
-  std::vector<std::uint32_t> region;
   // Compiled region: affected switches in level-descending order.
   std::vector<std::uint32_t> order;       // switch index per slot
   std::vector<std::uint32_t> edge_offset;  // slot count + 1 entries
@@ -106,8 +102,7 @@ Optimizer::Optimizer(topology::Topology& topo, PathCounter& paths,
       penalty_(penalty),
       config_(config),
       paths_(&paths),
-      scratch_(std::make_unique<OptimizerSegmentScratch>()),
-      closures_(paths) {
+      scratch_(std::make_unique<OptimizerSegmentScratch>()) {
   assert(&paths.topo() == &topo);
   scratch_paths_.resize(topo.switch_count(), 0);
   scratch_mask_.assign(topo.link_count());
@@ -117,13 +112,13 @@ Optimizer::~Optimizer() = default;
 
 const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
   const std::vector<std::uint64_t>& counts = paths_->live_counts();
-  // Lower endpoints of the links flipped since the previous run, which
-  // include that run's own disables.
+  // Sweep positions of the lower endpoints of the links flipped since
+  // the previous run, which include that run's own disables.
+  const std::vector<std::uint32_t>& sweep_pos = paths_->index()->sweep_pos;
   std::vector<std::uint32_t> lowers;
   const bool cold = !for_each_flip(
       seen_, topo_->enabled_mask().words(), [&](LinkId link) {
-        lowers.push_back(
-            static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
+        lowers.push_back(sweep_pos[topo_->link_at(link).lower.index()]);
       });
   const bool constraint_moved = constraint_version_ != constraint_->version();
   if (!cold && lowers.empty() && !constraint_moved) return counts;
@@ -142,29 +137,25 @@ const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
   // differs from the mask it was solved under.
   std::erase_if(segment_cache_, [&lowers](const auto& item) {
     const common::DynamicBitset& region = item.second.region;
-    return std::any_of(lowers.begin(), lowers.end(),
-                       [&region](std::uint32_t sw) { return region.test(sw); });
+    return std::any_of(
+        lowers.begin(), lowers.end(),
+        [&region](std::uint32_t pos) { return region.test(pos); });
   });
   return counts;
 }
 
 void Optimizer::compile_region(const Segment& segment,
+                               const common::DynamicBitset& region,
+                               std::span<const std::uint64_t> baseline,
                                OptimizerSegmentScratch& s) const {
   const FabricIndex& fabric = *paths_->index();
-  if (s.in_region.size() != topo_->switch_count()) {
-    const std::size_t switches = topo_->switch_count();
-    s.in_region.assign(switches, 0);
-    s.affected.assign(switches, 0);
-    s.baseline.assign(switches, 0);
-    s.slot_of.assign(switches, kNoSlot);
+  if (s.slot_of.size() != topo_->switch_count()) {
+    s.slot_of.assign(topo_->switch_count(), kNoSlot);
     s.cand_of.assign(topo_->link_count(), -1);
-    s.region.clear();
+    s.order.clear();
     s.cand_links.clear();
   }
-  for (std::uint32_t sw : s.region) {
-    s.in_region[sw] = 0;
-    s.affected[sw] = 0;
-  }
+  for (std::uint32_t sw : s.order) s.slot_of[sw] = kNoSlot;
   for (std::uint32_t link : s.cand_links) s.cand_of[link] = -1;
   s.cand_links.clear();
   for (std::size_t i = 0; i < segment.links.size(); ++i) {
@@ -173,102 +164,80 @@ void Optimizer::compile_region(const Segment& segment,
     s.cand_links.push_back(link);
   }
 
-  // Upstream closure of the segment's ToRs over *installed* links: a
-  // disabled link upstream of an endangered ToR still belongs to the
-  // region, since re-enabling decisions may involve it. The region list
-  // doubles as the BFS queue.
-  s.region.clear();
-  for (SwitchId tor : segment.tors) {
-    if (!s.in_region[tor.index()]) {
-      s.in_region[tor.index()] = 1;
-      s.region.push_back(static_cast<std::uint32_t>(tor.index()));
-    }
-  }
-  for (std::size_t next = 0; next < s.region.size(); ++next) {
-    const FabricIndex::UplinkSpan span = fabric.uplinks_of(s.region[next]);
-    for (std::size_t u = 0; u < span.count; ++u) {
-      const std::uint32_t upper = span.upper[u];
-      if (!s.in_region[upper]) {
-        s.in_region[upper] = 1;
-        s.region.push_back(upper);
-      }
-    }
-  }
-  const std::span<const std::uint32_t> sweep_pos = fabric.sweep_pos;
-  std::sort(s.region.begin(), s.region.end(),
-            [sweep_pos](std::uint32_t a, std::uint32_t b) {
-              return sweep_pos[a] < sweep_pos[b];
-            });
-
-  // One level-descending pass computes baseline counts (current enabled
-  // state, no candidate removed), affectedness, and the compiled edges.
+  // One pass over the region's switches in ascending sweep position
+  // (level-descending) finds the affected ones and compiles their edges.
   // The region is upward-closed, so every upper endpoint of a region
-  // switch was processed before the switch itself.
+  // switch was processed before the switch itself, and no link it reads
+  // was a safe disable: the run's baseline counts hold for every
+  // unaffected upper.
   s.order.clear();
   s.edge_offset.clear();
   s.edges.clear();
   s.const_base.clear();
   s.required.clear();
   const common::DynamicBitset& enabled = topo_->enabled_mask();
-  const std::size_t top_count = fabric.top_count;
-  for (const std::uint32_t sw : s.region) {
-    if (sweep_pos[sw] < top_count) {
-      s.baseline[sw] = 1;  // Top level: constant, never affected.
-      continue;
+  const std::span<const common::DynamicBitset::Word> words = region.words();
+  // Top-level switches (count 1, never affected) lead the sweep order.
+  for (std::size_t w = fabric.top_count / 64; w < words.size(); ++w) {
+    std::uint64_t bits = words[w];
+    if (w == fabric.top_count / 64) {
+      bits &= ~std::uint64_t{0} << (fabric.top_count % 64);
     }
-    const FabricIndex::UplinkSpan span = fabric.uplinks_of(sw);
-    std::uint64_t base_total = 0;
-    bool affected = false;
-    for (std::size_t u = 0; u < span.count; ++u) {
-      if (!enabled.test(span.link[u])) continue;
-      const std::uint32_t upper = span.upper[u];
-      base_total += s.baseline[upper];
-      if (s.cand_of[span.link[u]] >= 0 || s.affected[upper]) affected = true;
-    }
-    s.baseline[sw] = base_total;
-    if (!affected) continue;
-    s.affected[sw] = 1;
-    s.slot_of[sw] = static_cast<std::uint32_t>(s.order.size());
-    s.order.push_back(sw);
-    s.edge_offset.push_back(static_cast<std::uint32_t>(s.edges.size()));
-    std::uint64_t fixed = 0;
-    for (std::size_t u = 0; u < span.count; ++u) {
-      if (!enabled.test(span.link[u])) continue;
-      const std::uint32_t upper = span.upper[u];
-      const std::int32_t cand = s.cand_of[span.link[u]];
-      if (cand < 0 && !s.affected[upper]) {
-        fixed += s.baseline[upper];
-        continue;
+    for (; bits != 0; bits &= bits - 1) {
+      const std::uint32_t sw = fabric.order[
+          w * 64 + static_cast<std::size_t>(std::countr_zero(bits))];
+      const FabricIndex::UplinkSpan span = fabric.uplinks_of(sw);
+      bool affected = false;
+      for (std::size_t u = 0; u < span.count && !affected; ++u) {
+        affected = enabled.test(span.link[u]) &&
+                   (s.cand_of[span.link[u]] >= 0 ||
+                    s.slot_of[span.upper[u]] != kNoSlot);
       }
-      OptimizerSegmentScratch::Edge edge;
-      edge.cand = cand;
-      if (s.affected[upper]) {
-        edge.upper_slot = s.slot_of[upper];
-      } else {
-        edge.base = s.baseline[upper];
+      if (!affected) continue;
+      s.slot_of[sw] = static_cast<std::uint32_t>(s.order.size());
+      s.order.push_back(sw);
+      s.edge_offset.push_back(static_cast<std::uint32_t>(s.edges.size()));
+      std::uint64_t fixed = 0;
+      for (std::size_t u = 0; u < span.count; ++u) {
+        if (!enabled.test(span.link[u])) continue;
+        const std::uint32_t upper = span.upper[u];
+        const std::int32_t cand = s.cand_of[span.link[u]];
+        const std::uint32_t upper_slot = s.slot_of[upper];
+        if (cand < 0 && upper_slot == kNoSlot) {
+          fixed += baseline[upper];
+          continue;
+        }
+        OptimizerSegmentScratch::Edge edge;
+        edge.cand = cand;
+        if (upper_slot != kNoSlot) {
+          edge.upper_slot = upper_slot;
+        } else {
+          edge.base = baseline[upper];
+        }
+        s.edges.push_back(edge);
       }
-      s.edges.push_back(edge);
+      s.const_base.push_back(fixed);
+      const topology::Switch& info = topo_->switches()[sw];
+      s.required.push_back(
+          info.level == 0
+              ? constraint_->min_paths(info.id, fabric.design_paths[sw])
+              : 0);
     }
-    s.const_base.push_back(fixed);
-    const topology::Switch& info = topo_->switches()[sw];
-    s.required.push_back(
-        info.level == 0
-            ? constraint_->min_paths(info.id, fabric.design_paths[sw])
-            : 0);
   }
   s.edge_offset.push_back(static_cast<std::uint32_t>(s.edges.size()));
   s.counts.assign(s.order.size(), 0);
 }
 
 OptimizerSegmentOutcome Optimizer::solve_segment(
-    const Segment& segment, const CorruptionSet& corruption,
+    const Segment& segment, const common::DynamicBitset& region,
+    std::span<const std::uint64_t> baseline, const CorruptionSet& corruption,
     OptimizerSegmentScratch& s) const {
   assert(!segment.links.empty());
   const std::size_t n = segment.links.size();
   OptimizerSegmentOutcome out;
   out.selected.assign(n, 0);
 
-  compile_region(segment, s);
+  compile_region(segment, region, baseline, s);
 
   // Disabling links never adds paths, so a ToR already below its
   // requirement at baseline dooms every subset: return the empty
@@ -276,7 +245,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
   for (SwitchId tor : segment.tors) {
     const std::uint64_t required =
         constraint_->min_paths(tor, paths_->design_paths()[tor.index()]);
-    if (s.baseline[tor.index()] < required) return out;
+    if (baseline[tor.index()] < required) return out;
   }
 
   s.link_penalty.resize(n);
@@ -535,7 +504,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     paths_->masked_violated_tors_into(endangered, baseline,
                                       baseline_violated_, scratch_mask_,
                                       candidates, *constraint_,
-                                      scratch_paths_, sweep_scratch_);
+                                      scratch_paths_);
     if (endangered.empty()) {
       // The full set is feasible: disable everything. `candidates` is
       // the id-sorted active set, so summing over it keeps the
@@ -553,11 +522,13 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     // upstream iff its lower endpoint is in some endangered ToR's closure.
     scratch_switches_.assign(topo_->switch_count());
     for (SwitchId tor : endangered) {
-      scratch_switches_ |= closures_.closure(tor);
+      scratch_switches_ |= paths_->tor_closure(tor);
     }
+    const std::vector<std::uint32_t>& sweep_pos = paths_->index()->sweep_pos;
     contested.clear();
     for (LinkId link : candidates) {
-      if (scratch_switches_.test(topo_->link_at(link).lower.index())) {
+      if (scratch_switches_.test(
+              sweep_pos[topo_->link_at(link).lower.index()])) {
         contested.push_back(link);
       } else {
         to_disable.push_back(link);
@@ -570,7 +541,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
 
   std::vector<Segment> segments;
   if (config_.use_segmentation) {
-    segments = segment_candidates(*paths_, contested, endangered, &closures_);
+    segments = segment_candidates(*paths_, contested, endangered);
   } else if (!contested.empty()) {
     Segment all;
     all.links = contested;
@@ -579,10 +550,9 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   }
   result.segments = segments.size();
 
-  // Disable the safe links before solving segments so their (absent)
-  // contribution to path counts is reflected in feasibility sweeps.
-  // Safe links lie outside every segment's region, so cached entries
-  // are unaffected.
+  // Safe links lie outside every segment's region, so disabling them
+  // now changes neither the baseline counts a solve reads nor any
+  // cached entry.
   for (LinkId link : to_disable) topo_->set_enabled(link, false);
 
   // Segment reuse: a cached outcome answers a segment outright when its
@@ -610,6 +580,16 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   inc_stats_.segment_reuses += result.segment_reuses;
   inc_stats_.segment_solves += to_solve.size();
 
+  // Each segment to solve sweeps its region: the union of its ToRs'
+  // upward closures, built here on the calling thread.
+  std::vector<common::DynamicBitset> regions(to_solve.size());
+  for (std::size_t j = 0; j < to_solve.size(); ++j) {
+    regions[j].assign(topo_->switch_count());
+    for (SwitchId tor : segments[to_solve[j]].tors) {
+      regions[j] |= paths_->tor_closure(tor);
+    }
+  }
+
   // Solve segments against the shared pre-segment state; candidates of
   // one segment never enter another segment's sweep region (segmentation
   // would have merged them), so deferring the set_enabled calls keeps
@@ -621,18 +601,22 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     common::parallel_for_each(pool, to_solve.size(), [&](std::size_t j) {
       OptimizerSegmentScratch scratch;
       const std::size_t i = to_solve[j];
-      outcomes[i] = solve_segment(segments[i], corruption, scratch);
+      outcomes[i] = solve_segment(segments[i], regions[j], baseline,
+                                  corruption, scratch);
     });
   } else {
-    for (std::size_t i : to_solve) {
-      outcomes[i] = solve_segment(segments[i], corruption, *scratch_);
+    for (std::size_t j = 0; j < to_solve.size(); ++j) {
+      const std::size_t i = to_solve[j];
+      outcomes[i] = solve_segment(segments[i], regions[j], baseline,
+                                  corruption, *scratch_);
     }
   }
 
   // Keep the fresh outcomes for later runs. The next sync finds this
   // run's disables among the flipped links and erases every entry whose
   // region they touch, including ones just stored that selected a link.
-  for (std::size_t i : to_solve) {
+  for (std::size_t j = 0; j < to_solve.size(); ++j) {
+    const std::size_t i = to_solve[j];
     const Segment& segment = segments[i];
     CachedSegment& entry = segment_cache_[
         static_cast<std::uint32_t>(segment.links.front().index())];
@@ -642,8 +626,7 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     for (std::size_t k = 0; k < segment.links.size(); ++k) {
       entry.rates[k] = corruption.rate(segment.links[k]);
     }
-    entry.region.assign(topo_->switch_count());
-    for (SwitchId tor : segment.tors) entry.region |= closures_.closure(tor);
+    entry.region = std::move(regions[j]);
     entry.outcome = outcomes[i];
   }
 

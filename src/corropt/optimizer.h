@@ -14,7 +14,10 @@
 //      on the enabled mask (DESIGN.md §12), so it walks only the
 //      candidates' downward closure and needs no change reports.
 //   2. Segmentation (Section 8): the remaining candidates split into
-//      independent segments per the endangered ToRs they share.
+//      independent segments per the endangered ToRs they share. Both
+//      this and pruning read the per-ToR upward closures the
+//      PathCounter keeps (switch bitsets indexed by sweep position,
+//      built once per ToR since they depend only on the wiring).
 //   3. Branch-and-bound per segment: candidates are ordered by descending
 //      penalty and searched depth-first, include-before-exclude, so the
 //      most valuable subsets are reached first. A suffix-sum upper bound
@@ -25,6 +28,10 @@
 //      Feasibility sweeps are allocation-free and touch only the switches
 //      whose path counts the segment's candidates can actually change —
 //      everything else is folded into per-switch baseline constants.
+//      A segment's sweep region is the union of its ToRs' closures,
+//      formed before any fan-out and walked word by word in sweep
+//      order; its baselines are the run's live counts, which the safe
+//      disables cannot touch (they lie outside every region).
 //
 // Independent segments can be solved concurrently (`solver_threads`):
 // a candidate of one segment is never inside another segment's sweep
@@ -32,15 +39,14 @@
 // the shared pre-segment topology state and applying the chosen disables
 // serially afterward is bit-identical to the serial schedule.
 //
-// Across runs the optimizer keeps two caches (DESIGN.md §12), and there
-// is no mode without them: per-ToR upstream switch sets, which depend
-// only on the installed wiring, and per-segment solve outcomes, erased
-// as soon as a link of their sweep region flips (an XOR of the mask words
-// of the previous run against the current mask, so the fast checker's
-// disables count too). A reused outcome reports the search counters of
-// the solve that produced it, which are exactly what a cold solve of the
-// same inputs would count, so the caches are invisible in every result
-// field but `segment_reuses`.
+// Across runs the optimizer keeps per-segment solve outcomes (DESIGN.md
+// §12), and there is no mode without them: an outcome is erased as soon
+// as a link of its sweep region flips (an XOR of the mask words of the
+// previous run against the current mask, so the fast checker's disables
+// count too). A reused outcome reports the search counters of the solve
+// that produced it, which are exactly what a cold solve of the same
+// inputs would count, so the cache is invisible in every result field
+// but `segment_reuses`.
 //
 // The result maximizes the total disabled penalty, i.e. minimizes the
 // residual penalty sum over links of (1 - d_l) * I(f_l), subject to every
@@ -49,6 +55,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -190,12 +197,18 @@ class Optimizer {
   // search counters included, is a function of the segment, its
   // candidates' rates, the enabled state of its sweep region, the
   // constraint and the config alone.
+  // `region` is the segment's sweep region and `baseline` the run's
+  // live counts.
   OptimizerSegmentOutcome solve_segment(const Segment& segment,
+                                        const common::DynamicBitset& region,
+                                        std::span<const std::uint64_t> baseline,
                                         const CorruptionSet& corruption,
                                         OptimizerSegmentScratch& scratch) const;
 
-  // Builds the affected-switch sweep region of one segment into scratch.
+  // Compiles the affected switches of one segment's region into scratch.
   void compile_region(const Segment& segment,
+                      const common::DynamicBitset& region,
+                      std::span<const std::uint64_t> baseline,
                       OptimizerSegmentScratch& scratch) const;
 
   topology::Topology* topo_;
@@ -212,14 +225,14 @@ class Optimizer {
   // the ToRs the live counts violated then, normally none.
   std::vector<std::uint64_t> seen_;
   std::vector<SwitchId> baseline_violated_;
-  PathCounter::SweepScratch sweep_scratch_;
 
-  // --- Cross-run caches (DESIGN.md §12) ---
+  // --- Cross-run cache (DESIGN.md §12) ---
   // A solved segment kept across runs, reused verbatim while its
   // candidates, ToRs and rates are identical. `region` is the segment's
-  // sweep region as a switch mask (the union of its ToRs' closures): a
-  // solve reads the enabled state of exactly the uplinks whose lower
-  // endpoint is in it, so the entry is erased once such a link flips.
+  // sweep region, the union of its ToRs' closures (switch bits indexed
+  // by sweep position): a solve reads the enabled state of exactly the
+  // uplinks whose lower endpoint is in it, so the entry is erased once
+  // such a link flips.
   struct CachedSegment {
     std::vector<LinkId> links;    // Segment candidates, id-sorted.
     std::vector<SwitchId> tors;   // Endangered ToRs of the segment.
@@ -230,7 +243,6 @@ class Optimizer {
     OptimizerSegmentOutcome outcome;
   };
 
-  TorClosureCache closures_;
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
   // The constraint version the cache and baseline_violated_ were taken

@@ -54,13 +54,15 @@ FabricIndex::FabricIndex(const topology::Topology& topo) {
   for (std::size_t s = 0; s < switches; ++s) {
     down_offset[s + 1] += down_offset[s];
   }
-  down_lower.resize(topo.link_count());
+  down_link.resize(links);
+  down_lower.resize(links);
   {
     std::vector<std::uint32_t> cursor(down_offset.begin(),
                                       down_offset.end() - 1);
     for (const topology::Link& link : topo.links()) {
-      down_lower[cursor[link.upper.index()]++] =
-          static_cast<std::uint32_t>(link.lower.index());
+      const std::uint32_t d = cursor[link.upper.index()]++;
+      down_link[d] = static_cast<std::uint32_t>(link.id.index());
+      down_lower[d] = static_cast<std::uint32_t>(link.lower.index());
     }
   }
 
@@ -131,7 +133,9 @@ PathCounter::PathCounter(const topology::Topology& topo)
 
 PathCounter::PathCounter(const topology::Topology& topo,
                          std::shared_ptr<const FabricIndex> index)
-    : topo_(&topo), index_(std::move(index)) {
+    : topo_(&topo),
+      index_(std::move(index)),
+      closure_((topo.switch_count() + 63) / 64, 0) {
   assert(index_->design_paths.size() == topo.switch_count());
 }
 
@@ -222,115 +226,169 @@ std::uint64_t FabricIndex::node_sum(const SweepNode& node,
   return total;
 }
 
-std::uint64_t PathCounter::begin_closure(SweepScratch& scratch) const {
-  const std::size_t switches = topo_->switch_count();
-  if (scratch.stamp.size() != switches) scratch.stamp.assign(switches, 0);
-  scratch.frontier.clear();
-  return ++scratch.epoch;
+void PathCounter::mark(std::uint32_t sw) {
+  const std::uint32_t pos = index_->sweep_pos[sw];
+  assert(pos >= index_->top_count);
+  const std::size_t w = pos / 64;
+  closure_[w] |= std::uint64_t{1} << (pos % 64);
+  closure_lo_ = std::min(closure_lo_, w);
+  closure_hi_ = std::max(closure_hi_, w);
 }
 
-void PathCounter::seed(SweepScratch& scratch, std::uint64_t epoch,
-                       LinkId link) const {
-  const std::size_t lower = topo_->link_at(link).lower.index();
-  if (scratch.stamp[lower] != epoch) {
-    scratch.stamp[lower] = epoch;
-    scratch.frontier.push_back(static_cast<std::uint32_t>(lower));
-  }
-}
-
-void PathCounter::close_downward(SweepScratch& scratch,
-                                 std::uint64_t epoch) const {
+template <typename Visit>
+std::size_t PathCounter::recount_closure(std::uint64_t* counts,
+                                         const std::uint64_t* masked_words,
+                                         Visit&& visit) {
   const FabricIndex& ix = *index_;
-  for (std::size_t head = 0; head < scratch.frontier.size(); ++head) {
-    const std::uint32_t s = scratch.frontier[head];
-    for (std::uint32_t d = ix.down_offset[s]; d < ix.down_offset[s + 1];
-         ++d) {
-      const std::uint32_t lower = ix.down_lower[d];
-      if (scratch.stamp[lower] != epoch) {
-        scratch.stamp[lower] = epoch;
-        scratch.frontier.push_back(lower);
+  const std::uint64_t* ew = topo_->enabled_mask().words().data();
+  FabricIndex::SliceMemo memo;
+  std::size_t visited = 0;
+  // Marks made while visiting a word land on later bits (or words), so
+  // clearing the lowest bit after each visit drains everything.
+  for (std::size_t w = closure_lo_; w <= closure_hi_; ++w) {
+    for (std::uint64_t& word = closure_[w]; word != 0; word &= word - 1) {
+      const std::size_t pos =
+          w * 64 + static_cast<std::size_t>(std::countr_zero(word));
+      const FabricIndex::SweepNode& node = ix.nodes[pos - ix.top_count];
+      counts[node.sw] =
+          visit(node, ix.node_sum(node, ew, masked_words, counts, memo));
+      ++visited;
+      // Only enabled downlinks carry this count below; a lower endpoint
+      // reached through a disabled one does not read it.
+      for (std::uint32_t d = ix.down_offset[node.sw];
+           d < ix.down_offset[node.sw + 1]; ++d) {
+        const std::uint32_t link = ix.down_link[d];
+        if (((ew[link >> 6] >> (link & 63u)) & 1u) != 0) {
+          mark(ix.down_lower[d]);
+        }
       }
     }
   }
+  closure_lo_ = SIZE_MAX;
+  closure_hi_ = 0;
+  return visited;
 }
 
 const std::vector<std::uint64_t>& PathCounter::live_counts() {
   std::vector<std::uint64_t>& counts = live_.counts;
-  SweepScratch& scratch = live_.scratch;
-  const std::uint64_t epoch = begin_closure(scratch);
   if (!for_each_flip(live_.seen, topo_->enabled_mask().words(),
-                     [&](LinkId link) { seed(scratch, epoch, link); })) {
+                     [&](LinkId link) {
+                       mark(static_cast<std::uint32_t>(
+                           topo_->link_at(link).lower.index()));
+                     })) {
     up_paths_into(counts);
     return counts;
   }
-  if (scratch.frontier.empty()) return counts;
-  // Recompute the flipped links' downward closure in sweep order against
-  // the current enabled mask; counts outside it did not change.
-  close_downward(scratch, epoch);
-  const FabricIndex& ix = *index_;
-  const std::uint64_t* ew = topo_->enabled_mask().words().data();
-  FabricIndex::SliceMemo memo;
-  for (const FabricIndex::SweepNode& node : ix.nodes) {
-    if (scratch.stamp[node.sw] != epoch) continue;
-    counts[node.sw] = ix.node_sum(node, ew, nullptr, counts.data(), memo);
-  }
+  // Counts outside the flipped links' downward closure did not change.
+  recount_closure(counts.data(), nullptr,
+                  [](const FabricIndex::SweepNode&, std::uint64_t total) {
+                    return total;
+                  });
   return counts;
 }
 
-void PathCounter::fold_disable(
-    LinkId link,
-    std::span<const std::pair<SwitchId, std::uint64_t>> updates) {
-  assert(!live_.counts.empty() && !topo_->is_enabled(link));
-  for (const auto& [sw, value] : updates) live_.counts[sw.index()] = value;
-  live_.seen[link.index() / 64] &= ~(std::uint64_t{1} << (link.index() % 64));
+PathCounter::DisableCheck PathCounter::check_disable(
+    LinkId link, const CapacityConstraint& constraint, bool keep) {
+  assert(topo_->is_enabled(link));
+  live_counts();
+  std::uint64_t* counts = live_.counts.data();
+  const topology::Link& info = topo_->link_at(link);
+  const auto root = static_cast<std::uint32_t>(info.lower.index());
+  // The root's sum still counts the paths through `link` itself.
+  const std::uint64_t through_link = counts[info.upper.index()];
+  const std::vector<std::uint64_t>& design = index_->design_paths;
+  DisableCheck check;
+  undo_.clear();
+  mark(root);
+  check.closure_switches = recount_closure(
+      counts, nullptr,
+      [&](const FabricIndex::SweepNode& node, std::uint64_t total) {
+        if (node.sw == root) total -= through_link;
+        undo_.emplace_back(node.sw, counts[node.sw]);
+        if ((node.flags & FabricIndex::kNodeTor) != 0 &&
+            constraint.below_min(SwitchId(node.sw), design[node.sw],
+                                 total)) {
+          check.feasible = false;
+        }
+        return total;
+      });
+  if (keep && check.feasible) {
+    // The caller disables `link` next; the counts already reflect it.
+    live_.seen[link.index() / 64] &=
+        ~(std::uint64_t{1} << (link.index() % 64));
+  } else {
+    for (const auto& [sw, old] : undo_) counts[sw] = old;
+  }
+  return check;
 }
 
 void PathCounter::masked_violated_tors_into(
     std::vector<SwitchId>& violated, std::span<const std::uint64_t> baseline,
     std::span<const SwitchId> baseline_violated, const LinkMask& masked,
     std::span<const LinkId> masked_links, const CapacityConstraint& constraint,
-    std::vector<std::uint64_t>& counts, SweepScratch& scratch) const {
+    std::vector<std::uint64_t>& counts) {
   assert(baseline.size() == topo_->switch_count());
   assert(masked.size() == topo_->link_count());
   violated.clear();
   counts.assign(baseline.begin(), baseline.end());
   // Seed with the lower endpoints of masked links that are actually
   // conducting (masking an already-disabled link changes nothing).
-  const std::uint64_t epoch = begin_closure(scratch);
   for (LinkId link : masked_links) {
-    if (topo_->is_enabled(link)) seed(scratch, epoch, link);
+    if (topo_->is_enabled(link)) {
+      mark(static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
+    }
   }
-  close_downward(scratch, epoch);
+  const std::vector<std::uint64_t>& design = index_->design_paths;
+  recount_closure(
+      counts.data(), masked.words().data(),
+      [&](const FabricIndex::SweepNode& node, std::uint64_t total) {
+        if ((node.flags & FabricIndex::kNodeTor) != 0) {
+          const SwitchId tor(node.sw);
+          if (constraint.below_min(tor, design[node.sw], total) &&
+              !constraint.below_min(tor, design[node.sw],
+                                    baseline[node.sw])) {
+            violated.push_back(tor);
+          }
+        }
+        return total;
+      });
+  // Masking only removes paths, so every baseline violation stands.
+  // The walk visits ToRs in id order and both lists are id-sorted and
+  // disjoint; merge.
+  const std::size_t fresh = violated.size();
+  violated.insert(violated.end(), baseline_violated.begin(),
+                  baseline_violated.end());
+  std::inplace_merge(violated.begin(),
+                     violated.begin() + static_cast<std::ptrdiff_t>(fresh),
+                     violated.end());
+}
 
+const common::DynamicBitset& PathCounter::tor_closure(SwitchId tor) {
+  if (tor_closures_.empty()) tor_closures_.resize(topo_->switch_count());
+  common::DynamicBitset& mask = tor_closures_[tor.index()];
+  if (!mask.empty()) return mask;
   const FabricIndex& ix = *index_;
-  const std::uint64_t* ew = topo_->enabled_mask().words().data();
-  const std::uint64_t* xw = masked.words().data();
-  FabricIndex::SliceMemo memo;
-  for (const FabricIndex::SweepNode& node : ix.nodes) {
-    if (scratch.stamp[node.sw] != epoch) continue;
-    const std::uint64_t total =
-        ix.node_sum(node, ew, xw, counts.data(), memo);
-    counts[node.sw] = total;
-    if ((node.flags & FabricIndex::kNodeTor) != 0 &&
-        constraint.below_min(SwitchId(node.sw), ix.design_paths[node.sw],
-                             total)) {
-      violated.push_back(SwitchId(node.sw));
+  mask.assign(ix.order.size());
+  const std::uint32_t start = ix.sweep_pos[tor.index()];
+  mask.set(start);
+  // The mirror image of recount_closure: uppers sit earlier in sweep
+  // order, so one pass over descending positions reaches them all.
+  for (std::size_t w = start / 64 + 1; w-- > 0;) {
+    std::uint64_t todo = mask.words()[w];
+    while (todo != 0) {
+      const int bit = 63 - std::countl_zero(todo);
+      todo &= ~(std::uint64_t{1} << bit);
+      const FabricIndex::UplinkSpan span =
+          ix.uplinks_of(ix.order[w * 64 + static_cast<std::size_t>(bit)]);
+      for (std::size_t u = 0; u < span.count; ++u) {
+        const std::uint32_t pos = ix.sweep_pos[span.upper[u]];
+        if (mask.test(pos)) continue;
+        mask.set(pos);
+        if (pos / 64 == w) todo |= std::uint64_t{1} << (pos % 64);
+      }
     }
   }
-
-  // ToRs outside the closure keep their baseline verdict. Nodes are in
-  // id order within the ToR level, so both lists are id-sorted; merge.
-  if (!baseline_violated.empty()) {
-    std::size_t before = violated.size();
-    for (SwitchId tor : baseline_violated) {
-      if (scratch.stamp[tor.index()] != epoch) violated.push_back(tor);
-    }
-    if (before != 0 && violated.size() != before) {
-      std::inplace_merge(violated.begin(),
-                         violated.begin() + static_cast<std::ptrdiff_t>(before),
-                         violated.end());
-    }
-  }
+  return mask;
 }
 
 std::vector<std::uint64_t> PathCounter::up_paths(
@@ -362,51 +420,6 @@ bool PathCounter::feasible(std::span<const std::uint64_t> up_paths,
     }
   }
   return true;
-}
-
-LinkMask PathCounter::upstream_links(std::span<const SwitchId> from) const {
-  LinkMask mask(topo_->link_count());
-  std::vector<char> visited(topo_->switch_count(), 0);
-  // The upstream closure follows *installed* links (enabled or not):
-  // a disabled link upstream of a violated ToR still belongs to the
-  // pruned sub-topology, since re-enabling decisions may involve it.
-  std::vector<std::uint32_t> frontier;
-  frontier.reserve(from.size());
-  for (SwitchId id : from) {
-    if (!visited[id.index()]) {
-      visited[id.index()] = 1;
-      frontier.push_back(static_cast<std::uint32_t>(id.index()));
-    }
-  }
-  while (!frontier.empty()) {
-    const std::uint32_t current = frontier.back();
-    frontier.pop_back();
-    const FabricIndex::UplinkSpan span = index_->uplinks_of(current);
-    for (std::size_t u = 0; u < span.count; ++u) {
-      mask.set(span.link[u]);
-      const std::uint32_t upper = span.upper[u];
-      if (!visited[upper]) {
-        visited[upper] = 1;
-        frontier.push_back(upper);
-      }
-    }
-  }
-  return mask;
-}
-
-std::uint64_t count_paths_brute_force(const topology::Topology& topo,
-                                      SwitchId from,
-                                      const LinkMask* extra_off) {
-  const topology::Switch& sw = topo.switch_at(from);
-  if (sw.level == topo.top_level()) return 1;
-  std::uint64_t total = 0;
-  for (LinkId uplink : sw.uplinks) {
-    if (!topo.is_enabled(uplink)) continue;
-    if (extra_off != nullptr && extra_off->test(uplink.index())) continue;
-    total += count_paths_brute_force(topo, topo.link_at(uplink).upper,
-                                     extra_off);
-  }
-  return total;
 }
 
 }  // namespace corropt::core

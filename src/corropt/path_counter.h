@@ -13,8 +13,15 @@
 // (link index, upper switch index) pairs per switch. A sweep then streams
 // through two uint32 arrays and two bitsets instead of pointer-chasing
 // Switch and Link structs. A PathCounter pairs that shared index with a
-// topology's link state and its live counts. This module also keeps the
-// brute-force DFS enumerator used to verify the sweep in tests.
+// topology's link state and its live counts.
+//
+// PathCounter is also the only code that walks closures (DESIGN.md §3).
+// Every switch set is a bitset indexed by sweep position, so ascending
+// bit order is level-descending order. One routine recounts a downward
+// closure (the live counts, the optimizer's pruning pass and the fast
+// checker's decision all call it), and one builder makes the per-ToR
+// upward closures that segmentation, pruning and the optimizer's sweep
+// regions read.
 #pragma once
 
 #include <bit>
@@ -113,9 +120,10 @@ struct FabricIndex {
   std::size_t top_count = 0;
   std::vector<std::uint32_t> sweep_pos;  // position of each switch in order
   std::vector<SweepNode> nodes;          // non-top switches, sweep order
-  // Inverted CSR for downward closures: lower endpoints of each switch's
-  // downlinks (duplicates possible with parallel links; harmless).
+  // Inverted CSR for downward closures: each switch's downlinks and
+  // their lower endpoints (duplicates possible with parallel links).
   std::vector<std::uint32_t> down_offset;  // switch_count + 1 entries
+  std::vector<std::uint32_t> down_link;
   std::vector<std::uint32_t> down_lower;
 };
 
@@ -166,14 +174,6 @@ class PathCounter {
   void up_paths_into(std::vector<std::uint64_t>& out,
                      const LinkMask* extra_off = nullptr) const;
 
-  // Reusable state for the closure recounts: per-switch visit stamps
-  // (epoch-tagged so they are never cleared) plus a BFS frontier.
-  struct SweepScratch {
-    std::vector<std::uint64_t> stamp;
-    std::uint64_t epoch = 0;
-    std::vector<std::uint32_t> frontier;
-  };
-
   // The live counts, equal to up_paths() now. The first call is a full
   // sweep; later calls recount only the downward closure of the links
   // flipped since the previous call, seeded from every flipped link
@@ -183,12 +183,18 @@ class PathCounter {
   // exact.
   const std::vector<std::uint64_t>& live_counts();
 
-  // Folds in a disable whose closure the caller already recounted: `link`
-  // was on at the last live_counts() call and `updates` hold the new
-  // counts of its downward closure.
-  void fold_disable(
-      LinkId link,
-      std::span<const std::pair<SwitchId, std::uint64_t>> updates);
+  // The fast checker's decision: whether every ToR still meets
+  // `constraint` with the enabled `link` off. Brings the live counts up
+  // to date, then recounts the downward closure of the link's lower
+  // endpoint in place. When `keep` and the answer is yes the new counts
+  // stay and the caller must disable `link` before the next read;
+  // otherwise the closure's old counts are put back.
+  struct DisableCheck {
+    bool feasible = true;
+    std::size_t closure_switches = 0;  // switches recounted
+  };
+  DisableCheck check_disable(LinkId link, const CapacityConstraint& constraint,
+                             bool keep);
 
   // The optimizer's pruning pass: the ToRs violated under `masked`, found
   // while recounting only the masked links' downward closure. `baseline`
@@ -203,8 +209,15 @@ class PathCounter {
                                  const LinkMask& masked,
                                  std::span<const LinkId> masked_links,
                                  const CapacityConstraint& constraint,
-                                 std::vector<std::uint64_t>& counts,
-                                 SweepScratch& scratch) const;
+                                 std::vector<std::uint64_t>& counts);
+
+  // The switches reachable upward from `tor` over installed links,
+  // disabled ones included, `tor` itself included: a switch_count-bit
+  // mask indexed by sweep position. A link lies on some upward path from
+  // the ToR iff the mask holds sweep_pos[lower]. Built on the calling
+  // thread at the first request and kept for good, since it depends
+  // only on the wiring.
+  const common::DynamicBitset& tor_closure(SwitchId tor);
 
   [[nodiscard]] const std::vector<std::uint64_t>& design_paths() const {
     return index_->design_paths;
@@ -220,22 +233,25 @@ class PathCounter {
   [[nodiscard]] bool feasible(std::span<const std::uint64_t> up_paths,
                               const CapacityConstraint& constraint) const;
 
-  // Links lying on some upward path from any switch in `from`, disabled
-  // links included.
-  [[nodiscard]] LinkMask upstream_links(
-      std::span<const SwitchId> from) const;
-
   [[nodiscard]] const std::shared_ptr<const FabricIndex>& index() const {
     return index_;
   }
   [[nodiscard]] const topology::Topology& topo() const { return *topo_; }
 
  private:
-  // The closure of a recount: open one (returns its epoch), seed it with
-  // links' lower endpoints, then grow it downward.
-  std::uint64_t begin_closure(SweepScratch& scratch) const;
-  void seed(SweepScratch& scratch, std::uint64_t epoch, LinkId link) const;
-  void close_downward(SweepScratch& scratch, std::uint64_t epoch) const;
+  // Adds switch `sw` to the closure the next recount_closure walks.
+  void mark(std::uint32_t sw);
+  // The one downward-closure walk. Visits the marked switches and every
+  // switch below them over enabled links, in ascending sweep position;
+  // a switch's lower endpoints sit later in that order, so discovery and
+  // recount share one pass. Each visited switch's count in `counts` is
+  // summed over its enabled uplinks not in `masked_words` (null: none)
+  // and replaced by visit(node, sum). Clears the marks; returns the
+  // number of switches visited.
+  template <typename Visit>
+  std::size_t recount_closure(std::uint64_t* counts,
+                              const std::uint64_t* masked_words,
+                              Visit&& visit);
 
   const topology::Topology* topo_;
   std::shared_ptr<const FabricIndex> index_;
@@ -243,14 +259,17 @@ class PathCounter {
   struct LiveCounts {
     std::vector<std::uint64_t> counts;
     std::vector<std::uint64_t> seen;
-    SweepScratch scratch;
   };
   LiveCounts live_;
+  // The marked switches as bits indexed by sweep position, all clear
+  // between recounts, and the range of words holding marks.
+  std::vector<std::uint64_t> closure_;
+  std::size_t closure_lo_ = SIZE_MAX;
+  std::size_t closure_hi_ = 0;
+  // (switch, old count) per switch a fast-checker decision recounted.
+  std::vector<std::pair<std::uint32_t, std::uint64_t>> undo_;
+  // Per-switch upward closures; empty = not built.
+  std::vector<common::DynamicBitset> tor_closures_;
 };
-
-// Exhaustive DFS path enumeration; exponential, for tests only.
-[[nodiscard]] std::uint64_t count_paths_brute_force(
-    const topology::Topology& topo, SwitchId from,
-    const LinkMask* extra_off = nullptr);
 
 }  // namespace corropt::core

@@ -27,41 +27,18 @@ class UnionFind {
 
 }  // namespace
 
-const common::DynamicBitset& TorClosureCache::closure(SwitchId tor) {
-  if (masks_.empty()) masks_.resize(paths_->topo().switch_count());
-  common::DynamicBitset& mask = masks_[tor.index()];
-  if (!mask.empty()) return mask;
-  mask.assign(masks_.size());
-  mask.set(tor.index());
-  frontier_.assign(1, static_cast<std::uint32_t>(tor.index()));
-  while (!frontier_.empty()) {
-    const std::uint32_t current = frontier_.back();
-    frontier_.pop_back();
-    const FabricIndex::UplinkSpan span = paths_->index()->uplinks_of(current);
-    for (std::size_t u = 0; u < span.count; ++u) {
-      if (mask.test(span.upper[u])) continue;
-      mask.set(span.upper[u]);
-      frontier_.push_back(span.upper[u]);
-    }
-  }
-  return mask;
-}
-
 std::vector<Segment> segment_candidates(
-    const PathCounter& paths, std::span<const LinkId> candidates,
-    std::span<const SwitchId> endangered_tors, TorClosureCache* closures) {
+    PathCounter& paths, std::span<const LinkId> candidates,
+    std::span<const SwitchId> endangered_tors) {
   if (candidates.empty()) return {};
-
-  TorClosureCache local(paths);
-  TorClosureCache& cache = closures != nullptr ? *closures : local;
 
   // Candidates in id order; union-find runs over their dense indices.
   std::vector<LinkId> links(candidates.begin(), candidates.end());
   std::sort(links.begin(), links.end());
+  const std::vector<std::uint32_t>& sweep_pos = paths.index()->sweep_pos;
   std::vector<std::uint32_t> lower(links.size());
   for (std::size_t i = 0; i < links.size(); ++i) {
-    lower[i] = static_cast<std::uint32_t>(
-        paths.topo().link_at(links[i]).lower.index());
+    lower[i] = sweep_pos[paths.topo().link_at(links[i]).lower.index()];
   }
 
   UnionFind uf(links.size());
@@ -69,7 +46,7 @@ std::vector<Segment> segment_candidates(
   std::vector<std::vector<std::size_t>> tor_members(endangered_tors.size());
   for (std::size_t t = 0; t < endangered_tors.size(); ++t) {
     const common::DynamicBitset& upstream =
-        cache.closure(endangered_tors[t]);
+        paths.tor_closure(endangered_tors[t]);
     for (std::size_t i = 0; i < links.size(); ++i) {
       if (upstream.test(lower[i])) tor_members[t].push_back(i);
     }

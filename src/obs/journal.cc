@@ -124,13 +124,6 @@ std::vector<Event> EventJournal::snapshot() const {
   return out;
 }
 
-void EventJournal::write_jsonl(std::ostream& out) const {
-  for (const Event& event : snapshot()) {
-    write_event_jsonl(out, event);
-    out << '\n';
-  }
-}
-
 void EventJournal::restore(const std::vector<Event>& events,
                            std::uint64_t next_seq, std::uint64_t dropped) {
   std::lock_guard<std::mutex> lock(mu_);

@@ -11,10 +11,10 @@
 //
 // Determinism: the journal is filled from the (single-threaded) event
 // loop of the controller/simulation, and the paper exhibits it supports
-// carry no wall-clock — so the byte stream produced by write_jsonl() is
-// identical for any `solver_threads` / thread-pool size, the same
-// contract DESIGN.md §7 states for ScenarioRunner metrics (asserted by
-// tests/obs_test.cc).
+// carry no wall-clock — so the JSONL stream write_event_jsonl() makes of
+// snapshot() is identical for any `solver_threads` / thread-pool size,
+// the same contract DESIGN.md §7 states for ScenarioRunner metrics
+// (asserted by tests/obs_test.cc).
 //
 // Storage is a bounded ring: once `capacity` records are held the oldest
 // is dropped (and counted), so an attached journal can never make a long
@@ -131,9 +131,6 @@ class EventJournal {
 
   // Retained events in sequence order.
   [[nodiscard]] std::vector<Event> snapshot() const;
-
-  // One JSON object per line, in sequence order.
-  void write_jsonl(std::ostream& out) const;
 
   void clear();
 

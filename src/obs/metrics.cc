@@ -297,22 +297,4 @@ void MetricsSnapshot::write_json(common::JsonWriter& json,
   if (include_timers) write_histogram_section(json, "timers", timers);
 }
 
-void MetricsRegistry::write_json(std::ostream& out, const std::string& exhibit,
-                                 const std::string& generator,
-                                 const std::string& scenario) const {
-  const MetricsSnapshot snap = snapshot();
-  common::JsonWriter json(out);
-  json.begin_object();
-  json.member("schema", "corropt-obs-metrics/1");
-  json.member("exhibit", exhibit);
-  json.member("generator", generator);
-  json.key("scenarios").begin_array();
-  json.begin_object();
-  json.member("name", scenario);
-  snap.write_json(json);
-  json.end_object();
-  json.end_array();
-  json.end_object();
-}
-
 }  // namespace corropt::obs

@@ -30,7 +30,6 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -189,12 +188,6 @@ class MetricsRegistry {
   // Folds all shards. Metrics appear in registration order, which is
   // deterministic whenever registration happens on one thread.
   [[nodiscard]] MetricsSnapshot snapshot() const;
-
-  // Full corropt-obs-metrics/1 document with a single scenario named
-  // `scenario` (the multi-scenario variant lives in bench/).
-  void write_json(std::ostream& out, const std::string& exhibit,
-                  const std::string& generator,
-                  const std::string& scenario = "all") const;
 
   // Checkpointing (DESIGN.md §14): overwrites current values from a
   // previously captured snapshot. Existing entries are set exactly (the

@@ -1,17 +1,32 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "corropt/fast_checker.h"
 #include "corropt/path_counter.h"
 #include "example_topologies.h"
+#include "obs/metrics.h"
+#include "obs/sink.h"
+#include "path_oracles.h"
 #include "topology/fat_tree.h"
 #include "topology/xgft.h"
 
 namespace corropt::core {
 namespace {
+
+using testing::count_paths_brute_force;
+
+std::uint64_t counter_value(const obs::MetricsRegistry& registry,
+                            std::string_view name) {
+  for (const auto& c : registry.snapshot().counters) {
+    if (c.name == name) return c.value;
+  }
+  return 0;
+}
 
 TEST(FastChecker, DisablesWhenCapacityPermits) {
   auto topo = topology::build_fat_tree(4);
@@ -142,7 +157,10 @@ class IncrementalEquivalenceTest : public ::testing::TestWithParam<int> {};
 // full masked sweep on every candidate, across random feasible states
 // reached through interleaved disables and external enables and
 // disables behind the checker's back, starting from state restored out
-// of a checker built on another enabled mask.
+// of a checker built on another enabled mask. Every decision recounts
+// exactly the switches reachable downward from the link's lower
+// endpoint over enabled links (none for a disabled link), as
+// "fastcheck.closure_switches" shows.
 TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
   common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 1013 + 3);
   topology::XgftSpec spec;
@@ -192,9 +210,30 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
   FastChecker checker(topo, paths, constraint);
   checker.restore_from(r);
   EXPECT_TRUE(r.at_end());
+  obs::MetricsRegistry registry;
+  obs::Sink sink;
+  sink.metrics = &registry;
+  checker.set_sink(&sink);
+  auto decide = [&](common::LinkId link, auto&& decision) {
+    std::uint64_t expected = 0;
+    if (topo.is_enabled(link)) {
+      for (char reached : testing::reachable_brute_force(
+               topo, topo.link_at(link).lower, /*up=*/false)) {
+        expected += reached != 0 ? 1 : 0;
+      }
+    }
+    const std::uint64_t before =
+        counter_value(registry, "fastcheck.closure_switches");
+    const bool verdict = decision();
+    EXPECT_EQ(counter_value(registry, "fastcheck.closure_switches") - before,
+              expected)
+        << "seed " << GetParam() << " link " << link.value();
+    return verdict;
+  };
   for (std::size_t i = 0; i < topo.link_count(); ++i) {
     const common::LinkId link(static_cast<common::LinkId::underlying_type>(i));
-    EXPECT_EQ(checker.can_disable(link), checker.can_disable(link, {}))
+    EXPECT_EQ(decide(link, [&] { return checker.can_disable(link); }),
+              checker.can_disable(link, {}))
         << "seed " << GetParam() << " after restore, link " << link.value();
   }
 
@@ -203,19 +242,20 @@ TEST_P(IncrementalEquivalenceTest, MatchesFullSweep) {
     const int action = static_cast<int>(rng.uniform_index(4));
     if (action == 0) {
       // Compare incremental vs full on the same candidate.
-      const bool incremental = checker.can_disable(link);
+      const bool incremental =
+          decide(link, [&] { return checker.can_disable(link); });
       const bool full = checker.can_disable(link, {});
       EXPECT_EQ(incremental, full)
           << "seed " << GetParam() << " step " << step << " link "
           << link.value();
-      checker.try_disable(link);
+      decide(link, [&] { return checker.try_disable(link); });
     } else if (action == 1) {
       // External re-enable behind the checker's back.
       topo.set_enabled(link, true);
     } else if (action == 2) {
       external_disable(topo, link);
     } else {
-      checker.try_disable(link);
+      decide(link, [&] { return checker.try_disable(link); });
     }
   }
 }

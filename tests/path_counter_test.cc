@@ -8,12 +8,14 @@
 #include "common/rng.h"
 #include "corropt/capacity.h"
 #include "corropt/path_counter.h"
+#include "path_oracles.h"
 #include "topology/fat_tree.h"
 #include "topology/xgft.h"
 
 namespace corropt::core {
 namespace {
 
+using testing::count_paths_brute_force;
 using topology::Topology;
 using topology::XgftSpec;
 
@@ -137,12 +139,10 @@ TEST_P(IncrementalSweepRandomTest, MatchesFullMaskedSweep) {
       counter.violated_tors(baseline, constraint);
   const std::vector<std::uint64_t> full = counter.up_paths(&mask);
 
-  PathCounter::SweepScratch scratch;
   std::vector<common::SwitchId> violated;
   std::vector<std::uint64_t> counts;
   counter.masked_violated_tors_into(violated, baseline, baseline_violated,
-                                    mask, masked_links, constraint, counts,
-                                    scratch);
+                                    mask, masked_links, constraint, counts);
   EXPECT_EQ(violated, counter.violated_tors(full, constraint))
       << "seed " << GetParam();
   EXPECT_EQ(counts, full) << "seed " << GetParam();
@@ -291,34 +291,48 @@ TEST(CapacityConstraint, MinPathsRoundsCorrectly) {
   EXPECT_EQ(none.min_paths(common::SwitchId(0), 7), 0u);
 }
 
-TEST(PathCounter, UpstreamLinksClosure) {
-  const Topology topo = topology::build_fat_tree(4);
-  PathCounter counter(topo);
-  const common::SwitchId tor = topo.tors().front();
-  const LinkMask mask = counter.upstream_links({&tor, 1});
-  // Closure: the ToR's 2 uplinks + its 2 aggs' 2 uplinks each = 6 links.
-  EXPECT_EQ(mask.popcount(), 6u);
-  // Every uplink of the ToR is included.
-  for (common::LinkId id : topo.switch_at(tor).uplinks) {
-    EXPECT_TRUE(mask.test(id.index()));
+class TorClosureRandomTest : public ::testing::TestWithParam<int> {};
+
+// Every ToR's upward closure mask, indexed by sweep position, must hold
+// exactly the switches a brute-force walk reaches upward over installed
+// links, disabled ones included, and a second lookup must serve the
+// same mask.
+TEST_P(TorClosureRandomTest, MatchesBruteForceUpwardWalk) {
+  common::Rng rng(static_cast<std::uint64_t>(GetParam()) * 6151 + 7);
+  XgftSpec spec;
+  const int height = 2 + static_cast<int>(rng.uniform_index(2));
+  for (int i = 0; i < height; ++i) {
+    spec.children_per_node.push_back(
+        1 + static_cast<int>(rng.uniform_index(3)));
+    spec.parents_per_node.push_back(
+        1 + static_cast<int>(rng.uniform_index(3)));
   }
-  // No downlink of another pod's ToR is included.
-  const common::SwitchId other = topo.tors().back();
-  for (common::LinkId id : topo.switch_at(other).uplinks) {
-    EXPECT_FALSE(mask.test(id.index()));
+  Topology topo = topology::build_xgft(spec);
+  for (std::size_t i = 0; i < topo.link_count(); ++i) {
+    if (rng.bernoulli(0.25)) {
+      topo.set_enabled(common::LinkId(
+                           static_cast<common::LinkId::underlying_type>(i)),
+                       false);
+    }
+  }
+  PathCounter counter(topo);
+  const std::vector<std::uint32_t>& sweep_pos = counter.index()->sweep_pos;
+  for (common::SwitchId tor : topo.tors()) {
+    const common::DynamicBitset& mask = counter.tor_closure(tor);
+    ASSERT_EQ(mask.size(), topo.switch_count());
+    const std::vector<char> reached =
+        testing::reachable_brute_force(topo, tor, /*up=*/true);
+    for (std::size_t s = 0; s < topo.switch_count(); ++s) {
+      EXPECT_EQ(mask.test(sweep_pos[s]), reached[s] != 0)
+          << "seed " << GetParam() << " tor " << tor.value() << " switch "
+          << s;
+    }
+    EXPECT_EQ(&counter.tor_closure(tor), &mask);
   }
 }
 
-TEST(PathCounter, UpstreamIncludesDisabledLinks) {
-  Topology topo = topology::build_fat_tree(4);
-  const common::SwitchId tor = topo.tors().front();
-  const common::LinkId uplink = topo.switch_at(tor).uplinks.front();
-  topo.set_enabled(uplink, false);
-  PathCounter counter(topo);
-  const LinkMask mask = counter.upstream_links({&tor, 1});
-  EXPECT_TRUE(mask.test(uplink.index()))
-      << "disabled links still belong to the pruned sub-topology";
-}
+INSTANTIATE_TEST_SUITE_P(RandomTopologies, TorClosureRandomTest,
+                         ::testing::Range(0, 25));
 
 }  // namespace
 }  // namespace corropt::core

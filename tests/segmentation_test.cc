@@ -91,53 +91,5 @@ TEST(Segmentation, PartitionIsExhaustiveAndDisjoint) {
   EXPECT_EQ(covered.size(), candidates.size());
 }
 
-TEST(TorClosureCache, MatchesUpstreamLinks) {
-  // The memoized per-ToR switch set (used by the optimizer for pruning
-  // and segmentation) must select exactly the uncached upstream link
-  // sweep, disabled links included: a link is upstream of the ToR iff
-  // its lower endpoint is in the set.
-  auto topo = topology::build_fat_tree(4);
-  topo.set_enabled(topo.switch_at(topo.tors()[0]).uplinks[0], false);
-  PathCounter counter(topo);
-  TorClosureCache cache(counter);
-  for (common::SwitchId tor : topo.tors()) {
-    const common::DynamicBitset switches = cache.closure(tor);
-    ASSERT_EQ(switches.size(), topo.switch_count());
-    EXPECT_TRUE(switches.test(tor.index())) << "tor " << tor.value();
-    const LinkMask direct = counter.upstream_links({&tor, 1});
-    for (std::size_t i = 0; i < topo.link_count(); ++i) {
-      const common::LinkId link(
-          static_cast<common::LinkId::underlying_type>(i));
-      EXPECT_EQ(switches.test(topo.link_at(link).lower.index()),
-                direct.test(i))
-          << "tor " << tor.value() << " link " << i;
-    }
-    // Second lookup serves the memo and must be identical.
-    EXPECT_TRUE(cache.closure(tor) == switches);
-  }
-}
-
-TEST(TorClosureCache, SegmentsMatchUncachedPath) {
-  const auto topo = topology::build_fat_tree(8);
-  PathCounter counter(topo);
-  TorClosureCache cache(counter);
-  std::vector<common::LinkId> candidates;
-  std::vector<common::SwitchId> endangered;
-  for (int pod = 0; pod < 3; ++pod) {
-    const auto tor = topo.tors()[static_cast<std::size_t>(4 * pod)];
-    endangered.push_back(tor);
-    candidates.push_back(topo.switch_at(tor).uplinks[0]);
-    candidates.push_back(topo.switch_at(tor).uplinks[1]);
-  }
-  const auto plain = segment_candidates(counter, candidates, endangered);
-  const auto cached =
-      segment_candidates(counter, candidates, endangered, &cache);
-  ASSERT_EQ(plain.size(), cached.size());
-  for (std::size_t s = 0; s < plain.size(); ++s) {
-    EXPECT_EQ(plain[s].links, cached[s].links);
-    EXPECT_EQ(plain[s].tors, cached[s].tors);
-  }
-}
-
 }  // namespace
 }  // namespace corropt::core

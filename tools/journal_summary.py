@@ -2,7 +2,7 @@
 """Summarize OBS_<exhibit>.jsonl decision journals.
 
 Reads one or more journal JSONL files (written by the sweep benches
-under --obs, or by EventJournal::write_jsonl) and prints
+under --obs, one obs::write_event_jsonl line per event) and prints
 
   * per-event-kind counts, overall and per scenario, and
   * the latency distribution of the repair pipeline
