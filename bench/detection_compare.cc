@@ -1,14 +1,14 @@
 #include "detection_compare.h"
 
-#include <algorithm>
-#include <cmath>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <unordered_map>
+#include <utility>
 
 #include "bench_util.h"
 #include "detect/config.h"
+#include "stats/cdf.h"
 
 namespace corropt::bench {
 
@@ -48,17 +48,6 @@ std::vector<MixSpec> fault_mixes() {
 constexpr detect::BackendKind kBackends[] = {detect::BackendKind::kThreshold,
                                              detect::BackendKind::kVoting,
                                              detect::BackendKind::kSketch};
-
-// Nearest-rank percentile over an already-sorted sample.
-double percentile(const std::vector<double>& sorted, double q) {
-  if (sorted.empty()) return 0.0;
-  const auto n = sorted.size();
-  auto rank = static_cast<std::size_t>(
-      std::ceil(q * static_cast<double>(n)));
-  if (rank == 0) rank = 1;
-  if (rank > n) rank = n;
-  return sorted[rank - 1];
-}
 
 std::string tag_value(const ScenarioResult& result, const std::string& key) {
   for (const auto& [k, v] : result.tags) {
@@ -122,11 +111,13 @@ std::vector<DetectionCompareSummary> summarize_detection_compare(
     row.integrated_penalty = result.metrics.integrated_penalty;
     row.mean_latency_s = result.metrics.mean_detection_latency_s;
 
-    std::vector<double> sorted = result.metrics.detection_latencies_s;
-    std::sort(sorted.begin(), sorted.end());
-    row.latency_p50_s = percentile(sorted, 0.50);
-    row.latency_p90_s = percentile(sorted, 0.90);
-    row.latency_p99_s = percentile(sorted, 0.99);
+    // Nearest-rank latency percentiles; 0 when nothing was detected.
+    if (!result.metrics.detection_latencies_s.empty()) {
+      stats::EmpiricalCdf latencies(result.metrics.detection_latencies_s);
+      row.latency_p50_s = latencies.quantile(0.50);
+      row.latency_p90_s = latencies.quantile(0.90);
+      row.latency_p99_s = latencies.quantile(0.99);
+    }
 
     if (row.polled_detections > 0) {
       row.fp_rate = static_cast<double>(row.false_positives) /

@@ -1,16 +1,14 @@
 // Word-backed dynamic bitset for dense per-entity flags.
 //
-// The optimizer and path counter keep one bit per link or switch and test
-// membership millions of times per run; std::vector<char> wastes 8x the
-// cache footprint and cannot answer subset queries word-at-a-time. This
-// bitset stores 64 flags per word and exposes exactly the operations the
-// hot paths need: set/reset/test, popcount, find-first, and the subset
-// test behind the optimizer's accept/reject feasibility caches (any
-// subset of a known-feasible mask is feasible; any superset of a known-
-// infeasible mask is infeasible).
+// The path counter, the optimizer and the voting detection backend keep
+// one bit per link or switch and test membership millions of times per
+// run; std::vector<char> wastes 8x the cache footprint. This bitset
+// stores 64 flags per word and exposes exactly the operations those hot
+// paths need: set/reset/test, in-place union, and the raw words for
+// word-at-a-time walks. (The optimizer's accept and reject caches key on
+// 32-bit masks over a segment's candidates, not on this type.)
 #pragma once
 
-#include <bit>
 #include <cassert>
 #include <cstddef>
 #include <cstdint>
@@ -23,7 +21,6 @@ class DynamicBitset {
  public:
   using Word = std::uint64_t;
   static constexpr std::size_t kWordBits = 64;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
   DynamicBitset() = default;
   // All bits start clear.
@@ -34,11 +31,6 @@ class DynamicBitset {
   void assign(std::size_t bits) {
     bits_ = bits;
     words_.assign(word_count(bits), 0);
-  }
-
-  // Clears all bits, keeping the size.
-  void reset() {
-    std::fill(words_.begin(), words_.end(), Word{0});
   }
 
   // Appends one bit (used by incremental topology construction).
@@ -65,41 +57,6 @@ class DynamicBitset {
     return (words_[i / kWordBits] >> (i % kWordBits)) & Word{1};
   }
 
-  [[nodiscard]] std::size_t popcount() const {
-    std::size_t total = 0;
-    for (Word w : words_) total += static_cast<std::size_t>(std::popcount(w));
-    return total;
-  }
-
-  [[nodiscard]] bool any() const {
-    for (Word w : words_) {
-      if (w != 0) return true;
-    }
-    return false;
-  }
-  [[nodiscard]] bool none() const { return !any(); }
-
-  // Index of the lowest set bit, or npos when no bit is set.
-  [[nodiscard]] std::size_t find_first() const {
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if (words_[w] != 0) {
-        return w * kWordBits +
-               static_cast<std::size_t>(std::countr_zero(words_[w]));
-      }
-    }
-    return npos;
-  }
-
-  // True when every bit set here is also set in `other`. Sizes must match;
-  // this is the subset test behind the optimizer's feasibility caches.
-  [[nodiscard]] bool is_subset_of(const DynamicBitset& other) const {
-    assert(bits_ == other.bits_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if ((words_[w] & ~other.words_[w]) != 0) return false;
-    }
-    return true;
-  }
-
   // In-place union; sizes must match.
   DynamicBitset& operator|=(const DynamicBitset& other) {
     assert(bits_ == other.bits_);
@@ -107,14 +64,6 @@ class DynamicBitset {
       words_[w] |= other.words_[w];
     }
     return *this;
-  }
-
-  [[nodiscard]] bool intersects(const DynamicBitset& other) const {
-    assert(bits_ == other.bits_);
-    for (std::size_t w = 0; w < words_.size(); ++w) {
-      if ((words_[w] & other.words_[w]) != 0) return true;
-    }
-    return false;
   }
 
   friend bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
@@ -131,15 +80,5 @@ class DynamicBitset {
   std::size_t bits_ = 0;
   std::vector<Word> words_;
 };
-
-// True when any mask in `cache` is a subset of `mask` — the reject-cache
-// query (a known-infeasible core inside `mask` makes it infeasible).
-[[nodiscard]] inline bool any_subset_of(
-    std::span<const DynamicBitset> cache, const DynamicBitset& mask) {
-  for (const DynamicBitset& entry : cache) {
-    if (entry.is_subset_of(mask)) return true;
-  }
-  return false;
-}
 
 }  // namespace corropt::common

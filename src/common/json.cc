@@ -136,12 +136,6 @@ JsonWriter& JsonWriter::value(bool v) {
   return *this;
 }
 
-JsonWriter& JsonWriter::null() {
-  prefix();
-  out_ << "null";
-  return *this;
-}
-
 JsonWriter& JsonWriter::member(std::string_view k,
                                const std::vector<double>& v) {
   key(k);

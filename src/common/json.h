@@ -46,7 +46,6 @@ class JsonWriter {
   JsonWriter& value(std::uint64_t v);
   JsonWriter& value(int v) { return value(static_cast<std::int64_t>(v)); }
   JsonWriter& value(bool v);
-  JsonWriter& null();
 
   // key + scalar value in one call.
   template <typename T>

@@ -1,37 +1,12 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <iostream>
 
 namespace corropt::common {
 
-namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarning};
-
-std::string_view level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug:
-      return "DEBUG";
-    case LogLevel::kInfo:
-      return "INFO";
-    case LogLevel::kWarning:
-      return "WARN";
-    case LogLevel::kError:
-      return "ERROR";
-  }
-  return "?";
-}
-
-}  // namespace
-
-void set_log_level(LogLevel level) { g_level.store(level); }
-
-LogLevel log_level() { return g_level.load(); }
-
 void log_message(LogLevel level, std::string_view message) {
-  if (static_cast<int>(level) < static_cast<int>(log_level())) return;
-  std::cerr << '[' << level_name(level) << "] " << message << '\n';
+  std::cerr << (level == LogLevel::kError ? "[ERROR] " : "[WARN] ")
+            << message << '\n';
 }
 
 }  // namespace corropt::common

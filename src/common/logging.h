@@ -1,7 +1,10 @@
-// Lightweight leveled logging.
+// Warning and error lines on stderr.
 //
-// Controllers and simulators log noteworthy events (link disabled, ticket
-// issued) at kInfo; benches run with kWarning to keep their stdout parseable.
+// The decision journal (obs::EventJournal) records what the controller
+// did and why; this is only for conditions an operator must see, such as
+// the optimizer's greedy fallback or a corrupt topology. Each message is
+// one line, "[WARN] message" or "[ERROR] message", and every message is
+// printed: there is no level switch.
 #pragma once
 
 #include <sstream>
@@ -10,13 +13,9 @@
 
 namespace corropt::common {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
+enum class LogLevel { kWarning, kError };
 
-// Process-wide minimum level; messages below it are dropped.
-void set_log_level(LogLevel level);
-[[nodiscard]] LogLevel log_level();
-
-// Emits one line to stderr: "[LEVEL] message".
+// Emits one line to stderr: "[WARN] message" or "[ERROR] message".
 void log_message(LogLevel level, std::string_view message);
 
 namespace internal {
@@ -42,15 +41,9 @@ class LogLine {
 
 }  // namespace internal
 
-#define CORROPT_LOG(level)                                        \
-  if (static_cast<int>(level) <                                   \
-      static_cast<int>(::corropt::common::log_level())) {         \
-  } else                                                          \
-    ::corropt::common::internal::LogLine(level)
-
-#define CORROPT_LOG_DEBUG CORROPT_LOG(::corropt::common::LogLevel::kDebug)
-#define CORROPT_LOG_INFO CORROPT_LOG(::corropt::common::LogLevel::kInfo)
-#define CORROPT_LOG_WARNING CORROPT_LOG(::corropt::common::LogLevel::kWarning)
-#define CORROPT_LOG_ERROR CORROPT_LOG(::corropt::common::LogLevel::kError)
+#define CORROPT_LOG_WARNING \
+  ::corropt::common::internal::LogLine(::corropt::common::LogLevel::kWarning)
+#define CORROPT_LOG_ERROR \
+  ::corropt::common::internal::LogLine(::corropt::common::LogLevel::kError)
 
 }  // namespace corropt::common

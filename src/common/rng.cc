@@ -64,12 +64,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  assert(lo <= hi);
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(uniform_index(span));
-}
-
 bool Rng::bernoulli(double p) { return uniform() < p; }
 
 double Rng::normal() {

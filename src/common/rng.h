@@ -39,8 +39,6 @@ class Rng {
   double uniform(double lo, double hi);
   // Uniform integer in [0, n). Requires n > 0.
   std::uint64_t uniform_index(std::uint64_t n);
-  // Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   // Bernoulli trial with success probability p (clamped to [0, 1]).
   bool bernoulli(double p);
   // Standard normal via Marsaglia polar method.

@@ -12,9 +12,9 @@
 //
 // Sections: each class opens its slice with `section(tag, version)`;
 // the reader's `expect_section(tag)` validates the tag and returns the
-// version. Nested, independently skippable payloads (e.g. a detection
+// version. Nested, independently decodable payloads (e.g. a detection
 // backend's private state, which a branch with a different backend kind
-// must skip unread) are written as `blob()`s.
+// reads as a blob and then ignores) are written as `blob()`s.
 #pragma once
 
 #include <cstddef>
@@ -73,8 +73,6 @@ class Reader {
   std::size_t length();
   std::string_view str();
   std::string_view blob() { return str(); }
-  // Skips a length-prefixed payload without decoding it.
-  void skip_blob() { (void)str(); }
 
   // Validates the tag and returns the section version.
   std::uint16_t expect_section(std::uint32_t tag);

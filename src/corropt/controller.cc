@@ -4,8 +4,6 @@
 #include <memory>
 #include <stdexcept>
 
-#include "common/logging.h"
-
 namespace corropt::core {
 
 namespace {
@@ -108,8 +106,6 @@ bool Controller::on_corruption_detected(common::LinkId link,
   if (arrival_disable(link)) {
     ++stats_.disabled_on_arrival;
     obs_disabled_arrival_.add();
-    CORROPT_LOG_INFO << "controller: disabled corrupting link "
-                     << link.value() << " (loss rate " << loss_rate << ")";
     emit_link(obs::EventKind::kFastCheckVerdict,
               obs::EventReason::kDisabledVerdict, link, loss_rate);
     emit_link(obs::EventKind::kLinkDisabled, obs::EventReason::kArrival,
@@ -117,8 +113,6 @@ bool Controller::on_corruption_detected(common::LinkId link,
     issue_ticket(link);
     return true;
   }
-  CORROPT_LOG_INFO << "controller: corrupting link " << link.value()
-                   << " kept active: capacity constraint would be violated";
   obs_refused_capacity_.add();
   emit_link(obs::EventKind::kFastCheckVerdict,
             obs::EventReason::kRefusedCapacity, link, loss_rate);

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 
+#include "obs/timer.h"
+
 namespace corropt::core {
 
 namespace {
@@ -53,9 +55,7 @@ PathCounter::DisableCheck FastChecker::check(common::LinkId link,
 
 bool FastChecker::can_disable(common::LinkId link) {
   if (!topo_->is_enabled(link)) return true;
-  const obs::ScopedTimer timer(obs_check_timer_,
-                               sink_ != nullptr ? sink_->trace : nullptr,
-                               "fastcheck.can_disable");
+  const obs::ScopedTimer timer(obs_check_timer_);
   return check(link, /*keep=*/false).feasible;
 }
 
@@ -71,9 +71,7 @@ bool FastChecker::can_disable(
 
 bool FastChecker::try_disable(common::LinkId link) {
   if (!topo_->is_enabled(link)) return true;
-  const obs::ScopedTimer timer(obs_check_timer_,
-                               sink_ != nullptr ? sink_->trace : nullptr,
-                               "fastcheck.try_disable");
+  const obs::ScopedTimer timer(obs_check_timer_);
   if (!check(link, /*keep=*/true).feasible) return false;
   obs_disables_.add();
   // The shared counts kept the closure's new counts and cleared the

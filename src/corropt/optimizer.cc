@@ -8,6 +8,7 @@
 
 #include "common/logging.h"
 #include "common/thread_pool.h"
+#include "obs/timer.h"
 
 namespace corropt::core {
 
@@ -341,7 +342,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
 
   s.accept_cache.clear();
   s.reject_cache.clear();
-  if (config_.use_accept_cache && config_.prefilter_singletons) {
+  if (config_.prefilter_singletons) {
     // Every survivor was just proven feasible alone.
     for (std::size_t j = 0; j < m; ++j) s.accept_cache.push_back(1u << j);
   }
@@ -353,12 +354,10 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
 
   // Feasibility of one mask via the caches, sweeping only on a miss.
   auto evaluate = [&](std::uint32_t mask) -> bool {
-    if (config_.use_accept_cache) {
-      for (std::uint32_t entry : s.accept_cache) {
-        if ((mask & ~entry) == 0) {
-          ++out.accept_skips;
-          return true;
-        }
+    for (std::uint32_t entry : s.accept_cache) {
+      if ((mask & ~entry) == 0) {
+        ++out.accept_skips;
+        return true;
       }
     }
     if (config_.use_reject_cache) {
@@ -374,7 +373,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
       return (mask & s.pos_bit[c]) != 0;
     });
     if (ok) {
-      if (config_.use_accept_cache) s.accept_cache.push_back(mask);
+      s.accept_cache.push_back(mask);
     } else if (config_.use_reject_cache) {
       s.reject_cache.push_back(mask);
     }
@@ -396,7 +395,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
       best_from_dfs = true;
     }
     if (j == m) return;
-    if (config_.use_bound && pen + s.suffix[j] <= best_penalty) {
+    if (pen + s.suffix[j] <= best_penalty) {
       ++out.bound_skips;
       return;
     }
@@ -463,9 +462,7 @@ void Optimizer::set_sink(obs::Sink* sink) {
 }
 
 OptimizerResult Optimizer::run(const CorruptionSet& corruption) {
-  const obs::ScopedTimer timer(obs_run_timer_,
-                               sink_ != nullptr ? sink_->trace : nullptr,
-                               "optimizer.run");
+  const obs::ScopedTimer timer(obs_run_timer_);
   OptimizerResult result = run_impl(corruption);
   // Recorded post-merge on the calling thread: deterministic for any
   // solver_threads (the timer above is wall clock and exempt).

@@ -80,15 +80,6 @@ struct OptimizerConfig {
   bool use_pruning = true;
   bool use_segmentation = true;
 
-  // Accept cache: subsets of a mask already proven feasible are feasible
-  // without a sweep (monotonicity in the other direction from the reject
-  // cache). Ablation switch; exactness is unaffected.
-  bool use_accept_cache = true;
-  // Suffix-sum upper-bound cutoff: branches whose remaining candidates
-  // cannot strictly beat the incumbent penalty are pruned. Ablation
-  // switch; exactness is unaffected.
-  bool use_bound = true;
-
   // Ablation switch for benchmarks: when false, singleton-infeasible
   // candidates are not pre-filtered before enumeration.
   bool prefilter_singletons = true;

@@ -46,15 +46,6 @@ WcmpTable intact_uniform_table(const topology::Topology& topo) {
 
 }  // namespace
 
-double WcmpTable::share(const topology::Topology& topo,
-                        common::LinkId link) const {
-  const common::SwitchId lower = topo.link_at(link).lower;
-  for (const UplinkWeight& uplink : weights[lower.index()]) {
-    if (uplink.link == link) return uplink.weight;
-  }
-  return 0.0;
-}
-
 WcmpTable compute_wcmp(const topology::Topology& topo,
                        const PathCounter& paths) {
   const std::vector<std::uint64_t> counts = paths.up_paths();

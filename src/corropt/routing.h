@@ -32,11 +32,6 @@ struct WcmpTable {
   // traffic shares. Spine switches and switches with no active upward
   // path have empty entries.
   std::vector<std::vector<UplinkWeight>> weights;
-
-  // Convenience: the share assigned to `link` at its lower switch
-  // (0 for disabled or unknown links).
-  [[nodiscard]] double share(const topology::Topology& topo,
-                             common::LinkId link) const;
 };
 
 // Computes WCMP weights proportional to spine-path counts through each

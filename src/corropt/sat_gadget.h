@@ -40,11 +40,6 @@ struct SatGadget {
   // A constraint requiring every ToR to keep at least one spine path
   // (the connectivity requirement of Lemma A.1).
   CapacityConstraint connectivity;
-
-  [[nodiscard]] common::LinkId literal_link(int var, bool negated) const {
-    return corrupting[static_cast<std::size_t>(2 * (var - 1) +
-                                               (negated ? 1 : 0))];
-  }
 };
 
 // Builds the Lemma A.1 gadget for an instance with k >= r (clauses at

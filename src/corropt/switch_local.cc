@@ -9,14 +9,6 @@ SwitchLocalChecker::SwitchLocalChecker(topology::Topology& topo, double sc)
   assert(sc >= 0.0 && sc <= 1.0);
 }
 
-SwitchLocalChecker SwitchLocalChecker::for_capacity(
-    topology::Topology& topo, double capacity_fraction) {
-  const int tiers = topo.top_level();
-  assert(tiers >= 1);
-  return SwitchLocalChecker(
-      topo, switch_local_threshold(capacity_fraction, tiers));
-}
-
 int SwitchLocalChecker::disable_budget(common::SwitchId sw) const {
   const auto m = static_cast<double>(topo_->switch_at(sw).uplinks.size());
   // floor(m * (1 - sc)) computed via the kept count to avoid the

@@ -29,10 +29,6 @@ class SwitchLocalChecker {
   // `sc` is the fraction of uplinks every switch must keep active.
   SwitchLocalChecker(topology::Topology& topo, double sc);
 
-  // Derives sc = c^(1/r) from the ToR constraint and the topology depth.
-  static SwitchLocalChecker for_capacity(topology::Topology& topo,
-                                         double capacity_fraction);
-
   // Disables `link` iff its switch (the lower endpoint, whose uplink it
   // is) would still keep ceil(m * sc) uplinks active. Idempotent on
   // already-disabled links.

@@ -96,17 +96,15 @@ struct BackendConfig {
   BackendKind kind = BackendKind::kThreshold;
   VotingParams voting;
   SketchParams sketch;
-  // Opt-in detailed observability for the default backend: the polled
-  // pipeline registers detect.* counters (verdicts / false positives /
-  // missed faults / latency histogram) and journals one
-  // kDetectionVerdict record per verdict. Non-default backends always
-  // get the detailed obs; the flag exists so threshold runs can opt in
-  // without perturbing the golden-equivalence registry snapshots of
-  // default configurations.
-  bool obs_detail = false;
 
+  // Detailed detection observability: the polled pipeline registers
+  // detect.* counters (verdicts / false positives / missed faults /
+  // latency histogram) and journals one kDetectionVerdict record per
+  // verdict. Every backend but the default threshold one gets it; the
+  // threshold backend's registry snapshots and journals stay exactly
+  // those of the paper's pipeline.
   [[nodiscard]] bool detailed_obs() const {
-    return obs_detail || kind != BackendKind::kThreshold;
+    return kind != BackendKind::kThreshold;
   }
 };
 

@@ -104,11 +104,6 @@ void EventJournal::append(Event event) {
   ++dropped_;
 }
 
-std::size_t EventJournal::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return ring_.size();
-}
-
 std::uint64_t EventJournal::dropped() const {
   std::lock_guard<std::mutex> lock(mu_);
   return dropped_;
@@ -141,15 +136,6 @@ void EventJournal::restore(const std::vector<Event>& events,
   }
   next_seq_ = next_seq;
   dropped_ = dropped;
-}
-
-void EventJournal::clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  ring_.clear();
-  head_ = 0;
-  dropped_ = 0;
-  // next_seq_ keeps counting: sequence numbers identify events for the
-  // journal's lifetime, not per segment.
 }
 
 }  // namespace corropt::obs

@@ -125,14 +125,11 @@ class EventJournal {
   // full, the oldest record is evicted.
   void append(Event event);
 
-  [[nodiscard]] std::size_t size() const;
   // Events evicted by the ring bound.
   [[nodiscard]] std::uint64_t dropped() const;
 
   // Retained events in sequence order.
   [[nodiscard]] std::vector<Event> snapshot() const;
-
-  void clear();
 
   // Checkpointing (DESIGN.md §14): replaces the journal's contents with
   // a previously captured state. `events` must be in sequence order (a

@@ -1,9 +1,9 @@
 // Observability: the sink handed to instrumented components.
 //
-// A Sink bundles the three optional backends — metrics registry, event
-// journal, trace recorder — plus the simulation clock the journal stamps
-// records with. Components (corropt::Controller, MitigationSimulation,
-// Optimizer, FastChecker, PollingMonitor) hold a `Sink*` that defaults
+// A Sink bundles the two optional backends — metrics registry and event
+// journal — plus the simulation clock the journal stamps records with.
+// Components (corropt::Controller, MitigationSimulation, Optimizer,
+// FastChecker, PollingMonitor) hold a `Sink*` that defaults
 // to nullptr; with no sink attached the instrumentation compiles down to
 // a pointer test, and behaviour is identical either way (the sink is
 // write-only — nothing in the control loop ever reads it back).
@@ -17,13 +17,17 @@
 #include "common/time.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/timer.h"
 
 namespace corropt::obs {
+
+// Declared only, as the type of Sink::trace; never defined.
+class TraceRecorder;
 
 struct Sink {
   MetricsRegistry* metrics = nullptr;
   EventJournal* journal = nullptr;
+  // No effect: always nullptr and nothing reads it. Kept because
+  // perfbench's SinkSet aggregate-initialises all four members.
   TraceRecorder* trace = nullptr;
   // Simulation clock, advanced by the driving event loop.
   common::SimTime now = 0;

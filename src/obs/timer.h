@@ -1,69 +1,22 @@
-// Observability: RAII latency timers and chrome://tracing export.
+// Observability: RAII latency timers.
 //
 // ScopedTimer measures one scope with steady_clock and, on destruction,
 // feeds the elapsed seconds into a timer Histogram (see
-// MetricsRegistry::timer) and optionally a TraceRecorder span. With an
-// inert histogram and no recorder the constructor skips the clock reads
-// entirely, so instrumented hot paths cost nothing when observability is
-// detached.
-//
-// TraceRecorder collects named spans and serializes them in the Chrome
-// trace_event JSON format ("Trace Event Format", ph:"X" complete events),
-// loadable in chrome://tracing or Perfetto to profile where controller
-// time goes during a long scenario.
+// MetricsRegistry::timer). With an inert histogram the constructor skips
+// the clock reads entirely, so instrumented hot paths cost nothing when
+// observability is detached.
 #pragma once
 
 #include <chrono>
-#include <cstdint>
-#include <mutex>
-#include <ostream>
-#include <vector>
 
 #include "obs/metrics.h"
 
 namespace corropt::obs {
 
-class TraceRecorder {
- public:
-  // Spans beyond `capacity` are dropped (and counted) rather than growing
-  // without bound during long scenarios.
-  explicit TraceRecorder(std::size_t capacity = 1 << 20);
-
-  void record(const char* name, std::chrono::steady_clock::time_point begin,
-              std::chrono::steady_clock::time_point end);
-
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] std::uint64_t dropped() const;
-
-  // Chrome trace_event JSON: {"traceEvents": [{"ph": "X", ...}, ...]}.
-  // Timestamps are microseconds since the recorder's construction.
-  void write_chrome_trace(std::ostream& out) const;
-
- private:
-  struct Span {
-    const char* name;  // Must outlive the recorder (string literals).
-    double start_us = 0.0;
-    double dur_us = 0.0;
-    std::uint32_t tid = 0;
-  };
-
-  const std::size_t capacity_;
-  const std::chrono::steady_clock::time_point origin_;
-  mutable std::mutex mu_;
-  std::vector<Span> spans_;
-  std::uint64_t dropped_ = 0;
-};
-
 class ScopedTimer {
  public:
-  // `name` is only needed when `trace` is set; it must be a literal (or
-  // otherwise outlive the recorder).
-  explicit ScopedTimer(Histogram histogram, TraceRecorder* trace = nullptr,
-                       const char* name = nullptr)
-      : histogram_(histogram),
-        trace_(trace),
-        name_(name),
-        active_(static_cast<bool>(histogram) || trace != nullptr) {
+  explicit ScopedTimer(Histogram histogram)
+      : histogram_(histogram), active_(static_cast<bool>(histogram)) {
     if (active_) start_ = std::chrono::steady_clock::now();
   }
 
@@ -74,13 +27,10 @@ class ScopedTimer {
     if (!active_) return;
     const auto end = std::chrono::steady_clock::now();
     histogram_.record(std::chrono::duration<double>(end - start_).count());
-    if (trace_ != nullptr) trace_->record(name_, start_, end);
   }
 
  private:
   Histogram histogram_;
-  TraceRecorder* trace_;
-  const char* name_;
   bool active_;
   std::chrono::steady_clock::time_point start_{};
 };

@@ -15,11 +15,6 @@ void EventQueue::schedule(Event event) {
   std::push_heap(heap_.begin(), heap_.end(), std::greater<>());
 }
 
-const Event& EventQueue::peek() const {
-  assert(!heap_.empty());
-  return heap_.front().event;
-}
-
 Event EventQueue::pop() {
   assert(!heap_.empty());
   const Event event = heap_.front().event;

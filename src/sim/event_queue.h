@@ -102,8 +102,8 @@ class EventQueue {
   // Total events ever scheduled (== the next sequence number).
   [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
 
-  // The earliest event under (due, stratum, sequence) order.
-  [[nodiscard]] const Event& peek() const;
+  // Removes and returns the earliest event under (due, stratum,
+  // sequence) order.
   Event pop();
 
   // Invokes the handler registered for the event's type.

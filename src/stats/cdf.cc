@@ -23,14 +23,6 @@ void EmpiricalCdf::finalize() {
   }
 }
 
-double EmpiricalCdf::at(double x) {
-  assert(!samples_.empty());
-  finalize();
-  const auto it = std::upper_bound(samples_.begin(), samples_.end(), x);
-  return static_cast<double>(it - samples_.begin()) /
-         static_cast<double>(samples_.size());
-}
-
 double EmpiricalCdf::quantile(double q) {
   assert(!samples_.empty());
   assert(q > 0.0 && q <= 1.0);
@@ -38,28 +30,6 @@ double EmpiricalCdf::quantile(double q) {
   const auto rank = static_cast<std::size_t>(
       std::ceil(q * static_cast<double>(samples_.size())));
   return samples_[std::min(rank == 0 ? 0 : rank - 1, samples_.size() - 1)];
-}
-
-std::vector<EmpiricalCdf::Point> EmpiricalCdf::series(std::size_t points) {
-  assert(points >= 2);
-  finalize();
-  std::vector<Point> out;
-  if (samples_.empty()) return out;
-  out.reserve(points);
-  const double lo = samples_.front();
-  const double hi = samples_.back();
-  for (std::size_t i = 0; i < points; ++i) {
-    const double x =
-        lo + (hi - lo) * static_cast<double>(i) /
-                 static_cast<double>(points - 1);
-    out.push_back({x, at(x)});
-  }
-  return out;
-}
-
-const std::vector<double>& EmpiricalCdf::sorted_samples() {
-  finalize();
-  return samples_;
 }
 
 }  // namespace corropt::stats

@@ -1,7 +1,7 @@
 // Empirical cumulative distribution functions.
 //
 // Several paper figures (2b, 3b, 18b) are CDFs; benches use this class to
-// print them as (x, F(x)) series.
+// print their quantiles.
 #pragma once
 
 #include <cstddef>
@@ -16,30 +16,17 @@ class EmpiricalCdf {
   explicit EmpiricalCdf(std::span<const double> samples);
 
   void add(double sample);
-  // Sorts pending samples; called lazily by queries, or explicitly before
-  // iterating the sorted data.
-  void finalize();
 
   [[nodiscard]] std::size_t size() const { return samples_.size(); }
   [[nodiscard]] bool empty() const { return samples_.empty(); }
 
-  // Fraction of samples <= x. Requires at least one sample.
-  [[nodiscard]] double at(double x);
   // Smallest sample s with F(s) >= q, q in (0, 1]. Requires samples.
   [[nodiscard]] double quantile(double q);
 
-  // Evaluates the CDF at `points` evenly spaced sample values between the
-  // min and max, producing a plottable series of (value, fraction).
-  struct Point {
-    double value;
-    double fraction;
-  };
-  [[nodiscard]] std::vector<Point> series(std::size_t points);
-
-  // Sorted access to the underlying samples (after finalize()).
-  [[nodiscard]] const std::vector<double>& sorted_samples();
-
  private:
+  // Sorts pending samples; called lazily by queries.
+  void finalize();
+
   std::vector<double> samples_;
   bool sorted_ = true;
 };

@@ -1,37 +1,8 @@
 #include "stats/correlation.h"
 
-#include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace corropt::stats {
-
-double pearson(std::span<const double> x, std::span<const double> y) {
-  assert(x.size() == y.size());
-  const std::size_t n = x.size();
-  if (n < 2) return 0.0;
-  double mean_x = 0.0;
-  double mean_y = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    mean_x += x[i];
-    mean_y += y[i];
-  }
-  mean_x /= static_cast<double>(n);
-  mean_y /= static_cast<double>(n);
-  double sxy = 0.0;
-  double sxx = 0.0;
-  double syy = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double dx = x[i] - mean_x;
-    const double dy = y[i] - mean_y;
-    sxy += dx * dy;
-    sxx += dx * dx;
-    syy += dy * dy;
-  }
-  if (sxx == 0.0 || syy == 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
-}
 
 void PearsonAccumulator::add(double x, double y) {
   ++n_;
@@ -59,16 +30,6 @@ double PearsonAccumulator::correlation() const {
   const double vy = syy_ - sy_ * sy_ / n;
   if (vx <= 0.0 || vy <= 0.0) return 0.0;
   return cov / std::sqrt(vx * vy);
-}
-
-double pearson_log(std::span<const double> x, std::span<const double> y,
-                   double floor) {
-  assert(floor > 0.0);
-  std::vector<double> log_y(y.size());
-  std::transform(y.begin(), y.end(), log_y.begin(), [floor](double v) {
-    return std::log10(std::max(v, floor));
-  });
-  return pearson(x, log_y);
 }
 
 }  // namespace corropt::stats

@@ -1,25 +1,13 @@
 // Correlation measures.
 //
 // Figure 3b plots the Pearson correlation between a link's utilization and
-// the logarithm of its loss rate; this module provides that computation.
+// the logarithm of its loss rate; this module provides that computation
+// as a streaming accumulator.
 #pragma once
 
-#include <span>
+#include <cstddef>
 
 namespace corropt::stats {
-
-// Pearson product-moment correlation of two equal-length series.
-// Returns 0 when either series has zero variance or fewer than 2 points,
-// matching the convention used when a link's loss rate never changes.
-[[nodiscard]] double pearson(std::span<const double> x,
-                             std::span<const double> y);
-
-// Pearson correlation of x against log10(max(y, floor)). The floor keeps
-// zero-loss polling intervals finite, mirroring how the paper treats the
-// logarithm of loss rates that include zero samples.
-[[nodiscard]] double pearson_log(std::span<const double> x,
-                                 std::span<const double> y,
-                                 double floor = 1e-10);
 
 // Streaming Pearson accumulator: O(1) memory per link series, used when
 // correlating a week of 15-minute samples across every link of a DCN.

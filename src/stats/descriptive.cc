@@ -1,9 +1,7 @@
 #include "stats/descriptive.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
-#include <vector>
 
 namespace corropt::stats {
 
@@ -56,31 +54,6 @@ double mean(std::span<const double> values) {
   RunningStats s;
   for (double v : values) s.add(v);
   return s.mean();
-}
-
-double stddev(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.stddev();
-}
-
-double coefficient_of_variation(std::span<const double> values) {
-  RunningStats s;
-  for (double v : values) s.add(v);
-  return s.coefficient_of_variation();
-}
-
-double percentile(std::span<const double> values, double q) {
-  assert(!values.empty());
-  assert(q >= 0.0 && q <= 1.0);
-  std::vector<double> sorted(values.begin(), values.end());
-  std::sort(sorted.begin(), sorted.end());
-  if (sorted.size() == 1) return sorted.front();
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const auto lo = static_cast<std::size_t>(pos);
-  const std::size_t hi = std::min(lo + 1, sorted.size() - 1);
-  const double frac = pos - static_cast<double>(lo);
-  return sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
 }
 
 }  // namespace corropt::stats

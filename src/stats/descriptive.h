@@ -39,11 +39,5 @@ class RunningStats {
 };
 
 [[nodiscard]] double mean(std::span<const double> values);
-[[nodiscard]] double stddev(std::span<const double> values);
-[[nodiscard]] double coefficient_of_variation(std::span<const double> values);
-
-// q in [0, 1]; linear interpolation between order statistics. Requires a
-// non-empty input; the input need not be sorted.
-[[nodiscard]] double percentile(std::span<const double> values, double q);
 
 }  // namespace corropt::stats

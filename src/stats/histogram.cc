@@ -25,11 +25,6 @@ void LossBucketHistogram::add(double loss_rate) {
   ++total_;
 }
 
-std::size_t LossBucketHistogram::count(std::size_t bucket) const {
-  assert(bucket < counts_.size());
-  return counts_[bucket];
-}
-
 std::vector<double> LossBucketHistogram::normalized() const {
   std::vector<double> out(counts_.size(), 0.0);
   if (total_ == 0) return out;

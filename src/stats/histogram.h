@@ -27,7 +27,6 @@ class LossBucketHistogram {
   void add(double loss_rate);
 
   [[nodiscard]] std::size_t bucket_count() const { return counts_.size(); }
-  [[nodiscard]] std::size_t count(std::size_t bucket) const;
   [[nodiscard]] std::size_t total() const { return total_; }
   // Fraction of counted samples in each bucket (sums to 1 when total > 0).
   [[nodiscard]] std::vector<double> normalized() const;

@@ -18,11 +18,10 @@ PollingMonitor::PollingMonitor(NetworkState& state, common::Rng& rng,
 void PollingMonitor::set_sink(obs::Sink* sink) {
   if (sink == nullptr || sink->metrics == nullptr) {
     obs_polls_ = obs::Counter();
-    obs_poll_cycles_ = obs::Counter();
     return;
   }
   obs_polls_ = sink->metrics->counter("telemetry.polls");
-  obs_poll_cycles_ = sink->metrics->counter("telemetry.poll_cycles");
+  static_cast<void>(sink->metrics->counter("telemetry.poll_cycles"));
 }
 
 namespace {
@@ -104,21 +103,6 @@ PollSample PollingMonitor::poll_direction(DirectionId dir,
   }
   obs_polls_.add();
   return sample;
-}
-
-std::vector<PollSample> PollingMonitor::poll(SimTime epoch_start,
-                                             SimDuration epoch,
-                                             const LoadProvider& load) {
-  const topology::Topology& topo = state_->topo();
-  std::vector<PollSample> samples;
-  samples.reserve(topo.direction_count());
-  for (std::size_t i = 0; i < topo.direction_count(); ++i) {
-    const DirectionId dir(static_cast<common::DirectionId::underlying_type>(i));
-    samples.push_back(
-        poll_direction(dir, epoch_start, load(dir, epoch_start), epoch));
-  }
-  obs_poll_cycles_.add();
-  return samples;
 }
 
 }  // namespace corropt::telemetry

@@ -8,8 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/ids.h"
 #include "common/rng.h"
@@ -61,8 +59,6 @@ struct DirectionLoad {
   // Probability a packet is dropped to congestion this epoch.
   double congestion_rate = 0.0;
 };
-using LoadProvider =
-    std::function<DirectionLoad(DirectionId, SimTime epoch_start)>;
 
 // Packet budget of one 15-minute poll interval at line rate: ~1.4 Mpps
 // scaled down 100x to keep counter arithmetic cheap while preserving
@@ -91,22 +87,18 @@ class PollingMonitor {
                  double packets_per_epoch_at_line_rate =
                      kDefaultPacketsPerPoll);
 
-  // Advances every direction by one epoch and returns the samples.
-  // Disabled links carry no traffic and report zero counters but their
-  // optics are still sampled (lasers stay on).
-  std::vector<PollSample> poll(SimTime epoch_start, SimDuration epoch,
-                               const LoadProvider& load);
-
-  // Polls a single direction (used by focused case-study benches and the
-  // mitigation simulation, which samples at the 15-minute cadence).
-  // `epoch` scales the offered packet count relative to the 15-minute
-  // poll interval.
+  // Advances one direction by one epoch and returns its sample. Disabled
+  // links carry no traffic and report zero counters but their optics are
+  // still sampled (lasers stay on). `epoch` scales the offered packet
+  // count relative to the 15-minute poll interval.
   PollSample poll_direction(DirectionId dir, SimTime epoch_start,
                             const DirectionLoad& load,
                             SimDuration epoch = common::kPollInterval);
 
-  // Attaches observability: "telemetry.polls" counts direction samples,
-  // "telemetry.poll_cycles" full fabric sweeps. Pass nullptr to detach.
+  // Attaches observability: "telemetry.polls" counts direction samples.
+  // "telemetry.poll_cycles" is registered but stays 0: nothing polls the
+  // whole fabric at once, and the metrics documents keep the key. Pass
+  // nullptr to detach.
   void set_sink(obs::Sink* sink);
 
  private:
@@ -114,7 +106,6 @@ class PollingMonitor {
   common::Rng* rng_;
   double packets_at_line_rate_;
   obs::Counter obs_polls_;
-  obs::Counter obs_poll_cycles_;
 };
 
 }  // namespace corropt::telemetry

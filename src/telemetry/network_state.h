@@ -109,9 +109,6 @@ class NetworkState {
 
   // Flat per-direction arrays, indexed by DirectionId. Hot loops stream
   // these directly instead of going through direction().
-  [[nodiscard]] std::span<const double> tx_powers_dbm() const {
-    return tx_power_dbm_;
-  }
   [[nodiscard]] std::span<const double> extra_attenuations_db() const {
     return extra_attenuation_db_;
   }

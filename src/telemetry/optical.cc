@@ -4,14 +4,4 @@ namespace corropt::telemetry {
 
 OpticalTech default_tech() { return OpticalTech{}; }
 
-OpticalTech long_reach_tech() {
-  OpticalTech tech;
-  tech.name = "long-reach-40G-LR4";
-  tech.nominal_tx_dbm = 2.0;
-  tech.tx_threshold_dbm = -2.0;
-  tech.rx_threshold_dbm = -12.0;
-  tech.nominal_path_loss_db = 6.0;
-  return tech;
-}
-
 }  // namespace corropt::telemetry

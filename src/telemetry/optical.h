@@ -41,8 +41,8 @@ struct OpticalTech {
 };
 
 // The common technologies in the studied data centers differ in loss
-// budget; the deployed engine used one threshold for all (Section 7.2).
+// budget; the deployed engine used one threshold for all (Section 7.2),
+// and so does every experiment here.
 [[nodiscard]] OpticalTech default_tech();
-[[nodiscard]] OpticalTech long_reach_tech();
 
 }  // namespace corropt::telemetry

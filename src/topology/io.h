@@ -25,8 +25,9 @@ void write_topology(std::ostream& out, const Topology& topo);
 
 // Parses what write_topology emits. Returns std::nullopt (and sets
 // `error` when provided) on malformed input: unknown row kinds,
-// non-dense ids, links referencing unknown switches or non-adjacent
-// levels.
+// non-dense ids, a level not below the number of switch rows, a pod or
+// breakout group outside int (or a group below -1), links referencing
+// unknown switches or non-adjacent levels.
 [[nodiscard]] std::optional<Topology> read_topology(
     std::istream& in, std::string* error = nullptr);
 

@@ -97,11 +97,6 @@ SwitchId Topology::transmitter(DirectionId dir) const {
   return direction_of(dir) == LinkDirection::kUp ? link.lower : link.upper;
 }
 
-SwitchId Topology::receiver(DirectionId dir) const {
-  const Link& link = link_at(link_of(dir));
-  return direction_of(dir) == LinkDirection::kUp ? link.upper : link.lower;
-}
-
 std::vector<LinkId> Topology::breakout_peers(LinkId id) const {
   const Link& link = link_at(id);
   if (link.breakout_group < 0) return {id};

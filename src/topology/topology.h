@@ -151,8 +151,6 @@ class Topology {
   // --- direction helpers ----------------------------------------------
   // Switch transmitting on this direction.
   [[nodiscard]] SwitchId transmitter(DirectionId dir) const;
-  // Switch receiving on this direction.
-  [[nodiscard]] SwitchId receiver(DirectionId dir) const;
 
   // Links in the same breakout group as `id` (including `id` itself);
   // just {id} for ungrouped links.

@@ -2,15 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <charconv>
-#include <stdexcept>
-#include <istream>
-#include <ostream>
-#include <sstream>
-#include <string>
-
-#include "common/csv.h"
-#include "common/logging.h"
 
 namespace corropt::trace {
 
@@ -86,128 +77,6 @@ std::vector<TraceEvent> CorruptionTraceGenerator::generate() {
             [](const TraceEvent& a, const TraceEvent& b) {
               return a.time < b.time;
             });
-  return events;
-}
-
-namespace {
-
-std::string pack_links(const std::vector<common::LinkId>& links) {
-  std::string out;
-  for (std::size_t i = 0; i < links.size(); ++i) {
-    if (i != 0) out.push_back(';');
-    out += std::to_string(links[i].value());
-  }
-  return out;
-}
-
-std::string pack_actions(const std::vector<faults::RepairAction>& actions) {
-  std::string out;
-  for (std::size_t i = 0; i < actions.size(); ++i) {
-    if (i != 0) out.push_back(';');
-    out += std::to_string(static_cast<int>(actions[i]));
-  }
-  return out;
-}
-
-std::string pack_effects(const std::vector<faults::DirectionEffect>& effects) {
-  std::ostringstream out;
-  // max_digits10 so that doubles survive the text round trip exactly.
-  out.precision(17);
-  for (std::size_t i = 0; i < effects.size(); ++i) {
-    if (i != 0) out << ';';
-    const faults::DirectionEffect& e = effects[i];
-    out << e.direction.value() << ':' << e.extra_attenuation_db << ':'
-        << e.tx_power_delta_db << ':' << e.tx_decay_db_per_day << ':'
-        << e.corruption_rate;
-  }
-  return out.str();
-}
-
-// Splits on `sep`, preserving empty fields — including a trailing one,
-// so "1:2:" is three fields and a row with an empty final column fails
-// its shape/number checks instead of silently shifting. An empty input
-// has no fields at all (the packers emit "" for empty lists).
-std::vector<std::string> split(const std::string& s, char sep) {
-  std::vector<std::string> parts;
-  if (s.empty()) return parts;
-  std::string current;
-  for (char c : s) {
-    if (c == sep) {
-      parts.push_back(current);
-      current.clear();
-    } else {
-      current.push_back(c);
-    }
-  }
-  parts.push_back(current);
-  return parts;
-}
-
-}  // namespace
-
-void write_trace(std::ostream& out, const std::vector<TraceEvent>& events) {
-  common::CsvWriter csv(out);
-  csv.row("time_s", "root_cause", "links", "fixing_actions", "effects");
-  for (const TraceEvent& event : events) {
-    csv.row(event.time, static_cast<int>(event.fault.cause),
-            pack_links(event.fault.links),
-            pack_actions(event.fault.fixing_actions),
-            pack_effects(event.fault.effects));
-  }
-}
-
-std::vector<TraceEvent> read_trace(std::istream& in) {
-  std::vector<TraceEvent> events;
-  std::string line;
-  bool header = true;
-  std::size_t line_number = 0;
-  while (std::getline(in, line)) {
-    ++line_number;
-    if (header) {
-      header = false;
-      continue;
-    }
-    if (line.empty()) continue;
-    // Malformed rows are skipped with a warning rather than corrupting
-    // the replay: trace files travel between machines and tools.
-    try {
-      const std::vector<std::string> fields = common::parse_csv_row(line);
-      if (fields.size() != 5) throw std::invalid_argument("field count");
-      TraceEvent event;
-      event.time = std::stoll(fields[0]);
-      event.fault.onset = event.time;
-      event.fault.cause =
-          static_cast<faults::RootCause>(std::stoi(fields[1]));
-      for (const std::string& part : split(fields[2], ';')) {
-        event.fault.links.emplace_back(
-            static_cast<common::LinkId::underlying_type>(std::stoul(part)));
-      }
-      for (const std::string& part : split(fields[3], ';')) {
-        event.fault.fixing_actions.push_back(
-            static_cast<faults::RepairAction>(std::stoi(part)));
-      }
-      for (const std::string& part : split(fields[4], ';')) {
-        const std::vector<std::string> cols = split(part, ':');
-        if (cols.size() != 5) throw std::invalid_argument("effect shape");
-        faults::DirectionEffect effect;
-        effect.direction = common::DirectionId(
-            static_cast<common::DirectionId::underlying_type>(
-                std::stoul(cols[0])));
-        effect.extra_attenuation_db = std::stod(cols[1]);
-        effect.tx_power_delta_db = std::stod(cols[2]);
-        effect.tx_decay_db_per_day = std::stod(cols[3]);
-        effect.corruption_rate = std::stod(cols[4]);
-        event.fault.effects.push_back(effect);
-      }
-      if (event.fault.links.empty()) {
-        throw std::invalid_argument("no links");
-      }
-      events.push_back(std::move(event));
-    } catch (const std::exception& error) {
-      CORROPT_LOG_WARNING << "trace: skipping malformed row "
-                          << line_number << " (" << error.what() << ")";
-    }
-  }
   return events;
 }
 

@@ -6,11 +6,11 @@
 // process over the link population, each drawing a root cause from the
 // Table 2 mix and a loss rate from the Table 1 corruption distribution.
 // Shared-component faults strike co-located bundles, reproducing the weak
-// spatial locality of Figure 4. Traces serialize to CSV so experiments can
-// be re-run bit-identically.
+// spatial locality of Figure 4. A trace is a pure function of the
+// topology, the parameters and the seed, so experiments re-run
+// bit-identically by regenerating it.
 #pragma once
 
-#include <iosfwd>
 #include <vector>
 
 #include "common/rng.h"
@@ -63,11 +63,5 @@ class CorruptionTraceGenerator {
   TraceParams params_;
   common::Rng* rng_;
 };
-
-// CSV round-trip. The format is one row per fault with effects packed in
-// a ';'-separated column; read_trace accepts exactly what write_trace
-// emits (header included).
-void write_trace(std::ostream& out, const std::vector<TraceEvent>& events);
-[[nodiscard]] std::vector<TraceEvent> read_trace(std::istream& in);
 
 }  // namespace corropt::trace

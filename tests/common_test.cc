@@ -14,69 +14,40 @@
 namespace corropt::common {
 namespace {
 
+// Number of set bits, through the public per-bit test.
+std::size_t count_set(const DynamicBitset& bits) {
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < bits.size(); ++i) total += bits.test(i);
+  return total;
+}
+
 TEST(DynamicBitset, SetTestResetAcrossWordBoundaries) {
   // Odd size spanning three words; exercise bits on both sides of each
   // 64-bit boundary.
   DynamicBitset bits(131);
   EXPECT_EQ(bits.size(), 131u);
-  EXPECT_TRUE(bits.none());
+  EXPECT_EQ(count_set(bits), 0u);
   for (const std::size_t i : {0u, 63u, 64u, 127u, 128u, 130u}) {
     EXPECT_FALSE(bits.test(i));
     bits.set(i);
     EXPECT_TRUE(bits.test(i));
   }
-  EXPECT_EQ(bits.popcount(), 6u);
+  EXPECT_EQ(count_set(bits), 6u);
   bits.reset(64);
   EXPECT_FALSE(bits.test(64));
   EXPECT_TRUE(bits.test(63));
   EXPECT_TRUE(bits.test(127));
-  EXPECT_EQ(bits.popcount(), 5u);
+  EXPECT_EQ(count_set(bits), 5u);
   bits.set(64, true);
   bits.set(63, false);
   EXPECT_TRUE(bits.test(64));
   EXPECT_FALSE(bits.test(63));
-  bits.reset();
-  EXPECT_TRUE(bits.none());
-  EXPECT_EQ(bits.size(), 131u);
-}
-
-TEST(DynamicBitset, PopcountFindFirstAndAny) {
-  DynamicBitset bits(200);
-  EXPECT_EQ(bits.find_first(), DynamicBitset::npos);
-  EXPECT_FALSE(bits.any());
-  bits.set(199);
-  EXPECT_TRUE(bits.any());
-  EXPECT_EQ(bits.find_first(), 199u);
-  bits.set(65);
-  EXPECT_EQ(bits.find_first(), 65u);
-  bits.set(3);
-  EXPECT_EQ(bits.find_first(), 3u);
-  EXPECT_EQ(bits.popcount(), 3u);
-}
-
-TEST(DynamicBitset, SubsetAndIntersection) {
-  // 70 bits: the subset test must consider both words, including the
-  // partial tail word.
-  DynamicBitset small(70);
-  DynamicBitset big(70);
-  small.set(5);
-  small.set(69);
-  big.set(5);
-  big.set(69);
-  big.set(64);
-  EXPECT_TRUE(small.is_subset_of(big));
-  EXPECT_FALSE(big.is_subset_of(small));
-  EXPECT_TRUE(small.is_subset_of(small));
-  EXPECT_TRUE(small.intersects(big));
-  small.set(66);  // Now small has a bit (word 1) that big lacks.
-  EXPECT_FALSE(small.is_subset_of(big));
-  DynamicBitset empty(70);
-  EXPECT_TRUE(empty.is_subset_of(small));
-  EXPECT_FALSE(empty.intersects(small));
-  const DynamicBitset cache[] = {big};
-  EXPECT_FALSE(any_subset_of(cache, small));  // small lacks big's bit 64.
-  small.set(64);
-  EXPECT_TRUE(any_subset_of(cache, small));  // big is a subset of small now.
+  DynamicBitset other(131);
+  other.set(63);
+  bits |= other;
+  EXPECT_TRUE(bits.test(63));
+  EXPECT_EQ(count_set(bits), 6u);
+  EXPECT_EQ(bits.words()[1], (DynamicBitset::Word{1} << 63) | 1u);
 }
 
 TEST(DynamicBitset, PushBackAssignAndEquality) {
@@ -84,7 +55,7 @@ TEST(DynamicBitset, PushBackAssignAndEquality) {
   EXPECT_TRUE(bits.empty());
   for (std::size_t i = 0; i < 67; ++i) bits.push_back(i % 3 == 0);
   EXPECT_EQ(bits.size(), 67u);
-  EXPECT_EQ(bits.popcount(), 23u);  // ceil(67 / 3)
+  EXPECT_EQ(count_set(bits), 23u);  // ceil(67 / 3)
   EXPECT_TRUE(bits.test(66));
   EXPECT_FALSE(bits.test(65));
   DynamicBitset other(67);
@@ -94,7 +65,7 @@ TEST(DynamicBitset, PushBackAssignAndEquality) {
   EXPECT_FALSE(bits == other);
   bits.assign(5);
   EXPECT_EQ(bits.size(), 5u);
-  EXPECT_TRUE(bits.none());
+  EXPECT_EQ(bits, DynamicBitset(5));
 }
 
 TEST(Ids, DefaultIsInvalid) {
@@ -150,18 +121,6 @@ TEST(Rng, UniformIndexCoversRangeUniformly) {
   for (int count : counts) {
     EXPECT_NEAR(count, kDraws / 5, kDraws / 50);
   }
-}
-
-TEST(Rng, UniformIntInclusiveBounds) {
-  Rng rng(11);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 1000; ++i) {
-    const auto v = rng.uniform_int(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
 }
 
 TEST(Rng, BernoulliMatchesProbability) {
@@ -391,7 +350,7 @@ TEST(Json, WritesNestedDocument) {
   json.key("items").begin_array();
   json.value("a");
   json.value(std::int64_t{2});
-  json.null();
+  json.value(std::nan(""));  // Non-finite: written as null.
   json.end_array();
   json.member("series", std::vector<double>{1.0, 2.5});
   json.end_object();

@@ -222,8 +222,7 @@ TEST(BackendFactory, NamesAndProfiles) {
   EXPECT_FALSE(config.detailed_obs());
   config.kind = detect::BackendKind::kVoting;
   EXPECT_TRUE(config.detailed_obs());
-  config.kind = detect::BackendKind::kThreshold;
-  config.obs_detail = true;
+  config.kind = detect::BackendKind::kSketch;
   EXPECT_TRUE(config.detailed_obs());
 }
 

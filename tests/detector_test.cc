@@ -125,17 +125,15 @@ TEST(Detector, EndToEndWithMonitorAndFault) {
   DetectorParams params;
   params.window_polls = 4;
   CorruptionDetector detector(topo, params);
-  const LoadProvider load = [](common::DirectionId, common::SimTime) {
-    DirectionLoad l;
-    l.utilization = 0.3;
-    return l;
-  };
+  DirectionLoad load;
+  load.utilization = 0.3;
   bool detected = false;
   for (int epoch = 0; epoch < 8 && !detected; ++epoch) {
-    for (const PollSample& sample :
-         monitor.poll(epoch * common::kPollInterval, common::kPollInterval,
-                      load)) {
-      const auto event = detector.observe(sample);
+    for (std::size_t i = 0; i < topo.direction_count(); ++i) {
+      const common::DirectionId dir(
+          static_cast<common::DirectionId::underlying_type>(i));
+      const auto event = detector.observe(
+          monitor.poll_direction(dir, epoch * common::kPollInterval, load));
       if (event.has_value() &&
           event->kind == DetectionEvent::Kind::kCorrupting) {
         EXPECT_EQ(event->link, link);

@@ -151,7 +151,6 @@ TEST(EventJournalTest, BoundedRingEvictsOldest) {
   for (int i = 0; i < 6; ++i) {
     journal.append(Event{});
   }
-  EXPECT_EQ(journal.size(), 4u);
   EXPECT_EQ(journal.dropped(), 2u);
   const std::vector<Event> events = journal.snapshot();
   ASSERT_EQ(events.size(), 4u);

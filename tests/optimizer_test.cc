@@ -123,32 +123,16 @@ TEST(Optimizer, PrefersHigherPenaltySubset) {
   EXPECT_NEAR(result.remaining_penalty, 1e-5, 1e-15);
 }
 
-struct AblationCase {
-  bool pruning;
-  bool segmentation;
-  bool reject_cache;
-  bool prefilter;
-  bool accept_cache;
-  bool bound;
-};
-
 class OptimizerExactnessTest
     : public ::testing::TestWithParam<std::tuple<int, int>> {};
 
-// Property: whatever combination of speed-up features is enabled, the
-// optimizer's disabled penalty equals the brute-force optimum and the
-// final network state is feasible.
+// Property: whatever combination of the optimizer's four switches is set,
+// its disabled penalty equals the brute-force optimum and the final
+// network state is feasible. The variant's bits 0-3 pick use_pruning,
+// use_segmentation, use_reject_cache and prefilter_singletons.
 TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
   const int seed = std::get<0>(GetParam());
   const int variant = std::get<1>(GetParam());
-  const AblationCase ablation = {
-      (variant & 1) != 0,
-      (variant & 2) != 0,
-      (variant & 4) != 0,
-      (variant & 8) != 0,
-      (variant & 16) != 0,
-      (variant & 32) != 0,
-  };
   common::Rng rng(static_cast<std::uint64_t>(seed) * 131 + 7);
 
   topology::XgftSpec spec;
@@ -175,12 +159,10 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
       topo, constraint, candidates, corruption, penalty);
 
   OptimizerConfig config;
-  config.use_pruning = ablation.pruning;
-  config.use_segmentation = ablation.segmentation;
-  config.use_reject_cache = ablation.reject_cache;
-  config.prefilter_singletons = ablation.prefilter;
-  config.use_accept_cache = ablation.accept_cache;
-  config.use_bound = ablation.bound;
+  config.use_pruning = (variant & 1) != 0;
+  config.use_segmentation = (variant & 2) != 0;
+  config.use_reject_cache = (variant & 4) != 0;
+  config.prefilter_singletons = (variant & 8) != 0;
   PathCounter paths(topo);
   Optimizer optimizer(topo, paths, constraint, penalty, config);
   const OptimizerResult result = optimizer.run(corruption);
@@ -194,8 +176,7 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, OptimizerExactnessTest,
                          ::testing::Combine(::testing::Range(0, 12),
-                                            ::testing::Values(0, 3, 7, 11, 15,
-                                                              31, 47, 63)));
+                                            ::testing::Range(0, 16)));
 
 TEST(Optimizer, RespectsExistingDisabledLinks) {
   // Links already disabled (awaiting repair) constrain what more can go.

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <sstream>
 
 #include "common/rng.h"
 #include "sim/mitigation_sim.h"
@@ -94,40 +93,6 @@ TEST(SimDeep, ActionModelEscalatesWithHistory) {
   EXPECT_EQ(metrics.first_attempt_successes, 0u)
       << "a bad transceiver is never fixed by the first (reseat) visit";
   EXPECT_EQ(metrics.penalty_series.back().value, 0.0);
-}
-
-TEST(SimDeep, TraceCsvRoundTripGivesIdenticalSimulation) {
-  // Serialize a trace, read it back, and verify the simulation is
-  // bit-identical — the reproducibility contract of the bench suite.
-  auto topo = topology::build_fat_tree(12);
-  common::Rng rng(57);
-  trace::TraceParams params;
-  params.faults_per_link_per_day = 0.002;
-  params.duration = 60 * common::kDay;
-  const auto events =
-      trace::CorruptionTraceGenerator(topo, params, rng).generate();
-  ASSERT_FALSE(events.empty());
-
-  std::stringstream buffer;
-  trace::write_trace(buffer, events);
-  const auto parsed = trace::read_trace(buffer);
-
-  double penalty[2] = {};
-  std::size_t tickets[2] = {};
-  for (int round = 0; round < 2; ++round) {
-    auto fresh = topology::build_fat_tree(12);
-    ScenarioConfig config;
-    config.duration = params.duration;
-    config.capacity_fraction = 0.75;
-    config.seed = 58;
-    MitigationSimulation sim(fresh, config);
-    const SimulationMetrics metrics =
-        sim.run(round == 0 ? events : parsed);
-    penalty[round] = metrics.integrated_penalty;
-    tickets[round] = metrics.tickets_opened;
-  }
-  EXPECT_DOUBLE_EQ(penalty[0], penalty[1]);
-  EXPECT_EQ(tickets[0], tickets[1]);
 }
 
 TEST(SimDeep, HourlyBinsCoverWholeRun) {

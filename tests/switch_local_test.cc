@@ -74,8 +74,8 @@ TEST(SwitchLocal, IgnoresRemoteTors) {
 
 TEST(SwitchLocal, SqrtMappingIsSafeButConservative) {
   testing::Fig10Example ex = testing::make_fig10_example();
-  SwitchLocalChecker checker =
-      SwitchLocalChecker::for_capacity(ex.topo, 0.6);  // sc = sqrt(0.6)
+  SwitchLocalChecker checker(  // sc = sqrt(0.6)
+      ex.topo, switch_local_threshold(0.6, ex.topo.top_level()));
   EXPECT_NEAR(checker.sc(), std::sqrt(0.6), 1e-12);
   std::size_t disabled = 0;
   for (common::LinkId link : ex.corrupting) {
@@ -96,7 +96,8 @@ TEST_P(SwitchLocalSafetyTest, SqrtLawGuaranteesCapacity) {
   const double c = GetParam();
   common::Rng rng(static_cast<std::uint64_t>(c * 1000));
   auto topo = topology::build_fat_tree(6);
-  SwitchLocalChecker checker = SwitchLocalChecker::for_capacity(topo, c);
+  SwitchLocalChecker checker(topo,
+                             switch_local_threshold(c, topo.top_level()));
   PathCounter counter(topo);
   CapacityConstraint constraint(c);
   for (int step = 0; step < 200; ++step) {

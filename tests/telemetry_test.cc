@@ -35,12 +35,6 @@ TEST(Optical, AttenuationDropsRxBelowThreshold) {
   EXPECT_TRUE(tech.rx_is_low(rx));
 }
 
-TEST(Optical, TechnologiesDiffer) {
-  const OpticalTech lr = long_reach_tech();
-  EXPECT_NE(lr.name, default_tech().name);
-  EXPECT_GT(lr.nominal_tx_dbm, default_tech().nominal_tx_dbm);
-}
-
 TEST(NetworkState, InitializesNominalPowers) {
   const Topology topo = single_link_topo();
   NetworkState state(topo, default_tech());
@@ -183,21 +177,20 @@ TEST(Monitor, PollAllDirections) {
   NetworkState state(topo, default_tech());
   common::Rng rng(3);
   PollingMonitor monitor(state, rng);
-  const auto samples = monitor.poll(0, common::kPollInterval,
-                                    [](common::DirectionId, common::SimTime) {
-                                      DirectionLoad load;
-                                      load.utilization = 0.1;
-                                      return load;
-                                    });
-  ASSERT_EQ(samples.size(), 2u);
-  EXPECT_EQ(samples[0].direction.value(), 0u);
-  EXPECT_EQ(samples[1].direction.value(), 1u);
-  EXPECT_GT(samples[0].packets, 0u);
+  DirectionLoad load;
+  load.utilization = 0.1;
+  ASSERT_EQ(topo.direction_count(), 2u);
+  for (common::DirectionId::underlying_type i = 0; i < 2; ++i) {
+    const PollSample sample =
+        monitor.poll_direction(common::DirectionId(i), 0, load);
+    EXPECT_EQ(sample.direction.value(), i);
+    EXPECT_GT(sample.packets, 0u);
+  }
 }
 
 TEST(Monitor, OfferedPacketsScaleWithEpoch) {
-  // Regression: poll() used to ignore its epoch argument, so an hourly
-  // study epoch counted only 15 minutes' worth of packets.
+  // Regression: an hourly study epoch once counted only 15 minutes'
+  // worth of packets.
   const Topology topo = single_link_topo();
   NetworkState state(topo, default_tech());
   common::Rng rng(5);
@@ -212,19 +205,6 @@ TEST(Monitor, OfferedPacketsScaleWithEpoch) {
   EXPECT_EQ(base.packets, 500000u);
   EXPECT_EQ(hourly.packets,
             base.packets * (common::kHour / common::kPollInterval));
-
-  const auto constant_load = [](common::DirectionId, common::SimTime) {
-    DirectionLoad l;
-    l.utilization = 0.5;
-    return l;
-  };
-  const auto quarter = monitor.poll(0, common::kPollInterval, constant_load);
-  const auto hour = monitor.poll(0, common::kHour, constant_load);
-  ASSERT_EQ(quarter.size(), hour.size());
-  for (std::size_t i = 0; i < quarter.size(); ++i) {
-    EXPECT_EQ(hour[i].packets,
-              quarter[i].packets * (common::kHour / common::kPollInterval));
-  }
 }
 
 TEST(Monitor, KeyedSampleIsPureInItsKey) {

@@ -91,7 +91,19 @@ INSTANTIATE_TEST_SUITE_P(
         BadInput{"link_non_adjacent",
                  "switch,0,0,0,a\nswitch,1,2,0,b\nlink,0,0,1,1,-1\n"},
         BadInput{"short_switch_row", "switch,0,0\n"},
-        BadInput{"non_numeric_switch_id", "switch,zero,0,0,a\n"}),
+        BadInput{"non_numeric_switch_id", "switch,zero,0,0,a\n"},
+        // Levels size the per-level index, so a level must be below the
+        // number of switch rows: neither an int overflow nor a huge
+        // allocation can come from one short row.
+        BadInput{"level_int_max", "switch,0,2147483647,0,x\n"},
+        BadInput{"level_beyond_switch_count", "switch,0,100000000,0,x\n"},
+        BadInput{"level_beyond_switch_count_before_links",
+                 "switch,0,0,0,a\nswitch,1,2,0,b\nlink,0,0,1,1,-1\n"},
+        BadInput{"pod_beyond_int", "switch,0,0,2147483648,a\n"},
+        BadInput{"group_below_minus_one",
+                 "switch,0,0,0,a\nswitch,1,1,0,b\nlink,0,0,1,1,-7\n"},
+        BadInput{"group_beyond_int",
+                 "switch,0,0,0,a\nswitch,1,1,0,b\nlink,0,0,1,1,2147483648\n"}),
     [](const ::testing::TestParamInfo<BadInput>& info) {
       return info.param.name;
     });

@@ -68,9 +68,7 @@ TEST(Topology, DirectionHelpers) {
   EXPECT_EQ(opposite(up), down);
   EXPECT_EQ(opposite(down), up);
   EXPECT_EQ(topo.transmitter(up), SwitchId(0));
-  EXPECT_EQ(topo.receiver(up), SwitchId(1));
   EXPECT_EQ(topo.transmitter(down), SwitchId(1));
-  EXPECT_EQ(topo.receiver(down), SwitchId(0));
 }
 
 TEST(Topology, BreakoutGroups) {
