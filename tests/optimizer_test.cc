@@ -129,7 +129,9 @@ class OptimizerExactnessTest
 // Property: whatever combination of the optimizer's four switches is set,
 // its disabled penalty equals the brute-force optimum and the final
 // network state is feasible. The variant's bits 0-3 pick use_pruning,
-// use_segmentation, use_reject_cache and prefilter_singletons.
+// use_segmentation, use_reject_cache and prefilter_singletons; bit 4
+// solves independent segments on two threads and bit 5 swaps the linear
+// penalty for the TCP-throughput one.
 TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
   const int seed = std::get<0>(GetParam());
   const int variant = std::get<1>(GetParam());
@@ -154,7 +156,9 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
     corruption.mark(link, rng.log_uniform(1e-7, 1e-2));
   }
 
-  const PenaltyFunction penalty = PenaltyFunction::linear();
+  const PenaltyFunction penalty = (variant & 32) != 0
+                                      ? PenaltyFunction::tcp_throughput()
+                                      : PenaltyFunction::linear();
   const double expected = brute_force_best_penalty(
       topo, constraint, candidates, corruption, penalty);
 
@@ -163,6 +167,7 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
   config.use_segmentation = (variant & 2) != 0;
   config.use_reject_cache = (variant & 4) != 0;
   config.prefilter_singletons = (variant & 8) != 0;
+  config.solver_threads = (variant & 16) != 0 ? 2 : 1;
   PathCounter paths(topo);
   Optimizer optimizer(topo, paths, constraint, penalty, config);
   const OptimizerResult result = optimizer.run(corruption);
@@ -176,7 +181,7 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
 
 INSTANTIATE_TEST_SUITE_P(RandomInstances, OptimizerExactnessTest,
                          ::testing::Combine(::testing::Range(0, 12),
-                                            ::testing::Range(0, 16)));
+                                            ::testing::Range(0, 64)));
 
 TEST(Optimizer, RespectsExistingDisabledLinks) {
   // Links already disabled (awaiting repair) constrain what more can go.
