@@ -71,6 +71,9 @@ class DynamicBitset {
   }
 
   [[nodiscard]] std::span<const Word> words() const { return words_; }
+  // Raw word access for a checkpoint restore, which must leave the bits
+  // past size() clear.
+  [[nodiscard]] std::span<Word> words() { return words_; }
 
  private:
   static std::size_t word_count(std::size_t bits) {

@@ -214,18 +214,15 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   return indices;
 }
 
-void Rng::snapshot_to(snap::Writer& w) const {
-  w.section(snap::tag('R', 'N', 'G', '0'), 1);
-  for (std::uint64_t word : state_) w.u64(word);
-  w.boolean(has_cached_normal_);
-  w.f64(cached_normal_);
+template <class Self, class Codec>
+void Rng::walk(Self& self, Codec& c) {
+  c.section(snap::tag('R', 'N', 'G', '0'), 1, "rng");
+  for (auto& word : self.state_) c.u64(word);
+  c.boolean(self.has_cached_normal_);
+  c.f64(self.cached_normal_);
 }
 
-void Rng::restore_from(snap::Reader& r) {
-  r.expect_section(snap::tag('R', 'N', 'G', '0'));
-  for (std::uint64_t& word : state_) word = r.u64();
-  has_cached_normal_ = r.boolean();
-  cached_normal_ = r.f64();
-}
+void Rng::snapshot_to(snap::Writer& w) const { walk(*this, w); }
+void Rng::restore_from(snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::common

@@ -74,6 +74,9 @@ class Rng {
   void restore_from(snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   std::array<std::uint64_t, 4> state_{};
   bool has_cached_normal_ = false;
   double cached_normal_ = 0.0;

@@ -3,10 +3,43 @@
 #include <bit>
 #include <stdexcept>
 
+#include "common/hash.h"
+
 namespace corropt::common::snap {
+
+namespace {
+
+// Eight raw bytes, least significant first: doubles and the trailer.
+void append_le64(std::string& out, std::uint64_t v) {
+  for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
+}
+
+std::uint64_t load_le64(std::string_view bytes) {
+  std::uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= std::uint64_t{static_cast<std::uint8_t>(bytes[i])} << (8 * i);
+  }
+  return v;
+}
+
+}  // namespace
 
 void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
+}
+
+void seal(std::string& bytes) {
+  append_le64(bytes, fnv1a(kFnvBasis, bytes.data(), bytes.size()));
+}
+
+std::string_view unseal(std::string_view bytes) {
+  if (bytes.size() < kTrailerBytes) fail("truncated (checksum trailer)");
+  const std::string_view body = bytes.substr(0, bytes.size() - kTrailerBytes);
+  if (load_le64(bytes.substr(body.size())) !=
+      fnv1a(kFnvBasis, body.data(), body.size())) {
+    fail("checksum mismatch");
+  }
+  return body;
 }
 
 void Writer::u64(std::uint64_t v) {
@@ -24,10 +57,7 @@ void Writer::i64(std::int64_t v) {
 }
 
 void Writer::f64(double v) {
-  const auto bits = std::bit_cast<std::uint64_t>(v);
-  for (int i = 0; i < 8; ++i) {
-    out_.push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-  }
+  append_le64(out_, std::bit_cast<std::uint64_t>(v));
 }
 
 void Writer::str(std::string_view s) {
@@ -59,19 +89,20 @@ std::uint32_t Reader::u32() {
   return static_cast<std::uint32_t>(v);
 }
 
+bool Reader::boolean() {
+  const std::uint8_t v = u8();
+  if (v > 1) fail("boolean out of range");
+  return v != 0;
+}
+
 std::int64_t Reader::i64() {
   const std::uint64_t u = u64();
   return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
 }
 
 double Reader::f64() {
-  if (bytes_.size() - pos_ < 8) fail("truncated (f64)");
-  std::uint64_t bits = 0;
-  for (int i = 0; i < 8; ++i) {
-    bits |= static_cast<std::uint64_t>(
-                static_cast<std::uint8_t>(bytes_[pos_ + i]))
-            << (8 * i);
-  }
+  if (remaining() < 8) fail("truncated (f64)");
+  const std::uint64_t bits = load_le64(bytes_.substr(pos_));
   pos_ += 8;
   return std::bit_cast<double>(bits);
 }
@@ -90,19 +121,14 @@ std::string_view Reader::str() {
   return out;
 }
 
-std::uint16_t Reader::expect_section(std::uint32_t tag) {
-  const std::uint64_t got = u64();
-  if (got != tag) {
-    std::string name(4, '?');
-    for (int i = 0; i < 4; ++i) {
-      const char c = static_cast<char>((tag >> (8 * i)) & 0xFF);
-      name[static_cast<std::size_t>(i)] = c;
-    }
-    fail("section tag mismatch (expected '" + name + "')");
-  }
-  const std::uint64_t version = u64();
-  if (version > 0xFFFF) fail("section version out of range");
-  return static_cast<std::uint16_t>(version);
+void Reader::section(std::uint32_t tag, std::uint16_t version,
+                     std::string_view name) {
+  if (u64() != tag) fail(std::string(name) + " section tag mismatch");
+  if (u64() != version) fail(std::string(name) + " section version mismatch");
+}
+
+void Reader::guard(std::uint64_t live, std::string_view what) {
+  if (u64() != live) fail(std::string(what) + " mismatch");
 }
 
 }  // namespace corropt::common::snap

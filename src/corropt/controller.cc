@@ -196,29 +196,20 @@ void Controller::on_corruption_cleared(common::LinkId link) {
   corruption_.unmark(link);
 }
 
-void Controller::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('C', 'T', 'R', 'L'), kSnapshotVersion);
-  w.u64(stats_.corruption_reports);
-  w.u64(stats_.disabled_on_arrival);
-  w.u64(stats_.disabled_on_activation);
-  w.u64(stats_.tickets_issued);
-  w.u64(stats_.optimizer_runs);
-  corruption_.snapshot_to(w);
-  fast_checker_.snapshot_to(w);
+template <class Self, class Codec>
+void Controller::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('C', 'T', 'R', 'L'), kSnapshotVersion,
+            "controller");
+  c.u64(self.stats_.corruption_reports);
+  c.u64(self.stats_.disabled_on_arrival);
+  c.u64(self.stats_.disabled_on_activation);
+  c.u64(self.stats_.tickets_issued);
+  c.u64(self.stats_.optimizer_runs);
+  c.object(self.corruption_);
+  c.object(self.fast_checker_);
 }
 
-void Controller::restore_from(common::snap::Reader& r) {
-  if (r.expect_section(common::snap::tag('C', 'T', 'R', 'L')) !=
-      kSnapshotVersion) {
-    common::snap::fail("controller section version mismatch");
-  }
-  stats_.corruption_reports = r.u64();
-  stats_.disabled_on_arrival = r.u64();
-  stats_.disabled_on_activation = r.u64();
-  stats_.tickets_issued = r.u64();
-  stats_.optimizer_runs = r.u64();
-  corruption_.restore_from(r);
-  fast_checker_.restore_from(r);
-}
+void Controller::snapshot_to(common::snap::Writer& w) const { walk(*this, w); }
+void Controller::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::core

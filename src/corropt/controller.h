@@ -141,6 +141,9 @@ class Controller {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // Re-examines all active corrupting links with the mode's arrival
   // checker (switch-local and fast-checker-only modes).
   void recheck_all_active();

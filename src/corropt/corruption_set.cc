@@ -68,34 +68,24 @@ double CorruptionSet::total_active_penalty(
   return total;
 }
 
-void CorruptionSet::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('C', 'O', 'R', 'R'), 1);
-  w.u64(entries_.size());
-  for (const auto& [link, entry] : entries_) {
-    w.u32(link.value());
-    w.f64(entry.rate);
-    w.u64(entry.detected_seq);
-  }
-  w.u64(next_seq_);
-  w.u64(epoch_);
-}
-
-void CorruptionSet::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('C', 'O', 'R', 'R'));
-  entries_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const LinkId link(r.u32());
-    Entry entry;
-    entry.rate = r.f64();
-    entry.detected_seq = r.u64();
-    entries_.emplace(link, entry);
-  }
-  next_seq_ = r.u64();
-  epoch_ = r.u64();
+template <class Self, class Codec>
+void CorruptionSet::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('C', 'O', 'R', 'R'), 1, "corruption set");
+  c.entries(self.entries_, [&c](auto& link, auto& entry) {
+    c.id(link);
+    c.f64(entry.rate);
+    c.u64(entry.detected_seq);
+  });
+  c.u64(self.next_seq_);
+  c.u64(self.epoch_);
   // The memoized total holds a raw pointer to the source context's
   // topology; never carry it across a restore.
-  penalty_cache_ = PenaltyCache{};
+  if constexpr (Codec::kReading) self.penalty_cache_ = PenaltyCache{};
 }
+
+void CorruptionSet::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
+void CorruptionSet::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::core

@@ -86,6 +86,9 @@ class CorruptionSet {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   std::map<LinkId, Entry> entries_;
   std::uint64_t next_seq_ = 0;
   std::uint64_t epoch_ = 0;

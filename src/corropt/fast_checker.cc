@@ -82,25 +82,21 @@ bool FastChecker::try_disable(common::LinkId link) {
   return true;
 }
 
-void FastChecker::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('F', 'C', 'H', 'K'), kSnapshotVersion);
-  w.u64(seen_.size());
-  for (std::uint64_t word : seen_) w.u64(word);
-}
-
-void FastChecker::restore_from(common::snap::Reader& r) {
-  if (r.expect_section(common::snap::tag('F', 'C', 'H', 'K')) !=
-      kSnapshotVersion) {
-    common::snap::fail("fast checker section version mismatch");
-  }
+template <class Self, class Codec>
+void FastChecker::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('F', 'C', 'H', 'K'), kSnapshotVersion,
+            "fast checker");
+  c.seq(self.seen_, [&c](auto& word) { c.u64(word); });
   // Empty (no decision yet) or sized for this topology; anything else
   // belongs to another fabric.
-  const std::size_t n = r.length();
-  if (n != 0 && n != topo_->enabled_mask().words().size()) {
-    common::snap::fail("fast checker mask does not match the topology");
-  }
-  seen_.resize(n);
-  for (std::uint64_t& word : seen_) word = r.u64();
+  c.check(self.seen_.empty() ||
+              self.seen_.size() == self.topo_->enabled_mask().words().size(),
+          "fast checker mask does not match the topology");
 }
+
+void FastChecker::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
+void FastChecker::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::core

@@ -75,6 +75,9 @@ class FastChecker {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // One decision on the enabled `link`: records the mask it runs under,
   // asks the path counter and counts the work.
   PathCounter::DisableCheck check(common::LinkId link, bool keep);

@@ -223,64 +223,50 @@ void SketchBackend::attach_sink(obs::Sink* sink) {
   obs_decodes_ = sink->metrics->counter("detect.sketch_decodes");
 }
 
-void SketchBackend::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('S', 'K', 'T', 'B'), 1);
-  w.u64(cycle_);
-  // Sparse per-switch sketches: only allocated (non-empty) ones.
-  w.u64(sketches_.size());
-  std::uint64_t allocated = 0;
-  for (const std::vector<std::uint64_t>& s : sketches_) {
-    if (!s.empty()) ++allocated;
-  }
-  w.u64(allocated);
-  for (std::size_t sw = 0; sw < sketches_.size(); ++sw) {
-    if (sketches_[sw].empty()) continue;
-    w.u64(sw);
-    for (std::uint64_t c : sketches_[sw]) w.u64(c);
-  }
-  w.u64(inserted_.size());
-  for (std::uint64_t v : inserted_) w.u64(v);
-  w.u64(dirty_list_.size());
-  for (common::SwitchId sw : dirty_list_) w.u32(sw.value());
-  w.u64(above_.size());
-  for (int a : above_) w.i64(a);
-  for (char b : believed_) w.u8(static_cast<std::uint8_t>(b));
-}
-
-void SketchBackend::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('S', 'K', 'T', 'B'));
-  cycle_ = r.u64();
-  if (r.u64() != sketches_.size()) {
-    common::snap::fail("sketch backend switch count mismatch");
+template <class Self, class Codec>
+void SketchBackend::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('S', 'K', 'T', 'B'), 1, "sketch backend");
+  c.u64(self.cycle_);
+  // Sparse per-switch sketches: only the allocated (non-empty) ones,
+  // each behind its switch index.
+  c.guard(self.sketches_.size(), "sketch backend switch count");
+  std::vector<std::uint64_t> allocated;
+  if constexpr (Codec::kReading) {
+    for (std::vector<std::uint64_t>& s : self.sketches_) s.clear();
+  } else {
+    for (std::size_t sw = 0; sw < self.sketches_.size(); ++sw) {
+      if (!self.sketches_[sw].empty()) allocated.push_back(sw);
+    }
   }
   const std::size_t cells =
-      static_cast<std::size_t>(params_.width) * params_.depth;
-  for (std::vector<std::uint64_t>& s : sketches_) s.clear();
-  const std::uint64_t allocated = r.u64();
-  for (std::uint64_t i = 0; i < allocated; ++i) {
-    const std::uint64_t sw = r.u64();
-    if (sw >= sketches_.size()) {
-      common::snap::fail("sketch backend switch id out of range");
+      static_cast<std::size_t>(self.params_.width) * self.params_.depth;
+  c.seq(allocated, [&](auto& sw) {
+    c.u64(sw);
+    c.check(sw < self.sketches_.size(),
+            "sketch backend switch id out of range");
+    auto& s = self.sketches_[sw];
+    if constexpr (Codec::kReading) s.resize(cells);
+    for (auto& cell : s) c.u64(cell);
+  });
+  c.guard(self.inserted_.size(), "sketch backend direction count");
+  for (auto& v : self.inserted_) c.u64(v);
+  c.ids(self.dirty_list_);
+  if constexpr (Codec::kReading) {
+    std::fill(self.dirty_.begin(), self.dirty_.end(), 0);
+    for (common::SwitchId sw : self.dirty_list_) {
+      c.check(sw.index() < self.dirty_.size(),
+              "sketch backend dirty switch id out of range");
+      self.dirty_[sw.index()] = 1;
     }
-    std::vector<std::uint64_t>& s = sketches_[sw];
-    s.resize(cells);
-    for (std::uint64_t& c : s) c = r.u64();
   }
-  if (r.u64() != inserted_.size()) {
-    common::snap::fail("sketch backend direction count mismatch");
-  }
-  for (std::uint64_t& v : inserted_) v = r.u64();
-  std::fill(dirty_.begin(), dirty_.end(), 0);
-  dirty_list_.resize(r.length());
-  for (common::SwitchId& sw : dirty_list_) {
-    sw = common::SwitchId(r.u32());
-    dirty_[sw.index()] = 1;
-  }
-  if (r.u64() != above_.size()) {
-    common::snap::fail("sketch backend link count mismatch");
-  }
-  for (int& a : above_) a = static_cast<int>(r.i64());
-  for (char& b : believed_) b = static_cast<char>(r.u8());
+  c.guard(self.above_.size(), "sketch backend link count");
+  for (auto& a : self.above_) c.i64(a);
+  for (auto& b : self.believed_) c.u8(b);
 }
+
+void SketchBackend::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
+void SketchBackend::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::detect

@@ -46,6 +46,9 @@ class SketchBackend final : public DetectionBackend {
   void restore_from(common::snap::Reader& r) override;
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // Row-r cell index of a direction in its switch's sketch.
   [[nodiscard]] std::size_t cell(common::DirectionId dir,
                                  std::uint32_t row) const;

@@ -32,14 +32,17 @@ void ThresholdBackend::attach_sink(obs::Sink* sink) {
   detector_.set_sink(sink);
 }
 
-void ThresholdBackend::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('T', 'H', 'R', 'B'), 1);
-  detector_.snapshot_to(w);
+template <class Self, class Codec>
+void ThresholdBackend::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('T', 'H', 'R', 'B'), 1, "threshold backend");
+  c.object(self.detector_);
 }
 
+void ThresholdBackend::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
 void ThresholdBackend::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('T', 'H', 'R', 'B'));
-  detector_.restore_from(r);
+  walk(*this, r);
 }
 
 }  // namespace corropt::detect

@@ -38,6 +38,9 @@ class ThresholdBackend final : public DetectionBackend {
   void restore_from(common::snap::Reader& r) override;
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   telemetry::PollingMonitor monitor_;
   telemetry::CorruptionDetector detector_;
   double utilization_;

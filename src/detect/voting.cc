@@ -232,36 +232,21 @@ void VotingBackend::attach_sink(obs::Sink* sink) {
   obs_bad_flows_ = sink->metrics->counter("detect.bad_flows");
 }
 
-void VotingBackend::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('V', 'O', 'T', 'B'), 1);
-  w.u64(cycle_);
-  w.u64(votes_.size());
-  for (std::uint64_t v : votes_) w.u64(v);
-  for (std::uint64_t f : flows_through_) w.u64(f);
-  w.u64(bad_paths_.size());
-  for (const std::vector<common::LinkId>& path : bad_paths_) {
-    w.u64(path.size());
-    for (common::LinkId link : path) w.u32(link.value());
-  }
-  for (char b : believed_) w.u8(static_cast<std::uint8_t>(b));
-  for (char i : invalidated_) w.u8(static_cast<std::uint8_t>(i));
+template <class Self, class Codec>
+void VotingBackend::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('V', 'O', 'T', 'B'), 1, "voting backend");
+  c.u64(self.cycle_);
+  c.guard(self.votes_.size(), "voting backend link count");
+  for (auto& v : self.votes_) c.u64(v);
+  for (auto& f : self.flows_through_) c.u64(f);
+  c.seq(self.bad_paths_, [&c](auto& path) { c.ids(path); });
+  for (auto& b : self.believed_) c.u8(b);
+  for (auto& i : self.invalidated_) c.u8(i);
 }
 
-void VotingBackend::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('V', 'O', 'T', 'B'));
-  cycle_ = r.u64();
-  if (r.u64() != votes_.size()) {
-    common::snap::fail("voting backend link count mismatch");
-  }
-  for (std::uint64_t& v : votes_) v = r.u64();
-  for (std::uint64_t& f : flows_through_) f = r.u64();
-  bad_paths_.assign(r.length(), {});
-  for (std::vector<common::LinkId>& path : bad_paths_) {
-    path.resize(r.length());
-    for (common::LinkId& link : path) link = common::LinkId(r.u32());
-  }
-  for (char& b : believed_) b = static_cast<char>(r.u8());
-  for (char& i : invalidated_) i = static_cast<char>(r.u8());
+void VotingBackend::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
 }
+void VotingBackend::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::detect

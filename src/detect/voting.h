@@ -43,6 +43,9 @@ class VotingBackend final : public DetectionBackend {
   void restore_from(common::snap::Reader& r) override;
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // Synthesizes one flow's path; returns false when the pair is
   // unroutable (src == dst, or disabled links cut every choice).
   bool walk_path(common::CounterRng& rng, common::SwitchId src,

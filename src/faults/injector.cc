@@ -84,67 +84,41 @@ std::span<const FaultId> FaultInjector::faults_on_link(LinkId link) const {
   return it->second;
 }
 
-void FaultInjector::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('F', 'L', 'T', 'S'), 1);
-  w.u64(active_.size());
-  for (const auto& [id, fault] : active_) {
-    w.u32(fault.id.value());
-    w.u8(static_cast<std::uint8_t>(fault.cause));
-    w.u64(fault.links.size());
-    for (LinkId link : fault.links) w.u32(link.value());
-    w.u64(fault.effects.size());
-    for (const DirectionEffect& e : fault.effects) {
-      w.u32(e.direction.value());
-      w.f64(e.extra_attenuation_db);
-      w.f64(e.tx_power_delta_db);
-      w.f64(e.tx_decay_db_per_day);
-      w.f64(e.corruption_rate);
-    }
-    w.u64(fault.fixing_actions.size());
-    for (RepairAction action : fault.fixing_actions) {
-      w.u8(static_cast<std::uint8_t>(action));
-    }
-    w.i64(fault.onset);
+template <class Self, class Codec>
+void FaultInjector::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('F', 'L', 'T', 'S'), 1, "fault injector");
+  c.entries(self.active_, [&c](auto& id, auto& fault) {
+    c.id(id);
+    if constexpr (Codec::kReading) fault.id = id;
+    c.u8(fault.cause);
+    c.ids(fault.links);
+    c.seq(fault.effects, [&c](auto& e) {
+      c.id(e.direction);
+      c.f64(e.extra_attenuation_db);
+      c.f64(e.tx_power_delta_db);
+      c.f64(e.tx_decay_db_per_day);
+      c.f64(e.corruption_rate);
+    });
+    c.seq(fault.fixing_actions, [&c](auto& action) { c.u8(action); });
+    c.i64(fault.onset);
+  });
+  c.u64(self.next_id_);
+  c.i64(self.now_);
+  if constexpr (Codec::kReading) {
+    // Id order is injection order, so the rebuilt per-direction and
+    // per-link lists match the live ones. NetworkState restores the
+    // physical arrays bit-exactly itself; no rebuild_direction here (a
+    // recompute could round differently).
+    self.by_direction_.clear();
+    self.by_link_.clear();
+    for (const auto& [id, fault] : self.active_) self.index(fault);
   }
-  w.u64(next_id_);
-  w.i64(now_);
 }
 
-void FaultInjector::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('F', 'L', 'T', 'S'));
-  active_.clear();
-  by_direction_.clear();
-  by_link_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Fault fault;
-    fault.id = FaultId(r.u32());
-    fault.cause = static_cast<RootCause>(r.u8());
-    fault.links.resize(r.length());
-    for (LinkId& link : fault.links) link = LinkId(r.u32());
-    fault.effects.resize(r.length());
-    for (DirectionEffect& e : fault.effects) {
-      e.direction = DirectionId(r.u32());
-      e.extra_attenuation_db = r.f64();
-      e.tx_power_delta_db = r.f64();
-      e.tx_decay_db_per_day = r.f64();
-      e.corruption_rate = r.f64();
-    }
-    fault.fixing_actions.resize(r.length());
-    for (RepairAction& action : fault.fixing_actions) {
-      action = static_cast<RepairAction>(r.u8());
-    }
-    fault.onset = r.i64();
-    // Faults arrive in id order, which is injection order, so the
-    // rebuilt per-direction and per-link lists match the live ones.
-    index(fault);
-    active_.emplace(fault.id, std::move(fault));
-  }
-  next_id_ = static_cast<common::FaultId::underlying_type>(r.u64());
-  now_ = r.i64();
-  // NetworkState restores the physical arrays bit-exactly itself; no
-  // rebuild_direction here (a recompute could round differently).
+void FaultInjector::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
 }
+void FaultInjector::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 void FaultInjector::rebuild_direction(DirectionId dir) {
   auto d = state_->direction(dir);

@@ -69,6 +69,9 @@ class FaultInjector {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // Recomputes the physical state of one direction from scratch by
   // folding in every active effect that targets it.
   void rebuild_direction(DirectionId dir);

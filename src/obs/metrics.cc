@@ -158,8 +158,8 @@ void MetricsRegistry::restore(const MetricsSnapshot& snap) {
   const auto set_histogram = [](detail::HistogramEntry& entry,
                                 const MetricsSnapshot::HistogramValue& v) {
     if (entry.bounds != v.bounds) {
-      throw std::logic_error("obs histogram '" + entry.name +
-                             "': restore with different bounds");
+      throw std::runtime_error("obs histogram '" + entry.name +
+                               "': restore with different bounds");
     }
     const std::size_t stride = entry.bounds.size() + 1;
     for (std::size_t shard = 0; shard < kMetricShards; ++shard) {
@@ -177,8 +177,8 @@ void MetricsRegistry::restore(const MetricsSnapshot& snap) {
     const auto it = index_.find(c.name);
     if (it != index_.end()) {
       if (it->second.first != Kind::kCounter) {
-        throw std::logic_error("obs metric '" + c.name +
-                               "' restored with a different kind");
+        throw std::runtime_error("obs metric '" + c.name +
+                                 "' restored with a different kind");
       }
       set_counter(counters_[it->second.second], c.value);
     } else if (c.value != 0) {
@@ -193,8 +193,8 @@ void MetricsRegistry::restore(const MetricsSnapshot& snap) {
     const auto it = index_.find(g.name);
     if (it != index_.end()) {
       if (it->second.first != Kind::kGauge) {
-        throw std::logic_error("obs metric '" + g.name +
-                               "' restored with a different kind");
+        throw std::runtime_error("obs metric '" + g.name +
+                                 "' restored with a different kind");
       }
       gauges_[it->second.second].value.store(g.value,
                                              std::memory_order_relaxed);
@@ -209,8 +209,8 @@ void MetricsRegistry::restore(const MetricsSnapshot& snap) {
     const auto it = index_.find(h.name);
     if (it != index_.end()) {
       if (it->second.first != Kind::kHistogram) {
-        throw std::logic_error("obs metric '" + h.name +
-                               "' restored with a different kind");
+        throw std::runtime_error("obs metric '" + h.name +
+                                 "' restored with a different kind");
       }
       set_histogram(histograms_[it->second.second], h);
     } else if (h.count != 0) {

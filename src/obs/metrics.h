@@ -198,6 +198,8 @@ class MetricsRegistry {
   // cross-backend counterfactual still carries over the prefix's counts.
   // Entries registered here but absent from `snap` are zeroed. Timers
   // are left untouched: wall time is outside the determinism contract.
+  // An entry whose kind or histogram bounds differ from the one
+  // registered under its name is malformed input: std::runtime_error.
   void restore(const MetricsSnapshot& snap);
 
  private:

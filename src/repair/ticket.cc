@@ -45,53 +45,26 @@ const Ticket& TicketQueue::ticket(TicketId id) const {
 
 void TicketQueue::close(TicketId id) { open_.erase(id); }
 
-void TicketQueue::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('T', 'C', 'K', 'T'), 1);
-  std::vector<TicketId> ids;
-  ids.reserve(open_.size());
-  for (const auto& [id, ticket] : open_) ids.push_back(id);
-  std::sort(ids.begin(), ids.end());
-  w.u64(ids.size());
-  for (TicketId id : ids) {
-    const Ticket& ticket = open_.at(id);
-    w.u32(ticket.id.value());
-    w.u32(ticket.link.value());
-    w.i64(ticket.issued);
-    w.i64(ticket.attempt);
-    w.boolean(ticket.recommendation.has_value());
-    if (ticket.recommendation.has_value()) {
-      w.u8(static_cast<std::uint8_t>(*ticket.recommendation));
+template <class Self, class Codec>
+void TicketQueue::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('T', 'C', 'K', 'T'), 1, "ticket queue");
+  c.entries(self.open_, [&c](auto& id, auto& ticket) {
+    c.id(id);
+    if constexpr (Codec::kReading) ticket.id = id;
+    c.id(ticket.link);
+    c.i64(ticket.issued);
+    c.i64(ticket.attempt);
+    bool recommended = ticket.recommendation.has_value();
+    c.boolean(recommended);
+    if constexpr (Codec::kReading) {
+      if (recommended) ticket.recommendation.emplace();
     }
-    w.str(ticket.rationale);
-    w.i64(ticket.scheduled_completion);
-  }
-  w.u64(crew_free_at_.size());
-  for (SimTime t : crew_free_at_) w.i64(t);
-  w.u64(next_id_);
-}
-
-void TicketQueue::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('T', 'C', 'K', 'T'));
-  open_.clear();
-  const std::uint64_t count = r.u64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Ticket ticket;
-    ticket.id = TicketId(r.u32());
-    ticket.link = LinkId(r.u32());
-    ticket.issued = r.i64();
-    ticket.attempt = static_cast<int>(r.i64());
-    if (r.boolean()) {
-      ticket.recommendation =
-          static_cast<faults::RepairAction>(r.u8());
-    }
-    ticket.rationale = std::string(r.str());
-    ticket.scheduled_completion = r.i64();
-    const TicketId id = ticket.id;
-    open_.emplace(id, std::move(ticket));
-  }
-  std::vector<SimTime> schedule(r.length());
-  for (SimTime& t : schedule) t = r.i64();
-  next_id_ = static_cast<TicketId::underlying_type>(r.u64());
+    if (recommended) c.u8(*ticket.recommendation);
+    c.str(ticket.rationale);
+    c.i64(ticket.scheduled_completion);
+  });
+  c.seq(self.crew_free_at_, [&c](auto& t) { c.i64(t); });
+  c.u64(self.next_id_);
 
   // Reconcile the serialized crew schedule with this queue's own
   // params_ (which may carry a counterfactual crew size). Same size:
@@ -99,17 +72,23 @@ void TicketQueue::restore_from(common::snap::Reader& r) {
   // dispatch takes max(free, now)). Shrunk (including to unbounded):
   // keep the latest-free technicians so no in-flight completion time
   // is forgotten.
-  const auto target = static_cast<std::size_t>(params_.technicians);
-  if (schedule.size() == target) {
-    crew_free_at_ = std::move(schedule);
-  } else {
-    std::sort(schedule.begin(), schedule.end());
-    crew_free_at_.assign(target, 0);
-    const std::size_t keep = std::min(schedule.size(), target);
-    for (std::size_t i = 0; i < keep; ++i) {
-      crew_free_at_[target - 1 - i] = schedule[schedule.size() - 1 - i];
+  if constexpr (Codec::kReading) {
+    std::vector<SimTime>& schedule = self.crew_free_at_;
+    const auto target = static_cast<std::size_t>(self.params_.technicians);
+    if (schedule.size() != target) {
+      std::sort(schedule.begin(), schedule.end());
+      if (schedule.size() > target) {
+        schedule.erase(schedule.begin(), schedule.end() - target);
+      } else {
+        schedule.insert(schedule.begin(), target - schedule.size(), 0);
+      }
     }
   }
 }
+
+void TicketQueue::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
+void TicketQueue::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::repair

@@ -73,6 +73,9 @@ class TicketQueue {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   TicketQueueParams params_;
   std::unordered_map<TicketId, Ticket> open_;
   // With a bounded crew, the time each technician becomes free.

@@ -65,15 +65,16 @@ void CapacitySampler::finalize(SimulationMetrics& metrics) const {
   }
 }
 
-void CapacitySampler::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('C', 'S', 'M', 'P'), 1);
-  w.u64(samples_);
+template <class Self, class Codec>
+void CapacitySampler::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('C', 'S', 'M', 'P'), 1, "capacity sampler");
+  c.u64(self.samples_);
+  if constexpr (Codec::kReading) self.cached_ = false;
 }
 
-void CapacitySampler::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('C', 'S', 'M', 'P'));
-  samples_ = static_cast<std::size_t>(r.u64());
-  cached_ = false;
+void CapacitySampler::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
 }
+void CapacitySampler::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::sim

@@ -41,6 +41,8 @@ class CapacitySampler {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
   void handle_sample(const Event& event);
 
   SimContext& ctx_;

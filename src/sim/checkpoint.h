@@ -30,7 +30,8 @@
 namespace corropt::sim {
 
 struct Checkpoint {
-  // The full serialized state (common::snap codec).
+  // The full serialized state (common::snap codec), sealed with an
+  // 8-byte FNV-1a trailer that restore verifies before decoding.
   std::string bytes;
 
   // Metadata mirrored out of `bytes` for cheap inspection and branch

@@ -196,37 +196,38 @@ void DetectionPipeline::handle_poll(const Event& event) {
   ctx_.queue.schedule(next);
 }
 
-void DetectionPipeline::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('D', 'P', 'I', 'P'), 1);
-  w.u64(pending_detection_.size());
-  for (const auto& [link, onset] : pending_detection_) {
-    w.u32(link.value());
-    w.i64(onset);
+template <class Self, class Codec>
+void DetectionPipeline::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('D', 'P', 'I', 'P'), 1, "detection pipeline");
+  c.entries(self.pending_detection_, [&c](auto& link, auto& onset) {
+    c.id(link);
+    c.i64(onset);
+  });
+  // The backend's own state travels as a blob behind its kind byte.
+  detect::BackendKind kind = self.backend_->kind();
+  c.u8(kind);
+  if constexpr (Codec::kReading) {
+    const std::string_view payload = c.blob();
+    // Different kind: the counterfactual backend keeps its fresh state;
+    // there is no meaningful translation between evidence formats.
+    if (kind == self.backend_->kind()) {
+      common::snap::Reader backend(payload);
+      backend.object(*self.backend_);
+      backend.check(backend.at_end(),
+                    "trailing bytes after the detection backend state");
+    }
+  } else {
+    common::snap::Writer backend;
+    backend.object(*self.backend_);
+    c.blob(backend.take());
   }
-  w.u8(static_cast<std::uint8_t>(backend_->kind()));
-  common::snap::Writer payload;
-  backend_->snapshot_to(payload);
-  const std::string bytes = payload.take();
-  w.blob(bytes);
 }
 
+void DetectionPipeline::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
 void DetectionPipeline::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('D', 'P', 'I', 'P'));
-  pending_detection_.clear();
-  const std::uint64_t pending = r.u64();
-  for (std::uint64_t i = 0; i < pending; ++i) {
-    const common::LinkId link(r.u32());
-    const SimTime onset = r.i64();
-    pending_detection_.emplace(link, onset);
-  }
-  const auto kind = static_cast<detect::BackendKind>(r.u8());
-  const std::string_view payload = r.blob();
-  if (kind == backend_->kind()) {
-    common::snap::Reader backend_reader(payload);
-    backend_->restore_from(backend_reader);
-  }
-  // Different kind: the counterfactual backend keeps its fresh state;
-  // there is no meaningful translation between evidence formats.
+  walk(*this, r);
 }
 
 }  // namespace corropt::sim

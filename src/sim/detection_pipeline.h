@@ -76,6 +76,9 @@ class DetectionPipeline {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // One 15-minute cycle: builds the suspect set, runs the backend, and
   // sweeps pending entries whose fault vanished undetected.
   void handle_poll(const Event& event);

@@ -29,42 +29,33 @@ void EventQueue::dispatch(const Event& event) const {
   handler(event);
 }
 
-void EventQueue::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('E', 'V', 'T', 'Q'), 1);
-  w.u64(heap_.size());
-  for (const Entry& entry : heap_) {
-    w.i64(entry.event.due);
-    w.u8(static_cast<std::uint8_t>(entry.event.type));
-    w.u32(entry.event.link.value());
-    w.u32(entry.event.ticket.value());
-    w.i64(entry.event.attempt);
-    w.u64(entry.seq);
-  }
-  w.u64(next_seq_);
-}
-
-void EventQueue::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('E', 'V', 'T', 'Q'));
-  heap_.resize(r.length());
-  for (Entry& entry : heap_) {
-    entry.event.due = r.i64();
-    const std::uint8_t type = r.u8();
-    if (type >= kEventTypeCount) {
-      common::snap::fail("event queue: unknown event type");
+template <class Self, class Codec>
+void EventQueue::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('E', 'V', 'T', 'Q'), 1, "event queue");
+  c.seq(self.heap_, [&c](auto& entry) {
+    c.i64(entry.event.due);
+    c.u8(entry.event.type);
+    c.check(static_cast<std::size_t>(entry.event.type) < kEventTypeCount,
+            "event queue: unknown event type");
+    c.id(entry.event.link);
+    c.id(entry.event.ticket);
+    c.i64(entry.event.attempt);
+    c.u64(entry.seq);
+    if constexpr (Codec::kReading) {
+      entry.stratum = event_stratum(entry.event.type);
     }
-    entry.event.type = static_cast<EventType>(type);
-    entry.event.link = common::LinkId(r.u32());
-    entry.event.ticket = common::TicketId(r.u32());
-    entry.event.attempt = static_cast<int>(r.i64());
-    entry.stratum = event_stratum(entry.event.type);
-    entry.seq = r.u64();
-  }
-  next_seq_ = r.u64();
+  });
+  c.u64(self.next_seq_);
   // Entries were serialized in heap-array order, so the invariant holds
   // verbatim; make_heap anyway to stay correct if a future version
   // canonicalizes the serialized order.
-  std::make_heap(heap_.begin(), heap_.end(), std::greater<>());
+  if constexpr (Codec::kReading) {
+    std::make_heap(self.heap_.begin(), self.heap_.end(), std::greater<>());
+  }
 }
+
+void EventQueue::snapshot_to(common::snap::Writer& w) const { walk(*this, w); }
+void EventQueue::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 void EventQueue::drop_events(EventType type) {
   heap_.erase(std::remove_if(heap_.begin(), heap_.end(),

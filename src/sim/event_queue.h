@@ -125,6 +125,9 @@ class EventQueue {
   [[nodiscard]] bool has_event(EventType type) const;
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   struct Entry {
     Event event;
     int stratum;

@@ -66,31 +66,20 @@ void MaintenanceModel::end(common::LinkId link) {
   collateral_down_.erase(it);
 }
 
-void MaintenanceModel::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('M', 'N', 'T', 'M'), 1);
-  std::vector<common::LinkId> keys;
-  keys.reserve(collateral_down_.size());
-  for (const auto& [link, taken] : collateral_down_) keys.push_back(link);
-  std::sort(keys.begin(), keys.end());
-  w.u64(keys.size());
-  for (common::LinkId link : keys) {
-    w.u32(link.value());
-    const std::vector<common::LinkId>& taken = collateral_down_.at(link);
-    w.u64(taken.size());
-    for (common::LinkId peer : taken) w.u32(peer.value());
-  }
+template <class Self, class Codec>
+void MaintenanceModel::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('M', 'N', 'T', 'M'), 1, "maintenance model");
+  c.entries(self.collateral_down_, [&c](auto& link, auto& taken) {
+    c.id(link);
+    c.ids(taken);
+  });
 }
 
+void MaintenanceModel::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
 void MaintenanceModel::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('M', 'N', 'T', 'M'));
-  collateral_down_.clear();
-  const std::uint64_t windows = r.u64();
-  for (std::uint64_t i = 0; i < windows; ++i) {
-    const common::LinkId link(r.u32());
-    std::vector<common::LinkId>& taken = collateral_down_[link];
-    taken.resize(r.length());
-    for (common::LinkId& peer : taken) peer = common::LinkId(r.u32());
-  }
+  walk(*this, r);
 }
 
 }  // namespace corropt::sim

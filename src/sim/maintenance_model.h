@@ -38,6 +38,8 @@ class MaintenanceModel {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
   void start(common::LinkId link);
 
   SimContext& ctx_;

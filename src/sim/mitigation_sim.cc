@@ -1,6 +1,7 @@
 #include "sim/mitigation_sim.h"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 
 #include "obs/journal.h"
@@ -150,212 +151,148 @@ constexpr std::uint32_t kSimTag = common::snap::tag('S', 'I', 'M', '0');
 constexpr std::uint32_t kMetricsTag = common::snap::tag('M', 'T', 'R', 'X');
 constexpr std::uint32_t kObsTag = common::snap::tag('O', 'B', 'S', 'S');
 
-void write_series(common::snap::Writer& w,
-                  const std::vector<TimePoint>& series) {
-  w.u64(series.size());
-  for (const TimePoint& p : series) {
-    w.i64(p.time);
-    w.f64(p.value);
-  }
+template <class Codec, class Series>
+void walk_series(Codec& c, Series& series) {
+  c.seq(series, [&c](auto& p) {
+    c.i64(p.time);
+    c.f64(p.value);
+  });
 }
 
-void read_series(common::snap::Reader& r, std::vector<TimePoint>& series) {
-  series.resize(r.length());
-  for (TimePoint& p : series) {
-    p.time = r.i64();
-    p.value = r.f64();
-  }
-}
-
-void write_metrics(common::snap::Writer& w, const SimulationMetrics& m) {
-  w.section(kMetricsTag, 1);
-  write_series(w, m.penalty_series);
-  w.f64(m.integrated_penalty);
-  w.u64(m.hourly_penalty.size());
-  for (double v : m.hourly_penalty) w.f64(v);
-  write_series(w, m.worst_tor_fraction);
-  write_series(w, m.disabled_links);
-  w.f64(m.mean_tor_fraction);
-  w.u64(m.faults_injected);
-  w.u64(m.tickets_opened);
-  w.u64(m.repair_attempts);
-  w.u64(m.first_attempt_successes);
-  w.u64(m.first_attempts);
-  w.u64(m.redetections);
-  w.u64(m.polled_detections);
-  w.f64(m.mean_detection_latency_s);
-  w.u64(m.false_positive_detections);
-  w.u64(m.missed_detections);
-  w.u64(m.detection_latencies_s.size());
-  for (double v : m.detection_latencies_s) w.f64(v);
-  w.f64(m.mean_ticket_resolution_s);
-  w.u64(m.maintenance_windows);
-  w.u64(m.maintenance_capacity_violations);
-  w.f64(m.collateral_link_seconds);
-  w.u64(m.undisabled_detections);
-}
-
-void read_metrics(common::snap::Reader& r, SimulationMetrics& m) {
-  r.expect_section(kMetricsTag);
-  read_series(r, m.penalty_series);
-  m.integrated_penalty = r.f64();
-  m.hourly_penalty.resize(r.length());
-  for (double& v : m.hourly_penalty) v = r.f64();
-  read_series(r, m.worst_tor_fraction);
-  read_series(r, m.disabled_links);
-  m.mean_tor_fraction = r.f64();
-  m.faults_injected = static_cast<std::size_t>(r.u64());
-  m.tickets_opened = static_cast<std::size_t>(r.u64());
-  m.repair_attempts = static_cast<std::size_t>(r.u64());
-  m.first_attempt_successes = static_cast<std::size_t>(r.u64());
-  m.first_attempts = static_cast<std::size_t>(r.u64());
-  m.redetections = static_cast<std::size_t>(r.u64());
-  m.polled_detections = static_cast<std::size_t>(r.u64());
-  m.mean_detection_latency_s = r.f64();
-  m.false_positive_detections = static_cast<std::size_t>(r.u64());
-  m.missed_detections = static_cast<std::size_t>(r.u64());
-  m.detection_latencies_s.resize(r.length());
-  for (double& v : m.detection_latencies_s) v = r.f64();
-  m.mean_ticket_resolution_s = r.f64();
-  m.maintenance_windows = static_cast<std::size_t>(r.u64());
-  m.maintenance_capacity_violations = static_cast<std::size_t>(r.u64());
-  m.collateral_link_seconds = r.f64();
-  m.undisabled_detections = static_cast<std::size_t>(r.u64());
+template <class Codec, class Metrics>
+void walk_metrics(Codec& c, Metrics& m) {
+  c.section(kMetricsTag, 1, "metrics");
+  walk_series(c, m.penalty_series);
+  c.f64(m.integrated_penalty);
+  c.seq(m.hourly_penalty, [&c](auto& v) { c.f64(v); });
+  walk_series(c, m.worst_tor_fraction);
+  walk_series(c, m.disabled_links);
+  c.f64(m.mean_tor_fraction);
+  c.u64(m.faults_injected);
+  c.u64(m.tickets_opened);
+  c.u64(m.repair_attempts);
+  c.u64(m.first_attempt_successes);
+  c.u64(m.first_attempts);
+  c.u64(m.redetections);
+  c.u64(m.polled_detections);
+  c.f64(m.mean_detection_latency_s);
+  c.u64(m.false_positive_detections);
+  c.u64(m.missed_detections);
+  c.seq(m.detection_latencies_s, [&c](auto& v) { c.f64(v); });
+  c.f64(m.mean_ticket_resolution_s);
+  c.u64(m.maintenance_windows);
+  c.u64(m.maintenance_capacity_violations);
+  c.f64(m.collateral_link_seconds);
+  c.u64(m.undisabled_detections);
 }
 
 // The sink's journal and registry contents travel with the checkpoint
 // so a branch's observability continues exactly where the prefix left
-// off. The trace recorder is excluded: it is outside the determinism
-// contract (like wall-clock timers).
-void write_obs(common::snap::Writer& w, const obs::Sink* sink) {
-  w.section(kObsTag, 1);
-  const bool has_journal = sink != nullptr && sink->journal != nullptr;
-  const bool has_registry = sink != nullptr && sink->metrics != nullptr;
-  w.boolean(has_journal);
-  w.boolean(has_registry);
+// off. They live outside the simulation, so the walk gathers them into
+// locals when writing and hands the locals to the sink when reading.
+template <class Codec>
+void walk_obs(Codec& c, const obs::Sink* sink) {
+  c.section(kObsTag, 1, "obs");
+  bool has_journal = sink != nullptr && sink->journal != nullptr;
+  bool has_registry = sink != nullptr && sink->metrics != nullptr;
+  c.boolean(has_journal);
+  c.boolean(has_registry);
   if (has_journal) {
-    const std::vector<obs::Event> events = sink->journal->snapshot();
-    w.u64(events.size());
-    for (const obs::Event& e : events) {
-      w.u64(e.seq);
-      w.i64(e.time);
-      w.u8(static_cast<std::uint8_t>(e.kind));
-      w.u8(static_cast<std::uint8_t>(e.reason));
-      w.u32(e.link.value());
-      w.u32(e.sw.value());
-      w.u32(e.ticket.value());
-      w.f64(e.value);
-      w.f64(e.value2);
-      w.u64(e.detail0);
-      w.u64(e.detail1);
+    std::vector<obs::Event> events;
+    std::uint64_t next_seq = 0;
+    std::uint64_t dropped = 0;
+    if constexpr (!Codec::kReading) {
+      events = sink->journal->snapshot();
+      // next_seq is size + dropped only without clear(); derive it from
+      // the newest record instead.
+      next_seq = events.empty() ? 0 : events.back().seq + 1;
+      dropped = sink->journal->dropped();
     }
-    const std::uint64_t dropped = sink->journal->dropped();
-    // next_seq is size + dropped only without clear(); derive it from
-    // the newest record instead.
-    w.u64(events.empty() ? 0 : events.back().seq + 1);
-    w.u64(dropped);
-  }
-  if (has_registry) {
-    const obs::MetricsSnapshot snap = sink->metrics->snapshot();
-    w.u64(snap.counters.size());
-    for (const auto& c : snap.counters) {
-      w.str(c.name);
-      w.u64(c.value);
-    }
-    w.u64(snap.gauges.size());
-    for (const auto& g : snap.gauges) {
-      w.str(g.name);
-      w.f64(g.value);
-    }
-    w.u64(snap.histograms.size());
-    for (const auto& h : snap.histograms) {
-      w.str(h.name);
-      w.u64(h.bounds.size());
-      for (double b : h.bounds) w.f64(b);
-      for (std::uint64_t c : h.counts) w.u64(c);
-      w.f64(h.sum);
-    }
-  }
-}
-
-void read_obs(common::snap::Reader& r, const obs::Sink* sink) {
-  r.expect_section(kObsTag);
-  const bool has_journal = r.boolean();
-  const bool has_registry = r.boolean();
-  if (has_journal) {
-    std::vector<obs::Event> events(r.length());
-    for (obs::Event& e : events) {
-      e.seq = r.u64();
-      e.time = r.i64();
-      e.kind = static_cast<obs::EventKind>(r.u8());
-      e.reason = static_cast<obs::EventReason>(r.u8());
-      e.link = common::LinkId(r.u32());
-      e.sw = common::SwitchId(r.u32());
-      e.ticket = common::TicketId(r.u32());
-      e.value = r.f64();
-      e.value2 = r.f64();
-      e.detail0 = r.u64();
-      e.detail1 = r.u64();
-    }
-    const std::uint64_t next_seq = r.u64();
-    const std::uint64_t dropped = r.u64();
-    if (sink != nullptr && sink->journal != nullptr) {
-      sink->journal->restore(events, next_seq, dropped);
+    c.seq(events, [&c](auto& e) {
+      c.u64(e.seq);
+      c.i64(e.time);
+      c.u8(e.kind);
+      c.u8(e.reason);
+      c.id(e.link);
+      c.id(e.sw);
+      c.id(e.ticket);
+      c.f64(e.value);
+      c.f64(e.value2);
+      c.u64(e.detail0);
+      c.u64(e.detail1);
+    });
+    c.u64(next_seq);
+    c.u64(dropped);
+    if constexpr (Codec::kReading) {
+      if (sink != nullptr && sink->journal != nullptr) {
+        sink->journal->restore(events, next_seq, dropped);
+      }
     }
   }
   if (has_registry) {
     obs::MetricsSnapshot snap;
-    snap.counters.resize(r.length());
-    for (auto& c : snap.counters) {
-      c.name = std::string(r.str());
-      c.value = r.u64();
-    }
-    snap.gauges.resize(r.length());
-    for (auto& g : snap.gauges) {
-      g.name = std::string(r.str());
-      g.value = r.f64();
-    }
-    snap.histograms.resize(r.length());
-    for (auto& h : snap.histograms) {
-      h.name = std::string(r.str());
-      h.bounds.resize(r.length());
-      for (double& b : h.bounds) b = r.f64();
-      h.counts.resize(h.bounds.size() + 1);
-      for (std::uint64_t& c : h.counts) c = r.u64();
-      h.sum = r.f64();
-      h.count = 0;
-      for (std::uint64_t c : h.counts) h.count += c;
-    }
-    if (sink != nullptr && sink->metrics != nullptr) {
-      sink->metrics->restore(snap);
+    if constexpr (!Codec::kReading) snap = sink->metrics->snapshot();
+    c.seq(snap.counters, [&c](auto& counter) {
+      c.str(counter.name);
+      c.u64(counter.value);
+    });
+    c.seq(snap.gauges, [&c](auto& gauge) {
+      c.str(gauge.name);
+      c.f64(gauge.value);
+    });
+    c.seq(snap.histograms, [&c](auto& h) {
+      c.str(h.name);
+      c.seq(h.bounds, [&c](auto& b) { c.f64(b); });
+      if constexpr (Codec::kReading) h.counts.resize(h.bounds.size() + 1);
+      for (auto& count : h.counts) c.u64(count);
+      c.f64(h.sum);
+      if constexpr (Codec::kReading) {
+        h.count = std::accumulate(h.counts.begin(), h.counts.end(),
+                                  std::uint64_t{0});
+      }
+    });
+    if constexpr (Codec::kReading) {
+      if (sink != nullptr && sink->metrics != nullptr) {
+        sink->metrics->restore(snap);
+      }
     }
   }
 }
 
 }  // namespace
 
+template <class Self, class Codec>
+void MitigationSimulation::walk(Self& self, Codec& c) {
+  c.section(kSimTag, 1, "simulation");
+  SimTime now = self.clock_.now();
+  c.i64(now);
+  c.check(now >= 0 && now <= self.config_.duration,
+          "checkpoint time outside this scenario's horizon");
+  if constexpr (Codec::kReading) self.clock_.restore_now(now);
+  c.u64(self.steps_);
+  c.u64(self.next_event_);
+  c.object(self.queue_);
+  c.object(self.rng_);
+  c.object(*self.topo_);
+  c.object(self.state_);
+  c.object(self.injector_);
+  c.object(self.controller_);
+  c.object(self.detection_);
+  c.object(self.maintenance_);
+  c.object(self.repair_);
+  c.object(self.accountant_);
+  c.object(self.sampler_);
+  walk_metrics(c, self.metrics_);
+  walk_obs(c, self.config_.sink);
+}
+
 Checkpoint MitigationSimulation::snapshot() const {
   common::snap::Writer w;
-  w.section(kSimTag, 1);
-  w.i64(clock_.now());
-  w.u64(steps_);
-  w.u64(next_event_);
-  queue_.snapshot_to(w);
-  rng_.snapshot_to(w);
-  topo_->snapshot_to(w);
-  state_.snapshot_to(w);
-  injector_.snapshot_to(w);
-  controller_.snapshot_to(w);
-  detection_.snapshot_to(w);
-  maintenance_.snapshot_to(w);
-  repair_.snapshot_to(w);
-  accountant_.snapshot_to(w);
-  sampler_.snapshot_to(w);
-  write_metrics(w, metrics_);
-  write_obs(w, config_.sink);
+  walk(*this, w);
 
   Checkpoint ckpt;
   ckpt.bytes = w.take();
+  common::snap::seal(ckpt.bytes);
   ckpt.time = clock_.now();
   ckpt.steps = steps_;
   ckpt.trace_cursor = next_event_;
@@ -364,6 +301,9 @@ Checkpoint MitigationSimulation::snapshot() const {
 
 void MitigationSimulation::restore_run(
     const std::vector<trace::TraceEvent>& events, const Checkpoint& ckpt) {
+  // A checkpoint that fails its checksum leaves this simulation as it
+  // was: nothing is decoded before the trailer checks out.
+  common::snap::Reader r(common::snap::unseal(ckpt.bytes));
   metrics_ = SimulationMetrics{};
   finished_ = false;
   ctx_.metrics = &metrics_;
@@ -373,24 +313,8 @@ void MitigationSimulation::restore_run(
     repair_.open_ticket(link, clock_.now());
   });
 
-  common::snap::Reader r(ckpt.bytes);
-  r.expect_section(kSimTag);
-  clock_.restore_now(r.i64());
-  steps_ = r.u64();
-  next_event_ = static_cast<std::size_t>(r.u64());
-  queue_.restore_from(r);
-  rng_.restore_from(r);
-  topo_->restore_from(r);
-  state_.restore_from(r);
-  injector_.restore_from(r);
-  controller_.restore_from(r);
-  detection_.restore_from(r);
-  maintenance_.restore_from(r);
-  repair_.restore_from(r);
-  accountant_.restore_from(r);
-  sampler_.restore_from(r);
-  read_metrics(r, metrics_);
-  read_obs(r, config_.sink);
+  walk(*this, r);
+  r.check(r.at_end(), "trailing bytes after the last section");
 
   // Reconcile config-derived schedule entries to *this* scenario.
   //

@@ -83,6 +83,10 @@ class MitigationSimulation {
   [[nodiscard]] const SimContext& context() const { return ctx_; }
 
  private:
+  // The checkpoint's field list, run by snapshot() and restore_run().
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   // kFault handler: injects the next trace event and hands the lossy
   // links to the detection pipeline, then schedules the following fault.
   void handle_fault(const Event& event);

@@ -61,14 +61,17 @@ void PenaltyAccountant::record_sample() {
   ctx_.emit(event);
 }
 
-void PenaltyAccountant::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('P', 'N', 'L', 'T'), 1);
-  w.f64(penalty_rate_);
+template <class Self, class Codec>
+void PenaltyAccountant::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('P', 'N', 'L', 'T'), 1, "penalty accountant");
+  c.f64(self.penalty_rate_);
 }
 
+void PenaltyAccountant::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
 void PenaltyAccountant::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('P', 'N', 'L', 'T'));
-  penalty_rate_ = r.f64();
+  walk(*this, r);
 }
 
 }  // namespace corropt::sim

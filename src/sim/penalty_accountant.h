@@ -33,6 +33,8 @@ class PenaltyAccountant {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
   [[nodiscard]] double true_penalty_rate();
 
   SimContext& ctx_;

@@ -224,24 +224,19 @@ void RepairPipeline::finalize(SimulationMetrics& metrics) const {
   }
 }
 
-void RepairPipeline::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('R', 'P', 'I', 'P'), 1);
-  w.u64(attempts_.size());
-  for (int a : attempts_) w.i64(a);
-  for (char c : reseated_) w.u8(static_cast<std::uint8_t>(c));
-  w.f64(ticket_resolution_total_s_);
-  queue_.snapshot_to(w);
+template <class Self, class Codec>
+void RepairPipeline::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('R', 'P', 'I', 'P'), 1, "repair pipeline");
+  c.guard(self.attempts_.size(), "repair pipeline link count");
+  for (auto& a : self.attempts_) c.i64(a);
+  for (auto& reseated : self.reseated_) c.u8(reseated);
+  c.f64(self.ticket_resolution_total_s_);
+  c.object(self.queue_);
 }
 
-void RepairPipeline::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('R', 'P', 'I', 'P'));
-  if (r.u64() != attempts_.size()) {
-    common::snap::fail("repair pipeline link count mismatch");
-  }
-  for (int& a : attempts_) a = static_cast<int>(r.i64());
-  for (char& c : reseated_) c = static_cast<char>(r.u8());
-  ticket_resolution_total_s_ = r.f64();
-  queue_.restore_from(r);
+void RepairPipeline::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
 }
+void RepairPipeline::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::sim

@@ -43,6 +43,8 @@ class RepairPipeline {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
   void handle_repair(const Event& event);
   void handle_redetect(const Event& event);
   // True when the repair attempt eliminated all corruption on the link.

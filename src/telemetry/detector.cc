@@ -79,34 +79,25 @@ std::optional<DetectionEvent> CorruptionDetector::observe(
   return std::nullopt;
 }
 
-void CorruptionDetector::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('D', 'T', 'C', 'T'), 1);
-  w.u64(windows_.size());
-  for (const Window& window : windows_) {
-    w.u64(window.packets);
-    w.u64(window.drops);
-    w.i64(window.polls);
+template <class Self, class Codec>
+void CorruptionDetector::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('D', 'T', 'C', 'T'), 1, "detector");
+  c.guard(self.windows_.size(), "detector direction count");
+  for (auto& window : self.windows_) {
+    c.u64(window.packets);
+    c.u64(window.drops);
+    c.i64(window.polls);
   }
-  for (double estimate : estimates_) w.f64(estimate);
-  w.u64(corrupting_.size());
-  for (char flag : corrupting_) w.u8(static_cast<std::uint8_t>(flag));
+  for (auto& estimate : self.estimates_) c.f64(estimate);
+  c.guard(self.corrupting_.size(), "detector link count");
+  for (auto& flag : self.corrupting_) c.u8(flag);
 }
 
+void CorruptionDetector::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
+}
 void CorruptionDetector::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('D', 'T', 'C', 'T'));
-  if (r.u64() != windows_.size()) {
-    common::snap::fail("detector direction count mismatch");
-  }
-  for (Window& window : windows_) {
-    window.packets = r.u64();
-    window.drops = r.u64();
-    window.polls = static_cast<int>(r.i64());
-  }
-  for (double& estimate : estimates_) estimate = r.f64();
-  if (r.u64() != corrupting_.size()) {
-    common::snap::fail("detector link count mismatch");
-  }
-  for (char& flag : corrupting_) flag = static_cast<char>(r.u8());
+  walk(*this, r);
 }
 
 }  // namespace corropt::telemetry

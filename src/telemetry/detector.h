@@ -82,6 +82,9 @@ class CorruptionDetector {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   struct Window {
     std::uint64_t packets = 0;
     std::uint64_t drops = 0;

@@ -13,28 +13,21 @@ NetworkState::NetworkState(const topology::Topology& topo, OpticalTech tech)
   congestion_drops_.assign(n, 0);
 }
 
-void NetworkState::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('N', 'E', 'T', 'S'), 1);
-  w.u64(tx_power_dbm_.size());
-  for (double v : tx_power_dbm_) w.f64(v);
-  for (double v : extra_attenuation_db_) w.f64(v);
-  for (double v : corruption_rate_) w.f64(v);
-  for (std::uint64_t v : packets_) w.u64(v);
-  for (std::uint64_t v : corruption_drops_) w.u64(v);
-  for (std::uint64_t v : congestion_drops_) w.u64(v);
+template <class Self, class Codec>
+void NetworkState::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('N', 'E', 'T', 'S'), 1, "network state");
+  c.guard(self.tx_power_dbm_.size(), "network state direction count");
+  for (auto& v : self.tx_power_dbm_) c.f64(v);
+  for (auto& v : self.extra_attenuation_db_) c.f64(v);
+  for (auto& v : self.corruption_rate_) c.f64(v);
+  for (auto& v : self.packets_) c.u64(v);
+  for (auto& v : self.corruption_drops_) c.u64(v);
+  for (auto& v : self.congestion_drops_) c.u64(v);
 }
 
-void NetworkState::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('N', 'E', 'T', 'S'));
-  if (r.u64() != tx_power_dbm_.size()) {
-    common::snap::fail("network state direction count mismatch");
-  }
-  for (double& v : tx_power_dbm_) v = r.f64();
-  for (double& v : extra_attenuation_db_) v = r.f64();
-  for (double& v : corruption_rate_) v = r.f64();
-  for (std::uint64_t& v : packets_) v = r.u64();
-  for (std::uint64_t& v : corruption_drops_) v = r.u64();
-  for (std::uint64_t& v : congestion_drops_) v = r.u64();
+void NetworkState::snapshot_to(common::snap::Writer& w) const {
+  walk(*this, w);
 }
+void NetworkState::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::telemetry

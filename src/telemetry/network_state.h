@@ -165,6 +165,9 @@ class NetworkState {
   void restore_from(common::snap::Reader& r);
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   const topology::Topology* topo_;
   OpticalTech tech_;
   // One entry per direction, all sized to topo().direction_count().

@@ -148,30 +148,19 @@ void Topology::validate() const {
   }
 }
 
-void Topology::snapshot_to(common::snap::Writer& w) const {
-  w.section(common::snap::tag('T', 'O', 'P', 'O'), 1);
-  w.u64(links_.size());
-  for (std::uint64_t word : enabled_mask_.words()) w.u64(word);
-  w.u64(enabled_links_);
-  w.u64(version_);
+template <class Self, class Codec>
+void Topology::walk(Self& self, Codec& c) {
+  c.section(common::snap::tag('T', 'O', 'P', 'O'), 1, "topology");
+  c.guard(self.links_.size(), "topology link count");
+  for (auto& word : self.enabled_mask_.words()) c.u64(word);
+  const std::size_t tail = self.links_.size() % 64;
+  c.check(tail == 0 || self.enabled_mask_.words().back() >> tail == 0,
+          "topology mask sets a bit past the last link");
+  c.u64(self.enabled_links_);
+  c.u64(self.version_);
 }
 
-void Topology::restore_from(common::snap::Reader& r) {
-  r.expect_section(common::snap::tag('T', 'O', 'P', 'O'));
-  const std::uint64_t links = r.u64();
-  if (links != links_.size()) {
-    common::snap::fail("topology link count mismatch");
-  }
-  const std::size_t words = enabled_mask_.words().size();
-  std::size_t bit = 0;
-  for (std::size_t wi = 0; wi < words; ++wi) {
-    const std::uint64_t word = r.u64();
-    for (; bit < links_.size() && bit < (wi + 1) * 64; ++bit) {
-      enabled_mask_.set(bit, ((word >> (bit % 64)) & 1) != 0);
-    }
-  }
-  enabled_links_ = r.u64();
-  version_ = r.u64();
-}
+void Topology::snapshot_to(common::snap::Writer& w) const { walk(*this, w); }
+void Topology::restore_from(common::snap::Reader& r) { walk(*this, r); }
 
 }  // namespace corropt::topology

@@ -141,10 +141,9 @@ class Topology {
   // count, and the monotonic state version (restored faithfully;
   // version-keyed caches still drop their memo on restore, since a
   // rewound version can collide with one seen under other link state).
-  // Structure
-  // (switches, links, breakout groups) is not serialized: restore
-  // targets a topology rebuilt by the same factory, guarded by the
-  // link count.
+  // Structure (switches, links, breakout groups) is not serialized:
+  // restore targets a topology rebuilt by the same factory, guarded by
+  // the link count.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -161,6 +160,9 @@ class Topology {
   void validate() const;
 
  private:
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c);
+
   std::vector<Switch> switches_;
   std::vector<Link> links_;
   common::DynamicBitset enabled_mask_;

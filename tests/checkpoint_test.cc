@@ -17,12 +17,21 @@
 // version, the CorruptionSet's memoized penalty (raw Topology pointer),
 // and the fault injector's id-ordered active set; and malformed length
 // prefixes, which must fail instead of allocating.
+//
+// The wire format itself is pinned by recorded digests of fixed midpoint
+// checkpoints. The integrity cases flip, extend and edit sealed
+// checkpoints: the checksum trailer must reject every bit flip, and
+// an edit that is resealed must be rejected by the decoder or restore
+// cleanly, never crash.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -141,7 +150,7 @@ struct SinkSet {
 
 TEST(SnapshotCodec, RoundTripsScalars) {
   common::snap::Writer w;
-  w.section(common::snap::tag('T', 'E', 'S', 'T'), 3);
+  w.section(common::snap::tag('T', 'E', 'S', 'T'), 3, "test");
   w.u8(0);
   w.u8(255);
   w.u64(0);
@@ -170,7 +179,7 @@ TEST(SnapshotCodec, RoundTripsScalars) {
 
   const std::string bytes = w.take();
   common::snap::Reader r(bytes);
-  EXPECT_EQ(r.expect_section(common::snap::tag('T', 'E', 'S', 'T')), 3);
+  r.section(common::snap::tag('T', 'E', 'S', 'T'), 3, "test");
   EXPECT_EQ(r.u8(), 0);
   EXPECT_EQ(r.u8(), 255);
   EXPECT_EQ(r.u64(), 0u);
@@ -206,13 +215,18 @@ TEST(SnapshotCodec, RoundTripsScalars) {
 
 TEST(SnapshotCodec, HardErrorsOnMismatchAndTruncation) {
   common::snap::Writer w;
-  w.section(common::snap::tag('G', 'O', 'O', 'D'), 1);
+  w.section(common::snap::tag('G', 'O', 'O', 'D'), 1, "good");
   w.u64(7);
   const std::string bytes = w.take();
 
   common::snap::Reader wrong_tag(bytes);
-  EXPECT_THROW(wrong_tag.expect_section(common::snap::tag('E', 'V', 'I', 'L')),
-               std::runtime_error);
+  EXPECT_THROW(
+      wrong_tag.section(common::snap::tag('E', 'V', 'I', 'L'), 1, "evil"),
+      std::runtime_error);
+  common::snap::Reader wrong_version(bytes);
+  EXPECT_THROW(
+      wrong_version.section(common::snap::tag('G', 'O', 'O', 'D'), 2, "good"),
+      std::runtime_error);
 
   common::snap::Reader truncated(std::string_view(bytes).substr(0, 1));
   EXPECT_THROW((void)truncated.u64(), std::runtime_error);
@@ -321,52 +335,65 @@ std::vector<GridParams> config_grid() {
   return grid;
 }
 
+ScenarioConfig grid_config(const GridParams& params, obs::Sink* sink) {
+  const auto [mode, verification, detection, collateral] = params;
+  ScenarioConfig config = small_config(sink);
+  config.mode = mode;
+  config.verification = verification;
+  config.detection = detection;
+  config.model_collateral_maintenance = collateral;
+  config.account_collateral_repair = collateral;
+  return config;
+}
+
+std::string grid_name(const GridParams& params) {
+  const auto [mode, verification, detection, collateral] = params;
+  std::ostringstream out;
+  out << "mode=" << static_cast<int>(mode)
+      << ".verification=" << static_cast<int>(verification)
+      << ".detection=" << static_cast<int>(detection)
+      << ".collateral=" << collateral;
+  return out.str();
+}
+
+// Runs `config` over the small fabric up to the one-day midpoint and
+// snapshots it there.
+Checkpoint midday_checkpoint(const ScenarioConfig& config,
+                             const std::vector<trace::TraceEvent>& events) {
+  topology::Topology topo = small_topology();
+  MitigationSimulation sim(topo, config);
+  sim.begin_run(events);
+  while (sim.now() < common::kDay && sim.step()) {
+  }
+  EXPECT_FALSE(sim.finished());
+  return sim.snapshot();
+}
+
 TEST(CheckpointRoundTrip, MidpointAcrossSimMatrixGrid) {
   const auto grid = config_grid();
   ASSERT_EQ(grid.size(), 24u);
   for (const GridParams& params : grid) {
-    const auto [mode, verification, detection, collateral] = params;
-    SCOPED_TRACE(::testing::Message()
-                 << "mode=" << static_cast<int>(mode) << " verification="
-                 << static_cast<int>(verification)
-                 << " detection=" << static_cast<int>(detection)
-                 << " collateral=" << collateral);
-    const auto configure = [&, mode = mode, verification = verification,
-                            detection = detection,
-                            collateral = collateral](obs::Sink* sink) {
-      ScenarioConfig config = small_config(sink);
-      config.mode = mode;
-      config.verification = verification;
-      config.detection = detection;
-      config.model_collateral_maintenance = collateral;
-      config.account_collateral_repair = collateral;
-      return config;
-    };
-
+    SCOPED_TRACE(grid_name(params));
     std::string reference;
     {
       topology::Topology topo = small_topology();
       const auto events = small_trace(topo);
       SinkSet sinks;
-      MitigationSimulation sim(topo, configure(&sinks.sink));
+      MitigationSimulation sim(topo, grid_config(params, &sinks.sink));
       const SimulationMetrics metrics = sim.run(events);
       reference = fingerprint(metrics, sinks.journal, sinks.registry);
     }
 
-    topology::Topology driver_topo = small_topology();
-    const auto events = small_trace(driver_topo);
+    const topology::Topology trace_topo = small_topology();
+    const auto events = small_trace(trace_topo);
     SinkSet driver_sinks;
-    MitigationSimulation driver(driver_topo, configure(&driver_sinks.sink));
-    driver.begin_run(events);
-    const SimTime midpoint = common::kDay;
-    while (driver.now() < midpoint && driver.step()) {
-    }
-    ASSERT_FALSE(driver.finished());
-    const Checkpoint ckpt = driver.snapshot();
+    const Checkpoint ckpt =
+        midday_checkpoint(grid_config(params, &driver_sinks.sink), events);
 
     topology::Topology branch_topo = small_topology();
     SinkSet branch_sinks;
-    MitigationSimulation branch(branch_topo, configure(&branch_sinks.sink));
+    MitigationSimulation branch(branch_topo,
+                                grid_config(params, &branch_sinks.sink));
     branch.restore_run(events, ckpt);
     while (branch.step()) {
     }
@@ -375,6 +402,83 @@ TEST(CheckpointRoundTrip, MidpointAcrossSimMatrixGrid) {
         fingerprint(metrics, branch_sinks.journal, branch_sinks.registry),
         reference);
   }
+}
+
+// --- Wire format ------------------------------------------------------
+
+// Every midpoint checkpoint of the grid (sink attached) and of the dense
+// scenario on the voting and sketch backends, as length and FNV-1a
+// digest of the bytes the trailer covers. A codec change that moves a
+// single byte fails here. Regenerate (only for an intentional format
+// change) by running the test with CORROPT_GOLDEN_RECORD=1 set, e.g.
+// --gtest_filter='CheckpointBytes.*': it then rewrites
+// tests/golden/checkpoint_bytes.txt in the source tree instead.
+std::string bytes_fixture_path() {
+  return std::string(CORROPT_SOURCE_DIR) + "/tests/golden/checkpoint_bytes.txt";
+}
+
+ScenarioConfig backend_config(detect::BackendKind kind, obs::Sink* sink) {
+  ScenarioConfig config = small_config(sink);
+  config.backend.kind = kind;
+  // Scaled down so both backends gather evidence on a 4-ary fat tree
+  // (the branch_runner_test tuning).
+  config.backend.voting.flows_per_cycle = 600;
+  config.backend.voting.min_votes = 2;
+  config.backend.sketch.width = 64;
+  config.backend.sketch.min_packets = 1000;
+  return config;
+}
+
+TEST(CheckpointBytes, MatchRecordedDigests) {
+  const bool record = std::getenv("CORROPT_GOLDEN_RECORD") != nullptr;
+  std::map<std::string, std::string> expected;
+  if (!record) {
+    std::ifstream in(bytes_fixture_path());
+    ASSERT_TRUE(in) << "missing fixture " << bytes_fixture_path();
+    std::string key, value;
+    while (in >> key >> value) expected.emplace(key, value);
+    ASSERT_FALSE(expected.empty());
+  }
+
+  std::vector<std::pair<std::string, ScenarioConfig>> cases;
+  for (const GridParams& params : config_grid()) {
+    cases.emplace_back("grid." + grid_name(params),
+                       grid_config(params, nullptr));
+  }
+  cases.emplace_back("backend=voting",
+                     backend_config(detect::BackendKind::kVoting, nullptr));
+  cases.emplace_back("backend=sketch",
+                     backend_config(detect::BackendKind::kSketch, nullptr));
+
+  const topology::Topology trace_topo = small_topology();
+  const auto events = small_trace(trace_topo);
+  std::ostringstream recorded;
+  for (auto& [name, config] : cases) {
+    SCOPED_TRACE(name);
+    SinkSet sinks;
+    config.sink = &sinks.sink;
+    const Checkpoint ckpt = midday_checkpoint(config, events);
+    const std::string_view payload = common::snap::unseal(ckpt.bytes);
+    const std::string value =
+        std::to_string(payload.size()) + ":" +
+        std::to_string(common::fnv1a(common::kFnvBasis, payload.data(),
+                                     payload.size()));
+    if (record) {
+      recorded << name << " " << value << "\n";
+      continue;
+    }
+    const auto it = expected.find(name);
+    ASSERT_NE(it, expected.end()) << "fixture lacks " << name;
+    EXPECT_EQ(it->second, value) << name << " checkpoint bytes changed";
+  }
+  if (record) {
+    std::ofstream out(bytes_fixture_path());
+    ASSERT_TRUE(out) << "cannot write " << bytes_fixture_path();
+    out << recorded.str();
+    ASSERT_TRUE(out.good());
+    GTEST_SKIP() << "recorded fresh digests to " << bytes_fixture_path();
+  }
+  EXPECT_EQ(expected.size(), cases.size());
 }
 
 // --- Hidden-state regressions -----------------------------------------
@@ -411,27 +515,38 @@ TEST(CheckpointHiddenState, SameCheckpointTwiceIntoDirtySim) {
   EXPECT_EQ(prints[0], prints[1]);
 }
 
-// A mid-run checkpoint of the dense scenario, for the tests that edit
-// checkpoint bytes.
+// A mid-run checkpoint of the dense scenario without a sink, for the
+// tests that edit checkpoint bytes.
 Checkpoint midday_checkpoint(const std::vector<trace::TraceEvent>& events) {
-  topology::Topology topo = small_topology();
-  MitigationSimulation base(topo, small_config(nullptr));
-  base.begin_run(events);
-  while (base.now() < common::kDay && base.step()) {
-  }
-  return base.snapshot();
+  return midday_checkpoint(small_config(nullptr), events);
 }
 
-// Offset just past the fast checker's section header (tag, version 3),
-// which must occur exactly once.
-std::size_t fchk_payload_at(const std::string& bytes) {
+// Seals spliced checkpoint bytes again, so a restore gets past the
+// checksum and reaches the decoder.
+void reseal(std::string& bytes) {
+  bytes.resize(bytes.size() - common::snap::kTrailerBytes);
+  common::snap::seal(bytes);
+}
+
+// Offset of the section header (tag, version), which must occur exactly
+// once in `bytes`.
+std::size_t section_at(const std::string& bytes, std::uint32_t tag,
+                       std::uint16_t version) {
   common::snap::Writer header;
-  header.section(common::snap::tag('F', 'C', 'H', 'K'), 3);
+  header.section(tag, version, "");
   const std::string marker = header.take();
   const std::size_t at = bytes.find(marker);
   EXPECT_NE(at, std::string::npos);
   EXPECT_EQ(bytes.find(marker, at + 1), std::string::npos);
-  return at + marker.size();
+  return at;
+}
+
+// Offset just past the fast checker's section header (tag, version 3).
+std::size_t fchk_payload_at(const std::string& bytes) {
+  common::snap::Writer header;
+  header.section(common::snap::tag('F', 'C', 'H', 'K'), 3, "");
+  return section_at(bytes, common::snap::tag('F', 'C', 'H', 'K'), 3) +
+         header.take().size();
 }
 
 // A real simulation checkpoint whose fast-checker section claims 2^40
@@ -450,6 +565,7 @@ TEST(CheckpointHiddenState, InflatedFastCheckerCountThrows) {
   common::snap::Writer inflated;
   inflated.u64(std::uint64_t{1} << 40);
   ckpt.bytes.replace(length_at, length_end + 1 - length_at, inflated.take());
+  reseal(ckpt.bytes);
 
   topology::Topology mirror_topo = small_topology();
   MitigationSimulation mirror(mirror_topo, small_config(nullptr));
@@ -472,7 +588,7 @@ TEST(CheckpointHiddenState, FastCheckerVersion2SectionRejected) {
   const std::size_t payload_end = ckpt.bytes.size() - payload.remaining();
 
   common::snap::Writer v2;
-  v2.section(common::snap::tag('F', 'C', 'H', 'K'), 2);
+  v2.section(common::snap::tag('F', 'C', 'H', 'K'), 2, "fast checker");
   v2.u64(seen.size());
   for (std::uint64_t word : seen) v2.u64(word);
   const std::vector<std::uint64_t> counts =
@@ -480,9 +596,10 @@ TEST(CheckpointHiddenState, FastCheckerVersion2SectionRejected) {
   v2.u64(counts.size());
   for (std::uint64_t count : counts) v2.u64(count);
   common::snap::Writer v3_header;
-  v3_header.section(common::snap::tag('F', 'C', 'H', 'K'), 3);
+  v3_header.section(common::snap::tag('F', 'C', 'H', 'K'), 3, "");
   const std::size_t section_at = payload_at - v3_header.take().size();
   ckpt.bytes.replace(section_at, payload_end - section_at, v2.take());
+  reseal(ckpt.bytes);
 
   topology::Topology mirror_topo = small_topology();
   MitigationSimulation mirror(mirror_topo, small_config(nullptr));
@@ -627,6 +744,233 @@ TEST(CheckpointHiddenState, ActiveFaultsStayIdOrderedAcrossChurnAndRestore) {
   const auto id4 = restored.inject(factory.make_fault(
       common::LinkId(3), faults::RootCause::kDamagedFiber, 50));
   EXPECT_GT(id4.value(), id3.value());
+}
+
+// --- Integrity: checksum, trailing bytes, mutations ------------------
+
+// Expects restoring `ckpt` to throw std::runtime_error whose message
+// contains `what`.
+void expect_rejected(MitigationSimulation& sim,
+                     const std::vector<trace::TraceEvent>& events,
+                     const Checkpoint& ckpt, const std::string& what) {
+  try {
+    sim.restore_run(events, ckpt);
+    ADD_FAILURE() << "accepted; expected \"" << what << "\"";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+        << error.what();
+  }
+}
+
+// FNV-1a changes its state on any single-byte change and every later
+// step is a bijection, so each one-bit flip anywhere in the checkpoint,
+// trailer included, must fail the checksum before anything is decoded.
+TEST(CheckpointIntegrity, EveryBitFlipRejected) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  Checkpoint ckpt = midday_checkpoint(events);
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  std::size_t rejected = 0;
+  for (std::size_t byte = 0; byte < ckpt.bytes.size(); ++byte) {
+    for (int bit = 0; bit < 8; ++bit) {
+      ckpt.bytes[byte] = static_cast<char>(ckpt.bytes[byte] ^ (1 << bit));
+      try {
+        mirror.restore_run(events, ckpt);
+      } catch (const std::runtime_error& error) {
+        if (std::string(error.what()).find("checksum") != std::string::npos) {
+          ++rejected;
+        }
+      }
+      ckpt.bytes[byte] = static_cast<char>(ckpt.bytes[byte] ^ (1 << bit));
+    }
+  }
+  EXPECT_EQ(rejected, 8 * ckpt.bytes.size());
+  // The untouched bytes still restore.
+  mirror.restore_run(events, ckpt);
+}
+
+TEST(CheckpointIntegrity, SeededBitFlipsWithSinkRejected) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  SinkSet base_sinks;
+  Checkpoint ckpt = midday_checkpoint(small_config(&base_sinks.sink), events);
+  topology::Topology mirror_topo = small_topology();
+  SinkSet mirror_sinks;
+  MitigationSimulation mirror(mirror_topo, small_config(&mirror_sinks.sink));
+  common::Rng rng(2024);
+  for (int flip = 0; flip < 1000; ++flip) {
+    const std::size_t byte = rng.uniform_index(ckpt.bytes.size());
+    const int bit = static_cast<int>(rng.uniform_index(8));
+    ckpt.bytes[byte] = static_cast<char>(ckpt.bytes[byte] ^ (1 << bit));
+    expect_rejected(mirror, events, ckpt, "checksum mismatch");
+    ckpt.bytes[byte] = static_cast<char>(ckpt.bytes[byte] ^ (1 << bit));
+  }
+  Checkpoint cut = ckpt;
+  cut.bytes.resize(common::snap::kTrailerBytes - 1);
+  expect_rejected(mirror, events, cut, "truncated");
+}
+
+TEST(CheckpointIntegrity, TrailingByteRejected) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  Checkpoint ckpt = midday_checkpoint(events);
+  ckpt.bytes.insert(ckpt.bytes.size() - common::snap::kTrailerBytes, 1, '\0');
+  reseal(ckpt.bytes);
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  expect_rejected(mirror, events, ckpt, "trailing bytes after the last");
+}
+
+// Hands the detection backend's payload (which opens with the section
+// `backend_tag`, version 1) to `edit`, writes it back behind a fresh
+// length prefix, and reseals.
+template <class Edit>
+void edit_backend_payload(std::string& bytes, std::uint32_t backend_tag,
+                          Edit edit) {
+  const std::size_t at = section_at(bytes, backend_tag, 1);
+  const std::size_t end =
+      section_at(bytes, common::snap::tag('M', 'N', 'T', 'M'), 1);
+  std::string payload = bytes.substr(at, end - at);
+  common::snap::Writer length;
+  length.u64(payload.size());
+  const std::string prefix = length.take();
+  ASSERT_EQ(bytes.compare(at - prefix.size(), prefix.size(), prefix), 0);
+  edit(payload);
+  common::snap::Writer blob;
+  blob.blob(payload);
+  bytes.replace(at - prefix.size(), end - at + prefix.size(), blob.take());
+  reseal(bytes);
+}
+
+TEST(CheckpointIntegrity, TrailingByteInBackendPayloadRejected) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  Checkpoint ckpt = midday_checkpoint(events);
+  edit_backend_payload(ckpt.bytes, common::snap::tag('T', 'H', 'R', 'B'),
+                       [](std::string& payload) { payload.push_back('\0'); });
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  expect_rejected(mirror, events, ckpt,
+                  "trailing bytes after the detection backend state");
+}
+
+// The sketch backend marks every switch of its dirty list in a
+// per-switch array; an id past the fabric must be rejected, not
+// written out of bounds.
+TEST(CheckpointIntegrity, SketchDirtySwitchOutOfRangeThrows) {
+  const ScenarioConfig config =
+      backend_config(detect::BackendKind::kSketch, nullptr);
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  Checkpoint ckpt = midday_checkpoint(config, events);
+  const std::size_t cells =
+      static_cast<std::size_t>(config.backend.sketch.width) *
+      config.backend.sketch.depth;
+  edit_backend_payload(
+      ckpt.bytes, common::snap::tag('S', 'K', 'T', 'B'),
+      [&](std::string& payload) {
+        // Walk to the dirty list: header, cycle, switch count, the
+        // allocated sketches, then the per-direction insert counts.
+        common::snap::Reader r(payload);
+        r.section(common::snap::tag('S', 'K', 'T', 'B'), 1, "sketch backend");
+        (void)r.u64();
+        (void)r.u64();
+        for (std::size_t i = r.length(); i > 0; --i) {
+          (void)r.u64();
+          for (std::size_t cell = 0; cell < cells; ++cell) (void)r.u64();
+        }
+        for (std::size_t i = r.u64(); i > 0; --i) (void)r.u64();
+        const std::size_t list_at = payload.size() - r.remaining();
+        for (std::size_t i = r.length(); i > 0; --i) (void)r.u32();
+        const std::size_t list_end = payload.size() - r.remaining();
+        common::snap::Writer list;
+        list.u64(1);
+        list.u32(static_cast<std::uint32_t>(topo.switch_count()));
+        payload.replace(list_at, list_end - list_at, list.take());
+      });
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, config);
+  expect_rejected(mirror, events, ckpt,
+                  "sketch backend dirty switch id out of range");
+}
+
+// Seeded edits of the sink-attached checkpoint, each resealed so the
+// decoder sees them: bit flips, varints inflated to huge values, and
+// cuts at section boundaries. Every one must either restore or throw
+// std::runtime_error; under ASan+UBSan none may touch memory it does
+// not own, overflow, or allocate without bound.
+TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
+  const topology::Topology trace_topo = small_topology();
+  const auto events = small_trace(trace_topo);
+  SinkSet base_sinks;
+  const Checkpoint base =
+      midday_checkpoint(small_config(&base_sinks.sink), events);
+  const std::string body(common::snap::unseal(base.bytes));
+
+  std::vector<std::size_t> boundaries{body.size()};
+  for (const char* name :
+       {"SIM0", "EVTQ", "RNG0", "TOPO", "NETS", "FLTS", "CTRL", "CORR", "FCHK",
+        "DPIP", "THRB", "DTCT", "MNTM", "RPIP", "TCKT", "PNLT", "CSMP", "MTRX",
+        "OBSS"}) {
+    common::snap::Writer tag;
+    tag.u64(common::snap::tag(name[0], name[1], name[2], name[3]));
+    const std::size_t at = body.find(tag.take());
+    ASSERT_NE(at, std::string::npos) << name;
+    boundaries.push_back(at);
+  }
+
+  common::Rng rng(77);
+  std::size_t restored = 0;
+  std::size_t rejected = 0;
+  for (int round = 0; round < 2000; ++round) {
+    std::string bytes = body;
+    switch (round % 3) {
+      case 0: {
+        const std::size_t byte = rng.uniform_index(bytes.size());
+        bytes[byte] = static_cast<char>(bytes[byte] ^
+                                        (1 << rng.uniform_index(8)));
+        break;
+      }
+      case 1: {
+        // Read whatever varint starts here and write it back with a
+        // high bit set.
+        const std::size_t at = rng.uniform_index(bytes.size());
+        common::snap::Reader r(std::string_view(bytes).substr(at));
+        std::uint64_t value = 0;
+        try {
+          value = r.u64();
+        } catch (const std::runtime_error&) {
+        }
+        value |= std::uint64_t{1} << (20 + rng.uniform_index(44));
+        common::snap::Writer inflated;
+        inflated.u64(value);
+        bytes.replace(at, bytes.size() - at - r.remaining(), inflated.take());
+        break;
+      }
+      default:
+        bytes.resize(std::min(
+            bytes.size(),
+            boundaries[rng.uniform_index(boundaries.size())] +
+                rng.uniform_index(3)));
+        break;
+    }
+    common::snap::seal(bytes);
+    Checkpoint ckpt = base;
+    ckpt.bytes = std::move(bytes);
+
+    topology::Topology topo = small_topology();
+    SinkSet sinks;
+    MitigationSimulation sim(topo, small_config(&sinks.sink));
+    try {
+      sim.restore_run(events, ckpt);
+      ++restored;
+    } catch (const std::runtime_error&) {
+      ++rejected;
+    }
+  }
+  EXPECT_EQ(restored + rejected, 2000u);
+  EXPECT_GT(rejected, 0u);
 }
 
 // --- Journal time travel ----------------------------------------------
