@@ -15,7 +15,6 @@
 // --threads sets the optimizer's solver_threads in both replays (the
 // stream replay itself is serial so latency numbers stay honest).
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -57,28 +56,14 @@ struct LoopOutcome {
   std::size_t cold_fallbacks = 0;
 };
 
-// FNV-1a over every field of the journal's records, kOptimizerRun.detail1
-// (subsets_evaluated) included: the cached optimizer reports the search
-// effort of a cold solve, so nothing is exempt.
+// FNV-1a over the journal's JSONL bytes, every field of every record
+// (kOptimizerRun.detail1, subsets_evaluated, included): the cached
+// optimizer reports the search effort of a cold solve, so nothing is
+// exempt.
 std::uint64_t journal_digest(const obs::EventJournal& journal) {
-  std::uint64_t digest = common::kFnvBasis;
-  auto fold = [&digest](std::uint64_t value) {
-    digest = common::fnv1a(digest, value);
-  };
-  for (const obs::Event& event : journal.snapshot()) {
-    fold(event.seq);
-    fold(static_cast<std::uint64_t>(event.time));
-    fold(static_cast<std::uint64_t>(event.kind));
-    fold(static_cast<std::uint64_t>(event.reason));
-    fold(event.link.value());
-    fold(event.sw.value());
-    fold(event.ticket.value());
-    fold(std::bit_cast<std::uint64_t>(event.value));
-    fold(std::bit_cast<std::uint64_t>(event.value2));
-    fold(event.detail0);
-    fold(event.detail1);
-  }
-  return digest;
+  const std::string bytes =
+      bench::obs_bytes(journal.snapshot(), obs::MetricsSnapshot{}).journal;
+  return common::fnv1a(common::kFnvBasis, bytes.data(), bytes.size());
 }
 
 LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,

@@ -43,19 +43,15 @@ using namespace corropt;
 
 namespace {
 
+// FNV-1a over the journal bytes, then the registry bytes.
 std::uint64_t digest_obs(const obs::EventJournal& journal,
                          const obs::MetricsRegistry& registry) {
-  std::ostringstream out;
-  for (const obs::Event& event : journal.snapshot()) {
-    obs::write_event_jsonl(out, event);
-    out << '\n';
-  }
-  common::JsonWriter json(out);
-  json.begin_object();
-  registry.snapshot().write_json(json, /*include_timers=*/false);
-  json.end_object();
-  const std::string bytes = out.str();
-  return common::fnv1a(common::kFnvBasis, bytes.data(), bytes.size());
+  const bench::ObsBytes bytes =
+      bench::obs_bytes(journal.snapshot(), registry.snapshot());
+  return common::fnv1a(
+      common::fnv1a(common::kFnvBasis, bytes.journal.data(),
+                    bytes.journal.size()),
+      bytes.metrics.data(), bytes.metrics.size());
 }
 
 struct SinkSet {

@@ -1,6 +1,7 @@
 #include "scenario_runner.h"
 
 #include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 
@@ -173,6 +174,22 @@ void write_metrics_json(const std::string& path, const std::string& exhibit,
     throw std::runtime_error("write to " + path + " failed");
   }
   std::printf("wrote %s (%zu scenarios)\n", path.c_str(), results.size());
+}
+
+ObsBytes obs_bytes(std::span<const obs::Event> journal,
+                   const obs::MetricsSnapshot& metrics,
+                   std::string_view scenario) {
+  std::ostringstream events;
+  for (const obs::Event& event : journal) {
+    obs::write_event_jsonl(events, event, scenario);
+    events << '\n';
+  }
+  std::ostringstream registry;
+  common::JsonWriter json(registry);
+  json.begin_object();
+  metrics.write_json(json, /*include_timers=*/false);
+  json.end_object();
+  return {events.str(), registry.str()};
 }
 
 void write_obs_jsonl(const std::string& path,

@@ -16,13 +16,17 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/thread_pool.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
 #include "sim/scenario.h"
 #include "trace/trace.h"
 
@@ -158,6 +162,20 @@ void open_metrics_document(common::JsonWriter& json, const std::string& schema,
                            const std::string& generator,
                            std::size_t threads = 0);
 void close_metrics_document(common::JsonWriter& json);
+
+// The deterministic bytes of an obs capture, the ones determinism checks
+// compare and digest: the journal as JSONL, one event a line (tagged
+// with `scenario` when it is not empty), and the registry snapshot as
+// one JSON object without its wall-clock timers.
+struct ObsBytes {
+  std::string journal;
+  std::string metrics;
+
+  bool operator==(const ObsBytes&) const = default;
+};
+[[nodiscard]] ObsBytes obs_bytes(std::span<const obs::Event> journal,
+                                 const obs::MetricsSnapshot& metrics,
+                                 std::string_view scenario = {});
 
 // Writes the concatenated journals of `runs` as JSONL, one event per
 // line tagged with its run's name, runs in the given order. Fully

@@ -2,6 +2,8 @@
 
 #include <cassert>
 
+#include "common/lossy.h"
+
 namespace corropt::analysis {
 
 double switch_fraction(const topology::Topology& topo,
@@ -45,13 +47,12 @@ double locality_ratio(const topology::Topology& topo,
 }
 
 AsymmetryStats asymmetry(std::span<const double> up_rates,
-                         std::span<const double> down_rates,
-                         double threshold) {
+                         std::span<const double> down_rates) {
   assert(up_rates.size() == down_rates.size());
   AsymmetryStats stats;
   for (std::size_t i = 0; i < up_rates.size(); ++i) {
-    const bool up = up_rates[i] >= threshold;
-    const bool down = down_rates[i] >= threshold;
+    const bool up = up_rates[i] >= common::kLossyThreshold;
+    const bool down = down_rates[i] >= common::kLossyThreshold;
     if (!up && !down) continue;
     ++stats.lossy_links;
     if (up && down) {

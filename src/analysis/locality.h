@@ -39,10 +39,9 @@ struct AsymmetryStats {
 };
 
 // Classifies per-link directional loss rates. `up_rates`/`down_rates`
-// are indexed by link id; a direction is lossy when its rate >=
-// `threshold`.
+// are indexed by link id; a direction is lossy when its rate reaches
+// common::kLossyThreshold.
 [[nodiscard]] AsymmetryStats asymmetry(std::span<const double> up_rates,
-                                       std::span<const double> down_rates,
-                                       double threshold = 1e-8);
+                                       std::span<const double> down_rates);
 
 }  // namespace corropt::analysis

@@ -7,8 +7,7 @@ namespace corropt::analysis {
 
 MeasurementStudy::MeasurementStudy(const topology::Topology& topo,
                                    StudyConfig config)
-    : topo_(&topo),
-      config_(config),
+    : config_(config),
       rng_(config.seed),
       state_(topo, telemetry::default_tech()),
       injector_(state_),
@@ -21,6 +20,7 @@ MeasurementStudy::MeasurementStudy(const topology::Topology& topo,
       config_.corrupting_link_fraction *
       static_cast<double>(topo.link_count()));
   std::vector<char> seeded(topo.link_count(), 0);
+  corrupting_.reserve(target);
   while (corrupting_.size() < target) {
     const common::LinkId link(static_cast<common::LinkId::underlying_type>(
         rng_.uniform_index(topo.link_count())));
@@ -43,7 +43,6 @@ MeasurementStudy::MeasurementStudy(const topology::Topology& topo,
                                   0)();
 
   all_dirs_.resize(topo.direction_count());
-  loss_capable_.assign(topo.direction_count(), 0);
   // Streams the SoA corruption-rate array directly; the classification
   // pass touches every direction once.
   const std::span<const double> rates = state_.corruption_rates();
@@ -53,10 +52,7 @@ MeasurementStudy::MeasurementStudy(const topology::Topology& topo,
     all_dirs_[i] = dir.value();
     const bool corrupts = rates[i] > 0.0;
     const bool congests = congestion_.can_ever_congest(dir);
-    if (corrupts || congests) {
-      loss_capable_[i] = 1;
-      lossy_dirs_.push_back(dir.value());
-    }
+    if (corrupts || congests) lossy_dirs_.push_back(dir.value());
   }
 
   if (config_.sink != nullptr && config_.sink->metrics != nullptr) {

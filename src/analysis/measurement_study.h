@@ -177,11 +177,8 @@ class MeasurementStudy {
   [[nodiscard]] telemetry::PollSample sample(common::DirectionId dir,
                                              SimTime t) const;
 
-  // True when `dir` can report a nonzero drop count in some epoch; the
-  // complement is what kLossCapableOnly accumulators skip.
-  [[nodiscard]] bool loss_capable(common::DirectionId dir) const {
-    return loss_capable_[dir.index()] != 0;
-  }
+  // Directions that can report a nonzero drop count in some epoch; the
+  // rest is what kLossCapableOnly accumulators skip.
   [[nodiscard]] std::size_t loss_capable_directions() const {
     return lossy_dirs_.size();
   }
@@ -193,14 +190,9 @@ class MeasurementStudy {
     return corrupting_;
   }
 
-  [[nodiscard]] const telemetry::NetworkState& state() const {
-    return state_;
-  }
   [[nodiscard]] const congestion::CongestionModel& congestion_model() const {
     return congestion_;
   }
-  [[nodiscard]] const topology::Topology& topo() const { return *topo_; }
-  [[nodiscard]] SimDuration epoch() const { return config_.epoch; }
   [[nodiscard]] int epochs_per_day() const {
     return static_cast<int>(common::kDay / config_.epoch);
   }
@@ -233,7 +225,6 @@ class MeasurementStudy {
     }
   }
 
-  const topology::Topology* topo_;
   StudyConfig config_;
   common::Rng rng_;
   telemetry::NetworkState state_;
@@ -245,7 +236,6 @@ class MeasurementStudy {
   std::uint64_t poll_seed_ = 0;
   std::vector<std::uint32_t> all_dirs_;
   std::vector<std::uint32_t> lossy_dirs_;
-  std::vector<char> loss_capable_;
   obs::Histogram synth_timer_;
   obs::Histogram merge_timer_;
 };

@@ -59,7 +59,6 @@ class DirectionTotalsAccumulator {
   [[nodiscard]] const Totals& operator[](common::DirectionId dir) const {
     return totals_[dir.index()];
   }
-  [[nodiscard]] const std::vector<Totals>& totals() const { return totals_; }
 
  private:
   std::vector<Totals> totals_;

@@ -24,9 +24,6 @@ class Rng {
   // streams.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
-
   result_type operator()();
 
   // Derives an independent child generator; used to give each subsystem
@@ -105,9 +102,6 @@ class CounterRng {
 
   CounterRng(std::uint64_t seed, std::uint64_t stream,
              std::uint64_t counter);
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~result_type{0}; }
 
   result_type operator()();
 

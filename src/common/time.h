@@ -31,8 +31,4 @@ inline constexpr SimDuration kMeanRepairTime = 2 * kDay;
   return static_cast<double>(d) / static_cast<double>(kDay);
 }
 
-[[nodiscard]] constexpr double to_hours(SimDuration d) {
-  return static_cast<double>(d) / static_cast<double>(kHour);
-}
-
 }  // namespace corropt::common

@@ -9,6 +9,31 @@ namespace corropt::congestion {
 
 namespace {
 
+// Baseline diurnal utilization: u(t) = base + amplitude * sin(...) +
+// noise, clamped to [0.02, 0.98]. These keep cold links below the loss
+// knee.
+constexpr double kBaseUtilization = 0.25;
+constexpr double kDiurnalAmplitude = 0.15;
+constexpr double kUtilizationNoise = 0.05;
+
+// Fraction of pods whose intra-pod (ToR <-> aggregation) links run hot:
+// the spatial-locality driver of Figure 4.
+constexpr double kHotspotPodFraction = 0.10;
+// Utilization added to every hot direction.
+constexpr double kHotspotExtraUtilization = 0.45;
+// Fraction of hot links that are hot in both directions (Figure 5: 72.7%
+// of congested links lose packets bidirectionally).
+constexpr double kHotspotBidirectional = 0.75;
+
+// Loss curve: no loss at or below the knee; above it the loss rate grows
+// as severity * scale * ((u - knee) / (1 - knee))^exponent with lognormal
+// temporal jitter. Per-direction severity is itself lognormal, which
+// spreads weekly aggregate rates across the Table 1 buckets.
+constexpr double kLossScale = 4e-6;
+constexpr double kLossExponent = 3.0;
+constexpr double kLossJitterSigma = 1.3;  // temporal lognormal jitter
+constexpr double kSeveritySigma = 2.0;    // per-direction persistent severity
+
 std::uint64_t mix(std::uint64_t x) {
   x ^= x >> 33;
   x *= 0xff51afd7ed558ccdULL;
@@ -22,8 +47,7 @@ std::uint64_t mix(std::uint64_t x) {
 
 CongestionModel::CongestionModel(const topology::Topology& topo,
                                  CongestionParams params, common::Rng& rng)
-    : topo_(&topo), params_(params), seed_(rng()) {
-  hotspot_switch_.assign(topo.switch_count(), false);
+    : seed_(rng()) {
   int max_pod = -1;
   for (const topology::Switch& sw : topo.switches()) {
     max_pod = std::max(max_pod, sw.pod);
@@ -31,17 +55,18 @@ CongestionModel::CongestionModel(const topology::Topology& topo,
   hot_pod_.assign(static_cast<std::size_t>(max_pod + 1), false);
   bool any_hot = false;
   for (std::size_t p = 0; p < hot_pod_.size(); ++p) {
-    hot_pod_[p] = rng.bernoulli(params_.hotspot_pod_fraction);
+    hot_pod_[p] = rng.bernoulli(kHotspotPodFraction);
     any_hot = any_hot || hot_pod_[p];
   }
   // A DCN always has at least one hot service somewhere; without this,
   // small topologies occasionally draw zero hot pods and show no
   // congestion at all.
-  if (!any_hot && !hot_pod_.empty() && params_.hotspot_pod_fraction > 0.0) {
+  if (!any_hot && !hot_pod_.empty()) {
     hot_pod_[rng.uniform_index(hot_pod_.size())] = true;
   }
+  std::vector<bool> hotspot_switch(topo.switch_count(), false);
   for (std::size_t i = 0; i < topo.switch_count(); ++i) {
-    hotspot_switch_[i] = rng.bernoulli(params_.hotspot_switch_fraction);
+    hotspot_switch[i] = rng.bernoulli(params.hotspot_switch_fraction);
   }
 
   hot_direction_.assign(topo.direction_count(), false);
@@ -52,10 +77,10 @@ CongestionModel::CongestionModel(const topology::Topology& topo,
     // same hot pod); scattered hotspot switches heat every incident link.
     const bool pod_hot = lower.pod >= 0 && lower.pod == upper.pod &&
                          is_hot_pod(lower.pod);
-    const bool switch_hot = hotspot_switch_[lower.id.index()] ||
-                            hotspot_switch_[upper.id.index()];
+    const bool switch_hot = hotspot_switch[lower.id.index()] ||
+                            hotspot_switch[upper.id.index()];
     if (!pod_hot && !switch_hot) continue;
-    const bool both = rng.bernoulli(params_.hotspot_bidirectional);
+    const bool both = rng.bernoulli(kHotspotBidirectional);
     const bool up_hot = both || rng.bernoulli(0.5);
     const auto up = topology::direction_id(link.id,
                                            topology::LinkDirection::kUp);
@@ -71,7 +96,7 @@ CongestionModel::CongestionModel(const topology::Topology& topo,
   }
   severity_.resize(topo.direction_count());
   for (double& s : severity_) {
-    s = std::exp(params_.severity_sigma * rng.normal());
+    s = std::exp(kSeveritySigma * rng.normal());
   }
 }
 
@@ -86,38 +111,37 @@ double CongestionModel::stable_noise(DirectionId dir, SimTime t,
 }
 
 double CongestionModel::utilization_upper_bound(DirectionId dir) const {
-  double u = params_.base_utilization + params_.diurnal_amplitude +
-             params_.utilization_noise;
-  if (is_hot(dir)) u += params_.hotspot_extra_utilization;
+  double u = kBaseUtilization + kDiurnalAmplitude + kUtilizationNoise;
+  if (is_hot(dir)) u += kHotspotExtraUtilization;
   return std::clamp(u, 0.02, 0.98);
 }
 
 double CongestionModel::utilization(DirectionId dir, SimTime t) const {
   const double day_fraction =
       static_cast<double>(t % common::kDay) / static_cast<double>(common::kDay);
-  double u = params_.base_utilization +
-             params_.diurnal_amplitude *
+  double u = kBaseUtilization +
+             kDiurnalAmplitude *
                  std::sin(2.0 * std::numbers::pi * day_fraction +
                           phase_[dir.index()]);
-  if (is_hot(dir)) u += params_.hotspot_extra_utilization;
-  u += params_.utilization_noise * (2.0 * stable_noise(dir, t, 1) - 1.0);
+  if (is_hot(dir)) u += kHotspotExtraUtilization;
+  u += kUtilizationNoise * (2.0 * stable_noise(dir, t, 1) - 1.0);
   return std::clamp(u, 0.02, 0.98);
 }
 
 double CongestionModel::loss_rate(DirectionId dir, double utilization,
                                   SimTime t) const {
-  if (utilization <= params_.knee_utilization) return 0.0;
-  const double headroom = 1.0 - params_.knee_utilization;
-  const double excess = (utilization - params_.knee_utilization) / headroom;
+  if (utilization <= kKneeUtilization) return 0.0;
+  const double headroom = 1.0 - kKneeUtilization;
+  const double excess = (utilization - kKneeUtilization) / headroom;
   // Deterministic lognormal jitter (Box-Muller over stable uniforms) so
   // the loss series is reproducible per (direction, epoch).
   const double u1 = std::max(stable_noise(dir, t, 2), 1e-12);
   const double u2 = stable_noise(dir, t, 3);
   const double gauss = std::sqrt(-2.0 * std::log(u1)) *
                        std::cos(2.0 * std::numbers::pi * u2);
-  const double jitter = std::exp(params_.loss_jitter_sigma * gauss);
-  const double rate = severity_[dir.index()] * params_.loss_scale *
-                      std::pow(excess, params_.loss_exponent) * jitter;
+  const double jitter = std::exp(kLossJitterSigma * gauss);
+  const double rate = severity_[dir.index()] * kLossScale *
+                      std::pow(excess, kLossExponent) * jitter;
   return std::min(rate, 0.5);
 }
 

@@ -23,40 +23,22 @@ namespace corropt::congestion {
 
 using common::DirectionId;
 using common::SimTime;
-using common::SwitchId;
 
+// The model's utilization and loss-curve shape are constants of
+// congestion_model.cc; the one setting is how many scattered hotspot
+// switches run hot.
 struct CongestionParams {
-  // Baseline diurnal utilization: u(t) = base + amplitude * sin(...) +
-  // noise, clamped to [0.02, 0.98]. The defaults keep cold links below
-  // the loss knee.
-  double base_utilization = 0.25;
-  double diurnal_amplitude = 0.15;
-  double utilization_noise = 0.05;
-
-  // Fraction of pods whose intra-pod (ToR <-> aggregation) links run
-  // hot: the spatial-locality driver of Figure 4.
-  double hotspot_pod_fraction = 0.10;
-  // Fraction of individual switches that additionally run hot on all
-  // incident links (scattered hotspots).
+  // Fraction of individual switches that, on top of the hot pods, run
+  // hot on all incident links (scattered hotspots).
   double hotspot_switch_fraction = 0.003;
-  double hotspot_extra_utilization = 0.45;
-  // Fraction of hot links that are hot in both directions (Figure 5:
-  // 72.7% of congested links lose packets bidirectionally).
-  double hotspot_bidirectional = 0.75;
-
-  // Loss curve: no loss below the knee; above it the loss rate grows as
-  // severity * scale * ((u - knee) / (1 - knee))^exponent with lognormal
-  // temporal jitter. Per-direction severity is itself lognormal, which
-  // spreads weekly aggregate rates across the Table 1 buckets.
-  double knee_utilization = 0.55;
-  double loss_scale = 4e-6;
-  double loss_exponent = 3.0;
-  double loss_jitter_sigma = 1.3;    // temporal lognormal jitter
-  double severity_sigma = 2.0;       // per-direction persistent severity
 };
 
 class CongestionModel {
  public:
+  // Utilization at and below which a direction loses nothing to
+  // congestion (the knee of the loss curve).
+  static constexpr double kKneeUtilization = 0.55;
+
   CongestionModel(const topology::Topology& topo, CongestionParams params,
                   common::Rng& rng);
 
@@ -69,9 +51,6 @@ class CongestionModel {
   [[nodiscard]] double loss_rate(DirectionId dir, double utilization,
                                  SimTime t) const;
 
-  [[nodiscard]] bool is_hotspot_switch(SwitchId sw) const {
-    return hotspot_switch_[sw.index()];
-  }
   [[nodiscard]] bool is_hot_pod(int pod) const {
     return pod >= 0 && static_cast<std::size_t>(pod) < hot_pod_.size() &&
            hot_pod_[static_cast<std::size_t>(pod)];
@@ -94,7 +73,7 @@ class CongestionModel {
   // stays at or below the knee provably never loses a packet to
   // congestion — the measurement study skips its draws entirely.
   [[nodiscard]] bool can_ever_congest(DirectionId dir) const {
-    return utilization_upper_bound(dir) > params_.knee_utilization;
+    return utilization_upper_bound(dir) > kKneeUtilization;
   }
 
  private:
@@ -102,10 +81,7 @@ class CongestionModel {
   [[nodiscard]] double stable_noise(DirectionId dir, SimTime t,
                                     unsigned salt) const;
 
-  const topology::Topology* topo_;
-  CongestionParams params_;
   std::uint64_t seed_;
-  std::vector<bool> hotspot_switch_;
   std::vector<bool> hot_pod_;
   std::vector<bool> hot_direction_;
   // Per-direction random phase for the diurnal cycle.

@@ -23,8 +23,6 @@ class CapacityConstraint {
   // Uniform constraint c in [0, 1] for every ToR.
   explicit CapacityConstraint(double uniform_fraction = 0.75);
 
-  [[nodiscard]] double default_fraction() const { return default_fraction_; }
-
   // Overrides the threshold for one ToR (hot racks get more headroom).
   void set_tor_fraction(SwitchId tor, double fraction);
 

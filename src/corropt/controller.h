@@ -108,8 +108,6 @@ class Controller {
   [[nodiscard]] double active_penalty() const {
     return corruption_.total_active_penalty(*topo_, penalty_);
   }
-  [[nodiscard]] const topology::Topology& topo() const { return *topo_; }
-  [[nodiscard]] CheckerMode mode() const { return config_.mode; }
 
   // Diagnostics accumulated since construction.
   struct Stats {

@@ -20,10 +20,6 @@ namespace corropt::core {
 
 using common::LinkId;
 
-// The IEEE 802.3 corruption threshold the paper adopts for deeming a link
-// lossy (Section 3, footnote 2).
-inline constexpr double kLossyThreshold = 1e-8;
-
 class CorruptionSet {
  public:
   struct Entry {
@@ -39,13 +35,6 @@ class CorruptionSet {
   void mark(LinkId link, double loss_rate);
   void unmark(LinkId link);
 
-  // Bumped on every mark/unmark; together with Topology::state_version()
-  // it keys the total_active_penalty cache below.
-  [[nodiscard]] std::uint64_t epoch() const { return epoch_; }
-
-  [[nodiscard]] bool contains(LinkId link) const {
-    return entries_.contains(link);
-  }
   // Loss rate of a marked link; 0 for unmarked links.
   [[nodiscard]] double rate(LinkId link) const;
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
@@ -91,6 +80,8 @@ class CorruptionSet {
 
   std::map<LinkId, Entry> entries_;
   std::uint64_t next_seq_ = 0;
+  // Bumped on every mark/unmark; together with Topology::state_version()
+  // it keys the total_active_penalty cache.
   std::uint64_t epoch_ = 0;
 
   // Memoized total_active_penalty result and the keys it was computed

@@ -2,6 +2,7 @@
 
 #include <cassert>
 
+#include "common/lossy.h"
 #include "topology/topology.h"
 
 namespace corropt::core {
@@ -10,8 +11,8 @@ using faults::RepairAction;
 using topology::LinkDirection;
 
 RecommendationEngine::RecommendationEngine(
-    const telemetry::NetworkState& state, double corruption_threshold)
-    : state_(&state), threshold_(corruption_threshold) {}
+    const telemetry::NetworkState& state)
+    : state_(&state) {}
 
 bool RecommendationEngine::neighbors_corrupting(LinkId link) const {
   const topology::Topology& topo = state_->topo();
@@ -21,7 +22,7 @@ bool RecommendationEngine::neighbors_corrupting(LinkId link) const {
     for (const auto& list : {sw.uplinks, sw.downlinks}) {
       for (LinkId neighbor : list) {
         if (neighbor == link) continue;
-        if (state_->link_is_corrupting(neighbor, threshold_)) return true;
+        if (state_->link_is_corrupting(neighbor)) return true;
       }
     }
   }
@@ -42,7 +43,7 @@ Recommendation RecommendationEngine::recommend(DirectionId corrupting_dir,
 
   // Line 5-6: bidirectional corruption implies cable damage; it is
   // otherwise rare (8.2% of corrupting links).
-  if (state_->corruption_rate(opposite_dir) >= threshold_) {
+  if (state_->corruption_rate(opposite_dir) >= common::kLossyThreshold) {
     return {RepairAction::kReplaceFiber,
             "both directions corrupting: damaged cable suspected"};
   }

@@ -29,10 +29,9 @@ struct Recommendation {
 
 class RecommendationEngine {
  public:
-  // `corruption_threshold` is the loss rate above which a link counts as
-  // corrupting when checking neighbours and the opposite direction.
-  explicit RecommendationEngine(const telemetry::NetworkState& state,
-                                double corruption_threshold = kLossyThresh);
+  // A neighbour or the opposite direction counts as corrupting from
+  // common::kLossyThreshold on.
+  explicit RecommendationEngine(const telemetry::NetworkState& state);
 
   // Algorithm 1. `corrupting_dir` is the direction on which corruption is
   // observed (the receiver side drops the frames). `recently_reseated`
@@ -47,13 +46,10 @@ class RecommendationEngine {
                                               bool recently_reseated) const;
 
  private:
-  static constexpr double kLossyThresh = 1e-8;
-
   // Any other link on either endpoint switch corrupting?
   [[nodiscard]] bool neighbors_corrupting(LinkId link) const;
 
   const telemetry::NetworkState* state_;
-  double threshold_;
 };
 
 }  // namespace corropt::core

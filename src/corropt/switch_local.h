@@ -39,8 +39,6 @@ class SwitchLocalChecker {
   // Maximum number of uplinks the lower switch of `link` may disable.
   [[nodiscard]] int disable_budget(common::SwitchId sw) const;
 
-  [[nodiscard]] double sc() const { return sc_; }
-
  private:
   topology::Topology* topo_;
   double sc_;

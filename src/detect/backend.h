@@ -100,9 +100,9 @@ class DetectionBackend {
 };
 
 // Builds the backend selected by `config.kind`. `detector` carries the
-// threshold/hysteresis parameters shared by all families (the voting and
-// sketch backends reuse its thresholds where their params do not
-// override them).
+// threshold backend's window and hysteresis parameters; only that
+// backend reads it. The voting and sketch backends take their own params
+// from `config` and report from common::kLossyThreshold.
 [[nodiscard]] std::unique_ptr<DetectionBackend> make_backend(
     const BackendConfig& config, const telemetry::DetectorParams& detector,
     const BackendEnv& env);

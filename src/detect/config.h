@@ -14,6 +14,8 @@
 #include <cstdint>
 #include <string_view>
 
+#include "common/lossy.h"
+
 namespace corropt::detect {
 
 // Which detection/localization backend drives the polled pipeline.
@@ -42,24 +44,13 @@ struct VotingParams {
   // Flows synthesized per 15-minute poll cycle, spread over random
   // (src ToR, dst ToR) pairs with valley-free Clos paths.
   std::size_t flows_per_cycle = 2000;
-  // Packets carried per flow; a flow "fails" (sees retransmits) when at
-  // least one packet is dropped, evaluated in closed form so the cost is
-  // independent of this count.
-  double packets_per_flow = 1e6;
-  // Poll cycles aggregated per voting round (8 cycles = 2 hours).
-  int window_cycles = 8;
   // Minimum failed flows through a link before it can be named a
   // suspect; 007's guard against single-flow noise.
   std::uint64_t min_votes = 3;
-  // Minimum (all) flows observed through a believed link in a window
-  // with zero failures before the report is withdrawn.
-  std::uint64_t min_flows_to_clear = 6;
   // Per-flow probability of failing for non-corruption reasons
   // (congestion bursts, host retransmit noise); the localizer's false
   // positive source.
   double noise_bad_probability = 5e-4;
-  // Estimated per-packet loss rate a suspect must reach to be reported.
-  double report_threshold = 1e-8;
 };
 
 // Parameters of the sketch-based flow-loss detector.
@@ -73,21 +64,17 @@ struct SketchParams {
   // Poll cycles aggregated per decode (sketches hold window deltas and
   // are reset after decoding).
   int window_polls = 4;
-  // Consecutive windows a direction must decode above threshold before
-  // the link is reported; rides out one-window congestion noise the
-  // sketch cannot attribute (it has no corruption/congestion split).
-  int persistence_windows = 2;
-  // Estimated rate thresholds (decoded drops / offered packets).
-  double report_threshold = 1e-8;
-  double clear_threshold = 5e-9;
+  // Estimated rate (decoded drops / offered packets) below which a
+  // reported link is cleared; it is reported from
+  // common::kLossyThreshold on.
+  double clear_threshold = common::kClearThreshold;
   // Minimum offered packets per window before a decode is meaningful.
   std::uint64_t min_packets = 1000000;
   // Congestion-noise model: expected number of directions per poll cycle
-  // that record non-corruption drops, and the mean drop count of one
-  // such burst. These insertions are indistinguishable from corruption
-  // inside the sketch.
+  // that record non-corruption drops (SketchBackend fixes the mean drop
+  // count of one burst). These insertions are indistinguishable from
+  // corruption inside the sketch.
   double noise_directions_per_cycle = 2.0;
-  double mean_noise_drops = 40.0;
 };
 
 // Backend selection plus per-backend parameters, embedded in

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "common/lossy.h"
 #include "telemetry/monitor.h"
 
 namespace corropt::detect {
@@ -20,6 +21,8 @@ std::uint64_t mix64(std::uint64_t x) {
 // ids are 32-bit so these can never collide with per-direction streams.
 constexpr std::uint64_t kNoiseCountStream = 1ULL << 33;
 constexpr std::uint64_t kNoiseStreamBase = 1ULL << 34;
+// Mean drop count of one congestion-noise burst.
+constexpr double kMeanNoiseDrops = 40.0;
 
 }  // namespace
 
@@ -108,7 +111,7 @@ void SketchBackend::poll(common::SimTime now,
     if (d >= topo_->direction_count()) d = topo_->direction_count() - 1;
     const auto dir = common::DirectionId(static_cast<std::uint32_t>(d));
     if (!topo_->is_enabled(topology::link_of(dir))) continue;
-    const std::uint64_t drops = rng.poisson(params_.mean_noise_drops);
+    const std::uint64_t drops = rng.poisson(kMeanNoiseDrops);
     if (drops > 0) insert(dir, drops);
   }
 
@@ -153,8 +156,8 @@ void SketchBackend::decode(common::SimTime now, const VerdictCallback& cb) {
           query(topology::direction_id(link, topology::LinkDirection::kUp)),
           query(topology::direction_id(link, topology::LinkDirection::kDown)));
       const double rate = static_cast<double>(drops) / offered_window;
-      if (rate >= params_.report_threshold) {
-        if (++above_[link.index()] >= params_.persistence_windows &&
+      if (rate >= common::kLossyThreshold) {
+        if (++above_[link.index()] >= kPersistenceWindows &&
             believed_[link.index()] == 0) {
           believed_[link.index()] = 1;
           Verdict verdict;

@@ -7,8 +7,8 @@
 // inserted under that direction's hashes; congestion noise bursts land
 // in the same sketch, indistinguishable from corruption. Every
 // `window_polls` cycles the backend decodes the sketch deltas of dirty
-// switches: a direction whose estimate implies a loss rate above the
-// report threshold for `persistence_windows` consecutive windows is
+// switches: a direction whose estimate implies a loss rate at or above
+// common::kLossyThreshold for kPersistenceWindows consecutive windows is
 // reported. False positives come from hash collisions — two directions
 // sharing cells in every row — which is exactly the width x depth
 // precision/recall trade bench_detection_compare sweeps.
@@ -27,6 +27,11 @@ namespace corropt::detect {
 
 class SketchBackend final : public DetectionBackend {
  public:
+  // Consecutive windows a direction must decode above threshold before
+  // the link is reported; rides out one-window congestion noise the
+  // sketch cannot attribute (it has no corruption/congestion split).
+  static constexpr int kPersistenceWindows = 2;
+
   SketchBackend(const SketchParams& params, const BackendEnv& env);
 
   [[nodiscard]] BackendKind kind() const override {

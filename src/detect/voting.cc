@@ -3,9 +3,19 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/lossy.h"
+
 namespace corropt::detect {
 
 namespace {
+
+// Packets carried per flow; a flow "fails" (sees retransmits) when at
+// least one packet is dropped, evaluated in closed form so the cost is
+// independent of this count.
+constexpr double kPacketsPerFlow = 1e6;
+// Minimum (all) flows observed through a believed link in a window with
+// zero failures before the report is withdrawn.
+constexpr std::uint64_t kMinFlowsToClear = 6;
 
 // Keyed choice of one index in [0, n); n > 0.
 std::size_t keyed_index(common::CounterRng& rng, std::size_t n) {
@@ -115,7 +125,7 @@ void VotingBackend::poll(common::SimTime now,
       obs_flows_.add();
 
       // Per-packet survival along the path, then the probability that at
-      // least one of packets_per_flow packets was dropped, folded with
+      // least one of kPacketsPerFlow packets was dropped, folded with
       // the non-corruption noise floor.
       double log_survive = 0.0;
       for (common::DirectionId dir : dirs) {
@@ -124,8 +134,7 @@ void VotingBackend::poll(common::SimTime now,
           log_survive += std::log1p(-std::min(rate, 1.0 - 1e-12));
         }
       }
-      const double p_drop = -std::expm1(params_.packets_per_flow *
-                                        log_survive);
+      const double p_drop = -std::expm1(kPacketsPerFlow * log_survive);
       const double p_bad =
           p_drop + params_.noise_bad_probability * (1.0 - p_drop);
       const bool bad = rng.bernoulli(p_bad);
@@ -139,7 +148,7 @@ void VotingBackend::poll(common::SimTime now,
     }
   }
 
-  if (cycle_ % static_cast<std::uint64_t>(params_.window_cycles) == 0) {
+  if (cycle_ % static_cast<std::uint64_t>(kWindowCycles) == 0) {
     decode(now, cb);
   }
 }
@@ -169,9 +178,8 @@ void VotingBackend::decode(common::SimTime now, const VerdictCallback& cb) {
     // Invert the per-flow failure probability back to a per-packet rate.
     const double est =
         frac >= 1.0 ? 1.0
-                    : std::min(1.0, -std::log1p(-frac) /
-                                        params_.packets_per_flow);
-    if (est >= params_.report_threshold && believed_[best] == 0) {
+                    : std::min(1.0, -std::log1p(-frac) / kPacketsPerFlow);
+    if (est >= common::kLossyThreshold && believed_[best] == 0) {
       believed_[best] = 1;
       Verdict verdict;
       verdict.kind = Verdict::Kind::kCorrupting;
@@ -200,7 +208,7 @@ void VotingBackend::decode(common::SimTime now, const VerdictCallback& cb) {
   // zero failures is no longer corrupting.
   for (std::size_t l = 0; l < believed_.size(); ++l) {
     if (believed_[l] == 0 || invalidated_[l] != 0) continue;
-    if (flows_through_[l] >= params_.min_flows_to_clear && votes_[l] == 0) {
+    if (flows_through_[l] >= kMinFlowsToClear && votes_[l] == 0) {
       believed_[l] = 0;
       Verdict verdict;
       verdict.kind = Verdict::Kind::kCleared;

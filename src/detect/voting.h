@@ -24,6 +24,9 @@ namespace corropt::detect {
 
 class VotingBackend final : public DetectionBackend {
  public:
+  // Poll cycles aggregated per voting round (8 cycles = 2 hours).
+  static constexpr int kWindowCycles = 8;
+
   VotingBackend(const VotingParams& params, const BackendEnv& env);
 
   [[nodiscard]] BackendKind kind() const override {

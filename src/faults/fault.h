@@ -51,15 +51,6 @@ struct Fault {
     }
     return false;
   }
-
-  // The highest corruption rate the fault induces on any direction.
-  [[nodiscard]] double peak_corruption_rate() const {
-    double peak = 0.0;
-    for (const DirectionEffect& e : effects) {
-      if (e.corruption_rate > peak) peak = e.corruption_rate;
-    }
-    return peak;
-  }
 };
 
 }  // namespace corropt::faults

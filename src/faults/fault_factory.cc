@@ -1,9 +1,37 @@
 #include "faults/fault_factory.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 
+#include "common/lossy.h"
+
 namespace corropt::faults {
+
+namespace {
+
+// Table 1 corruption-column bucket weights for loss-rate sampling:
+// [1e-8,1e-5), [1e-5,1e-4), [1e-4,1e-3), [1e-3, kMaxLossRate).
+constexpr std::array<double, 4> kBucketWeights = {47.23, 18.43, 21.66, 12.67};
+constexpr double kMaxLossRate = 2e-2;
+
+// Fault-induced attenuation range (dB). With the default optical tech
+// (nominal Rx -4 dBm, threshold -10 dBm) anything above 6 dB classifies
+// as Low.
+constexpr double kMinAttenuationDb = 8.0;
+constexpr double kMaxAttenuationDb = 25.0;
+
+// TxPower drop range for decaying transmitters, chosen so both Tx and the
+// resulting Rx classify Low per Table 2, and the further decay per day.
+constexpr double kMinTxDropDb = 6.5;
+constexpr double kMaxTxDropDb = 12.0;
+constexpr double kTxDecayDbPerDay = 0.15;
+
+// Links hit by one shared-component failure when the link has no
+// breakout group (switch-backplane model).
+constexpr std::size_t kSharedComponentWidth = 4;
+
+}  // namespace
 
 using topology::LinkDirection;
 
@@ -20,12 +48,12 @@ RootCause FaultFactory::sample_root_cause() {
 }
 
 double FaultFactory::sample_loss_rate() {
-  static constexpr std::array<double, 5> kEdges = {1e-8, 1e-5, 1e-4, 1e-3,
-                                                   0.0};
-  const std::size_t bucket = rng_->weighted_index(params_.bucket_weights);
+  static constexpr std::array<double, 5> kEdges = {
+      common::kLossyThreshold, 1e-5, 1e-4, 1e-3, 0.0};
+  const std::size_t bucket = rng_->weighted_index(kBucketWeights);
   const double lo = kEdges[bucket];
   const double hi =
-      bucket + 1 < 4 ? kEdges[bucket + 1] : params_.max_loss_rate;
+      bucket + 1 < 4 ? kEdges[bucket + 1] : kMaxLossRate;
   return rng_->log_uniform(lo, hi);
 }
 
@@ -70,7 +98,7 @@ Fault FaultFactory::make_contamination(LinkId link, SimTime onset) {
     // Ordinary contamination: attenuation drops RxPower on the dirty
     // direction; the back-reflection variant keeps RxPower high.
     effect.extra_attenuation_db =
-        rng_->uniform(params_.min_attenuation_db, params_.max_attenuation_db);
+        rng_->uniform(kMinAttenuationDb, kMaxAttenuationDb);
   }
   fault.effects = {effect};
   return fault;
@@ -88,7 +116,7 @@ Fault FaultFactory::make_damaged_fiber(LinkId link, SimTime onset) {
   // both directions only for a minority of bends; usually one receiver
   // still decodes (see FaultMixParams::p_fiber_bidirectional).
   const double attenuation =
-      rng_->uniform(params_.min_attenuation_db, params_.max_attenuation_db);
+      rng_->uniform(kMinAttenuationDb, kMaxAttenuationDb);
   const double base_rate = sample_loss_rate();
   const bool bidirectional = rng_->bernoulli(params_.p_fiber_bidirectional);
   const LinkDirection primary =
@@ -100,8 +128,8 @@ Fault FaultFactory::make_damaged_fiber(LinkId link, SimTime onset) {
     if (dir == primary || bidirectional) {
       // Clamp above the lossy threshold so monitoring always notices the
       // corrupting directions this fault is meant to create.
-      effect.corruption_rate =
-          std::max(1e-8, base_rate * rng_->uniform(0.8, 1.25));
+      effect.corruption_rate = std::max(
+          common::kLossyThreshold, base_rate * rng_->uniform(0.8, 1.25));
     }
     fault.effects.push_back(effect);
   }
@@ -117,9 +145,8 @@ Fault FaultFactory::make_decaying_transmitter(LinkId link, SimTime onset) {
 
   DirectionEffect effect;
   effect.direction = random_direction(link);
-  effect.tx_power_delta_db =
-      -rng_->uniform(params_.min_tx_drop_db, params_.max_tx_drop_db);
-  effect.tx_decay_db_per_day = params_.tx_decay_db_per_day;
+  effect.tx_power_delta_db = -rng_->uniform(kMinTxDropDb, kMaxTxDropDb);
+  effect.tx_decay_db_per_day = kTxDecayDbPerDay;
   effect.corruption_rate = sample_loss_rate();
   fault.effects = {effect};
   return fault;
@@ -160,10 +187,7 @@ Fault FaultFactory::make_shared_component(LinkId link, SimTime onset) {
     for (LinkId sibling : uplinks) {
       if (sibling == link) continue;
       affected.push_back(sibling);
-      if (static_cast<int>(affected.size()) >=
-          params_.shared_component_width) {
-        break;
-      }
+      if (affected.size() >= kSharedComponentWidth) break;
     }
   }
   fault.links = affected;
@@ -175,8 +199,8 @@ Fault FaultFactory::make_shared_component(LinkId link, SimTime onset) {
     DirectionEffect effect;
     effect.direction =
         topology::direction_id(affected_link, LinkDirection::kUp);
-    effect.corruption_rate =
-        std::max(1e-8, base_rate * rng_->uniform(0.8, 1.25));
+    effect.corruption_rate = std::max(
+        common::kLossyThreshold, base_rate * rng_->uniform(0.8, 1.25));
     fault.effects.push_back(effect);
   }
   return fault;

@@ -9,8 +9,6 @@
 // synthetic (see DESIGN.md, substitution table).
 #pragma once
 
-#include <array>
-
 #include "common/rng.h"
 #include "faults/fault.h"
 #include "telemetry/optical.h"
@@ -42,27 +40,6 @@ struct FaultMixParams {
   // bidirectionally (Section 3) while fiber damage contributes 14-48% of
   // faults — so most damaged fibers must still decode one direction.
   double p_fiber_bidirectional = 0.25;
-
-  // Table 1 corruption-column bucket weights for loss-rate sampling:
-  // [1e-8,1e-5), [1e-5,1e-4), [1e-4,1e-3), [1e-3, max_loss_rate).
-  std::array<double, 4> bucket_weights = {47.23, 18.43, 21.66, 12.67};
-  double max_loss_rate = 2e-2;
-
-  // Fault-induced attenuation ranges (dB). With the default optical tech
-  // (nominal Rx -4 dBm, threshold -10 dBm) anything above 6 dB classifies
-  // as Low.
-  double min_attenuation_db = 8.0;
-  double max_attenuation_db = 25.0;
-
-  // TxPower drop range for decaying transmitters; chosen so both Tx and
-  // the resulting Rx classify Low per Table 2.
-  double min_tx_drop_db = 6.5;
-  double max_tx_drop_db = 12.0;
-  double tx_decay_db_per_day = 0.15;
-
-  // Links hit by one shared-component failure when the link has no
-  // breakout group (switch-backplane model).
-  int shared_component_width = 4;
 };
 
 class FaultFactory {
@@ -84,8 +61,6 @@ class FaultFactory {
   [[nodiscard]] double sample_loss_rate();
 
   [[nodiscard]] RootCause sample_root_cause();
-
-  [[nodiscard]] const FaultMixParams& params() const { return params_; }
 
  private:
   using LinkDirection = topology::LinkDirection;

@@ -45,9 +45,6 @@ class FaultInjector {
   // a per-link index. The span is invalidated by the next inject, clear
   // or restore: copy it before clearing the faults it names.
   [[nodiscard]] std::span<const FaultId> faults_on_link(LinkId link) const;
-  [[nodiscard]] std::size_t active_fault_count() const {
-    return active_.size();
-  }
   // All active faults as `const Fault*`, in increasing fault-id
   // (== injection) order, viewed in place: no allocation, no sort. The
   // order is load-bearing: the penalty accountant folds these faults'

@@ -94,10 +94,8 @@ class FleetCampaign {
  public:
   explicit FleetCampaign(FleetSpec spec);
 
-  [[nodiscard]] const FleetSpec& spec() const { return spec_; }
-
   // Runs every DC and merges. Deterministic: the returned FleetResult is
-  // identical for any options.threads and any order of spec().dcs.
+  // identical for any options.threads and any order of the spec's dcs.
   [[nodiscard]] FleetResult run(const CampaignOptions& options = {}) const;
 
  private:

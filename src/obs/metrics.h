@@ -97,7 +97,6 @@ class Counter {
     entry_->cells[detail::thread_shard()].value.fetch_add(
         n, std::memory_order_relaxed);
   }
-  [[nodiscard]] explicit operator bool() const { return entry_ != nullptr; }
 
  private:
   friend class MetricsRegistry;
@@ -111,10 +110,6 @@ class Gauge {
   void set(double v) const {
     if (entry_ != nullptr) entry_->value.store(v, std::memory_order_relaxed);
   }
-  void add(double v) const {
-    if (entry_ != nullptr) detail::atomic_add(entry_->value, v);
-  }
-  [[nodiscard]] explicit operator bool() const { return entry_ != nullptr; }
 
  private:
   friend class MetricsRegistry;

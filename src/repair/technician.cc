@@ -4,6 +4,15 @@
 
 namespace corropt::repair {
 
+namespace {
+
+// Chance of spotting a bent/damaged fiber on sight.
+constexpr double kSpotDamage = 0.6;
+// Chance of noticing a loosely seated transceiver.
+constexpr double kSpotLoose = 0.5;
+
+}  // namespace
+
 faults::RepairAction Technician::legacy_action(int attempt) {
   static constexpr std::array<faults::RepairAction, 6> kSequence = {
       faults::RepairAction::kCleanFiber,
@@ -21,12 +30,12 @@ std::optional<faults::RepairAction> Technician::inspect(
     faults::RootCause true_cause, common::Rng& rng) const {
   switch (true_cause) {
     case faults::RootCause::kDamagedFiber:
-      if (rng.bernoulli(visual_.p_spot_damage)) {
+      if (rng.bernoulli(kSpotDamage)) {
         return faults::RepairAction::kReplaceFiber;
       }
       break;
     case faults::RootCause::kBadOrLooseTransceiver:
-      if (rng.bernoulli(visual_.p_spot_loose)) {
+      if (rng.bernoulli(kSpotLoose)) {
         return faults::RepairAction::kReseatTransceiver;
       }
       break;

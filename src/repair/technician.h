@@ -47,23 +47,11 @@ class Technician {
   // On-site visual inspection (Section 5.2): before acting, technicians
   // look for tight bends, damage, and loosely seated equipment. Visually
   // apparent root causes are sometimes spotted and fixed directly,
-  // regardless of any recommendation. Returns the action taken when the
-  // inspection finds the cause.
-  struct VisualInspection {
-    // Chance of spotting a bent/damaged fiber on sight.
-    double p_spot_damage = 0.6;
-    // Chance of noticing a loosely seated transceiver.
-    double p_spot_loose = 0.5;
-  };
-
-  // Performs the inspection against the ground-truth root cause; returns
-  // the corrective action when the cause was spotted, nullopt otherwise.
+  // regardless of any recommendation: a bent or damaged fiber 60% of the
+  // time, a loosely seated transceiver 50%. Returns the corrective action
+  // when the ground-truth cause was spotted, nullopt otherwise.
   [[nodiscard]] std::optional<faults::RepairAction> inspect(
       faults::RootCause true_cause, common::Rng& rng) const;
-
-  void set_visual_inspection(const VisualInspection& params) {
-    visual_ = params;
-  }
 
   // The legacy escalation sequence: visually inspect and clean first,
   // then reseat, then replace the transceiver, then the cable, then
@@ -76,11 +64,8 @@ class Technician {
       const std::optional<faults::RepairAction>& recommendation, int attempt,
       common::Rng& rng) const;
 
-  [[nodiscard]] double p_follow() const { return p_follow_; }
-
  private:
   double p_follow_;
-  VisualInspection visual_;
 };
 
 }  // namespace corropt::repair

@@ -59,9 +59,6 @@ class TicketQueue {
   // Removes a completed ticket from the open set.
   void close(TicketId id);
 
-  [[nodiscard]] std::size_t open_count() const { return open_.size(); }
-  [[nodiscard]] std::size_t total_issued() const { return next_id_; }
-
   // Checkpointing (DESIGN.md §14): open tickets (id order), the crew
   // schedule and the id counter. `params_` stays the restoring queue's
   // own configuration; when its crew size differs from the serialized

@@ -3,10 +3,17 @@
 #include <algorithm>
 #include <cmath>
 
+#include "common/lossy.h"
 #include "common/rng.h"
-#include "corropt/corruption_set.h"
 
 namespace corropt::service {
+
+namespace {
+
+// Fraction of reports monitoring withdraws without a repair.
+constexpr double kClearedWithoutRepair = 0.1;
+
+}  // namespace
 
 std::vector<TelemetryEvent> make_churn_stream(
     const topology::Topology& topo, const ChurnParams& params) {
@@ -35,7 +42,7 @@ std::vector<TelemetryEvent> make_churn_stream(
           rate = std::max(rate, effect.corruption_rate);
         }
       }
-      if (rate < core::kLossyThreshold) continue;
+      if (rate < common::kLossyThreshold) continue;
 
       TelemetryEvent detected;
       detected.time = arrival.time;
@@ -50,11 +57,12 @@ std::vector<TelemetryEvent> make_churn_stream(
       }
       events.push_back(detected);
 
-      const double delay = rng.exponential(
-          static_cast<double>(params.mean_time_to_repair));
+      // Delay from detection to repair completion.
+      const double delay =
+          rng.exponential(static_cast<double>(common::kMeanRepairTime));
       TelemetryEvent closed;
       closed.time = detected.time + static_cast<common::SimTime>(delay) + 1;
-      closed.kind = rng.bernoulli(params.p_cleared_without_repair)
+      closed.kind = rng.bernoulli(kClearedWithoutRepair)
                         ? TelemetryKind::kCorruptionCleared
                         : TelemetryKind::kLinkRepaired;
       closed.link = link;
@@ -76,7 +84,7 @@ std::vector<TelemetryEvent> make_churn_stream(
           spurious.time = detected.time;
           spurious.kind = TelemetryKind::kCorruptionDetected;
           spurious.link = common::LinkId(victim);
-          spurious.loss_rate = 2.0 * core::kLossyThreshold;
+          spurious.loss_rate = 2.0 * common::kLossyThreshold;
           events.push_back(spurious);
           TelemetryEvent retracted;
           retracted.time = detected.time + common::kHour;

@@ -24,10 +24,6 @@ namespace corropt::service {
 
 struct ChurnParams {
   trace::TraceParams trace;
-  // Mean delay from detection to repair completion (exponential).
-  common::SimDuration mean_time_to_repair = common::kMeanRepairTime;
-  // Fraction of reports monitoring withdraws without a repair.
-  double p_cleared_without_repair = 0.1;
   std::uint64_t seed = 1;
   // Detection backend shaping the stream (detect::backend_profile): a
   // non-threshold backend delays each detection by its extra latency and

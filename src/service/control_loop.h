@@ -67,9 +67,6 @@ class ControlLoop {
   [[nodiscard]] std::uint64_t decisions_digest() const;
 
   [[nodiscard]] core::Controller& controller() { return controller_; }
-  [[nodiscard]] const core::Controller& controller() const {
-    return controller_;
-  }
 
  private:
   topology::Topology* topo_;

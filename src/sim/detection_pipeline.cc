@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/lossy.h"
 #include "obs/journal.h"
 
 namespace corropt::sim {
@@ -50,7 +51,7 @@ void DetectionPipeline::on_fault(const faults::Fault& fault) {
   SimulationMetrics& metrics = *ctx_.metrics;
   for (common::LinkId link : fault.links) {
     const double rate = ctx_.state.link_corruption_rate(link);
-    if (rate < core::kLossyThreshold) continue;
+    if (rate < common::kLossyThreshold) continue;
     if (ctx_.config.detection == DetectionMode::kPolled) {
       // The monitoring pipeline has to notice on its own.
       pending_detection_.emplace(link, ctx_.clock.now());
@@ -99,10 +100,12 @@ void DetectionPipeline::handle_verdict(const detect::Verdict& verdict,
       pending_detection_.erase(pending);
     }
     // Ground truth is one state lookup away in simulation: a verdict on
-    // a link below the lossy threshold is a backend false positive.
+    // a link below the 802.3 threshold is a backend false positive. The
+    // detector's own threshold is a setting; on_fault books a missed
+    // detection against the same ground truth.
     const bool false_positive =
         ctx_.state.link_corruption_rate(verdict.link) <
-        ctx_.config.detector.lossy_threshold;
+        common::kLossyThreshold;
     if (false_positive) ++metrics.false_positive_detections;
     {
       obs::Event journal_event;

@@ -61,11 +61,6 @@ class DetectionPipeline {
   // Finalizes the mean detection latency; call at end of run.
   void finalize(SimulationMetrics& metrics) const;
 
-  // The active backend (for tests and benches).
-  [[nodiscard]] const detect::DetectionBackend& backend() const {
-    return *backend_;
-  }
-
   // Checkpointing (DESIGN.md §14): the pending-detection books plus the
   // backend's private state, framed as a blob tagged with the backend
   // kind. A restore into a pipeline running a *different* backend kind

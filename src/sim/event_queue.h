@@ -97,11 +97,6 @@ class EventQueue {
 
   void schedule(Event event);
 
-  [[nodiscard]] bool empty() const { return heap_.empty(); }
-  [[nodiscard]] std::size_t size() const { return heap_.size(); }
-  // Total events ever scheduled (== the next sequence number).
-  [[nodiscard]] std::uint64_t scheduled_total() const { return next_seq_; }
-
   // Removes and returns the earliest event under (due, stratum,
   // sequence) order.
   Event pop();

@@ -79,9 +79,6 @@ class MitigationSimulation {
   void restore_run(const std::vector<trace::TraceEvent>& events,
                    const Checkpoint& ckpt);
 
-  // The state the components share, for inspection.
-  [[nodiscard]] const SimContext& context() const { return ctx_; }
-
  private:
   // The checkpoint's field list, run by snapshot() and restore_run().
   template <class Self, class Codec>

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "common/lossy.h"
 #include "obs/journal.h"
 
 namespace corropt::sim {
@@ -42,7 +43,7 @@ double PenaltyAccountant::true_penalty_rate() {
       mark = 1;
       if (!ctx_.topo.is_enabled(link)) continue;
       const double rate = ctx_.state.link_corruption_rate(link);
-      if (rate >= core::kLossyThreshold) total += penalty(rate);
+      if (rate >= common::kLossyThreshold) total += penalty(rate);
     }
   }
   for (const faults::Fault* fault : ctx_.injector.active_faults()) {

@@ -7,6 +7,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/lossy.h"
 #include "obs/journal.h"
 
 namespace corropt::sim {
@@ -144,7 +145,7 @@ void RepairPipeline::handle_redetect(const Event& event) {
     journal_event.value = rate;
     ctx_.emit(journal_event);
   }
-  if (rate >= core::kLossyThreshold) {
+  if (rate >= common::kLossyThreshold) {
     ctx_.controller.on_corruption_detected(event.link, rate);
   }
 }
@@ -205,7 +206,7 @@ void RepairPipeline::handle_repair(const Event& event) {
   for (common::LinkId link : affected) {
     if (link == event.link) continue;
     const double rate = ctx_.state.link_corruption_rate(link);
-    if (rate < core::kLossyThreshold) {
+    if (rate < common::kLossyThreshold) {
       ctx_.controller.on_corruption_cleared(link);
       if (ctx_.config.detection == DetectionMode::kPolled) {
         detection_.reset(link);

@@ -50,8 +50,6 @@ struct SimContext {
   // Reusable per-link dedup flags; all-zero between uses (see above).
   std::vector<char> link_mark;
 
-  [[nodiscard]] obs::Sink* sink() const { return config.sink; }
-
   // Journals an event (no-op without a sink); link-valid events get the
   // link's lower switch filled in.
   void emit(obs::Event event) {

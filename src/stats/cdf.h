@@ -17,9 +17,6 @@ class EmpiricalCdf {
 
   void add(double sample);
 
-  [[nodiscard]] std::size_t size() const { return samples_.size(); }
-  [[nodiscard]] bool empty() const { return samples_.empty(); }
-
   // Smallest sample s with F(s) >= q, q in (0, 1]. Requires samples.
   [[nodiscard]] double quantile(double q);
 

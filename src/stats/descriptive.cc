@@ -1,19 +1,11 @@
 #include "stats/descriptive.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace corropt::stats {
 
 void RunningStats::add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
   ++count_;
-  sum_ += x;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(count_);
   m2_ += delta * (x - mean_);
@@ -45,9 +37,6 @@ void RunningStats::merge(const RunningStats& other) {
   mean_ += delta * n2 / total;
   m2_ += other.m2_ + delta * delta * n1 * n2 / total;
   count_ += other.count_;
-  sum_ += other.sum_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
 }
 
 double mean(std::span<const double> values) {

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <cstdio>
 
+#include "common/lossy.h"
+
 namespace corropt::stats {
 
 LossBucketHistogram::LossBucketHistogram(std::vector<double> edges)
@@ -13,7 +15,7 @@ LossBucketHistogram::LossBucketHistogram(std::vector<double> edges)
 }
 
 LossBucketHistogram LossBucketHistogram::table1() {
-  return LossBucketHistogram({1e-8, 1e-5, 1e-4, 1e-3});
+  return LossBucketHistogram({common::kLossyThreshold, 1e-5, 1e-4, 1e-3});
 }
 
 void LossBucketHistogram::add(double loss_rate) {

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/lossy.h"
 #include "common/snapshot.h"
 #include "common/time.h"
 #include "obs/sink.h"
@@ -26,10 +27,10 @@ namespace corropt::telemetry {
 struct DetectorParams {
   // Loss rate at which a link is declared corrupting (Section 3: the
   // paper conservatively uses the 802.3 limit).
-  double lossy_threshold = 1e-8;
+  double lossy_threshold = common::kLossyThreshold;
   // Rate below which a previously corrupting link is declared clean;
   // must be <= lossy_threshold (hysteresis band).
-  double clear_threshold = 5e-9;
+  double clear_threshold = common::kClearThreshold;
   // Minimum packets observed in the window before any verdict: below
   // this, one corrupt frame would exceed 1e-8 spuriously.
   std::uint64_t min_packets = 1000000;
@@ -61,16 +62,10 @@ class CorruptionDetector {
   // the sample's link and the verdict changed.
   std::optional<DetectionEvent> observe(const PollSample& sample);
 
-  // True when the detector currently believes the link corrupts.
-  [[nodiscard]] bool is_corrupting(common::LinkId link) const {
-    return corrupting_[link.index()] != 0;
-  }
-
   // Resolves the link's alert state (e.g. after a repair ticket closes):
   // pending windows and estimates are dropped, and fresh polls must
   // re-establish any verdict.
   void reset(common::LinkId link);
-  [[nodiscard]] const DetectorParams& params() const { return params_; }
 
   // Attaches observability: "telemetry.detections" / "telemetry.clears"
   // count verdict flips. Pass nullptr to detach.

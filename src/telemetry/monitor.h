@@ -44,12 +44,6 @@ struct PollSample {
                         : static_cast<double>(congestion_drops) /
                               static_cast<double>(packets);
   }
-  [[nodiscard]] double total_loss_rate() const {
-    return packets == 0 ? 0.0
-                        : static_cast<double>(corruption_drops +
-                                               congestion_drops) /
-                              static_cast<double>(packets);
-  }
 };
 
 // Supplies per-direction offered load for an epoch.

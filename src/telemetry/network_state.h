@@ -10,10 +10,9 @@
 // indexed by direction id (up = 2*link, down = 2*link+1), so hot sweeps —
 // the penalty accountant's corruption scan, the monitor's poll loop, the
 // fleet campaign's per-DC simulations — stream over dense arrays instead
-// of striding through an array of structs. `DirectionState` survives as
-// the value/snapshot type; `direction()` returns a lightweight view whose
-// members are references into the arrays, so `state.direction(id).field`
-// reads and writes exactly as it did when the struct was stored inline.
+// of striding through an array of structs. `direction()` returns a
+// lightweight view whose members are references into the arrays, so
+// `state.direction(id).field` reads and writes one direction's state.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +20,7 @@
 #include <vector>
 
 #include "common/ids.h"
+#include "common/lossy.h"
 #include "common/snapshot.h"
 #include "telemetry/optical.h"
 #include "topology/topology.h"
@@ -30,48 +30,21 @@ namespace corropt::telemetry {
 using common::DirectionId;
 using common::LinkId;
 
-// Value snapshot of one direction's state. Not the storage layout — see
-// the SoA note above. Assignable from a view via the conversion operator.
-struct DirectionState {
-  // Transmitter output power; faults (decaying lasers) lower it.
-  double tx_power_dbm = 0.0;
-  // Fault-induced path loss beyond the healthy budget (contamination,
-  // bends) in dB.
-  double extra_attenuation_db = 0.0;
-  // Probability that a packet on this direction is corrupted and dropped.
-  double corruption_rate = 0.0;
-  // Cumulative counters, as a switch would expose over SNMP.
-  std::uint64_t packets = 0;
-  std::uint64_t corruption_drops = 0;
-  std::uint64_t congestion_drops = 0;
-};
-
 // Mutable view over one direction's slice of the flat arrays. Cheap to
 // copy (a bundle of references); writing through its members writes the
 // arrays. Keep it by value: `auto d = state.direction(id);`.
 struct DirectionView {
+  // Transmitter output power; faults (decaying lasers) lower it.
   double& tx_power_dbm;
+  // Fault-induced path loss beyond the healthy budget (contamination,
+  // bends) in dB.
   double& extra_attenuation_db;
+  // Probability that a packet on this direction is corrupted and dropped.
   double& corruption_rate;
+  // Cumulative counters, as a switch would expose over SNMP.
   std::uint64_t& packets;
   std::uint64_t& corruption_drops;
   std::uint64_t& congestion_drops;
-
-  // Materializes a value snapshot (also enables
-  // `DirectionState s = state.direction(id);`).
-  [[nodiscard]] operator DirectionState() const {  // NOLINT(google-explicit-constructor)
-    return {tx_power_dbm, extra_attenuation_db, corruption_rate,
-            packets,      corruption_drops,     congestion_drops};
-  }
-  DirectionView& operator=(const DirectionState& s) {
-    tx_power_dbm = s.tx_power_dbm;
-    extra_attenuation_db = s.extra_attenuation_db;
-    corruption_rate = s.corruption_rate;
-    packets = s.packets;
-    corruption_drops = s.corruption_drops;
-    congestion_drops = s.congestion_drops;
-    return *this;
-  }
 };
 
 // Read-only counterpart of DirectionView.
@@ -82,11 +55,6 @@ struct ConstDirectionView {
   const std::uint64_t& packets;
   const std::uint64_t& corruption_drops;
   const std::uint64_t& congestion_drops;
-
-  [[nodiscard]] operator DirectionState() const {  // NOLINT(google-explicit-constructor)
-    return {tx_power_dbm, extra_attenuation_db, corruption_rate,
-            packets,      corruption_drops,     congestion_drops};
-  }
 };
 
 class NetworkState {
@@ -107,24 +75,10 @@ class NetworkState {
             packets_[i],      corruption_drops_[i],     congestion_drops_[i]};
   }
 
-  // Flat per-direction arrays, indexed by DirectionId. Hot loops stream
-  // these directly instead of going through direction().
-  [[nodiscard]] std::span<const double> extra_attenuations_db() const {
-    return extra_attenuation_db_;
-  }
+  // The flat per-direction corruption rates, indexed by DirectionId. Hot
+  // loops stream them directly instead of going through direction().
   [[nodiscard]] std::span<const double> corruption_rates() const {
     return corruption_rate_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> packet_counters() const {
-    return packets_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> corruption_drop_counters()
-      const {
-    return corruption_drops_;
-  }
-  [[nodiscard]] std::span<const std::uint64_t> congestion_drop_counters()
-      const {
-    return congestion_drops_;
   }
 
   [[nodiscard]] double tx_power_dbm(DirectionId id) const {
@@ -153,9 +107,8 @@ class NetworkState {
                ? corruption_rate_[up]
                : corruption_rate_[up + 1];
   }
-  [[nodiscard]] bool link_is_corrupting(LinkId id,
-                                        double threshold = 1e-8) const {
-    return link_corruption_rate(id) >= threshold;
+  [[nodiscard]] bool link_is_corrupting(LinkId id) const {
+    return link_corruption_rate(id) >= common::kLossyThreshold;
   }
 
   // Checkpointing (DESIGN.md §14): the six flat per-direction arrays,

@@ -5,6 +5,14 @@
 
 namespace corropt::trace {
 
+namespace {
+
+// Probability that a burst's follow-up fault strikes the seed fault's
+// switch rather than elsewhere in its pod.
+constexpr double kBurstSameSwitch = 0.6;
+
+}  // namespace
+
 CorruptionTraceGenerator::CorruptionTraceGenerator(
     const topology::Topology& topo, TraceParams params, common::Rng& rng)
     : topo_(&topo), params_(params), rng_(&rng) {}
@@ -55,7 +63,7 @@ std::vector<TraceEvent> CorruptionTraceGenerator::generate() {
           topo_->switch_at(topo_->link_at(link).lower);
       for (int i = 0; i < extra; ++i) {
         common::LinkId target = link;
-        if (rng_->bernoulli(params_.p_burst_same_switch) ||
+        if (rng_->bernoulli(kBurstSameSwitch) ||
             lower.pod < 0 ||
             pod_links[static_cast<std::size_t>(lower.pod)].empty()) {
           target = lower.uplinks[rng_->uniform_index(lower.uplinks.size())];
@@ -64,8 +72,7 @@ std::vector<TraceEvent> CorruptionTraceGenerator::generate() {
           target = pool[rng_->uniform_index(pool.size())];
         }
         const double when =
-            t + rng_->uniform(0.0,
-                              static_cast<double>(params_.burst_window));
+            t + rng_->uniform(0.0, static_cast<double>(kBurstWindow));
         if (when < static_cast<double>(params_.duration)) {
           add_fault(events, target, when);
         }

@@ -42,16 +42,17 @@ struct TraceParams {
   // start corrupting packets at roughly the same time (Section 3) —
   // maintenance accidents, bad component batches, environmental events.
   // With probability p_burst, a fault arrival is followed by 1..burst_max
-  // further faults within burst_window, on the same switch (with
-  // probability p_burst_same_switch) or elsewhere in the same pod.
+  // further faults within CorruptionTraceGenerator::kBurstWindow, on the
+  // same switch or elsewhere in the same pod.
   double p_burst = 0.05;
   int burst_max = 3;
-  double p_burst_same_switch = 0.6;
-  SimDuration burst_window = 12 * common::kHour;
 };
 
 class CorruptionTraceGenerator {
  public:
+  // Follow-up faults of a burst arrive within this long of its seed.
+  static constexpr SimDuration kBurstWindow = 12 * common::kHour;
+
   CorruptionTraceGenerator(const topology::Topology& topo, TraceParams params,
                            common::Rng& rng);
 

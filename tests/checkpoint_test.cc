@@ -39,7 +39,6 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/json.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
 #include "corropt/corruption_set.h"
@@ -50,6 +49,8 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
+#include "bench_util.h"
+#include "scenario_runner.h"
 #include "sim/branch_runner.h"
 #include "sim/mitigation_sim.h"
 #include "telemetry/network_state.h"
@@ -79,28 +80,15 @@ std::string fingerprint(const SimulationMetrics& metrics,
       << "\ntickets_opened=" << metrics.tickets_opened
       << "\nmetrics_digest=" << digest(metrics);
 
-  std::ostringstream journal_bytes;
-  for (const obs::Event& event : journal.snapshot()) {
-    obs::write_event_jsonl(journal_bytes, event);
-    journal_bytes << '\n';
-  }
-  const std::string journal_str = journal_bytes.str();
+  const bench::ObsBytes bytes =
+      bench::obs_bytes(journal.snapshot(), registry.snapshot());
   out << "\njournal=" << journal.snapshot().size() << ":"
       << journal.dropped() << ":"
-      << common::fnv1a(common::kFnvBasis, journal_str.data(),
-                       journal_str.size());
-
-  std::ostringstream registry_bytes;
-  {
-    common::JsonWriter json(registry_bytes);
-    json.begin_object();
-    registry.snapshot().write_json(json, /*include_timers=*/false);
-    json.end_object();
-  }
-  const std::string registry_str = registry_bytes.str();
-  out << "\nobs_metrics=" << registry_str.size() << ":"
-      << common::fnv1a(common::kFnvBasis, registry_str.data(),
-                       registry_str.size())
+      << common::fnv1a(common::kFnvBasis, bytes.journal.data(),
+                       bytes.journal.size());
+  out << "\nobs_metrics=" << bytes.metrics.size() << ":"
+      << common::fnv1a(common::kFnvBasis, bytes.metrics.data(),
+                       bytes.metrics.size())
       << "\n";
   return out.str();
 }
@@ -809,6 +797,46 @@ TEST(CheckpointIntegrity, SeededBitFlipsWithSinkRejected) {
   Checkpoint cut = ckpt;
   cut.bytes.resize(common::snap::kTrailerBytes - 1);
   expect_rejected(mirror, events, cut, "truncated");
+}
+
+// The what-if bench's checkpoint: a 100x fault storm on the medium DCN,
+// frozen at 85% of a 6-day horizon with a sink attached (about 1.9 MB).
+// A sample of its bits, spread over the whole length, each fails the
+// checksum.
+TEST(CheckpointIntegrity, SampledBitFlipsOfWhatifCheckpointRejected) {
+  const auto factory = [] { return bench::build_dcn(bench::Dcn::kMedium); };
+  const common::SimDuration duration = 6 * common::kDay;
+  topology::Topology trace_topo = factory();
+  const auto events = bench::make_trace(
+      trace_topo, 100 * bench::kFaultsPerLinkPerDay, duration, 900);
+  ScenarioConfig config;
+  config.mode = core::CheckerMode::kCorrOpt;
+  config.capacity_fraction = 0.75;
+  config.duration = duration;
+  config.seed = 901;
+  SinkSet base_sinks;
+  config.sink = &base_sinks.sink;
+  const auto branch_time = static_cast<common::SimTime>(0.85 * duration);
+  Checkpoint ckpt = BranchRunner(factory).checkpoint_base(
+      config, events, [branch_time](const MitigationSimulation& sim) {
+        return sim.now() >= branch_time;
+      });
+  ASSERT_GT(ckpt.bytes.size(), std::size_t{1} << 20);
+
+  topology::Topology mirror_topo = factory();
+  SinkSet mirror_sinks;
+  config.sink = &mirror_sinks.sink;
+  MitigationSimulation mirror(mirror_topo, config);
+  common::Rng rng(2026);
+  for (int flip = 0; flip < 300; ++flip) {
+    const std::size_t byte = rng.uniform_index(ckpt.bytes.size());
+    const int bit = static_cast<int>(rng.uniform_index(8));
+    ckpt.bytes[byte] = static_cast<char>(ckpt.bytes[byte] ^ (1 << bit));
+    expect_rejected(mirror, events, ckpt, "checksum mismatch");
+    ckpt.bytes[byte] = static_cast<char>(ckpt.bytes[byte] ^ (1 << bit));
+  }
+  // The untouched bytes still restore.
+  mirror.restore_run(events, ckpt);
 }
 
 TEST(CheckpointIntegrity, TrailingByteRejected) {

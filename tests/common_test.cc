@@ -89,7 +89,6 @@ TEST(Time, Conversions) {
   EXPECT_EQ(kDay, 86400);
   EXPECT_EQ(kPollInterval, 900);
   EXPECT_DOUBLE_EQ(to_days(3 * kDay), 3.0);
-  EXPECT_DOUBLE_EQ(to_hours(kDay), 24.0);
 }
 
 TEST(Rng, DeterministicAcrossInstances) {

@@ -25,7 +25,7 @@ TEST(Controller, DisablesAndTicketsNewCorruption) {
   ASSERT_EQ(tickets.size(), 1u);
   EXPECT_EQ(tickets.front(), link);
   EXPECT_EQ(controller.stats().disabled_on_arrival, 1u);
-  EXPECT_TRUE(controller.corruption().contains(link));
+  EXPECT_TRUE(controller.corruption().entries().contains(link));
   EXPECT_DOUBLE_EQ(controller.active_penalty(), 0.0);
 }
 
@@ -184,7 +184,7 @@ TEST(Controller, CorruptionClearedWithoutRepair) {
   EXPECT_GT(controller.active_penalty(), 0.0);
   controller.on_corruption_cleared(link);
   EXPECT_DOUBLE_EQ(controller.active_penalty(), 0.0);
-  EXPECT_FALSE(controller.corruption().contains(link));
+  EXPECT_FALSE(controller.corruption().entries().contains(link));
 }
 
 TEST(Controller, ReportOnDisabledLinkIssuesNoDuplicateTicket) {

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/lossy.h"
 #include "detect/backend.h"
 #include "detect/sketch.h"
 #include "detect/voting.h"
@@ -82,17 +83,18 @@ TEST(VotingBackend, SingleBadLinkTopVotedThenCleared) {
 
   // First window: exactly the bad link is surfaced, at a rate estimate
   // above the report threshold.
-  const auto verdicts = run_cycles(backend, 1, params.window_cycles);
+  const auto verdicts =
+      run_cycles(backend, 1, detect::VotingBackend::kWindowCycles);
   ASSERT_EQ(verdicts.size(), 1u);
   EXPECT_EQ(verdicts[0].link, bad);
   EXPECT_EQ(verdicts[0].kind, detect::Verdict::Kind::kCorrupting);
-  EXPECT_GE(verdicts[0].loss_rate, params.report_threshold);
+  EXPECT_GE(verdicts[0].loss_rate, common::kLossyThreshold);
 
   // Fault repaired: the next window carries failure-free flows through
   // the link and withdraws the report.
   f.set_link_rate(bad, 0.0);
-  const auto clears =
-      run_cycles(backend, params.window_cycles + 1, 2 * params.window_cycles);
+  constexpr int kWindow = detect::VotingBackend::kWindowCycles;
+  const auto clears = run_cycles(backend, kWindow + 1, 2 * kWindow);
   ASSERT_EQ(clears.size(), 1u);
   EXPECT_EQ(clears[0].link, bad);
   EXPECT_EQ(clears[0].kind, detect::Verdict::Kind::kCleared);
@@ -111,7 +113,8 @@ TEST(VotingBackend, TwoSimultaneousBadLinksBothSurfaced) {
   f.set_link_rate(bad_a, 1e-5);
   f.set_link_rate(bad_b, 1e-5);
 
-  const auto verdicts = run_cycles(backend, 1, params.window_cycles);
+  const auto verdicts =
+      run_cycles(backend, 1, detect::VotingBackend::kWindowCycles);
   std::set<std::uint32_t> reported;
   for (const detect::Verdict& v : verdicts) {
     EXPECT_EQ(v.kind, detect::Verdict::Kind::kCorrupting);
@@ -139,8 +142,9 @@ TEST(SketchBackend, WidthDepthTradesPrecisionNotRecall) {
   detect::SketchBackend wide_backend(wide, f.env(7));
   detect::SketchBackend narrow_backend(narrow, f.env(7));
 
-  // persistence_windows windows of window_polls cycles each.
-  const int cycles = wide.window_polls * wide.persistence_windows;
+  // kPersistenceWindows windows of window_polls cycles each.
+  const int cycles =
+      wide.window_polls * detect::SketchBackend::kPersistenceWindows;
   const auto wide_verdicts = run_cycles(wide_backend, 1, cycles);
   const auto narrow_verdicts = run_cycles(narrow_backend, 1, cycles);
 

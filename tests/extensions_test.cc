@@ -8,6 +8,7 @@
 
 #include "common/rng.h"
 #include "corropt/corruption_set.h"
+#include "fault_oracles.h"
 #include "sim/mitigation_sim.h"
 #include "topology/fat_tree.h"
 #include "topology/xgft.h"
@@ -125,7 +126,10 @@ TEST(TraceBursts, BurstsLandNearTheSeedFault) {
       return topo.switch_at(topo.link_at(e.fault.links.front()).lower).pod;
     };
     for (std::size_t j = i; j-- > 0;) {
-      if (events[i].time - events[j].time > params.burst_window) break;
+      if (events[i].time - events[j].time >
+          trace::CorruptionTraceGenerator::kBurstWindow) {
+        break;
+      }
       if (pod_of(events[i]) == pod_of(events[j])) {
         ++near_pairs;
         break;
@@ -169,7 +173,7 @@ TEST(Verification, EnableAndObserveExposesFailedRepairs) {
     event.time = 0;
     event.fault = factory.make_fault(
         common::LinkId(3), faults::RootCause::kConnectorContamination, 0);
-    const double rate = event.fault.peak_corruption_rate();
+    const double rate = testing::peak_corruption_rate(event.fault);
 
     sim::MitigationSimulation sim(topo, config);
     const auto metrics = sim.run({event});
@@ -342,6 +346,36 @@ TEST(PolledDetection, SubThresholdFaultStaysUndetected) {
   // The corruption still hurt applications the whole time.
   EXPECT_NEAR(metrics.integrated_penalty, 1e-5 * 10 * common::kDay,
               1e-5 * common::kDay);
+}
+
+// The detector's threshold is a setting; whether a link truly corrupts
+// is the 802.3 constant. With the threshold raised just above a lossy
+// link's rate, Poisson noise still carries a window over it: the run
+// books a timed detection, and no false positive.
+TEST(PolledDetection, RaisedThresholdConvictionIsNoFalsePositive) {
+  constexpr double kRate = 1e-5;
+  auto topo = topology::build_fat_tree(8);
+  sim::ScenarioConfig config;
+  config.duration = 10 * common::kDay;
+  config.detection = sim::DetectionMode::kPolled;
+  config.detector.lossy_threshold = 1.01 * kRate;
+  config.detector.clear_threshold = 0.5 * kRate;
+  config.seed = 43;
+
+  common::Rng rng(44);
+  faults::FaultFactory factory(topo, {}, rng);
+  trace::TraceEvent event;
+  event.time = 0;
+  faults::Fault fault = factory.make_fault(
+      common::LinkId(4), faults::RootCause::kBadOrLooseTransceiver, 0);
+  for (auto& effect : fault.effects) effect.corruption_rate = kRate;
+  event.fault = fault;
+
+  sim::MitigationSimulation sim(topo, config);
+  const auto metrics = sim.run({event});
+  EXPECT_GE(metrics.polled_detections, 1u);
+  EXPECT_EQ(metrics.detection_latencies_s.size(), 1u);
+  EXPECT_EQ(metrics.false_positive_detections, 0u);
 }
 
 TEST(PerTorOverrides, AppliedThroughScenarioConfig) {

@@ -10,6 +10,7 @@
 
 #include "common/rng.h"
 #include "common/snapshot.h"
+#include "fault_oracles.h"
 #include "faults/fault_factory.h"
 #include "faults/injector.h"
 #include "telemetry/network_state.h"
@@ -258,7 +259,7 @@ TEST(Injector, ClearRestoresPristineState) {
   EXPECT_FALSE(f.state.link_is_corrupting(link));
   const auto up = topology::direction_id(link, LinkDirection::kUp);
   EXPECT_DOUBLE_EQ(f.state.rx_power_dbm(up), -4.0);
-  EXPECT_EQ(injector.active_fault_count(), 0u);
+  EXPECT_TRUE(injector.active_faults().empty());
 }
 
 TEST(Injector, ConcurrentFaultsCompose) {
@@ -312,7 +313,7 @@ TEST(Injector, FaultAccessors) {
   ASSERT_NE(fault, nullptr);
   EXPECT_EQ(fault->cause, RootCause::kDamagedFiber);
   EXPECT_EQ(fault->onset, 5);
-  EXPECT_GT(fault->peak_corruption_rate(), 0.0);
+  EXPECT_GT(testing::peak_corruption_rate(*fault), 0.0);
   EXPECT_EQ(injector.active_faults().size(), 1u);
   EXPECT_EQ(injector.fault(common::FaultId(99)), nullptr);
 }
@@ -348,7 +349,7 @@ void expect_matches_scan(const FaultInjector& injector,
     ordered.push_back(fault->id);
   }
   EXPECT_EQ(ordered, scan_ids(live)) << when;
-  EXPECT_EQ(injector.active_fault_count(), live.size()) << when;
+  EXPECT_EQ(injector.active_faults().size(), live.size()) << when;
   for (std::size_t i = 0; i < link_count; ++i) {
     const common::LinkId link(
         static_cast<common::LinkId::underlying_type>(i));

@@ -26,11 +26,11 @@
 #include <vector>
 
 #include "common/hash.h"
-#include "common/json.h"
 #include "common/rng.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
+#include "scenario_runner.h"
 #include "sim/mitigation_sim.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
@@ -184,34 +184,21 @@ Lines run_config(const Params& params) {
   add_u64("disabled_links.digest", digest_series(metrics.disabled_links));
 
   // Journal bytes, exactly as ScenarioRunner's OBS_<exhibit>.jsonl writes
-  // them (one line per event).
-  std::ostringstream journal_bytes;
-  for (const obs::Event& event : journal.snapshot()) {
-    obs::write_event_jsonl(journal_bytes, event);
-    journal_bytes << '\n';
-  }
+  // them (one line per event), and the registry snapshot (timers carry
+  // wall clock and are excluded, the same exception DESIGN.md (sec)7
+  // sanctions).
+  const bench::ObsBytes bytes =
+      bench::obs_bytes(journal.snapshot(), registry.snapshot());
   EXPECT_EQ(journal.dropped(), 0u);
-  const std::string journal_str = journal_bytes.str();
   add_u64("journal.events", journal.snapshot().size());
-  add_u64("journal.bytes", journal_str.size());
+  add_u64("journal.bytes", bytes.journal.size());
   add_u64("journal.digest",
-          common::fnv1a(common::kFnvBasis, journal_str.data(),
-                        journal_str.size()));
-
-  // Metric registry snapshot (timers carry wall clock and are excluded,
-  // the same exception DESIGN.md (sec)7 sanctions).
-  std::ostringstream registry_bytes;
-  {
-    common::JsonWriter json(registry_bytes);
-    json.begin_object();
-    registry.snapshot().write_json(json, /*include_timers=*/false);
-    json.end_object();
-  }
-  const std::string registry_str = registry_bytes.str();
-  add_u64("obs_metrics.bytes", registry_str.size());
+          common::fnv1a(common::kFnvBasis, bytes.journal.data(),
+                        bytes.journal.size()));
+  add_u64("obs_metrics.bytes", bytes.metrics.size());
   add_u64("obs_metrics.digest",
-          common::fnv1a(common::kFnvBasis, registry_str.data(),
-                        registry_str.size()));
+          common::fnv1a(common::kFnvBasis, bytes.metrics.data(),
+                        bytes.metrics.size()));
   return lines;
 }
 

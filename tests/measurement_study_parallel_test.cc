@@ -27,14 +27,22 @@ StudyConfig small_config(common::SimDuration epoch) {
   return config;
 }
 
+common::DirectionId direction(std::size_t i) {
+  return common::DirectionId(
+      static_cast<common::DirectionId::underlying_type>(i));
+}
+
+// Both accumulators span `directions` directions.
 void expect_same_totals(const DirectionTotalsAccumulator& a,
-                        const DirectionTotalsAccumulator& b) {
-  ASSERT_EQ(a.totals().size(), b.totals().size());
-  for (std::size_t i = 0; i < a.totals().size(); ++i) {
-    EXPECT_EQ(a.totals()[i].packets, b.totals()[i].packets) << "dir " << i;
-    EXPECT_EQ(a.totals()[i].corruption_drops, b.totals()[i].corruption_drops)
+                        const DirectionTotalsAccumulator& b,
+                        std::size_t directions) {
+  for (std::size_t i = 0; i < directions; ++i) {
+    EXPECT_EQ(a[direction(i)].packets, b[direction(i)].packets) << "dir " << i;
+    EXPECT_EQ(a[direction(i)].corruption_drops,
+              b[direction(i)].corruption_drops)
         << "dir " << i;
-    EXPECT_EQ(a.totals()[i].congestion_drops, b.totals()[i].congestion_drops)
+    EXPECT_EQ(a[direction(i)].congestion_drops,
+              b[direction(i)].congestion_drops)
         << "dir " << i;
   }
 }
@@ -63,12 +71,12 @@ TEST(MeasurementStudyParallel, ThreadCountDoesNotChangeTheResult) {
     DirectionTotalsAccumulator one_thread(topo.direction_count());
     common::ThreadPool pool1(1);
     study.run(one_thread, &pool1);
-    expect_same_totals(sequential, one_thread);
+    expect_same_totals(sequential, one_thread, topo.direction_count());
 
     DirectionTotalsAccumulator eight_threads(topo.direction_count());
     common::ThreadPool pool8(8);
     study.run(eight_threads, &pool8);
-    expect_same_totals(sequential, eight_threads);
+    expect_same_totals(sequential, eight_threads, topo.direction_count());
   }
 }
 
@@ -87,7 +95,7 @@ TEST(MeasurementStudyParallel, ShardGridDoesNotChangeTheResult) {
   DirectionTotalsAccumulator actual(topo.direction_count());
   common::ThreadPool pool(4);
   tiled.run(actual, &pool);
-  expect_same_totals(expected, actual);
+  expect_same_totals(expected, actual, topo.direction_count());
 }
 
 TEST(MeasurementStudyParallel, LossCapableFastPathMatchesFullScan) {
@@ -105,20 +113,22 @@ TEST(MeasurementStudyParallel, LossCapableFastPathMatchesFullScan) {
   study.run(full, &pool);
 
   // Packets differ (skipped directions never tally any), but every drop
-  // count matches: skipped directions provably drop nothing.
+  // count matches: skipped directions provably drop nothing. Every
+  // direction the fast path visits carries traffic, so the skipped ones
+  // are exactly those without packets.
+  std::size_t skipped = 0;
   for (std::size_t i = 0; i < topo.direction_count(); ++i) {
-    EXPECT_EQ(lossy.totals()[i].corruption_drops,
-              full.inner.totals()[i].corruption_drops)
-        << "dir " << i;
-    EXPECT_EQ(lossy.totals()[i].congestion_drops,
-              full.inner.totals()[i].congestion_drops)
-        << "dir " << i;
-    if (!study.loss_capable(common::DirectionId(
-            static_cast<common::DirectionId::underlying_type>(i)))) {
-      EXPECT_EQ(full.inner.totals()[i].corruption_drops, 0u);
-      EXPECT_EQ(full.inner.totals()[i].congestion_drops, 0u);
+    const auto& fast = lossy[direction(i)];
+    const auto& scanned = full.inner[direction(i)];
+    EXPECT_EQ(fast.corruption_drops, scanned.corruption_drops) << "dir " << i;
+    EXPECT_EQ(fast.congestion_drops, scanned.congestion_drops) << "dir " << i;
+    if (fast.packets == 0) {
+      ++skipped;
+      EXPECT_EQ(scanned.corruption_drops, 0u);
+      EXPECT_EQ(scanned.congestion_drops, 0u);
     }
   }
+  EXPECT_EQ(skipped, topo.direction_count() - study.loss_capable_directions());
 }
 
 TEST(MeasurementStudyParallel, SampleGridMatchesAccumulatorRun) {
@@ -148,7 +158,8 @@ TEST(MeasurementStudyParallel, SampleGridMatchesAccumulatorRun) {
   const auto epochs = static_cast<std::size_t>(
       2 * (common::kDay / common::kHour));
   EXPECT_EQ(samples, topo.direction_count() * epochs);
-  expect_same_totals(from_grid, from_accumulator.inner);
+  expect_same_totals(from_grid, from_accumulator.inner,
+                     topo.direction_count());
 }
 
 TEST(MeasurementStudyParallel, RunManyMatchesSoloRuns) {
@@ -171,8 +182,8 @@ TEST(MeasurementStudyParallel, RunManyMatchesSoloRuns) {
   a.run(solo_a, &pool);
   DirectionTotalsAccumulator solo_b(topo_b.direction_count());
   b.run(solo_b, &pool);
-  expect_same_totals(combined[0], solo_a);
-  expect_same_totals(combined[1], solo_b);
+  expect_same_totals(combined[0], solo_a, topo_a.direction_count());
+  expect_same_totals(combined[1], solo_b, topo_b.direction_count());
 }
 
 }  // namespace

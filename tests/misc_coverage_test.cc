@@ -11,6 +11,7 @@
 #include "corropt/controller.h"
 #include "corropt/recommendation.h"
 #include "corropt/switch_local.h"
+#include "fault_oracles.h"
 #include "faults/fault_factory.h"
 #include "faults/injector.h"
 #include "telemetry/network_state.h"
@@ -34,9 +35,9 @@ TEST(SwitchLocalDeep, ForCapacityUsesTopologyDepth) {
   spec.children_per_node = {2, 2, 2};
   spec.parents_per_node = {4, 4, 4};
   auto topo = topology::build_xgft(spec);  // 3 tiers above the ToRs.
-  const core::SwitchLocalChecker checker(
-      topo, core::switch_local_threshold(0.5, topo.top_level()));
-  EXPECT_NEAR(checker.sc(), std::cbrt(0.5), 1e-12);
+  const double sc = core::switch_local_threshold(0.5, topo.top_level());
+  EXPECT_NEAR(sc, std::cbrt(0.5), 1e-12);
+  const core::SwitchLocalChecker checker(topo, sc);
   // budget = 4 - ceil(4 * 0.7937) = 0: the deep-topology collapse.
   EXPECT_EQ(checker.disable_budget(topo.tors().front()), 0);
 }
@@ -107,7 +108,7 @@ TEST(FaultContracts, EveryCauseProducesWellFormedFaults) {
       EXPECT_FALSE(fault.links.empty());
       EXPECT_FALSE(fault.effects.empty());
       EXPECT_FALSE(fault.fixing_actions.empty());
-      EXPECT_GT(fault.peak_corruption_rate(), 0.0);
+      EXPECT_GT(testing::peak_corruption_rate(fault), 0.0);
       // Every effect targets a direction of an affected link.
       for (const faults::DirectionEffect& effect : fault.effects) {
         const common::LinkId target = topology::link_of(effect.direction);

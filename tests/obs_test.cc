@@ -38,11 +38,11 @@ TEST(MetricsRegistryTest, CounterAccumulatesAcrossHandles) {
   EXPECT_EQ(snap.counters[0].value, 7u);
 }
 
-TEST(MetricsRegistryTest, GaugeSetAndAdd) {
+TEST(MetricsRegistryTest, GaugeKeepsLastSetValue) {
   MetricsRegistry registry;
   Gauge g = registry.gauge("penalty_rate");
   g.set(2.5);
-  g.add(0.5);
+  g.set(3.0);
   const MetricsSnapshot snap = registry.snapshot();
   ASSERT_EQ(snap.gauges.size(), 1u);
   EXPECT_DOUBLE_EQ(snap.gauges[0].value, 3.0);
@@ -79,8 +79,6 @@ TEST(MetricsRegistryTest, InertHandlesIgnoreWrites) {
   Counter counter;
   Gauge gauge;
   Histogram histogram;
-  EXPECT_FALSE(static_cast<bool>(counter));
-  EXPECT_FALSE(static_cast<bool>(gauge));
   EXPECT_FALSE(static_cast<bool>(histogram));
   counter.add(3);
   gauge.set(1.0);
@@ -224,22 +222,9 @@ ScenarioJob make_obs_job(std::size_t solver_threads, bool collect_obs) {
   return job;
 }
 
-std::string journal_jsonl(const ScenarioResult& result) {
-  std::ostringstream out;
-  for (const obs::Event& event : result.obs->journal) {
-    obs::write_event_jsonl(out, event, result.name);
-    out << '\n';
-  }
-  return out.str();
-}
-
-std::string deterministic_snapshot_json(const ScenarioResult& result) {
-  std::ostringstream out;
-  common::JsonWriter json(out);
-  json.begin_object();
-  result.obs->metrics.write_json(json, /*include_timers=*/false);
-  json.end_object();
-  return out.str();
+bench::ObsBytes deterministic_bytes(const ScenarioResult& result) {
+  return bench::obs_bytes(result.obs->journal, result.obs->metrics,
+                          result.name);
 }
 
 std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
@@ -293,9 +278,10 @@ TEST(ObsIntegrationTest, JournalAndMetricsInvariantUnderSolverThreads) {
   ASSERT_TRUE(four.obs);
   EXPECT_FALSE(one.obs->journal.empty());
   EXPECT_EQ(one.obs->journal_dropped, 0u);
-  EXPECT_EQ(journal_jsonl(one), journal_jsonl(four));
-  EXPECT_EQ(deterministic_snapshot_json(one),
-            deterministic_snapshot_json(four));
+  EXPECT_EQ(deterministic_bytes(one).journal,
+            deterministic_bytes(four).journal);
+  EXPECT_EQ(deterministic_bytes(one).metrics,
+            deterministic_bytes(four).metrics);
   // And neither solver parallelism nor the sink changes the simulation.
   EXPECT_EQ(one.metrics.integrated_penalty, four.metrics.integrated_penalty);
 }
@@ -315,9 +301,10 @@ TEST(ObsIntegrationTest, RunnerPoolSizeDoesNotAffectCollectedObs) {
   ASSERT_EQ(parallel.size(), jobs.size());
   for (std::size_t i = 0; i < jobs.size(); ++i) {
     SCOPED_TRACE(jobs[i].name);
-    EXPECT_EQ(journal_jsonl(sequential[i]), journal_jsonl(parallel[i]));
-    EXPECT_EQ(deterministic_snapshot_json(sequential[i]),
-              deterministic_snapshot_json(parallel[i]));
+    EXPECT_EQ(deterministic_bytes(sequential[i]).journal,
+              deterministic_bytes(parallel[i]).journal);
+    EXPECT_EQ(deterministic_bytes(sequential[i]).metrics,
+              deterministic_bytes(parallel[i]).metrics);
   }
 }
 

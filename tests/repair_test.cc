@@ -16,10 +16,12 @@ TEST(TicketQueue, UnboundedCrewFixedServiceTime) {
   const TicketId b = queue.open(LinkId(2), 100, 1, std::nullopt);
   EXPECT_EQ(queue.ticket(a).scheduled_completion, 2 * common::kDay);
   EXPECT_EQ(queue.ticket(b).scheduled_completion, 100 + 2 * common::kDay);
-  EXPECT_EQ(queue.open_count(), 2u);
+  EXPECT_EQ(a, TicketId(0));
+  EXPECT_EQ(b, TicketId(1));
   queue.close(a);
-  EXPECT_EQ(queue.open_count(), 1u);
-  EXPECT_EQ(queue.total_issued(), 2u);
+  EXPECT_EQ(queue.ticket(b).link, LinkId(2));
+  // Ids keep counting every ticket issued, closed ones included.
+  EXPECT_EQ(queue.open(LinkId(3), 200, 1, std::nullopt), TicketId(2));
 }
 
 TEST(TicketQueue, TicketMetadataPreserved) {
@@ -121,28 +123,32 @@ TEST(Technician, FallsBackToLegacyWithoutRecommendation) {
 
 TEST(Technician, VisualInspectionSpotsPhysicalFaults) {
   common::Rng rng(11);
-  Technician technician(1.0);
-  Technician::VisualInspection always;
-  always.p_spot_damage = 1.0;
-  always.p_spot_loose = 1.0;
-  technician.set_visual_inspection(always);
-  EXPECT_EQ(technician.inspect(RootCause::kDamagedFiber, rng),
-            RepairAction::kReplaceFiber);
-  EXPECT_EQ(technician.inspect(RootCause::kBadOrLooseTransceiver, rng),
-            RepairAction::kReseatTransceiver);
-  // Invisible causes are never spotted.
-  EXPECT_EQ(technician.inspect(RootCause::kConnectorContamination, rng),
-            std::nullopt);
-  EXPECT_EQ(technician.inspect(RootCause::kSharedComponent, rng),
-            std::nullopt);
-  EXPECT_EQ(technician.inspect(RootCause::kDecayingTransmitter, rng),
-            std::nullopt);
-
-  Technician::VisualInspection never;
-  never.p_spot_damage = 0.0;
-  never.p_spot_loose = 0.0;
-  technician.set_visual_inspection(never);
-  EXPECT_EQ(technician.inspect(RootCause::kDamagedFiber, rng), std::nullopt);
+  const Technician technician(1.0);
+  // Visible causes are spotted at the inspection's odds (60% of damaged
+  // fibers, 50% of loose transceivers) and get the right action.
+  constexpr int kTrials = 4000;
+  int damage = 0;
+  int loose = 0;
+  for (int i = 0; i < kTrials; ++i) {
+    if (const auto action = technician.inspect(RootCause::kDamagedFiber, rng)) {
+      EXPECT_EQ(*action, RepairAction::kReplaceFiber);
+      ++damage;
+    }
+    if (const auto action =
+            technician.inspect(RootCause::kBadOrLooseTransceiver, rng)) {
+      EXPECT_EQ(*action, RepairAction::kReseatTransceiver);
+      ++loose;
+    }
+    // Invisible causes are never spotted.
+    EXPECT_EQ(technician.inspect(RootCause::kConnectorContamination, rng),
+              std::nullopt);
+    EXPECT_EQ(technician.inspect(RootCause::kSharedComponent, rng),
+              std::nullopt);
+    EXPECT_EQ(technician.inspect(RootCause::kDecayingTransmitter, rng),
+              std::nullopt);
+  }
+  EXPECT_NEAR(static_cast<double>(damage) / kTrials, 0.6, 0.03);
+  EXPECT_NEAR(static_cast<double>(loose) / kTrials, 0.5, 0.03);
 }
 
 }  // namespace

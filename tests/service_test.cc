@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/lossy.h"
 #include "common/snapshot.h"
 #include "corropt/capacity.h"
 #include "corropt/corruption_set.h"
@@ -114,7 +115,7 @@ TEST(ChurnStreamTest, WellFormed) {
     EXPECT_LT(events[i].link.index(), topo.link_count());
     if (events[i].kind == service::TelemetryKind::kCorruptionDetected) {
       ++detections;
-      EXPECT_GE(events[i].loss_rate, core::kLossyThreshold);
+      EXPECT_GE(events[i].loss_rate, common::kLossyThreshold);
     } else {
       ++closures;
     }
@@ -275,14 +276,16 @@ TEST(ServiceTest, ExternalChangesNeedNoNote) {
     ASSERT_TRUE(link.valid());
     for (topology::Topology* topo : worlds) topo->set_enabled(link, enabled);
   };
+  // loops[k] controls worlds[k + 1].
   std::vector<service::ControlLoop*> loops = {&warm};
   auto replay = [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {
       reference.process(events[i]);
-      for (service::ControlLoop* loop : loops) {
+      for (std::size_t k = 0; k < loops.size(); ++k) {
+        service::ControlLoop* loop = loops[k];
         loop->process(events[i]);
         ASSERT_TRUE(reference_topo.enabled_mask() ==
-                    loop->controller().topo().enabled_mask())
+                    worlds[k + 1]->enabled_mask())
             << "diverged after event " << i;
         ASSERT_EQ(reference.controller().active_penalty(),
                   loop->controller().active_penalty())
@@ -317,7 +320,7 @@ TEST(ServiceTest, ExternalChangesNeedNoNote) {
   loops.push_back(&dirty);
   replay(3 * quarter, events.size());
 
-  for (const service::ControlLoop* loop : {&warm, &dirty}) {
+  for (service::ControlLoop* loop : {&warm, &dirty}) {
     const core::OptimizerIncrementalStats& stats =
         loop->controller().optimizer().incremental_stats();
     EXPECT_EQ(stats.baseline_full_recounts, 1u);
@@ -480,7 +483,7 @@ TEST(ChurnStream, VotingBackendDelaysDetectionsAndAddsSpuriousPairs) {
     // Spurious reports carry exactly twice the lossy threshold; skip
     // them so the sums compare genuine detections only.
     if (event.kind == service::TelemetryKind::kCorruptionDetected &&
-        event.loss_rate != 2.0 * core::kLossyThreshold) {
+        event.loss_rate != 2.0 * common::kLossyThreshold) {
       shaped_sum += static_cast<double>(event.time);
     }
   }

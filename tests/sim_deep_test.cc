@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "fault_oracles.h"
 #include "sim/mitigation_sim.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
@@ -105,7 +106,7 @@ TEST(SimDeep, HourlyBinsCoverWholeRun) {
   event.fault = make_fault(topo, common::LinkId(0),
                            faults::RootCause::kBadOrLooseTransceiver,
                            event.time, 200);
-  const double rate = event.fault.peak_corruption_rate();
+  const double rate = testing::peak_corruption_rate(event.fault);
   MitigationSimulation sim(topo, config);
   const SimulationMetrics metrics = sim.run({event});
   ASSERT_EQ(metrics.hourly_penalty.size(), 3u * 24u);

@@ -4,6 +4,7 @@
 
 #include "common/rng.h"
 #include "corropt/path_counter.h"
+#include "fault_oracles.h"
 #include "sim/mitigation_sim.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
@@ -37,22 +38,32 @@ TEST(MitigationSim, EmptyTraceIsQuiet) {
   }
 }
 
-// The components read the controller's live counts: the context borrows
-// the controller's one PathCounter rather than keeping its own, and the
-// counts still equal a cold recount after a run in which every actor
-// flipped links.
-TEST(MitigationSim, ContextSharesControllerPathCounter) {
+// The components read the controller's live counts, folded through the
+// link flips of every actor. A run restored mid-way starts from counts
+// of the restored mask; had the folded counts drifted from a cold
+// recount, the two runs would decide differently after the fork.
+TEST(MitigationSim, LiveCountsMatchRestoredRecount) {
   auto topo = topology::build_fat_tree(4);
   ScenarioConfig config;
   config.duration = 5 * common::kDay;
+  const auto events = make_trace(topo, 0.2, config.duration, 7);
   MitigationSimulation sim(topo, config);
-  const SimContext& ctx = sim.context();
-  EXPECT_EQ(&ctx.paths, &ctx.controller.paths());
-  EXPECT_EQ(&ctx.paths.topo(), &topo);
-  const SimulationMetrics metrics =
-      sim.run(make_trace(topo, 0.2, config.duration, 7));
+  sim.begin_run(events);
+  while (sim.now() < 2 * common::kDay && sim.step()) {
+  }
+  const Checkpoint mid = sim.snapshot();
+  while (sim.step()) {
+  }
+  const SimulationMetrics metrics = sim.finish_run();
   EXPECT_GT(metrics.tickets_opened, 0u);
-  EXPECT_EQ(ctx.paths.live_counts(), ctx.paths.up_paths());
+
+  auto restored_topo = topology::build_fat_tree(4);
+  MitigationSimulation restored(restored_topo, config);
+  restored.restore_run(events, mid);
+  while (restored.step()) {
+  }
+  EXPECT_EQ(digest(restored.finish_run()), digest(metrics));
+  EXPECT_TRUE(restored_topo.enabled_mask() == topo.enabled_mask());
 }
 
 TEST(MitigationSim, SingleFaultLifecycle) {
@@ -99,7 +110,7 @@ TEST(MitigationSim, UndisabledCorruptionAccruesPenalty) {
   event.fault = factory.make_fault(
       common::LinkId(0), faults::RootCause::kBadOrLooseTransceiver,
       event.time);
-  const double rate = event.fault.peak_corruption_rate();
+  const double rate = testing::peak_corruption_rate(event.fault);
 
   const SimulationMetrics metrics = sim.run({event});
   EXPECT_EQ(metrics.tickets_opened, 0u);

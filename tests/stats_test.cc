@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -18,7 +19,6 @@ using testing::pearson_log;
 
 TEST(RunningStats, Empty) {
   RunningStats s;
-  EXPECT_EQ(s.count(), 0u);
   EXPECT_DOUBLE_EQ(s.mean(), 0.0);
   EXPECT_DOUBLE_EQ(s.variance(), 0.0);
   EXPECT_DOUBLE_EQ(s.coefficient_of_variation(), 0.0);
@@ -31,9 +31,6 @@ TEST(RunningStats, KnownMoments) {
   EXPECT_DOUBLE_EQ(s.variance(), 4.0);
   EXPECT_DOUBLE_EQ(s.stddev(), 2.0);
   EXPECT_DOUBLE_EQ(s.coefficient_of_variation(), 0.4);
-  EXPECT_DOUBLE_EQ(s.min(), 2.0);
-  EXPECT_DOUBLE_EQ(s.max(), 9.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 40.0);
 }
 
 TEST(RunningStats, MergeEqualsPooled) {
@@ -45,11 +42,8 @@ TEST(RunningStats, MergeEqualsPooled) {
     (i % 2 == 0 ? a : b).add(x);
   }
   a.merge(b);
-  EXPECT_EQ(a.count(), all.count());
   EXPECT_NEAR(a.mean(), all.mean(), 1e-9);
   EXPECT_NEAR(a.variance(), all.variance(), 1e-9);
-  EXPECT_NEAR(a.min(), all.min(), 0.0);
-  EXPECT_NEAR(a.max(), all.max(), 0.0);
 }
 
 TEST(RunningStats, MergeWithEmpty) {
@@ -142,25 +136,23 @@ TEST(Cdf, FractionsAndQuantiles) {
   EXPECT_DOUBLE_EQ(cdf.quantile(1.0), 4.0);
   cdf.add(0.0);  // Re-sorts lazily on the next query.
   EXPECT_DOUBLE_EQ(cdf.quantile(0.2), 0.0);
-  EXPECT_EQ(cdf.size(), 5u);
+  // Five samples: the second-smallest holds up to F = 0.4.
+  EXPECT_DOUBLE_EQ(cdf.quantile(0.4), 1.0);
 }
 
 TEST(Cdf, SeriesIsMonotone) {
   common::Rng rng(10);
   std::vector<double> samples;
-  RunningStats range;
-  for (int i = 0; i < 1000; ++i) {
-    samples.push_back(rng.normal());
-    range.add(samples.back());
-  }
+  for (int i = 0; i < 1000; ++i) samples.push_back(rng.normal());
   EmpiricalCdf cdf(samples);
-  double previous = range.min();
+  double previous = *std::min_element(samples.begin(), samples.end());
   for (int i = 1; i <= 50; ++i) {
     const double value = cdf.quantile(i / 50.0);
     EXPECT_GE(value, previous);
     previous = value;
   }
-  EXPECT_DOUBLE_EQ(previous, range.max());
+  EXPECT_DOUBLE_EQ(previous,
+                   *std::max_element(samples.begin(), samples.end()));
 }
 
 TEST(LossBuckets, Table1EdgesAndLabels) {

@@ -74,9 +74,9 @@ TEST(SwitchLocal, IgnoresRemoteTors) {
 
 TEST(SwitchLocal, SqrtMappingIsSafeButConservative) {
   testing::Fig10Example ex = testing::make_fig10_example();
-  SwitchLocalChecker checker(  // sc = sqrt(0.6)
-      ex.topo, switch_local_threshold(0.6, ex.topo.top_level()));
-  EXPECT_NEAR(checker.sc(), std::sqrt(0.6), 1e-12);
+  const double sc = switch_local_threshold(0.6, ex.topo.top_level());
+  EXPECT_NEAR(sc, std::sqrt(0.6), 1e-12);
+  SwitchLocalChecker checker(ex.topo, sc);
   std::size_t disabled = 0;
   for (common::LinkId link : ex.corrupting) {
     if (checker.try_disable(link)) ++disabled;

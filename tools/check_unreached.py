@@ -6,25 +6,39 @@
 Run from the root of a checkout. The shipped binaries are the bench_*
 programs, the examples and perfbench. The script configures two trees
 under DIR (default build-unreached): the main tree and perfbench/, both
-at -O0 -fno-inline -ffunction-sections and linked with -Wl,--gc-sections,
-so that the linker drops every function no binary calls. It builds the
-bench and example targets of the first and perfbench of the second.
+at -O0 -fno-inline -fkeep-inline-functions -ffunction-sections and linked
+with -Wl,--gc-sections, so that every inline function is compiled into
+each object that sees it and the linker drops every function no binary
+calls. It builds the bench and example targets of the first and
+perfbench of the second.
 
-It then lists every strong (nm type T) corropt:: symbol defined in the
-main tree's src/ static libraries that no shipped binary still contains.
+It then lists two kinds of corropt:: function that no shipped binary
+still contains:
+
+  - every strong (nm type T) symbol defined in the main tree's src/
+    static libraries;
+  - every weak (nm type W) symbol, an inline function or a template
+    instance, that some object of either tree defines and whose debug
+    line lies in a src/ file. Special members the compiler defines
+    (implicit ones, whose line is the class head, and those declared
+    `= default`) and lambda bodies (reported through the function that
+    holds them) are skipped.
+
 Exit 0 when that list is empty, 1 (printing it, one symbol a line)
-otherwise. Inline and template functions are weak, so they are not
-checked here; file-local helpers are not either.
+otherwise. File-local helpers are not checked.
 """
 
 import argparse
 import glob
 import os
+import re
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 
-FLAGS = "-O0 -fno-inline -ffunction-sections"
+FLAGS = "-O0 -fno-inline -fkeep-inline-functions -ffunction-sections"
 LINK_FLAGS = "-Wl,--gc-sections"
+SRC = os.path.abspath("src") + os.sep
 
 
 def configure_and_build(source, build, targets, jobs):
@@ -37,14 +51,16 @@ def configure_and_build(source, build, targets, jobs):
                     *targets], check=True, stdout=subprocess.DEVNULL)
 
 
-def defined_symbols(path):
-    """Yields (nm type, demangled name) for each symbol `path` defines."""
-    out = subprocess.run(["nm", "-C", "--defined-only", path], check=True,
-                         capture_output=True, text=True).stdout
+def defined_symbols(path, lines=False):
+    """Yields (nm type, demangled name, file:line or "") per definition."""
+    command = ["nm", "-C", "--defined-only"] + (["-l"] if lines else [])
+    out = subprocess.run(command + [path], check=True, capture_output=True,
+                         text=True).stdout
     for line in out.splitlines():
         parts = line.split(" ", 2)
         if len(parts) == 3 and len(parts[1]) == 1:
-            yield parts[1], parts[2]
+            name, _, where = parts[2].partition("\t")
+            yield parts[1], name, where
 
 
 def stem(path):
@@ -59,6 +75,42 @@ def shipped_binaries(main_tree, perf_tree):
                  for path in glob.glob("examples/*.cpp")]
     binaries.append(os.path.join(perf_tree, "perfbench"))
     return sorted(binaries)
+
+
+def compiler_written(name, where, source_lines):
+    """True for a special member the compiler defines: its line is the
+    class head (implicit) or says `= default`."""
+    match = re.match(r"(.*?)::(~?\w+|operator==?)\(", name)
+    if not match:
+        return False
+    owner = re.sub(r"<.*>$", "", match.group(1)).rsplit("::", 1)[-1]
+    if match.group(2) not in (owner, "~" + owner) and \
+            not match.group(2).startswith("operator"):
+        return False
+    # nm -l may append " (discriminator N)" to the line number.
+    path, line = re.match(r"(.*):(\d+)", where).groups()
+    if path not in source_lines:
+        with open(path, encoding="utf-8") as handle:
+            source_lines[path] = handle.read().splitlines()
+    text = source_lines[path][int(line) - 1]
+    return "= default" in text or re.search(
+        rf"\b(struct|class)\s+{re.escape(owner)}\b", text) is not None
+
+
+def weak_src_functions(objects, jobs):
+    """Weak corropt:: functions whose debug line lies in src/."""
+    found, source_lines = set(), {}
+    with ThreadPoolExecutor(jobs) as pool:
+        listings = list(pool.map(
+            lambda path: list(defined_symbols(path, lines=True)), objects))
+    for listing in listings:
+        for kind, name, where in listing:
+            if (kind != "W" or not name.startswith("corropt::") or
+                    "{lambda(" in name or not where.startswith(SRC)):
+                continue
+            if not compiler_written(name, where, source_lines):
+                found.add(name)
+    return found
 
 
 def main():
@@ -76,11 +128,15 @@ def main():
     defined = set()
     for library in glob.glob(os.path.join(main_tree, "src", "**", "*.a"),
                              recursive=True):
-        defined.update(name for kind, name in defined_symbols(library)
+        defined.update(name for kind, name, _ in defined_symbols(library)
                        if kind == "T" and name.startswith("corropt::"))
+    objects = [path for tree in (main_tree, perf_tree)
+               for path in glob.glob(os.path.join(tree, "**", "*.o"),
+                                     recursive=True)]
+    defined |= weak_src_functions(objects, args.jobs)
     kept = set()
     for binary in shipped_binaries(main_tree, perf_tree):
-        kept.update(name for _, name in defined_symbols(binary))
+        kept.update(name for _, name, _ in defined_symbols(binary))
 
     unreached = sorted(defined - kept)
     for name in unreached:
