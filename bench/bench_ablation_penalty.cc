@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
   const Shape shapes[] = {
       {"linear I(f)=f (paper)", core::PenaltyFunction::linear()},
       {"tcp-throughput", core::PenaltyFunction::tcp_throughput()},
-      {"step @1e-4 (SLA)", core::PenaltyFunction::step(1e-4)},
+      {"step @1e-4 (SLA)", core::PenaltyFunction::step()},
   };
   constexpr std::size_t kShapes = 3;
   const std::size_t instance_count = args.quick ? 20 : 100;

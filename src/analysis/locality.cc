@@ -26,14 +26,15 @@ double switch_fraction(const topology::Topology& topo,
 
 double locality_ratio(const topology::Topology& topo,
                       std::span<const common::LinkId> links,
-                      common::Rng& rng, int trials) {
-  assert(trials > 0);
+                      common::Rng& rng) {
+  // Random placements averaged into the expected switch fraction.
+  constexpr int kTrials = 32;
   if (links.empty()) return 1.0;
   const double observed = switch_fraction(topo, links);
 
   double expected = 0.0;
   std::vector<common::LinkId> placement(links.size());
-  for (int trial = 0; trial < trials; ++trial) {
+  for (int trial = 0; trial < kTrials; ++trial) {
     const std::vector<std::size_t> sampled =
         rng.sample_without_replacement(topo.link_count(), links.size());
     for (std::size_t i = 0; i < sampled.size(); ++i) {
@@ -42,7 +43,7 @@ double locality_ratio(const topology::Topology& topo,
     }
     expected += switch_fraction(topo, placement);
   }
-  expected /= static_cast<double>(trials);
+  expected /= static_cast<double>(kTrials);
   return expected == 0.0 ? 1.0 : observed / expected;
 }
 

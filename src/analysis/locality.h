@@ -13,11 +13,11 @@ namespace corropt::analysis {
 
 // Figure 4's locality metric: the fraction of switches incident to the
 // given links, divided by the expected fraction if the same number of
-// links were placed uniformly at random (estimated over `trials`
+// links were placed uniformly at random (estimated over 32 random
 // placements). 1 means no locality; lower means co-location.
 [[nodiscard]] double locality_ratio(const topology::Topology& topo,
                                     std::span<const common::LinkId> links,
-                                    common::Rng& rng, int trials = 32);
+                                    common::Rng& rng);
 
 // Fraction of switches incident to at least one of `links`.
 [[nodiscard]] double switch_fraction(const topology::Topology& topo,

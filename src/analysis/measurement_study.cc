@@ -11,7 +11,7 @@ MeasurementStudy::MeasurementStudy(const topology::Topology& topo,
       rng_(config.seed),
       state_(topo, telemetry::default_tech()),
       injector_(state_),
-      congestion_(topo, config.congestion, rng_) {
+      congestion_(topo, rng_) {
   // Seed the corruption population. Faults are stable across the window
   // (Section 3: corruption rate is stable over time), so one injection
   // pass at t = 0 suffices.
@@ -64,24 +64,9 @@ MeasurementStudy::MeasurementStudy(const topology::Topology& topo,
 std::vector<MeasurementStudy::Tile> MeasurementStudy::plan_tiles(
     bool lossy_only) const {
   const std::size_t domain_size = domain(lossy_only).size();
-  const SimTime end = config_.days * common::kDay;
-  const std::size_t dir_chunk = std::max<std::size_t>(
-      1, config_.directions_per_tile);
-  const SimTime t_chunk =
-      config_.epochs_per_tile == 0
-          ? end
-          : static_cast<SimTime>(config_.epochs_per_tile) * config_.epoch;
-
   std::vector<Tile> tiles;
-  for (std::size_t d = 0; d < domain_size; d += dir_chunk) {
-    for (SimTime t = 0; t < end; t += t_chunk) {
-      Tile tile;
-      tile.dir_begin = d;
-      tile.dir_end = std::min(domain_size, d + dir_chunk);
-      tile.t_begin = t;
-      tile.t_end = std::min(end, t + t_chunk);
-      tiles.push_back(tile);
-    }
+  for (std::size_t d = 0; d < domain_size; d += kDirectionsPerTile) {
+    tiles.push_back({d, std::min(domain_size, d + kDirectionsPerTile)});
   }
   return tiles;
 }

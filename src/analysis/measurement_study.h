@@ -7,9 +7,10 @@
 // monitor polls every direction every 15 minutes. Benches stream the poll
 // samples through accumulators to regenerate Figures 1-5 and Table 1.
 //
-// Telemetry synthesis is sharded: the study window is cut into a fixed
-// grid of (direction-range x epoch-range) tiles, each tile fills one
-// accumulator partial, and partials merge back in tile order. Because
+// Telemetry synthesis is sharded: the direction domain is cut into
+// fixed ranges of kDirectionsPerTile, each tile fills one accumulator
+// partial over the whole study window, and partials merge back in tile
+// order. Because
 // every sample is drawn from a counter-keyed generator — keyed on
 // (study seed, direction, epoch), never on how many draws came before —
 // the result is bit-identical whether the tiles run on one thread or
@@ -47,17 +48,7 @@ struct StudyConfig {
   // links reproduces the reported bucket distributions.
   double corrupting_link_fraction = 0.02;
   faults::FaultMixParams mix;
-  congestion::CongestionParams congestion;
   std::uint64_t seed = 42;
-
-  // Shard grid for run(). Tile sizes are fixed up front and never derived
-  // from the worker count, so the tile set — and therefore the merge
-  // order — is identical no matter how many threads execute it.
-  std::size_t directions_per_tile = 128;
-  // Epochs per tile; 0 means each tile spans the whole study window, so
-  // every direction's epoch series stays contiguous within one partial
-  // and per-direction statistics never need numeric re-merging.
-  std::size_t epochs_per_tile = 0;
 
   // Optional observability: tile synthesis records into the
   // "study.synthesize_s" timer and the final merge into "study.merge_s".
@@ -71,9 +62,9 @@ struct StudyConfig {
 //   acc.merge(partial);                 // tile order, on the caller
 //
 // Within a tile, samples arrive direction-major: directions ascend and
-// each direction's epochs ascend contiguously. With the default grid
-// (epochs_per_tile = 0) a direction's full series lands in exactly one
-// partial, so per-direction stats can simply be copied on merge.
+// each direction's epochs ascend contiguously. A tile spans the whole
+// study window, so a direction's full series lands in exactly one
+// partial and per-direction stats can simply be copied on merge.
 template <typename A>
 concept StudyAccumulator =
     requires(const A ca, A a, typename A::Partial p,
@@ -103,16 +94,19 @@ template <typename A>
 
 class MeasurementStudy {
  public:
+  // Directions per shard of run(). The tile size is fixed and never
+  // derived from the worker count, so the tile set — and therefore the
+  // merge order — is identical no matter how many threads execute it.
+  static constexpr std::size_t kDirectionsPerTile = 128;
+
   MeasurementStudy(const topology::Topology& topo, StudyConfig config);
 
-  // One (direction-range x epoch-range) shard of the study window.
+  // One direction range of the study, over the whole window.
   // `dir_begin`/`dir_end` index into the direction domain (all
   // directions, or the loss-capable subset), not raw direction ids.
   struct Tile {
     std::size_t dir_begin = 0;
     std::size_t dir_end = 0;
-    SimTime t_begin = 0;
-    SimTime t_end = 0;
   };
 
   // Streams every poll sample of the study window through the
@@ -205,8 +199,7 @@ class MeasurementStudy {
     return s;
   }
 
-  // The fixed shard grid over the direction domain: direction-tile
-  // major, epoch-tile minor.
+  // The fixed shard grid over the direction domain, in domain order.
   [[nodiscard]] std::vector<Tile> plan_tiles(bool lossy_only) const;
   [[nodiscard]] const std::vector<std::uint32_t>& domain(
       bool lossy_only) const {
@@ -217,9 +210,10 @@ class MeasurementStudy {
   void synthesize_tile(const Tile& tile, bool lossy_only,
                        Partial& out) const {
     const std::vector<std::uint32_t>& dirs = domain(lossy_only);
+    const SimTime end = config_.days * common::kDay;
     for (std::size_t i = tile.dir_begin; i < tile.dir_end; ++i) {
       const common::DirectionId dir(dirs[i]);
-      for (SimTime t = tile.t_begin; t < tile.t_end; t += config_.epoch) {
+      for (SimTime t = 0; t < end; t += config_.epoch) {
         out.add(sample(dir, t));
       }
     }

@@ -3,7 +3,7 @@
 // These cover the aggregation shapes the paper's exhibits share: drop
 // totals per direction (Table 1, Figures 4-5, the stage mix) and drop
 // totals per day (Figure 1). Both count in integers, so their results
-// are independent even of the shard grid, not just of the thread count.
+// do not depend on how samples are grouped into partials.
 // Partials exploit the documented tile sample order (directions ascend,
 // epochs contiguous per direction) to stay compact: one row per
 // direction actually seen, appended on direction change.

@@ -19,6 +19,9 @@ constexpr double kUtilizationNoise = 0.05;
 // Fraction of pods whose intra-pod (ToR <-> aggregation) links run hot:
 // the spatial-locality driver of Figure 4.
 constexpr double kHotspotPodFraction = 0.10;
+// Fraction of individual switches that, on top of the hot pods, run hot
+// on all incident links (scattered hotspots).
+constexpr double kHotspotSwitchFraction = 0.003;
 // Utilization added to every hot direction.
 constexpr double kHotspotExtraUtilization = 0.45;
 // Fraction of hot links that are hot in both directions (Figure 5: 72.7%
@@ -46,7 +49,7 @@ std::uint64_t mix(std::uint64_t x) {
 }  // namespace
 
 CongestionModel::CongestionModel(const topology::Topology& topo,
-                                 CongestionParams params, common::Rng& rng)
+                                 common::Rng& rng)
     : seed_(rng()) {
   int max_pod = -1;
   for (const topology::Switch& sw : topo.switches()) {
@@ -66,7 +69,7 @@ CongestionModel::CongestionModel(const topology::Topology& topo,
   }
   std::vector<bool> hotspot_switch(topo.switch_count(), false);
   for (std::size_t i = 0; i < topo.switch_count(); ++i) {
-    hotspot_switch[i] = rng.bernoulli(params.hotspot_switch_fraction);
+    hotspot_switch[i] = rng.bernoulli(kHotspotSwitchFraction);
   }
 
   hot_direction_.assign(topo.direction_count(), false);

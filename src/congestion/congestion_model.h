@@ -24,23 +24,15 @@ namespace corropt::congestion {
 using common::DirectionId;
 using common::SimTime;
 
-// The model's utilization and loss-curve shape are constants of
-// congestion_model.cc; the one setting is how many scattered hotspot
-// switches run hot.
-struct CongestionParams {
-  // Fraction of individual switches that, on top of the hot pods, run
-  // hot on all incident links (scattered hotspots).
-  double hotspot_switch_fraction = 0.003;
-};
-
+// The model's utilization, hotspot and loss-curve shape are constants
+// of congestion_model.cc.
 class CongestionModel {
  public:
   // Utilization at and below which a direction loses nothing to
   // congestion (the knee of the loss curve).
   static constexpr double kKneeUtilization = 0.55;
 
-  CongestionModel(const topology::Topology& topo, CongestionParams params,
-                  common::Rng& rng);
+  CongestionModel(const topology::Topology& topo, common::Rng& rng);
 
   // Offered utilization for a direction at a moment of simulated time.
   // Deterministic in (direction, time) given the construction seed, so a

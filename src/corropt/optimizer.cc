@@ -255,8 +255,9 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
   }
 
   // Greedy fallback for over-budget segments (no bitmask: segments can
-  // be arbitrarily wide here).
-  if (n > config_.max_exact_segment || n >= 31) {
+  // be arbitrarily wide here). Exact segments fit the 32-bit subset masks.
+  static_assert(kMaxExactSegment < 31);
+  if (n > kMaxExactSegment) {
     std::vector<std::uint32_t> order(n);
     for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
     std::sort(order.begin(), order.end(),

@@ -71,11 +71,13 @@
 
 namespace corropt::core {
 
+// Segments of more candidates than this fall back to a greedy ordering
+// (disable in decreasing penalty while feasible); the result is then
+// flagged non-exact. Storm-scale fault rates reach it (segments of 25-37
+// links in whatif_capacity_planner's defaults).
+inline constexpr std::size_t kMaxExactSegment = 22;
+
 struct OptimizerConfig {
-  // Segments larger than this fall back to a greedy ordering (disable in
-  // decreasing penalty while feasible); the result is then flagged
-  // non-exact. Real traces never hit this in our experiments.
-  std::size_t max_exact_segment = 22;
   bool use_reject_cache = true;
   bool use_pruning = true;
   bool use_segmentation = true;

@@ -6,17 +6,15 @@
 namespace corropt::core {
 
 PenaltyFunction PenaltyFunction::linear() {
-  return PenaltyFunction(Kind::kLinear, 0.0);
+  return PenaltyFunction(Kind::kLinear);
 }
 
-PenaltyFunction PenaltyFunction::step(double threshold) {
-  assert(threshold > 0.0);
-  return PenaltyFunction(Kind::kStep, threshold);
+PenaltyFunction PenaltyFunction::step() {
+  return PenaltyFunction(Kind::kStep);
 }
 
-PenaltyFunction PenaltyFunction::tcp_throughput(double half_loss_rate) {
-  assert(half_loss_rate > 0.0);
-  return PenaltyFunction(Kind::kTcp, half_loss_rate);
+PenaltyFunction PenaltyFunction::tcp_throughput() {
+  return PenaltyFunction(Kind::kTcp);
 }
 
 double PenaltyFunction::operator()(double loss_rate) const {
@@ -25,10 +23,10 @@ double PenaltyFunction::operator()(double loss_rate) const {
     case Kind::kLinear:
       return loss_rate;
     case Kind::kStep:
-      return loss_rate >= param_ ? 1.0 : 0.0;
+      return loss_rate >= kStepThreshold ? 1.0 : 0.0;
     case Kind::kTcp: {
       if (loss_rate == 0.0) return 0.0;
-      const double ratio = std::sqrt(loss_rate / param_);
+      const double ratio = std::sqrt(loss_rate / kTcpHalfLossRate);
       return 1.0 - 1.0 / (1.0 + ratio);
     }
   }

@@ -13,30 +13,34 @@ namespace corropt::core {
 
 class PenaltyFunction {
  public:
+  // The SLA loss rate of step().
+  static constexpr double kStepThreshold = 1e-4;
+  // The loss rate at which tcp_throughput() has halved throughput.
+  static constexpr double kTcpHalfLossRate = 1e-4;
+
   // I(f) = f. The paper's choice (Section 7.1).
   static PenaltyFunction linear();
-  // I(f) = 1 if f >= threshold else 0: penalizes links violating an SLA.
-  static PenaltyFunction step(double threshold);
+  // I(f) = 1 if f >= kStepThreshold else 0: penalizes links violating an
+  // SLA.
+  static PenaltyFunction step();
   // Fraction of TCP throughput lost on a path with loss rate f, from the
   // Mathis model (throughput ~ 1/sqrt(f)): I(f) = 1 - 1/(1 + sqrt(f/f0))
-  // with f0 the loss rate at which throughput halves.
-  static PenaltyFunction tcp_throughput(double half_loss_rate = 1e-4);
+  // with f0 = kTcpHalfLossRate.
+  static PenaltyFunction tcp_throughput();
 
   // Evaluates I(loss_rate); monotone non-decreasing, I(0) = 0.
   [[nodiscard]] double operator()(double loss_rate) const;
 
   // Two functions compare equal iff they evaluate identically everywhere
-  // (same kind and parameter). Lets caches key on the penalty in use.
-  friend bool operator==(const PenaltyFunction& a, const PenaltyFunction& b) {
-    return a.kind_ == b.kind_ && a.param_ == b.param_;
-  }
+  // (same kind). Lets caches key on the penalty in use.
+  friend bool operator==(const PenaltyFunction& a,
+                         const PenaltyFunction& b) = default;
 
  private:
   enum class Kind { kLinear, kStep, kTcp };
-  PenaltyFunction(Kind kind, double param) : kind_(kind), param_(param) {}
+  explicit PenaltyFunction(Kind kind) : kind_(kind) {}
 
   Kind kind_;
-  double param_;
 };
 
 }  // namespace corropt::core

@@ -36,9 +36,8 @@ BackendProfile backend_profile(BackendKind kind) {
   return {0.0, 0.0};
 }
 
-std::unique_ptr<DetectionBackend> make_backend(
-    const BackendConfig& config, const telemetry::DetectorParams& detector,
-    const BackendEnv& env) {
+std::unique_ptr<DetectionBackend> make_backend(const BackendConfig& config,
+                                               const BackendEnv& env) {
   switch (config.kind) {
     case BackendKind::kVoting:
       return std::make_unique<VotingBackend>(config.voting, env);
@@ -47,7 +46,7 @@ std::unique_ptr<DetectionBackend> make_backend(
     case BackendKind::kThreshold:
       break;
   }
-  return std::make_unique<ThresholdBackend>(detector, env);
+  return std::make_unique<ThresholdBackend>(env);
 }
 
 }  // namespace corropt::detect

@@ -57,10 +57,11 @@ struct BackendEnv {
   // Scenario seed; keyed backends derive their CounterRng streams from
   // it so runs stay reproducible end to end.
   std::uint64_t seed = 0;
-  // Offered utilization during poll intervals (ScenarioConfig's
-  // poll_utilization).
-  double poll_utilization = 0.0;
 };
+
+// Offered utilization of a polled direction: the load the threshold and
+// sketch backends compute their rate estimates from.
+inline constexpr double kPollUtilization = 0.3;
 
 class DetectionBackend {
  public:
@@ -99,12 +100,10 @@ class DetectionBackend {
   virtual void restore_from(common::snap::Reader& r) = 0;
 };
 
-// Builds the backend selected by `config.kind`. `detector` carries the
-// threshold backend's window and hysteresis parameters; only that
-// backend reads it. The voting and sketch backends take their own params
-// from `config` and report from common::kLossyThreshold.
+// Builds the backend selected by `config.kind`. The voting and sketch
+// backends take their params from `config`; every backend reports from
+// common::kLossyThreshold.
 [[nodiscard]] std::unique_ptr<DetectionBackend> make_backend(
-    const BackendConfig& config, const telemetry::DetectorParams& detector,
-    const BackendEnv& env);
+    const BackendConfig& config, const BackendEnv& env);
 
 }  // namespace corropt::detect

@@ -23,6 +23,9 @@ constexpr std::uint64_t kNoiseCountStream = 1ULL << 33;
 constexpr std::uint64_t kNoiseStreamBase = 1ULL << 34;
 // Mean drop count of one congestion-noise burst.
 constexpr double kMeanNoiseDrops = 40.0;
+// Offered packets per direction per poll cycle.
+constexpr double kOfferedPerCycle =
+    telemetry::kPacketsPerPoll * kPollUtilization;
 
 }  // namespace
 
@@ -30,9 +33,7 @@ SketchBackend::SketchBackend(const SketchParams& params, const BackendEnv& env)
     : topo_(env.topo),
       state_(env.state),
       params_(params),
-      seed_(env.seed),
-      offered_per_cycle_(telemetry::kDefaultPacketsPerPoll *
-                         env.poll_utilization) {
+      seed_(env.seed) {
   sketches_.resize(topo_->switch_count());
   inserted_.assign(topo_->direction_count(), 0);
   dirty_.assign(topo_->switch_count(), 0);
@@ -93,7 +94,7 @@ void SketchBackend::poll(common::SimTime now,
     if (!topo_->is_enabled(topology::link_of(dir))) continue;
     const std::uint64_t drops =
         common::CounterRng(seed_, d, static_cast<std::uint64_t>(now))
-            .poisson(offered_per_cycle_ * rates[d]);
+            .poisson(kOfferedPerCycle * rates[d]);
     if (drops > 0) insert(dir, drops);
   }
 
@@ -123,7 +124,7 @@ void SketchBackend::poll(common::SimTime now,
 void SketchBackend::decode(common::SimTime now, const VerdictCallback& cb) {
   obs_decodes_.add();
   const double offered_window =
-      offered_per_cycle_ * static_cast<double>(params_.window_polls);
+      kOfferedPerCycle * static_cast<double>(params_.window_polls);
 
   // Candidates: every link with an egress direction on a dirty switch
   // (collisions make any of them decodable above zero) plus every

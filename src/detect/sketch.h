@@ -71,8 +71,6 @@ class SketchBackend final : public DetectionBackend {
   const telemetry::NetworkState* state_;
   SketchParams params_;
   std::uint64_t seed_ = 0;
-  // Offered packets per direction per poll cycle.
-  double offered_per_cycle_ = 0.0;
 
   std::uint64_t cycle_ = 0;
   // Per-switch sketches; empty vector = never allocated. Allocated size

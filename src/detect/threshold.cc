@@ -2,17 +2,14 @@
 
 namespace corropt::detect {
 
-ThresholdBackend::ThresholdBackend(const telemetry::DetectorParams& params,
-                                   const BackendEnv& env)
-    : monitor_(*env.state, *env.rng),
-      detector_(*env.topo, params),
-      utilization_(env.poll_utilization) {}
+ThresholdBackend::ThresholdBackend(const BackendEnv& env)
+    : monitor_(*env.state, *env.rng), detector_(*env.topo) {}
 
 void ThresholdBackend::poll(common::SimTime now,
                             std::span<const common::LinkId> suspects,
                             const VerdictCallback& cb) {
   telemetry::DirectionLoad load;
-  load.utilization = utilization_;
+  load.utilization = kPollUtilization;
   for (common::LinkId link : suspects) {
     for (const topology::LinkDirection dir :
          {topology::LinkDirection::kUp, topology::LinkDirection::kDown}) {

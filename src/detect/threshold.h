@@ -18,8 +18,7 @@ namespace corropt::detect {
 
 class ThresholdBackend final : public DetectionBackend {
  public:
-  ThresholdBackend(const telemetry::DetectorParams& params,
-                   const BackendEnv& env);
+  explicit ThresholdBackend(const BackendEnv& env);
 
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::kThreshold;
@@ -43,7 +42,6 @@ class ThresholdBackend final : public DetectionBackend {
 
   telemetry::PollingMonitor monitor_;
   telemetry::CorruptionDetector detector_;
-  double utilization_;
 };
 
 }  // namespace corropt::detect

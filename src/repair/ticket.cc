@@ -7,7 +7,6 @@ namespace corropt::repair {
 
 TicketQueue::TicketQueue(TicketQueueParams params) : params_(params) {
   assert(params.technicians >= 0);
-  assert(params.service_time > 0);
   crew_free_at_.assign(static_cast<std::size_t>(params.technicians), 0);
 }
 
@@ -23,12 +22,12 @@ TicketId TicketQueue::open(LinkId link, SimTime now, int attempt,
   ticket.rationale = std::move(rationale);
 
   if (crew_free_at_.empty()) {
-    ticket.scheduled_completion = now + params_.service_time;
+    ticket.scheduled_completion = now + common::kMeanRepairTime;
   } else {
     // FIFO dispatch to the earliest-free technician.
     auto it = std::min_element(crew_free_at_.begin(), crew_free_at_.end());
     const SimTime start = std::max(*it, now);
-    ticket.scheduled_completion = start + params_.service_time;
+    ticket.scheduled_completion = start + common::kMeanRepairTime;
     *it = ticket.scheduled_completion;
   }
 

@@ -39,11 +39,11 @@ struct Ticket {
   SimTime scheduled_completion = 0;
 };
 
+// Every ticket takes common::kMeanRepairTime of a technician's time.
 struct TicketQueueParams {
   // 0 means an unbounded crew: every ticket completes issue time +
-  // service_time later, the paper's simulation model.
+  // kMeanRepairTime later, the paper's simulation model.
   int technicians = 0;
-  SimDuration service_time = common::kMeanRepairTime;
 };
 
 class TicketQueue {
@@ -56,6 +56,7 @@ class TicketQueue {
                 std::string rationale = {});
 
   [[nodiscard]] const Ticket& ticket(TicketId id) const;
+  [[nodiscard]] bool is_open(TicketId id) const { return open_.contains(id); }
   // Removes a completed ticket from the open set.
   void close(TicketId id);
 

@@ -14,9 +14,7 @@ DetectionPipeline::DetectionPipeline(SimContext& ctx)
   env.state = &ctx.state;
   env.rng = &ctx.rng;
   env.seed = ctx.config.seed;
-  env.poll_utilization = ctx.config.poll_utilization;
-  backend_ =
-      detect::make_backend(ctx.config.backend, ctx.config.detector, env);
+  backend_ = detect::make_backend(ctx.config.backend, env);
   ctx_.queue.set_handler(EventType::kPoll,
                          [this](const Event& event) { handle_poll(event); });
 }
@@ -100,9 +98,8 @@ void DetectionPipeline::handle_verdict(const detect::Verdict& verdict,
       pending_detection_.erase(pending);
     }
     // Ground truth is one state lookup away in simulation: a verdict on
-    // a link below the 802.3 threshold is a backend false positive. The
-    // detector's own threshold is a setting; on_fault books a missed
-    // detection against the same ground truth.
+    // a link below the 802.3 threshold is a backend false positive;
+    // on_fault books a missed detection against the same ground truth.
     const bool false_positive =
         ctx_.state.link_corruption_rate(verdict.link) <
         common::kLossyThreshold;

@@ -118,6 +118,11 @@ class EventQueue {
   void drop_events(EventType type);
   // Any pending event of `type`?
   [[nodiscard]] bool has_event(EventType type) const;
+  // Visits every pending event, in no particular order.
+  template <class Visit>
+  void for_each_pending(Visit&& visit) const {
+    for (const Entry& entry : heap_) visit(entry.event);
+  }
 
  private:
   template <class Self, class Codec>

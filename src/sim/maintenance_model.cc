@@ -22,7 +22,7 @@ void MaintenanceModel::schedule(common::LinkId link, int attempt, SimTime now,
     return;
   }
   Event event;
-  event.due = std::max(now, completion - ctx_.config.maintenance_window);
+  event.due = std::max(now, completion - kWindow);
   event.type = EventType::kMaintenanceStart;
   event.link = link;
   event.attempt = attempt;
@@ -40,7 +40,7 @@ void MaintenanceModel::start(common::LinkId link) {
   }
   metrics.collateral_link_seconds +=
       static_cast<double>(taken.size()) *
-      static_cast<double>(ctx_.config.maintenance_window);
+      static_cast<double>(kWindow);
   if (!taken.empty() &&
       !ctx_.paths.feasible(ctx_.paths.live_counts(), constraint_)) {
     ++metrics.maintenance_capacity_violations;

@@ -16,6 +16,9 @@ namespace corropt::sim {
 
 class MaintenanceModel {
  public:
+  // How long a repaired breakout leg's healthy siblings stay down.
+  static constexpr SimDuration kWindow = 2 * common::kHour;
+
   // Mirrors the capacity constraint (global fraction + per-ToR
   // overrides) for violation accounting, and registers the
   // kMaintenanceStart handler on the kernel.

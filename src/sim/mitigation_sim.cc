@@ -284,6 +284,19 @@ void MitigationSimulation::walk(Self& self, Codec& c) {
   c.object(self.sampler_);
   walk_metrics(c, self.metrics_);
   walk_obs(c, self.config_.sink);
+  // The handlers trust what a pending event names: they index per-link
+  // arrays by its link and look its ticket up unchecked.
+  if constexpr (Codec::kReading) {
+    const std::size_t links = self.topo_->link_count();
+    self.queue_.for_each_pending([&](const Event& event) {
+      c.check(event.due >= now, "pending event due before the checkpoint");
+      c.check(!event.link.valid() || event.link.index() < links,
+              "pending event names a link past the fabric");
+      c.check(event.type != EventType::kRepair ||
+                  self.repair_.is_open(event.ticket),
+              "pending repair names a ticket that is not open");
+    });
+  }
 }
 
 Checkpoint MitigationSimulation::snapshot() const {

@@ -122,7 +122,7 @@ void RepairPipeline::handle_failed_repair(common::LinkId link) {
         detection_.expect_redetection(link, ctx_.clock.now());
       } else {
         Event redetect;
-        redetect.due = ctx_.clock.now() + ctx_.config.redetection_delay;
+        redetect.due = ctx_.clock.now() + kRedetectionDelay;
         redetect.type = EventType::kRedetect;
         redetect.link = link;
         redetect.attempt = attempts_[link.index()];

@@ -23,6 +23,11 @@ namespace corropt::sim {
 
 class RepairPipeline {
  public:
+  // Under enable-and-observe with oracle detection, how long a failed
+  // repair corrupts live traffic before monitoring re-detects it: one
+  // detection window of 15-minute polls.
+  static constexpr SimDuration kRedetectionDelay = common::kHour;
+
   // Registers the kRepair and kRedetect handlers on the kernel.
   RepairPipeline(SimContext& ctx, DetectionPipeline& detection,
                  MaintenanceModel& maintenance);
@@ -35,6 +40,11 @@ class RepairPipeline {
 
   // Finalizes the mean ticket resolution time; call at end of run.
   void finalize(SimulationMetrics& metrics) const;
+
+  // True while the ticket awaits its kRepair event.
+  [[nodiscard]] bool is_open(common::TicketId ticket) const {
+    return queue_.is_open(ticket);
+  }
 
   // Checkpointing (DESIGN.md §14): attempt/reseat history, the
   // resolution-time accumulator, and the ticket queue (which reconciles

@@ -16,7 +16,6 @@
 #include "obs/sink.h"
 #include "repair/technician.h"
 #include "repair/ticket.h"
-#include "telemetry/detector.h"
 
 namespace corropt::sim {
 
@@ -71,18 +70,12 @@ struct ScenarioConfig {
   double technician_follow_probability = 1.0;
   bool issue_recommendations = true;
 
-  // Repair verification policy and, for kEnableAndObserve, how long a
-  // failed repair corrupts live traffic before monitoring re-detects it
-  // (one detection window of 15-minute polls).
+  // Repair verification policy; under kEnableAndObserve with oracle
+  // detection a failed repair corrupts live traffic for
+  // RepairPipeline::kRedetectionDelay.
   RepairVerification verification = RepairVerification::kTestTraffic;
-  SimDuration redetection_delay = common::kHour;
 
-  // Detection pipeline. In kPolled mode, `detector` parameters govern
-  // windowing/hysteresis and `poll_utilization` the offered load the
-  // estimates are computed from.
   DetectionMode detection = DetectionMode::kOracle;
-  telemetry::DetectorParams detector;
-  double poll_utilization = 0.3;
   // Which detection/localization backend gathers the evidence within
   // each poll cycle (DESIGN.md §13). The default threshold backend is
   // byte-identical to the pre-seam pipeline; 007-style voting and the
@@ -90,12 +83,11 @@ struct ScenarioConfig {
   detect::BackendConfig backend;
 
   // Section 8 extension: model the collateral impact of repair. When a
-  // breakout-bundle link is repaired, its healthy siblings go down for a
-  // maintenance window ending at the ticket's completion. Combine with
-  // ControllerConfig::account_collateral_repair (exposed below) to have
-  // the fast checker budget for it.
+  // breakout-bundle link is repaired, its healthy siblings go down for
+  // MaintenanceModel::kWindow, ending at the ticket's completion.
+  // Combine with ControllerConfig::account_collateral_repair (exposed
+  // below) to have the fast checker budget for it.
   bool model_collateral_maintenance = false;
-  SimDuration maintenance_window = 2 * common::kHour;
   bool account_collateral_repair = false;
 
   repair::TicketQueueParams queue;

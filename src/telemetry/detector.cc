@@ -1,15 +1,10 @@
 #include "telemetry/detector.h"
 
 #include <algorithm>
-#include <cassert>
 
 namespace corropt::telemetry {
 
-CorruptionDetector::CorruptionDetector(const topology::Topology& topo,
-                                       DetectorParams params)
-    : topo_(&topo), params_(params) {
-  assert(params.clear_threshold <= params.lossy_threshold);
-  assert(params.window_polls >= 1);
+CorruptionDetector::CorruptionDetector(const topology::Topology& topo) {
   windows_.resize(topo.direction_count());
   estimates_.assign(topo.direction_count(), 0.0);
   corrupting_.assign(topo.link_count(), 0);
@@ -41,11 +36,11 @@ std::optional<DetectionEvent> CorruptionDetector::observe(
   window.packets += sample.packets;
   window.drops += sample.corruption_drops;
   ++window.polls;
-  if (window.polls < params_.window_polls) return std::nullopt;
+  if (window.polls < kWindowPolls) return std::nullopt;
 
   // Window complete: update the direction's estimate if it carried
   // enough traffic for the rate to be meaningful.
-  const bool valid = window.packets >= params_.min_packets;
+  const bool valid = window.packets >= kMinWindowPackets;
   if (valid) {
     estimates_[sample.direction.index()] =
         static_cast<double>(window.drops) /
@@ -64,13 +59,13 @@ std::optional<DetectionEvent> CorruptionDetector::observe(
   const double rate = std::max(up, down);
 
   const bool was_corrupting = corrupting_[link.index()] != 0;
-  if (!was_corrupting && rate >= params_.lossy_threshold) {
+  if (!was_corrupting && rate >= common::kLossyThreshold) {
     corrupting_[link.index()] = 1;
     obs_detections_.add();
     return DetectionEvent{DetectionEvent::Kind::kCorrupting, link, rate,
                           sample.time};
   }
-  if (was_corrupting && rate < params_.clear_threshold) {
+  if (was_corrupting && rate < common::kClearThreshold) {
     corrupting_[link.index()] = 0;
     obs_clears_.add();
     return DetectionEvent{DetectionEvent::Kind::kCleared, link, rate,

@@ -11,6 +11,7 @@
 // out of the corrupting set by Poisson noise.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -23,20 +24,6 @@
 #include "topology/topology.h"
 
 namespace corropt::telemetry {
-
-struct DetectorParams {
-  // Loss rate at which a link is declared corrupting (Section 3: the
-  // paper conservatively uses the 802.3 limit).
-  double lossy_threshold = common::kLossyThreshold;
-  // Rate below which a previously corrupting link is declared clean;
-  // must be <= lossy_threshold (hysteresis band).
-  double clear_threshold = common::kClearThreshold;
-  // Minimum packets observed in the window before any verdict: below
-  // this, one corrupt frame would exceed 1e-8 spuriously.
-  std::uint64_t min_packets = 1000000;
-  // Polls aggregated per verdict (a 4-poll window = 1 hour).
-  int window_polls = 4;
-};
 
 // What the detector tells the controller.
 struct DetectionEvent {
@@ -54,9 +41,18 @@ struct DetectionEvent {
   common::SimTime time = 0;
 };
 
+// A link is declared corrupting when its rate reaches
+// common::kLossyThreshold (Section 3: the paper conservatively uses the
+// 802.3 limit) and clean again below common::kClearThreshold.
 class CorruptionDetector {
  public:
-  CorruptionDetector(const topology::Topology& topo, DetectorParams params);
+  // Polls aggregated per verdict (a 4-poll window = 1 hour).
+  static constexpr int kWindowPolls = 4;
+  // Minimum packets observed in the window before any verdict: below
+  // this, one corrupt frame would exceed 1e-8 spuriously.
+  static constexpr std::uint64_t kMinWindowPackets = 1000000;
+
+  explicit CorruptionDetector(const topology::Topology& topo);
 
   // Feeds one poll sample; returns an event when a window completes for
   // the sample's link and the verdict changed.
@@ -86,8 +82,6 @@ class CorruptionDetector {
     int polls = 0;
   };
 
-  const topology::Topology* topo_;
-  DetectorParams params_;
   // Per-direction accumulation window.
   std::vector<Window> windows_;
   // Latest per-direction rate estimate from a completed, valid window.

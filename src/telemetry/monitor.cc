@@ -1,19 +1,13 @@
 #include "telemetry/monitor.h"
 
-#include <cassert>
 #include <cmath>
 
 #include "telemetry/optical.h"
 
 namespace corropt::telemetry {
 
-PollingMonitor::PollingMonitor(NetworkState& state, common::Rng& rng,
-                               double packets_per_epoch_at_line_rate)
-    : state_(&state),
-      rng_(&rng),
-      packets_at_line_rate_(packets_per_epoch_at_line_rate) {
-  assert(packets_per_epoch_at_line_rate > 0.0);
-}
+PollingMonitor::PollingMonitor(NetworkState& state, common::Rng& rng)
+    : state_(&state), rng_(&rng) {}
 
 void PollingMonitor::set_sink(obs::Sink* sink) {
   if (sink == nullptr || sink->metrics == nullptr) {
@@ -24,23 +18,10 @@ void PollingMonitor::set_sink(obs::Sink* sink) {
   static_cast<void>(sink->metrics->counter("telemetry.poll_cycles"));
 }
 
-namespace {
-
-// Offered packets for one epoch, scaled from the 15-minute poll budget.
-double offered_packets(double packets_per_poll, double utilization,
-                       SimDuration epoch) {
-  const double scale = static_cast<double>(epoch) /
-                       static_cast<double>(common::kPollInterval);
-  return packets_per_poll * utilization * scale;
-}
-
-}  // namespace
-
 PollSample sample_direction_keyed(const NetworkState& state, DirectionId dir,
                                   SimTime epoch_start, SimDuration epoch,
                                   const DirectionLoad& load,
-                                  std::uint64_t poll_seed,
-                                  double packets_per_poll_at_line_rate) {
+                                  std::uint64_t poll_seed) {
   const auto d = state.direction(dir);
   const topology::Topology& topo = state.topo();
   const bool enabled = topo.is_enabled(topology::link_of(dir));
@@ -53,8 +34,10 @@ PollSample sample_direction_keyed(const NetworkState& state, DirectionId dir,
   sample.utilization = enabled ? load.utilization : 0.0;
 
   if (enabled && load.utilization > 0.0) {
-    const double offered = offered_packets(packets_per_poll_at_line_rate,
-                                           load.utilization, epoch);
+    // Offered packets scale from the 15-minute poll budget.
+    const double scale = static_cast<double>(epoch) /
+                         static_cast<double>(common::kPollInterval);
+    const double offered = kPacketsPerPoll * load.utilization * scale;
     sample.packets = static_cast<std::uint64_t>(offered);
     const double corruption_mean = offered * d.corruption_rate;
     const double congestion_mean = offered * load.congestion_rate;
@@ -76,8 +59,7 @@ PollSample sample_direction_keyed(const NetworkState& state, DirectionId dir,
 
 PollSample PollingMonitor::poll_direction(DirectionId dir,
                                           SimTime epoch_start,
-                                          const DirectionLoad& load,
-                                          SimDuration epoch) {
+                                          const DirectionLoad& load) {
   auto d = state_->direction(dir);
   const topology::Topology& topo = state_->topo();
   const bool enabled = topo.is_enabled(topology::link_of(dir));
@@ -90,8 +72,7 @@ PollSample PollingMonitor::poll_direction(DirectionId dir,
   sample.utilization = enabled ? load.utilization : 0.0;
 
   if (enabled && load.utilization > 0.0) {
-    const double offered =
-        offered_packets(packets_at_line_rate_, load.utilization, epoch);
+    const double offered = kPacketsPerPoll * load.utilization;
     sample.packets = static_cast<std::uint64_t>(offered);
     // Expected drops with Poisson dispersion: for the small per-packet
     // probabilities involved, Binomial(n, p) ~ Poisson(n * p).

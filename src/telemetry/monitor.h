@@ -57,7 +57,7 @@ struct DirectionLoad {
 // Packet budget of one 15-minute poll interval at line rate: ~1.4 Mpps
 // scaled down 100x to keep counter arithmetic cheap while preserving
 // loss-rate resolution down to 1e-9.
-inline constexpr double kDefaultPacketsPerPoll = 1.25e7;
+inline constexpr double kPacketsPerPoll = 1.25e7;
 
 // Synthesizes one direction's poll sample purely from its inputs: the
 // counter deltas are drawn from a CounterRng keyed on (poll_seed,
@@ -70,24 +70,19 @@ inline constexpr double kDefaultPacketsPerPoll = 1.25e7;
 // Poisson machinery entirely.
 [[nodiscard]] PollSample sample_direction_keyed(
     const NetworkState& state, DirectionId dir, SimTime epoch_start,
-    SimDuration epoch, const DirectionLoad& load, std::uint64_t poll_seed,
-    double packets_per_poll_at_line_rate = kDefaultPacketsPerPoll);
+    SimDuration epoch, const DirectionLoad& load, std::uint64_t poll_seed);
 
+// Polls one 15-minute interval at a time; utilization converts into a
+// packet count through kPacketsPerPoll.
 class PollingMonitor {
  public:
-  // `packets_per_epoch_at_line_rate` converts utilization into a packet
-  // count per 15-minute poll interval (see kDefaultPacketsPerPoll).
-  PollingMonitor(NetworkState& state, common::Rng& rng,
-                 double packets_per_epoch_at_line_rate =
-                     kDefaultPacketsPerPoll);
+  PollingMonitor(NetworkState& state, common::Rng& rng);
 
-  // Advances one direction by one epoch and returns its sample. Disabled
-  // links carry no traffic and report zero counters but their optics are
-  // still sampled (lasers stay on). `epoch` scales the offered packet
-  // count relative to the 15-minute poll interval.
+  // Advances one direction by one poll interval and returns its sample.
+  // Disabled links carry no traffic and report zero counters but their
+  // optics are still sampled (lasers stay on).
   PollSample poll_direction(DirectionId dir, SimTime epoch_start,
-                            const DirectionLoad& load,
-                            SimDuration epoch = common::kPollInterval);
+                            const DirectionLoad& load);
 
   // Attaches observability: "telemetry.polls" counts direction samples.
   // "telemetry.poll_cycles" is registered but stays 0: nothing polls the
@@ -98,7 +93,6 @@ class PollingMonitor {
  private:
   NetworkState* state_;
   common::Rng* rng_;
-  double packets_at_line_rate_;
   obs::Counter obs_polls_;
 };
 

@@ -54,7 +54,7 @@ int Topology::assign_breakout_groups(int group_size, int lower_level) {
   assert(group_size >= 2);
   int groups = 0;
   for (Switch& sw : switches_) {
-    if (lower_level >= 0 && sw.level != lower_level) continue;
+    if (sw.level != lower_level) continue;
     for (std::size_t start = 0; start + group_size <= sw.uplinks.size();
          start += static_cast<std::size_t>(group_size)) {
       const int group = next_breakout_group_++;

@@ -89,12 +89,11 @@ class Topology {
   // serialized topology); group must be >= -1.
   void set_breakout_group(LinkId id, int group);
 
-  // Marks consecutive uplinks of switches as sharing breakout cables,
-  // in bundles of `group_size`. With `lower_level` >= 0, only uplinks of
-  // switches at that level are grouped (e.g. pair up ToR uplinks and
-  // bundle aggregation uplinks separately); -1 groups every level.
-  // Returns the number of groups formed.
-  int assign_breakout_groups(int group_size, int lower_level = -1);
+  // Marks consecutive uplinks of the switches at `lower_level` as
+  // sharing breakout cables, in bundles of `group_size` (e.g. pair up ToR
+  // uplinks and bundle aggregation uplinks separately). Returns the
+  // number of groups formed.
+  int assign_breakout_groups(int group_size, int lower_level);
 
   // --- basic accessors ----------------------------------------------
   [[nodiscard]] std::size_t switch_count() const { return switches_.size(); }

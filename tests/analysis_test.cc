@@ -94,7 +94,6 @@ TEST(MeasurementStudy, CorruptionStableCongestionVariable) {
   config.days = 3;
   config.epoch = common::kHour;  // Coarser polls keep the test fast.
   config.corrupting_link_fraction = 0.05;
-  config.congestion.hotspot_switch_fraction = 0.15;
   MeasurementStudy study(topo, config);
 
   std::unordered_map<std::uint32_t, stats::RunningStats> corruption_series;
@@ -135,7 +134,6 @@ TEST(MeasurementStudy, CorruptionUncorrelatedCongestionCorrelated) {
   config.days = 5;
   config.epoch = common::kHour;
   config.corrupting_link_fraction = 0.06;
-  config.congestion.hotspot_switch_fraction = 0.15;
   MeasurementStudy study(topo, config);
 
   std::unordered_map<std::uint32_t, stats::PearsonAccumulator> corr_acc;

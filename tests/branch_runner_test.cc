@@ -58,9 +58,10 @@ ScenarioConfig backend_config(detect::BackendKind kind, obs::Sink* sink) {
   config.verification = RepairVerification::kEnableAndObserve;
   config.outcome.first_attempt_success = 0.6;
   config.backend.kind = kind;
-  // Small-fabric tuning: the defaults target the medium DCN's flow and
-  // packet volumes; scale the evidence thresholds down so the voting and
-  // sketch backends actually convict on a 4-ary fat tree.
+  // Scaled-down evidence volumes keep the suite small and fast; both
+  // backends convict on this fabric at their defaults too.
+  // checkpoint_test reuses these values, and
+  // tests/golden/checkpoint_bytes.txt pins checkpoints taken with them.
   config.backend.voting.flows_per_cycle = 600;
   config.backend.voting.min_votes = 2;
   config.backend.sketch.width = 64;

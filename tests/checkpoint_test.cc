@@ -31,11 +31,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <sstream>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -408,8 +410,9 @@ std::string bytes_fixture_path() {
 ScenarioConfig backend_config(detect::BackendKind kind, obs::Sink* sink) {
   ScenarioConfig config = small_config(sink);
   config.backend.kind = kind;
-  // Scaled down so both backends gather evidence on a 4-ary fat tree
-  // (the branch_runner_test tuning).
+  // branch_runner_test's scaled-down evidence volumes: they keep the
+  // suite fast, and tests/golden/checkpoint_bytes.txt pins the
+  // checkpoints taken with them.
   config.backend.voting.flows_per_cycle = 600;
   config.backend.voting.min_votes = 2;
   config.backend.sketch.width = 64;
@@ -999,6 +1002,72 @@ TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
   }
   EXPECT_EQ(restored + rejected, 2000u);
   EXPECT_GT(rejected, 0u);
+}
+
+// Rewrites the first pending kRepair event of a sealed checkpoint
+// through `edit` (its due time, link and ticket) and reseals it.
+void edit_pending_repair(std::string& bytes,
+                         const std::function<void(Event&)>& edit) {
+  const std::uint32_t evtq = common::snap::tag('E', 'V', 'T', 'Q');
+  const std::size_t at = section_at(bytes, evtq, 1);
+  common::snap::Reader r(std::string_view(bytes).substr(at));
+  r.section(evtq, 1, "event queue");
+  for (std::size_t i = r.length(); i > 0; --i) {
+    const std::size_t entry_at = bytes.size() - r.remaining();
+    Event event;
+    r.i64(event.due);
+    r.u8(event.type);
+    r.id(event.link);
+    r.id(event.ticket);
+    r.i64(event.attempt);
+    const std::uint64_t seq = r.u64();
+    if (event.type != EventType::kRepair) continue;
+    const std::size_t entry_end = bytes.size() - r.remaining();
+    edit(event);
+    common::snap::Writer w;
+    w.i64(event.due);
+    w.u8(event.type);
+    w.id(event.link);
+    w.id(event.ticket);
+    w.i64(event.attempt);
+    w.u64(seq);
+    bytes.replace(entry_at, entry_end - entry_at, w.take());
+    reseal(bytes);
+    return;
+  }
+  ADD_FAILURE() << "the checkpoint holds no pending repair";
+}
+
+// A restored event queue may only name what the restored state holds:
+// a pending repair on a link past the fabric would index the repair
+// pipeline's per-link arrays out of bounds when it fires, one on a
+// closed ticket would look up a ticket that is not there, and one due
+// before the checkpoint would run time backwards.
+TEST(CheckpointMutation, PendingRepairOutsideRestoredStateThrows) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const SimTime at = base.time;
+  const common::LinkId past_fabric(
+      static_cast<common::LinkId::underlying_type>(topo.link_count()));
+  const std::vector<std::pair<std::function<void(Event&)>, std::string>>
+      cases = {
+          {[&](Event& e) { e.link = past_fabric; },
+           "pending event names a link past the fabric"},
+          {[](Event& e) {
+             e.ticket = common::TicketId(e.ticket.value() + 1000000);
+           },
+           "pending repair names a ticket that is not open"},
+          {[at](Event& e) { e.due = at - 1; },
+           "pending event due before the checkpoint"},
+      };
+  for (const auto& [edit, what] : cases) {
+    Checkpoint ckpt = base;
+    edit_pending_repair(ckpt.bytes, edit);
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt, what);
+  }
 }
 
 // --- Journal time travel ----------------------------------------------

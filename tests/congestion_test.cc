@@ -14,7 +14,7 @@ namespace {
 TEST(Congestion, UtilizationBoundedAndDeterministic) {
   const auto topo = topology::build_fat_tree(4);
   common::Rng rng(1);
-  CongestionModel model(topo, {}, rng);
+  CongestionModel model(topo, rng);
   const DirectionId dir(0);
   for (common::SimTime t = 0; t < common::kDay; t += common::kPollInterval) {
     const double u = model.utilization(dir, t);
@@ -27,8 +27,7 @@ TEST(Congestion, UtilizationBoundedAndDeterministic) {
 TEST(Congestion, LossZeroBelowKnee) {
   const auto topo = topology::build_fat_tree(4);
   common::Rng rng(2);
-  CongestionParams params;
-  CongestionModel model(topo, params, rng);
+  CongestionModel model(topo, rng);
   EXPECT_DOUBLE_EQ(
       model.loss_rate(DirectionId(0), CongestionModel::kKneeUtilization, 0),
       0.0);
@@ -39,7 +38,7 @@ TEST(Congestion, LossZeroBelowKnee) {
 TEST(Congestion, LossGrowsWithUtilizationOnAverage) {
   const auto topo = topology::build_fat_tree(4);
   common::Rng rng(3);
-  CongestionModel model(topo, {}, rng);
+  CongestionModel model(topo, rng);
   double lo = 0.0, hi = 0.0;
   int samples = 0;
   for (common::SimTime t = 0; t < common::kWeek;
@@ -54,9 +53,7 @@ TEST(Congestion, LossGrowsWithUtilizationOnAverage) {
 TEST(Congestion, HotspotLinksRunHotter) {
   const auto topo = topology::build_fat_tree(8);
   common::Rng rng(4);
-  CongestionParams params;
-  params.hotspot_switch_fraction = 0.2;
-  CongestionModel model(topo, params, rng);
+  CongestionModel model(topo, rng);
   stats::RunningStats hot, cold;
   std::size_t hot_directions = 0;
   for (std::size_t i = 0; i < topo.direction_count(); ++i) {
@@ -77,9 +74,7 @@ TEST(Congestion, UtilizationLossCorrelationIsPositive) {
   // utilization on congested links.
   const auto topo = topology::build_fat_tree(8);
   common::Rng rng(5);
-  CongestionParams params;
-  params.hotspot_switch_fraction = 0.3;
-  CongestionModel model(topo, params, rng);
+  CongestionModel model(topo, rng);
   stats::PearsonAccumulator acc;
   for (std::size_t i = 0; i < topo.direction_count(); ++i) {
     const DirectionId dir(static_cast<common::DirectionId::underlying_type>(i));
@@ -111,27 +106,32 @@ bool switch_is_hot(const CongestionModel& model, const topology::Switch& sw) {
   return !sw.uplinks.empty() || !sw.downlinks.empty();
 }
 
+// True when the link lies inside a hot pod, which heats it regardless of
+// any scattered hotspot switch.
+bool in_hot_pod(const CongestionModel& model, const topology::Topology& topo,
+                const topology::Link& link) {
+  const int pod = topo.switch_at(link.lower).pod;
+  return pod >= 0 && pod == topo.switch_at(link.upper).pod &&
+         model.is_hot_pod(pod);
+}
+
 TEST(Congestion, HotspotsClusterOnSwitches) {
-  const auto topo = topology::build_fat_tree(8);
-  CongestionParams params;
-  params.hotspot_switch_fraction = 0.05;
+  // Large enough that the scattered hotspot fraction draws a few
+  // switches.
+  const auto topo = topology::build_fat_tree(16);
   common::Rng rng(6);
-  CongestionModel model(topo, params, rng);
-  // The same seed without scattered hotspots draws the same hot pods:
-  // what the hotspot switches add is the difference.
-  params.hotspot_switch_fraction = 0.0;
-  common::Rng pods_rng(6);
-  CongestionModel pods_only(topo, params, pods_rng);
-  // Every link incident to a hotspot switch is hot: congestion has
-  // strong spatial locality by construction.
+  CongestionModel model(topo, rng);
+  // Outside the hot pods, only hotspot switches heat links: a hot switch
+  // there has every incident link hot, so congestion has strong spatial
+  // locality by construction.
   std::size_t hot_links = 0, hot_switches = 0;
   for (const auto& sw : topo.switches()) {
-    if (switch_is_hot(model, sw) && !switch_is_hot(pods_only, sw)) {
+    if (!model.is_hot_pod(sw.pod) && switch_is_hot(model, sw)) {
       ++hot_switches;
     }
   }
   for (const auto& link : topo.links()) {
-    if (link_is_hot(model, link.id) && !link_is_hot(pods_only, link.id)) {
+    if (!in_hot_pod(model, topo, link) && link_is_hot(model, link.id)) {
       ++hot_links;
     }
   }

@@ -41,7 +41,6 @@ struct BackendFixture {
     e.state = &state;
     e.rng = &rng;
     e.seed = seed;
-    e.poll_utilization = 0.3;
     return e;
   }
 
@@ -174,8 +173,7 @@ TEST(ThresholdBackend, ResetRequiresAFreshDetectionWindow) {
   f.set_link_rate(bad, 1e-3);
 
   detect::BackendConfig config;  // kThreshold.
-  auto backend = detect::make_backend(config, telemetry::DetectorParams{},
-                                      f.env(5));
+  auto backend = detect::make_backend(config, f.env(5));
   ASSERT_EQ(backend->kind(), detect::BackendKind::kThreshold);
 
   const std::vector<LinkId> suspects{bad};
@@ -313,7 +311,6 @@ TEST(PendingDetection, FailedRepairRestartsTheLatencyClock) {
   config.capacity_fraction = 0.5;
   config.detection = sim::DetectionMode::kPolled;
   config.verification = sim::RepairVerification::kEnableAndObserve;
-  config.redetection_delay = 6 * common::kHour;
   config.outcome.first_attempt_success = 0.0;
   config.seed = 41;
 
@@ -353,10 +350,11 @@ TEST(PendingDetection, SharedPeerClearedBeforeDetectionCountsMissed) {
   config.capacity_fraction = 0.5;
   config.detection = sim::DetectionMode::kPolled;
   config.outcome.first_attempt_success = 1.0;
-  // Fast crew: the shared repair lands before the quiet link's ~1e-8
-  // rate ever produces a counter sample.
-  config.queue.service_time = common::kHour;
   config.seed = 3;
+  // The quiet link is out of service before the fault: it carries no
+  // traffic, so its counters never show a drop before the shared repair
+  // lands through the loud link's ticket.
+  topo.set_enabled(quiet, false);
 
   faults::Fault fault;
   fault.cause = faults::RootCause::kSharedComponent;
@@ -383,7 +381,9 @@ TEST(PendingDetection, SharedPeerClearedBeforeDetectionCountsMissed) {
   EXPECT_EQ(metrics.missed_detections, 1u);
   EXPECT_EQ(metrics.detection_latencies_s.size(), 1u);
   EXPECT_EQ(metrics.false_positive_detections, 0u);
-  EXPECT_EQ(topo.enabled_link_count(), topo.link_count());
+  // The loud link is back; the quiet one stays out of service.
+  EXPECT_TRUE(topo.is_enabled(loud));
+  EXPECT_EQ(topo.enabled_link_count(), topo.link_count() - 1);
 }
 
 TEST(DetectionCompare, JsonByteIdenticalAcrossThreadCounts) {

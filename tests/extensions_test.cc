@@ -166,7 +166,6 @@ TEST(Verification, EnableAndObserveExposesFailedRepairs) {
     config.capacity_fraction = 0.5;
     config.outcome.first_attempt_success = 0.0;
     config.verification = policy;
-    config.redetection_delay = 6 * common::kHour;
     common::Rng rng(8);
     faults::FaultFactory factory(topo, {}, rng);
     trace::TraceEvent event;
@@ -181,8 +180,9 @@ TEST(Verification, EnableAndObserveExposesFailedRepairs) {
     if (policy == sim::RepairVerification::kEnableAndObserve) {
       EXPECT_EQ(metrics.redetections, 1u);
       // Exposure = one redetection window at the fault's rate.
-      EXPECT_NEAR(metrics.integrated_penalty, rate * 6 * common::kHour,
-                  rate * common::kHour);
+      EXPECT_NEAR(metrics.integrated_penalty,
+                  rate * sim::RepairPipeline::kRedetectionDelay,
+                  rate * sim::RepairPipeline::kRedetectionDelay / 6);
     } else {
       EXPECT_EQ(metrics.redetections, 0u);
       EXPECT_DOUBLE_EQ(metrics.integrated_penalty, 0.0);
@@ -234,7 +234,6 @@ TEST(Collateral, MaintenanceTakesSiblingsDownAndRestoresThem) {
   config.capacity_fraction = 0.25;
   config.outcome.first_attempt_success = 1.0;
   config.model_collateral_maintenance = true;
-  config.maintenance_window = 4 * common::kHour;
 
   common::Rng rng(31);
   faults::FaultFactory factory(topo, {}, rng);
@@ -247,9 +246,9 @@ TEST(Collateral, MaintenanceTakesSiblingsDownAndRestoresThem) {
   sim::MitigationSimulation sim(topo, config);
   const auto metrics = sim.run({event});
   EXPECT_EQ(metrics.maintenance_windows, 1u);
-  // 3 healthy siblings down for 4 hours.
+  // 3 healthy siblings down for one maintenance window.
   EXPECT_DOUBLE_EQ(metrics.collateral_link_seconds,
-                   3.0 * 4 * common::kHour);
+                   3.0 * sim::MaintenanceModel::kWindow);
   // Taking 4 of 4 uplinks off one ToR drops it to 0 paths: a violation
   // the plain checker did not anticipate (the constraint is 25%).
   EXPECT_EQ(metrics.maintenance_capacity_violations, 1u);
@@ -318,64 +317,6 @@ TEST(PolledDetection, DetectsWithLatencyAndRepairs) {
   // Repair completed and the link is back.
   EXPECT_EQ(metrics.repair_attempts, 1u);
   EXPECT_EQ(topo.enabled_link_count(), topo.link_count());
-}
-
-TEST(PolledDetection, SubThresholdFaultStaysUndetected) {
-  auto topo = topology::build_fat_tree(8);
-  sim::ScenarioConfig config;
-  config.duration = 10 * common::kDay;
-  config.detection = sim::DetectionMode::kPolled;
-  // Raise the lossy threshold above the injected rate.
-  config.detector.lossy_threshold = 1e-3;
-  config.detector.clear_threshold = 1e-4;
-  config.seed = 43;
-
-  common::Rng rng(44);
-  faults::FaultFactory factory(topo, {}, rng);
-  trace::TraceEvent event;
-  event.time = 0;
-  faults::Fault fault = factory.make_fault(
-      common::LinkId(4), faults::RootCause::kBadOrLooseTransceiver, 0);
-  for (auto& effect : fault.effects) effect.corruption_rate = 1e-5;
-  event.fault = fault;
-
-  sim::MitigationSimulation sim(topo, config);
-  const auto metrics = sim.run({event});
-  EXPECT_EQ(metrics.polled_detections, 0u);
-  EXPECT_EQ(metrics.tickets_opened, 0u);
-  // The corruption still hurt applications the whole time.
-  EXPECT_NEAR(metrics.integrated_penalty, 1e-5 * 10 * common::kDay,
-              1e-5 * common::kDay);
-}
-
-// The detector's threshold is a setting; whether a link truly corrupts
-// is the 802.3 constant. With the threshold raised just above a lossy
-// link's rate, Poisson noise still carries a window over it: the run
-// books a timed detection, and no false positive.
-TEST(PolledDetection, RaisedThresholdConvictionIsNoFalsePositive) {
-  constexpr double kRate = 1e-5;
-  auto topo = topology::build_fat_tree(8);
-  sim::ScenarioConfig config;
-  config.duration = 10 * common::kDay;
-  config.detection = sim::DetectionMode::kPolled;
-  config.detector.lossy_threshold = 1.01 * kRate;
-  config.detector.clear_threshold = 0.5 * kRate;
-  config.seed = 43;
-
-  common::Rng rng(44);
-  faults::FaultFactory factory(topo, {}, rng);
-  trace::TraceEvent event;
-  event.time = 0;
-  faults::Fault fault = factory.make_fault(
-      common::LinkId(4), faults::RootCause::kBadOrLooseTransceiver, 0);
-  for (auto& effect : fault.effects) effect.corruption_rate = kRate;
-  event.fault = fault;
-
-  sim::MitigationSimulation sim(topo, config);
-  const auto metrics = sim.run({event});
-  EXPECT_GE(metrics.polled_detections, 1u);
-  EXPECT_EQ(metrics.detection_latencies_s.size(), 1u);
-  EXPECT_EQ(metrics.false_positive_detections, 0u);
 }
 
 TEST(PerTorOverrides, AppliedThroughScenarioConfig) {

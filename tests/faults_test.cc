@@ -237,7 +237,7 @@ TEST(FaultSymptoms, SharedComponentHitsSiblingsWithSimilarRates) {
 
 TEST(FaultSymptoms, SharedComponentUsesBreakoutGroups) {
   Fixture f;
-  f.topo.assign_breakout_groups(2);
+  f.topo.assign_breakout_groups(2, /*lower_level=*/0);
   telemetry::NetworkState state(f.topo, f.tech);
   FaultFactory factory(f.topo, {}, f.rng);
   const common::LinkId link(0);

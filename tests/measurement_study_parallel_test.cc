@@ -1,6 +1,6 @@
 // Determinism contract of the sharded measurement study (DESIGN.md §9):
-// the synthesized result is bit-identical for any thread count, any
-// shard grid, and with or without the loss-capable fast path.
+// the synthesized result is bit-identical for any thread count, and
+// with or without the loss-capable fast path.
 
 #include <gtest/gtest.h>
 
@@ -78,24 +78,6 @@ TEST(MeasurementStudyParallel, ThreadCountDoesNotChangeTheResult) {
     study.run(eight_threads, &pool8);
     expect_same_totals(sequential, eight_threads, topo.direction_count());
   }
-}
-
-TEST(MeasurementStudyParallel, ShardGridDoesNotChangeTheResult) {
-  const auto topo = topology::build_fat_tree(8);
-  const MeasurementStudy baseline(topo, small_config(common::kHour));
-  DirectionTotalsAccumulator expected(topo.direction_count());
-  baseline.run(expected, nullptr);
-
-  // Deliberately awkward grid: tiny direction tiles and an epoch split
-  // that does not divide the window evenly.
-  StudyConfig config = small_config(common::kHour);
-  config.directions_per_tile = 7;
-  config.epochs_per_tile = 5;
-  const MeasurementStudy tiled(topo, config);
-  DirectionTotalsAccumulator actual(topo.direction_count());
-  common::ThreadPool pool(4);
-  tiled.run(actual, &pool);
-  expect_same_totals(expected, actual, topo.direction_count());
 }
 
 TEST(MeasurementStudyParallel, LossCapableFastPathMatchesFullScan) {

@@ -158,7 +158,7 @@ TEST(OptimizerDeep, StepPenaltyIgnoresSubThresholdLinks) {
   corruption.mark(small, 9e-5);  // Below the 1e-4 SLA.
   corruption.mark(big, 2e-4);   // Above it.
   PathCounter paths(topo);
-  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::step(1e-4));
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::step());
   const OptimizerResult result = optimizer.run(corruption);
   EXPECT_FALSE(topo.is_enabled(big));
   // The sub-threshold link may or may not be disabled (zero penalty

@@ -217,29 +217,44 @@ TEST(Optimizer, DisabledCorruptingLinksAreNotCandidates) {
 }
 
 TEST(Optimizer, GreedyFallbackOnHugeSegment) {
-  // Force the greedy path with a tiny exact budget; the result must be
-  // feasible and flagged non-exact when the fallback actually runs.
-  auto topo = topology::build_fat_tree(4);
+  // Every ToR uplink of one k=8 pod plus two spine uplinks of each of its
+  // aggregation switches: 24 coupled candidates (the pod's ToRs share
+  // all of them) form one segment over the exact budget, so the greedy
+  // fallback runs. The result must be feasible and flagged non-exact.
+  auto topo = topology::build_fat_tree(8);
   CapacityConstraint constraint(0.75);
   CorruptionSet corruption;
   const auto tor = topo.tors().front();
-  for (common::LinkId link : topo.switch_at(tor).uplinks) {
-    corruption.mark(link, 1e-3);
+  const int pod = topo.switch_at(tor).pod;
+  std::size_t marked = 0;
+  double rate = 1e-3;
+  for (const common::SwitchId other : topo.tors()) {
+    if (topo.switch_at(other).pod != pod) continue;
+    for (common::LinkId link : topo.switch_at(other).uplinks) {
+      corruption.mark(link, rate);
+      rate *= 0.9;
+      ++marked;
+    }
   }
-  const auto agg = topo.link_at(topo.switch_at(tor).uplinks[0]).upper;
-  for (common::LinkId link : topo.switch_at(agg).uplinks) {
-    corruption.mark(link, 1e-4);
+  for (common::LinkId up : topo.switch_at(tor).uplinks) {
+    const auto& spine_links = topo.switch_at(topo.link_at(up).upper).uplinks;
+    for (std::size_t i = 0; i < 2; ++i) {
+      corruption.mark(spine_links[i], rate);
+      rate *= 0.9;
+      ++marked;
+    }
   }
-  OptimizerConfig config;
-  config.max_exact_segment = 1;
+  ASSERT_GT(marked, kMaxExactSegment);
   PathCounter paths(topo);
-  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear(),
-                      config);
+  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear());
   const OptimizerResult result = optimizer.run(corruption);
+  EXPECT_EQ(result.segments, 1u);
+  EXPECT_FALSE(result.exact);
   PathCounter counter(topo);
   EXPECT_TRUE(counter.feasible(counter.up_paths(), constraint));
   // Greedy disables the single most damaging feasible link first.
   EXPECT_FALSE(result.disabled.empty());
+  EXPECT_FALSE(topo.is_enabled(topo.switch_at(tor).uplinks[0]));
 }
 
 TEST(Optimizer, SegmentationSplitsIndependentPods) {

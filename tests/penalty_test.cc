@@ -13,7 +13,8 @@ TEST(Penalty, LinearIsIdentity) {
 }
 
 TEST(Penalty, StepThreshold) {
-  const PenaltyFunction penalty = PenaltyFunction::step(1e-4);
+  ASSERT_EQ(PenaltyFunction::kStepThreshold, 1e-4);
+  const PenaltyFunction penalty = PenaltyFunction::step();
   EXPECT_DOUBLE_EQ(penalty(0.0), 0.0);
   EXPECT_DOUBLE_EQ(penalty(9.99e-5), 0.0);
   EXPECT_DOUBLE_EQ(penalty(1e-4), 1.0);  // Closed at the threshold.
@@ -21,7 +22,8 @@ TEST(Penalty, StepThreshold) {
 }
 
 TEST(Penalty, TcpShape) {
-  const PenaltyFunction penalty = PenaltyFunction::tcp_throughput(1e-4);
+  ASSERT_EQ(PenaltyFunction::kTcpHalfLossRate, 1e-4);
+  const PenaltyFunction penalty = PenaltyFunction::tcp_throughput();
   EXPECT_DOUBLE_EQ(penalty(0.0), 0.0);
   // At the half-loss rate, half the throughput is gone.
   EXPECT_NEAR(penalty(1e-4), 0.5, 1e-12);
@@ -40,7 +42,7 @@ TEST_P(PenaltyMonotoneTest, MonotoneNonDecreasingWithZeroAtZero) {
       penalty = PenaltyFunction::linear();
       break;
     case 1:
-      penalty = PenaltyFunction::step(1e-5);
+      penalty = PenaltyFunction::step();
       break;
     case 2:
       penalty = PenaltyFunction::tcp_throughput();

@@ -38,30 +38,29 @@ TEST(TicketQueue, TicketMetadataPreserved) {
 }
 
 TEST(TicketQueue, BoundedCrewSerializesBacklog) {
+  constexpr common::SimDuration kService = common::kMeanRepairTime;
   TicketQueueParams params;
   params.technicians = 1;
-  params.service_time = common::kDay;
   TicketQueue queue(params);
   const TicketId a = queue.open(LinkId(1), 0, 1, std::nullopt);
   const TicketId b = queue.open(LinkId(2), 0, 1, std::nullopt);
   const TicketId c = queue.open(LinkId(3), 0, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(a).scheduled_completion, common::kDay);
-  EXPECT_EQ(queue.ticket(b).scheduled_completion, 2 * common::kDay);
-  EXPECT_EQ(queue.ticket(c).scheduled_completion, 3 * common::kDay);
+  EXPECT_EQ(queue.ticket(a).scheduled_completion, kService);
+  EXPECT_EQ(queue.ticket(b).scheduled_completion, 2 * kService);
+  EXPECT_EQ(queue.ticket(c).scheduled_completion, 3 * kService);
 }
 
 TEST(TicketQueue, BoundedCrewIdleTechnicianStartsImmediately) {
+  constexpr common::SimDuration kService = common::kMeanRepairTime;
   TicketQueueParams params;
   params.technicians = 2;
-  params.service_time = common::kDay;
   TicketQueue queue(params);
   queue.open(LinkId(1), 0, 1, std::nullopt);
   const TicketId b = queue.open(LinkId(2), 0, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(b).scheduled_completion, common::kDay);
+  EXPECT_EQ(queue.ticket(b).scheduled_completion, kService);
   // A ticket arriving after the backlog drains starts at its issue time.
-  const TicketId late =
-      queue.open(LinkId(3), 5 * common::kDay, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(late).scheduled_completion, 6 * common::kDay);
+  const TicketId late = queue.open(LinkId(3), 5 * kService, 1, std::nullopt);
+  EXPECT_EQ(queue.ticket(late).scheduled_completion, 6 * kService);
 }
 
 TEST(OutcomeModel, FirstAttemptProbabilitySecondCertain) {

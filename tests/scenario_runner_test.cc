@@ -192,7 +192,8 @@ std::vector<ScenarioJob> sweep_jobs(bool crews) {
                                            detect::BackendKind::kVoting,
                                            detect::BackendKind::kSketch};
       job.config.backend.kind = kinds[v];
-      // Small-fabric tuning so voting and sketch convict on a k=8 tree.
+      // branch_runner_test's scaled-down evidence volumes, which keep
+      // the suite small and fast.
       job.config.backend.voting.flows_per_cycle = 600;
       job.config.backend.voting.min_votes = 2;
       job.config.backend.sketch.width = 64;

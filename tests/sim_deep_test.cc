@@ -34,7 +34,6 @@ TEST(SimDeep, BoundedCrewStretchesResolution) {
   config.capacity_fraction = 0.25;
   config.outcome.first_attempt_success = 1.0;
   config.queue.technicians = 1;
-  config.queue.service_time = 2 * common::kDay;
 
   std::vector<trace::TraceEvent> events;
   const auto& tors = topo.tors();

@@ -115,7 +115,7 @@ TEST(Monitor, CountsMatchLoadAndRates) {
   const Topology topo = single_link_topo();
   NetworkState state(topo, default_tech());
   common::Rng rng(1);
-  PollingMonitor monitor(state, rng, /*packets_per_epoch_at_line_rate=*/1e6);
+  PollingMonitor monitor(state, rng);
 
   const auto up = topology::direction_id(common::LinkId(0),
                                          LinkDirection::kUp);
@@ -132,7 +132,7 @@ TEST(Monitor, CountsMatchLoadAndRates) {
     corr += s.corruption_drops;
     cong += s.congestion_drops;
   }
-  EXPECT_EQ(packets, 200u * 500000u);
+  EXPECT_EQ(packets, 200u * static_cast<std::uint64_t>(kPacketsPerPoll / 2));
   EXPECT_NEAR(static_cast<double>(corr) / packets, 1e-3, 1e-4);
   EXPECT_NEAR(static_cast<double>(cong) / packets, 2e-3, 2e-4);
   // Cumulative counters advanced in the state.
@@ -190,18 +190,21 @@ TEST(Monitor, OfferedPacketsScaleWithEpoch) {
   // worth of packets.
   const Topology topo = single_link_topo();
   NetworkState state(topo, default_tech());
-  common::Rng rng(5);
-  PollingMonitor monitor(state, rng, /*packets_per_poll_at_line_rate=*/1e6);
   const auto up = topology::direction_id(common::LinkId(0),
                                          LinkDirection::kUp);
   DirectionLoad load;
   load.utilization = 0.5;
-  const PollSample base = monitor.poll_direction(up, 0, load);
+  const PollSample base = sample_direction_keyed(
+      state, up, 0, common::kPollInterval, load, /*poll_seed=*/5);
   const PollSample hourly =
-      monitor.poll_direction(up, 0, load, common::kHour);
-  EXPECT_EQ(base.packets, 500000u);
+      sample_direction_keyed(state, up, 0, common::kHour, load, 5);
+  EXPECT_EQ(base.packets, static_cast<std::uint64_t>(kPacketsPerPoll / 2));
   EXPECT_EQ(hourly.packets,
             base.packets * (common::kHour / common::kPollInterval));
+  // The polling monitor counts one 15-minute interval per poll.
+  common::Rng rng(5);
+  PollingMonitor monitor(state, rng);
+  EXPECT_EQ(monitor.poll_direction(up, 0, load).packets, base.packets);
 }
 
 TEST(Monitor, KeyedSampleIsPureInItsKey) {

@@ -76,7 +76,7 @@ TEST(Topology, BreakoutGroups) {
   const SwitchId tor = topo.add_switch(0);
   const SwitchId s1 = topo.add_switch(1);
   for (int i = 0; i < 6; ++i) topo.add_link(tor, s1);
-  const int groups = topo.assign_breakout_groups(4);
+  const int groups = topo.assign_breakout_groups(4, /*lower_level=*/0);
   EXPECT_EQ(groups, 1);  // 6 uplinks: one full group of 4, 2 left over.
   const auto peers = topo.breakout_peers(LinkId(0));
   EXPECT_EQ(peers.size(), 4u);

@@ -92,6 +92,10 @@ def compiler_written(name, where, source_lines):
     if path not in source_lines:
         with open(path, encoding="utf-8") as handle:
             source_lines[path] = handle.read().splitlines()
+    # nm -l can pair a header's line number with the source file that
+    # includes it; a line past that file's end shows no special member.
+    if int(line) > len(source_lines[path]):
+        return False
     text = source_lines[path][int(line) - 1]
     return "= default" in text or re.search(
         rf"\b(struct|class)\s+{re.escape(owner)}\b", text) is not None
