@@ -2,102 +2,68 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <unordered_set>
 
 #include "common/json.h"
 
 namespace corropt::obs {
-
-namespace detail {
-
-std::size_t thread_shard() {
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t slot =
-      next.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return slot;
-}
-
-}  // namespace detail
 
 void Histogram::record(double v) const {
   if (entry_ == nullptr) return;
   const std::vector<double>& bounds = entry_->bounds;
   const std::size_t bucket = static_cast<std::size_t>(
       std::upper_bound(bounds.begin(), bounds.end(), v) - bounds.begin());
-  const std::size_t shard = detail::thread_shard();
-  const std::size_t stride = bounds.size() + 1;
-  entry_->counts[shard * stride + bucket].value.fetch_add(
-      1, std::memory_order_relaxed);
-  detail::atomic_add(entry_->sums[shard], v);
+  entry_->counts[bucket].fetch_add(1, std::memory_order_relaxed);
+  entry_->value.fetch_add(v, std::memory_order_relaxed);
 }
 
-Counter MetricsRegistry::counter(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    if (it->second.first != Kind::kCounter) {
-      throw std::logic_error("obs metric '" + std::string(name) +
-                             "' already registered with a different kind");
-    }
-    return Counter(&counters_[it->second.second]);
-  }
-  counters_.emplace_back();
-  counters_.back().name = std::string(name);
-  index_.emplace(std::string(name),
-                 std::make_pair(Kind::kCounter, counters_.size() - 1));
-  return Counter(&counters_.back());
-}
-
-Gauge MetricsRegistry::gauge(std::string_view name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    if (it->second.first != Kind::kGauge) {
-      throw std::logic_error("obs metric '" + std::string(name) +
-                             "' already registered with a different kind");
-    }
-    return Gauge(&gauges_[it->second.second]);
-  }
-  gauges_.emplace_back();
-  gauges_.back().name = std::string(name);
-  index_.emplace(std::string(name),
-                 std::make_pair(Kind::kGauge, gauges_.size() - 1));
-  return Gauge(&gauges_.back());
-}
-
-Histogram MetricsRegistry::histogram_impl(std::string_view name,
-                                          std::vector<double> bounds,
-                                          bool is_timer) {
-  if (!std::is_sorted(bounds.begin(), bounds.end())) {
-    throw std::logic_error("obs histogram '" + std::string(name) +
-                           "': bounds must be ascending");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = index_.find(std::string(name));
-  if (it != index_.end()) {
-    if (it->second.first != Kind::kHistogram) {
-      throw std::logic_error("obs metric '" + std::string(name) +
-                             "' already registered with a different kind");
-    }
-    return Histogram(&histograms_[it->second.second]);
-  }
-  histograms_.emplace_back();
-  detail::HistogramEntry& entry = histograms_.back();
+detail::Entry& MetricsRegistry::create(std::string_view name,
+                                       detail::Kind kind,
+                                       std::vector<double> bounds,
+                                       bool is_timer) {
+  detail::Entry& entry = entries_.emplace_back();
   entry.name = std::string(name);
+  entry.kind = kind;
   entry.is_timer = is_timer;
   entry.bounds = std::move(bounds);
   entry.counts =
-      std::vector<detail::ShardCell>(kMetricShards * (entry.bounds.size() + 1));
-  for (std::atomic<double>& sum : entry.sums) {
-    sum.store(0.0, std::memory_order_relaxed);
+      std::vector<std::atomic<std::uint64_t>>(entry.bounds.size() + 1);
+  index_.emplace(entry.name, &entry);
+  return entry;
+}
+
+detail::Entry& MetricsRegistry::registered(std::string_view name,
+                                           detail::Kind kind,
+                                           std::vector<double> bounds,
+                                           bool is_timer) {
+  std::lock_guard<std::mutex> lock(mu_);
+  const auto it = index_.find(std::string(name));
+  if (it == index_.end()) {
+    return create(name, kind, std::move(bounds), is_timer);
   }
-  index_.emplace(std::string(name),
-                 std::make_pair(Kind::kHistogram, histograms_.size() - 1));
-  return Histogram(&entry);
+  if (it->second->kind != kind) {
+    throw std::logic_error("obs metric '" + std::string(name) +
+                           "' already registered with a different kind");
+  }
+  return *it->second;
+}
+
+Counter MetricsRegistry::counter(std::string_view name) {
+  return Counter(&registered(name, detail::Kind::kCounter));
+}
+
+Gauge MetricsRegistry::gauge(std::string_view name) {
+  return Gauge(&registered(name, detail::Kind::kGauge));
 }
 
 Histogram MetricsRegistry::histogram(std::string_view name,
                                      std::vector<double> bounds) {
-  return histogram_impl(name, std::move(bounds), /*is_timer=*/false);
+  if (!std::is_sorted(bounds.begin(), bounds.end())) {
+    throw std::logic_error("obs histogram '" + std::string(name) +
+                           "': bounds must be ascending");
+  }
+  return Histogram(
+      &registered(name, detail::Kind::kHistogram, std::move(bounds)));
 }
 
 Histogram MetricsRegistry::timer(std::string_view name) {
@@ -106,162 +72,97 @@ Histogram MetricsRegistry::timer(std::string_view name) {
   static const std::vector<double> kLatencyBounds = {
       1e-6, 3e-6, 1e-5, 3e-5, 1e-4, 3e-4, 1e-3, 3e-3,
       1e-2, 3e-2, 1e-1, 3e-1, 1.0,  3.0,  10.0};
-  return histogram_impl(name, kLatencyBounds, /*is_timer=*/true);
+  return Histogram(&registered(name, detail::Kind::kHistogram, kLatencyBounds,
+                               /*is_timer=*/true));
 }
 
 MetricsSnapshot MetricsRegistry::snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snap;
-  snap.counters.reserve(counters_.size());
-  for (const detail::CounterEntry& entry : counters_) {
-    std::uint64_t total = 0;
-    for (const detail::ShardCell& cell : entry.cells) {
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    snap.counters.push_back({entry.name, total});
-  }
-  snap.gauges.reserve(gauges_.size());
-  for (const detail::GaugeEntry& entry : gauges_) {
-    snap.gauges.push_back(
-        {entry.name, entry.value.load(std::memory_order_relaxed)});
-  }
-  for (const detail::HistogramEntry& entry : histograms_) {
-    MetricsSnapshot::HistogramValue value;
-    value.name = entry.name;
-    value.bounds = entry.bounds;
-    const std::size_t stride = entry.bounds.size() + 1;
-    value.counts.assign(stride, 0);
-    for (std::size_t shard = 0; shard < kMetricShards; ++shard) {
-      for (std::size_t bucket = 0; bucket < stride; ++bucket) {
-        value.counts[bucket] +=
-            entry.counts[shard * stride + bucket].value.load(
-                std::memory_order_relaxed);
+  for (const detail::Entry& entry : entries_) {
+    const double value = entry.value.load(std::memory_order_relaxed);
+    switch (entry.kind) {
+      case detail::Kind::kCounter:
+        snap.counters.push_back(
+            {entry.name, entry.counts[0].load(std::memory_order_relaxed)});
+        break;
+      case detail::Kind::kGauge:
+        snap.gauges.push_back({entry.name, value});
+        break;
+      case detail::Kind::kHistogram: {
+        MetricsSnapshot::HistogramValue h{entry.name, entry.bounds, {}, 0,
+                                          value};
+        for (const std::atomic<std::uint64_t>& count : entry.counts) {
+          h.counts.push_back(count.load(std::memory_order_relaxed));
+          h.count += h.counts.back();
+        }
+        (entry.is_timer ? snap.timers : snap.histograms)
+            .push_back(std::move(h));
+        break;
       }
-      value.sum += entry.sums[shard].load(std::memory_order_relaxed);
     }
-    for (const std::uint64_t c : value.counts) value.count += c;
-    (entry.is_timer ? snap.timers : snap.histograms)
-        .push_back(std::move(value));
   }
   return snap;
 }
 
 void MetricsRegistry::restore(const MetricsSnapshot& snap) {
   std::lock_guard<std::mutex> lock(mu_);
-
-  const auto set_counter = [](detail::CounterEntry& entry, std::uint64_t v) {
-    entry.cells[0].value.store(v, std::memory_order_relaxed);
-    for (std::size_t s = 1; s < kMetricShards; ++s) {
-      entry.cells[s].value.store(0, std::memory_order_relaxed);
+  std::unordered_set<std::string_view> named;
+  // The entry `name` restores into: the registered one, which must be
+  // of `kind` (and, for a histogram, have `bounds`), or a new one when
+  // the value is nonzero; nullptr for a zero value nothing registered.
+  const auto target = [&](const std::string& name, detail::Kind kind,
+                          bool nonzero,
+                          const std::vector<double>& bounds) -> detail::Entry* {
+    named.insert(name);
+    const auto it = index_.find(name);
+    if (it == index_.end()) {
+      return nonzero ? &create(name, kind, bounds, /*is_timer=*/false)
+                     : nullptr;
     }
-  };
-  const auto set_histogram = [](detail::HistogramEntry& entry,
-                                const MetricsSnapshot::HistogramValue& v) {
-    if (entry.bounds != v.bounds) {
-      throw std::runtime_error("obs histogram '" + entry.name +
+    if (it->second->kind != kind) {
+      throw std::runtime_error("obs metric '" + name +
+                               "' restored with a different kind");
+    }
+    if (it->second->bounds != bounds) {
+      throw std::runtime_error("obs histogram '" + name +
                                "': restore with different bounds");
     }
-    const std::size_t stride = entry.bounds.size() + 1;
-    for (std::size_t shard = 0; shard < kMetricShards; ++shard) {
-      for (std::size_t bucket = 0; bucket < stride; ++bucket) {
-        entry.counts[shard * stride + bucket].value.store(
-            shard == 0 ? v.counts[bucket] : 0, std::memory_order_relaxed);
-      }
-      entry.sums[shard].store(shard == 0 ? v.sum : 0.0,
-                              std::memory_order_relaxed);
-    }
+    return it->second;
   };
 
-  // Pass 1: overwrite or (when nonzero) create every snapshot entry.
   for (const MetricsSnapshot::CounterValue& c : snap.counters) {
-    const auto it = index_.find(c.name);
-    if (it != index_.end()) {
-      if (it->second.first != Kind::kCounter) {
-        throw std::runtime_error("obs metric '" + c.name +
-                                 "' restored with a different kind");
-      }
-      set_counter(counters_[it->second.second], c.value);
-    } else if (c.value != 0) {
-      counters_.emplace_back();
-      counters_.back().name = c.name;
-      set_counter(counters_.back(), c.value);
-      index_.emplace(c.name,
-                     std::make_pair(Kind::kCounter, counters_.size() - 1));
+    if (detail::Entry* entry =
+            target(c.name, detail::Kind::kCounter, c.value != 0, {})) {
+      entry->counts[0].store(c.value, std::memory_order_relaxed);
     }
   }
   for (const MetricsSnapshot::GaugeValue& g : snap.gauges) {
-    const auto it = index_.find(g.name);
-    if (it != index_.end()) {
-      if (it->second.first != Kind::kGauge) {
-        throw std::runtime_error("obs metric '" + g.name +
-                                 "' restored with a different kind");
-      }
-      gauges_[it->second.second].value.store(g.value,
-                                             std::memory_order_relaxed);
-    } else if (g.value != 0.0) {
-      gauges_.emplace_back();
-      gauges_.back().name = g.name;
-      gauges_.back().value.store(g.value, std::memory_order_relaxed);
-      index_.emplace(g.name, std::make_pair(Kind::kGauge, gauges_.size() - 1));
+    if (detail::Entry* entry =
+            target(g.name, detail::Kind::kGauge, g.value != 0.0, {})) {
+      entry->value.store(g.value, std::memory_order_relaxed);
     }
   }
   for (const MetricsSnapshot::HistogramValue& h : snap.histograms) {
-    const auto it = index_.find(h.name);
-    if (it != index_.end()) {
-      if (it->second.first != Kind::kHistogram) {
-        throw std::runtime_error("obs metric '" + h.name +
-                                 "' restored with a different kind");
+    if (detail::Entry* entry =
+            target(h.name, detail::Kind::kHistogram, h.count != 0, h.bounds)) {
+      for (std::size_t bucket = 0; bucket < entry->counts.size(); ++bucket) {
+        entry->counts[bucket].store(h.counts[bucket],
+                                    std::memory_order_relaxed);
       }
-      set_histogram(histograms_[it->second.second], h);
-    } else if (h.count != 0) {
-      histograms_.emplace_back();
-      detail::HistogramEntry& entry = histograms_.back();
-      entry.name = h.name;
-      entry.is_timer = false;
-      entry.bounds = h.bounds;
-      entry.counts = std::vector<detail::ShardCell>(
-          kMetricShards * (entry.bounds.size() + 1));
-      set_histogram(entry, h);
-      index_.emplace(h.name,
-                     std::make_pair(Kind::kHistogram, histograms_.size() - 1));
+      entry->value.store(h.sum, std::memory_order_relaxed);
     }
   }
 
-  // Pass 2: zero entries registered here that the snapshot does not
-  // mention (the snapshot may come from a branch point before this
-  // registry's later registrations — their counts had not happened yet).
-  const auto in_counters = [&snap](const std::string& name) {
-    for (const auto& c : snap.counters) {
-      if (c.name == name) return true;
+  // Zero what the snapshot does not name: it may come from a branch
+  // point before this registry's later registrations, whose counts had
+  // not happened yet.
+  for (detail::Entry& entry : entries_) {
+    if (entry.is_timer || named.contains(entry.name)) continue;
+    for (std::atomic<std::uint64_t>& count : entry.counts) {
+      count.store(0, std::memory_order_relaxed);
     }
-    return false;
-  };
-  const auto in_gauges = [&snap](const std::string& name) {
-    for (const auto& g : snap.gauges) {
-      if (g.name == name) return true;
-    }
-    return false;
-  };
-  const auto in_histograms = [&snap](const std::string& name) {
-    for (const auto& h : snap.histograms) {
-      if (h.name == name) return true;
-    }
-    return false;
-  };
-  for (detail::CounterEntry& entry : counters_) {
-    if (!in_counters(entry.name)) set_counter(entry, 0);
-  }
-  for (detail::GaugeEntry& entry : gauges_) {
-    if (!in_gauges(entry.name)) {
-      entry.value.store(0.0, std::memory_order_relaxed);
-    }
-  }
-  for (detail::HistogramEntry& entry : histograms_) {
-    if (entry.is_timer || in_histograms(entry.name)) continue;
-    MetricsSnapshot::HistogramValue zero;
-    zero.bounds = entry.bounds;
-    zero.counts.assign(entry.bounds.size() + 1, 0);
-    set_histogram(entry, zero);
+    entry.value.store(0.0, std::memory_order_relaxed);
   }
 }
 

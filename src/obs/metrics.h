@@ -5,17 +5,20 @@
 // taken, subsets evaluated, polls answered) and latencies. MetricsRegistry
 // gives them one uniform, thread-safe place to put those numbers:
 //
-//   * Counters and histograms write through per-thread shards of relaxed
-//     atomics (cache-line padded), so a hot-path increment is one
-//     uncontended fetch_add; shards are folded only on snapshot.
-//   * Gauges are single relaxed atomics (last write wins) for values that
-//     are set, not accumulated (current penalty rate, disabled links).
+//   * Every metric is one entry of relaxed atomics: a counter is one
+//     fetch_add, a gauge one store (last write wins, for values that are
+//     set, not accumulated: current penalty rate, disabled links).
 //   * Histograms have fixed bucket upper bounds chosen at registration;
-//     recording is a branchless-ish upper_bound plus one shard increment.
+//     recording is an upper_bound, one bucket increment and one add to
+//     the sum.
 //     Histograms registered via timer() hold wall-clock seconds fed by
 //     obs::ScopedTimer and are segregated in snapshots: wall time is not
 //     covered by the determinism contract (DESIGN.md §8), exactly like
 //     the `wall_seconds` field of the bench JSON.
+//
+// Each registry is written by one simulation or control-loop thread in
+// every shipped binary; writes from several threads are still exact
+// (the measurement study's pool workers share one timer).
 //
 // Handles (Counter/Gauge/Histogram) are cheap value types resolved once
 // by name; a default-constructed handle is inert and ignores writes, so
@@ -25,7 +28,6 @@
 // corropt-obs-metrics/1 schema (EXPERIMENTS.md).
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <deque>
@@ -41,51 +43,26 @@ class JsonWriter;
 
 namespace corropt::obs {
 
-// Number of write shards. A power of two a bit above the core counts we
-// target keeps collisions (two threads sharing a shard) rare without
-// bloating fold cost.
-inline constexpr std::size_t kMetricShards = 16;
-
 namespace detail {
 
-// Stable, small per-thread shard slot. Threads are assigned slots
-// round-robin on first use; values are exact regardless of which shard
-// a write lands in.
-[[nodiscard]] std::size_t thread_shard();
+enum class Kind { kCounter, kGauge, kHistogram };
 
-struct alignas(64) ShardCell {
-  std::atomic<std::uint64_t> value{0};
-};
-
-struct CounterEntry {
+// One registered metric.
+struct Entry {
   std::string name;
-  std::array<ShardCell, kMetricShards> cells;
-};
-
-struct GaugeEntry {
-  std::string name;
-  std::atomic<double> value{0.0};
-};
-
-struct HistogramEntry {
-  std::string name;
+  Kind kind = Kind::kCounter;
   // True for timer() registrations: values are wall-clock seconds and the
   // snapshot segregates them from deterministic histograms.
   bool is_timer = false;
-  // Ascending upper bounds; an implicit +inf bucket follows the last.
+  // A histogram's ascending upper bounds; an implicit +inf bucket
+  // follows the last.
   std::vector<double> bounds;
-  // kMetricShards * (bounds.size() + 1) cells, shard-major.
-  std::vector<ShardCell> counts;
-  std::array<std::atomic<double>, kMetricShards> sums{};
+  // bounds.size() + 1 counts: a histogram's buckets, a counter's one
+  // count (a gauge leaves it unused).
+  std::vector<std::atomic<std::uint64_t>> counts;
+  // A gauge's value or a histogram's sum.
+  std::atomic<double> value{0.0};
 };
-
-// Relaxed add for atomic<double> (no fetch_add for floating point).
-inline void atomic_add(std::atomic<double>& a, double v) {
-  double cur = a.load(std::memory_order_relaxed);
-  while (!a.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed,
-                                  std::memory_order_relaxed)) {
-  }
-}
 
 }  // namespace detail
 
@@ -94,14 +71,13 @@ class Counter {
   Counter() = default;
   void add(std::uint64_t n = 1) const {
     if (entry_ == nullptr) return;
-    entry_->cells[detail::thread_shard()].value.fetch_add(
-        n, std::memory_order_relaxed);
+    entry_->counts[0].fetch_add(n, std::memory_order_relaxed);
   }
 
  private:
   friend class MetricsRegistry;
-  explicit Counter(detail::CounterEntry* entry) : entry_(entry) {}
-  detail::CounterEntry* entry_ = nullptr;
+  explicit Counter(detail::Entry* entry) : entry_(entry) {}
+  detail::Entry* entry_ = nullptr;
 };
 
 class Gauge {
@@ -113,8 +89,8 @@ class Gauge {
 
  private:
   friend class MetricsRegistry;
-  explicit Gauge(detail::GaugeEntry* entry) : entry_(entry) {}
-  detail::GaugeEntry* entry_ = nullptr;
+  explicit Gauge(detail::Entry* entry) : entry_(entry) {}
+  detail::Entry* entry_ = nullptr;
 };
 
 class Histogram {
@@ -125,11 +101,11 @@ class Histogram {
 
  private:
   friend class MetricsRegistry;
-  explicit Histogram(detail::HistogramEntry* entry) : entry_(entry) {}
-  detail::HistogramEntry* entry_ = nullptr;
+  explicit Histogram(detail::Entry* entry) : entry_(entry) {}
+  detail::Entry* entry_ = nullptr;
 };
 
-// Folded, plain-data view of a registry at one instant.
+// Plain-data view of a registry at one instant.
 struct MetricsSnapshot {
   struct CounterValue {
     std::string name;
@@ -180,17 +156,17 @@ class MetricsRegistry {
   // the snapshot's separate non-deterministic "timers" section.
   [[nodiscard]] Histogram timer(std::string_view name);
 
-  // Folds all shards. Metrics appear in registration order, which is
-  // deterministic whenever registration happens on one thread.
+  // Metrics appear in registration order, which is deterministic
+  // whenever registration happens on one thread.
   [[nodiscard]] MetricsSnapshot snapshot() const;
 
   // Checkpointing (DESIGN.md §14): overwrites current values from a
-  // previously captured snapshot. Existing entries are set exactly (the
-  // value folds into shard 0, other shards zeroed); entries in `snap`
-  // that were never registered here are created only when they carry a
-  // nonzero value, so a same-config branch keeps a registration order
-  // (and therefore snapshot order) identical to a fresh run, while a
-  // cross-backend counterfactual still carries over the prefix's counts.
+  // previously captured snapshot. Existing entries are set exactly;
+  // entries in `snap` that were never registered here are created only
+  // when they carry a nonzero value, so a same-config branch keeps a
+  // registration order (and therefore snapshot order) identical to a
+  // fresh run, while a cross-backend counterfactual still carries over
+  // the prefix's counts.
   // Entries registered here but absent from `snap` are zeroed. Timers
   // are left untouched: wall time is outside the determinism contract.
   // An entry whose kind or histogram bounds differ from the one
@@ -198,17 +174,18 @@ class MetricsRegistry {
   void restore(const MetricsSnapshot& snap);
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
-
-  Histogram histogram_impl(std::string_view name, std::vector<double> bounds,
-                           bool is_timer);
+  // Get-or-create under mu_; a kind clash throws std::logic_error.
+  detail::Entry& registered(std::string_view name, detail::Kind kind,
+                            std::vector<double> bounds = {},
+                            bool is_timer = false);
+  // Appends a new entry; mu_ is held.
+  detail::Entry& create(std::string_view name, detail::Kind kind,
+                        std::vector<double> bounds, bool is_timer);
 
   mutable std::mutex mu_;
-  // Deques: stable addresses for the handles.
-  std::deque<detail::CounterEntry> counters_;
-  std::deque<detail::GaugeEntry> gauges_;
-  std::deque<detail::HistogramEntry> histograms_;
-  std::unordered_map<std::string, std::pair<Kind, std::size_t>> index_;
+  // Registration order; a deque keeps addresses stable for the handles.
+  std::deque<detail::Entry> entries_;
+  std::unordered_map<std::string, detail::Entry*> index_;
 };
 
 }  // namespace corropt::obs

@@ -1,5 +1,7 @@
 #include "telemetry/network_state.h"
 
+#include <cmath>
+
 namespace corropt::telemetry {
 
 NetworkState::NetworkState(const topology::Topology& topo, OpticalTech tech)
@@ -17,9 +19,20 @@ template <class Self, class Codec>
 void NetworkState::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('N', 'E', 'T', 'S'), 1, "network state");
   c.guard(self.tx_power_dbm_.size(), "network state direction count");
-  for (auto& v : self.tx_power_dbm_) c.f64(v);
-  for (auto& v : self.extra_attenuation_db_) c.f64(v);
-  for (auto& v : self.corruption_rate_) c.f64(v);
+  for (auto& v : self.tx_power_dbm_) {
+    c.f64(v);
+    c.check(std::isfinite(v), "network state Tx power not finite");
+  }
+  for (auto& v : self.extra_attenuation_db_) {
+    c.f64(v);
+    c.check(std::isfinite(v), "network state attenuation not finite");
+  }
+  // A loss probability; a NaN fails both comparisons.
+  for (auto& v : self.corruption_rate_) {
+    c.f64(v);
+    c.check(v >= 0.0 && v <= 1.0,
+            "network state corruption rate outside [0, 1]");
+  }
   for (auto& v : self.packets_) c.u64(v);
   for (auto& v : self.corruption_drops_) c.u64(v);
   for (auto& v : self.congestion_drops_) c.u64(v);

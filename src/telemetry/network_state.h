@@ -113,7 +113,8 @@ class NetworkState {
 
   // Checkpointing (DESIGN.md §14): the six flat per-direction arrays,
   // bit-exact. The direction count is a guard against restoring into a
-  // state built from a different topology.
+  // state built from a different topology. A restored corruption rate
+  // must lie in [0, 1], and Tx power and attenuation must be finite.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 

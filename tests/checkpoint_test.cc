@@ -32,6 +32,7 @@
 #include <cstring>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -1064,6 +1065,48 @@ TEST(CheckpointMutation, PendingRepairOutsideRestoredStateThrows) {
   for (const auto& [edit, what] : cases) {
     Checkpoint ckpt = base;
     edit_pending_repair(ckpt.bytes, edit);
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt, what);
+  }
+}
+
+// A restored corruption rate is a loss probability, and the Tx power
+// and attenuation feed the optical model: a NaN, a negative or a >1
+// rate would reach Rng::poisson's `mean >= 0` precondition the first
+// time the link is polled, so the decoder must reject it instead.
+TEST(CheckpointMutation, NetworkStateRateOutOfRangeThrows) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const std::uint32_t nets = common::snap::tag('N', 'E', 'T', 'S');
+  const std::size_t at = section_at(base.bytes, nets, 1);
+  common::snap::Reader r(std::string_view(base.bytes).substr(at));
+  r.section(nets, 1, "network state");
+  const std::size_t directions = r.u64();
+  ASSERT_EQ(directions, topo.direction_count());
+  // The three per-direction double arrays follow, 8 bytes a value.
+  const std::size_t tx_at = base.bytes.size() - r.remaining();
+  const std::size_t attenuation_at = tx_at + 8 * directions;
+  const std::size_t rate_at = attenuation_at + 8 * directions;
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::tuple<std::size_t, double, std::string>> cases = {
+      {rate_at, nan, "network state corruption rate outside [0, 1]"},
+      {rate_at, -1e-9, "network state corruption rate outside [0, 1]"},
+      {rate_at + 8 * (directions - 1), 1.5,
+       "network state corruption rate outside [0, 1]"},
+      {rate_at, inf, "network state corruption rate outside [0, 1]"},
+      {tx_at, -inf, "network state Tx power not finite"},
+      {attenuation_at + 8, nan, "network state attenuation not finite"},
+  };
+  for (const auto& [offset, value, what] : cases) {
+    SCOPED_TRACE(::testing::Message() << "value " << value);
+    Checkpoint ckpt = base;
+    common::snap::Writer w;
+    w.f64(value);
+    ckpt.bytes.replace(offset, 8, w.take());
+    reseal(ckpt.bytes);
     topology::Topology mirror_topo = small_topology();
     MitigationSimulation mirror(mirror_topo, small_config(nullptr));
     expect_rejected(mirror, events, ckpt, what);

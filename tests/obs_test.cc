@@ -9,6 +9,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -113,6 +114,203 @@ TEST(MetricsRegistryTest, TimersAreSegregatedFromHistograms) {
   EXPECT_NE(with.str().find("\"timers\""), std::string::npos);
   EXPECT_EQ(without.str().find("\"timers\""), std::string::npos);
   EXPECT_NE(without.str().find("\"histograms\""), std::string::npos);
+}
+
+// The deterministic sections of a snapshot as one string, so two
+// snapshots compare in names, order and values at once.
+std::string deterministic_json(const MetricsSnapshot& snap) {
+  std::ostringstream out;
+  common::JsonWriter json(out);
+  json.begin_object();
+  snap.write_json(json, /*include_timers=*/false);
+  json.end_object();
+  return out.str();
+}
+
+TEST(MetricsRegistryTest, RestoreCreatesOnlyNonzeroUnknownEntries) {
+  MetricsSnapshot snap;
+  snap.counters = {{"hits", 5}, {"misses", 0}};
+  snap.gauges = {{"rate", 2.5}, {"idle", 0.0}};
+  snap.histograms = {{"sizes", {1.0, 10.0}, {1, 0, 2}, 3, 41.0},
+                     {"empty", {1.0}, {0, 0}, 0, 0.0}};
+  MetricsRegistry registry;
+  registry.restore(snap);
+
+  const MetricsSnapshot after = registry.snapshot();
+  ASSERT_EQ(after.counters.size(), 1u);
+  EXPECT_EQ(after.counters[0].name, "hits");
+  EXPECT_EQ(after.counters[0].value, 5u);
+  ASSERT_EQ(after.gauges.size(), 1u);
+  EXPECT_EQ(after.gauges[0].name, "rate");
+  EXPECT_EQ(after.gauges[0].value, 2.5);
+  ASSERT_EQ(after.histograms.size(), 1u);
+  EXPECT_EQ(after.histograms[0].name, "sizes");
+  EXPECT_EQ(after.histograms[0].counts, (std::vector<std::uint64_t>{1, 0, 2}));
+  EXPECT_EQ(after.histograms[0].count, 3u);
+  EXPECT_EQ(after.histograms[0].sum, 41.0);
+  EXPECT_TRUE(after.timers.empty());
+
+  // A restored entry is a live metric: handles resolve to it.
+  registry.counter("hits").add(2);
+  registry.histogram("sizes", {1.0, 10.0}).record(4.0);
+  const MetricsSnapshot later = registry.snapshot();
+  EXPECT_EQ(later.counters[0].value, 7u);
+  EXPECT_EQ(later.histograms[0].counts, (std::vector<std::uint64_t>{1, 1, 2}));
+  EXPECT_EQ(later.histograms[0].sum, 45.0);
+}
+
+TEST(MetricsRegistryTest, RestoreOverwritesNamedAndZeroesUnnamedEntries) {
+  MetricsRegistry registry;
+  registry.counter("named").add(9);
+  registry.counter("unnamed").add(4);
+  registry.gauge("level").set(7.0);
+  registry.histogram("sizes", {1.0}).record(3.0);
+
+  MetricsSnapshot snap;
+  snap.counters = {{"named", 2}};
+  registry.restore(snap);
+
+  const MetricsSnapshot after = registry.snapshot();
+  ASSERT_EQ(after.counters.size(), 2u);
+  EXPECT_EQ(after.counters[0].name, "named");
+  EXPECT_EQ(after.counters[0].value, 2u);
+  EXPECT_EQ(after.counters[1].name, "unnamed");
+  EXPECT_EQ(after.counters[1].value, 0u);
+  ASSERT_EQ(after.gauges.size(), 1u);
+  EXPECT_EQ(after.gauges[0].value, 0.0);
+  ASSERT_EQ(after.histograms.size(), 1u);
+  EXPECT_EQ(after.histograms[0].bounds, std::vector<double>{1.0});
+  EXPECT_EQ(after.histograms[0].counts, (std::vector<std::uint64_t>{0, 0}));
+  EXPECT_EQ(after.histograms[0].count, 0u);
+  EXPECT_EQ(after.histograms[0].sum, 0.0);
+}
+
+TEST(MetricsRegistryTest, RestoreLeavesTimersUntouched) {
+  MetricsRegistry registry;
+  registry.timer("run_s").record(0.5);
+
+  // Neither a snapshot that omits the timer nor one that carries other
+  // timer values changes it: wall time is outside the contract.
+  MetricsSnapshot other;
+  other.timers = {{"run_s", {1.0}, {0, 4}, 4, 9.0}};
+  registry.restore(other);
+  registry.restore(MetricsSnapshot{});
+
+  const MetricsSnapshot after = registry.snapshot();
+  ASSERT_EQ(after.timers.size(), 1u);
+  EXPECT_EQ(after.timers[0].count, 1u);
+  EXPECT_EQ(after.timers[0].sum, 0.5);
+  EXPECT_TRUE(after.histograms.empty());
+}
+
+TEST(MetricsRegistryTest, RestoreKindOrBoundsMismatchThrows) {
+  MetricsRegistry registry;
+  (void)registry.counter("x");
+  (void)registry.histogram("h", {1.0, 2.0});
+
+  MetricsSnapshot as_gauge;
+  as_gauge.gauges = {{"x", 1.0}};
+  EXPECT_THROW(registry.restore(as_gauge), std::runtime_error);
+  MetricsSnapshot as_histogram;
+  as_histogram.histograms = {{"x", {1.0}, {1, 0}, 1, 0.5}};
+  EXPECT_THROW(registry.restore(as_histogram), std::runtime_error);
+  MetricsSnapshot as_counter;
+  as_counter.counters = {{"h", 3}};
+  EXPECT_THROW(registry.restore(as_counter), std::runtime_error);
+  MetricsSnapshot other_bounds;
+  other_bounds.histograms = {{"h", {1.0, 3.0}, {1, 0, 0}, 1, 0.5}};
+  EXPECT_THROW(registry.restore(other_bounds), std::runtime_error);
+}
+
+// One run's instrumented code: construction resolves the handles of
+// the first half; the second half also registers metrics first written
+// only then (as components attach mid-run).
+void construct(MetricsRegistry& registry) {
+  (void)registry.counter("steps");
+  (void)registry.gauge("rate");
+  (void)registry.counter("never");
+  (void)registry.histogram("sizes", {1.0, 4.0});
+  (void)registry.timer("step_s");
+}
+
+void first_half(MetricsRegistry& registry) {
+  registry.counter("steps").add(3);
+  registry.gauge("rate").set(0.25);
+  registry.histogram("sizes", {1.0, 4.0}).record(2.0);
+  registry.timer("step_s").record(0.001);
+}
+
+void second_half(MetricsRegistry& registry) {
+  registry.counter("steps").add(2);
+  registry.counter("late").add(1);
+  registry.gauge("rate").set(0.5);
+  registry.histogram("sizes", {1.0, 4.0}).record(8.0);
+  registry.histogram("late_sizes", {2.0}).record(1.0);
+  registry.gauge("late_level").set(1.5);
+}
+
+TEST(MetricsRegistryTest, RestoreKeepsFreshRunSnapshotOrder) {
+  MetricsRegistry fresh;
+  construct(fresh);
+  first_half(fresh);
+  const MetricsSnapshot at_pause = fresh.snapshot();
+  second_half(fresh);
+
+  // A branch constructs, restores the pause snapshot and runs on.
+  MetricsRegistry branch;
+  construct(branch);
+  branch.restore(at_pause);
+  second_half(branch);
+  EXPECT_EQ(deterministic_json(branch.snapshot()),
+            deterministic_json(fresh.snapshot()));
+
+  // Restoring into a registry that already ran to the end gives the
+  // same document: the later metrics are zeroed, not dropped.
+  MetricsRegistry dirty;
+  construct(dirty);
+  first_half(dirty);
+  second_half(dirty);
+  dirty.restore(at_pause);
+  second_half(dirty);
+  EXPECT_EQ(deterministic_json(dirty.snapshot()),
+            deterministic_json(fresh.snapshot()));
+}
+
+// Relaxed atomics make concurrent writes from several threads exact:
+// no increment is lost, and integer-valued sums are exact in a double.
+TEST(MetricsRegistryTest, ConcurrentWritesSumExactly) {
+  constexpr int kThreads = 4;
+  constexpr std::uint64_t kWrites = 100000;
+  MetricsRegistry registry;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&registry] {
+      const Counter counter = registry.counter("adds");
+      const Histogram histogram = registry.histogram("values", {1.0, 2.0});
+      for (std::uint64_t i = 0; i < kWrites; ++i) {
+        counter.add();
+        histogram.record(static_cast<double>(i % 3));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const MetricsSnapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.counters.size(), 1u);
+  EXPECT_EQ(snap.counters[0].value, kThreads * kWrites);
+  ASSERT_EQ(snap.histograms.size(), 1u);
+  const MetricsSnapshot::HistogramValue& values = snap.histograms[0];
+  EXPECT_EQ(values.count, kThreads * kWrites);
+  // A value equal to a bound lands in the bucket above it: 0, 1 and 2
+  // fill the three buckets in turn.
+  std::vector<std::uint64_t> counts(3, 0);
+  double sum = 0.0;
+  for (std::uint64_t i = 0; i < kWrites; ++i) {
+    counts[i % 3] += kThreads;
+    sum += static_cast<double>(kThreads * (i % 3));
+  }
+  EXPECT_EQ(values.counts, counts);
+  EXPECT_EQ(values.sum, sum);
 }
 
 TEST(ScopedTimerTest, RecordsOneSamplePerScope) {

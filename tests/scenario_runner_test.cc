@@ -6,11 +6,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 #include <optional>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -354,6 +356,131 @@ TEST(ParseBenchArgsDeathTest, RejectsMalformedExtraNumbers) {
   }
   // Without the declaration the flag is unknown, whatever its value.
   EXPECT_EXIT(parse_one("--dcs=5"), ::testing::ExitedWithCode(2), "usage:");
+}
+
+// The documented grammar, written apart from the parser: a whole
+// decimal number is one or more digits, no sign, in min..max.
+std::optional<std::uint64_t> oracle_number(std::string_view text,
+                                           std::uint64_t min,
+                                           std::uint64_t max) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t value = 0;
+  for (const char ch : text) {
+    if (ch < '0' || ch > '9') return std::nullopt;
+    const std::uint64_t digit = static_cast<std::uint64_t>(ch - '0');
+    if (value > (std::numeric_limits<std::uint64_t>::max() - digit) / 10) {
+      return std::nullopt;
+    }
+    value = value * 10 + digit;
+  }
+  if (value < min || value > max) return std::nullopt;
+  return value;
+}
+
+// What one argument parses to under the usage text, with `extra`
+// declared (a value goes where the flag's `value` points), or nullopt
+// when it is a bad command line.
+std::optional<BenchArgs> oracle_parse(std::string_view arg,
+                                      std::span<const NumberFlag> extra) {
+  BenchArgs args;
+  const auto value_of = [arg](std::string_view name)
+      -> std::optional<std::string_view> {
+    if (arg.size() <= name.size() || !arg.starts_with(name) ||
+        arg[name.size()] != '=') {
+      return std::nullopt;
+    }
+    return arg.substr(name.size() + 1);
+  };
+  if (arg == "--quick") {
+    args.quick = true;
+  } else if (arg == "--obs") {
+    args.obs = true;
+  } else if (const auto threads = value_of("--threads")) {
+    const auto n = oracle_number(*threads, 1, kMaxBenchThreads);
+    if (!n) return std::nullopt;
+    args.threads = *n;
+  } else if (const auto dir = value_of("--json-dir")) {
+    args.json_dir = std::string(*dir);
+  } else {
+    for (const NumberFlag& flag : extra) {
+      const auto text = value_of(flag.name);
+      if (!text) continue;
+      const auto n = oracle_number(*text, flag.min, flag.max);
+      if (!n) return std::nullopt;
+      *flag.value = *n;
+      return args;
+    }
+    return std::nullopt;
+  }
+  return args;
+}
+
+// Seeded mutants of well-formed arguments: cut short, one bit flipped,
+// or digits inserted next to a digit (anywhere when there is none). Each
+// either parses to what the oracle says or exits 2 with usage; none may
+// be accepted with a different value or crash.
+TEST(ParseBenchArgsDeathTest, SeededMutantsParseOrExitAsDocumented) {
+  const std::string bases[] = {"--threads=4", "--json-dir=out", "--quick",
+                               "--obs", "--dcs=70"};
+  common::Rng rng(2017);
+  std::size_t parsed = 0;
+  std::size_t rejected = 0;
+  for (const std::string& base : bases) {
+    for (int round = 0; round < 9; ++round) {
+      std::string mutant = base;
+      switch (round % 3) {
+        case 0:
+          mutant.resize(rng.uniform_index(base.size()));
+          break;
+        case 1:
+          mutant[rng.uniform_index(base.size())] ^=
+              static_cast<char>(1 << rng.uniform_index(8));
+          break;
+        default: {
+          std::vector<std::size_t> digits;
+          for (std::size_t i = 0; i < base.size(); ++i) {
+            if (base[i] >= '0' && base[i] <= '9') digits.push_back(i);
+          }
+          const std::size_t at =
+              digits.empty() ? rng.uniform_index(base.size() + 1)
+                             : digits[rng.uniform_index(digits.size())] +
+                                   rng.uniform_index(2);
+          std::string inserted;
+          for (std::size_t n = 1 + rng.uniform_index(20); n > 0; --n) {
+            inserted.push_back(static_cast<char>('0' + rng.uniform_index(10)));
+          }
+          mutant.insert(at, inserted);
+          break;
+        }
+      }
+      // argv strings end at the first NUL a flip may have made.
+      mutant = std::string(mutant.c_str());
+      SCOPED_TRACE(::testing::Message() << "mutant '" << mutant << "'");
+
+      ExtraFlags expected_extra;
+      const std::optional<BenchArgs> expected =
+          oracle_parse(mutant, expected_extra.flags);
+      ExtraFlags extra;
+      if (!expected) {
+        EXPECT_EXIT(parse_one(mutant, extra.flags),
+                    ::testing::ExitedWithCode(2), "usage:");
+        ++rejected;
+        continue;
+      }
+      const BenchArgs args = parse_one(mutant, extra.flags);
+      EXPECT_EQ(args.threads, expected->threads);
+      EXPECT_EQ(args.quick, expected->quick);
+      EXPECT_EQ(args.obs, expected->obs);
+      EXPECT_EQ(args.json_dir, expected->json_dir);
+      EXPECT_EQ(extra.dcs, expected_extra.dcs);
+      EXPECT_EQ(extra.seed, expected_extra.seed);
+      EXPECT_EQ(extra.replay_at, expected_extra.replay_at);
+      ++parsed;
+    }
+  }
+  // The seeded set exercises both outcomes.
+  EXPECT_GT(parsed, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

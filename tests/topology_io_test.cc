@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "common/rng.h"
@@ -68,6 +69,10 @@ struct BadInput {
   const char* name;
   const char* text;
 };
+
+// gtest prints a parameter it has no printer for as its raw bytes,
+// pointers included, which would put addresses into the test names.
+void PrintTo(const BadInput& input, std::ostream* os) { *os << input.name; }
 
 class TopologyIoErrorTest : public ::testing::TestWithParam<BadInput> {};
 

@@ -77,7 +77,7 @@ def shipped_binaries(main_tree, perf_tree):
     return sorted(binaries)
 
 
-def compiler_written(name, where, source_lines):
+def compiler_written(name, path, line, source_lines):
     """True for a special member the compiler defines: its line is the
     class head (implicit) or says `= default`."""
     match = re.match(r"(.*?)::(~?\w+|operator==?)\(", name)
@@ -87,18 +87,35 @@ def compiler_written(name, where, source_lines):
     if match.group(2) not in (owner, "~" + owner) and \
             not match.group(2).startswith("operator"):
         return False
-    # nm -l may append " (discriminator N)" to the line number.
-    path, line = re.match(r"(.*):(\d+)", where).groups()
     if path not in source_lines:
         with open(path, encoding="utf-8") as handle:
             source_lines[path] = handle.read().splitlines()
-    # nm -l can pair a header's line number with the source file that
-    # includes it; a line past that file's end shows no special member.
-    if int(line) > len(source_lines[path]):
-        return False
-    text = source_lines[path][int(line) - 1]
+    text = source_lines[path][line - 1]
     return "= default" in text or re.search(
         rf"\b(struct|class)\s+{re.escape(owner)}\b", text) is not None
+
+
+def definition_sites(listing):
+    """(name, path, line) per weak corropt:: function of one object
+    whose debug line lies in src/.
+
+    nm -l can pair a header's line number with the path of the .cc file
+    that includes it: the C1 alias of an inline constructor is listed at
+    penalty.cc:41 while its C2 twin says penalty.h:41. A function that
+    one object lists at several places is defined in the header among
+    them, so the header entry wins."""
+    sites = {}
+    for kind, name, where in listing:
+        # nm -l may append " (discriminator N)" to the line number; the
+        # perfbench tree reaches src/ as perfbench/../src/.
+        match = re.match(r"(.*):(\d+)", where)
+        if kind != "W" or not name.startswith("corropt::") or \
+                "{lambda(" in name or not match:
+            continue
+        path, line = os.path.normpath(match.group(1)), match.group(2)
+        if path.startswith(SRC) and (name not in sites or path.endswith(".h")):
+            sites[name] = (path, int(line))
+    return [(name, path, line) for name, (path, line) in sites.items()]
 
 
 def weak_src_functions(objects, jobs):
@@ -108,11 +125,8 @@ def weak_src_functions(objects, jobs):
         listings = list(pool.map(
             lambda path: list(defined_symbols(path, lines=True)), objects))
     for listing in listings:
-        for kind, name, where in listing:
-            if (kind != "W" or not name.startswith("corropt::") or
-                    "{lambda(" in name or not where.startswith(SRC)):
-                continue
-            if not compiler_written(name, where, source_lines):
+        for name, path, line in definition_sites(listing):
+            if not compiler_written(name, path, line, source_lines):
                 found.add(name)
     return found
 
