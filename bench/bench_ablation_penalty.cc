@@ -13,6 +13,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -94,7 +95,8 @@ int main(int argc, char** argv) {
 
   std::printf("%-24s %14s %20s %22s\n", "penalty shape", "disabled",
               "mean residual f", "agrees with linear");
-  std::ofstream out(args.json_path("ablation_penalty"));
+  const std::string json_path = args.json_path("ablation_penalty");
+  std::ofstream out = bench::open_output(json_path);
   common::JsonWriter json(out);
   json.begin_object();
   json.member("schema", "corropt-bench-metrics/1");
@@ -133,8 +135,8 @@ int main(int argc, char** argv) {
   }
   json.end_array();
   json.end_object();
-  std::printf("wrote %s (%zu scenarios)\n",
-              args.json_path("ablation_penalty").c_str(), kShapes);
+  bench::close_output(out, json_path);
+  std::printf("wrote %s (%zu scenarios)\n", json_path.c_str(), kShapes);
   std::printf(
       "\nunder contention the step penalty ignores sub-SLA links entirely\n"
       "and the TCP shape keeps heavy-loss links' marginal penalty flat,\n"

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/hash.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
@@ -56,16 +55,6 @@ struct LoopOutcome {
   std::size_t cold_fallbacks = 0;
 };
 
-// FNV-1a over the journal's JSONL bytes, every field of every record
-// (kOptimizerRun.detail1, subsets_evaluated, included): the cached
-// optimizer reports the search effort of a cold solve, so nothing is
-// exempt.
-std::uint64_t journal_digest(const obs::EventJournal& journal) {
-  const std::string bytes =
-      bench::obs_bytes(journal.snapshot(), obs::MetricsSnapshot{}).journal;
-  return common::fnv1a(common::kFnvBasis, bytes.data(), bytes.size());
-}
-
 LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
                    bool verify, std::size_t solver_threads) {
   topology::Topology topo = bench::build_dcn(bench::Dcn::kLarge);
@@ -86,7 +75,11 @@ LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
   outcome.stats = loop.stats();
   outcome.latencies = loop.decision_latencies();
   outcome.decisions_digest = loop.decisions_digest();
-  outcome.journal_digest = journal_digest(journal);
+  // Every field of every record (kOptimizerRun.detail1,
+  // subsets_evaluated, included): the cached optimizer reports the
+  // search effort of a cold solve, so nothing is exempt.
+  outcome.journal_digest =
+      obs::digest(journal.snapshot(), obs::MetricsSnapshot{});
   outcome.segment_reuses =
       loop.controller().optimizer().incremental_stats().segment_reuses;
   outcome.cold_fallbacks =

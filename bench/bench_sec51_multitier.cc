@@ -9,6 +9,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "bench_util.h"
@@ -89,7 +90,8 @@ int main(int argc, char** argv) {
 
   std::printf("%-26s %8s %8s %10s %14s %14s\n", "topology", "links",
               "tiers", "sc", "switch-local", "corropt");
-  std::ofstream out(args.json_path("sec51_tiers"));
+  const std::string json_path = args.json_path("sec51_tiers");
+  std::ofstream out = bench::open_output(json_path);
   common::JsonWriter json(out);
   json.begin_object();
   json.member("schema", "corropt-bench-metrics/1");
@@ -119,8 +121,8 @@ int main(int argc, char** argv) {
   }
   json.end_array();
   json.end_object();
-  std::printf("wrote %s (%zu scenarios)\n",
-              args.json_path("sec51_tiers").c_str(), cases.size());
+  bench::close_output(out, json_path);
+  std::printf("wrote %s (%zu scenarios)\n", json_path.c_str(), cases.size());
   std::printf(
       "\nas tiers are added, sc = c^(1/r) approaches 1 and the per-switch\n"
       "budget floor(m*(1-sc)) hits zero; CorrOpt's exact counting keeps\n"

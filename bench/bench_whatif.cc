@@ -22,6 +22,7 @@
 // exactly as it stood there — the journal a branch restored from that
 // checkpoint starts with.
 
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -31,7 +32,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "common/hash.h"
 #include "common/json.h"
 #include "common/thread_pool.h"
 #include "obs/journal.h"
@@ -42,17 +42,6 @@
 using namespace corropt;
 
 namespace {
-
-// FNV-1a over the journal bytes, then the registry bytes.
-std::uint64_t digest_obs(const obs::EventJournal& journal,
-                         const obs::MetricsRegistry& registry) {
-  const bench::ObsBytes bytes =
-      bench::obs_bytes(journal.snapshot(), registry.snapshot());
-  return common::fnv1a(
-      common::fnv1a(common::kFnvBasis, bytes.journal.data(),
-                    bytes.journal.size()),
-      bytes.metrics.data(), bytes.metrics.size());
-}
 
 struct SinkSet {
   obs::MetricsRegistry registry;
@@ -100,9 +89,8 @@ std::vector<trace::TraceEvent> future_trace(
 
 // Runs all branches from the checkpoint across `pool`; each branch gets
 // its own sink, so journal/registry digests come out per branch. Only
-// the simulation fan-out is timed into *wall_s — digesting a branch's
-// journal serializes ~10^5 JSONL records and would dilute the speedup
-// on both sides of the comparison.
+// the simulation fan-out is timed into *wall_s; the digests after it
+// count toward the untimed share of the total wall clock.
 std::vector<BranchOutcome> run_branched(
     const sim::BranchRunner& runner, const sim::Checkpoint& base,
     const std::vector<std::vector<trace::TraceEvent>>& futures,
@@ -127,7 +115,8 @@ std::vector<BranchOutcome> run_branched(
   for (std::size_t i = 0; i < futures.size(); ++i) {
     outcomes[i].metrics = results[i].metrics;
     outcomes[i].metrics_digest = sim::digest(results[i].metrics);
-    outcomes[i].obs_digest = digest_obs(sinks[i].journal, sinks[i].registry);
+    outcomes[i].obs_digest = obs::digest(sinks[i].journal.snapshot(),
+                                         sinks[i].registry.snapshot());
   }
   return outcomes;
 }
@@ -149,7 +138,8 @@ std::vector<BranchOutcome> run_fresh(
                 .count();
   for (std::size_t i = 0; i < futures.size(); ++i) {
     outcomes[i].metrics_digest = sim::digest(outcomes[i].metrics);
-    outcomes[i].obs_digest = digest_obs(sinks[i].journal, sinks[i].registry);
+    outcomes[i].obs_digest = obs::digest(sinks[i].journal.snapshot(),
+                                         sinks[i].registry.snapshot());
   }
   return outcomes;
 }
@@ -217,6 +207,7 @@ int main(int argc, char** argv) {
        .value = &replay_at},
   };
   const bench::BenchArgs args = bench::parse_bench_args(argc, argv, flags);
+  const auto start = std::chrono::steady_clock::now();
   const common::SimDuration duration =
       args.quick ? 6 * common::kDay : 45 * common::kDay;
   if (replay_at) return replay_journal_at(*replay_at, duration);
@@ -287,6 +278,10 @@ int main(int argc, char** argv) {
   }
 
   const double speedup = fresh_s / (prefix_s + branched_s);
+  // Everything but the three timed regions: trace synthesis, the
+  // identity re-run on the other pool, and the digests.
+  const double total_s = elapsed_s(start);
+  const double untimed_s = total_s - (prefix_s + branched_s + fresh_s);
   std::printf("%10s %16s %16s %12s %10s\n", "branch", "penalty", "faults",
               "tickets", "identical");
   for (std::size_t i = 0; i < kBranches; ++i) {
@@ -305,15 +300,14 @@ int main(int argc, char** argv) {
       prefix_s, branched_s, prefix_s + branched_s, fresh_s, speedup,
       kBranches / (branch_fraction + kBranches * (1.0 - branch_fraction)),
       branch_fraction, kBranches);
+  std::printf(
+      "total %.2fs wall, %.2fs (%.0f%%) of it untimed: trace synthesis, "
+      "identity re-run, digests\n",
+      total_s, untimed_s, total_s > 0.0 ? 100.0 * untimed_s / total_s : 0.0);
 
   // BENCH_whatif.json: the speedup exhibit.
   {
-    std::ofstream out(args.json_path("whatif"));
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n",
-                   args.json_path("whatif").c_str());
-      return 1;
-    }
+    std::ofstream out = bench::open_output(args.json_path("whatif"));
     common::JsonWriter json(out);
     json.begin_object();
     json.member("schema", "corropt-whatif/1");
@@ -329,6 +323,7 @@ int main(int argc, char** argv) {
     json.member("prefix_wall_s", prefix_s);
     json.member("branched_wall_s", branched_s);
     json.member("fresh_wall_s", fresh_s);
+    json.member("total_wall_s", total_s);
     json.member("speedup", speedup);
     json.member("all_identical", all_identical);
     json.key("branch_penalties").begin_array();
@@ -337,6 +332,7 @@ int main(int argc, char** argv) {
     }
     json.end_array();
     json.end_object();
+    bench::close_output(out, args.json_path("whatif"));
   }
   std::printf("wrote %s\n", args.json_path("whatif").c_str());
 

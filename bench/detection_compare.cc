@@ -1,8 +1,6 @@
 #include "detection_compare.h"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
@@ -201,14 +199,9 @@ std::string detection_compare_json(const std::vector<ScenarioResult>& results,
 void write_detection_compare_json(const std::string& path,
                                   const std::vector<ScenarioResult>& results,
                                   const std::string& generator) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
+  std::ofstream out = open_output(path);
   write_detection_compare(out, results, generator);
-  if (!out) {
-    throw std::runtime_error("write to " + path + " failed");
-  }
+  close_output(out, path);
 }
 
 }  // namespace corropt::bench

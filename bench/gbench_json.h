@@ -97,7 +97,7 @@ inline int run_gbench_with_json(int argc, char** argv, const char* exhibit) {
   }
 
   const std::string path = json_dir + "/BENCH_" + exhibit + ".json";
-  std::ofstream out(path);
+  std::ofstream out = open_output(path);
   common::JsonWriter json(out);
   open_metrics_document(json, "corropt-bench-metrics/1", exhibit,
                         std::string("bench_") + exhibit);
@@ -115,6 +115,7 @@ inline int run_gbench_with_json(int argc, char** argv, const char* exhibit) {
     json.end_object();
   }
   close_metrics_document(json);
+  close_output(out, path);
   std::printf("wrote %s (%zu benchmarks)\n", path.c_str(),
               reporter.runs().size());
   return 0;

@@ -1,11 +1,11 @@
 #include "scenario_runner.h"
 
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <thread>
 
 #include "common/json.h"
+#include "obs/journal.h"
+#include "obs/metrics.h"
 
 namespace corropt::bench {
 
@@ -151,10 +151,7 @@ void write_metrics_json(const std::string& path, const std::string& exhibit,
                         const std::string& generator, std::size_t threads,
                         const std::vector<ScenarioResult>& results,
                         const MetricsJsonOptions& options) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
+  std::ofstream out = open_output(path);
   common::JsonWriter json(out);
   open_metrics_document(json, "corropt-bench-metrics/1", exhibit, generator,
                         threads);
@@ -170,34 +167,28 @@ void write_metrics_json(const std::string& path, const std::string& exhibit,
     json.end_object();
   }
   close_metrics_document(json);
-  if (!out) {
-    throw std::runtime_error("write to " + path + " failed");
-  }
+  close_output(out, path);
   std::printf("wrote %s (%zu scenarios)\n", path.c_str(), results.size());
 }
 
-ObsBytes obs_bytes(std::span<const obs::Event> journal,
-                   const obs::MetricsSnapshot& metrics,
-                   std::string_view scenario) {
-  std::ostringstream events;
-  for (const obs::Event& event : journal) {
-    obs::write_event_jsonl(events, event, scenario);
-    events << '\n';
-  }
-  std::ostringstream registry;
-  common::JsonWriter json(registry);
-  json.begin_object();
-  metrics.write_json(json, /*include_timers=*/false);
-  json.end_object();
-  return {events.str(), registry.str()};
-}
-
-void write_obs_jsonl(const std::string& path,
-                     const std::vector<const sim::ScenarioRun*>& runs) {
+std::ofstream open_output(const std::string& path) {
   std::ofstream out(path);
   if (!out) {
     throw std::runtime_error("cannot open " + path + " for writing");
   }
+  return out;
+}
+
+void close_output(std::ofstream& out, const std::string& path) {
+  out.close();
+  if (!out) {
+    throw std::runtime_error("write to " + path + " failed");
+  }
+}
+
+void write_obs_jsonl(const std::string& path,
+                     const std::vector<const sim::ScenarioRun*>& runs) {
+  std::ofstream out = open_output(path);
   std::size_t events = 0;
   for (const sim::ScenarioRun* run : runs) {
     if (!run->obs) continue;
@@ -207,9 +198,7 @@ void write_obs_jsonl(const std::string& path,
     }
     events += run->obs->journal.size();
   }
-  if (!out) {
-    throw std::runtime_error("write to " + path + " failed");
-  }
+  close_output(out, path);
   std::printf("wrote %s (%zu events)\n", path.c_str(), events);
 }
 
@@ -218,10 +207,7 @@ void write_obs_metrics_json(const std::string& path,
                             const std::string& generator, std::size_t threads,
                             const std::vector<const sim::ScenarioRun*>& runs,
                             bool include_timers) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
+  std::ofstream out = open_output(path);
   common::JsonWriter json(out);
   open_metrics_document(json, "corropt-obs-metrics/1", exhibit, generator,
                         threads);
@@ -237,9 +223,7 @@ void write_obs_metrics_json(const std::string& path,
     ++scenarios;
   }
   close_metrics_document(json);
-  if (!out) {
-    throw std::runtime_error("write to " + path + " failed");
-  }
+  close_output(out, path);
   std::printf("wrote %s (%zu scenarios)\n", path.c_str(), scenarios);
 }
 

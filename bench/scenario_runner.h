@@ -14,19 +14,16 @@
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <optional>
-#include <span>
 #include <string>
-#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 #include "common/thread_pool.h"
-#include "obs/journal.h"
-#include "obs/metrics.h"
 #include "sim/scenario.h"
 #include "trace/trace.h"
 
@@ -163,19 +160,12 @@ void open_metrics_document(common::JsonWriter& json, const std::string& schema,
                            std::size_t threads = 0);
 void close_metrics_document(common::JsonWriter& json);
 
-// The deterministic bytes of an obs capture, the ones determinism checks
-// compare and digest: the journal as JSONL, one event a line (tagged
-// with `scenario` when it is not empty), and the registry snapshot as
-// one JSON object without its wall-clock timers.
-struct ObsBytes {
-  std::string journal;
-  std::string metrics;
-
-  bool operator==(const ObsBytes&) const = default;
-};
-[[nodiscard]] ObsBytes obs_bytes(std::span<const obs::Event> journal,
-                                 const obs::MetricsSnapshot& metrics,
-                                 std::string_view scenario = {});
+// Every BENCH_/OBS_ file is opened and closed through these two, so a
+// bench never reports a file it did not write: open_output throws
+// std::runtime_error when `path` cannot be opened for writing,
+// close_output when any write to it failed, the final flush included.
+[[nodiscard]] std::ofstream open_output(const std::string& path);
+void close_output(std::ofstream& out, const std::string& path);
 
 // Writes the concatenated journals of `runs` as JSONL, one event per
 // line tagged with its run's name, runs in the given order. Fully

@@ -12,7 +12,6 @@
 
 #include <cstdio>
 #include <fstream>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,8 +43,7 @@ inline void write_study_metrics_json(const std::string& path,
                                      const std::string& generator,
                                      std::size_t threads,
                                      const std::vector<StudyScenario>& rows) {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("cannot write " + path);
+  std::ofstream out = open_output(path);
   common::JsonWriter json(out);
   open_metrics_document(json, "corropt-bench-metrics/1", exhibit, generator,
                         threads);
@@ -60,6 +58,7 @@ inline void write_study_metrics_json(const std::string& path,
     json.end_object();
   }
   close_metrics_document(json);
+  close_output(out, path);
   std::printf("wrote %s (%zu scenarios)\n", path.c_str(), rows.size());
 }
 

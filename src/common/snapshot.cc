@@ -28,15 +28,16 @@ void fail(const std::string& what) {
   throw std::runtime_error("checkpoint: " + what);
 }
 
-void seal(std::string& bytes) {
-  append_le64(bytes, fnv1a(kFnvBasis, bytes.data(), bytes.size()));
+std::uint64_t digest(std::string_view bytes) {
+  return fnv1a(kFnvBasis, bytes.data(), bytes.size());
 }
+
+void seal(std::string& bytes) { append_le64(bytes, digest(bytes)); }
 
 std::string_view unseal(std::string_view bytes) {
   if (bytes.size() < kTrailerBytes) fail("truncated (checksum trailer)");
   const std::string_view body = bytes.substr(0, bytes.size() - kTrailerBytes);
-  if (load_le64(bytes.substr(body.size())) !=
-      fnv1a(kFnvBasis, body.data(), body.size())) {
+  if (load_le64(bytes.substr(body.size())) != digest(body)) {
     fail("checksum mismatch");
   }
   return body;

@@ -26,7 +26,10 @@
 // (branch runners restore what they just wrote), so any mismatch is a
 // hard error, not a migration point. A whole checkpoint is sealed once
 // with an 8-byte FNV-1a trailer over every preceding byte (`seal`), which
-// `unseal` verifies before any section is decoded.
+// `unseal` verifies before any section is decoded. The same fold over a
+// Writer's bytes is the identity digest of every run output
+// (sim::digest, obs::digest): a field is compared exactly when it is
+// checkpointed.
 #pragma once
 
 #include <algorithm>
@@ -49,6 +52,8 @@ namespace corropt::common::snap {
 [[noreturn]] void fail(const std::string& what);
 
 inline constexpr std::size_t kTrailerBytes = 8;
+// FNV-1a 64 of `bytes`: the trailer `seal` appends.
+[[nodiscard]] std::uint64_t digest(std::string_view bytes);
 // Appends the FNV-1a 64 digest of `bytes`, least significant byte first.
 void seal(std::string& bytes);
 // Verifies the trailer and returns the bytes it covers.

@@ -13,17 +13,16 @@ constexpr std::uint16_t kSnapshotVersion = 2;
 
 }  // namespace
 
-Controller::Controller(topology::Topology& topo, ControllerConfig config,
-                       PenaltyFunction penalty)
+Controller::Controller(topology::Topology& topo, ControllerConfig config)
     : topo_(&topo),
       config_(config),
-      penalty_(penalty),
       constraint_(config.capacity_fraction),
       paths_(topo),
       fast_checker_(topo, paths_, constraint_),
       switch_local_(topo, switch_local_threshold(config.capacity_fraction,
                                                  std::max(1, topo.top_level()))),
-      optimizer_(topo, paths_, constraint_, penalty, config.optimizer) {}
+      optimizer_(topo, paths_, constraint_, PenaltyFunction::linear(),
+                 config.optimizer) {}
 
 void Controller::set_sink(obs::Sink* sink) {
   sink_ = sink;
@@ -159,8 +158,8 @@ void Controller::on_link_repaired(common::LinkId link) {
       const OptimizerResult result = optimizer_.run(corruption_);
       if (cold_topo != nullptr) {
         PathCounter cold_paths(*cold_topo, paths_.index());
-        Optimizer cold(*cold_topo, cold_paths, constraint_, penalty_,
-                       config_.optimizer);
+        Optimizer cold(*cold_topo, cold_paths, constraint_,
+                       PenaltyFunction::linear(), config_.optimizer);
         const OptimizerResult cold_result = cold.run(corruption_);
         if (!same_outcome(cold_result, result) ||
             !(cold_topo->enabled_mask() == topo_->enabled_mask())) {
@@ -200,11 +199,7 @@ template <class Self, class Codec>
 void Controller::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('C', 'T', 'R', 'L'), kSnapshotVersion,
             "controller");
-  c.u64(self.stats_.corruption_reports);
-  c.u64(self.stats_.disabled_on_arrival);
-  c.u64(self.stats_.disabled_on_activation);
-  c.u64(self.stats_.tickets_issued);
-  c.u64(self.stats_.optimizer_runs);
+  Stats::walk(self.stats_, c);
   c.object(self.corruption_);
   c.object(self.fast_checker_);
 }

@@ -77,8 +77,8 @@ class Controller {
   // expected to open a maintenance ticket.
   using TicketCallback = std::function<void(common::LinkId)>;
 
-  Controller(topology::Topology& topo, ControllerConfig config,
-             PenaltyFunction penalty = PenaltyFunction::linear());
+  // Penalties are the paper's linear I(f) = f (PenaltyFunction::linear).
+  Controller(topology::Topology& topo, ControllerConfig config);
 
   void set_ticket_callback(TicketCallback callback) {
     ticket_callback_ = std::move(callback);
@@ -106,7 +106,8 @@ class Controller {
   }
   // Penalty per unit time of corrupting links still carrying traffic.
   [[nodiscard]] double active_penalty() const {
-    return corruption_.total_active_penalty(*topo_, penalty_);
+    return corruption_.total_active_penalty(*topo_,
+                                            PenaltyFunction::linear());
   }
 
   // Diagnostics accumulated since construction.
@@ -116,6 +117,17 @@ class Controller {
     std::size_t disabled_on_activation = 0;
     std::size_t tickets_issued = 0;
     std::size_t optimizer_runs = 0;
+
+    // The one field list: the checkpoint's CTRL section and every
+    // digest of the stats (sim::digest, ControlLoop::decisions_digest).
+    template <class Self, class Codec>
+    static void walk(Self& self, Codec& c) {
+      c.u64(self.corruption_reports);
+      c.u64(self.disabled_on_arrival);
+      c.u64(self.disabled_on_activation);
+      c.u64(self.tickets_issued);
+      c.u64(self.optimizer_runs);
+    }
   };
   [[nodiscard]] const Stats& stats() const { return stats_; }
   // Read access to the optimizer (e.g. incremental_stats() in tests).
@@ -153,7 +165,6 @@ class Controller {
 
   topology::Topology* topo_;
   ControllerConfig config_;
-  PenaltyFunction penalty_;
   CapacityConstraint constraint_;
   PathCounter paths_;
   FastChecker fast_checker_;

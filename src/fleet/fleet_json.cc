@@ -117,6 +117,7 @@ void write_fleet_json_file(const std::string& path, const FleetResult& result,
     throw std::runtime_error("cannot open " + path + " for writing");
   }
   write_fleet_json(out, result, generator);
+  out.close();  // The final flush can fail too.
   if (!out) {
     throw std::runtime_error("write to " + path + " failed");
   }

@@ -1,8 +1,18 @@
 #include "obs/journal.h"
 
 #include "common/json.h"
+#include "common/snapshot.h"
+#include "obs/metrics.h"
 
 namespace corropt::obs {
+
+std::uint64_t digest(const std::vector<Event>& journal,
+                     const MetricsSnapshot& metrics) {
+  common::snap::Writer w;
+  w.seq(journal, [&w](const Event& event) { Event::walk(event, w); });
+  MetricsSnapshot::walk(metrics, w);
+  return common::snap::digest(w.take());
+}
 
 std::string_view kind_name(EventKind kind) {
   switch (kind) {

@@ -109,7 +109,32 @@ struct Event {
   double value2 = 0.0;
   std::uint64_t detail0 = 0;
   std::uint64_t detail1 = 0;
+
+  // The one field list: the checkpoint's OBSS section and digest().
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c) {
+    c.u64(self.seq);
+    c.i64(self.time);
+    c.u8(self.kind);
+    c.u8(self.reason);
+    c.id(self.link);
+    c.id(self.sw);
+    c.id(self.ticket);
+    c.f64(self.value);
+    c.f64(self.value2);
+    c.u64(self.detail0);
+    c.u64(self.detail1);
+  }
 };
+
+struct MetricsSnapshot;
+
+// Identity digest of an obs capture: snap::digest of the codec bytes of
+// the journal's records (Event::walk) and the snapshot's deterministic
+// sections (MetricsSnapshot::walk, timers excluded). Two captures are
+// identical iff their digests match; nothing is formatted as text.
+[[nodiscard]] std::uint64_t digest(const std::vector<Event>& journal,
+                                   const MetricsSnapshot& metrics);
 
 // One event as a single JSONL line (no trailing newline). `scenario`,
 // when non-empty, is prepended as a "scenario" member — used by the

@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <deque>
 #include <mutex>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -135,6 +136,32 @@ struct MetricsSnapshot {
   // members) into an already-open JSON object. Timers are skippable so
   // regression tooling can compare fully deterministic documents.
   void write_json(common::JsonWriter& json, bool include_timers = true) const;
+
+  // The one field list of the deterministic sections (counters, gauges,
+  // histograms; never timers): the checkpoint's OBSS section and
+  // obs::digest. A histogram's `count` is the sum of its buckets.
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c) {
+    c.seq(self.counters, [&c](auto& counter) {
+      c.str(counter.name);
+      c.u64(counter.value);
+    });
+    c.seq(self.gauges, [&c](auto& gauge) {
+      c.str(gauge.name);
+      c.f64(gauge.value);
+    });
+    c.seq(self.histograms, [&c](auto& h) {
+      c.str(h.name);
+      c.seq(h.bounds, [&c](auto& b) { c.f64(b); });
+      if constexpr (Codec::kReading) h.counts.resize(h.bounds.size() + 1);
+      for (auto& count : h.counts) c.u64(count);
+      c.f64(h.sum);
+      if constexpr (Codec::kReading) {
+        h.count = std::accumulate(h.counts.begin(), h.counts.end(),
+                                  std::uint64_t{0});
+      }
+    });
+  }
 };
 
 class MetricsRegistry {

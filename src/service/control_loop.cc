@@ -2,15 +2,17 @@
 
 #include <bit>
 #include <chrono>
+#include <string>
 
 #include "common/hash.h"
+#include "common/snapshot.h"
 
 namespace corropt::service {
 
 ControlLoop::ControlLoop(topology::Topology& topo, ControlLoopConfig config,
                          obs::Sink* sink)
     : topo_(&topo),
-      controller_(topo, config.controller, config.penalty),
+      controller_(topo, config.controller),
       sink_(sink) {
   if (sink != nullptr) {
     controller_.set_sink(sink);
@@ -62,13 +64,10 @@ std::uint64_t ControlLoop::decisions_digest() const {
   for (std::uint64_t word : topo_->enabled_mask().words()) {
     digest = common::fnv1a(digest, word);
   }
-  const core::Controller::Stats& cs = controller_.stats();
-  digest = common::fnv1a(digest, cs.corruption_reports);
-  digest = common::fnv1a(digest, cs.disabled_on_arrival);
-  digest = common::fnv1a(digest, cs.disabled_on_activation);
-  digest = common::fnv1a(digest, cs.tickets_issued);
-  digest = common::fnv1a(digest, cs.optimizer_runs);
-  return digest;
+  common::snap::Writer stats;
+  core::Controller::Stats::walk(controller_.stats(), stats);
+  const std::string bytes = stats.take();
+  return common::fnv1a(digest, bytes.data(), bytes.size());
 }
 
 }  // namespace corropt::service

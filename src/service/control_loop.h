@@ -15,7 +15,6 @@
 
 #include "common/hash.h"
 #include "corropt/controller.h"
-#include "corropt/penalty.h"
 #include "obs/sink.h"
 #include "service/telemetry_event.h"
 #include "topology/topology.h"
@@ -26,7 +25,6 @@ struct ControlLoopConfig {
   // Controller configuration, including the verify_incremental debug
   // switch (core::ControllerConfig).
   core::ControllerConfig controller;
-  core::PenaltyFunction penalty = core::PenaltyFunction::linear();
 };
 
 class ControlLoop {
@@ -61,9 +59,10 @@ class ControlLoop {
 
   // FNV-1a fold of every decision the loop has made — per event: the
   // kind, the link, the arrival verdict, and the controller's active
-  // penalty after handling — plus the final enabled mask and controller
-  // counters. Two loops are decision-equivalent iff their digests match
-  // (search-effort diagnostics are deliberately not folded in).
+  // penalty after handling — plus the final enabled mask and the codec
+  // bytes of the controller's stats (Controller::Stats::walk). Two loops
+  // are decision-equivalent iff their digests match (search-effort
+  // diagnostics are deliberately not folded in).
   [[nodiscard]] std::uint64_t decisions_digest() const;
 
   [[nodiscard]] core::Controller& controller() { return controller_; }

@@ -1,8 +1,5 @@
 #include "sim/metrics.h"
 
-#include <bit>
-
-#include "common/hash.h"
 #include "obs/metrics.h"
 
 namespace corropt::sim {
@@ -35,49 +32,11 @@ void publish_metrics(const obs::Sink* sink, const SimulationMetrics& metrics) {
       .set(metrics.collateral_link_seconds);
 }
 
-std::uint64_t digest(const SimulationMetrics& m) {
-  std::uint64_t h = common::kFnvBasis;
-  const auto mix = [&h](std::uint64_t v) { h = common::fnv1a(h, v); };
-  const auto mix_f = [&mix](double v) {
-    mix(std::bit_cast<std::uint64_t>(v));
-  };
-  const auto mix_series = [&](const std::vector<TimePoint>& series) {
-    mix(series.size());
-    for (const TimePoint& p : series) {
-      mix(static_cast<std::uint64_t>(p.time));
-      mix_f(p.value);
-    }
-  };
-  mix_f(m.integrated_penalty);
-  mix_f(m.mean_tor_fraction);
-  mix(m.faults_injected);
-  mix(m.tickets_opened);
-  mix(m.repair_attempts);
-  mix(m.first_attempts);
-  mix(m.first_attempt_successes);
-  mix(m.redetections);
-  mix(m.polled_detections);
-  mix_f(m.mean_detection_latency_s);
-  mix(m.false_positive_detections);
-  mix(m.missed_detections);
-  mix_f(m.mean_ticket_resolution_s);
-  mix(m.maintenance_windows);
-  mix(m.maintenance_capacity_violations);
-  mix_f(m.collateral_link_seconds);
-  mix(m.undisabled_detections);
-  mix(m.controller.corruption_reports);
-  mix(m.controller.disabled_on_arrival);
-  mix(m.controller.disabled_on_activation);
-  mix(m.controller.tickets_issued);
-  mix(m.controller.optimizer_runs);
-  mix_series(m.penalty_series);
-  mix(m.hourly_penalty.size());
-  for (const double v : m.hourly_penalty) mix_f(v);
-  mix_series(m.worst_tor_fraction);
-  mix_series(m.disabled_links);
-  mix(m.detection_latencies_s.size());
-  for (const double v : m.detection_latencies_s) mix_f(v);
-  return h;
+std::uint64_t digest(const SimulationMetrics& metrics) {
+  common::snap::Writer w;
+  SimulationMetrics::walk(metrics, w);
+  core::Controller::Stats::walk(metrics.controller, w);
+  return common::snap::digest(w.take());
 }
 
 }  // namespace corropt::sim

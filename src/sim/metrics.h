@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/snapshot.h"
 #include "common/time.h"
 #include "corropt/controller.h"
 #include "obs/sink.h"
@@ -75,14 +76,55 @@ struct SimulationMetrics {
                : static_cast<double>(first_attempt_successes) /
                      static_cast<double>(first_attempts);
   }
+
+  // The one field list, every field but `controller` (the checkpoint
+  // carries those stats in the controller's own section): the
+  // checkpoint's MTRX section and, with Controller::Stats::walk,
+  // digest() below.
+  template <class Self, class Codec>
+  static void walk(Self& self, Codec& c) {
+    const auto series = [&c](auto& points) {
+      c.seq(points, [&c](auto& p) {
+        c.i64(p.time);
+        c.f64(p.value);
+      });
+    };
+    const auto doubles = [&c](auto& values) {
+      c.seq(values, [&c](auto& v) { c.f64(v); });
+    };
+    c.section(common::snap::tag('M', 'T', 'R', 'X'), 1, "metrics");
+    series(self.penalty_series);
+    c.f64(self.integrated_penalty);
+    doubles(self.hourly_penalty);
+    series(self.worst_tor_fraction);
+    series(self.disabled_links);
+    c.f64(self.mean_tor_fraction);
+    c.u64(self.faults_injected);
+    c.u64(self.tickets_opened);
+    c.u64(self.repair_attempts);
+    c.u64(self.first_attempt_successes);
+    c.u64(self.first_attempts);
+    c.u64(self.redetections);
+    c.u64(self.polled_detections);
+    c.f64(self.mean_detection_latency_s);
+    c.u64(self.false_positive_detections);
+    c.u64(self.missed_detections);
+    doubles(self.detection_latencies_s);
+    c.f64(self.mean_ticket_resolution_s);
+    c.u64(self.maintenance_windows);
+    c.u64(self.maintenance_capacity_violations);
+    c.f64(self.collateral_link_seconds);
+    c.u64(self.undisabled_detections);
+  }
 };
 
 // Folds a finished run's metrics into the sink's registry (DESIGN.md
 // §8); no-op without a sink or registry.
 void publish_metrics(const obs::Sink* sink, const SimulationMetrics& metrics);
 
-// FNV-1a digest of every SimulationMetrics field, scalars and series.
-// Two runs are metric-equivalent iff their digests match.
+// snap::digest of the codec bytes of SimulationMetrics::walk, then
+// Controller::Stats::walk: every field, scalars and series. Two runs are
+// metric-equivalent iff their digests match.
 [[nodiscard]] std::uint64_t digest(const SimulationMetrics& metrics);
 
 }  // namespace corropt::sim

@@ -1,7 +1,6 @@
 #include "sim/mitigation_sim.h"
 
 #include <algorithm>
-#include <numeric>
 #include <string>
 
 #include "obs/journal.h"
@@ -148,43 +147,7 @@ SimulationMetrics MitigationSimulation::run(
 namespace {
 
 constexpr std::uint32_t kSimTag = common::snap::tag('S', 'I', 'M', '0');
-constexpr std::uint32_t kMetricsTag = common::snap::tag('M', 'T', 'R', 'X');
 constexpr std::uint32_t kObsTag = common::snap::tag('O', 'B', 'S', 'S');
-
-template <class Codec, class Series>
-void walk_series(Codec& c, Series& series) {
-  c.seq(series, [&c](auto& p) {
-    c.i64(p.time);
-    c.f64(p.value);
-  });
-}
-
-template <class Codec, class Metrics>
-void walk_metrics(Codec& c, Metrics& m) {
-  c.section(kMetricsTag, 1, "metrics");
-  walk_series(c, m.penalty_series);
-  c.f64(m.integrated_penalty);
-  c.seq(m.hourly_penalty, [&c](auto& v) { c.f64(v); });
-  walk_series(c, m.worst_tor_fraction);
-  walk_series(c, m.disabled_links);
-  c.f64(m.mean_tor_fraction);
-  c.u64(m.faults_injected);
-  c.u64(m.tickets_opened);
-  c.u64(m.repair_attempts);
-  c.u64(m.first_attempt_successes);
-  c.u64(m.first_attempts);
-  c.u64(m.redetections);
-  c.u64(m.polled_detections);
-  c.f64(m.mean_detection_latency_s);
-  c.u64(m.false_positive_detections);
-  c.u64(m.missed_detections);
-  c.seq(m.detection_latencies_s, [&c](auto& v) { c.f64(v); });
-  c.f64(m.mean_ticket_resolution_s);
-  c.u64(m.maintenance_windows);
-  c.u64(m.maintenance_capacity_violations);
-  c.f64(m.collateral_link_seconds);
-  c.u64(m.undisabled_detections);
-}
 
 // The sink's journal and registry contents travel with the checkpoint
 // so a branch's observability continues exactly where the prefix left
@@ -208,19 +171,7 @@ void walk_obs(Codec& c, const obs::Sink* sink) {
       next_seq = events.empty() ? 0 : events.back().seq + 1;
       dropped = sink->journal->dropped();
     }
-    c.seq(events, [&c](auto& e) {
-      c.u64(e.seq);
-      c.i64(e.time);
-      c.u8(e.kind);
-      c.u8(e.reason);
-      c.id(e.link);
-      c.id(e.sw);
-      c.id(e.ticket);
-      c.f64(e.value);
-      c.f64(e.value2);
-      c.u64(e.detail0);
-      c.u64(e.detail1);
-    });
+    c.seq(events, [&c](auto& e) { obs::Event::walk(e, c); });
     c.u64(next_seq);
     c.u64(dropped);
     if constexpr (Codec::kReading) {
@@ -232,25 +183,7 @@ void walk_obs(Codec& c, const obs::Sink* sink) {
   if (has_registry) {
     obs::MetricsSnapshot snap;
     if constexpr (!Codec::kReading) snap = sink->metrics->snapshot();
-    c.seq(snap.counters, [&c](auto& counter) {
-      c.str(counter.name);
-      c.u64(counter.value);
-    });
-    c.seq(snap.gauges, [&c](auto& gauge) {
-      c.str(gauge.name);
-      c.f64(gauge.value);
-    });
-    c.seq(snap.histograms, [&c](auto& h) {
-      c.str(h.name);
-      c.seq(h.bounds, [&c](auto& b) { c.f64(b); });
-      if constexpr (Codec::kReading) h.counts.resize(h.bounds.size() + 1);
-      for (auto& count : h.counts) c.u64(count);
-      c.f64(h.sum);
-      if constexpr (Codec::kReading) {
-        h.count = std::accumulate(h.counts.begin(), h.counts.end(),
-                                  std::uint64_t{0});
-      }
-    });
+    obs::MetricsSnapshot::walk(snap, c);
     if constexpr (Codec::kReading) {
       if (sink != nullptr && sink->metrics != nullptr) {
         sink->metrics->restore(snap);
@@ -282,7 +215,7 @@ void MitigationSimulation::walk(Self& self, Codec& c) {
   c.object(self.repair_);
   c.object(self.accountant_);
   c.object(self.sampler_);
-  walk_metrics(c, self.metrics_);
+  SimulationMetrics::walk(self.metrics_, c);
   walk_obs(c, self.config_.sink);
   // The handlers trust what a pending event names: they index per-link
   // arrays by its link and look its ticket up unchecked.

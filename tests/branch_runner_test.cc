@@ -26,6 +26,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
+#include "obs_oracles.h"
 #include "scenario_runner.h"
 #include "sim/branch_runner.h"
 #include "sim/mitigation_sim.h"
@@ -36,9 +37,9 @@
 namespace corropt::sim {
 namespace {
 
-bench::ObsBytes obs_bytes(const obs::EventJournal& journal,
+testing::ObsBytes obs_bytes(const obs::EventJournal& journal,
                           const obs::MetricsRegistry& registry) {
-  return bench::obs_bytes(journal.snapshot(), registry.snapshot());
+  return testing::obs_bytes(journal.snapshot(), registry.snapshot());
 }
 
 topology::Topology make_topology() {
@@ -98,7 +99,7 @@ struct SinkSet {
 
 struct BranchOutput {
   std::uint64_t metrics_digest = 0;
-  bench::ObsBytes obs;
+  testing::ObsBytes obs;
 };
 
 TEST(BranchRunner, BranchEqualsFreshForEveryBackendAndThreadCount) {
@@ -211,8 +212,8 @@ TEST(BranchRunner, StormBranchEqualsFreshDespiteColdOptimizerCaches) {
   ASSERT_TRUE(fresh.obs.has_value());
   ASSERT_TRUE(branch.obs.has_value());
   EXPECT_EQ(digest(branch.metrics), digest(fresh.metrics));
-  EXPECT_TRUE(bench::obs_bytes(branch.obs->journal, branch.obs->metrics) ==
-              bench::obs_bytes(fresh.obs->journal, fresh.obs->metrics));
+  EXPECT_TRUE(testing::obs_bytes(branch.obs->journal, branch.obs->metrics) ==
+              testing::obs_bytes(fresh.obs->journal, fresh.obs->metrics));
 
   // The suffix must search contested segments, or the caches had nothing
   // to answer.
@@ -314,6 +315,54 @@ TEST(BranchRunner, CounterfactualConfigBranchesRunClean) {
       topo, backend_config(detect::BackendKind::kThreshold, &fresh_sinks.sink));
   const SimulationMetrics fresh_metrics = fresh.run(events);
   EXPECT_NE(digest(results[3].metrics), digest(fresh_metrics));
+}
+
+// The identity digests decide exactly what the JSONL text of the same
+// capture decides: equal on a branch and its fresh run, different on a
+// counterfactual branch that genuinely diverged.
+TEST(BranchRunner, CodecDigestsAgreeWithJsonlBytes) {
+  BranchRunner runner(make_topology);
+  const topology::Topology trace_topo = make_topology();
+  const auto events = base_trace(trace_topo);
+
+  SinkSet base_sinks;
+  const Checkpoint base = runner.checkpoint_base(
+      backend_config(detect::BackendKind::kThreshold, &base_sinks.sink),
+      events, [](const MitigationSimulation& sim) {
+        return sim.now() >= common::kDay;
+      });
+  ASSERT_FALSE(base.empty());
+
+  std::vector<SinkSet> sinks(2);
+  std::vector<BranchSpec> specs(2);
+  specs[0].name = "same";
+  specs[0].config =
+      backend_config(detect::BackendKind::kThreshold, &sinks[0].sink);
+  specs[0].events = &events;
+  specs[1].name = "mode=switch-local";
+  specs[1].config =
+      backend_config(detect::BackendKind::kThreshold, &sinks[1].sink);
+  specs[1].config.mode = core::CheckerMode::kSwitchLocal;
+  specs[1].events = &events;
+  common::ThreadPool pool(2);
+  const std::vector<BranchResult> results = runner.run(base, specs, pool);
+
+  SinkSet fresh_sinks;
+  const SimulationMetrics fresh = runner.run_fresh(
+      backend_config(detect::BackendKind::kThreshold, &fresh_sinks.sink),
+      events);
+  const auto obs_digest = [](const SinkSet& set) {
+    return obs::digest(set.journal.snapshot(), set.registry.snapshot());
+  };
+
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    SCOPED_TRACE(results[i].name);
+    const bool same_text = obs_bytes(sinks[i].journal, sinks[i].registry) ==
+                           obs_bytes(fresh_sinks.journal, fresh_sinks.registry);
+    EXPECT_EQ(obs_digest(sinks[i]) == obs_digest(fresh_sinks), same_text);
+    EXPECT_EQ(digest(results[i].metrics) == digest(fresh), same_text);
+    EXPECT_EQ(same_text, i == 0);
+  }
 }
 
 }  // namespace

@@ -52,6 +52,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
+#include "obs_oracles.h"
 #include "bench_util.h"
 #include "scenario_runner.h"
 #include "sim/branch_runner.h"
@@ -83,8 +84,8 @@ std::string fingerprint(const SimulationMetrics& metrics,
       << "\ntickets_opened=" << metrics.tickets_opened
       << "\nmetrics_digest=" << digest(metrics);
 
-  const bench::ObsBytes bytes =
-      bench::obs_bytes(journal.snapshot(), registry.snapshot());
+  const testing::ObsBytes bytes =
+      testing::obs_bytes(journal.snapshot(), registry.snapshot());
   out << "\njournal=" << journal.snapshot().size() << ":"
       << journal.dropped() << ":"
       << common::fnv1a(common::kFnvBasis, bytes.journal.data(),

@@ -30,7 +30,7 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/sink.h"
-#include "scenario_runner.h"
+#include "obs_oracles.h"
 #include "sim/mitigation_sim.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
@@ -187,8 +187,8 @@ Lines run_config(const Params& params) {
   // them (one line per event), and the registry snapshot (timers carry
   // wall clock and are excluded, the same exception DESIGN.md (sec)7
   // sanctions).
-  const bench::ObsBytes bytes =
-      bench::obs_bytes(journal.snapshot(), registry.snapshot());
+  const testing::ObsBytes bytes =
+      testing::obs_bytes(journal.snapshot(), registry.snapshot());
   EXPECT_EQ(journal.dropped(), 0u);
   add_u64("journal.events", journal.snapshot().size());
   add_u64("journal.bytes", bytes.journal.size());

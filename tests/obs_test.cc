@@ -10,6 +10,7 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -20,6 +21,7 @@
 #include "obs/metrics.h"
 #include "obs/sink.h"
 #include "obs/timer.h"
+#include "obs_oracles.h"
 #include "scenario_runner.h"
 #include "topology/fat_tree.h"
 
@@ -395,6 +397,82 @@ TEST(SinkTest, EmitWithoutJournalIsNoOp) {
   sink.emit(Event{});  // Must not crash.
 }
 
+// obs::digest folds the codec walk of the journal and the registry's
+// deterministic sections: changing any field of any record, or a
+// counter, gauge, histogram bucket or sum, changes it; a timer does not.
+TEST(ObsDigestTest, EveryFieldChangesIt) {
+  Event first;
+  first.seq = 4;
+  first.time = 3600;
+  first.kind = EventKind::kOptimizerRun;
+  first.reason = EventReason::kActivation;
+  first.link = common::LinkId(5);
+  first.sw = common::SwitchId(2);
+  first.ticket = common::TicketId(8);
+  first.value = 1e-5;
+  first.value2 = 2e-6;
+  first.detail0 = 3;
+  first.detail1 = 17;
+  Event second = first;
+  second.seq = 5;
+  const std::vector<Event> journal = {first, second};
+
+  MetricsRegistry registry;
+  registry.counter("c").add(3);
+  registry.gauge("g").set(0.25);
+  const Histogram histogram = registry.histogram("h", {1.0, 10.0});
+  histogram.record(0.5);
+  histogram.record(5.0);
+  registry.timer("t").record(1e-3);
+  const MetricsSnapshot metrics = registry.snapshot();
+  ASSERT_EQ(metrics.histograms.size(), 1u);
+  ASSERT_EQ(metrics.timers.size(), 1u);
+
+  const std::uint64_t base = digest(journal, metrics);
+  EXPECT_EQ(digest(std::vector<Event>(journal), MetricsSnapshot(metrics)),
+            base);
+
+  using PerturbEvent = void (*)(Event&);
+  const std::vector<std::pair<const char*, PerturbEvent>> events = {
+      {"seq", [](Event& e) { e.seq++; }},
+      {"time", [](Event& e) { e.time++; }},
+      {"kind", [](Event& e) { e.kind = EventKind::kLinkDisabled; }},
+      {"reason", [](Event& e) { e.reason = EventReason::kArrival; }},
+      {"link", [](Event& e) { e.link = common::LinkId(6); }},
+      {"sw", [](Event& e) { e.sw = common::SwitchId(3); }},
+      {"ticket", [](Event& e) { e.ticket = common::TicketId(9); }},
+      {"value", [](Event& e) { e.value *= 2; }},
+      {"value2", [](Event& e) { e.value2 *= 2; }},
+      {"detail0", [](Event& e) { e.detail0++; }},
+      {"detail1", [](Event& e) { e.detail1++; }},
+  };
+  for (const auto& [field, perturb] : events) {
+    std::vector<Event> changed = journal;
+    perturb(changed[1]);
+    EXPECT_NE(digest(changed, metrics), base) << field;
+  }
+  EXPECT_NE(digest({first}, metrics), base) << "journal length";
+
+  using PerturbMetrics = void (*)(MetricsSnapshot&);
+  const std::vector<std::pair<const char*, PerturbMetrics>> sections = {
+      {"counter", [](MetricsSnapshot& m) { m.counters[0].value++; }},
+      {"gauge", [](MetricsSnapshot& m) { m.gauges[0].value = 0.5; }},
+      {"histogram bucket",
+       [](MetricsSnapshot& m) { m.histograms[0].counts[2]++; }},
+      {"histogram sum", [](MetricsSnapshot& m) { m.histograms[0].sum += 1; }},
+  };
+  for (const auto& [field, perturb] : sections) {
+    MetricsSnapshot changed = metrics;
+    perturb(changed);
+    EXPECT_NE(digest(journal, changed), base) << field;
+  }
+
+  MetricsSnapshot timer_changed = metrics;
+  timer_changed.timers[0].counts[0]++;
+  timer_changed.timers[0].sum += 1.0;
+  EXPECT_EQ(digest(journal, timer_changed), base);
+}
+
 }  // namespace
 }  // namespace corropt::obs
 
@@ -420,8 +498,8 @@ ScenarioJob make_obs_job(std::size_t solver_threads, bool collect_obs) {
   return job;
 }
 
-bench::ObsBytes deterministic_bytes(const ScenarioResult& result) {
-  return bench::obs_bytes(result.obs->journal, result.obs->metrics,
+testing::ObsBytes deterministic_bytes(const ScenarioResult& result) {
+  return testing::obs_bytes(result.obs->journal, result.obs->metrics,
                           result.name);
 }
 

@@ -22,6 +22,7 @@
 #include "common/rng.h"
 #include "common/time.h"
 #include "obs/journal.h"
+#include "obs_oracles.h"
 #include "sim/mitigation_sim.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
@@ -168,10 +169,11 @@ void expect_same_runs(const std::vector<ScenarioResult>& expected,
     ASSERT_TRUE(actual[i].obs);
     // Everything a run's obs capture holds that must not depend on
     // scheduling.
-    EXPECT_TRUE(obs_bytes(actual[i].obs->journal, actual[i].obs->metrics,
-                          actual[i].name) ==
-                obs_bytes(expected[i].obs->journal, expected[i].obs->metrics,
-                          expected[i].name));
+    EXPECT_TRUE(testing::obs_bytes(actual[i].obs->journal,
+                                   actual[i].obs->metrics, actual[i].name) ==
+                testing::obs_bytes(expected[i].obs->journal,
+                                   expected[i].obs->metrics,
+                                   expected[i].name));
   }
 }
 

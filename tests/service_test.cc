@@ -161,7 +161,8 @@ TEST_P(EquivalenceTest, IncrementalMatchesColdAfterEveryEvent) {
     corruption.unmark(event.link);
     cold_topo.set_enabled(event.link, true);
     core::PathCounter cold_paths(cold_topo);
-    core::Optimizer cold(cold_topo, cold_paths, constraint, config.penalty,
+    core::Optimizer cold(cold_topo, cold_paths, constraint,
+                         core::PenaltyFunction::linear(),
                          config.controller.optimizer);
     const core::OptimizerResult want = cold.run(corruption);
 

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "corropt/path_counter.h"
@@ -64,6 +67,97 @@ TEST(MitigationSim, LiveCountsMatchRestoredRecount) {
   }
   EXPECT_EQ(digest(restored.finish_run()), digest(metrics));
   EXPECT_TRUE(restored_topo.enabled_mask() == topo.enabled_mask());
+}
+
+// sim::digest folds the codec walk, so every field is in it exactly
+// when the checkpoint carries it: changing any one field, any series
+// element's time or value, changes the digest.
+TEST(MetricsDigest, EveryFieldChangesIt) {
+  SimulationMetrics base;
+  base.penalty_series = {{0, 0.0}, {60, 1e-6}};
+  base.integrated_penalty = 3.5;
+  base.hourly_penalty = {1.0, 2.5};
+  base.worst_tor_fraction = {{0, 1.0}, {3600, 0.75}};
+  base.disabled_links = {{0, 0.0}, {3600, 2.0}};
+  base.mean_tor_fraction = 0.9;
+  base.faults_injected = 7;
+  base.tickets_opened = 6;
+  base.repair_attempts = 5;
+  base.first_attempt_successes = 3;
+  base.first_attempts = 4;
+  base.redetections = 1;
+  base.polled_detections = 2;
+  base.mean_detection_latency_s = 450.0;
+  base.false_positive_detections = 1;
+  base.missed_detections = 1;
+  base.detection_latencies_s = {300.0, 600.0};
+  base.mean_ticket_resolution_s = 86400.0;
+  base.maintenance_windows = 2;
+  base.maintenance_capacity_violations = 1;
+  base.collateral_link_seconds = 120.0;
+  base.undisabled_detections = 1;
+  base.controller.corruption_reports = 9;
+  base.controller.disabled_on_arrival = 4;
+  base.controller.disabled_on_activation = 2;
+  base.controller.tickets_issued = 6;
+  base.controller.optimizer_runs = 3;
+
+  using Perturb = void (*)(SimulationMetrics&);
+  const std::vector<std::pair<const char*, Perturb>> perturbations = {
+      {"penalty_series.time", [](auto& m) { m.penalty_series[1].time++; }},
+      {"penalty_series.value",
+       [](auto& m) { m.penalty_series[1].value *= 2; }},
+      {"penalty_series.size", [](auto& m) { m.penalty_series.pop_back(); }},
+      {"integrated_penalty", [](auto& m) { m.integrated_penalty += 0.5; }},
+      {"hourly_penalty", [](auto& m) { m.hourly_penalty[0] += 0.5; }},
+      {"worst_tor_fraction.time",
+       [](auto& m) { m.worst_tor_fraction[1].time++; }},
+      {"worst_tor_fraction.value",
+       [](auto& m) { m.worst_tor_fraction[1].value = 0.5; }},
+      {"disabled_links.time", [](auto& m) { m.disabled_links[1].time++; }},
+      {"disabled_links.value", [](auto& m) { m.disabled_links[1].value++; }},
+      {"mean_tor_fraction", [](auto& m) { m.mean_tor_fraction = 0.8; }},
+      {"faults_injected", [](auto& m) { m.faults_injected++; }},
+      {"tickets_opened", [](auto& m) { m.tickets_opened++; }},
+      {"repair_attempts", [](auto& m) { m.repair_attempts++; }},
+      {"first_attempt_successes",
+       [](auto& m) { m.first_attempt_successes++; }},
+      {"first_attempts", [](auto& m) { m.first_attempts++; }},
+      {"redetections", [](auto& m) { m.redetections++; }},
+      {"polled_detections", [](auto& m) { m.polled_detections++; }},
+      {"mean_detection_latency_s",
+       [](auto& m) { m.mean_detection_latency_s += 1.0; }},
+      {"false_positive_detections",
+       [](auto& m) { m.false_positive_detections++; }},
+      {"missed_detections", [](auto& m) { m.missed_detections++; }},
+      {"detection_latencies_s",
+       [](auto& m) { m.detection_latencies_s[1] += 1.0; }},
+      {"mean_ticket_resolution_s",
+       [](auto& m) { m.mean_ticket_resolution_s += 1.0; }},
+      {"maintenance_windows", [](auto& m) { m.maintenance_windows++; }},
+      {"maintenance_capacity_violations",
+       [](auto& m) { m.maintenance_capacity_violations++; }},
+      {"collateral_link_seconds",
+       [](auto& m) { m.collateral_link_seconds += 1.0; }},
+      {"undisabled_detections", [](auto& m) { m.undisabled_detections++; }},
+      {"controller.corruption_reports",
+       [](auto& m) { m.controller.corruption_reports++; }},
+      {"controller.disabled_on_arrival",
+       [](auto& m) { m.controller.disabled_on_arrival++; }},
+      {"controller.disabled_on_activation",
+       [](auto& m) { m.controller.disabled_on_activation++; }},
+      {"controller.tickets_issued",
+       [](auto& m) { m.controller.tickets_issued++; }},
+      {"controller.optimizer_runs",
+       [](auto& m) { m.controller.optimizer_runs++; }},
+  };
+  const std::uint64_t base_digest = digest(base);
+  EXPECT_EQ(digest(SimulationMetrics(base)), base_digest);
+  for (const auto& [field, perturb] : perturbations) {
+    SimulationMetrics changed = base;
+    perturb(changed);
+    EXPECT_NE(digest(changed), base_digest) << field;
+  }
 }
 
 TEST(MitigationSim, SingleFaultLifecycle) {
