@@ -12,7 +12,7 @@
 // the thread pool; per-shape aggregates land in BENCH_ablation_penalty.json.
 
 #include <cstdio>
-#include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -35,6 +35,13 @@ struct Shape {
 struct InstanceResult {
   std::vector<common::LinkId> disabled;
   double residual_rate = 0.0;
+};
+
+// One penalty shape's aggregate over every instance.
+struct ShapeRow {
+  std::size_t disabled_total = 0;
+  double mean_residual = 0.0;
+  double agree_fraction = 0.0;
 };
 
 }  // namespace
@@ -95,48 +102,48 @@ int main(int argc, char** argv) {
 
   std::printf("%-24s %14s %20s %22s\n", "penalty shape", "disabled",
               "mean residual f", "agrees with linear");
-  const std::string json_path = args.json_path("ablation_penalty");
-  std::ofstream out = bench::open_output(json_path);
-  common::JsonWriter json(out);
-  json.begin_object();
-  json.member("schema", "corropt-bench-metrics/1");
-  json.member("exhibit", "ablation_penalty");
-  json.member("generator", "bench_ablation_penalty");
-  json.member("threads", args.threads);
-  json.member("instances", instances.size());
-  json.key("scenarios").begin_array();
+  std::vector<ShapeRow> rows(kShapes);
   for (std::size_t s = 0; s < kShapes; ++s) {
-    std::size_t disabled_total = 0;
-    double residual_rate = 0.0;
+    ShapeRow& row = rows[s];
     std::size_t agree = 0;
+    double residual_rate = 0.0;
     for (std::size_t i = 0; i < instances.size(); ++i) {
       const InstanceResult& run = runs[s * instances.size() + i];
-      disabled_total += run.disabled.size();
+      row.disabled_total += run.disabled.size();
       residual_rate += run.residual_rate;
       if (run.disabled == runs[i].disabled) ++agree;  // runs[i] = linear
     }
-    const double mean_residual =
-        residual_rate / static_cast<double>(instances.size());
-    const double agree_fraction =
+    row.mean_residual = residual_rate / static_cast<double>(instances.size());
+    row.agree_fraction =
         static_cast<double>(agree) / static_cast<double>(instances.size());
     std::printf("%-24s %14zu %20.3e %21.0f%%\n", shapes[s].name,
-                disabled_total, mean_residual,
-                s == 0 ? 100.0 : 100.0 * agree_fraction);
+                row.disabled_total, row.mean_residual,
+                s == 0 ? 100.0 : 100.0 * row.agree_fraction);
     std::printf("csv,ablation_penalty,%s,%zu,%.6e\n", shapes[s].name,
-                disabled_total, mean_residual);
-    json.begin_object();
-    json.member("name", shapes[s].name);
-    json.key("metrics").begin_object();
-    json.member("disabled_total", disabled_total);
-    json.member("mean_residual_rate", mean_residual);
-    json.member("agrees_with_linear", agree_fraction);
-    json.end_object();
-    json.end_object();
+                row.disabled_total, row.mean_residual);
   }
-  json.end_array();
-  json.end_object();
-  bench::close_output(out, json_path);
-  std::printf("wrote %s (%zu scenarios)\n", json_path.c_str(), kShapes);
+  bench::write_output(
+      args.json_path("ablation_penalty"), "scenarios", [&](std::ostream& out) {
+        common::JsonWriter json(out);
+        common::begin_document(json, "corropt-bench-metrics/1",
+                               "ablation_penalty", "bench_ablation_penalty",
+                               args.threads);
+        json.member("instances", instances.size());
+        json.key("scenarios").begin_array();
+        for (std::size_t s = 0; s < kShapes; ++s) {
+          json.begin_object();
+          json.member("name", shapes[s].name);
+          json.key("metrics").begin_object();
+          json.member("disabled_total", rows[s].disabled_total);
+          json.member("mean_residual_rate", rows[s].mean_residual);
+          json.member("agrees_with_linear", rows[s].agree_fraction);
+          json.end_object();
+          json.end_object();
+        }
+        json.end_array();
+        json.end_object();
+        return kShapes;
+      });
   std::printf(
       "\nunder contention the step penalty ignores sub-SLA links entirely\n"
       "and the TCP shape keeps heavy-loss links' marginal penalty flat,\n"

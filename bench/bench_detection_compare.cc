@@ -8,6 +8,7 @@
 // versus the SNMP threshold detector. Emits
 // BENCH_detection_compare.json (byte-identical for any --threads).
 #include <cstdio>
+#include <ostream>
 
 #include "bench_util.h"
 #include "detection_compare.h"
@@ -59,10 +60,12 @@ int main(int argc, char** argv) {
                 row.penalty_delta_vs_threshold);
   }
 
-  const std::string path = args.json_path("detection_compare");
-  bench::write_detection_compare_json(path, results,
-                                      "bench_detection_compare");
-  std::printf("\nwrote %s\n", path.c_str());
+  bench::write_output(args.json_path("detection_compare"), "scenarios",
+                      [&](std::ostream& out) {
+                        out << bench::detection_compare_json(
+                            results, "bench_detection_compare");
+                        return results.size();
+                      });
   bench::write_obs_outputs(args, "detection_compare",
                            "bench_detection_compare", results);
   return 0;

@@ -11,7 +11,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <optional>
-#include <string>
+#include <ostream>
 
 #include "bench_util.h"
 #include "fleet/fleet_campaign.h"
@@ -93,9 +93,10 @@ int main(int argc, char** argv) {
   std::printf("campaign wall time: %.2f s on %zu threads\n", wall,
               args.threads);
 
-  const std::string path = args.json_path("fleet");
-  fleet::write_fleet_json_file(path, result, "bench_fleet");
-  std::printf("wrote %s (%zu DCs)\n", path.c_str(), result.dcs.size());
+  bench::write_output(args.json_path("fleet"), "DCs", [&](std::ostream& out) {
+    fleet::write_fleet_json(out, result, "bench_fleet");
+    return result.dcs.size();
+  });
 
   bench::write_obs_outputs(args, "fleet", "bench_fleet", result.dcs);
   return 0;

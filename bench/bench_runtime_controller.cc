@@ -14,7 +14,6 @@
 //
 // --threads sets the optimizer's solver_threads in both replays (the
 // stream replay itself is serial so latency numbers stay honest).
-#include <algorithm>
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -27,6 +26,7 @@
 #include "obs/sink.h"
 #include "service/churn.h"
 #include "service/control_loop.h"
+#include "stats/cdf.h"
 #include "study_util.h"
 
 namespace {
@@ -87,15 +87,6 @@ LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
   return outcome;
 }
 
-double percentile_ms(std::vector<double> latencies, double p) {
-  if (latencies.empty()) return 0.0;
-  std::sort(latencies.begin(), latencies.end());
-  const std::size_t index = std::min(
-      latencies.size() - 1,
-      static_cast<std::size_t>(p * static_cast<double>(latencies.size())));
-  return latencies[index] * 1e3;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -136,8 +127,13 @@ int main(int argc, char** argv) {
                                     static_cast<double>(loop.stats.events) *
                                     1e3
                               : 0.0;
-    const double p50 = percentile_ms(loop.latencies, 0.50);
-    const double p99 = percentile_ms(loop.latencies, 0.99);
+    // Nearest-rank latency percentiles; 0 without decisions.
+    double p50 = 0.0, p99 = 0.0;
+    if (!loop.latencies.empty()) {
+      stats::EmpiricalCdf latencies(loop.latencies);
+      p50 = latencies.quantile(0.50) * 1e3;
+      p99 = latencies.quantile(0.99) * 1e3;
+    }
     std::printf("%-12s %-12s %8zu %12.1f %10.4f %10.4f %10.4f\n",
                 scenario.name, "loop", loop.stats.events, dps, mean_ms, p50,
                 p99);

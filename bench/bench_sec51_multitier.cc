@@ -8,7 +8,7 @@
 // results land in BENCH_sec51_tiers.json.
 
 #include <cstdio>
-#include <fstream>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -90,15 +90,6 @@ int main(int argc, char** argv) {
 
   std::printf("%-26s %8s %8s %10s %14s %14s\n", "topology", "links",
               "tiers", "sc", "switch-local", "corropt");
-  const std::string json_path = args.json_path("sec51_tiers");
-  std::ofstream out = bench::open_output(json_path);
-  common::JsonWriter json(out);
-  json.begin_object();
-  json.member("schema", "corropt-bench-metrics/1");
-  json.member("exhibit", "sec51_tiers");
-  json.member("generator", "bench_sec51_multitier");
-  json.member("threads", args.threads);
-  json.key("scenarios").begin_array();
   for (std::size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& r = results[i];
     const double denom = static_cast<double>(r.corrupting);
@@ -108,21 +99,32 @@ int main(int argc, char** argv) {
     std::printf("csv,sec51_tiers,%d,%.4f,%.4f,%.4f\n", r.tiers, r.sc,
                 static_cast<double>(r.local_disabled) / denom,
                 static_cast<double>(r.global_disabled) / denom);
-    json.begin_object();
-    json.member("name", cases[i].name);
-    json.key("metrics").begin_object();
-    json.member("link_count", r.links);
-    json.member("tiers", r.tiers);
-    json.member("switch_local_threshold", r.sc);
-    json.member("switch_local_disabled_fraction", r.local_disabled / denom);
-    json.member("corropt_disabled_fraction", r.global_disabled / denom);
-    json.end_object();
-    json.end_object();
   }
-  json.end_array();
-  json.end_object();
-  bench::close_output(out, json_path);
-  std::printf("wrote %s (%zu scenarios)\n", json_path.c_str(), cases.size());
+  bench::write_output(
+      args.json_path("sec51_tiers"), "scenarios", [&](std::ostream& out) {
+        common::JsonWriter json(out);
+        common::begin_document(json, "corropt-bench-metrics/1", "sec51_tiers",
+                               "bench_sec51_multitier", args.threads);
+        json.key("scenarios").begin_array();
+        for (std::size_t i = 0; i < cases.size(); ++i) {
+          const CaseResult& r = results[i];
+          const double denom = static_cast<double>(r.corrupting);
+          json.begin_object();
+          json.member("name", cases[i].name);
+          json.key("metrics").begin_object();
+          json.member("link_count", r.links);
+          json.member("tiers", r.tiers);
+          json.member("switch_local_threshold", r.sc);
+          json.member("switch_local_disabled_fraction",
+                      r.local_disabled / denom);
+          json.member("corropt_disabled_fraction", r.global_disabled / denom);
+          json.end_object();
+          json.end_object();
+        }
+        json.end_array();
+        json.end_object();
+        return cases.size();
+      });
   std::printf(
       "\nas tiers are added, sc = c^(1/r) approaches 1 and the per-switch\n"
       "budget floor(m*(1-sc)) hits zero; CorrOpt's exact counting keeps\n"

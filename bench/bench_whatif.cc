@@ -9,9 +9,12 @@
 // branch equivalence contract, asserted here per branch against fresh
 // runs and across 1- and 4-thread pools); the speedup is the point.
 //
-// With the branch at fraction f of the horizon and N branches, fresh
-// work is N runs while branched work is f + N(1-f) runs: f=0.85, N=8
-// gives an expected ~3.9x. The measured number lands in
+// With the branch at fraction f of the horizon, N branches and T
+// workers, the N fresh runs take ceil(N/T) waves of one run each, while
+// branched execution runs the prefix once on one thread (f) and then
+// ceil(N/T) waves of branch tails (1-f each): the expected speedup is
+// ceil(N/T) / (f + ceil(N/T)(1-f)), ~3.9x at f=0.85, N=8, T=1 and
+// ~1.7x at T=4. The measured number lands in
 // BENCH_whatif.json; BENCH_whatif_branched.json and
 // BENCH_whatif_fresh.json are wall-clock-free corropt-bench-metrics/1
 // documents whose bytes must compare equal (cmp) to each other and
@@ -25,7 +28,6 @@
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <fstream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -294,47 +296,45 @@ int main(int argc, char** argv) {
                     ? "yes"
                     : "NO");
   }
+  const double waves =
+      static_cast<double>((kBranches + args.threads - 1) / args.threads);
   std::printf(
       "\nprefix %.2fs + branches %.2fs = %.2fs branched; fresh %.2fs; "
-      "speedup %.2fx (expected ~%.1fx at f=%.2f, N=%zu)\n",
+      "speedup %.2fx (expected ~%.1fx at f=%.2f, N=%zu, T=%zu)\n",
       prefix_s, branched_s, prefix_s + branched_s, fresh_s, speedup,
-      kBranches / (branch_fraction + kBranches * (1.0 - branch_fraction)),
-      branch_fraction, kBranches);
+      waves / (branch_fraction + waves * (1.0 - branch_fraction)),
+      branch_fraction, kBranches, args.threads);
   std::printf(
       "total %.2fs wall, %.2fs (%.0f%%) of it untimed: trace synthesis, "
       "identity re-run, digests\n",
       total_s, untimed_s, total_s > 0.0 ? 100.0 * untimed_s / total_s : 0.0);
 
   // BENCH_whatif.json: the speedup exhibit.
-  {
-    std::ofstream out = bench::open_output(args.json_path("whatif"));
-    common::JsonWriter json(out);
-    json.begin_object();
-    json.member("schema", "corropt-whatif/1");
-    json.member("exhibit", "whatif");
-    json.member("generator", "bench_whatif");
-    json.member("threads", args.threads);
-    json.member("duration_days", common::to_days(duration));
-    json.member("branch_fraction", branch_fraction);
-    json.member("branches", kBranches);
-    json.member("checkpoint_time_s", static_cast<double>(base.time));
-    json.member("checkpoint_steps", base.steps);
-    json.member("checkpoint_bytes", base.bytes.size());
-    json.member("prefix_wall_s", prefix_s);
-    json.member("branched_wall_s", branched_s);
-    json.member("fresh_wall_s", fresh_s);
-    json.member("total_wall_s", total_s);
-    json.member("speedup", speedup);
-    json.member("all_identical", all_identical);
-    json.key("branch_penalties").begin_array();
-    for (const BranchOutcome& outcome : branched) {
-      json.value(outcome.metrics.integrated_penalty);
-    }
-    json.end_array();
-    json.end_object();
-    bench::close_output(out, args.json_path("whatif"));
-  }
-  std::printf("wrote %s\n", args.json_path("whatif").c_str());
+  bench::write_output(
+      args.json_path("whatif"), "branches", [&](std::ostream& out) {
+        common::JsonWriter json(out);
+        common::begin_document(json, "corropt-whatif/1", "whatif",
+                               "bench_whatif", args.threads);
+        json.member("duration_days", common::to_days(duration));
+        json.member("branch_fraction", branch_fraction);
+        json.member("branches", kBranches);
+        json.member("checkpoint_time_s", static_cast<double>(base.time));
+        json.member("checkpoint_steps", base.steps);
+        json.member("checkpoint_bytes", base.bytes.size());
+        json.member("prefix_wall_s", prefix_s);
+        json.member("branched_wall_s", branched_s);
+        json.member("fresh_wall_s", fresh_s);
+        json.member("total_wall_s", total_s);
+        json.member("speedup", speedup);
+        json.member("all_identical", all_identical);
+        json.key("branch_penalties").begin_array();
+        for (const BranchOutcome& outcome : branched) {
+          json.value(outcome.metrics.integrated_penalty);
+        }
+        json.end_array();
+        json.end_object();
+        return kBranches;
+      });
 
   // Deterministic companion documents for the CI cmp contract.
   write_deterministic_doc(args.json_path("whatif_branched"), branched,

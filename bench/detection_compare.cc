@@ -136,19 +136,18 @@ std::vector<DetectionCompareSummary> summarize_detection_compare(
   return rows;
 }
 
-namespace {
-
-void write_detection_compare(std::ostream& out,
-                             const std::vector<ScenarioResult>& results,
-                             const std::string& generator) {
+std::string detection_compare_json(const std::vector<ScenarioResult>& results,
+                                   const std::string& generator) {
   const std::vector<DetectionCompareSummary> rows =
       summarize_detection_compare(results);
+  std::ostringstream out;
   common::JsonWriter json(out);
-  // threads = 0: like the fleet document, this file is defined to be
+  // No "threads": like the fleet document, this file is defined to be
   // byte-identical for any worker count, so neither the pool size nor
   // per-job wall clocks appear.
-  open_metrics_document(json, "corropt-bench-metrics/1", "detection_compare",
-                        generator, /*threads=*/0);
+  common::begin_document(json, "corropt-bench-metrics/1", "detection_compare",
+                         generator);
+  json.key("scenarios").begin_array();
   for (std::size_t i = 0; i < results.size(); ++i) {
     const ScenarioResult& result = results[i];
     const DetectionCompareSummary& row = rows[i];
@@ -184,24 +183,9 @@ void write_detection_compare(std::ostream& out,
     json.end_object();
     json.end_object();
   }
-  close_metrics_document(json);
-}
-
-}  // namespace
-
-std::string detection_compare_json(const std::vector<ScenarioResult>& results,
-                                   const std::string& generator) {
-  std::ostringstream out;
-  write_detection_compare(out, results, generator);
+  json.end_array();
+  json.end_object();
   return out.str();
-}
-
-void write_detection_compare_json(const std::string& path,
-                                  const std::vector<ScenarioResult>& results,
-                                  const std::string& generator) {
-  std::ofstream out = open_output(path);
-  write_detection_compare(out, results, generator);
-  close_output(out, path);
 }
 
 }  // namespace corropt::bench

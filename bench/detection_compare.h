@@ -61,8 +61,4 @@ struct DetectionCompareSummary {
 [[nodiscard]] std::string detection_compare_json(
     const std::vector<ScenarioResult>& results, const std::string& generator);
 
-void write_detection_compare_json(const std::string& path,
-                                  const std::vector<ScenarioResult>& results,
-                                  const std::string& generator);
-
 }  // namespace corropt::bench

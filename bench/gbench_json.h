@@ -1,19 +1,20 @@
 // JSON metrics for the google-benchmark runtime benches.
 //
 // The sweep benches write BENCH_<exhibit>.json (corropt-bench-metrics/1)
-// through bench_util.h; the two gbench binaries get the same structured
-// output here. A ConsoleReporter subclass records every per-iteration run
-// while still printing the usual table, and run_gbench_with_json() then
-// writes one scenario per benchmark with timings normalized to
-// milliseconds, so tools/plot_benches.py can draw the runtime curves from
-// the shared schema instead of parsing gbench's own --benchmark_format.
+// through bench::write_output; the two gbench binaries get the same
+// structured output here. A ConsoleReporter subclass records every
+// per-iteration run while still printing the usual table, and
+// run_gbench_with_json() then writes one scenario per benchmark with
+// timings normalized to milliseconds, so tools/plot_benches.py can draw
+// the runtime curves from the shared schema instead of parsing gbench's
+// own --benchmark_format.
 #pragma once
 
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
 #include <cstring>
-#include <fstream>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -96,28 +97,30 @@ inline int run_gbench_with_json(int argc, char** argv, const char* exhibit) {
     return 1;
   }
 
-  const std::string path = json_dir + "/BENCH_" + exhibit + ".json";
-  std::ofstream out = open_output(path);
-  common::JsonWriter json(out);
-  open_metrics_document(json, "corropt-bench-metrics/1", exhibit,
-                        std::string("bench_") + exhibit);
-  for (const GBenchRun& run : reporter.runs()) {
-    json.begin_object();
-    json.member("name", run.name);
-    json.key("metrics").begin_object();
-    json.member("real_time_ms", run.real_time_ms);
-    json.member("cpu_time_ms", run.cpu_time_ms);
-    json.member("iterations", run.iterations);
-    for (const auto& [counter_name, value] : run.counters) {
-      json.member(counter_name, value);
-    }
-    json.end_object();
-    json.end_object();
-  }
-  close_metrics_document(json);
-  close_output(out, path);
-  std::printf("wrote %s (%zu benchmarks)\n", path.c_str(),
-              reporter.runs().size());
+  write_output(
+      json_dir + "/BENCH_" + exhibit + ".json", "benchmarks",
+      [&](std::ostream& out) {
+        common::JsonWriter json(out);
+        common::begin_document(json, "corropt-bench-metrics/1", exhibit,
+                               std::string("bench_") + exhibit);
+        json.key("scenarios").begin_array();
+        for (const GBenchRun& run : reporter.runs()) {
+          json.begin_object();
+          json.member("name", run.name);
+          json.key("metrics").begin_object();
+          json.member("real_time_ms", run.real_time_ms);
+          json.member("cpu_time_ms", run.cpu_time_ms);
+          json.member("iterations", run.iterations);
+          for (const auto& [counter_name, value] : run.counters) {
+            json.member(counter_name, value);
+          }
+          json.end_object();
+          json.end_object();
+        }
+        json.end_array();
+        json.end_object();
+        return reporter.runs().size();
+      });
   return 0;
 }
 

@@ -1,6 +1,8 @@
 #include "scenario_runner.h"
 
-#include <stdexcept>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
 #include <thread>
 
 #include "common/json.h"
@@ -47,14 +49,7 @@ void write_metrics(common::JsonWriter& json,
               metrics.maintenance_capacity_violations);
   json.member("collateral_link_seconds", metrics.collateral_link_seconds);
   json.member("undisabled_detections", metrics.undisabled_detections);
-  json.key("controller").begin_object();
-  json.member("corruption_reports", metrics.controller.corruption_reports);
-  json.member("disabled_on_arrival", metrics.controller.disabled_on_arrival);
-  json.member("disabled_on_activation",
-              metrics.controller.disabled_on_activation);
-  json.member("tickets_issued", metrics.controller.tickets_issued);
-  json.member("optimizer_runs", metrics.controller.optimizer_runs);
-  json.end_object();
+  sim::write_controller_json(json, metrics.controller);
   if (options.include_hourly_penalty) {
     json.member("hourly_penalty", metrics.hourly_penalty);
   }
@@ -130,76 +125,63 @@ std::size_t configured_thread_count() {
   return hw > 0 ? hw : 1;
 }
 
-void open_metrics_document(common::JsonWriter& json, const std::string& schema,
-                           const std::string& exhibit,
-                           const std::string& generator,
-                           std::size_t threads) {
-  json.begin_object();
-  json.member("schema", schema);
-  json.member("exhibit", exhibit);
-  json.member("generator", generator);
-  if (threads > 0) json.member("threads", threads);
-  json.key("scenarios").begin_array();
-}
-
-void close_metrics_document(common::JsonWriter& json) {
-  json.end_array();
-  json.end_object();
+void write_output(const std::string& path, std::string_view items,
+                  const std::function<std::size_t(std::ostream&)>& body) {
+  std::ofstream out(path);
+  if (!out) {
+    std::fprintf(stderr, "cannot open %s for writing\n", path.c_str());
+    std::exit(1);
+  }
+  const std::size_t count = body(out);
+  out.close();
+  if (!out) {
+    std::fprintf(stderr, "write to %s failed\n", path.c_str());
+    std::exit(1);
+  }
+  std::printf("wrote %s (%zu %.*s)\n", path.c_str(), count,
+              static_cast<int>(items.size()), items.data());
 }
 
 void write_metrics_json(const std::string& path, const std::string& exhibit,
                         const std::string& generator, std::size_t threads,
                         const std::vector<ScenarioResult>& results,
                         const MetricsJsonOptions& options) {
-  std::ofstream out = open_output(path);
-  common::JsonWriter json(out);
-  open_metrics_document(json, "corropt-bench-metrics/1", exhibit, generator,
-                        threads);
-  for (const ScenarioResult& result : results) {
-    json.begin_object();
-    json.member("name", result.name);
-    json.key("tags").begin_object();
-    for (const auto& [k, v] : result.tags) json.member(k, v);
+  write_output(path, "scenarios", [&](std::ostream& out) {
+    common::JsonWriter json(out);
+    common::begin_document(json, "corropt-bench-metrics/1", exhibit,
+                           generator, threads);
+    json.key("scenarios").begin_array();
+    for (const ScenarioResult& result : results) {
+      json.begin_object();
+      json.member("name", result.name);
+      json.key("tags").begin_object();
+      for (const auto& [k, v] : result.tags) json.member(k, v);
+      json.end_object();
+      json.member("link_count", result.link_count);
+      json.member("wall_seconds", result.wall_seconds);
+      write_metrics(json, result.metrics, options);
+      json.end_object();
+    }
+    json.end_array();
     json.end_object();
-    json.member("link_count", result.link_count);
-    json.member("wall_seconds", result.wall_seconds);
-    write_metrics(json, result.metrics, options);
-    json.end_object();
-  }
-  close_metrics_document(json);
-  close_output(out, path);
-  std::printf("wrote %s (%zu scenarios)\n", path.c_str(), results.size());
-}
-
-std::ofstream open_output(const std::string& path) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
-  return out;
-}
-
-void close_output(std::ofstream& out, const std::string& path) {
-  out.close();
-  if (!out) {
-    throw std::runtime_error("write to " + path + " failed");
-  }
+    return results.size();
+  });
 }
 
 void write_obs_jsonl(const std::string& path,
                      const std::vector<const sim::ScenarioRun*>& runs) {
-  std::ofstream out = open_output(path);
-  std::size_t events = 0;
-  for (const sim::ScenarioRun* run : runs) {
-    if (!run->obs) continue;
-    for (const obs::Event& event : run->obs->journal) {
-      obs::write_event_jsonl(out, event, run->name);
-      out << '\n';
+  write_output(path, "events", [&](std::ostream& out) {
+    std::size_t events = 0;
+    for (const sim::ScenarioRun* run : runs) {
+      if (!run->obs) continue;
+      for (const obs::Event& event : run->obs->journal) {
+        obs::write_event_jsonl(out, event, run->name);
+        out << '\n';
+      }
+      events += run->obs->journal.size();
     }
-    events += run->obs->journal.size();
-  }
-  close_output(out, path);
-  std::printf("wrote %s (%zu events)\n", path.c_str(), events);
+    return events;
+  });
 }
 
 void write_obs_metrics_json(const std::string& path,
@@ -207,24 +189,26 @@ void write_obs_metrics_json(const std::string& path,
                             const std::string& generator, std::size_t threads,
                             const std::vector<const sim::ScenarioRun*>& runs,
                             bool include_timers) {
-  std::ofstream out = open_output(path);
-  common::JsonWriter json(out);
-  open_metrics_document(json, "corropt-obs-metrics/1", exhibit, generator,
-                        threads);
-  std::size_t scenarios = 0;
-  for (const sim::ScenarioRun* run : runs) {
-    if (!run->obs) continue;
-    json.begin_object();
-    json.member("name", run->name);
-    json.member("journal_events", run->obs->journal.size());
-    json.member("journal_dropped", run->obs->journal_dropped);
-    run->obs->metrics.write_json(json, include_timers);
+  write_output(path, "scenarios", [&](std::ostream& out) {
+    common::JsonWriter json(out);
+    common::begin_document(json, "corropt-obs-metrics/1", exhibit, generator,
+                           threads);
+    json.key("scenarios").begin_array();
+    std::size_t scenarios = 0;
+    for (const sim::ScenarioRun* run : runs) {
+      if (!run->obs) continue;
+      json.begin_object();
+      json.member("name", run->name);
+      json.member("journal_events", run->obs->journal.size());
+      json.member("journal_dropped", run->obs->journal_dropped);
+      run->obs->metrics.write_json(json, include_timers);
+      json.end_object();
+      ++scenarios;
+    }
+    json.end_array();
     json.end_object();
-    ++scenarios;
-  }
-  close_metrics_document(json);
-  close_output(out, path);
-  std::printf("wrote %s (%zu scenarios)\n", path.c_str(), scenarios);
+    return scenarios;
+  });
 }
 
 }  // namespace corropt::bench

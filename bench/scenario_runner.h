@@ -14,10 +14,11 @@
 #pragma once
 
 #include <cstdint>
-#include <fstream>
 #include <functional>
+#include <iosfwd>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -140,32 +141,23 @@ struct MetricsJsonOptions {
   bool include_tor_series = false;
 };
 
+// Every BENCH_/OBS_ file a bench writes goes through here: opens `path`,
+// hands the stream to `body`, which writes the document and returns how
+// many `items` it holds, closes the file and prints the one
+// "wrote <path> (<count> <items>)" line. A failed open or write, the
+// final flush included, prints one stderr line naming the file and
+// exits 1, so a bench never reports a file it did not write.
+void write_output(const std::string& path, std::string_view items,
+                  const std::function<std::size_t(std::ostream&)>& body);
+
 // Writes `results` to `path` as a corropt-bench-metrics/1 JSON document
 // (see EXPERIMENTS.md for the schema). `exhibit` is the short exhibit id
 // ("fig17"), `generator` the producing binary's name, `threads` the pool
-// size used. Throws std::runtime_error if the file cannot be written.
+// size used (0 leaves it out of the envelope).
 void write_metrics_json(const std::string& path, const std::string& exhibit,
                         const std::string& generator, std::size_t threads,
                         const std::vector<ScenarioResult>& results,
                         const MetricsJsonOptions& options = {});
-
-// Shared document envelope of every metrics JSON this repo writes
-// (corropt-bench-metrics/1, corropt-obs-metrics/1): opens the root
-// object, emits schema/exhibit/generator (+ "threads" when nonzero), and
-// opens the "scenarios" array. The caller emits one object per scenario,
-// then closes with close_metrics_document().
-void open_metrics_document(common::JsonWriter& json, const std::string& schema,
-                           const std::string& exhibit,
-                           const std::string& generator,
-                           std::size_t threads = 0);
-void close_metrics_document(common::JsonWriter& json);
-
-// Every BENCH_/OBS_ file is opened and closed through these two, so a
-// bench never reports a file it did not write: open_output throws
-// std::runtime_error when `path` cannot be opened for writing,
-// close_output when any write to it failed, the final flush included.
-[[nodiscard]] std::ofstream open_output(const std::string& path);
-void close_output(std::ofstream& out, const std::string& path);
 
 // Writes the concatenated journals of `runs` as JSONL, one event per
 // line tagged with its run's name, runs in the given order. Fully

@@ -10,8 +10,7 @@
 // corropt-bench-metrics/1 schema.
 #pragma once
 
-#include <cstdio>
-#include <fstream>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -43,23 +42,25 @@ inline void write_study_metrics_json(const std::string& path,
                                      const std::string& generator,
                                      std::size_t threads,
                                      const std::vector<StudyScenario>& rows) {
-  std::ofstream out = open_output(path);
-  common::JsonWriter json(out);
-  open_metrics_document(json, "corropt-bench-metrics/1", exhibit, generator,
-                        threads);
-  for (const StudyScenario& row : rows) {
-    json.begin_object();
-    json.member("name", row.name);
-    json.key("metrics").begin_object();
-    for (const auto& [key, value] : row.metrics) {
-      json.member(key, value);
+  write_output(path, "scenarios", [&](std::ostream& out) {
+    common::JsonWriter json(out);
+    common::begin_document(json, "corropt-bench-metrics/1", exhibit,
+                           generator, threads);
+    json.key("scenarios").begin_array();
+    for (const StudyScenario& row : rows) {
+      json.begin_object();
+      json.member("name", row.name);
+      json.key("metrics").begin_object();
+      for (const auto& [key, value] : row.metrics) {
+        json.member(key, value);
+      }
+      json.end_object();
+      json.end_object();
     }
+    json.end_array();
     json.end_object();
-    json.end_object();
-  }
-  close_metrics_document(json);
-  close_output(out, path);
-  std::printf("wrote %s (%zu scenarios)\n", path.c_str(), rows.size());
+    return rows.size();
+  });
 }
 
 }  // namespace corropt::bench

@@ -161,4 +161,14 @@ void JsonWriter::prefix() {
   dirty_.back() = true;
 }
 
+void begin_document(JsonWriter& json, std::string_view schema,
+                    std::string_view exhibit, std::string_view generator,
+                    std::size_t threads) {
+  json.begin_object();
+  json.member("schema", schema);
+  json.member("exhibit", exhibit);
+  json.member("generator", generator);
+  if (threads > 0) json.member("threads", threads);
+}
+
 }  // namespace corropt::common

@@ -8,6 +8,7 @@
 // runs and diffable.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <ostream>
 #include <string>
@@ -70,5 +71,14 @@ class JsonWriter {
   // A key was just written; the next value follows ": " on the same line.
   bool after_key_ = false;
 };
+
+// Opens the root object of a document and writes the envelope every
+// document this repo writes starts with (corropt-bench-metrics/1,
+// corropt-obs-metrics/1, corropt-whatif/1): schema, exhibit, generator,
+// and "threads" when nonzero. The caller writes the document's own
+// members and closes the root object.
+void begin_document(JsonWriter& json, std::string_view schema,
+                    std::string_view exhibit, std::string_view generator,
+                    std::size_t threads = 0);
 
 }  // namespace corropt::common

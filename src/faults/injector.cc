@@ -105,6 +105,21 @@ void FaultInjector::walk(Self& self, Codec& c) {
   c.u64(self.next_id_);
   c.i64(self.now_);
   if constexpr (Codec::kReading) {
+    // The penalty accountant indexes per-link arrays by a fault's links,
+    // and clear/advance rebuild its effects' directions: both unchecked.
+    const topology::Topology& topo = self.state_->topo();
+    for (const auto& [id, fault] : self.active_) {
+      c.check(id.value() < self.next_id_,
+              "active fault id at or past the next fault id");
+      for (const LinkId link : fault.links) {
+        c.check(link.index() < topo.link_count(),
+                "fault names a link past the fabric");
+      }
+      for (const DirectionEffect& effect : fault.effects) {
+        c.check(effect.direction.index() < topo.direction_count(),
+                "fault effect names a direction past the fabric");
+      }
+    }
     // Id order is injection order, so the rebuilt per-direction and
     // per-link lists match the live ones. NetworkState restores the
     // physical arrays bit-exactly itself; no rebuild_direction here (a

@@ -1,10 +1,9 @@
 #include "fleet/fleet_json.h"
 
-#include <fstream>
 #include <sstream>
-#include <stdexcept>
 
 #include "common/json.h"
+#include "sim/metrics.h"
 
 namespace corropt::fleet {
 
@@ -38,15 +37,7 @@ void write_dc_row(common::JsonWriter& json, const DcResult& dc) {
   json.member("mean_ticket_resolution_s",
               dc.metrics.mean_ticket_resolution_s);
   json.member("undisabled_detections", dc.metrics.undisabled_detections);
-  json.key("controller").begin_object();
-  json.member("corruption_reports", dc.metrics.controller.corruption_reports);
-  json.member("disabled_on_arrival",
-              dc.metrics.controller.disabled_on_arrival);
-  json.member("disabled_on_activation",
-              dc.metrics.controller.disabled_on_activation);
-  json.member("tickets_issued", dc.metrics.controller.tickets_issued);
-  json.member("optimizer_runs", dc.metrics.controller.optimizer_runs);
-  json.end_object();
+  sim::write_controller_json(json, dc.metrics.controller);
   json.end_object();
   json.end_object();
 }
@@ -72,14 +63,7 @@ void write_fleet_aggregates(common::JsonWriter& json,
   json.member("redetections", fleet.redetections);
   json.member("mean_ticket_resolution_s", fleet.mean_ticket_resolution_s);
   json.member("undisabled_detections", fleet.undisabled_detections);
-  json.key("controller").begin_object();
-  json.member("corruption_reports", fleet.controller.corruption_reports);
-  json.member("disabled_on_arrival", fleet.controller.disabled_on_arrival);
-  json.member("disabled_on_activation",
-              fleet.controller.disabled_on_activation);
-  json.member("tickets_issued", fleet.controller.tickets_issued);
-  json.member("optimizer_runs", fleet.controller.optimizer_runs);
-  json.end_object();
+  sim::write_controller_json(json, fleet.controller);
   json.end_object();
 }
 
@@ -88,14 +72,10 @@ void write_fleet_aggregates(common::JsonWriter& json,
 void write_fleet_json(std::ostream& out, const FleetResult& result,
                       const std::string& generator) {
   common::JsonWriter json(out);
-  // The corropt-bench-metrics/1 envelope, minus "threads": the fleet
-  // document is defined to be thread-count-invariant, so the one field
-  // that records pool size is deliberately absent (the stdout summary
-  // reports it instead).
-  json.begin_object();
-  json.member("schema", "corropt-bench-metrics/1");
-  json.member("exhibit", "fleet");
-  json.member("generator", generator);
+  // No "threads": the fleet document is defined to be
+  // thread-count-invariant, so the one field that records pool size is
+  // deliberately absent (the stdout summary reports it instead).
+  common::begin_document(json, "corropt-bench-metrics/1", "fleet", generator);
   json.key("scenarios").begin_array();
   for (const DcResult& dc : result.dcs) write_dc_row(json, dc);
   json.end_array();
@@ -108,19 +88,6 @@ std::string fleet_json_string(const FleetResult& result,
   std::ostringstream out;
   write_fleet_json(out, result, generator);
   return out.str();
-}
-
-void write_fleet_json_file(const std::string& path, const FleetResult& result,
-                           const std::string& generator) {
-  std::ofstream out(path);
-  if (!out) {
-    throw std::runtime_error("cannot open " + path + " for writing");
-  }
-  write_fleet_json(out, result, generator);
-  out.close();  // The final flush can fail too.
-  if (!out) {
-    throw std::runtime_error("write to " + path + " failed");
-  }
 }
 
 }  // namespace corropt::fleet

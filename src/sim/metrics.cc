@@ -39,4 +39,15 @@ std::uint64_t digest(const SimulationMetrics& metrics) {
   return common::snap::digest(w.take());
 }
 
+void write_controller_json(common::JsonWriter& json,
+                           const core::Controller::Stats& stats) {
+  json.key("controller").begin_object();
+  json.member("corruption_reports", stats.corruption_reports);
+  json.member("disabled_on_arrival", stats.disabled_on_arrival);
+  json.member("disabled_on_activation", stats.disabled_on_activation);
+  json.member("tickets_issued", stats.tickets_issued);
+  json.member("optimizer_runs", stats.optimizer_runs);
+  json.end_object();
+}
+
 }  // namespace corropt::sim

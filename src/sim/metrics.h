@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/json.h"
 #include "common/snapshot.h"
 #include "common/time.h"
 #include "corropt/controller.h"
@@ -126,5 +127,10 @@ void publish_metrics(const obs::Sink* sink, const SimulationMetrics& metrics);
 // Controller::Stats::walk: every field, scalars and series. Two runs are
 // metric-equivalent iff their digests match.
 [[nodiscard]] std::uint64_t digest(const SimulationMetrics& metrics);
+
+// Writes `stats` as the "controller" member of the object `json` has
+// open: the one controller block of every BENCH_ document.
+void write_controller_json(common::JsonWriter& json,
+                           const core::Controller::Stats& stats);
 
 }  // namespace corropt::sim

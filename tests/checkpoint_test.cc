@@ -1114,6 +1114,111 @@ TEST(CheckpointMutation, NetworkStateRateOutOfRangeThrows) {
   }
 }
 
+// The fault injector's section, decoded in FaultInjector::walk's field
+// order so a test can edit it and splice it back.
+struct FaultSection {
+  std::vector<faults::Fault> faults;  // Id order.
+  std::uint64_t next_id = 0;
+  std::int64_t now = 0;
+};
+
+// Rewrites the FLTS section of a sealed checkpoint through `edit` and
+// reseals it.
+void edit_faults(std::string& bytes,
+                 const std::function<void(FaultSection&)>& edit) {
+  const std::uint32_t flts = common::snap::tag('F', 'L', 'T', 'S');
+  const std::size_t at = section_at(bytes, flts, 1);
+  common::snap::Reader r(std::string_view(bytes).substr(at));
+  r.section(flts, 1, "fault injector");
+  FaultSection section;
+  section.faults.resize(r.length());
+  for (faults::Fault& fault : section.faults) {
+    r.id(fault.id);
+    r.u8(fault.cause);
+    r.ids(fault.links);
+    r.seq(fault.effects, [&r](faults::DirectionEffect& e) {
+      r.id(e.direction);
+      r.f64(e.extra_attenuation_db);
+      r.f64(e.tx_power_delta_db);
+      r.f64(e.tx_decay_db_per_day);
+      r.f64(e.corruption_rate);
+    });
+    r.seq(fault.fixing_actions, [&r](faults::RepairAction& a) { r.u8(a); });
+    r.i64(fault.onset);
+  }
+  r.u64(section.next_id);
+  r.i64(section.now);
+  const std::size_t end = bytes.size() - r.remaining();
+
+  edit(section);
+  common::snap::Writer w;
+  w.section(flts, 1, "fault injector");
+  w.seq(section.faults, [&w](const faults::Fault& fault) {
+    w.id(fault.id);
+    w.u8(fault.cause);
+    w.ids(fault.links);
+    w.seq(fault.effects, [&w](const faults::DirectionEffect& e) {
+      w.id(e.direction);
+      w.f64(e.extra_attenuation_db);
+      w.f64(e.tx_power_delta_db);
+      w.f64(e.tx_decay_db_per_day);
+      w.f64(e.corruption_rate);
+    });
+    w.seq(fault.fixing_actions, [&w](faults::RepairAction a) { w.u8(a); });
+    w.i64(fault.onset);
+  });
+  w.u64(section.next_id);
+  w.i64(section.now);
+  bytes.replace(at, end - at, w.take());
+  reseal(bytes);
+}
+
+// A restored active fault may only name what the fabric holds: the
+// penalty accountant indexes per-link arrays by its links, and clearing
+// or advancing it rebuilds its effects' directions, both unchecked. Its
+// id must also lie below the restored id counter, or the next injected
+// fault would collide with it.
+TEST(CheckpointMutation, FaultIdsPastTheirCountsThrow) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const std::vector<std::pair<std::function<void(FaultSection&)>, std::string>>
+      cases = {
+          {[&](FaultSection& s) {
+             s.faults.front().links.front() = common::LinkId(
+                 static_cast<common::LinkId::underlying_type>(
+                     topo.link_count()));
+           },
+           "fault names a link past the fabric"},
+          {[&](FaultSection& s) {
+             s.faults.back().effects.front().direction = common::DirectionId(
+                 static_cast<common::DirectionId::underlying_type>(
+                     topo.direction_count()));
+           },
+           "fault effect names a direction past the fabric"},
+          {[](FaultSection& s) {
+             s.next_id = s.faults.back().id.value();
+           },
+           "active fault id at or past the next fault id"},
+      };
+  for (const auto& test_case : cases) {
+    Checkpoint ckpt = base;
+    edit_faults(ckpt.bytes, [&test_case](FaultSection& s) {
+      ASSERT_FALSE(s.faults.empty()) << "the checkpoint holds no fault";
+      ASSERT_FALSE(s.faults.front().links.empty());
+      ASSERT_FALSE(s.faults.back().effects.empty());
+      test_case.first(s);
+    });
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt, test_case.second);
+  }
+  // The unedited splice still restores: the decoding above is faithful.
+  Checkpoint same = base;
+  edit_faults(same.bytes, [](FaultSection&) {});
+  EXPECT_EQ(same.bytes, base.bytes);
+}
+
 // --- Journal time travel ----------------------------------------------
 
 // Replay-to-event-K: checkpoint_at_step(k) restored into a fresh

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <optional>
@@ -21,9 +22,11 @@
 #include "common/json.h"
 #include "common/rng.h"
 #include "common/time.h"
+#include "fleet/fleet_json.h"
 #include "obs/journal.h"
 #include "obs_oracles.h"
 #include "sim/mitigation_sim.h"
+#include "study_util.h"
 #include "topology/fat_tree.h"
 #include "trace/trace.h"
 
@@ -291,6 +294,95 @@ TEST(ScenarioRunnerTest, WritesWellFormedMetricsJson) {
   EXPECT_NE(text.find("\"worst_tor_fraction\""), std::string::npos);
   EXPECT_NE(text.find(jobs[0].name), std::string::npos);
   std::remove(path.c_str());
+}
+
+std::string read_file(const std::string& path) {
+  std::ifstream in(path);
+  std::stringstream buffer;
+  buffer << in.rdbuf();
+  return buffer.str();
+}
+
+// The shared envelope and a study bench's rows, byte for byte: every
+// BENCH_ document opens with these members in this order.
+TEST(BenchWriterTest, StudyDocumentBytes) {
+  const std::string path = ::testing::TempDir() + "/BENCH_writer_study.json";
+  write_study_metrics_json(path, "tab01", "bench_tab01_loss_buckets", 4,
+                           {{"row", {{"a", 1.5}, {"b", 2.0}}}});
+  EXPECT_EQ(read_file(path), R"json({
+  "schema": "corropt-bench-metrics/1",
+  "exhibit": "tab01",
+  "generator": "bench_tab01_loss_buckets",
+  "threads": 4,
+  "scenarios": [
+    {
+      "name": "row",
+      "metrics": {
+        "a": 1.5,
+        "b": 2
+      }
+    }
+  ]
+}
+)json");
+  std::remove(path.c_str());
+}
+
+// The fleet shape: the envelope without "threads", then a trailing
+// block after "scenarios" that carries the shared controller block.
+TEST(BenchWriterTest, FleetDocumentBytes) {
+  fleet::FleetResult result;
+  result.fleet.dc_count = 1;
+  result.fleet.integrated_penalty = 0.5;
+  result.fleet.worst_dc = "dc-a";
+  result.fleet.controller.optimizer_runs = 3;
+  EXPECT_EQ(fleet::fleet_json_string(result, "bench_fleet"), R"json({
+  "schema": "corropt-bench-metrics/1",
+  "exhibit": "fleet",
+  "generator": "bench_fleet",
+  "scenarios": [],
+  "fleet": {
+    "dc_count": 1,
+    "total_links": 0,
+    "total_switches": 0,
+    "total_trace_events": 0,
+    "integrated_penalty": 0.5,
+    "mean_dc_penalty": 0,
+    "max_dc_penalty": 0,
+    "min_dc_penalty": 0,
+    "worst_dc": "dc-a",
+    "mean_tor_fraction": 1,
+    "worst_tor_fraction": 1,
+    "faults_injected": 0,
+    "tickets_opened": 0,
+    "repair_attempts": 0,
+    "first_attempt_accuracy": 0,
+    "redetections": 0,
+    "mean_ticket_resolution_s": 0,
+    "undisabled_detections": 0,
+    "controller": {
+      "corruption_reports": 0,
+      "disabled_on_arrival": 0,
+      "disabled_on_activation": 0,
+      "tickets_issued": 0,
+      "optimizer_runs": 3
+    }
+  }
+}
+)json");
+}
+
+// A file the writer cannot open is one stderr line naming it and exit
+// code 1; the body never runs.
+TEST(BenchWriterDeathTest, UnwritablePathExitsOneNamingIt) {
+  const std::string path =
+      ::testing::TempDir() + "/no-such-dir/BENCH_writer.json";
+  EXPECT_EXIT(write_output(path, "scenarios",
+                           [](std::ostream& out) -> std::size_t {
+                             out << "unreached";
+                             std::abort();
+                           }),
+              ::testing::ExitedWithCode(1), path);
 }
 
 BenchArgs parse_one(std::string flag,
