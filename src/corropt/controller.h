@@ -87,6 +87,9 @@ class Controller {
   [[nodiscard]] CapacityConstraint& mutable_constraint() {
     return constraint_;
   }
+  [[nodiscard]] const CapacityConstraint& constraint() const {
+    return constraint_;
+  }
 
   // A switch reported corruption on `link` at the given link-level loss
   // rate. Returns true when the controller disabled the link.

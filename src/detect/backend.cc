@@ -18,24 +18,6 @@ std::string_view backend_name(BackendKind kind) {
   return "unknown";
 }
 
-BackendProfile backend_profile(BackendKind kind) {
-  switch (kind) {
-    case BackendKind::kThreshold:
-      // The reference: SNMP polling latency only.
-      return {0.0, 0.0};
-    case BackendKind::kVoting:
-      // An 8-cycle (2 h) voting window vs. the threshold detector's
-      // 4-poll (1 h) window adds about one hour of mean latency; noisy
-      // flows occasionally elect a clean link.
-      return {3600.0, 0.02};
-    case BackendKind::kSketch:
-      // Two consecutive 1 h windows before a report; hash collisions
-      // make spurious reports the most common of the three families.
-      return {2700.0, 0.05};
-  }
-  return {0.0, 0.0};
-}
-
 std::unique_ptr<DetectionBackend> make_backend(const BackendConfig& config,
                                                const BackendEnv& env) {
   switch (config.kind) {

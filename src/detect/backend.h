@@ -34,25 +34,30 @@
 #include "common/time.h"
 #include "detect/config.h"
 #include "obs/sink.h"
-#include "telemetry/detector.h"
 #include "telemetry/network_state.h"
 #include "topology/topology.h"
 
 namespace corropt::detect {
 
-// A backend verdict is exactly what the threshold detector emits: the
-// link, the direction-worst estimated loss rate, and whether the link
-// crossed into (kCorrupting) or out of (kCleared) the corrupting set.
-using Verdict = telemetry::DetectionEvent;
+// What a backend tells the pipeline: the link crossed into (kCorrupting)
+// or out of (kCleared) the corrupting set, with its estimated link-level
+// loss rate (the worse direction).
+struct Verdict {
+  enum class Kind { kCorrupting, kCleared };
+  Kind kind = Kind::kCorrupting;
+  common::LinkId link;
+  double loss_rate = 0.0;
+};
 
 using VerdictCallback = std::function<void(const Verdict&)>;
 
 // Everything a backend may read or draw from, lent by the simulation.
 // `state` and `rng` outlive the backend; `rng` is the shared sequential
-// stream and only kThreshold may touch it.
+// stream and only kThreshold may touch it. No backend writes the
+// physical state.
 struct BackendEnv {
   const topology::Topology* topo = nullptr;
-  telemetry::NetworkState* state = nullptr;
+  const telemetry::NetworkState* state = nullptr;
   common::Rng* rng = nullptr;
   // Scenario seed; keyed backends derive their CounterRng streams from
   // it so runs stay reproducible end to end.

@@ -20,10 +20,9 @@ namespace corropt::detect {
 
 // Which detection/localization backend drives the polled pipeline.
 enum class BackendKind : std::uint8_t {
-  // The paper's pipeline: SNMP counter polls of the suspect set through
-  // telemetry::PollingMonitor + telemetry::CorruptionDetector (windowed
-  // 1e-8 threshold with hysteresis). The default; byte-identical to the
-  // pre-seam DetectionPipeline.
+  // The paper's pipeline: SNMP counter polls of the suspect set against
+  // a windowed 1e-8 threshold with hysteresis (detect::ThresholdBackend).
+  // The default; byte-identical to the pre-seam DetectionPipeline.
   kThreshold,
   // 007-style voting localizer: per-flow Clos paths are synthesized from
   // the topology, flows that saw retransmits cast one vote on every link
@@ -94,19 +93,5 @@ struct BackendConfig {
     return kind != BackendKind::kThreshold;
   }
 };
-
-// Stream-shaping profile of a backend for service::make_churn_stream:
-// how much detection latency the backend adds over the SNMP threshold
-// pipeline, and what fraction of its reports are spurious. Values are
-// calibrated against bench_detection_compare (EXPERIMENTS.md).
-struct BackendProfile {
-  // Mean extra delay from fault onset to report, on top of the
-  // threshold pipeline's polling latency (exponential).
-  double extra_latency_mean_s = 0.0;
-  // Spurious reports per genuine report (each is later withdrawn).
-  double false_positive_fraction = 0.0;
-};
-
-[[nodiscard]] BackendProfile backend_profile(BackendKind kind);
 
 }  // namespace corropt::detect

@@ -117,11 +117,11 @@ void SketchBackend::poll(common::SimTime now,
   }
 
   if (cycle_ % static_cast<std::uint64_t>(params_.window_polls) == 0) {
-    decode(now, cb);
+    decode(cb);
   }
 }
 
-void SketchBackend::decode(common::SimTime now, const VerdictCallback& cb) {
+void SketchBackend::decode(const VerdictCallback& cb) {
   obs_decodes_.add();
   const double offered_window =
       kOfferedPerCycle * static_cast<double>(params_.window_polls);
@@ -165,7 +165,6 @@ void SketchBackend::decode(common::SimTime now, const VerdictCallback& cb) {
           verdict.kind = Verdict::Kind::kCorrupting;
           verdict.link = link;
           verdict.loss_rate = rate;
-          verdict.time = now;
           cb(verdict);
         }
       } else {
@@ -176,7 +175,6 @@ void SketchBackend::decode(common::SimTime now, const VerdictCallback& cb) {
           verdict.kind = Verdict::Kind::kCleared;
           verdict.link = link;
           verdict.loss_rate = rate;
-          verdict.time = now;
           cb(verdict);
         }
       }

@@ -65,7 +65,7 @@ class SketchBackend final : public DetectionBackend {
   [[nodiscard]] std::uint64_t query(common::DirectionId dir) const;
   // End-of-window decode over dirty switches + believed links, then
   // clears all sketch deltas.
-  void decode(common::SimTime now, const VerdictCallback& cb);
+  void decode(const VerdictCallback& cb);
 
   const topology::Topology* topo_;
   const telemetry::NetworkState* state_;

@@ -105,7 +105,7 @@ bool VotingBackend::walk_path(common::CounterRng& rng, common::SwitchId src,
   return true;
 }
 
-void VotingBackend::poll(common::SimTime now,
+void VotingBackend::poll(common::SimTime /*now*/,
                          std::span<const common::LinkId> /*suspects*/,
                          const VerdictCallback& cb) {
   ++cycle_;
@@ -149,11 +149,11 @@ void VotingBackend::poll(common::SimTime now,
   }
 
   if (cycle_ % static_cast<std::uint64_t>(kWindowCycles) == 0) {
-    decode(now, cb);
+    decode(cb);
   }
 }
 
-void VotingBackend::decode(common::SimTime now, const VerdictCallback& cb) {
+void VotingBackend::decode(const VerdictCallback& cb) {
   // Greedy max-vote decomposition over this window's failed flows: the
   // top-voted link explains (and removes) its flows, repeat until no
   // link clears the vote floor. Reports fire inside the loop so a second
@@ -185,7 +185,6 @@ void VotingBackend::decode(common::SimTime now, const VerdictCallback& cb) {
       verdict.kind = Verdict::Kind::kCorrupting;
       verdict.link = common::LinkId(static_cast<std::uint32_t>(best));
       verdict.loss_rate = est;
-      verdict.time = now;
       cb(verdict);
     }
 
@@ -214,7 +213,6 @@ void VotingBackend::decode(common::SimTime now, const VerdictCallback& cb) {
       verdict.kind = Verdict::Kind::kCleared;
       verdict.link = common::LinkId(static_cast<std::uint32_t>(l));
       verdict.loss_rate = 0.0;
-      verdict.time = now;
       cb(verdict);
     }
   }

@@ -57,7 +57,7 @@ class VotingBackend final : public DetectionBackend {
                  std::vector<common::DirectionId>& dirs) const;
 
   // End-of-window decode: greedy vote decomposition + clears.
-  void decode(common::SimTime now, const VerdictCallback& cb);
+  void decode(const VerdictCallback& cb);
 
   const topology::Topology* topo_;
   const telemetry::NetworkState* state_;

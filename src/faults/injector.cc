@@ -98,6 +98,9 @@ void FaultInjector::walk(Self& self, Codec& c) {
       c.f64(e.tx_power_delta_db);
       c.f64(e.tx_decay_db_per_day);
       c.f64(e.corruption_rate);
+      // A loss probability; a NaN fails both comparisons.
+      c.check(e.corruption_rate >= 0.0 && e.corruption_rate <= 1.0,
+              "fault effect corruption rate outside [0, 1]");
     });
     c.seq(fault.fixing_actions, [&c](auto& action) { c.u8(action); });
     c.i64(fault.onset);

@@ -3,7 +3,7 @@
 // A Sink bundles the two optional backends — metrics registry and event
 // journal — plus the simulation clock the journal stamps records with.
 // Components (corropt::Controller, MitigationSimulation, Optimizer,
-// FastChecker, PollingMonitor) hold a `Sink*` that defaults
+// FastChecker, detect::ThresholdBackend) hold a `Sink*` that defaults
 // to nullptr; with no sink attached the instrumentation compiles down to
 // a pointer test, and behaviour is identical either way (the sink is
 // write-only — nothing in the control loop ever reads it back).

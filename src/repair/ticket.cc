@@ -10,30 +10,17 @@ TicketQueue::TicketQueue(TicketQueueParams params) : params_(params) {
   crew_free_at_.assign(static_cast<std::size_t>(params.technicians), 0);
 }
 
-TicketId TicketQueue::open(LinkId link, SimTime now, int attempt,
-                           std::optional<faults::RepairAction> recommendation,
-                           std::string rationale) {
-  Ticket ticket;
-  ticket.id = TicketId(next_id_++);
-  ticket.link = link;
-  ticket.issued = now;
-  ticket.attempt = attempt;
-  ticket.recommendation = recommendation;
-  ticket.rationale = std::move(rationale);
-
-  if (crew_free_at_.empty()) {
-    ticket.scheduled_completion = now + common::kMeanRepairTime;
-  } else {
+OpenedTicket TicketQueue::open(
+    SimTime now, std::optional<faults::RepairAction> recommendation) {
+  OpenedTicket opened{TicketId(next_id_++), now + common::kMeanRepairTime};
+  if (!crew_free_at_.empty()) {
     // FIFO dispatch to the earliest-free technician.
     auto it = std::min_element(crew_free_at_.begin(), crew_free_at_.end());
-    const SimTime start = std::max(*it, now);
-    ticket.scheduled_completion = start + common::kMeanRepairTime;
-    *it = ticket.scheduled_completion;
+    opened.completion = std::max(*it, now) + common::kMeanRepairTime;
+    *it = opened.completion;
   }
-
-  const TicketId id = ticket.id;
-  open_.emplace(id, std::move(ticket));
-  return id;
+  open_.emplace(opened.id, Ticket{recommendation});
+  return opened;
 }
 
 const Ticket& TicketQueue::ticket(TicketId id) const {
@@ -46,21 +33,20 @@ void TicketQueue::close(TicketId id) { open_.erase(id); }
 
 template <class Self, class Codec>
 void TicketQueue::walk(Self& self, Codec& c) {
-  c.section(common::snap::tag('T', 'C', 'K', 'T'), 1, "ticket queue");
+  c.section(common::snap::tag('T', 'C', 'K', 'T'), 2, "ticket queue");
   c.entries(self.open_, [&c](auto& id, auto& ticket) {
     c.id(id);
-    if constexpr (Codec::kReading) ticket.id = id;
-    c.id(ticket.link);
-    c.i64(ticket.issued);
-    c.i64(ticket.attempt);
     bool recommended = ticket.recommendation.has_value();
     c.boolean(recommended);
     if constexpr (Codec::kReading) {
       if (recommended) ticket.recommendation.emplace();
     }
-    if (recommended) c.u8(*ticket.recommendation);
-    c.str(ticket.rationale);
-    c.i64(ticket.scheduled_completion);
+    if (recommended) {
+      c.u8(*ticket.recommendation);
+      c.check(static_cast<std::size_t>(*ticket.recommendation) <
+                  faults::kAllRepairActions.size(),
+              "ticket recommendation past the last repair action");
+    }
   });
   c.seq(self.crew_free_at_, [&c](auto& t) { c.i64(t); });
   c.u64(self.next_id_);

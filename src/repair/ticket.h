@@ -9,7 +9,6 @@
 #pragma once
 
 #include <optional>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -20,23 +19,22 @@
 
 namespace corropt::repair {
 
-using common::LinkId;
 using common::SimDuration;
 using common::SimTime;
 using common::TicketId;
 
+// An open ticket. The link, attempt and completion time travel with the
+// kRepair event that closes it.
 struct Ticket {
-  TicketId id;
-  LinkId link;
-  SimTime issued = 0;
-  // Which repair attempt on this link this ticket represents (1-based).
-  int attempt = 1;
   // CorrOpt's recommendation, when the engine produced one. Tickets
   // without optical data carry no recommendation (Section 7.2).
   std::optional<faults::RepairAction> recommendation;
-  std::string rationale;
-  // When a technician finishes acting on the ticket.
-  SimTime scheduled_completion = 0;
+};
+
+// A freshly opened ticket and when a technician finishes acting on it.
+struct OpenedTicket {
+  TicketId id;
+  SimTime completion = 0;
 };
 
 // Every ticket takes common::kMeanRepairTime of a technician's time.
@@ -50,23 +48,23 @@ class TicketQueue {
  public:
   explicit TicketQueue(TicketQueueParams params = {});
 
-  // Opens a ticket at `now`; computes and stores its completion time.
-  TicketId open(LinkId link, SimTime now, int attempt,
-                std::optional<faults::RepairAction> recommendation,
-                std::string rationale = {});
+  // Opens a ticket at `now` and books a technician for it.
+  OpenedTicket open(SimTime now,
+                    std::optional<faults::RepairAction> recommendation);
 
   [[nodiscard]] const Ticket& ticket(TicketId id) const;
   [[nodiscard]] bool is_open(TicketId id) const { return open_.contains(id); }
   // Removes a completed ticket from the open set.
   void close(TicketId id);
 
-  // Checkpointing (DESIGN.md §14): open tickets (id order), the crew
-  // schedule and the id counter. `params_` stays the restoring queue's
-  // own configuration; when its crew size differs from the serialized
-  // schedule (a counterfactual crew-capacity branch), the schedule is
-  // reconciled: grown crews gain immediately-free technicians, shrunk
-  // crews keep the busiest (latest-free) ones, so in-flight tickets
-  // never lose their completion times.
+  // Checkpointing (DESIGN.md §14): open tickets (id order) with their
+  // recommendations, the crew schedule and the id counter. `params_`
+  // stays the restoring queue's own configuration; when its crew size
+  // differs from the serialized schedule (a counterfactual crew-capacity
+  // branch), the schedule is reconciled: grown crews gain
+  // immediately-free technicians, shrunk crews keep the busiest
+  // (latest-free) ones, so in-flight tickets never lose their completion
+  // times.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 

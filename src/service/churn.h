@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "common/time.h"
-#include "detect/config.h"
 #include "service/telemetry_event.h"
 #include "topology/topology.h"
 #include "trace/trace.h"
@@ -25,12 +24,6 @@ namespace corropt::service {
 struct ChurnParams {
   trace::TraceParams trace;
   std::uint64_t seed = 1;
-  // Detection backend shaping the stream (detect::backend_profile): a
-  // non-threshold backend delays each detection by its extra latency and
-  // interleaves spurious report/retraction pairs at its false-positive
-  // rate. All shaping draws are counter-keyed, so the default threshold
-  // stream is byte-identical to a ChurnParams without this field.
-  detect::BackendConfig backend;
 };
 
 // Synthesizes the telemetry stream. Per fault, each affected link whose

@@ -199,8 +199,12 @@ void DetectionPipeline::handle_poll(const Event& event) {
 template <class Self, class Codec>
 void DetectionPipeline::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('D', 'P', 'I', 'P'), 1, "detection pipeline");
-  c.entries(self.pending_detection_, [&c](auto& link, auto& onset) {
+  // handle_poll indexes SimContext::link_mark by these links.
+  const std::size_t links = self.ctx_.topo.link_count();
+  c.entries(self.pending_detection_, [&c, links](auto& link, auto& onset) {
     c.id(link);
+    c.check(link.index() < links,
+            "pending detection names a link past the fabric");
     c.i64(onset);
   });
   // The backend's own state travels as a blob behind its kind byte.

@@ -6,11 +6,7 @@
 
 namespace corropt::sim {
 
-MaintenanceModel::MaintenanceModel(SimContext& ctx)
-    : ctx_(ctx), constraint_(ctx.config.capacity_fraction) {
-  for (const auto& [tor, fraction] : ctx_.config.tor_overrides) {
-    constraint_.set_tor_fraction(tor, fraction);
-  }
+MaintenanceModel::MaintenanceModel(SimContext& ctx) : ctx_(ctx) {
   ctx_.queue.set_handler(EventType::kMaintenanceStart,
                          [this](const Event& event) { start(event.link); });
 }
@@ -42,7 +38,8 @@ void MaintenanceModel::start(common::LinkId link) {
       static_cast<double>(taken.size()) *
       static_cast<double>(kWindow);
   if (!taken.empty() &&
-      !ctx_.paths.feasible(ctx_.paths.live_counts(), constraint_)) {
+      !ctx_.paths.feasible(ctx_.paths.live_counts(),
+                           ctx_.controller.constraint())) {
     ++metrics.maintenance_capacity_violations;
   }
   obs::Event event;
@@ -69,9 +66,16 @@ void MaintenanceModel::end(common::LinkId link) {
 template <class Self, class Codec>
 void MaintenanceModel::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('M', 'N', 'T', 'M'), 1, "maintenance model");
-  c.entries(self.collateral_down_, [&c](auto& link, auto& taken) {
+  // end() re-enables the peers through Topology::set_enabled, which
+  // does not range-check them.
+  const std::size_t links = self.ctx_.topo.link_count();
+  c.entries(self.collateral_down_, [&c, links](auto& link, auto& taken) {
     c.id(link);
+    c.check(link.index() < links, "maintained link past the fabric");
     c.ids(taken);
+    for (const common::LinkId peer : taken) {
+      c.check(peer.index() < links, "maintained peer past the fabric");
+    }
   });
 }
 

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/ids.h"
-#include "corropt/capacity.h"
 #include "sim/sim_context.h"
 
 namespace corropt::sim {
@@ -19,9 +18,8 @@ class MaintenanceModel {
   // How long a repaired breakout leg's healthy siblings stay down.
   static constexpr SimDuration kWindow = 2 * common::kHour;
 
-  // Mirrors the capacity constraint (global fraction + per-ToR
-  // overrides) for violation accounting, and registers the
-  // kMaintenanceStart handler on the kernel.
+  // Registers the kMaintenanceStart handler on the kernel. Violations
+  // are counted against the controller's capacity constraint.
   explicit MaintenanceModel(SimContext& ctx);
 
   // Called when a ticket opens: schedules the window so it ends at the
@@ -37,6 +35,7 @@ class MaintenanceModel {
   // Checkpointing (DESIGN.md §14): the collateral bookkeeping, in
   // link-id order (the map is only ever accessed by key, so insertion
   // order is not behavior; sorting keeps checkpoint bytes canonical).
+  // Every restored link and peer id must lie below link_count().
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -46,9 +45,6 @@ class MaintenanceModel {
   void start(common::LinkId link);
 
   SimContext& ctx_;
-  // The capacity constraint mirrored from the controller, for
-  // maintenance-window violation accounting.
-  core::CapacityConstraint constraint_;
   // Healthy breakout siblings we took down for each link's maintenance.
   std::unordered_map<common::LinkId, std::vector<common::LinkId>>
       collateral_down_;

@@ -3,8 +3,6 @@
 #include <cassert>
 #include <optional>
 #include <span>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "common/lossy.h"
@@ -32,16 +30,11 @@ RepairPipeline::RepairPipeline(SimContext& ctx, DetectionPipeline& detection,
 void RepairPipeline::open_ticket(common::LinkId link, SimTime now) {
   const int attempt = ++attempts_[link.index()];
   std::optional<faults::RepairAction> recommendation;
-  std::string rationale;
   if (ctx_.config.issue_recommendations) {
-    const core::Recommendation rec =
-        recommender_.recommend_link(link, reseated_[link.index()] != 0);
-    recommendation = rec.action;
-    rationale = rec.rationale;
+    recommendation =
+        recommender_.recommend_link(link, reseated_[link.index()] != 0).action;
   }
-  const common::TicketId ticket =
-      queue_.open(link, now, attempt, recommendation, std::move(rationale));
-  const SimTime completion = queue_.ticket(ticket).scheduled_completion;
+  const auto [ticket, completion] = queue_.open(now, recommendation);
   ticket_resolution_total_s_ += static_cast<double>(completion - now);
   ++ctx_.metrics->tickets_opened;
   {

@@ -38,9 +38,9 @@ enum class DetectionMode {
   // exact loss rate — the modeling shortcut the paper's simulations use
   // (detection latency is minutes against repair times of days).
   kOracle,
-  // Closed loop: an SNMP monitor polls the counters of suspect links
-  // every 15 minutes and a CorruptionDetector with windowing and
-  // hysteresis raises/clears alerts; the controller sees estimated
+  // Closed loop: the detection backend (by default the SNMP threshold
+  // backend: 15-minute counter polls of suspect links, windowing and
+  // hysteresis) raises/clears alerts; the controller sees estimated
   // rates after a detection delay.
   kPolled,
 };

@@ -15,7 +15,7 @@
 //     sampler and the maintenance model read the same live counts the
 //     fast checker and the optimizer decide on (never checkpointed).
 //   - Domain state that only one component needs (the ticket queue, the
-//     SNMP monitor, the collateral bookkeeping, ...) lives inside that
+//     detection backend, the collateral bookkeeping, ...) lives inside that
 //     component, not here.
 #pragma once
 

@@ -2,21 +2,10 @@
 
 #include <cmath>
 
+#include "common/rng.h"
 #include "telemetry/optical.h"
 
 namespace corropt::telemetry {
-
-PollingMonitor::PollingMonitor(NetworkState& state, common::Rng& rng)
-    : state_(&state), rng_(&rng) {}
-
-void PollingMonitor::set_sink(obs::Sink* sink) {
-  if (sink == nullptr || sink->metrics == nullptr) {
-    obs_polls_ = obs::Counter();
-    return;
-  }
-  obs_polls_ = sink->metrics->counter("telemetry.polls");
-  static_cast<void>(sink->metrics->counter("telemetry.poll_cycles"));
-}
 
 PollSample sample_direction_keyed(const NetworkState& state, DirectionId dir,
                                   SimTime epoch_start, SimDuration epoch,
@@ -54,35 +43,6 @@ PollSample sample_direction_keyed(const NetworkState& state, DirectionId dir,
       sample.congestion_drops = rng.poisson(congestion_mean);
     }
   }
-  return sample;
-}
-
-PollSample PollingMonitor::poll_direction(DirectionId dir,
-                                          SimTime epoch_start,
-                                          const DirectionLoad& load) {
-  auto d = state_->direction(dir);
-  const topology::Topology& topo = state_->topo();
-  const bool enabled = topo.is_enabled(topology::link_of(dir));
-
-  PollSample sample;
-  sample.time = epoch_start;
-  sample.direction = dir;
-  sample.tx_power_dbm = d.tx_power_dbm;
-  sample.rx_power_dbm = state_->rx_power_dbm(dir);
-  sample.utilization = enabled ? load.utilization : 0.0;
-
-  if (enabled && load.utilization > 0.0) {
-    const double offered = kPacketsPerPoll * load.utilization;
-    sample.packets = static_cast<std::uint64_t>(offered);
-    // Expected drops with Poisson dispersion: for the small per-packet
-    // probabilities involved, Binomial(n, p) ~ Poisson(n * p).
-    sample.corruption_drops = rng_->poisson(offered * d.corruption_rate);
-    sample.congestion_drops = rng_->poisson(offered * load.congestion_rate);
-    d.packets += sample.packets;
-    d.corruption_drops += sample.corruption_drops;
-    d.congestion_drops += sample.congestion_drops;
-  }
-  obs_polls_.add();
   return sample;
 }
 

@@ -10,14 +10,11 @@ NetworkState::NetworkState(const topology::Topology& topo, OpticalTech tech)
   tx_power_dbm_.assign(n, tech_.nominal_tx_dbm);
   extra_attenuation_db_.assign(n, 0.0);
   corruption_rate_.assign(n, 0.0);
-  packets_.assign(n, 0);
-  corruption_drops_.assign(n, 0);
-  congestion_drops_.assign(n, 0);
 }
 
 template <class Self, class Codec>
 void NetworkState::walk(Self& self, Codec& c) {
-  c.section(common::snap::tag('N', 'E', 'T', 'S'), 1, "network state");
+  c.section(common::snap::tag('N', 'E', 'T', 'S'), 2, "network state");
   c.guard(self.tx_power_dbm_.size(), "network state direction count");
   for (auto& v : self.tx_power_dbm_) {
     c.f64(v);
@@ -33,9 +30,6 @@ void NetworkState::walk(Self& self, Codec& c) {
     c.check(v >= 0.0 && v <= 1.0,
             "network state corruption rate outside [0, 1]");
   }
-  for (auto& v : self.packets_) c.u64(v);
-  for (auto& v : self.corruption_drops_) c.u64(v);
-  for (auto& v : self.congestion_drops_) c.u64(v);
 }
 
 void NetworkState::snapshot_to(common::snap::Writer& w) const {

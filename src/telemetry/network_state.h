@@ -1,21 +1,22 @@
 // Mutable per-direction physical state of the network.
 //
-// Fault models (src/faults) perturb this state; the polling monitor reads
-// it to produce SNMP-like samples; the recommendation engine queries it to
-// classify power symptoms. State is stored per *direction* because both
-// optics and corruption are directional (Section 3: only 8.2% of
-// corrupting links corrupt in both directions).
+// Fault models (src/faults) perturb this state; the detection backends and
+// the measurement study read it to produce SNMP-like samples; the
+// recommendation engine queries it to classify power symptoms. State is
+// stored per *direction* because both optics and corruption are
+// directional (Section 3: only 8.2% of corrupting links corrupt in both
+// directions).
 //
 // Layout is Struct-of-Arrays: each field lives in its own flat vector
 // indexed by direction id (up = 2*link, down = 2*link+1), so hot sweeps —
-// the penalty accountant's corruption scan, the monitor's poll loop, the
-// fleet campaign's per-DC simulations — stream over dense arrays instead
-// of striding through an array of structs. `direction()` returns a
-// lightweight view whose members are references into the arrays, so
-// `state.direction(id).field` reads and writes one direction's state.
+// the penalty accountant's corruption scan, the threshold backend's poll
+// loop, the fleet campaign's per-DC simulations — stream over dense
+// arrays instead of striding through an array of structs. `direction()`
+// returns a lightweight view whose members are references into the
+// arrays, so `state.direction(id).field` reads and writes one direction's
+// state.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -41,10 +42,6 @@ struct DirectionView {
   double& extra_attenuation_db;
   // Probability that a packet on this direction is corrupted and dropped.
   double& corruption_rate;
-  // Cumulative counters, as a switch would expose over SNMP.
-  std::uint64_t& packets;
-  std::uint64_t& corruption_drops;
-  std::uint64_t& congestion_drops;
 };
 
 // Read-only counterpart of DirectionView.
@@ -52,9 +49,6 @@ struct ConstDirectionView {
   const double& tx_power_dbm;
   const double& extra_attenuation_db;
   const double& corruption_rate;
-  const std::uint64_t& packets;
-  const std::uint64_t& corruption_drops;
-  const std::uint64_t& congestion_drops;
 };
 
 class NetworkState {
@@ -66,13 +60,11 @@ class NetworkState {
 
   [[nodiscard]] DirectionView direction(DirectionId id) {
     const std::size_t i = id.index();
-    return {tx_power_dbm_[i], extra_attenuation_db_[i], corruption_rate_[i],
-            packets_[i],      corruption_drops_[i],     congestion_drops_[i]};
+    return {tx_power_dbm_[i], extra_attenuation_db_[i], corruption_rate_[i]};
   }
   [[nodiscard]] ConstDirectionView direction(DirectionId id) const {
     const std::size_t i = id.index();
-    return {tx_power_dbm_[i], extra_attenuation_db_[i], corruption_rate_[i],
-            packets_[i],      corruption_drops_[i],     congestion_drops_[i]};
+    return {tx_power_dbm_[i], extra_attenuation_db_[i], corruption_rate_[i]};
   }
 
   // The flat per-direction corruption rates, indexed by DirectionId. Hot
@@ -111,7 +103,7 @@ class NetworkState {
     return link_corruption_rate(id) >= common::kLossyThreshold;
   }
 
-  // Checkpointing (DESIGN.md §14): the six flat per-direction arrays,
+  // Checkpointing (DESIGN.md §14): the three flat per-direction arrays,
   // bit-exact. The direction count is a guard against restoring into a
   // state built from a different topology. A restored corruption rate
   // must lie in [0, 1], and Tx power and attenuation must be finite.
@@ -128,9 +120,6 @@ class NetworkState {
   std::vector<double> tx_power_dbm_;
   std::vector<double> extra_attenuation_db_;
   std::vector<double> corruption_rate_;
-  std::vector<std::uint64_t> packets_;
-  std::vector<std::uint64_t> corruption_drops_;
-  std::vector<std::uint64_t> congestion_drops_;
 };
 
 }  // namespace corropt::telemetry

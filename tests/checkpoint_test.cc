@@ -856,12 +856,12 @@ TEST(CheckpointIntegrity, TrailingByteRejected) {
 }
 
 // Hands the detection backend's payload (which opens with the section
-// `backend_tag`, version 1) to `edit`, writes it back behind a fresh
-// length prefix, and reseals.
+// `backend_tag`, version `version`) to `edit`, writes it back behind a
+// fresh length prefix, and reseals.
 template <class Edit>
 void edit_backend_payload(std::string& bytes, std::uint32_t backend_tag,
-                          Edit edit) {
-  const std::size_t at = section_at(bytes, backend_tag, 1);
+                          std::uint16_t version, Edit edit) {
+  const std::size_t at = section_at(bytes, backend_tag, version);
   const std::size_t end =
       section_at(bytes, common::snap::tag('M', 'N', 'T', 'M'), 1);
   std::string payload = bytes.substr(at, end - at);
@@ -880,7 +880,7 @@ TEST(CheckpointIntegrity, TrailingByteInBackendPayloadRejected) {
   topology::Topology topo = small_topology();
   const auto events = small_trace(topo);
   Checkpoint ckpt = midday_checkpoint(events);
-  edit_backend_payload(ckpt.bytes, common::snap::tag('T', 'H', 'R', 'B'),
+  edit_backend_payload(ckpt.bytes, common::snap::tag('T', 'H', 'R', 'B'), 2,
                        [](std::string& payload) { payload.push_back('\0'); });
   topology::Topology mirror_topo = small_topology();
   MitigationSimulation mirror(mirror_topo, small_config(nullptr));
@@ -901,7 +901,7 @@ TEST(CheckpointIntegrity, SketchDirtySwitchOutOfRangeThrows) {
       static_cast<std::size_t>(config.backend.sketch.width) *
       config.backend.sketch.depth;
   edit_backend_payload(
-      ckpt.bytes, common::snap::tag('S', 'K', 'T', 'B'),
+      ckpt.bytes, common::snap::tag('S', 'K', 'T', 'B'), 1,
       [&](std::string& payload) {
         // Walk to the dirty list: header, cycle, switch count, the
         // allocated sketches, then the per-direction insert counts.
@@ -944,7 +944,7 @@ TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
   std::vector<std::size_t> boundaries{body.size()};
   for (const char* name :
        {"SIM0", "EVTQ", "RNG0", "TOPO", "NETS", "FLTS", "CTRL", "CORR", "FCHK",
-        "DPIP", "THRB", "DTCT", "MNTM", "RPIP", "TCKT", "PNLT", "CSMP", "MTRX",
+        "DPIP", "THRB", "MNTM", "RPIP", "TCKT", "PNLT", "CSMP", "MTRX",
         "OBSS"}) {
     common::snap::Writer tag;
     tag.u64(common::snap::tag(name[0], name[1], name[2], name[3]));
@@ -1081,9 +1081,9 @@ TEST(CheckpointMutation, NetworkStateRateOutOfRangeThrows) {
   const auto events = small_trace(topo);
   const Checkpoint base = midday_checkpoint(events);
   const std::uint32_t nets = common::snap::tag('N', 'E', 'T', 'S');
-  const std::size_t at = section_at(base.bytes, nets, 1);
+  const std::size_t at = section_at(base.bytes, nets, 2);
   common::snap::Reader r(std::string_view(base.bytes).substr(at));
-  r.section(nets, 1, "network state");
+  r.section(nets, 2, "network state");
   const std::size_t directions = r.u64();
   ASSERT_EQ(directions, topo.direction_count());
   // The three per-direction double arrays follow, 8 bytes a value.
@@ -1216,6 +1216,162 @@ TEST(CheckpointMutation, FaultIdsPastTheirCountsThrow) {
   // The unedited splice still restores: the decoding above is faithful.
   Checkpoint same = base;
   edit_faults(same.bytes, [](FaultSection&) {});
+  EXPECT_EQ(same.bytes, base.bytes);
+}
+
+// Re-encodes the body of the section `tag` (version `version`) of a
+// sealed checkpoint: `edit` reads a prefix of the body's fields from `r`
+// and writes their edited form to `w`; the bytes after that prefix stay
+// as they are. Reseals.
+void edit_section(
+    std::string& bytes, std::uint32_t tag, std::uint16_t version,
+    const std::function<void(common::snap::Reader&, common::snap::Writer&)>&
+        edit) {
+  common::snap::Writer header;
+  header.section(tag, version, "");
+  const std::size_t body =
+      section_at(bytes, tag, version) + header.take().size();
+  common::snap::Reader r(std::string_view(bytes).substr(body));
+  common::snap::Writer w;
+  edit(r, w);
+  const std::size_t end = bytes.size() - r.remaining();
+  bytes.replace(body, end - body, w.take());
+  reseal(bytes);
+}
+
+// A restored pending detection names a link handle_poll marks in a
+// per-link array, and a restored maintenance window names the peers it
+// re-enables through Topology::set_enabled; both index without a check,
+// so the decoder must reject any id past the fabric.
+TEST(CheckpointMutation, DetectionAndMaintenanceLinksPastTheFabricThrow) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const common::LinkId past_fabric(
+      static_cast<common::LinkId::underlying_type>(topo.link_count()));
+  using Pending = std::map<common::LinkId, SimTime>;
+  using Maintained = std::map<common::LinkId, std::vector<common::LinkId>>;
+  const auto edit_pending = [](const std::function<void(Pending&)>& edit) {
+    return [edit](common::snap::Reader& r, common::snap::Writer& w) {
+      Pending pending;
+      r.entries(pending, [&r](common::LinkId& link, SimTime& onset) {
+        r.id(link);
+        r.i64(onset);
+      });
+      edit(pending);
+      w.entries(pending, [&w](common::LinkId link, SimTime onset) {
+        w.id(link);
+        w.i64(onset);
+      });
+    };
+  };
+  const auto edit_maintained =
+      [](const std::function<void(Maintained&)>& edit) {
+        return [edit](common::snap::Reader& r, common::snap::Writer& w) {
+          Maintained maintained;
+          r.entries(maintained, [&r](common::LinkId& link,
+                                     std::vector<common::LinkId>& taken) {
+            r.id(link);
+            r.ids(taken);
+          });
+          edit(maintained);
+          w.entries(maintained, [&w](common::LinkId link,
+                                     const std::vector<common::LinkId>& taken) {
+            w.id(link);
+            w.ids(taken);
+          });
+        };
+      };
+  const std::uint32_t dpip = common::snap::tag('D', 'P', 'I', 'P');
+  const std::uint32_t mntm = common::snap::tag('M', 'N', 'T', 'M');
+  struct Case {
+    std::uint32_t tag;
+    std::function<void(common::snap::Reader&, common::snap::Writer&)> edit;
+    std::string what;
+  };
+  const std::vector<Case> cases = {
+      {dpip,
+       edit_pending([&](Pending& p) { p.emplace(past_fabric, base.time); }),
+       "pending detection names a link past the fabric"},
+      {mntm,
+       edit_maintained([&](Maintained& m) { m[past_fabric] = {}; }),
+       "maintained link past the fabric"},
+      {mntm,
+       edit_maintained([&](Maintained& m) {
+         m[common::LinkId(0)].push_back(past_fabric);
+       }),
+       "maintained peer past the fabric"},
+  };
+  for (const Case& test_case : cases) {
+    SCOPED_TRACE(test_case.what);
+    Checkpoint ckpt = base;
+    edit_section(ckpt.bytes, test_case.tag, 1, test_case.edit);
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt, test_case.what);
+  }
+  // The unedited splices still restore: the decoding above is faithful.
+  Checkpoint same = base;
+  edit_section(same.bytes, dpip, 1, edit_pending([](Pending&) {}));
+  edit_section(same.bytes, mntm, 1, edit_maintained([](Maintained&) {}));
+  EXPECT_EQ(same.bytes, base.bytes);
+}
+
+// A restored ticket's recommendation reaches the technician's switch
+// over RepairAction, and a restored fault effect's corruption rate is
+// folded into the direction's rate when the fault clears: a byte past
+// the last action, or a rate outside [0, 1], must be rejected.
+TEST(CheckpointMutation, TicketActionAndFaultRateOutOfRangeThrow) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const std::uint32_t tckt = common::snap::tag('T', 'C', 'K', 'T');
+  // Open tickets, in TicketQueue::walk's field order; -1 = none.
+  using Tickets = std::map<common::TicketId, int>;
+  const auto edit_tickets = [](const std::function<void(Tickets&)>& edit) {
+    return [edit](common::snap::Reader& r, common::snap::Writer& w) {
+      Tickets tickets;
+      r.entries(tickets, [&r](common::TicketId& id, int& action) {
+        r.id(id);
+        action = r.boolean() ? r.u8() : -1;
+      });
+      ASSERT_FALSE(tickets.empty()) << "the checkpoint holds no ticket";
+      edit(tickets);
+      w.entries(tickets, [&w](common::TicketId id, int action) {
+        w.id(id);
+        w.boolean(action >= 0);
+        if (action >= 0) w.u8(static_cast<std::uint8_t>(action));
+      });
+    };
+  };
+  {
+    Checkpoint ckpt = base;
+    edit_section(ckpt.bytes, tckt, 2, edit_tickets([](Tickets& tickets) {
+                   tickets.begin()->second =
+                       static_cast<int>(faults::kAllRepairActions.size());
+                 }));
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt,
+                    "ticket recommendation past the last repair action");
+  }
+  for (const double rate :
+       {std::numeric_limits<double>::quiet_NaN(), -1e-9, 1.5}) {
+    SCOPED_TRACE(::testing::Message() << "rate " << rate);
+    Checkpoint ckpt = base;
+    edit_faults(ckpt.bytes, [rate](FaultSection& s) {
+      ASSERT_FALSE(s.faults.empty()) << "the checkpoint holds no fault";
+      ASSERT_FALSE(s.faults.back().effects.empty());
+      s.faults.back().effects.back().corruption_rate = rate;
+    });
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt,
+                    "fault effect corruption rate outside [0, 1]");
+  }
+  // The unedited splice still restores: the decoding above is faithful.
+  Checkpoint same = base;
+  edit_section(same.bytes, tckt, 2, edit_tickets([](Tickets&) {}));
   EXPECT_EQ(same.bytes, base.bytes);
 }
 

@@ -207,19 +207,6 @@ TEST(BackendFactory, NamesAndProfiles) {
   EXPECT_EQ(detect::backend_name(detect::BackendKind::kVoting), "voting");
   EXPECT_EQ(detect::backend_name(detect::BackendKind::kSketch), "sketch");
 
-  // The default backend's profile is exactly neutral: the churn stream
-  // of a default ChurnParams is byte-identical to the pre-backend one.
-  const auto neutral =
-      detect::backend_profile(detect::BackendKind::kThreshold);
-  EXPECT_EQ(neutral.extra_latency_mean_s, 0.0);
-  EXPECT_EQ(neutral.false_positive_fraction, 0.0);
-  EXPECT_GT(detect::backend_profile(detect::BackendKind::kVoting)
-                .extra_latency_mean_s,
-            0.0);
-  EXPECT_GT(detect::backend_profile(detect::BackendKind::kSketch)
-                .false_positive_fraction,
-            0.0);
-
   detect::BackendConfig config;
   EXPECT_FALSE(config.detailed_obs());
   config.kind = detect::BackendKind::kVoting;

@@ -12,29 +12,27 @@ using faults::RootCause;
 
 TEST(TicketQueue, UnboundedCrewFixedServiceTime) {
   TicketQueue queue;  // Paper model: 2 days per attempt.
-  const TicketId a = queue.open(LinkId(1), 0, 1, std::nullopt);
-  const TicketId b = queue.open(LinkId(2), 100, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(a).scheduled_completion, 2 * common::kDay);
-  EXPECT_EQ(queue.ticket(b).scheduled_completion, 100 + 2 * common::kDay);
-  EXPECT_EQ(a, TicketId(0));
-  EXPECT_EQ(b, TicketId(1));
-  queue.close(a);
-  EXPECT_EQ(queue.ticket(b).link, LinkId(2));
+  const OpenedTicket a = queue.open(0, std::nullopt);
+  const OpenedTicket b = queue.open(100, std::nullopt);
+  EXPECT_EQ(a.completion, 2 * common::kDay);
+  EXPECT_EQ(b.completion, 100 + 2 * common::kDay);
+  EXPECT_EQ(a.id, TicketId(0));
+  EXPECT_EQ(b.id, TicketId(1));
+  queue.close(a.id);
+  EXPECT_FALSE(queue.is_open(a.id));
+  EXPECT_TRUE(queue.is_open(b.id));
   // Ids keep counting every ticket issued, closed ones included.
-  EXPECT_EQ(queue.open(LinkId(3), 200, 1, std::nullopt), TicketId(2));
+  EXPECT_EQ(queue.open(200, std::nullopt).id, TicketId(2));
 }
 
 TEST(TicketQueue, TicketMetadataPreserved) {
   TicketQueue queue;
-  const TicketId id = queue.open(LinkId(7), 42, 3,
-                                 RepairAction::kCleanFiber, "dirty fiber");
-  const Ticket& ticket = queue.ticket(id);
-  EXPECT_EQ(ticket.link, LinkId(7));
-  EXPECT_EQ(ticket.issued, 42);
-  EXPECT_EQ(ticket.attempt, 3);
+  const OpenedTicket with = queue.open(42, RepairAction::kCleanFiber);
+  const OpenedTicket without = queue.open(42, std::nullopt);
+  const Ticket& ticket = queue.ticket(with.id);
   ASSERT_TRUE(ticket.recommendation.has_value());
   EXPECT_EQ(*ticket.recommendation, RepairAction::kCleanFiber);
-  EXPECT_EQ(ticket.rationale, "dirty fiber");
+  EXPECT_FALSE(queue.ticket(without.id).recommendation.has_value());
 }
 
 TEST(TicketQueue, BoundedCrewSerializesBacklog) {
@@ -42,12 +40,9 @@ TEST(TicketQueue, BoundedCrewSerializesBacklog) {
   TicketQueueParams params;
   params.technicians = 1;
   TicketQueue queue(params);
-  const TicketId a = queue.open(LinkId(1), 0, 1, std::nullopt);
-  const TicketId b = queue.open(LinkId(2), 0, 1, std::nullopt);
-  const TicketId c = queue.open(LinkId(3), 0, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(a).scheduled_completion, kService);
-  EXPECT_EQ(queue.ticket(b).scheduled_completion, 2 * kService);
-  EXPECT_EQ(queue.ticket(c).scheduled_completion, 3 * kService);
+  EXPECT_EQ(queue.open(0, std::nullopt).completion, kService);
+  EXPECT_EQ(queue.open(0, std::nullopt).completion, 2 * kService);
+  EXPECT_EQ(queue.open(0, std::nullopt).completion, 3 * kService);
 }
 
 TEST(TicketQueue, BoundedCrewIdleTechnicianStartsImmediately) {
@@ -55,12 +50,10 @@ TEST(TicketQueue, BoundedCrewIdleTechnicianStartsImmediately) {
   TicketQueueParams params;
   params.technicians = 2;
   TicketQueue queue(params);
-  queue.open(LinkId(1), 0, 1, std::nullopt);
-  const TicketId b = queue.open(LinkId(2), 0, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(b).scheduled_completion, kService);
+  queue.open(0, std::nullopt);
+  EXPECT_EQ(queue.open(0, std::nullopt).completion, kService);
   // A ticket arriving after the backlog drains starts at its issue time.
-  const TicketId late = queue.open(LinkId(3), 5 * kService, 1, std::nullopt);
-  EXPECT_EQ(queue.ticket(late).scheduled_completion, 6 * kService);
+  EXPECT_EQ(queue.open(5 * kService, std::nullopt).completion, 6 * kService);
 }
 
 TEST(OutcomeModel, FirstAttemptProbabilitySecondCertain) {

@@ -415,87 +415,5 @@ TEST(CorruptionPenaltyCacheTest, TracksTransitions) {
   EXPECT_EQ(corruption.total_active_penalty(topo, linear), linear(1e-2));
 }
 
-// Selecting the default threshold backend explicitly must leave the
-// churn stream byte-identical: all backend shaping draws are
-// counter-keyed, never taken from the sequential trace/repair stream.
-TEST(ChurnStream, ThresholdBackendIsByteIdenticalToDefault) {
-  const topology::Topology topo = make_test_clos();
-  const service::ChurnParams defaults = demanding_churn(11);
-  service::ChurnParams explicit_threshold = demanding_churn(11);
-  explicit_threshold.backend.kind = detect::BackendKind::kThreshold;
-  // Non-kind backend knobs must not matter for the neutral profile.
-  explicit_threshold.backend.sketch.width = 16;
-  explicit_threshold.backend.voting.flows_per_cycle = 1;
-
-  const auto a = service::make_churn_stream(topo, defaults);
-  const auto b = service::make_churn_stream(topo, explicit_threshold);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].time, b[i].time);
-    EXPECT_EQ(a[i].kind, b[i].kind);
-    EXPECT_EQ(a[i].link.value(), b[i].link.value());
-    EXPECT_EQ(a[i].loss_rate, b[i].loss_rate);
-  }
-}
-
-// A non-default backend shapes the stream per detect::backend_profile:
-// detections arrive later and spurious report/retraction pairs appear,
-// but the set of genuine faults is unchanged.
-TEST(ChurnStream, VotingBackendDelaysDetectionsAndAddsSpuriousPairs) {
-  const topology::Topology topo = make_test_clos();
-  const service::ChurnParams defaults = demanding_churn(11);
-  service::ChurnParams voting = demanding_churn(11);
-  voting.backend.kind = detect::BackendKind::kVoting;
-
-  const auto base = service::make_churn_stream(topo, defaults);
-  const auto shaped = service::make_churn_stream(topo, voting);
-  ASSERT_FALSE(base.empty());
-
-  auto count = [](const std::vector<service::TelemetryEvent>& events,
-                  service::TelemetryKind kind) {
-    std::size_t n = 0;
-    for (const auto& event : events) {
-      if (event.kind == kind) ++n;
-    }
-    return n;
-  };
-  const std::size_t base_detected =
-      count(base, service::TelemetryKind::kCorruptionDetected);
-  const std::size_t shaped_detected =
-      count(shaped, service::TelemetryKind::kCorruptionDetected);
-  // Voting adds spurious detections (each later retracted), never drops
-  // genuine ones.
-  EXPECT_GE(shaped_detected, base_detected);
-  EXPECT_EQ(shaped_detected - base_detected,
-            count(shaped, service::TelemetryKind::kCorruptionCleared) -
-                count(base, service::TelemetryKind::kCorruptionCleared));
-
-  // Every genuine detection is delayed by the backend's extra latency:
-  // summed detection time strictly grows, and every event still closes
-  // (the stream stays balanced: one terminating event per detection).
-  double base_sum = 0.0;
-  double shaped_sum = 0.0;
-  for (const auto& event : base) {
-    if (event.kind == service::TelemetryKind::kCorruptionDetected) {
-      base_sum += static_cast<double>(event.time);
-    }
-  }
-  for (const auto& event : shaped) {
-    // Spurious reports carry exactly twice the lossy threshold; skip
-    // them so the sums compare genuine detections only.
-    if (event.kind == service::TelemetryKind::kCorruptionDetected &&
-        event.loss_rate != 2.0 * common::kLossyThreshold) {
-      shaped_sum += static_cast<double>(event.time);
-    }
-  }
-  EXPECT_GT(shaped_sum, base_sum);
-  EXPECT_EQ(shaped.size() % 2, 0u);
-  EXPECT_TRUE(std::is_sorted(
-      shaped.begin(), shaped.end(),
-      [](const service::TelemetryEvent& a, const service::TelemetryEvent& b) {
-        return a.time < b.time;
-      }));
-}
-
 }  // namespace
 }  // namespace corropt
