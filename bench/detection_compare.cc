@@ -75,7 +75,7 @@ std::vector<ScenarioJob> make_detection_compare_jobs(
                   {"mix", mixes[m].tag}};
       job.trace.mix = mixes[m].mix;
       job.config.detection = sim::DetectionMode::kPolled;
-      job.config.backend.kind = backend;
+      job.config.backend = backend;
       jobs.push_back(std::move(job));
     }
   }

@@ -18,13 +18,13 @@ std::string_view backend_name(BackendKind kind) {
   return "unknown";
 }
 
-std::unique_ptr<DetectionBackend> make_backend(const BackendConfig& config,
+std::unique_ptr<DetectionBackend> make_backend(BackendKind kind,
                                                const BackendEnv& env) {
-  switch (config.kind) {
+  switch (kind) {
     case BackendKind::kVoting:
-      return std::make_unique<VotingBackend>(config.voting, env);
+      return std::make_unique<VotingBackend>(env);
     case BackendKind::kSketch:
-      return std::make_unique<SketchBackend>(config.sketch, env);
+      return std::make_unique<SketchBackend>(env);
     case BackendKind::kThreshold:
       break;
   }

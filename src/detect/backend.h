@@ -26,7 +26,6 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string_view>
 
 #include "common/ids.h"
 #include "common/rng.h"
@@ -73,7 +72,6 @@ class DetectionBackend {
   virtual ~DetectionBackend() = default;
 
   [[nodiscard]] virtual BackendKind kind() const = 0;
-  [[nodiscard]] virtual std::string_view name() const = 0;
 
   // Runs one 15-minute poll cycle. `suspects` is the pipeline's belief
   // set (active-fault links + controller corruption entries + pending
@@ -105,10 +103,9 @@ class DetectionBackend {
   virtual void restore_from(common::snap::Reader& r) = 0;
 };
 
-// Builds the backend selected by `config.kind`. The voting and sketch
-// backends take their params from `config`; every backend reports from
+// Builds the backend of `kind`; every backend reports from
 // common::kLossyThreshold.
 [[nodiscard]] std::unique_ptr<DetectionBackend> make_backend(
-    const BackendConfig& config, const BackendEnv& env);
+    BackendKind kind, const BackendEnv& env);
 
 }  // namespace corropt::detect

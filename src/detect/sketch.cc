@@ -29,11 +29,8 @@ constexpr double kOfferedPerCycle =
 
 }  // namespace
 
-SketchBackend::SketchBackend(const SketchParams& params, const BackendEnv& env)
-    : topo_(env.topo),
-      state_(env.state),
-      params_(params),
-      seed_(env.seed) {
+SketchBackend::SketchBackend(const BackendEnv& env)
+    : topo_(env.topo), state_(env.state), seed_(env.seed) {
   sketches_.resize(topo_->switch_count());
   inserted_.assign(topo_->direction_count(), 0);
   dirty_.assign(topo_->switch_count(), 0);
@@ -47,18 +44,17 @@ std::size_t SketchBackend::cell(common::DirectionId dir,
   const std::uint64_t h = mix64(
       seed_ ^ (static_cast<std::uint64_t>(dir.value()) |
                (static_cast<std::uint64_t>(row + 1) << 32)));
-  return static_cast<std::size_t>(h % params_.width);
+  return static_cast<std::size_t>(h % kWidth);
 }
 
 void SketchBackend::insert(common::DirectionId dir, std::uint64_t drops) {
   const common::SwitchId sw = topo_->transmitter(dir);
   std::vector<std::uint64_t>& sketch = sketches_[sw.index()];
   if (sketch.empty()) {
-    sketch.assign(static_cast<std::size_t>(params_.width) * params_.depth, 0);
+    sketch.assign(static_cast<std::size_t>(kWidth) * kDepth, 0);
   }
-  for (std::uint32_t row = 0; row < params_.depth; ++row) {
-    sketch[static_cast<std::size_t>(row) * params_.width + cell(dir, row)] +=
-        drops;
+  for (std::uint32_t row = 0; row < kDepth; ++row) {
+    sketch[static_cast<std::size_t>(row) * kWidth + cell(dir, row)] += drops;
   }
   inserted_[dir.index()] += drops;
   if (dirty_[sw.index()] == 0) {
@@ -73,9 +69,9 @@ std::uint64_t SketchBackend::query(common::DirectionId dir) const {
       sketches_[topo_->transmitter(dir).index()];
   if (sketch.empty()) return 0;
   std::uint64_t est = ~std::uint64_t{0};
-  for (std::uint32_t row = 0; row < params_.depth; ++row) {
-    est = std::min(est, sketch[static_cast<std::size_t>(row) * params_.width +
-                               cell(dir, row)]);
+  for (std::uint32_t row = 0; row < kDepth; ++row) {
+    est = std::min(
+        est, sketch[static_cast<std::size_t>(row) * kWidth + cell(dir, row)]);
   }
   return est;
 }
@@ -103,7 +99,7 @@ void SketchBackend::poll(common::SimTime now,
   const std::uint64_t noisy =
       common::CounterRng(seed_, kNoiseCountStream,
                          static_cast<std::uint64_t>(now))
-          .poisson(params_.noise_directions_per_cycle);
+          .poisson(kNoiseDirectionsPerCycle);
   for (std::uint64_t i = 0; i < noisy; ++i) {
     common::CounterRng rng(seed_, kNoiseStreamBase + i,
                            static_cast<std::uint64_t>(now));
@@ -116,7 +112,7 @@ void SketchBackend::poll(common::SimTime now,
     if (drops > 0) insert(dir, drops);
   }
 
-  if (cycle_ % static_cast<std::uint64_t>(params_.window_polls) == 0) {
+  if (cycle_ % static_cast<std::uint64_t>(kWindowPolls) == 0) {
     decode(cb);
   }
 }
@@ -124,7 +120,7 @@ void SketchBackend::poll(common::SimTime now,
 void SketchBackend::decode(const VerdictCallback& cb) {
   obs_decodes_.add();
   const double offered_window =
-      kOfferedPerCycle * static_cast<double>(params_.window_polls);
+      kOfferedPerCycle * static_cast<double>(kWindowPolls);
 
   // Candidates: every link with an egress direction on a dirty switch
   // (collisions make any of them decodable above zero) plus every
@@ -145,38 +141,36 @@ void SketchBackend::decode(const VerdictCallback& cb) {
   for (common::LinkId link : candidates) link_mark_[link.index()] = 0;
   std::sort(candidates.begin(), candidates.end());
 
-  if (offered_window >= static_cast<double>(params_.min_packets)) {
-    for (common::LinkId link : candidates) {
-      if (!topo_->is_enabled(link)) {
-        // Disabled links carry no traffic: no fresh evidence either way,
-        // mirroring the threshold detector's min-packets guard.
-        above_[link.index()] = 0;
-        continue;
+  for (common::LinkId link : candidates) {
+    if (!topo_->is_enabled(link)) {
+      // Disabled links carry no traffic: no fresh evidence either way,
+      // mirroring the threshold detector's min-packets guard.
+      above_[link.index()] = 0;
+      continue;
+    }
+    const std::uint64_t drops = std::max(
+        query(topology::direction_id(link, topology::LinkDirection::kUp)),
+        query(topology::direction_id(link, topology::LinkDirection::kDown)));
+    const double rate = static_cast<double>(drops) / offered_window;
+    if (rate >= common::kLossyThreshold) {
+      if (++above_[link.index()] >= kPersistenceWindows &&
+          believed_[link.index()] == 0) {
+        believed_[link.index()] = 1;
+        Verdict verdict;
+        verdict.kind = Verdict::Kind::kCorrupting;
+        verdict.link = link;
+        verdict.loss_rate = rate;
+        cb(verdict);
       }
-      const std::uint64_t drops = std::max(
-          query(topology::direction_id(link, topology::LinkDirection::kUp)),
-          query(topology::direction_id(link, topology::LinkDirection::kDown)));
-      const double rate = static_cast<double>(drops) / offered_window;
-      if (rate >= common::kLossyThreshold) {
-        if (++above_[link.index()] >= kPersistenceWindows &&
-            believed_[link.index()] == 0) {
-          believed_[link.index()] = 1;
-          Verdict verdict;
-          verdict.kind = Verdict::Kind::kCorrupting;
-          verdict.link = link;
-          verdict.loss_rate = rate;
-          cb(verdict);
-        }
-      } else {
-        above_[link.index()] = 0;
-        if (believed_[link.index()] != 0 && rate < params_.clear_threshold) {
-          believed_[link.index()] = 0;
-          Verdict verdict;
-          verdict.kind = Verdict::Kind::kCleared;
-          verdict.link = link;
-          verdict.loss_rate = rate;
-          cb(verdict);
-        }
+    } else {
+      above_[link.index()] = 0;
+      if (believed_[link.index()] != 0 && rate < common::kClearThreshold) {
+        believed_[link.index()] = 0;
+        Verdict verdict;
+        verdict.kind = Verdict::Kind::kCleared;
+        verdict.link = link;
+        verdict.loss_rate = rate;
+        cb(verdict);
       }
     }
   }
@@ -206,10 +200,9 @@ void SketchBackend::reset(common::LinkId link) {
     std::vector<std::uint64_t>& sketch =
         sketches_[topo_->transmitter(dir).index()];
     if (sketch.empty()) continue;
-    for (std::uint32_t row = 0; row < params_.depth; ++row) {
+    for (std::uint32_t row = 0; row < kDepth; ++row) {
       std::uint64_t& c =
-          sketch[static_cast<std::size_t>(row) * params_.width +
-                 cell(dir, row)];
+          sketch[static_cast<std::size_t>(row) * kWidth + cell(dir, row)];
       c -= std::min(c, amount);
     }
   }
@@ -240,8 +233,7 @@ void SketchBackend::walk(Self& self, Codec& c) {
       if (!self.sketches_[sw].empty()) allocated.push_back(sw);
     }
   }
-  const std::size_t cells =
-      static_cast<std::size_t>(self.params_.width) * self.params_.depth;
+  const std::size_t cells = static_cast<std::size_t>(kWidth) * kDepth;
   c.seq(allocated, [&](auto& sw) {
     c.u64(sw);
     c.check(sw < self.sketches_.size(),

@@ -6,12 +6,13 @@
 // poll cycle the drops each lossy direction would have recorded are
 // inserted under that direction's hashes; congestion noise bursts land
 // in the same sketch, indistinguishable from corruption. Every
-// `window_polls` cycles the backend decodes the sketch deltas of dirty
+// kWindowPolls cycles the backend decodes the sketch deltas of dirty
 // switches: a direction whose estimate implies a loss rate at or above
 // common::kLossyThreshold for kPersistenceWindows consecutive windows is
-// reported. False positives come from hash collisions — two directions
-// sharing cells in every row — which is exactly the width x depth
-// precision/recall trade bench_detection_compare sweeps.
+// reported, and a reported link is cleared below common::kClearThreshold.
+// False positives come from hash collisions — two directions sharing
+// cells in every row — so the kWidth x kDepth geometry trades memory
+// for precision.
 //
 // Determinism: all drop counts are drawn from CounterRng keyed on
 // (seed, direction, poll time) and noise from reserved streams, so the
@@ -31,13 +32,24 @@ class SketchBackend final : public DetectionBackend {
   // the link is reported; rides out one-window congestion noise the
   // sketch cannot attribute (it has no corruption/congestion split).
   static constexpr int kPersistenceWindows = 2;
+  // Count-min geometry per switch: kWidth counters per row, kDepth
+  // independently hashed rows (estimate = min over rows).
+  static constexpr std::uint32_t kWidth = 512;
+  static constexpr std::uint32_t kDepth = 2;
+  // Poll cycles aggregated per decode (sketches hold window deltas and
+  // are reset after decoding).
+  static constexpr int kWindowPolls = 4;
+  // Congestion-noise model: expected number of directions per poll cycle
+  // that record non-corruption drops (each burst has a fixed mean drop
+  // count). These insertions are indistinguishable from corruption
+  // inside the sketch.
+  static constexpr double kNoiseDirectionsPerCycle = 2.0;
 
-  SketchBackend(const SketchParams& params, const BackendEnv& env);
+  explicit SketchBackend(const BackendEnv& env);
 
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::kSketch;
   }
-  [[nodiscard]] std::string_view name() const override { return "sketch"; }
 
   void poll(common::SimTime now, std::span<const common::LinkId> suspects,
             const VerdictCallback& cb) override;
@@ -69,12 +81,11 @@ class SketchBackend final : public DetectionBackend {
 
   const topology::Topology* topo_;
   const telemetry::NetworkState* state_;
-  SketchParams params_;
   std::uint64_t seed_ = 0;
 
   std::uint64_t cycle_ = 0;
   // Per-switch sketches; empty vector = never allocated. Allocated size
-  // is width * depth, row-major.
+  // is kWidth * kDepth, row-major.
   std::vector<std::vector<std::uint64_t>> sketches_;
   // Exact per-direction insertion totals this window, so reset(link) can
   // subtract a direction's contribution from every row without touching

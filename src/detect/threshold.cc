@@ -111,6 +111,8 @@ void ThresholdBackend::walk(Self& self, Codec& c) {
     c.u64(window.packets);
     c.u64(window.drops);
     c.i64(window.polls);
+    c.check(window.polls >= 0 && window.polls < kWindowPolls,
+            "threshold backend window polls outside [0, kWindowPolls)");
   }
   for (auto& estimate : self.estimates_) c.f64(estimate);
   c.guard(self.corrupting_.size(), "threshold backend link count");

@@ -38,7 +38,6 @@ class ThresholdBackend final : public DetectionBackend {
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::kThreshold;
   }
-  [[nodiscard]] std::string_view name() const override { return "threshold"; }
 
   // Polls every direction of the suspects for one 15-minute epoch at
   // kPollUtilization: an enabled direction carries

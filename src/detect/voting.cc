@@ -25,8 +25,8 @@ std::size_t keyed_index(common::CounterRng& rng, std::size_t n) {
 
 }  // namespace
 
-VotingBackend::VotingBackend(const VotingParams& params, const BackendEnv& env)
-    : topo_(env.topo), state_(env.state), params_(params), seed_(env.seed) {
+VotingBackend::VotingBackend(const BackendEnv& env)
+    : topo_(env.topo), state_(env.state), seed_(env.seed) {
   const std::size_t switches = topo_->switch_count();
   const std::vector<common::SwitchId>& tors = topo_->tors();
 
@@ -113,7 +113,7 @@ void VotingBackend::poll(common::SimTime /*now*/,
   if (tors.size() >= 2) {
     std::vector<common::LinkId> links;
     std::vector<common::DirectionId> dirs;
-    for (std::size_t flow = 0; flow < params_.flows_per_cycle; ++flow) {
+    for (std::size_t flow = 0; flow < kFlowsPerCycle; ++flow) {
       common::CounterRng rng(seed_, cycle_, flow);
       const std::size_t src_tor = keyed_index(rng, tors.size());
       const std::size_t dst_tor = keyed_index(rng, tors.size());
@@ -135,8 +135,7 @@ void VotingBackend::poll(common::SimTime /*now*/,
         }
       }
       const double p_drop = -std::expm1(kPacketsPerFlow * log_survive);
-      const double p_bad =
-          p_drop + params_.noise_bad_probability * (1.0 - p_drop);
+      const double p_bad = p_drop + kNoiseBadProbability * (1.0 - p_drop);
       const bool bad = rng.bernoulli(p_bad);
 
       for (common::LinkId link : links) ++flows_through_[link.index()];
@@ -165,7 +164,7 @@ void VotingBackend::decode(const VerdictCallback& cb) {
     std::uint64_t best_votes = 0;
     for (std::size_t l = 0; l < vote_count.size(); ++l) {
       if (invalidated_[l] != 0) continue;
-      if (vote_count[l] >= params_.min_votes && vote_count[l] > best_votes) {
+      if (vote_count[l] >= kMinVotes && vote_count[l] > best_votes) {
         best = l;
         best_votes = vote_count[l];
       }

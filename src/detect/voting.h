@@ -26,13 +26,22 @@ class VotingBackend final : public DetectionBackend {
  public:
   // Poll cycles aggregated per voting round (8 cycles = 2 hours).
   static constexpr int kWindowCycles = 8;
+  // Flows synthesized per 15-minute poll cycle, spread over random
+  // (src ToR, dst ToR) pairs with valley-free Clos paths.
+  static constexpr std::size_t kFlowsPerCycle = 2000;
+  // Minimum failed flows through a link before it can be named a
+  // suspect; 007's guard against single-flow noise.
+  static constexpr std::uint64_t kMinVotes = 3;
+  // Per-flow probability of failing for non-corruption reasons
+  // (congestion bursts, host retransmit noise); the localizer's false
+  // positive source.
+  static constexpr double kNoiseBadProbability = 5e-4;
 
-  VotingBackend(const VotingParams& params, const BackendEnv& env);
+  explicit VotingBackend(const BackendEnv& env);
 
   [[nodiscard]] BackendKind kind() const override {
     return BackendKind::kVoting;
   }
-  [[nodiscard]] std::string_view name() const override { return "voting"; }
 
   void poll(common::SimTime now, std::span<const common::LinkId> suspects,
             const VerdictCallback& cb) override;
@@ -61,7 +70,6 @@ class VotingBackend final : public DetectionBackend {
 
   const topology::Topology* topo_;
   const telemetry::NetworkState* state_;
-  VotingParams params_;
   std::uint64_t seed_ = 0;
 
   // Structural reachability, computed once: reach_[switch] has bit t set

@@ -31,6 +31,10 @@ constexpr double kTxDecayDbPerDay = 0.15;
 // breakout group (switch-backplane model).
 constexpr std::size_t kSharedComponentWidth = 4;
 
+// Fraction of transceiver faults that are merely loose (fixed by
+// reseating) rather than bad (needing replacement).
+constexpr double kLooseTransceiverFraction = 0.6;
+
 }  // namespace
 
 using topology::LinkDirection;
@@ -157,7 +161,7 @@ Fault FaultFactory::make_bad_transceiver(LinkId link, SimTime onset) {
   fault.cause = RootCause::kBadOrLooseTransceiver;
   fault.links = {link};
   fault.onset = onset;
-  if (rng_->bernoulli(params_.p_loose)) {
+  if (rng_->bernoulli(kLooseTransceiverFraction)) {
     fault.fixing_actions = {RepairAction::kReseatTransceiver,
                             RepairAction::kReplaceTransceiver};
   } else {

@@ -30,9 +30,6 @@ struct FaultMixParams {
   // root cause 1). These defeat power-based diagnosis and bound the
   // recommendation engine's accuracy below 100%.
   double p_back_reflection = 0.15;
-  // Fraction of transceiver faults that are merely loose (fixed by
-  // reseating) rather than bad (needing replacement).
-  double p_loose = 0.6;
 
   // Fraction of damaged-fiber faults whose corruption exceeds the lossy
   // threshold in BOTH directions. Both RxPowers always drop (Figure 9),

@@ -30,7 +30,7 @@ DcResult run_dc(const FleetSpec& fleet, const DcSpec& dc, bool collect_obs) {
   return DcResult{std::move(run),
                   dc.key,
                   dc.shape,
-                  dc.config.backend.kind,
+                  dc.config.backend,
                   dc.config.capacity_fraction,
                   dc.trace.faults_per_link_per_day,
                   min_worst_tor_fraction};

@@ -8,7 +8,8 @@
 namespace corropt::sim {
 
 DetectionPipeline::DetectionPipeline(SimContext& ctx)
-    : ctx_(ctx), obs_detail_(ctx.config.backend.detailed_obs()) {
+    : ctx_(ctx),
+      obs_detail_(ctx.config.backend != detect::BackendKind::kThreshold) {
   detect::BackendEnv env;
   env.topo = &ctx.topo;
   env.state = &ctx.state;

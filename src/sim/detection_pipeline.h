@@ -83,8 +83,10 @@ class DetectionPipeline {
 
   SimContext& ctx_;
   std::unique_ptr<detect::DetectionBackend> backend_;
-  // ScenarioConfig::backend.detailed_obs() at construction: whether the
-  // detect.* counters and kDetectionVerdict journal records are live.
+  // Whether the detect.* counters and kDetectionVerdict journal records
+  // are live: for every backend but the default threshold one, whose
+  // registry snapshots and journals stay exactly those of the paper's
+  // pipeline.
   bool obs_detail_ = false;
   // Onset time of the oldest unobserved fault per link, for latency
   // accounting. Links without pending detection are absent. Ordered:

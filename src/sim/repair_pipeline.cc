@@ -1,6 +1,7 @@
 #include "sim/repair_pipeline.h"
 
 #include <cassert>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -222,7 +223,12 @@ template <class Self, class Codec>
 void RepairPipeline::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('R', 'P', 'I', 'P'), 1, "repair pipeline");
   c.guard(self.attempts_.size(), "repair pipeline link count");
-  for (auto& a : self.attempts_) c.i64(a);
+  for (auto& a : self.attempts_) {
+    c.i64(a);
+    // open_ticket increments it: INT_MAX would overflow.
+    c.check(a >= 0 && a < std::numeric_limits<int>::max(),
+            "repair attempt count outside [0, INT_MAX)");
+  }
   for (auto& reseated : self.reseated_) c.u8(reseated);
   c.f64(self.ticket_resolution_total_s_);
   c.object(self.queue_);

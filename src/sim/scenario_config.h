@@ -80,7 +80,7 @@ struct ScenarioConfig {
   // each poll cycle (DESIGN.md §13). The default threshold backend is
   // byte-identical to the pre-seam pipeline; 007-style voting and the
   // count-min sketch detector draw only from counter-keyed streams.
-  detect::BackendConfig backend;
+  detect::BackendKind backend = detect::BackendKind::kThreshold;
 
   // Section 8 extension: model the collateral impact of repair. When a
   // breakout-bundle link is repaired, its healthy siblings go down for

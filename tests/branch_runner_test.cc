@@ -58,15 +58,7 @@ ScenarioConfig backend_config(detect::BackendKind kind, obs::Sink* sink) {
   config.detection = DetectionMode::kPolled;
   config.verification = RepairVerification::kEnableAndObserve;
   config.outcome.first_attempt_success = 0.6;
-  config.backend.kind = kind;
-  // Scaled-down evidence volumes keep the suite small and fast; both
-  // backends convict on this fabric at their defaults too.
-  // checkpoint_test reuses these values, and
-  // tests/golden/checkpoint_bytes.txt pins checkpoints taken with them.
-  config.backend.voting.flows_per_cycle = 600;
-  config.backend.voting.min_votes = 2;
-  config.backend.sketch.width = 64;
-  config.backend.sketch.min_packets = 1000;
+  config.backend = kind;
   config.sink = sink;
   return config;
 }

@@ -34,6 +34,7 @@
 #include <functional>
 #include <limits>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <string_view>
@@ -47,6 +48,8 @@
 #include "corropt/corruption_set.h"
 #include "corropt/path_counter.h"
 #include "corropt/penalty.h"
+#include "detect/sketch.h"
+#include "detect/threshold.h"
 #include "faults/fault_factory.h"
 #include "faults/injector.h"
 #include "obs/journal.h"
@@ -411,14 +414,7 @@ std::string bytes_fixture_path() {
 
 ScenarioConfig backend_config(detect::BackendKind kind, obs::Sink* sink) {
   ScenarioConfig config = small_config(sink);
-  config.backend.kind = kind;
-  // branch_runner_test's scaled-down evidence volumes: they keep the
-  // suite fast, and tests/golden/checkpoint_bytes.txt pins the
-  // checkpoints taken with them.
-  config.backend.voting.flows_per_cycle = 600;
-  config.backend.voting.min_votes = 2;
-  config.backend.sketch.width = 64;
-  config.backend.sketch.min_packets = 1000;
+  config.backend = kind;
   return config;
 }
 
@@ -898,8 +894,8 @@ TEST(CheckpointIntegrity, SketchDirtySwitchOutOfRangeThrows) {
   const auto events = small_trace(topo);
   Checkpoint ckpt = midday_checkpoint(config, events);
   const std::size_t cells =
-      static_cast<std::size_t>(config.backend.sketch.width) *
-      config.backend.sketch.depth;
+      static_cast<std::size_t>(detect::SketchBackend::kWidth) *
+      detect::SketchBackend::kDepth;
   edit_backend_payload(
       ckpt.bytes, common::snap::tag('S', 'K', 'T', 'B'), 1,
       [&](std::string& payload) {
@@ -1372,6 +1368,78 @@ TEST(CheckpointMutation, TicketActionAndFaultRateOutOfRangeThrow) {
   // The unedited splice still restores: the decoding above is faithful.
   Checkpoint same = base;
   edit_section(same.bytes, tckt, 2, edit_tickets([](Tickets&) {}));
+  EXPECT_EQ(same.bytes, base.bytes);
+}
+
+// RepairPipeline::open_ticket runs ++attempts_[link] on a restored
+// count, so INT_MAX would overflow it; a negative count is no count of
+// attempts either.
+TEST(CheckpointMutation, RepairAttemptCountOutOfRangeThrows) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const std::uint32_t rpip = common::snap::tag('R', 'P', 'I', 'P');
+  // Rewrites the first link's attempt count (after the link count).
+  const auto set_first_attempt = [](std::optional<int> value) {
+    return [value](common::snap::Reader& r, common::snap::Writer& w) {
+      w.u64(r.u64());
+      const std::int64_t attempt = r.i64();
+      w.i64(value.value_or(static_cast<int>(attempt)));
+    };
+  };
+  for (const int attempt : {std::numeric_limits<int>::max(), -1}) {
+    SCOPED_TRACE(::testing::Message() << "attempt " << attempt);
+    Checkpoint ckpt = base;
+    edit_section(ckpt.bytes, rpip, 1, set_first_attempt(attempt));
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt,
+                    "repair attempt count outside [0, INT_MAX)");
+  }
+  // The unedited splice still restores: the decoding above is faithful.
+  Checkpoint same = base;
+  edit_section(same.bytes, rpip, 1, set_first_attempt(std::nullopt));
+  EXPECT_EQ(same.bytes, base.bytes);
+}
+
+// ThresholdBackend::observe runs ++window.polls and completes a window
+// when it reaches kWindowPolls, so a restored count must lie below it:
+// one at or past it never completes as the window it claims to be, and
+// INT_MAX would overflow.
+TEST(CheckpointMutation, ThresholdWindowPollsOutOfRangeThrows) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const std::uint32_t thrb = common::snap::tag('T', 'H', 'R', 'B');
+  // Rewrites the first direction's window poll count (after the section
+  // header, the direction count and that window's packets and drops).
+  const auto set_first_polls = [thrb](std::optional<int> value) {
+    return [thrb, value](std::string& payload) {
+      common::snap::Reader r(payload);
+      common::snap::Writer w;
+      r.section(thrb, 2, "threshold backend");
+      w.section(thrb, 2, "threshold backend");
+      w.u64(r.u64());
+      w.u64(r.u64());
+      w.u64(r.u64());
+      const std::int64_t polls = r.i64();
+      w.i64(value.value_or(static_cast<int>(polls)));
+      payload = w.take() + payload.substr(payload.size() - r.remaining());
+    };
+  };
+  for (const int polls : {detect::ThresholdBackend::kWindowPolls, -1,
+                          std::numeric_limits<int>::max()}) {
+    SCOPED_TRACE(::testing::Message() << "polls " << polls);
+    Checkpoint ckpt = base;
+    edit_backend_payload(ckpt.bytes, thrb, 2, set_first_polls(polls));
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt,
+                    "threshold backend window polls outside [0, kWindowPolls)");
+  }
+  // The unedited splice still restores: the decoding above is faithful.
+  Checkpoint same = base;
+  edit_backend_payload(same.bytes, thrb, 2, set_first_polls(std::nullopt));
   EXPECT_EQ(same.bytes, base.bytes);
 }
 

@@ -1,6 +1,6 @@
 // Tests for the pluggable detection/localization backends (DESIGN.md
-// §13): 007-style voting correctness on a hand-built Clos, sketch
-// precision/recall versus the width x depth geometry, backend selection
+// §13): 007-style voting correctness on a hand-built Clos, the sketch
+// decoding the lossy link at its rate, backend selection
 // through ScenarioConfig and fleet DcSpecs, pending-detection latency
 // edge cases in the polled pipeline, and thread-count byte-identity of
 // the bench_detection_compare document.
@@ -18,6 +18,8 @@
 #include "faults/fault_factory.h"
 #include "fleet/fleet_campaign.h"
 #include "fleet/fleet_json.h"
+#include "obs/journal.h"
+#include "obs/sink.h"
 #include "sim/mitigation_sim.h"
 #include "telemetry/monitor.h"
 #include "telemetry/network_state.h"
@@ -73,9 +75,9 @@ std::vector<detect::Verdict> run_cycles(detect::DetectionBackend& backend,
 
 TEST(VotingBackend, SingleBadLinkTopVotedThenCleared) {
   BackendFixture f;
-  detect::VotingParams params;
-  params.noise_bad_probability = 0.0;  // Isolate the voting logic.
-  detect::VotingBackend backend(params, f.env(99));
+  // kNoiseBadProbability fails some flows at random; at seed 99 those
+  // votes add no verdict to either window.
+  detect::VotingBackend backend(f.env(99));
 
   const LinkId bad = f.tor_uplink(0, 0);
   f.set_link_rate(bad, 1e-5);
@@ -101,9 +103,8 @@ TEST(VotingBackend, SingleBadLinkTopVotedThenCleared) {
 
 TEST(VotingBackend, TwoSimultaneousBadLinksBothSurfaced) {
   BackendFixture f;
-  detect::VotingParams params;
-  params.noise_bad_probability = 0.0;
-  detect::VotingBackend backend(params, f.env(17));
+  // At seed 17 the noise-failed flows add no verdict.
+  detect::VotingBackend backend(f.env(17));
 
   // Two bad links under different ToRs: the greedy decomposition must
   // report the second even though the first explains more failed flows.
@@ -123,48 +124,33 @@ TEST(VotingBackend, TwoSimultaneousBadLinksBothSurfaced) {
             (std::set<std::uint32_t>{bad_a.value(), bad_b.value()}));
 }
 
-TEST(SketchBackend, WidthDepthTradesPrecisionNotRecall) {
+TEST(SketchBackend, DecodesTheLossyLinkAtItsRate) {
   BackendFixture f;
   const LinkId bad = f.tor_uplink(0, 0);
-  // Up direction only, so exactly one switch (the ToR) gets a dirty
-  // sketch and the candidate set is its four uplinks.
+  // Up direction only, so only the ToR's sketch records corruption
+  // drops.
   f.state
       .direction(topology::direction_id(bad, topology::LinkDirection::kUp))
       .corruption_rate = 1e-5;
 
-  detect::SketchParams wide;
-  wide.noise_directions_per_cycle = 0.0;  // Collisions only.
-  detect::SketchParams narrow = wide;
-  narrow.width = 1;
-  narrow.depth = 1;
+  detect::SketchBackend backend(f.env(7));
 
-  detect::SketchBackend wide_backend(wide, f.env(7));
-  detect::SketchBackend narrow_backend(narrow, f.env(7));
+  // kPersistenceWindows windows of kWindowPolls cycles each.
+  const int cycles = detect::SketchBackend::kWindowPolls *
+                     detect::SketchBackend::kPersistenceWindows;
+  const auto verdicts = run_cycles(backend, 1, cycles);
 
-  // kPersistenceWindows windows of window_polls cycles each.
-  const int cycles =
-      wide.window_polls * detect::SketchBackend::kPersistenceWindows;
-  const auto wide_verdicts = run_cycles(wide_backend, 1, cycles);
-  const auto narrow_verdicts = run_cycles(narrow_backend, 1, cycles);
-
-  // The wide sketch decodes exactly the lossy link.
-  ASSERT_EQ(wide_verdicts.size(), 1u);
-  EXPECT_EQ(wide_verdicts[0].link, bad);
-  EXPECT_EQ(wide_verdicts[0].kind, detect::Verdict::Kind::kCorrupting);
-
-  // A single-cell sketch aliases every egress direction of the dirty
-  // ToR onto the bad link's counters: same recall, collapsed precision
-  // (all four uplinks of the ToR decode above threshold).
-  const auto& uplinks = f.topo.switch_at(f.topo.tors()[0]).uplinks;
-  EXPECT_EQ(narrow_verdicts.size(), uplinks.size());
-  std::set<std::uint32_t> reported;
-  for (const detect::Verdict& v : narrow_verdicts) {
-    reported.insert(v.link.value());
+  // The sketch reports the lossy link once, at its own rate: no
+  // collision in the kWidth x kDepth geometry inflates its estimate.
+  // The congestion-noise model runs too; at seed 7 it adds one verdict,
+  // on link 245, from noise bursts.
+  std::vector<detect::Verdict> on_bad;
+  for (const detect::Verdict& v : verdicts) {
+    if (v.link == bad) on_bad.push_back(v);
   }
-  EXPECT_TRUE(reported.count(bad.value()));
-  for (const LinkId uplink : uplinks) {
-    EXPECT_TRUE(reported.count(uplink.value()));
-  }
+  ASSERT_EQ(on_bad.size(), 1u);
+  EXPECT_EQ(on_bad[0].kind, detect::Verdict::Kind::kCorrupting);
+  EXPECT_NEAR(on_bad[0].loss_rate, 1e-5, 1e-6);
 }
 
 TEST(ThresholdBackend, ResetRequiresAFreshDetectionWindow) {
@@ -172,8 +158,8 @@ TEST(ThresholdBackend, ResetRequiresAFreshDetectionWindow) {
   const LinkId bad = f.tor_uplink(0, 0);
   f.set_link_rate(bad, 1e-3);
 
-  detect::BackendConfig config;  // kThreshold.
-  auto backend = detect::make_backend(config, f.env(5));
+  auto backend = detect::make_backend(detect::BackendKind::kThreshold,
+                                      f.env(5));
   ASSERT_EQ(backend->kind(), detect::BackendKind::kThreshold);
 
   const std::vector<LinkId> suspects{bad};
@@ -207,19 +193,24 @@ TEST(BackendFactory, NamesAndProfiles) {
   EXPECT_EQ(detect::backend_name(detect::BackendKind::kVoting), "voting");
   EXPECT_EQ(detect::backend_name(detect::BackendKind::kSketch), "sketch");
 
-  detect::BackendConfig config;
-  EXPECT_FALSE(config.detailed_obs());
-  config.kind = detect::BackendKind::kVoting;
-  EXPECT_TRUE(config.detailed_obs());
-  config.kind = detect::BackendKind::kSketch;
-  EXPECT_TRUE(config.detailed_obs());
+  BackendFixture f;
+  for (const detect::BackendKind kind :
+       {detect::BackendKind::kThreshold, detect::BackendKind::kVoting,
+        detect::BackendKind::kSketch}) {
+    EXPECT_EQ(detect::make_backend(kind, f.env(3))->kind(), kind);
+  }
 }
 
 // One strong fault driven end to end through MitigationSimulation with
-// each non-default backend selected via ScenarioConfig.
+// each non-default backend selected via ScenarioConfig. The backends'
+// congestion-noise models run too, so the assertions are about the bad
+// link. At seed 41 the noise adds false positives elsewhere: 6 verdicts
+// and 6 tickets on voting, 238 verdicts and 184 tickets on sketch
+// (bench_detection_compare measures these rates).
 TEST(BackendPlumbing, ScenarioConfigSelectsVotingAndSketch) {
   for (const detect::BackendKind kind :
        {detect::BackendKind::kVoting, detect::BackendKind::kSketch}) {
+    SCOPED_TRACE(detect::backend_name(kind));
     auto topo = topology::build_fat_tree(8);
     sim::ScenarioConfig config;
     config.duration = 10 * common::kDay;
@@ -227,13 +218,7 @@ TEST(BackendPlumbing, ScenarioConfigSelectsVotingAndSketch) {
     config.detection = sim::DetectionMode::kPolled;
     config.outcome.first_attempt_success = 1.0;
     config.seed = 41;
-    config.backend.kind = kind;
-    config.backend.voting.flows_per_cycle = 400;
-    // Silence the congestion-noise models: this test asserts the
-    // single-fault plumbing, not the backends' false-positive behavior
-    // (bench_detection_compare measures that).
-    config.backend.voting.noise_bad_probability = 0.0;
-    config.backend.sketch.noise_directions_per_cycle = 0.0;
+    config.backend = kind;
 
     const LinkId bad = topo.switch_at(topo.tors().front()).uplinks[0];
     common::Rng rng(42);
@@ -244,17 +229,37 @@ TEST(BackendPlumbing, ScenarioConfigSelectsVotingAndSketch) {
         bad, faults::RootCause::kBadOrLooseTransceiver, event.time);
     for (auto& effect : event.fault.effects) effect.corruption_rate = 1e-3;
 
+    obs::EventJournal journal;
+    obs::Sink sink{nullptr, &journal, nullptr, 0};
+    config.sink = &sink;
+
     sim::MitigationSimulation sim(topo, config);
     const auto metrics = sim.run({event});
-    EXPECT_GE(metrics.polled_detections, 1u) << detect::backend_name(kind);
-    ASSERT_GE(metrics.detection_latencies_s.size(), 1u)
-        << detect::backend_name(kind);
-    // Windowed decodes: later than one poll, earlier than a day.
+    EXPECT_GE(metrics.polled_detections, 1u);
+    // Only the faulted link has a pending detection, so the one latency
+    // is its own. Windowed decodes: later than one poll, earlier than a
+    // day.
+    ASSERT_EQ(metrics.detection_latencies_s.size(), 1u);
     EXPECT_GT(metrics.detection_latencies_s[0], 0.0);
     EXPECT_LE(metrics.detection_latencies_s[0],
               static_cast<double>(common::kDay));
-    EXPECT_EQ(metrics.repair_attempts, 1u) << detect::backend_name(kind);
-    EXPECT_EQ(topo.enabled_link_count(), topo.link_count());
+
+    // The bad link gets one ticket, its first visit fixes it, and it is
+    // back in service at the end.
+    std::uint64_t bad_tickets = 0;
+    std::uint64_t bad_repairs = 0;
+    for (const obs::Event& e : journal.snapshot()) {
+      if (e.kind == obs::EventKind::kTicketOpened) {
+        if (e.link == bad) ++bad_tickets;
+      } else if (e.kind == obs::EventKind::kRepairAttempt && e.link == bad) {
+        ++bad_repairs;
+        EXPECT_EQ(e.reason, obs::EventReason::kSucceeded);
+        EXPECT_EQ(e.detail0, 1u);
+      }
+    }
+    EXPECT_EQ(bad_tickets, 1u);
+    EXPECT_EQ(bad_repairs, 1u);
+    EXPECT_TRUE(topo.is_enabled(bad));
   }
 }
 
@@ -270,7 +275,7 @@ TEST(BackendPlumbing, DcSpecBackendReachesFleetResultAndJson) {
   dc.trace.duration = 10 * common::kDay;
   dc.config.duration = 10 * common::kDay;
   dc.config.capacity_fraction = 0.5;
-  dc.config.backend.kind = detect::BackendKind::kSketch;
+  dc.config.backend = detect::BackendKind::kSketch;
   spec.dcs.push_back(dc);
 
   const fleet::FleetResult result = fleet::FleetCampaign(spec).run({});
@@ -281,7 +286,7 @@ TEST(BackendPlumbing, DcSpecBackendReachesFleetResultAndJson) {
 
   // Default-backend fleets serialize without any backend tag, keeping
   // pre-existing fleet documents byte-identical.
-  spec.dcs[0].config.backend.kind = detect::BackendKind::kThreshold;
+  spec.dcs[0].config.backend = detect::BackendKind::kThreshold;
   const fleet::FleetResult plain = fleet::FleetCampaign(spec).run({});
   EXPECT_EQ(plain.dcs[0].backend, detect::BackendKind::kThreshold);
   EXPECT_EQ(fleet::fleet_json_string(plain, "detect_test").find("backend"),

@@ -127,9 +127,7 @@ TEST(FaultContracts, EveryCauseProducesWellFormedFaults) {
 TEST(FaultContracts, FixingActionsMatchRootCause) {
   const auto topo = topology::build_fat_tree(4);
   common::Rng rng(10);
-  faults::FaultMixParams params;
-  params.p_loose = 1.0;
-  faults::FaultFactory factory(topo, params, rng);
+  faults::FaultFactory factory(topo, {}, rng);
   using faults::RepairAction;
   using faults::RootCause;
   auto fixes = [&](RootCause cause, RepairAction action) {
@@ -145,8 +143,17 @@ TEST(FaultContracts, FixingActionsMatchRootCause) {
   EXPECT_FALSE(fixes(RootCause::kDamagedFiber, RepairAction::kCleanFiber));
   EXPECT_TRUE(fixes(RootCause::kDecayingTransmitter,
                     RepairAction::kReplaceRemoteTransceiver));
-  EXPECT_TRUE(fixes(RootCause::kBadOrLooseTransceiver,
-                    RepairAction::kReseatTransceiver));
+  // The factory draws loose or bad itself: both variants occur, a loose
+  // transceiver is fixed by a reseat or a replacement, a bad one only by
+  // a replacement.
+  const testing::TransceiverVariants transceivers =
+      testing::draw_transceiver_variants(factory, common::LinkId(0), 0);
+  ASSERT_TRUE(transceivers.loose.has_value());
+  ASSERT_TRUE(transceivers.bad.has_value());
+  EXPECT_TRUE(transceivers.loose->fixed_by(RepairAction::kReseatTransceiver));
+  EXPECT_TRUE(transceivers.loose->fixed_by(RepairAction::kReplaceTransceiver));
+  EXPECT_FALSE(transceivers.bad->fixed_by(RepairAction::kReseatTransceiver));
+  EXPECT_TRUE(transceivers.bad->fixed_by(RepairAction::kReplaceTransceiver));
   EXPECT_TRUE(fixes(RootCause::kSharedComponent,
                     RepairAction::kReplaceSharedComponent));
   EXPECT_FALSE(fixes(RootCause::kSharedComponent,

@@ -198,13 +198,7 @@ std::vector<ScenarioJob> sweep_jobs(bool crews) {
       const detect::BackendKind kinds[] = {detect::BackendKind::kThreshold,
                                            detect::BackendKind::kVoting,
                                            detect::BackendKind::kSketch};
-      job.config.backend.kind = kinds[v];
-      // branch_runner_test's scaled-down evidence volumes, which keep
-      // the suite small and fast.
-      job.config.backend.voting.flows_per_cycle = 600;
-      job.config.backend.voting.min_votes = 2;
-      job.config.backend.sketch.width = 64;
-      job.config.backend.sketch.min_packets = 1000;
+      job.config.backend = kinds[v];
       job.name = detect::backend_name(kinds[v]);
     }
     job.tags = {{"variant", job.name}};

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "common/rng.h"
 #include "fault_oracles.h"
@@ -72,13 +73,16 @@ TEST(SimDeep, ActionModelEscalatesWithHistory) {
   config.seed = 55;
 
   common::Rng rng(56);
-  faults::FaultMixParams mix;
-  mix.p_loose = 0.0;  // Bad transceivers only: reseat never fixes.
-  faults::FaultFactory factory(topo, mix, rng);
+  faults::FaultFactory factory(topo, {}, rng);
+  // Bad transceivers only: reseat never fixes. The factory draws loose
+  // or bad itself, so take its first bad one; both variants occur.
+  testing::TransceiverVariants transceivers =
+      testing::draw_transceiver_variants(factory, common::LinkId(20), 0);
+  ASSERT_TRUE(transceivers.loose.has_value());
+  ASSERT_TRUE(transceivers.bad.has_value());
   trace::TraceEvent event;
   event.time = 0;
-  event.fault = factory.make_fault(
-      common::LinkId(20), faults::RootCause::kBadOrLooseTransceiver, 0);
+  event.fault = std::move(*transceivers.bad);
 
   // The first visit reseats (per Algorithm 1, or because the visual
   // inspection "spots" a loose seat) and fails; once the history shows a

@@ -26,6 +26,20 @@ still contains:
 
 Exit 0 when that list is empty, 1 (printing it, one symbol a line)
 otherwise. File-local helpers are not checked.
+
+    python3 tools/check_unreached.py --fields
+
+A text scan that builds nothing: it lists every field of a src/ struct
+named *Params, *Config, *Spec or *Options that no bench/, examples/,
+perfbench/ or src/ file sets, as Struct::field, one a line, and exits 1
+if there is any (0 otherwise). A field counts as set where some file
+assigns to `x.f` or `x.f.g` (`=` or a compound assignment; `->` works
+like `.`), calls a container mutator on it (`x.f.emplace_back(...)`),
+or names it in a designated initializer (`{.f = ...}`). Matching is by
+field name, so one set site covers every struct with a field of that
+name. A field whose type is another scanned struct is not listed
+itself: it is set through its own fields, which are. A config field
+nothing sets is a constant: name it next to its reader.
 """
 
 import argparse
@@ -131,11 +145,135 @@ def weak_src_functions(objects, jobs):
     return found
 
 
+CONFIG_STRUCT = re.compile(
+    r"\bstruct\s+(\w+(?:Params|Config|Spec|Options))\s*(?:final\s*)?"
+    r"(?::[^{;]*)?\{")
+SETTER_DIRS = ("bench", "examples", "perfbench", "src")
+MUTATORS = ("push_back", "emplace_back", "insert", "emplace", "assign",
+            "resize", "clear", "erase", "append")
+NON_FIELD = re.compile(r"^(?:static|using|friend|typedef|struct|class|enum|"
+                       r"template)\b")
+
+
+def source_files(directory):
+    for root, _, files in os.walk(directory):
+        for name in sorted(files):
+            if name.endswith((".h", ".cc", ".cpp")):
+                yield os.path.join(root, name)
+
+
+def strip_comments_and_strings(text):
+    """The code of one file with comments, string and character literals
+    blanked out, so neither can read as a declaration or an assignment."""
+    return re.sub(
+        r'//[^\n]*|/\*.*?\*/|R"(\w*)\(.*?\)\1"|"(?:\\.|[^"\\\n])*"'
+        r"|'(?:\\.|[^'\\\n])*'",
+        lambda m: " " if m.group(0).startswith("/") else '""',
+        text, flags=re.DOTALL)
+
+
+def struct_body(code, start):
+    """The text between the brace that opens at `start` and its match."""
+    depth = 0
+    for i in range(start, len(code)):
+        if code[i] == "{":
+            depth += 1
+        elif code[i] == "}":
+            depth -= 1
+            if depth == 0:
+                return code[start + 1:i]
+    return code[start + 1:]
+
+
+def member_statements(body):
+    """The top-level statements of a struct body; a member function's
+    body (a brace block not followed by `;`) ends its statement and is
+    dropped with it."""
+    body = re.sub(r"\b(?:public|private|protected)\s*:(?!:)", " ", body)
+    statements, current, depth = [], [], 0
+    for i, char in enumerate(body):
+        if char == "{":
+            depth += 1
+        elif char == "}":
+            depth -= 1
+            if depth == 0 and not body[i + 1:].lstrip().startswith((";", ",")):
+                current = []
+                continue
+        if char == ";" and depth == 0:
+            statements.append("".join(current).strip())
+            current = []
+        else:
+            current.append(char)
+    return [s for s in statements if s]
+
+
+def declared_fields(statement):
+    """(type, name) per data member a statement declares; [] when it is
+    a function, an alias, a static or a nested type."""
+    if NON_FIELD.match(statement):
+        return []
+    declarator = re.split(r"=|\{", statement, maxsplit=1)[0]
+    if "(" in re.sub(r"<[^<>]*(?:<[^<>]*>[^<>]*)*>", "", declarator):
+        return []
+    match = re.match(r"(.*?)\b(\w+)\s*(?:\[[^\]]*\]\s*)?$", declarator.strip(),
+                     re.DOTALL)
+    return [(match.group(1).strip(), match.group(2))] if match else []
+
+
+def config_fields():
+    """(struct, field, type) per data member of every scanned struct."""
+    fields = []
+    for path in source_files("src"):
+        with open(path, encoding="utf-8") as handle:
+            code = strip_comments_and_strings(handle.read())
+        for match in CONFIG_STRUCT.finditer(code):
+            for statement in member_statements(
+                    struct_body(code, match.end() - 1)):
+                fields += [(match.group(1), name, kind)
+                           for kind, name in declared_fields(statement)]
+    return fields
+
+
+def set_field_names():
+    """Every name that some file of SETTER_DIRS assigns, mutates or
+    designates as `.name`."""
+    # A lookahead, so `a.b.c = 1` sets both b and c.
+    setter = re.compile(
+        r"(?=(?:\.|->)\s*(\w+)(?:\s*(?:\.|->)\s*\w+|\s*\[[^\]]*\])*\s*"
+        r"(?:[-+*/%|&^]|<<|>>)?=(?!=)"
+        r"|(?:\.|->)\s*(\w+)\s*\.\s*(?:" + "|".join(MUTATORS) + r")\s*\()")
+    names = set()
+    for directory in SETTER_DIRS:
+        for path in source_files(directory):
+            with open(path, encoding="utf-8") as handle:
+                code = strip_comments_and_strings(handle.read())
+            for match in setter.finditer(code):
+                names.add(match.group(1) or match.group(2))
+    return names
+
+
+def unset_config_fields():
+    fields = config_fields()
+    structs = {struct for struct, _, _ in fields}
+    names = set_field_names()
+    return sorted(f"{struct}::{name}" for struct, name, kind in fields
+                  if name not in names and
+                  re.sub(r"^.*::", "", kind) not in structs)
+
+
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--build-dir", default="build-unreached")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    parser.add_argument("--fields", action="store_true",
+                        help="list config fields nothing sets; no build")
     args = parser.parse_args()
+
+    if args.fields:
+        unset = unset_config_fields()
+        for field in unset:
+            print(field)
+        return 1 if unset else 0
 
     main_tree = os.path.join(args.build_dir, "main")
     perf_tree = os.path.join(args.build_dir, "perfbench")
