@@ -63,7 +63,7 @@ int main() {
   const core::Recommendation rec = engine.recommend_link(link, false);
   std::printf("repair recommendation: %s\n  rationale: %s\n",
               std::string(faults::to_string(rec.action)).c_str(),
-              rec.rationale.c_str());
+              rec.rationale);
 
   // 4. The technician cleans the fiber; corruption is gone and the
   // controller re-enables the link (and re-optimizes globally).

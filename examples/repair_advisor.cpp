@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
     const core::Recommendation rec = engine.recommend_link(link, false);
     std::printf("   recommendation: %s\n",
                 std::string(faults::to_string(rec.action)).c_str());
-    std::printf("   rationale:      %s\n", rec.rationale.c_str());
+    std::printf("   rationale:      %s\n", rec.rationale);
 
     const bool would_fix = fault->fixed_by(rec.action);
     correct += would_fix;

@@ -10,8 +10,6 @@
 // replaced on a repeat offence.
 #pragma once
 
-#include <string>
-
 #include "common/ids.h"
 #include "faults/repair_action.h"
 #include "telemetry/network_state.h"
@@ -23,8 +21,9 @@ using common::LinkId;
 
 struct Recommendation {
   faults::RepairAction action = faults::RepairAction::kCleanFiber;
-  // Human-readable explanation for the ticket body.
-  std::string rationale;
+  // Human-readable explanation for the ticket body: a static message,
+  // so a recommendation allocates nothing.
+  const char* rationale = "";
 };
 
 class RecommendationEngine {

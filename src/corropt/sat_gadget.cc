@@ -6,6 +6,18 @@
 
 namespace corropt::core {
 
+namespace {
+
+// `prefix` followed by `n` in decimal, built by appending: GCC 12 at -O3
+// warns -Wrestrict on `"literal" + std::to_string(n)`.
+std::string numbered(const char* prefix, int n) {
+  std::string name(prefix);
+  name += std::to_string(n);
+  return name;
+}
+
+}  // namespace
+
 bool solve_sat_brute_force(const SatInstance& instance) {
   assert(instance.num_vars <= 20);
   const std::uint32_t limit = 1u << instance.num_vars;
@@ -48,15 +60,15 @@ SatGadget build_sat_gadget(const SatInstance& instance) {
       static_cast<std::size_t>(2 * r));
   for (int v = 1; v <= r; ++v) {
     literal_agg[static_cast<std::size_t>(2 * (v - 1))] =
-        topo.add_switch(1, "X" + std::to_string(v));
+        topo.add_switch(1, numbered("X", v));
     literal_agg[static_cast<std::size_t>(2 * (v - 1) + 1)] =
-        topo.add_switch(1, "notX" + std::to_string(v));
+        topo.add_switch(1, numbered("notX", v));
   }
 
   // Clause ToRs: C_i links to the aggs of its three literals.
   for (int i = 0; i < k; ++i) {
     const common::SwitchId clause_tor =
-        topo.add_switch(0, "C" + std::to_string(i + 1));
+        topo.add_switch(0, numbered("C", i + 1));
     for (int literal : instance.clauses[static_cast<std::size_t>(i)].literals) {
       const int var = std::abs(literal);
       assert(var >= 1 && var <= r);
@@ -69,7 +81,7 @@ SatGadget build_sat_gadget(const SatInstance& instance) {
   // Helper ToRs: H_1..H_r tie X_j to notX_j; H_{r+1}..H_k tie X_1 pair.
   for (int j = 1; j <= k; ++j) {
     const common::SwitchId helper =
-        topo.add_switch(0, "H" + std::to_string(j));
+        topo.add_switch(0, numbered("H", j));
     const int var = j <= r ? j : 1;
     topo.add_link(helper, literal_agg[static_cast<std::size_t>(2 * (var - 1))]);
     topo.add_link(helper,
@@ -81,7 +93,7 @@ SatGadget build_sat_gadget(const SatInstance& instance) {
   gadget.corrupting.reserve(static_cast<std::size_t>(2 * r));
   for (int index = 0; index < 2 * r; ++index) {
     const common::SwitchId spine =
-        topo.add_switch(2, "S" + std::to_string(index));
+        topo.add_switch(2, numbered("S", index));
     gadget.corrupting.push_back(
         topo.add_link(literal_agg[static_cast<std::size_t>(index)], spine));
   }

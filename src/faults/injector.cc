@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
+#include <utility>
 
 #include "common/time.h"
 
@@ -12,13 +14,23 @@ FaultInjector::FaultInjector(telemetry::NetworkState& state)
 
 void FaultInjector::index(const Fault& fault) {
   // Ids only grow, so appending keeps every list in id order. A link
-  // named twice by one fault is listed once.
+  // named twice by one fault is listed once; a link no earlier fault
+  // lists joins the affected list under this fault.
   for (const DirectionEffect& effect : fault.effects) {
     by_direction_[effect.direction].push_back(fault.id);
   }
-  for (LinkId link : fault.links) {
+  for (std::size_t i = 0; i < fault.links.size(); ++i) {
+    const LinkId link = fault.links[i];
     std::vector<FaultId>& ids = by_link_[link];
+    if (ids.empty()) {
+      affected_.push_back({fault.id, static_cast<std::uint32_t>(i), link});
+    }
     if (ids.empty() || ids.back() != fault.id) ids.push_back(fault.id);
+  }
+  if (std::ranges::any_of(fault.effects, [](const DirectionEffect& effect) {
+        return effect.tx_decay_db_per_day != 0.0;
+      })) {
+    decaying_.push_back(fault.id);
   }
 }
 
@@ -39,12 +51,34 @@ void FaultInjector::clear(FaultId id) {
   if (it == active_.end()) return;
   const Fault fault = std::move(it->second);
   active_.erase(it);
+  // The links this fault listed first leave the affected list as one
+  // block; those a later fault still lists re-enter under that fault.
+  const auto owned = std::ranges::equal_range(affected_, id, {},
+                                              &AffectedLink::owner);
+  affected_.erase(owned.begin(), owned.end());
   for (LinkId link : fault.links) {
     const auto found = by_link_.find(link);
     if (found == by_link_.end()) continue;  // Listed twice; already gone.
-    std::erase(found->second, id);
-    if (found->second.empty()) by_link_.erase(found);
+    std::vector<FaultId>& ids = found->second;
+    const bool was_owner = ids.front() == id;
+    std::erase(ids, id);
+    if (ids.empty()) {
+      by_link_.erase(found);
+    } else if (was_owner) {
+      const FaultId owner = ids.front();
+      const std::vector<LinkId>& links = active_.at(owner).links;
+      const auto position = static_cast<std::uint32_t>(
+          std::ranges::find(links, link) - links.begin());
+      const auto key = [](const AffectedLink& entry) {
+        return std::pair(entry.owner, entry.position);
+      };
+      affected_.insert(std::ranges::upper_bound(affected_,
+                                                std::pair(owner, position),
+                                                {}, key),
+                       {owner, position, link});
+    }
   }
+  std::erase(decaying_, id);
   for (const DirectionEffect& effect : fault.effects) {
     auto& ids = by_direction_[effect.direction];
     ids.erase(std::remove(ids.begin(), ids.end(), id), ids.end());
@@ -64,8 +98,8 @@ bool FaultInjector::try_repair(FaultId id, RepairAction action) {
 void FaultInjector::advance(common::SimTime now) {
   assert(now >= now_);
   now_ = now;
-  for (const auto& [id, fault] : active_) {
-    for (const DirectionEffect& effect : fault.effects) {
+  for (FaultId id : decaying_) {
+    for (const DirectionEffect& effect : active_.at(id).effects) {
       if (effect.tx_decay_db_per_day != 0.0) {
         rebuild_direction(effect.direction);
       }
@@ -123,12 +157,14 @@ void FaultInjector::walk(Self& self, Codec& c) {
                 "fault effect names a direction past the fabric");
       }
     }
-    // Id order is injection order, so the rebuilt per-direction and
-    // per-link lists match the live ones. NetworkState restores the
-    // physical arrays bit-exactly itself; no rebuild_direction here (a
-    // recompute could round differently).
+    // Id order is injection order, so the rebuilt per-direction,
+    // per-link, affected and decaying lists match the live ones.
+    // NetworkState restores the physical arrays bit-exactly itself; no
+    // rebuild_direction here (a recompute could round differently).
     self.by_direction_.clear();
     self.by_link_.clear();
+    self.affected_.clear();
+    self.decaying_.clear();
     for (const auto& [id, fault] : self.active_) self.index(fault);
   }
 }

@@ -7,6 +7,7 @@
 // corruption rates combine as independent drop processes.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <ranges>
@@ -45,23 +46,24 @@ class FaultInjector {
   // a per-link index. The span is invalidated by the next inject, clear
   // or restore: copy it before clearing the faults it names.
   [[nodiscard]] std::span<const FaultId> faults_on_link(LinkId link) const;
-  // All active faults as `const Fault*`, in increasing fault-id
-  // (== injection) order, viewed in place: no allocation, no sort. The
-  // order is load-bearing: the penalty accountant folds these faults'
-  // links into a floating-point sum and the detection pipeline builds
-  // its suspect set from them, so an unspecified (hash-map) order would
-  // make results depend on container history — exactly the hidden state
-  // a checkpoint restore cannot reproduce.
-  [[nodiscard]] auto active_faults() const {
-    return active_ | std::views::transform(
-                         [](const auto& item) { return &item.second; });
+  // The distinct links of the active faults, each once, in the order a
+  // deduplicating walk over the faults in id (== injection) order meets
+  // them: by the first fault listing the link, then the link's first
+  // position in that fault. The order is load-bearing: the penalty
+  // accountant folds these links into a floating-point sum and the
+  // detection pipeline starts its suspect set from them, so an order
+  // that depended on container history would be hidden state a
+  // checkpoint restore cannot reproduce. Viewed in place; invalidated
+  // by the next inject, clear or restore.
+  [[nodiscard]] auto affected_links() const {
+    return affected_ | std::views::transform(&AffectedLink::link);
   }
 
   // Checkpointing (DESIGN.md §14): active faults (id order), the id
-  // counter and the decay clock. `by_direction_` and `by_link_` are
-  // rebuilt (id order == injection order, which erase preserves); the
-  // physical state arrays are NetworkState's to serialize, so restore
-  // does not rebuild them.
+  // counter and the decay clock. `by_direction_`, `by_link_`,
+  // `affected_` and `decaying_` are rebuilt (id order == injection
+  // order, which erase preserves); the physical state arrays are
+  // NetworkState's to serialize, so restore does not rebuild them.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 
@@ -73,8 +75,17 @@ class FaultInjector {
   // folding in every active effect that targets it.
   void rebuild_direction(DirectionId dir);
 
-  // Indexes an active fault under its directions and links.
+  // Indexes an active fault under its directions and links, and in the
+  // affected-link and decaying lists.
   void index(const Fault& fault);
+
+  // One entry of the affected-link list, keyed by the fault that lists
+  // the link first and the link's first position in that fault.
+  struct AffectedLink {
+    FaultId owner;
+    std::uint32_t position;
+    LinkId link;
+  };
 
   telemetry::NetworkState* state_;
   // Ordered by id, so iteration is injection order.
@@ -83,6 +94,12 @@ class FaultInjector {
   std::unordered_map<DirectionId, std::vector<FaultId>> by_direction_;
   // Link -> ids of active faults listing it, each id once.
   std::unordered_map<LinkId, std::vector<FaultId>> by_link_;
+  // Every key of by_link_ once, sorted by (owner, position): the order
+  // affected_links() promises. The owner is by_link_[link].front().
+  std::vector<AffectedLink> affected_;
+  // Ids of active faults with a decaying transmitter, in id order: the
+  // faults advance() rebuilds.
+  std::vector<FaultId> decaying_;
   common::FaultId::underlying_type next_id_ = 0;
   common::SimTime now_ = 0;
 };

@@ -155,21 +155,23 @@ void DetectionPipeline::handle_poll(const Event& event) {
   // Suspect set: links with an active fault, plus links the pipeline or
   // controller still believes corrupting (to observe their recovery).
   // Counter-based backends gather fabric-wide evidence and ignore it.
-  std::vector<common::LinkId> suspects;
+  const auto affected = ctx_.injector.affected_links();
+  std::vector<common::LinkId> suspects(affected.begin(), affected.end());
+  const std::size_t faulted = suspects.size();
   auto add = [this, &suspects](common::LinkId link) {
+    if (!ctx_.injector.faults_on_link(link).empty()) return;  // Faulted.
     char& mark = ctx_.link_mark[link.index()];
     if (mark != 0) return;
     mark = 1;
     suspects.push_back(link);
   };
-  for (const faults::Fault* fault : ctx_.injector.active_faults()) {
-    for (common::LinkId link : fault->links) add(link);
-  }
   for (const auto& [link, entry] : ctx_.controller.corruption().entries()) {
     add(link);
   }
   for (const auto& [link, onset] : pending_detection_) add(link);
-  for (common::LinkId link : suspects) ctx_.link_mark[link.index()] = 0;
+  for (std::size_t i = faulted; i < suspects.size(); ++i) {
+    ctx_.link_mark[suspects[i].index()] = 0;
+  }
 
   // Verdicts are handled as they are produced: the controller may
   // disable a link mid-cycle, and later samples of the same cycle must

@@ -36,18 +36,10 @@ void PenaltyAccountant::integrate_until(SimTime t) {
 double PenaltyAccountant::true_penalty_rate() {
   const core::PenaltyFunction penalty = core::PenaltyFunction::linear();
   double total = 0.0;
-  for (const faults::Fault* fault : ctx_.injector.active_faults()) {
-    for (common::LinkId link : fault->links) {
-      char& mark = ctx_.link_mark[link.index()];
-      if (mark != 0) continue;
-      mark = 1;
-      if (!ctx_.topo.is_enabled(link)) continue;
-      const double rate = ctx_.state.link_corruption_rate(link);
-      if (rate >= common::kLossyThreshold) total += penalty(rate);
-    }
-  }
-  for (const faults::Fault* fault : ctx_.injector.active_faults()) {
-    for (common::LinkId link : fault->links) ctx_.link_mark[link.index()] = 0;
+  for (common::LinkId link : ctx_.injector.affected_links()) {
+    if (!ctx_.topo.is_enabled(link)) continue;
+    const double rate = ctx_.state.link_corruption_rate(link);
+    if (rate >= common::kLossyThreshold) total += penalty(rate);
   }
   return total;
 }

@@ -9,8 +9,9 @@
 //     it is set before the first event dispatches and components may
 //     only touch it from event handlers.
 //   - `link_mark` is a shared per-link scratch pad for the dedup scans
-//     (suspect sets, affected sets, penalty accounting). Every user
-//     restores the bits it set, so the vector is all-zero between uses.
+//     (the poll's fault-free suspects, the repair's affected sets).
+//     Every user restores the bits it set, so the vector is all-zero
+//     between uses.
 //   - `paths` is the controller's path counter, borrowed: the capacity
 //     sampler and the maintenance model read the same live counts the
 //     fast checker and the optimizer decide on (never checkpointed).

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <string>
+#include <utility>
 
 namespace corropt::topology {
 
@@ -77,9 +78,12 @@ Topology build_xgft(const XgftSpec& spec) {
       const int pod = groups >= pods
                           ? static_cast<int>(group / (groups / pods))
                           : -1;
-      topo.add_switch(level,
-                      "L" + std::to_string(level) + "-" + std::to_string(i),
-                      pod);
+      // Appended, not `"L" + ...`: GCC 12 warns -Wrestrict on that at -O3.
+      std::string name = "L";
+      name += std::to_string(level);
+      name += '-';
+      name += std::to_string(i);
+      topo.add_switch(level, std::move(name), pod);
       ids[static_cast<std::size_t>(level)].push_back(
           SwitchId(static_cast<SwitchId::underlying_type>(
               topo.switch_count() - 1)));

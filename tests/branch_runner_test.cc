@@ -11,13 +11,17 @@
 // threshold-backend checkpoint into voting/sketch branches (the backend
 // payload is skipped; evidence restarts fresh). A storm case checks the
 // contract where the optimizer's cross-run caches make the branch and
-// the fresh run do different amounts of solving.
+// the fresh run do different amounts of solving, and a second one at
+// bench_whatif's fault density, where clears re-key the fault
+// injector's affected-link list.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/hash.h"
@@ -217,6 +221,106 @@ TEST(BranchRunner, StormBranchEqualsFreshDespiteColdOptimizerCaches) {
     }
   }
   EXPECT_GT(searched_after_fork, 3u);
+}
+
+// bench_whatif's storm density on a k=8 fat tree: 100x the default
+// fault rate over breakout bundles, so shared-component faults strike
+// links that other faults also list, and repairs clear faults that are
+// the first to list a link a later fault still lists (the clears that
+// re-key the injector's affected-link list). Past the fork the branch
+// reads that list rebuilt by the restore, the fresh run the one it kept
+// up through every inject and clear; metrics and obs digests must agree
+// for the unchanged future and a divergent one, on 1 and 4 threads.
+TEST(BranchRunner, StormDensityBranchEqualsFresh) {
+  const auto storm_topology = [] {
+    auto topo = topology::build_fat_tree(8);
+    topo.assign_breakout_groups(4, 0);
+    topo.assign_breakout_groups(4, 1);
+    return topo;
+  };
+  constexpr common::SimDuration kHorizon = 20 * common::kDay;
+  const auto storm_config = [](obs::Sink* sink) {
+    ScenarioConfig config;
+    config.mode = core::CheckerMode::kCorrOpt;
+    config.capacity_fraction = 0.75;
+    config.duration = kHorizon;
+    config.seed = 2017;
+    config.sink = sink;
+    return config;
+  };
+  BranchRunner runner(storm_topology);
+  const topology::Topology trace_topo = storm_topology();
+  common::Rng rng(29);
+  trace::TraceParams params;
+  params.faults_per_link_per_day *= 100;
+  params.duration = kHorizon;
+  const auto events =
+      trace::CorruptionTraceGenerator(trace_topo, params, rng).generate();
+
+  // Links a multi-link fault lists and a later fault lists too: when the
+  // earlier fault clears first, the link re-keys under the later one.
+  std::size_t shared_overlaps = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    if (events[i].fault.links.size() < 2) continue;
+    for (std::size_t j = i + 1; j < events.size(); ++j) {
+      for (const common::LinkId link : events[j].fault.links) {
+        if (std::ranges::find(events[i].fault.links, link) !=
+            events[i].fault.links.end()) {
+          ++shared_overlaps;
+        }
+      }
+    }
+  }
+  ASSERT_GT(shared_overlaps, 0u);
+
+  SinkSet base_sinks;
+  const Checkpoint base = runner.checkpoint_base(
+      storm_config(&base_sinks.sink), events,
+      [](const MitigationSimulation& sim) {
+        return sim.now() >= kHorizon / 2;
+      });
+  ASSERT_FALSE(base.empty());
+  ASSERT_LT(base.trace_cursor, events.size());
+
+  const auto whatif = divergent_suffix(events, base.trace_cursor);
+  const std::vector<const std::vector<trace::TraceEvent>*> traces{
+      &events, &whatif};
+  // (sim::digest, obs::digest) per trace.
+  const auto digests = [](const SimulationMetrics& metrics,
+                          const SinkSet& sinks) {
+    return std::pair(digest(metrics), obs::digest(sinks.journal.snapshot(),
+                                                  sinks.registry.snapshot()));
+  };
+  std::vector<std::pair<std::uint64_t, std::uint64_t>> fresh;
+  for (const auto* trace_events : traces) {
+    SinkSet sinks;
+    const SimulationMetrics metrics =
+        runner.run_fresh(storm_config(&sinks.sink), *trace_events);
+    ASSERT_GT(metrics.repair_attempts, 0u);
+    fresh.push_back(digests(metrics, sinks));
+  }
+  ASSERT_NE(fresh[0].first, fresh[1].first)
+      << "the divergent suffix must actually change the outcome";
+
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(::testing::Message() << "threads=" << threads);
+    std::vector<SinkSet> sinks(traces.size());
+    std::vector<BranchSpec> specs;
+    for (std::size_t i = 0; i < traces.size(); ++i) {
+      BranchSpec spec;
+      spec.name = i == 0 ? "base-trace" : "whatif-trace";
+      spec.config = storm_config(&sinks[i].sink);
+      spec.events = traces[i];
+      specs.push_back(std::move(spec));
+    }
+    common::ThreadPool pool(threads);
+    const std::vector<BranchResult> results = runner.run(base, specs, pool);
+    ASSERT_EQ(results.size(), traces.size());
+    for (std::size_t i = 0; i < results.size(); ++i) {
+      EXPECT_EQ(digests(results[i].metrics, sinks[i]), fresh[i])
+          << "branch " << specs[i].name;
+    }
+  }
 }
 
 // run_fresh is the reference implementation the contract is stated

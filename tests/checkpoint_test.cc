@@ -683,10 +683,11 @@ TEST(CheckpointHiddenState, CorruptionSetPenaltyCacheDropped) {
             a.total_active_penalty(topo, penalty));
 }
 
-// The penalty accountant folds active faults into a floating-point sum
-// and the detection pipeline derives its suspect set from them, so
-// active_faults() must be ordered by fault id — not by hash-map history,
-// which churn perturbs and which a restore cannot reproduce.
+// The penalty accountant folds the active faults' links into a
+// floating-point sum and the detection pipeline starts its suspect set
+// from them, so affected_links() must follow fault-id order — not
+// hash-map history or link ids, which churn perturbs and which a restore
+// cannot reproduce.
 TEST(CheckpointHiddenState, ActiveFaultsStayIdOrderedAcrossChurnAndRestore) {
   topology::Topology topo = small_topology();
   const telemetry::OpticalTech tech = telemetry::default_tech();
@@ -705,15 +706,17 @@ TEST(CheckpointHiddenState, ActiveFaultsStayIdOrderedAcrossChurnAndRestore) {
   const auto id3 = injector.inject(factory.make_fault(
       common::LinkId(1), faults::RootCause::kConnectorContamination, 40));
 
-  const auto ordered_ids = [](const faults::FaultInjector& inj) {
-    std::vector<common::FaultId> ids;
-    for (const faults::Fault* fault : inj.active_faults()) {
-      ids.push_back(fault->id);
-    }
-    return ids;
+  const auto ordered_links = [](const faults::FaultInjector& inj) {
+    const auto links = inj.affected_links();
+    return std::vector<common::LinkId>(links.begin(), links.end());
   };
-  const std::vector<common::FaultId> want{id0, id2, id3};
-  EXPECT_EQ(ordered_ids(injector), want);
+  // Faults id0, id2, id3 on links 2, 9, 1: id order, not link order.
+  const std::vector<common::LinkId> want{
+      common::LinkId(2), common::LinkId(9), common::LinkId(1)};
+  EXPECT_EQ(ordered_links(injector), want);
+  EXPECT_EQ(injector.fault(id1), nullptr);
+  ASSERT_NE(injector.fault(id0), nullptr);
+  ASSERT_NE(injector.fault(id3), nullptr);
 
   common::snap::Writer w;
   injector.snapshot_to(w);
@@ -722,7 +725,7 @@ TEST(CheckpointHiddenState, ActiveFaultsStayIdOrderedAcrossChurnAndRestore) {
   faults::FaultInjector restored(state2);
   common::snap::Reader r(bytes);
   restored.restore_from(r);
-  EXPECT_EQ(ordered_ids(restored), want);
+  EXPECT_EQ(ordered_links(restored), want);
   ASSERT_NE(restored.fault(id2), nullptr);
   EXPECT_EQ(restored.fault(id2)->links,
             std::vector<common::LinkId>{common::LinkId(9)});

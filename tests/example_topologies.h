@@ -9,6 +9,8 @@
 // while meeting the constraint exactly.
 #pragma once
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.h"
@@ -35,7 +37,9 @@ inline Fig10Example make_fig10_example() {
   }
   std::vector<common::SwitchId> spines;
   for (int i = 0; i < 5; ++i) {
-    spines.push_back(topo.add_switch(2, "S" + std::to_string(i)));
+    std::string name = "S";  // Appended: GCC 12 -O3 -Wrestrict.
+    name += std::to_string(i);
+    spines.push_back(topo.add_switch(2, std::move(name)));
   }
   for (const common::SwitchId agg : ex.aggs) {
     ex.tor_uplinks.push_back(topo.add_link(ex.tor, agg));

@@ -1,10 +1,13 @@
 // Reference readings of a fault that the library itself never needs.
 #pragma once
 
+#include <cstddef>
 #include <optional>
+#include <vector>
 
 #include "faults/fault.h"
 #include "faults/fault_factory.h"
+#include "faults/injector.h"
 
 namespace corropt::testing {
 
@@ -40,6 +43,36 @@ inline TransceiverVariants draw_transceiver_variants(
     if (!slot) slot = std::move(fault);
   }
   return variants;
+}
+
+// The injector's affected-link list, copied.
+inline std::vector<common::LinkId> affected_links(
+    const faults::FaultInjector& injector) {
+  const auto links = injector.affected_links();
+  return {links.begin(), links.end()};
+}
+
+// The walk the penalty fold and the poll's suspect set ran before the
+// injector kept its affected-link list: every active fault's links in
+// fault-id order, each link once, deduplicated with per-link marks.
+// `ids_issued` bounds the ids probed (the injects made so far).
+inline std::vector<common::LinkId> dedupe_walk(
+    const faults::FaultInjector& injector, std::size_t ids_issued,
+    std::size_t link_count) {
+  std::vector<char> mark(link_count, 0);
+  std::vector<common::LinkId> walk;
+  for (std::size_t i = 0; i < ids_issued; ++i) {
+    const faults::Fault* fault = injector.fault(
+        common::FaultId(static_cast<common::FaultId::underlying_type>(i)));
+    if (fault == nullptr) continue;
+    for (common::LinkId link : fault->links) {
+      char& seen = mark[link.index()];
+      if (seen != 0) continue;
+      seen = 1;
+      walk.push_back(link);
+    }
+  }
+  return walk;
 }
 
 }  // namespace corropt::testing

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <iterator>
 #include <map>
+#include <memory>
 #include <span>
 #include <string>
 #include <utility>
@@ -259,7 +260,8 @@ TEST(Injector, ClearRestoresPristineState) {
   EXPECT_FALSE(f.state.link_is_corrupting(link));
   const auto up = topology::direction_id(link, LinkDirection::kUp);
   EXPECT_DOUBLE_EQ(f.state.rx_power_dbm(up), -4.0);
-  EXPECT_TRUE(injector.active_faults().empty());
+  EXPECT_EQ(injector.fault(id), nullptr);
+  EXPECT_TRUE(std::ranges::empty(injector.affected_links()));
 }
 
 TEST(Injector, ConcurrentFaultsCompose) {
@@ -314,21 +316,16 @@ TEST(Injector, FaultAccessors) {
   EXPECT_EQ(fault->cause, RootCause::kDamagedFiber);
   EXPECT_EQ(fault->onset, 5);
   EXPECT_GT(testing::peak_corruption_rate(*fault), 0.0);
-  EXPECT_EQ(injector.active_faults().size(), 1u);
+  EXPECT_EQ(testing::affected_links(injector),
+            std::vector<common::LinkId>{common::LinkId(7)});
   EXPECT_EQ(injector.fault(common::FaultId(99)), nullptr);
 }
 
 // The injector's id-ordered fault store and per-link index must answer
-// exactly what a brute-force scan of the live faults would: active
-// faults in id order, and per link the ids of the faults listing it, in
-// id order. Checked after every inject (shared-component faults span
+// exactly what a brute-force scan of the live faults would: the live
+// faults and no others, and per link the ids of the faults listing it,
+// in id order. Checked after every inject (shared-component faults span
 // several links) and clear, and again after a snapshot/restore.
-std::vector<FaultId> scan_ids(const std::map<FaultId, Fault>& live) {
-  std::vector<FaultId> ids;
-  for (const auto& [id, fault] : live) ids.push_back(id);
-  return ids;
-}
-
 std::vector<FaultId> scan_link(const std::map<FaultId, Fault>& live,
                                common::LinkId link) {
   std::vector<FaultId> ids;
@@ -343,13 +340,18 @@ std::vector<FaultId> scan_link(const std::map<FaultId, Fault>& live,
 
 void expect_matches_scan(const FaultInjector& injector,
                          const std::map<FaultId, Fault>& live,
-                         std::size_t link_count, const std::string& when) {
-  std::vector<FaultId> ordered;
-  for (const Fault* fault : injector.active_faults()) {
-    ordered.push_back(fault->id);
+                         std::size_t ids_issued, std::size_t link_count,
+                         const std::string& when) {
+  for (std::size_t i = 0; i < ids_issued; ++i) {
+    const FaultId id(static_cast<FaultId::underlying_type>(i));
+    const Fault* fault = injector.fault(id);
+    const auto mirrored = live.find(id);
+    ASSERT_EQ(fault != nullptr, mirrored != live.end())
+        << when << ", fault " << i;
+    if (fault != nullptr) {
+      EXPECT_EQ(fault->links, mirrored->second.links) << when;
+    }
   }
-  EXPECT_EQ(ordered, scan_ids(live)) << when;
-  EXPECT_EQ(injector.active_faults().size(), live.size()) << when;
   for (std::size_t i = 0; i < link_count; ++i) {
     const common::LinkId link(
         static_cast<common::LinkId::underlying_type>(i));
@@ -365,6 +367,7 @@ TEST(Injector, OrderAndLinkIndexMatchBruteForceScan) {
   FaultFactory factory(f.topo, {}, f.rng);
   FaultInjector injector(f.state);
   std::map<FaultId, Fault> live;
+  std::size_t issued = 0;
   std::size_t shared = 0;
   for (int op = 0; op < 120; ++op) {
     // Mostly injects, concentrated on a few links so faults pile up on
@@ -378,9 +381,10 @@ TEST(Injector, OrderAndLinkIndexMatchBruteForceScan) {
               : factory.make_random_fault(link, op);
       if (fault.links.size() > 1) ++shared;
       const FaultId id = injector.inject(fault);
+      issued = id.value() + 1;
       fault.id = id;
       live.emplace(id, std::move(fault));
-      expect_matches_scan(injector, live, f.topo.link_count(),
+      expect_matches_scan(injector, live, issued, f.topo.link_count(),
                           "after inject " + std::to_string(id.value()));
     } else {
       auto victim = live.begin();
@@ -389,7 +393,7 @@ TEST(Injector, OrderAndLinkIndexMatchBruteForceScan) {
       const FaultId id = victim->first;
       injector.clear(id);
       live.erase(victim);
-      expect_matches_scan(injector, live, f.topo.link_count(),
+      expect_matches_scan(injector, live, issued, f.topo.link_count(),
                           "after clear " + std::to_string(id.value()));
     }
   }
@@ -403,7 +407,8 @@ TEST(Injector, OrderAndLinkIndexMatchBruteForceScan) {
   FaultInjector restored(state2);
   common::snap::Reader r(bytes);
   restored.restore_from(r);
-  expect_matches_scan(restored, live, f.topo.link_count(), "after restore");
+  expect_matches_scan(restored, live, issued, f.topo.link_count(),
+                      "after restore");
   // The restored index keeps working through further churn.
   const FaultId first = live.begin()->first;
   restored.clear(first);
@@ -411,10 +416,203 @@ TEST(Injector, OrderAndLinkIndexMatchBruteForceScan) {
   Fault fault = factory.make_fault(common::LinkId(3),
                                    RootCause::kSharedComponent, 500);
   const FaultId id = restored.inject(fault);
+  issued = id.value() + 1;
   fault.id = id;
   live.emplace(id, std::move(fault));
-  expect_matches_scan(restored, live, f.topo.link_count(),
+  expect_matches_scan(restored, live, issued, f.topo.link_count(),
                       "after restore and churn");
+}
+
+// The affected-link list the penalty fold and the poll's suspect set
+// read must list exactly what the old mark walk over the active faults
+// met, in the same order, after every inject and clear and after a
+// snapshot/restore. The churn covers the cases that re-key the list:
+// shared-component faults striking links other faults already list, a
+// fault listing one link twice, and clearing a link's first fault while
+// a later fault still lists it.
+TEST(FaultInjector, AffectedLinksFollowTheDedupeWalk) {
+  Fixture f;
+  f.topo.assign_breakout_groups(2, /*lower_level=*/0);
+  FaultFactory factory(f.topo, {}, f.rng);
+  auto state = std::make_unique<telemetry::NetworkState>(f.topo, f.tech);
+  auto injector = std::make_unique<FaultInjector>(*state);
+  std::vector<FaultId> live;
+  std::size_t issued = 0;
+  std::size_t overlapping_shared = 0;
+  std::size_t listed_twice = 0;
+  std::size_t rekeyed = 0;
+  const auto expect_walk = [&](const std::string& when) {
+    EXPECT_EQ(testing::affected_links(*injector),
+              testing::dedupe_walk(*injector, issued, f.topo.link_count()))
+        << when;
+  };
+  for (int op = 0; op < 400; ++op) {
+    if (live.empty() || f.rng.uniform_index(5) < 3) {
+      // Faults concentrated on a few links, so lists overlap.
+      const common::LinkId link(static_cast<common::LinkId::underlying_type>(
+          f.rng.uniform_index(8)));
+      Fault fault =
+          op % 3 == 0
+              ? factory.make_fault(link, RootCause::kSharedComponent, op)
+              : factory.make_random_fault(link, op);
+      if (op % 7 == 0) {
+        // One link named twice, around another.
+        fault.links = {link, common::LinkId(link.value() + 8), link};
+        ++listed_twice;
+      }
+      if (fault.links.size() > 1 &&
+          std::ranges::any_of(fault.links, [&](common::LinkId l) {
+            return !injector->faults_on_link(l).empty();
+          })) {
+        ++overlapping_shared;
+      }
+      const FaultId id = injector->inject(std::move(fault));
+      issued = id.value() + 1;
+      live.push_back(id);
+      expect_walk("after inject " + std::to_string(id.value()));
+    } else {
+      const auto victim =
+          live.begin() +
+          static_cast<long>(f.rng.uniform_index(live.size()));
+      const FaultId id = *victim;
+      for (common::LinkId link : injector->fault(id)->links) {
+        const std::span<const FaultId> ids = injector->faults_on_link(link);
+        if (ids.front() == id && ids.size() > 1) ++rekeyed;
+      }
+      injector->clear(id);
+      live.erase(victim);
+      expect_walk("after clear " + std::to_string(id.value()));
+    }
+    if (op % 50 == 49) {
+      common::snap::Writer w;
+      state->snapshot_to(w);
+      injector->snapshot_to(w);
+      const std::string bytes = w.take();
+      auto state2 = std::make_unique<telemetry::NetworkState>(f.topo, f.tech);
+      auto restored = std::make_unique<FaultInjector>(*state2);
+      common::snap::Reader r(bytes);
+      state2->restore_from(r);
+      restored->restore_from(r);
+      injector = std::move(restored);
+      state = std::move(state2);
+      expect_walk("after restore at op " + std::to_string(op));
+    }
+  }
+  EXPECT_GT(overlapping_shared, 0u);
+  EXPECT_GT(listed_twice, 0u);
+  EXPECT_GT(rekeyed, 0u);
+}
+
+// One direction's state as a from-scratch fold of every live fault's
+// effects on it, in fault-id order.
+struct DirectionReading {
+  double tx_power_dbm;
+  double extra_attenuation_db;
+  double corruption_rate;
+};
+DirectionReading full_rebuild(const FaultInjector& injector,
+                              std::size_t ids_issued,
+                              const telemetry::OpticalTech& tech,
+                              common::DirectionId dir, common::SimTime now) {
+  DirectionReading reading{tech.nominal_tx_dbm, 0.0, 0.0};
+  double survival = 1.0;
+  for (std::size_t i = 0; i < ids_issued; ++i) {
+    const Fault* fault = injector.fault(
+        FaultId(static_cast<FaultId::underlying_type>(i)));
+    if (fault == nullptr) continue;
+    for (const DirectionEffect& effect : fault->effects) {
+      if (effect.direction != dir) continue;
+      reading.extra_attenuation_db += effect.extra_attenuation_db;
+      double tx_delta = effect.tx_power_delta_db;
+      if (effect.tx_decay_db_per_day != 0.0) {
+        tx_delta -=
+            effect.tx_decay_db_per_day * common::to_days(now - fault->onset);
+      }
+      reading.tx_power_dbm += tx_delta;
+      survival *= 1.0 - effect.corruption_rate;
+    }
+  }
+  reading.corruption_rate = 1.0 - survival;
+  return reading;
+}
+
+void expect_full_rebuild(const FaultInjector& injector,
+                         const telemetry::NetworkState& state,
+                         std::size_t ids_issued, common::SimTime now,
+                         const std::string& when) {
+  for (std::size_t d = 0; d < state.topo().direction_count(); ++d) {
+    const common::DirectionId dir(
+        static_cast<common::DirectionId::underlying_type>(d));
+    const DirectionReading want =
+        full_rebuild(injector, ids_issued, state.tech(), dir, now);
+    EXPECT_EQ(state.tx_power_dbm(dir), want.tx_power_dbm)
+        << when << ", direction " << d;
+    EXPECT_EQ(state.direction(dir).extra_attenuation_db,
+              want.extra_attenuation_db)
+        << when << ", direction " << d;
+    EXPECT_EQ(state.corruption_rate(dir), want.corruption_rate)
+        << when << ", direction " << d;
+  }
+}
+
+// advance() rebuilds only the directions of decaying faults; the rest
+// keep what inject and clear last computed. Both must read what a full
+// per-direction rebuild at the same instant reads. A cleared decaying
+// fault leaves the decaying list (advance looks every listed id up, so
+// a stale one throws), and so does one a restore rolls back.
+TEST(FaultInjector, AdvanceRebuildsOnlyDecayingFaults) {
+  Fixture f;
+  FaultFactory factory(f.topo, {}, f.rng);
+  FaultInjector injector(f.state);
+  std::size_t issued = 0;
+  const auto inject = [&](common::LinkId::underlying_type link,
+                          RootCause cause, common::SimTime onset) {
+    const FaultId id = injector.inject(
+        factory.make_fault(common::LinkId(link), cause, onset));
+    issued = id.value() + 1;
+    return id;
+  };
+  const FaultId decaying_a =
+      inject(1, RootCause::kDecayingTransmitter, 0);
+  inject(2, RootCause::kDamagedFiber, common::kHour);
+  inject(1, RootCause::kConnectorContamination, 2 * common::kHour);
+  const FaultId decaying_b =
+      inject(3, RootCause::kDecayingTransmitter, 3 * common::kHour);
+  inject(4, RootCause::kBadOrLooseTransceiver, 4 * common::kHour);
+  ASSERT_NE(injector.fault(decaying_a)->effects.front().tx_decay_db_per_day,
+            0.0);
+
+  common::SimTime now = 2 * common::kDay;
+  injector.advance(now);
+  expect_full_rebuild(injector, f.state, issued, now, "after advance");
+
+  injector.clear(decaying_a);
+  now = 3 * common::kDay;
+  EXPECT_NO_THROW(injector.advance(now));
+  expect_full_rebuild(injector, f.state, issued, now,
+                      "after clearing a decaying fault");
+
+  // Freeze, add a third decaying fault and let it decay, then roll back.
+  common::snap::Writer w;
+  f.state.snapshot_to(w);
+  injector.snapshot_to(w);
+  const std::string bytes = w.take();
+  const std::size_t issued_at_snapshot = issued;
+  const FaultId decaying_c =
+      inject(5, RootCause::kDecayingTransmitter, now);
+  now = 4 * common::kDay;
+  injector.advance(now);
+  expect_full_rebuild(injector, f.state, issued, now,
+                      "after a third decaying fault");
+  common::snap::Reader r(bytes);
+  f.state.restore_from(r);
+  injector.restore_from(r);
+  EXPECT_EQ(injector.fault(decaying_c), nullptr);
+  ASSERT_NE(injector.fault(decaying_b), nullptr);
+  now = 5 * common::kDay;
+  EXPECT_NO_THROW(injector.advance(now));
+  expect_full_rebuild(injector, f.state, issued_at_snapshot, now,
+                      "after restoring without the third");
 }
 
 }  // namespace

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "corropt/optimizer.h"
@@ -21,10 +24,14 @@ Topology star(int n, int m) {
   const auto tor = topo.add_switch(0, "T");
   std::vector<common::SwitchId> spines;
   for (int s = 0; s < m; ++s) {
-    spines.push_back(topo.add_switch(2, "S" + std::to_string(s)));
+    std::string name = "S";  // Appended: GCC 12 -O3 -Wrestrict.
+    name += std::to_string(s);
+    spines.push_back(topo.add_switch(2, std::move(name)));
   }
   for (int a = 0; a < n; ++a) {
-    const auto agg = topo.add_switch(1, "A" + std::to_string(a));
+    std::string name = "A";
+    name += std::to_string(a);
+    const auto agg = topo.add_switch(1, std::move(name));
     topo.add_link(tor, agg);
     for (const auto spine : spines) topo.add_link(agg, spine);
   }

@@ -49,7 +49,7 @@ TEST(Recommendation, ContaminationGetsFiberCleaning) {
   const Recommendation rec =
       f.engine.recommend(f.corrupting_direction(link), false);
   EXPECT_EQ(rec.action, RepairAction::kCleanFiber);
-  EXPECT_FALSE(rec.rationale.empty());
+  EXPECT_STRNE(rec.rationale, "");
 }
 
 TEST(Recommendation, DamagedFiberGetsCableReplacement) {
