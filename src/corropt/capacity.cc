@@ -11,13 +11,11 @@ CapacityConstraint::CapacityConstraint(double uniform_fraction)
 
 void CapacityConstraint::set_tor_fraction(SwitchId tor, double fraction) {
   assert(fraction >= 0.0 && fraction <= 1.0);
-  overrides_[tor] = fraction;
+  if (tor.index() >= fractions_.size()) {
+    fractions_.resize(tor.index() + 1, default_fraction_);
+  }
+  fractions_[tor.index()] = fraction;
   ++version_;
-}
-
-double CapacityConstraint::override_or_default(SwitchId tor) const {
-  const auto it = overrides_.find(tor);
-  return it == overrides_.end() ? default_fraction_ : it->second;
 }
 
 }  // namespace corropt::core

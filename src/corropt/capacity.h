@@ -10,7 +10,7 @@
 
 #include <cmath>
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 #include "common/ids.h"
 
@@ -30,9 +30,11 @@ class CapacityConstraint {
   // (the optimizer's solved segments) can tell they went stale.
   [[nodiscard]] std::uint64_t version() const { return version_; }
 
+  // Hot path: with no override the array is empty and this is one
+  // compare; with overrides, one index.
   [[nodiscard]] double fraction(SwitchId tor) const {
-    if (overrides_.empty()) return default_fraction_;  // Hot path: no lookup.
-    return override_or_default(tor);
+    return tor.index() < fractions_.size() ? fractions_[tor.index()]
+                                           : default_fraction_;
   }
 
   // Minimum number of available paths the ToR must keep, given its design
@@ -55,11 +57,11 @@ class CapacityConstraint {
   }
 
  private:
-  [[nodiscard]] double override_or_default(SwitchId tor) const;
-
   double default_fraction_;
   std::uint64_t version_ = 0;
-  std::unordered_map<SwitchId, double> overrides_;
+  // Fraction per switch index, up to the highest ToR ever overridden;
+  // entries without an override hold default_fraction_.
+  std::vector<double> fractions_;
 };
 
 }  // namespace corropt::core

@@ -8,6 +8,8 @@ namespace corropt::core {
 void CorruptionSet::mark(LinkId link, double loss_rate) {
   assert(loss_rate >= 0.0);
   ++epoch_;
+  if (link.index() >= rate_of_.size()) rate_of_.resize(link.index() + 1, 0.0);
+  rate_of_[link.index()] = loss_rate;
   const auto it = entries_.find(link);
   if (it != entries_.end()) {
     it->second.rate = loss_rate;
@@ -18,12 +20,8 @@ void CorruptionSet::mark(LinkId link, double loss_rate) {
 
 void CorruptionSet::unmark(LinkId link) {
   ++epoch_;
+  if (link.index() < rate_of_.size()) rate_of_[link.index()] = 0.0;
   entries_.erase(link);
-}
-
-double CorruptionSet::rate(LinkId link) const {
-  const auto it = entries_.find(link);
-  return it == entries_.end() ? 0.0 : it->second.rate;
 }
 
 std::vector<LinkId> CorruptionSet::active(
@@ -80,7 +78,15 @@ void CorruptionSet::walk(Self& self, Codec& c) {
   c.u64(self.epoch_);
   // The memoized total holds a raw pointer to the source context's
   // topology; never carry it across a restore.
-  if constexpr (Codec::kReading) self.penalty_cache_ = PenaltyCache{};
+  if constexpr (Codec::kReading) {
+    self.rate_of_.assign(
+        self.entries_.empty() ? 0 : self.entries_.rbegin()->first.index() + 1,
+        0.0);
+    for (const auto& [link, entry] : self.entries_) {
+      self.rate_of_[link.index()] = entry.rate;
+    }
+    self.penalty_cache_ = PenaltyCache{};
+  }
 }
 
 void CorruptionSet::snapshot_to(common::snap::Writer& w) const {

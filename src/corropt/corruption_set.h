@@ -35,8 +35,11 @@ class CorruptionSet {
   void mark(LinkId link, double loss_rate);
   void unmark(LinkId link);
 
-  // Loss rate of a marked link; 0 for unmarked links.
-  [[nodiscard]] double rate(LinkId link) const;
+  // Loss rate of a marked link; 0 for unmarked links. An index into the
+  // dense per-link array, no map lookup.
+  [[nodiscard]] double rate(LinkId link) const {
+    return link.index() < rate_of_.size() ? rate_of_[link.index()] : 0.0;
+  }
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
   // All marked links (enabled or not) in increasing link-id order. The
@@ -68,8 +71,8 @@ class CorruptionSet {
       const topology::Topology& topo, const PenaltyFunction& penalty) const;
 
   // Checkpointing (DESIGN.md §14): entries in link-id order plus the
-  // sequence and epoch counters. Restore drops the memoized penalty
-  // cache — it holds a raw Topology pointer from the *source* context,
+  // sequence and epoch counters. Restore rebuilds the rate array from
+  // the entries and drops the memoized penalty cache — it holds a raw Topology pointer from the *source* context,
   // which must never leak into a branch (see the regression test).
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
@@ -79,6 +82,10 @@ class CorruptionSet {
   static void walk(Self& self, Codec& c);
 
   std::map<LinkId, Entry> entries_;
+  // entries_[link].rate indexed by link, 0 for unmarked links; as long as
+  // the highest link ever marked. Derived state: written by mark/unmark,
+  // rebuilt on restore, never serialized.
+  std::vector<double> rate_of_;
   std::uint64_t next_seq_ = 0;
   // Bumped on every mark/unmark; together with Topology::state_version()
   // it keys the total_active_penalty cache.

@@ -123,10 +123,18 @@ const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
       });
   const bool constraint_moved = constraint_version_ != constraint_->version();
   if (!cold && lowers.empty() && !constraint_moved) return counts;
-  baseline_violated_ = paths_->violated_tors(counts, *constraint_);
+  if (cold || constraint_moved) {
+    required_ = paths_->required_paths(*constraint_);
+  }
   if (constraint_moved) {
     constraint_version_ = constraint_->version();
     segment_cache_.clear();
+  }
+  baseline_violated_.clear();
+  for (SwitchId tor : topo_->tors()) {
+    if (counts[tor.index()] < required_[tor.index()]) {
+      baseline_violated_.push_back(tor);
+    }
   }
   if (cold) {
     ++inc_stats_.baseline_full_recounts;
@@ -218,11 +226,7 @@ void Optimizer::compile_region(const Segment& segment,
         s.edges.push_back(edge);
       }
       s.const_base.push_back(fixed);
-      const topology::Switch& info = topo_->switches()[sw];
-      s.required.push_back(
-          info.level == 0
-              ? constraint_->min_paths(info.id, fabric.design_paths[sw])
-              : 0);
+      s.required.push_back(required_[sw]);
     }
   }
   s.edge_offset.push_back(static_cast<std::uint32_t>(s.edges.size()));
@@ -244,9 +248,7 @@ OptimizerSegmentOutcome Optimizer::solve_segment(
   // requirement at baseline dooms every subset: return the empty
   // solution without enumerating anything.
   for (SwitchId tor : segment.tors) {
-    const std::uint64_t required =
-        constraint_->min_paths(tor, paths_->design_paths()[tor.index()]);
-    if (baseline[tor.index()] < required) return out;
+    if (baseline[tor.index()] < required_[tor.index()]) return out;
   }
 
   s.link_penalty.resize(n);
@@ -483,14 +485,10 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   ++inc_stats_.runs;
   OptimizerResult result;
   const std::vector<LinkId> candidates = corruption.active(*topo_);
-  if (candidates.empty()) {
-    result.remaining_penalty = 0.0;
-    return result;
-  }
+  if (candidates.empty()) return result;
   const std::vector<std::uint64_t>& baseline = sync_baseline();
 
   std::vector<LinkId> to_disable;
-  std::vector<LinkId> contested = candidates;
   std::vector<SwitchId> endangered;
 
   if (config_.use_pruning) {
@@ -501,50 +499,49 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     for (LinkId link : candidates) scratch_mask_.set(link.index());
     paths_->masked_violated_tors_into(endangered, baseline,
                                       baseline_violated_, scratch_mask_,
-                                      candidates, *constraint_,
-                                      scratch_paths_);
+                                      candidates, required_, scratch_paths_);
     if (endangered.empty()) {
-      // The full set is feasible: disable everything. `candidates` is
-      // the id-sorted active set, so summing over it keeps the
-      // floating-point fold order fixed.
+      // The full set is feasible: disable everything, which leaves
+      // remaining_penalty 0. `candidates` is the id-sorted active set,
+      // so summing over it keeps the floating-point fold order fixed.
       for (LinkId link : candidates) {
         result.disabled_penalty += penalty_(corruption.rate(link));
       }
       for (LinkId link : candidates) topo_->set_enabled(link, false);
       result.disabled = candidates;
-      result.remaining_penalty =
-          corruption.total_active_penalty(*topo_, penalty_);
       return result;
-    }
-    // Links not upstream of any endangered ToR are safe: a link is
-    // upstream iff its lower endpoint is in some endangered ToR's closure.
-    scratch_switches_.assign(topo_->switch_count());
-    for (SwitchId tor : endangered) {
-      scratch_switches_ |= paths_->tor_closure(tor);
-    }
-    const std::vector<std::uint32_t>& sweep_pos = paths_->index()->sweep_pos;
-    contested.clear();
-    for (LinkId link : candidates) {
-      if (scratch_switches_.test(
-              sweep_pos[topo_->link_at(link).lower.index()])) {
-        contested.push_back(link);
-      } else {
-        to_disable.push_back(link);
-        ++result.pruned_safe_disables;
-      }
     }
   } else {
     endangered = topo_->tors();
   }
 
   std::vector<Segment> segments;
-  if (config_.use_segmentation) {
-    segments = segment_candidates(*paths_, contested, endangered);
-  } else if (!contested.empty()) {
-    Segment all;
-    all.links = contested;
-    all.tors = endangered;
-    segments.push_back(std::move(all));
+  if (config_.use_pruning || config_.use_segmentation) {
+    segments = segment_candidates(*paths_, candidates, endangered);
+  }
+  std::vector<LinkId> contested;
+  if (config_.use_pruning) {
+    // A candidate no segment holds is upstream of no endangered ToR, so
+    // it is safe (ToRs outside `endangered` tolerate even the full set).
+    // scratch_mask_ still holds every candidate; clear the held ones.
+    for (const Segment& segment : segments) {
+      for (LinkId link : segment.links) scratch_mask_.reset(link.index());
+    }
+    for (LinkId link : candidates) {
+      (scratch_mask_.test(link.index()) ? to_disable : contested)
+          .push_back(link);
+    }
+    result.pruned_safe_disables = to_disable.size();
+  } else {
+    contested = candidates;
+  }
+  if (!config_.use_segmentation) {
+    // The ablation solves every contested candidate as one segment
+    // against every endangered ToR.
+    segments.clear();
+    if (!contested.empty()) {
+      segments.push_back(Segment{std::move(contested), std::move(endangered)});
+    }
   }
   result.segments = segments.size();
 
@@ -648,7 +645,14 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   for (LinkId link : result.disabled) {
     result.disabled_penalty += penalty_(corruption.rate(link));
   }
-  result.remaining_penalty = corruption.total_active_penalty(*topo_, penalty_);
+  // Only this run disabled links, so the corrupting links still enabled
+  // are the candidates still enabled: in id order, the set and the fold
+  // order of total_active_penalty, bit for bit.
+  for (LinkId link : candidates) {
+    if (topo_->is_enabled(link)) {
+      result.remaining_penalty += penalty_(corruption.rate(link));
+    }
+  }
   return result;
 }
 

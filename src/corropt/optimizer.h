@@ -13,11 +13,14 @@
 //      controller's PathCounter, shared with the fast checker and keyed
 //      on the enabled mask (DESIGN.md §12), so it walks only the
 //      candidates' downward closure and needs no change reports.
-//   2. Segmentation (Section 8): the remaining candidates split into
-//      independent segments per the endangered ToRs they share. Both
-//      this and pruning read the per-ToR upward closures the
-//      PathCounter keeps (switch bitsets indexed by sweep position,
-//      built once per ToR since they depend only on the wiring).
+//   2. Segmentation (Section 8): the candidates split into independent
+//      segments per the endangered ToRs they share, and a candidate no
+//      segment holds is upstream of no ToR in V: that is pruning's safe
+//      set. The split reads the per-ToR upward closures the PathCounter
+//      keeps (switch bitsets indexed by sweep position, built once per
+//      ToR since they depend only on the wiring), one AND per word.
+//      Every violation test compares counts against one per-ToR array
+//      of required path counts, rebuilt only when the constraint moves.
 //   3. Branch-and-bound per segment: candidates are ordered by descending
 //      penalty and searched depth-first, include-before-exclude, so the
 //      most valuable subsets are reached first. A suffix-sum upper bound
@@ -212,12 +215,16 @@ class Optimizer {
   // Scratch reused across runs (serial phases only).
   std::vector<std::uint64_t> scratch_paths_;
   common::DynamicBitset scratch_mask_;
-  common::DynamicBitset scratch_switches_;
   std::unique_ptr<OptimizerSegmentScratch> scratch_;
   // Enabled-mask words of the previous run (empty before the first) and
   // the ToRs the live counts violated then, normally none.
   std::vector<std::uint64_t> seen_;
   std::vector<SwitchId> baseline_violated_;
+  // paths_->required_paths(*constraint_) as of constraint_version_: the
+  // minimum path count of each ToR, 0 off the ToRs. Every violation test
+  // of a run compares integers against it; only sync_baseline writes it,
+  // before any solve reads it.
+  std::vector<std::uint64_t> required_;
 
   // --- Cross-run cache (DESIGN.md §12) ---
   // A solved segment kept across runs, reused verbatim while its
@@ -238,8 +245,9 @@ class Optimizer {
 
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
-  // The constraint version the cache and baseline_violated_ were taken
-  // under; a per-ToR override changes what every solve requires.
+  // The constraint version the cache, baseline_violated_ and required_
+  // were taken under; a per-ToR override changes what every solve
+  // requires.
   std::uint64_t constraint_version_ = 0;
   OptimizerIncrementalStats inc_stats_;
 
@@ -258,7 +266,8 @@ class Optimizer {
 
   // Returns the live counts; when the mask moved since the previous run,
   // recomputes baseline_violated_ and erases the cached segments whose
-  // region holds a flipped link (all of them when the constraint moved).
+  // region holds a flipped link. When the constraint moved it rebuilds
+  // required_ and erases them all.
   const std::vector<std::uint64_t>& sync_baseline();
 };
 

@@ -325,9 +325,11 @@ PathCounter::DisableCheck PathCounter::check_disable(
 void PathCounter::masked_violated_tors_into(
     std::vector<SwitchId>& violated, std::span<const std::uint64_t> baseline,
     std::span<const SwitchId> baseline_violated, const LinkMask& masked,
-    std::span<const LinkId> masked_links, const CapacityConstraint& constraint,
+    std::span<const LinkId> masked_links,
+    std::span<const std::uint64_t> required,
     std::vector<std::uint64_t>& counts) {
   assert(baseline.size() == topo_->switch_count());
+  assert(required.size() == topo_->switch_count());
   assert(masked.size() == topo_->link_count());
   violated.clear();
   counts.assign(baseline.begin(), baseline.end());
@@ -338,17 +340,13 @@ void PathCounter::masked_violated_tors_into(
       mark(static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
     }
   }
-  const std::vector<std::uint64_t>& design = index_->design_paths;
   recount_closure(
       counts.data(), masked.words().data(),
       [&](const FabricIndex::SweepNode& node, std::uint64_t total) {
-        if ((node.flags & FabricIndex::kNodeTor) != 0) {
-          const SwitchId tor(node.sw);
-          if (constraint.below_min(tor, design[node.sw], total) &&
-              !constraint.below_min(tor, design[node.sw],
-                                    baseline[node.sw])) {
-            violated.push_back(tor);
-          }
+        if ((node.flags & FabricIndex::kNodeTor) != 0 &&
+            total < required[node.sw] &&
+            baseline[node.sw] >= required[node.sw]) {
+          violated.push_back(SwitchId(node.sw));
         }
         return total;
       });
@@ -396,6 +394,16 @@ std::vector<std::uint64_t> PathCounter::up_paths(
   std::vector<std::uint64_t> paths;
   up_paths_into(paths, extra_off);
   return paths;
+}
+
+std::vector<std::uint64_t> PathCounter::required_paths(
+    const CapacityConstraint& constraint) const {
+  std::vector<std::uint64_t> required(topo_->switch_count(), 0);
+  for (SwitchId tor : topo_->tors()) {
+    required[tor.index()] =
+        constraint.min_paths(tor, design_paths()[tor.index()]);
+  }
+  return required;
 }
 
 std::vector<SwitchId> PathCounter::violated_tors(

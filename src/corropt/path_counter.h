@@ -197,7 +197,8 @@ class PathCounter {
                              bool keep);
 
   // The optimizer's pruning pass: the ToRs violated under `masked`, found
-  // while recounting only the masked links' downward closure. `baseline`
+  // while recounting only the masked links' downward closure. `required`
+  // is required_paths(constraint) for the constraint in force, `baseline`
   // must hold the unmasked counts of the current enabled state and
   // `baseline_violated` violated_tors(baseline, constraint). Equals
   // violated_tors(up_paths(&masked), constraint), in ToR id order, and
@@ -208,8 +209,16 @@ class PathCounter {
                                  std::span<const SwitchId> baseline_violated,
                                  const LinkMask& masked,
                                  std::span<const LinkId> masked_links,
-                                 const CapacityConstraint& constraint,
+                                 std::span<const std::uint64_t> required,
                                  std::vector<std::uint64_t>& counts);
+
+  // Minimum path count per switch index: constraint.min_paths of each
+  // ToR, 0 for every other switch. A ToR violates the constraint under
+  // counts c iff c[tor] < required[tor], exactly: for an integer a,
+  // a < ceil(x) iff a < x, and min_paths and below_min compute the same
+  // x. The optimizer keeps one per constraint version.
+  [[nodiscard]] std::vector<std::uint64_t> required_paths(
+      const CapacityConstraint& constraint) const;
 
   // The switches reachable upward from `tor` over installed links,
   // disabled ones included, `tor` itself included: a switch_count-bit

@@ -1,6 +1,7 @@
 #include "corropt/recommendation.h"
 
 #include <cassert>
+#include <vector>
 
 #include "common/lossy.h"
 #include "topology/topology.h"
@@ -19,8 +20,8 @@ bool RecommendationEngine::neighbors_corrupting(LinkId link) const {
   const topology::Link& l = topo.link_at(link);
   for (common::SwitchId end : {l.lower, l.upper}) {
     const topology::Switch& sw = topo.switch_at(end);
-    for (const auto& list : {sw.uplinks, sw.downlinks}) {
-      for (LinkId neighbor : list) {
+    for (const std::vector<LinkId>* list : {&sw.uplinks, &sw.downlinks}) {
+      for (LinkId neighbor : *list) {
         if (neighbor == link) continue;
         if (state_->link_is_corrupting(neighbor)) return true;
       }

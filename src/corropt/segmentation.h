@@ -26,10 +26,15 @@ struct Segment {
 // given endangered ToRs. ToRs with no candidate upstream are dropped
 // (their violation, if any, cannot be influenced by the candidates).
 // Candidates upstream of no endangered ToR are also dropped — they are
-// the "safe to disable" links the optimizer's pruning already handles.
+// the "safe to disable" links: the optimizer's pruning reads them off as
+// the candidates no segment holds.
 // A candidate is upstream of a ToR iff `paths.tor_closure(tor)` holds
-// its lower endpoint's sweep position; the closures `paths` builds here
-// stay for its later calls.
+// its lower endpoint's sweep position. The candidates' lower endpoints
+// form one bitset, so each ToR costs one AND per closure word over the
+// candidates' word range. The closures `paths` builds here stay for its
+// later calls.
+// Segments come in the order of their first endangered ToR, each with
+// its links id-sorted and its ToRs in input order.
 [[nodiscard]] std::vector<Segment> segment_candidates(
     PathCounter& paths, std::span<const LinkId> candidates,
     std::span<const SwitchId> endangered_tors);

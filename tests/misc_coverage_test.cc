@@ -173,6 +173,53 @@ TEST(CorruptionSetPenalty, OnlyEnabledLinksCount) {
   EXPECT_DOUBLE_EQ(set.total_active_penalty(topo, penalty), 0.0);
 }
 
+// rate() reads a dense per-link array that mark/unmark write and a
+// restore rebuilds; it must always equal the entry's rate, and 0 for an
+// unmarked link or an id past every mark.
+TEST(CorruptionSet, RateArrayMatchesEntries) {
+  using common::LinkId;
+  auto link_id = [](std::size_t i) {
+    return LinkId(static_cast<LinkId::underlying_type>(i));
+  };
+  std::size_t past_every_mark = 0;
+  auto check = [&](const core::CorruptionSet& set, const char* when) {
+    for (std::size_t i = 0; i < past_every_mark + 64; ++i) {
+      const auto it = set.entries().find(link_id(i));
+      EXPECT_EQ(set.rate(link_id(i)),
+                it == set.entries().end() ? 0.0 : it->second.rate)
+          << when << ", link " << i;
+    }
+    EXPECT_EQ(set.rate(link_id(std::size_t{1} << 24)), 0.0) << when;
+  };
+  common::Rng rng(2027);
+  core::CorruptionSet set;
+  for (int step = 0; step < 600; ++step) {
+    const std::size_t i = rng.uniform_index(240);
+    if (rng.bernoulli(0.6)) {
+      // Often a re-mark: 240 ids, 600 steps.
+      set.mark(link_id(i), rng.uniform(1e-8, 1e-2));
+    } else {
+      set.unmark(link_id(i));
+    }
+    past_every_mark = std::max(past_every_mark, i + 1);
+    if (step % 100 == 0) check(set, "live");
+  }
+  ASSERT_GT(set.size(), 0u);
+  check(set, "live");
+
+  common::snap::Writer w;
+  set.snapshot_to(w);
+  const std::string bytes = w.take();
+  // A set with a mark the snapshot lacks, past every mark of `set`.
+  core::CorruptionSet restored;
+  restored.mark(link_id(past_every_mark + 100), 0.5);
+  common::snap::Reader r(bytes);
+  restored.restore_from(r);
+  past_every_mark += 101;
+  check(restored, "restored");
+  EXPECT_EQ(restored.entries().size(), set.size());
+}
+
 TEST(TopologyVersion, BumpsOnEffectiveChangesOnly) {
   auto topo = topology::build_fat_tree(4);
   const auto v0 = topo.state_version();

@@ -358,5 +358,107 @@ TEST(Optimizer, ConstraintOverrideInvalidatesCachedSegments) {
   EXPECT_EQ(relaxed.disabled.size(), 1u);
 }
 
+// Per-ToR overrides between runs, including the exact fraction
+// 0.6 x 25 = 15: the warm optimizer (segment cache and required-paths
+// array kept across runs) must decide exactly what a cold one does, and
+// PathCounter::violated_tors must agree with the required array.
+TEST(Optimizer, ConstraintOverridesBetweenRunsMatchColdOptimizer) {
+  topology::XgftSpec spec;
+  spec.children_per_node = {3, 4};
+  spec.parents_per_node = {5, 5};
+  auto topo = topology::build_xgft(spec);
+  PathCounter paths(topo);
+  const common::SwitchId tor0 = topo.tors().front();
+  ASSERT_EQ(paths.design_paths()[tor0.index()], 25u);
+
+  // The boundary itself: 15 of 25 paths meet 0.6, 14 do not.
+  {
+    CapacityConstraint constraint(0.75);
+    constraint.set_tor_fraction(tor0, 0.6);
+    auto probe = topo;
+    PathCounter probe_paths(probe);
+    ASSERT_EQ(probe_paths.required_paths(constraint)[tor0.index()], 15u);
+    const topology::Switch& sw = probe.switch_at(tor0);
+    probe.set_enabled(sw.uplinks[0], false);
+    probe.set_enabled(sw.uplinks[1], false);
+    ASSERT_EQ(probe_paths.up_paths()[tor0.index()], 15u);
+    auto violated = probe_paths.violated_tors(probe_paths.up_paths(),
+                                              constraint);
+    EXPECT_TRUE(std::find(violated.begin(), violated.end(), tor0) ==
+                violated.end());
+    const common::SwitchId agg = probe.link_at(sw.uplinks[2]).upper;
+    probe.set_enabled(probe.switch_at(agg).uplinks[0], false);
+    ASSERT_EQ(probe_paths.up_paths()[tor0.index()], 14u);
+    violated = probe_paths.violated_tors(probe_paths.up_paths(), constraint);
+    EXPECT_TRUE(std::find(violated.begin(), violated.end(), tor0) !=
+                violated.end());
+  }
+
+  CapacityConstraint constraint(0.75);
+  Optimizer warm(topo, paths, constraint, PenaltyFunction::linear());
+  CorruptionSet corruption;
+  common::Rng rng(606);
+  const double fractions[] = {0.6, 0.5, 0.8, 0.96, 0.75, 0.6};
+  const double rates[] = {1e-6, 1e-5, 1e-4, 1e-3};
+  std::size_t disabled_total = 0;
+  std::size_t segments_total = 0;
+  for (int round = 0; round < 40; ++round) {
+    // Repairs: some disabled corrupting links come back clean.
+    std::vector<common::LinkId> repaired;
+    for (const auto& [link, entry] : corruption.entries()) {
+      if (!topo.is_enabled(link) && rng.bernoulli(0.3)) {
+        repaired.push_back(link);
+      }
+    }
+    for (common::LinkId link : repaired) {
+      corruption.unmark(link);
+      topo.set_enabled(link, true);
+    }
+    // New corruption (and re-marks at a new rate).
+    for (int k = 0; k < 4; ++k) {
+      const auto link = common::LinkId(
+          static_cast<common::LinkId::underlying_type>(
+              rng.uniform_index(topo.link_count())));
+      corruption.mark(link, rates[rng.uniform_index(4)]);
+    }
+    // Every other round overrides a random ToR (tor0 with 0.6 every
+    // fourth); the rounds between keep the cache.
+    if (round % 4 == 0) {
+      constraint.set_tor_fraction(tor0, 0.6);
+    } else if (round % 2 == 0) {
+      constraint.set_tor_fraction(
+          topo.tors()[rng.uniform_index(topo.tors().size())],
+          fractions[rng.uniform_index(6)]);
+    }
+
+    auto cold_topo = topo;
+    PathCounter cold_paths(cold_topo);
+    Optimizer cold(cold_topo, cold_paths, constraint,
+                   PenaltyFunction::linear());
+    const OptimizerResult want = cold.run(corruption);
+    const OptimizerResult got = warm.run(corruption);
+    EXPECT_TRUE(same_outcome(got, want)) << "round " << round;
+    EXPECT_TRUE(topo.enabled_mask() == cold_topo.enabled_mask())
+        << "round " << round;
+    disabled_total += got.disabled.size();
+    segments_total += got.segments;
+
+    const std::vector<std::uint64_t> counts = paths.up_paths();
+    const std::vector<std::uint64_t> required =
+        paths.required_paths(constraint);
+    std::vector<common::SwitchId> below;
+    for (common::SwitchId t : topo.tors()) {
+      if (counts[t.index()] < required[t.index()]) below.push_back(t);
+      EXPECT_EQ(required[t.index()],
+                constraint.min_paths(t, paths.design_paths()[t.index()]));
+    }
+    EXPECT_EQ(paths.violated_tors(counts, constraint), below)
+        << "round " << round;
+  }
+  EXPECT_GT(disabled_total, 0u);
+  EXPECT_GT(segments_total, 0u);
+  EXPECT_GT(warm.incremental_stats().segment_reuses, 0u);
+}
+
 }  // namespace
 }  // namespace corropt::core

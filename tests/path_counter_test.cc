@@ -142,7 +142,9 @@ TEST_P(IncrementalSweepRandomTest, MatchesFullMaskedSweep) {
   std::vector<common::SwitchId> violated;
   std::vector<std::uint64_t> counts;
   counter.masked_violated_tors_into(violated, baseline, baseline_violated,
-                                    mask, masked_links, constraint, counts);
+                                    mask, masked_links,
+                                    counter.required_paths(constraint),
+                                    counts);
   EXPECT_EQ(violated, counter.violated_tors(full, constraint))
       << "seed " << GetParam();
   EXPECT_EQ(counts, full) << "seed " << GetParam();

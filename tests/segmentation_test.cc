@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <vector>
 
+#include "common/rng.h"
 #include "corropt/path_counter.h"
 #include "corropt/segmentation.h"
+#include "optimizer_oracles.h"
 #include "topology/fat_tree.h"
+#include "topology/xgft.h"
 
 namespace corropt::core {
 namespace {
@@ -89,6 +94,109 @@ TEST(Segmentation, PartitionIsExhaustiveAndDisjoint) {
               covered.end())
       << "segments must be disjoint";
   EXPECT_EQ(covered.size(), candidates.size());
+}
+
+// The word-AND pass must give the per-bit oracle's segments exactly:
+// the same links and ToRs, in the same order. Seeded candidate and
+// endangered sets, unsorted, each with two uplinks of one switch above
+// an endangered ToR (two candidates on one lower endpoint) and sparse
+// enough that some candidates are upstream of no endangered ToR; the
+// first draw per topology has no endangered ToR at all.
+TEST(Segmentation, WordAndMatchesPerBitOracle) {
+  topology::XgftSpec spec;
+  spec.children_per_node = {4, 3, 2};
+  spec.parents_per_node = {3, 2, 2};
+  topology::Topology xgft = topology::build_xgft(spec);
+  xgft.assign_breakout_groups(2, 0);
+  struct Case {
+    std::string name;
+    topology::Topology topo;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"fat_tree_k4", topology::build_fat_tree(4)});
+  cases.push_back({"fat_tree_k8", topology::build_fat_tree(8)});
+  cases.push_back({"medium_dcn", topology::build_medium_dcn()});
+  cases.push_back({"xgft_breakout", std::move(xgft)});
+
+  auto shuffle = [](auto& items, common::Rng& rng) {
+    for (std::size_t i = items.size(); i > 1; --i) {
+      std::swap(items[i - 1], items[rng.uniform_index(i)]);
+    }
+  };
+  std::size_t shared_lower_held = 0;
+  std::size_t dropped_candidates = 0;
+  for (Case& c : cases) {
+    const topology::Topology& topo = c.topo;
+    PathCounter paths(topo);
+    common::Rng rng(0x5E6u + topo.link_count());
+    const double link_p = std::min(0.5, 40.0 / topo.link_count());
+    const double tor_p = std::min(0.5, 6.0 / topo.tors().size());
+    for (int draw = 0; draw < 12; ++draw) {
+      std::vector<common::SwitchId> endangered;
+      if (draw > 0) {
+        for (common::SwitchId tor : topo.tors()) {
+          if (rng.bernoulli(tor_p)) endangered.push_back(tor);
+        }
+        if (endangered.empty()) {
+          endangered.push_back(
+              topo.tors()[rng.uniform_index(topo.tors().size())]);
+        }
+      }
+      std::vector<common::LinkId> candidates;
+      for (const topology::Link& link : topo.links()) {
+        if (rng.bernoulli(link_p)) candidates.push_back(link.id);
+      }
+      // Climb from an endangered ToR (any ToR on the first draw) to a
+      // switch below the top level and add two of its uplinks.
+      common::SwitchId shared = endangered.empty()
+                                    ? topo.tors().front()
+                                    : endangered.front();
+      for (std::size_t up = rng.uniform_index(
+               static_cast<std::uint64_t>(topo.top_level()));
+           up > 0; --up) {
+        const topology::Switch& sw = topo.switch_at(shared);
+        shared = topo.link_at(sw.uplinks[rng.uniform_index(sw.uplinks.size())])
+                     .upper;
+      }
+      const topology::Switch& sw = topo.switch_at(shared);
+      ASSERT_GE(sw.uplinks.size(), 2u) << c.name;
+      for (common::LinkId uplink : {sw.uplinks[0], sw.uplinks[1]}) {
+        if (std::find(candidates.begin(), candidates.end(), uplink) ==
+            candidates.end()) {
+          candidates.push_back(uplink);
+        }
+      }
+      shuffle(candidates, rng);
+      shuffle(endangered, rng);
+
+      const std::vector<Segment> got =
+          segment_candidates(paths, candidates, endangered);
+      const std::vector<Segment> want =
+          testing::segment_candidates_per_bit(paths, candidates, endangered);
+      ASSERT_EQ(got.size(), want.size()) << c.name << " draw " << draw;
+      std::size_t held = 0;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].links, want[i].links)
+            << c.name << " draw " << draw << " segment " << i;
+        EXPECT_EQ(got[i].tors, want[i].tors)
+            << c.name << " draw " << draw << " segment " << i;
+        held += got[i].links.size();
+        const auto on_shared = std::count_if(
+            got[i].links.begin(), got[i].links.end(),
+            [&](common::LinkId link) {
+              return topo.link_at(link).lower == shared;
+            });
+        if (on_shared >= 2) ++shared_lower_held;
+      }
+      if (endangered.empty()) {
+        EXPECT_TRUE(got.empty()) << c.name;
+      }
+      dropped_candidates += candidates.size() - held;
+    }
+  }
+  // The draws reached both cases the chains and the safe split exist for.
+  EXPECT_GE(shared_lower_held, 4u * 11u);
+  EXPECT_GT(dropped_candidates, 0u);
 }
 
 }  // namespace
