@@ -33,10 +33,11 @@ int main() {
   }
   std::printf("\n");
 
-  const auto segments =
-      core::segment_candidates(counter, ex.corrupting, violated);
-  std::printf("pruned problem: %zu segment(s)\n", segments.size());
-  for (const core::Segment& segment : segments) {
+  core::Segmenter segmenter;
+  segmenter.split(counter, ex.corrupting, violated);
+  std::printf("pruned problem: %zu segment(s)\n", segmenter.size());
+  for (std::size_t i = 0; i < segmenter.size(); ++i) {
+    const core::SegmentView segment = segmenter.segment(i);
     std::printf("  segment links:");
     for (common::LinkId link : segment.links) {
       const auto& l = ex.topo.link_at(link);

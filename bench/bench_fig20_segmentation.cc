@@ -116,14 +116,15 @@ int main(int argc, char** argv) {
     for (common::LinkId link : corrupting) off.set(link.index());
     const auto violated =
         counter.violated_tors(counter.up_paths(&off), constraint);
-    const auto segments =
-        core::segment_candidates(counter, corrupting, violated);
+    core::Segmenter segmenter;
+    segmenter.split(counter, corrupting, violated);
     std::printf("worked example: %zu corrupting links across 2 pods -> %zu "
                 "independent segments of 2 links each\n",
-                corrupting.size(), segments.size());
-    for (std::size_t s = 0; s < segments.size(); ++s) {
+                corrupting.size(), segmenter.size());
+    for (std::size_t s = 0; s < segmenter.size(); ++s) {
+      const core::SegmentView segment = segmenter.segment(s);
       std::printf("  segment %zu: %zu links, %zu endangered ToR(s)\n", s + 1,
-                  segments[s].links.size(), segments[s].tors.size());
+                  segment.links.size(), segment.tors.size());
     }
   }
 

@@ -148,9 +148,11 @@ int cmd_plan(int argc, char** argv) {
     std::printf("  optimizer:    link %-6u rate %.2e -> DISABLE\n",
                 link.value(), corruption.rate(link));
   }
+  std::vector<common::LinkId> still_active;
+  corruption.active(*topo, still_active);
   std::printf(
       "residual corruption penalty: %.3e/s over %zu still-active links\n",
-      result.remaining_penalty, corruption.active(*topo).size());
+      result.remaining_penalty, still_active.size());
   core::PathCounter counter(*topo);
   std::printf("network remains feasible: %s\n",
               counter.feasible(counter.up_paths(), constraint) ? "yes"

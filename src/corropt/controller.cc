@@ -200,7 +200,11 @@ void Controller::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('C', 'T', 'R', 'L'), kSnapshotVersion,
             "controller");
   Stats::walk(self.stats_, c);
-  c.object(self.corruption_);
+  if constexpr (Codec::kReading) {
+    self.corruption_.restore_from(c, self.topo_->link_count());
+  } else {
+    c.object(self.corruption_);
+  }
   c.object(self.fast_checker_);
 }
 

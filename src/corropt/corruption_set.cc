@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace corropt::core {
 
@@ -10,28 +11,30 @@ void CorruptionSet::mark(LinkId link, double loss_rate) {
   ++epoch_;
   if (link.index() >= rate_of_.size()) rate_of_.resize(link.index() + 1, 0.0);
   rate_of_[link.index()] = loss_rate;
-  const auto it = entries_.find(link);
-  if (it != entries_.end()) {
+  const auto [it, inserted] =
+      entries_.try_emplace(link, Entry{loss_rate, next_seq_});
+  if (!inserted) {
     it->second.rate = loss_rate;
     return;
   }
-  entries_.emplace(link, Entry{loss_rate, next_seq_++});
+  ++next_seq_;
+  marked_.insert(std::lower_bound(marked_.begin(), marked_.end(), link), link);
 }
 
 void CorruptionSet::unmark(LinkId link) {
   ++epoch_;
   if (link.index() < rate_of_.size()) rate_of_[link.index()] = 0.0;
-  entries_.erase(link);
+  if (entries_.erase(link) != 0) {
+    marked_.erase(std::lower_bound(marked_.begin(), marked_.end(), link));
+  }
 }
 
-std::vector<LinkId> CorruptionSet::active(
-    const topology::Topology& topo) const {
-  std::vector<LinkId> out;
-  out.reserve(entries_.size());
-  for (const auto& [link, entry] : entries_) {
+void CorruptionSet::active(const topology::Topology& topo,
+                           std::vector<LinkId>& out) const {
+  out.clear();
+  for (LinkId link : marked_) {
     if (topo.is_enabled(link)) out.push_back(link);
   }
-  return out;
 }
 
 std::vector<LinkId> CorruptionSet::active_in_detection_order(
@@ -55,11 +58,11 @@ double CorruptionSet::total_active_penalty(
       penalty_cache_.epoch == epoch_ && penalty_cache_.penalty == penalty) {
     return penalty_cache_.value;
   }
-  // Fold in link-id order (the map's), so a restored run and the fresh
-  // run it must match byte for byte sum in the same order.
+  // Fold in link-id order, so a restored run and the fresh run it must
+  // match byte for byte sum in the same order.
   double total = 0.0;
-  for (const auto& [link, entry] : entries_) {
-    if (topo.is_enabled(link)) total += penalty(entry.rate);
+  for (LinkId link : marked_) {
+    if (topo.is_enabled(link)) total += penalty(rate_of_[link.index()]);
   }
   penalty_cache_ = PenaltyCache{true, &topo, topo.state_version(), epoch_,
                                 penalty, total};
@@ -67,10 +70,14 @@ double CorruptionSet::total_active_penalty(
 }
 
 template <class Self, class Codec>
-void CorruptionSet::walk(Self& self, Codec& c) {
+void CorruptionSet::walk(Self& self, Codec& c, std::size_t link_count) {
   c.section(common::snap::tag('C', 'O', 'R', 'R'), 1, "corruption set");
-  c.entries(self.entries_, [&c](auto& link, auto& entry) {
+  c.entries(self.entries_, [&c, link_count](auto& link, auto& entry) {
     c.id(link);
+    // rate_of_ is sized by the highest link, and the detection poll
+    // indexes per-link marks by every one.
+    c.check(link.index() < link_count,
+            "corruption set names a link past the fabric");
     c.f64(entry.rate);
     c.u64(entry.detected_seq);
   });
@@ -79,6 +86,10 @@ void CorruptionSet::walk(Self& self, Codec& c) {
   // The memoized total holds a raw pointer to the source context's
   // topology; never carry it across a restore.
   if constexpr (Codec::kReading) {
+    self.marked_.clear();
+    for (const auto& [link, entry] : self.entries_) {
+      self.marked_.push_back(link);
+    }
     self.rate_of_.assign(
         self.entries_.empty() ? 0 : self.entries_.rbegin()->first.index() + 1,
         0.0);
@@ -90,8 +101,11 @@ void CorruptionSet::walk(Self& self, Codec& c) {
 }
 
 void CorruptionSet::snapshot_to(common::snap::Writer& w) const {
-  walk(*this, w);
+  walk(*this, w, SIZE_MAX);
 }
-void CorruptionSet::restore_from(common::snap::Reader& r) { walk(*this, r); }
+void CorruptionSet::restore_from(common::snap::Reader& r,
+                                 std::size_t link_count) {
+  walk(*this, r, link_count);
+}
 
 }  // namespace corropt::core

@@ -51,10 +51,10 @@ class CorruptionSet {
     return entries_;
   }
 
-  // Corrupting links that are still enabled (and hence incur penalty),
-  // in increasing link-id order.
-  [[nodiscard]] std::vector<LinkId> active(
-      const topology::Topology& topo) const;
+  // Writes the corrupting links that are still enabled (and hence incur
+  // penalty) into `out`, in increasing link-id order: a filtered copy of
+  // the marked-links vector, no map walk.
+  void active(const topology::Topology& topo, std::vector<LinkId>& out) const;
 
   // Same set, ordered by detection time (the naive re-check order of the
   // production system the paper describes).
@@ -65,26 +65,32 @@ class CorruptionSet {
   // sum of I(f_l) over enabled corrupting links, folded in link-id
   // order. O(1) while neither the set (epoch) nor the topology's link
   // state (state_version) changed since the last call with the same
-  // topology and penalty function; the entries_ rescan only runs when
-  // one of those keys moved.
+  // topology and penalty function; the marked-links rescan only runs
+  // when one of those keys moved.
   [[nodiscard]] double total_active_penalty(
       const topology::Topology& topo, const PenaltyFunction& penalty) const;
 
   // Checkpointing (DESIGN.md §14): entries in link-id order plus the
-  // sequence and epoch counters. Restore rebuilds the rate array from
-  // the entries and drops the memoized penalty cache — it holds a raw Topology pointer from the *source* context,
+  // sequence and epoch counters. Restore rebuilds the marked links and
+  // the rate array from the entries and drops the memoized penalty
+  // cache — it holds a raw Topology pointer from the *source* context,
   // which must never leak into a branch (see the regression test).
+  // `link_count` is the size of the fabric the set lives on: a restored
+  // link id at or past it throws std::runtime_error before anything is
+  // sized by it.
   void snapshot_to(common::snap::Writer& w) const;
-  void restore_from(common::snap::Reader& r);
+  void restore_from(common::snap::Reader& r, std::size_t link_count);
 
  private:
   template <class Self, class Codec>
-  static void walk(Self& self, Codec& c);
+  static void walk(Self& self, Codec& c, std::size_t link_count);
 
   std::map<LinkId, Entry> entries_;
-  // entries_[link].rate indexed by link, 0 for unmarked links; as long as
-  // the highest link ever marked. Derived state: written by mark/unmark,
-  // rebuilt on restore, never serialized.
+  // Derived state, written by mark/unmark, rebuilt on restore, never
+  // serialized: the keys of entries_ in id order, and entries_[link].rate
+  // indexed by link, 0 for unmarked links, as long as the highest link
+  // ever marked.
+  std::vector<LinkId> marked_;
   std::vector<double> rate_of_;
   std::uint64_t next_seq_ = 0;
   // Bumped on every mark/unmark; together with Topology::state_version()

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <iterator>
 #include <limits>
 #include <utility>
 
@@ -105,7 +106,6 @@ Optimizer::Optimizer(topology::Topology& topo, PathCounter& paths,
       paths_(&paths),
       scratch_(std::make_unique<OptimizerSegmentScratch>()) {
   assert(&paths.topo() == &topo);
-  scratch_paths_.resize(topo.switch_count(), 0);
   scratch_mask_.assign(topo.link_count());
 }
 
@@ -116,7 +116,8 @@ const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
   // Sweep positions of the lower endpoints of the links flipped since
   // the previous run, which include that run's own disables.
   const std::vector<std::uint32_t>& sweep_pos = paths_->index()->sweep_pos;
-  std::vector<std::uint32_t> lowers;
+  std::vector<std::uint32_t>& lowers = flipped_lowers_;
+  lowers.clear();
   const bool cold = !for_each_flip(
       seen_, topo_->enabled_mask().words(), [&](LinkId link) {
         lowers.push_back(sweep_pos[topo_->link_at(link).lower.index()]);
@@ -153,7 +154,7 @@ const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
   return counts;
 }
 
-void Optimizer::compile_region(const Segment& segment,
+void Optimizer::compile_region(SegmentView segment,
                                const common::DynamicBitset& region,
                                std::span<const std::uint64_t> baseline,
                                OptimizerSegmentScratch& s) const {
@@ -234,7 +235,7 @@ void Optimizer::compile_region(const Segment& segment,
 }
 
 OptimizerSegmentOutcome Optimizer::solve_segment(
-    const Segment& segment, const common::DynamicBitset& region,
+    SegmentView segment, const common::DynamicBitset& region,
     std::span<const std::uint64_t> baseline, const CorruptionSet& corruption,
     OptimizerSegmentScratch& s) const {
   assert(!segment.links.empty());
@@ -484,171 +485,149 @@ OptimizerResult Optimizer::run(const CorruptionSet& corruption) {
 OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   ++inc_stats_.runs;
   OptimizerResult result;
-  const std::vector<LinkId> candidates = corruption.active(*topo_);
-  if (candidates.empty()) return result;
+  corruption.active(*topo_, candidates_);
+  if (candidates_.empty()) return result;
   const std::vector<std::uint64_t>& baseline = sync_baseline();
 
-  std::vector<LinkId> to_disable;
-  std::vector<SwitchId> endangered;
-
+  std::span<const SwitchId> endangered = topo_->tors();
   if (config_.use_pruning) {
     // Hypothetically disable everything and see which ToRs complain. The
-    // recount is incremental against the live unmasked counts: only the
+    // recount runs in the live counts and undoes itself: only the
     // downward closure of the candidates can change.
-    scratch_mask_.assign(topo_->link_count());
-    for (LinkId link : candidates) scratch_mask_.set(link.index());
-    paths_->masked_violated_tors_into(endangered, baseline,
-                                      baseline_violated_, scratch_mask_,
-                                      candidates, required_, scratch_paths_);
+    for (LinkId link : candidates_) scratch_mask_.set(link.index());
+    paths_->masked_violated_tors(endangered_, baseline_violated_,
+                                 scratch_mask_, candidates_, required_);
+    for (LinkId link : candidates_) scratch_mask_.reset(link.index());
+    endangered = endangered_;
     if (endangered.empty()) {
       // The full set is feasible: disable everything, which leaves
-      // remaining_penalty 0. `candidates` is the id-sorted active set,
+      // remaining_penalty 0. `candidates_` is the id-sorted active set,
       // so summing over it keeps the floating-point fold order fixed.
-      for (LinkId link : candidates) {
+      for (LinkId link : candidates_) {
         result.disabled_penalty += penalty_(corruption.rate(link));
       }
-      for (LinkId link : candidates) topo_->set_enabled(link, false);
-      result.disabled = candidates;
+      for (LinkId link : candidates_) topo_->set_enabled(link, false);
+      result.disabled = candidates_;
       return result;
     }
-  } else {
-    endangered = topo_->tors();
   }
 
-  std::vector<Segment> segments;
+  // A candidate no segment holds is upstream of no endangered ToR, so it
+  // is safe (ToRs outside `endangered` tolerate even the full set).
+  std::span<const LinkId> safe;
+  std::size_t segments = 0;
   if (config_.use_pruning || config_.use_segmentation) {
-    segments = segment_candidates(*paths_, candidates, endangered);
+    segmenter_.split(*paths_, candidates_, endangered);
+    segments = segmenter_.size();
+    if (config_.use_pruning) safe = segmenter_.safe();
   }
-  std::vector<LinkId> contested;
-  if (config_.use_pruning) {
-    // A candidate no segment holds is upstream of no endangered ToR, so
-    // it is safe (ToRs outside `endangered` tolerate even the full set).
-    // scratch_mask_ still holds every candidate; clear the held ones.
-    for (const Segment& segment : segments) {
-      for (LinkId link : segment.links) scratch_mask_.reset(link.index());
-    }
-    for (LinkId link : candidates) {
-      (scratch_mask_.test(link.index()) ? to_disable : contested)
-          .push_back(link);
-    }
-    result.pruned_safe_disables = to_disable.size();
-  } else {
-    contested = candidates;
-  }
+  result.pruned_safe_disables = safe.size();
   if (!config_.use_segmentation) {
     // The ablation solves every contested candidate as one segment
     // against every endangered ToR.
-    segments.clear();
-    if (!contested.empty()) {
-      segments.push_back(Segment{std::move(contested), std::move(endangered)});
-    }
+    contested_.clear();
+    std::set_difference(candidates_.begin(), candidates_.end(), safe.begin(),
+                        safe.end(), std::back_inserter(contested_));
+    segments = contested_.empty() ? 0 : 1;
   }
-  result.segments = segments.size();
+  const auto segment_at = [&](std::size_t i) {
+    return config_.use_segmentation ? segmenter_.segment(i)
+                                    : SegmentView{contested_, endangered};
+  };
+  result.segments = segments;
 
   // Safe links lie outside every segment's region, so disabling them
   // now changes neither the baseline counts a solve reads nor any
   // cached entry.
-  for (LinkId link : to_disable) topo_->set_enabled(link, false);
+  for (LinkId link : safe) topo_->set_enabled(link, false);
 
   // Segment reuse: a cached outcome answers a segment outright when its
   // candidates, ToRs and rates are identical; sync_baseline already
-  // erased every entry whose region flipped.
-  std::vector<OptimizerSegmentOutcome> outcomes(segments.size());
-  std::vector<std::size_t> to_solve;
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const Segment& segment = segments[i];
-    const auto it = segment_cache_.find(
-        static_cast<std::uint32_t>(segment.links.front().index()));
+  // erased every entry whose region flipped. The probe reads the
+  // segment's views, so a hit copies nothing. A miss gets its entry now,
+  // on the calling thread, with its region: the union of its ToRs'
+  // upward closures.
+  applied_.resize(segments);
+  to_solve_.clear();
+  for (std::size_t i = 0; i < segments; ++i) {
+    const SegmentView segment = segment_at(i);
+    const auto key = static_cast<std::uint32_t>(segment.links.front().index());
+    const auto it = segment_cache_.find(key);
     bool hit = it != segment_cache_.end() &&
-               it->second.links == segment.links &&
-               it->second.tors == segment.tors;
+               std::ranges::equal(it->second.links, segment.links) &&
+               std::ranges::equal(it->second.tors, segment.tors);
     for (std::size_t k = 0; hit && k < segment.links.size(); ++k) {
       hit = it->second.rates[k] == corruption.rate(segment.links[k]);
     }
-    if (!hit) {
-      to_solve.push_back(i);
+    if (hit) {
+      applied_[i] = &it->second;
+      ++result.segment_reuses;
       continue;
     }
-    outcomes[i] = it->second.outcome;
-    ++result.segment_reuses;
-  }
-  inc_stats_.segment_reuses += result.segment_reuses;
-  inc_stats_.segment_solves += to_solve.size();
-
-  // Each segment to solve sweeps its region: the union of its ToRs'
-  // upward closures, built here on the calling thread.
-  std::vector<common::DynamicBitset> regions(to_solve.size());
-  for (std::size_t j = 0; j < to_solve.size(); ++j) {
-    regions[j].assign(topo_->switch_count());
-    for (SwitchId tor : segments[to_solve[j]].tors) {
-      regions[j] |= paths_->tor_closure(tor);
-    }
-  }
-
-  // Solve segments against the shared pre-segment state; candidates of
-  // one segment never enter another segment's sweep region (segmentation
-  // would have merged them), so deferring the set_enabled calls keeps
-  // this bit-identical to the serial schedule for any thread count.
-  const std::size_t workers = std::min(
-      std::max<std::size_t>(config_.solver_threads, 1), to_solve.size());
-  if (workers > 1) {
-    common::ThreadPool pool(workers);
-    common::parallel_for_each(pool, to_solve.size(), [&](std::size_t j) {
-      OptimizerSegmentScratch scratch;
-      const std::size_t i = to_solve[j];
-      outcomes[i] = solve_segment(segments[i], regions[j], baseline,
-                                  corruption, scratch);
-    });
-  } else {
-    for (std::size_t j = 0; j < to_solve.size(); ++j) {
-      const std::size_t i = to_solve[j];
-      outcomes[i] = solve_segment(segments[i], regions[j], baseline,
-                                  corruption, *scratch_);
-    }
-  }
-
-  // Keep the fresh outcomes for later runs. The next sync finds this
-  // run's disables among the flipped links and erases every entry whose
-  // region they touch, including ones just stored that selected a link.
-  for (std::size_t j = 0; j < to_solve.size(); ++j) {
-    const std::size_t i = to_solve[j];
-    const Segment& segment = segments[i];
-    CachedSegment& entry = segment_cache_[
-        static_cast<std::uint32_t>(segment.links.front().index())];
-    entry.links = segment.links;
-    entry.tors = segment.tors;
+    CachedSegment& entry =
+        it != segment_cache_.end() ? it->second : segment_cache_[key];
+    entry.links.assign(segment.links.begin(), segment.links.end());
+    entry.tors.assign(segment.tors.begin(), segment.tors.end());
     entry.rates.resize(segment.links.size());
     for (std::size_t k = 0; k < segment.links.size(); ++k) {
       entry.rates[k] = corruption.rate(segment.links[k]);
     }
-    entry.region = std::move(regions[j]);
-    entry.outcome = outcomes[i];
+    entry.region.assign(topo_->switch_count());
+    for (SwitchId tor : segment.tors) entry.region |= paths_->tor_closure(tor);
+    applied_[i] = &entry;
+    to_solve_.push_back(i);
+  }
+  inc_stats_.segment_reuses += result.segment_reuses;
+  inc_stats_.segment_solves += to_solve_.size();
+
+  // Solve segments against the shared pre-segment state, each into its
+  // own entry; candidates of one segment never enter another segment's
+  // sweep region (segmentation would have merged them), so deferring the
+  // set_enabled calls keeps this bit-identical to the serial schedule
+  // for any thread count. The next sync finds this run's disables among
+  // the flipped links and erases every entry whose region they touch,
+  // including ones just stored that selected a link.
+  const auto solve = [&](std::size_t j, OptimizerSegmentScratch& scratch) {
+    CachedSegment& entry = *applied_[to_solve_[j]];
+    entry.outcome = solve_segment(segment_at(to_solve_[j]), entry.region,
+                                  baseline, corruption, scratch);
+  };
+  const std::size_t workers = std::min(
+      std::max<std::size_t>(config_.solver_threads, 1), to_solve_.size());
+  if (workers > 1) {
+    common::ThreadPool pool(workers);
+    common::parallel_for_each(pool, to_solve_.size(), [&](std::size_t j) {
+      OptimizerSegmentScratch scratch;
+      solve(j, scratch);
+    });
+  } else {
+    for (std::size_t j = 0; j < to_solve_.size(); ++j) solve(j, *scratch_);
   }
 
-  for (std::size_t i = 0; i < segments.size(); ++i) {
-    const Segment& segment = segments[i];
-    const OptimizerSegmentOutcome& outcome = outcomes[i];
+  result.disabled.assign(safe.begin(), safe.end());
+  for (std::size_t i = 0; i < segments; ++i) {
+    const std::span<const LinkId> links = segment_at(i).links;
+    const OptimizerSegmentOutcome& outcome = applied_[i]->outcome;
     result.exact = result.exact && outcome.exact;
     result.subsets_evaluated += outcome.subsets_evaluated;
     result.cache_skips += outcome.cache_skips;
     result.accept_skips += outcome.accept_skips;
     result.bound_skips += outcome.bound_skips;
-    for (std::size_t k = 0; k < segment.links.size(); ++k) {
+    for (std::size_t k = 0; k < links.size(); ++k) {
       if (outcome.selected[k] != 0) {
-        topo_->set_enabled(segment.links[k], false);
-        to_disable.push_back(segment.links[k]);
+        topo_->set_enabled(links[k], false);
+        result.disabled.push_back(links[k]);
       }
     }
   }
 
-  result.disabled = std::move(to_disable);
   for (LinkId link : result.disabled) {
     result.disabled_penalty += penalty_(corruption.rate(link));
   }
   // Only this run disabled links, so the corrupting links still enabled
   // are the candidates still enabled: in id order, the set and the fold
   // order of total_active_penalty, bit for bit.
-  for (LinkId link : candidates) {
+  for (LinkId link : candidates_) {
     if (topo_->is_enabled(link)) {
       result.remaining_penalty += penalty_(corruption.rate(link));
     }

@@ -9,16 +9,19 @@
 //      the ToRs V whose constraints would be violated. Every corrupting
 //      link not upstream of V is safe to disable outright (ToRs outside V
 //      tolerate even the full set, and feasibility is monotone in the set
-//      of enabled links). The recount starts from the live counts of the
+//      of enabled links). The recount runs in the live counts of the
 //      controller's PathCounter, shared with the fast checker and keyed
-//      on the enabled mask (DESIGN.md §12), so it walks only the
-//      candidates' downward closure and needs no change reports.
+//      on the enabled mask (DESIGN.md §12), and undoes itself from a log,
+//      so it walks only the candidates' downward closure, copies no
+//      counts and needs no change reports.
 //   2. Segmentation (Section 8): the candidates split into independent
 //      segments per the endangered ToRs they share, and a candidate no
 //      segment holds is upstream of no ToR in V: that is pruning's safe
 //      set. The split reads the per-ToR upward closures the PathCounter
 //      keeps (switch bitsets indexed by sweep position, built once per
-//      ToR since they depend only on the wiring), one AND per word.
+//      ToR since they depend only on the wiring), one AND per word, and
+//      a Segmenter the optimizer keeps emits the segments as views into
+//      arrays it reuses.
 //      Every violation test compares counts against one per-ToR array
 //      of required path counts, rebuilt only when the constraint moves.
 //   3. Branch-and-bound per segment: candidates are ordered by descending
@@ -43,7 +46,10 @@
 // serially afterward is bit-identical to the serial schedule.
 //
 // Across runs the optimizer keeps per-segment solve outcomes (DESIGN.md
-// §12), and there is no mode without them: an outcome is erased as soon
+// §12), and there is no mode without them. A segment's views probe the
+// cache before anything is copied and a hit's outcome is applied where
+// it lies, so a run answered wholly from the cache that disables nothing
+// allocates nothing. An outcome is erased as soon
 // as a link of its sweep region flips (an XOR of the mask words of the
 // previous run against the current mask, so the fast checker's disables
 // count too). A reused outcome reports the search counters of the solve
@@ -195,14 +201,14 @@ class Optimizer {
   // constraint and the config alone.
   // `region` is the segment's sweep region and `baseline` the run's
   // live counts.
-  OptimizerSegmentOutcome solve_segment(const Segment& segment,
+  OptimizerSegmentOutcome solve_segment(SegmentView segment,
                                         const common::DynamicBitset& region,
                                         std::span<const std::uint64_t> baseline,
                                         const CorruptionSet& corruption,
                                         OptimizerSegmentScratch& scratch) const;
 
   // Compiles the affected switches of one segment's region into scratch.
-  void compile_region(const Segment& segment,
+  void compile_region(SegmentView segment,
                       const common::DynamicBitset& region,
                       std::span<const std::uint64_t> baseline,
                       OptimizerSegmentScratch& scratch) const;
@@ -212,9 +218,18 @@ class Optimizer {
   PenaltyFunction penalty_;
   OptimizerConfig config_;
   PathCounter* paths_;
-  // Scratch reused across runs (serial phases only).
-  std::vector<std::uint64_t> scratch_paths_;
+  // Scratch reused across runs (serial phases only), so a run whose
+  // segments all come from the cache allocates nothing: the run's
+  // candidates, their bits for the pruning pass (all clear between
+  // runs), the ToRs it endangers, the segments, the ablation's one
+  // contested segment, the sweep positions sync_baseline saw flip, and
+  // the serial solver's scratch.
+  std::vector<LinkId> candidates_;
   common::DynamicBitset scratch_mask_;
+  std::vector<SwitchId> endangered_;
+  Segmenter segmenter_;
+  std::vector<LinkId> contested_;
+  std::vector<std::uint32_t> flipped_lowers_;
   std::unique_ptr<OptimizerSegmentScratch> scratch_;
   // Enabled-mask words of the previous run (empty before the first) and
   // the ToRs the live counts violated then, normally none.
@@ -228,7 +243,9 @@ class Optimizer {
 
   // --- Cross-run cache (DESIGN.md §12) ---
   // A solved segment kept across runs, reused verbatim while its
-  // candidates, ToRs and rates are identical. `region` is the segment's
+  // candidates, ToRs and rates are identical: a run probes the cache
+  // with the segment's views before it copies anything, and applies a
+  // hit's outcome where it lies. `region` is the segment's
   // sweep region, the union of its ToRs' closures (switch bits indexed
   // by sweep position): a solve reads the enabled state of exactly the
   // uplinks whose lower endpoint is in it, so the entry is erased once
@@ -245,6 +262,12 @@ class Optimizer {
 
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
+  // Per segment of the run, the cache entry whose outcome it applies:
+  // a hit's, or the entry a fresh solve fills. Entries are nodes of
+  // segment_cache_, so inserting more keeps them in place.
+  std::vector<CachedSegment*> applied_;
+  // The segments to solve, as indices into applied_.
+  std::vector<std::size_t> to_solve_;
   // The constraint version the cache, baseline_violated_ and required_
   // were taken under; a per-ToR override changes what every solve
   // requires.

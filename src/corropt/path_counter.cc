@@ -322,17 +322,16 @@ PathCounter::DisableCheck PathCounter::check_disable(
   return check;
 }
 
-void PathCounter::masked_violated_tors_into(
-    std::vector<SwitchId>& violated, std::span<const std::uint64_t> baseline,
-    std::span<const SwitchId> baseline_violated, const LinkMask& masked,
-    std::span<const LinkId> masked_links,
-    std::span<const std::uint64_t> required,
-    std::vector<std::uint64_t>& counts) {
-  assert(baseline.size() == topo_->switch_count());
+void PathCounter::masked_violated_tors(
+    std::vector<SwitchId>& violated, std::span<const SwitchId> live_violated,
+    const LinkMask& masked, std::span<const LinkId> masked_links,
+    std::span<const std::uint64_t> required) {
   assert(required.size() == topo_->switch_count());
   assert(masked.size() == topo_->link_count());
+  assert(std::equal(live_.seen.begin(), live_.seen.end(),
+                    topo_->enabled_mask().words().begin()));
   violated.clear();
-  counts.assign(baseline.begin(), baseline.end());
+  std::uint64_t* counts = live_.counts.data();
   // Seed with the lower endpoints of masked links that are actually
   // conducting (masking an already-disabled link changes nothing).
   for (LinkId link : masked_links) {
@@ -340,22 +339,24 @@ void PathCounter::masked_violated_tors_into(
       mark(static_cast<std::uint32_t>(topo_->link_at(link).lower.index()));
     }
   }
+  undo_.clear();
   recount_closure(
-      counts.data(), masked.words().data(),
+      counts, masked.words().data(),
       [&](const FabricIndex::SweepNode& node, std::uint64_t total) {
+        const std::uint64_t old = counts[node.sw];
+        undo_.emplace_back(node.sw, old);
         if ((node.flags & FabricIndex::kNodeTor) != 0 &&
-            total < required[node.sw] &&
-            baseline[node.sw] >= required[node.sw]) {
+            total < required[node.sw] && old >= required[node.sw]) {
           violated.push_back(SwitchId(node.sw));
         }
         return total;
       });
-  // Masking only removes paths, so every baseline violation stands.
-  // The walk visits ToRs in id order and both lists are id-sorted and
+  for (const auto& [sw, old] : undo_) counts[sw] = old;
+  // Masking only removes paths, so every live violation stands. The
+  // walk visits ToRs in id order and both lists are id-sorted and
   // disjoint; merge.
   const std::size_t fresh = violated.size();
-  violated.insert(violated.end(), baseline_violated.begin(),
-                  baseline_violated.end());
+  violated.insert(violated.end(), live_violated.begin(), live_violated.end());
   std::inplace_merge(violated.begin(),
                      violated.begin() + static_cast<std::ptrdiff_t>(fresh),
                      violated.end());

@@ -18,8 +18,9 @@
 // PathCounter is also the only code that walks closures (DESIGN.md §3).
 // Every switch set is a bitset indexed by sweep position, so ascending
 // bit order is level-descending order. One routine recounts a downward
-// closure (the live counts, the optimizer's pruning pass and the fast
-// checker's decision all call it), and one builder makes the per-ToR
+// closure in the live counts (their own refresh, the optimizer's pruning
+// pass and the fast checker's decision all call it; the last two undo
+// it), and one builder makes the per-ToR
 // upward closures that segmentation, pruning and the optimizer's sweep
 // regions read.
 #pragma once
@@ -196,21 +197,21 @@ class PathCounter {
   DisableCheck check_disable(LinkId link, const CapacityConstraint& constraint,
                              bool keep);
 
-  // The optimizer's pruning pass: the ToRs violated under `masked`, found
-  // while recounting only the masked links' downward closure. `required`
-  // is required_paths(constraint) for the constraint in force, `baseline`
-  // must hold the unmasked counts of the current enabled state and
-  // `baseline_violated` violated_tors(baseline, constraint). Equals
-  // violated_tors(up_paths(&masked), constraint), in ToR id order, and
-  // leaves up_paths(&masked) in `counts`. `masked_links` must list every
-  // set bit of `masked` (already-disabled extras are harmless).
-  void masked_violated_tors_into(std::vector<SwitchId>& violated,
-                                 std::span<const std::uint64_t> baseline,
-                                 std::span<const SwitchId> baseline_violated,
-                                 const LinkMask& masked,
-                                 std::span<const LinkId> masked_links,
-                                 std::span<const std::uint64_t> required,
-                                 std::vector<std::uint64_t>& counts);
+  // The optimizer's pruning pass: the ToRs violated under `masked`,
+  // found while recounting only the masked links' downward closure in
+  // place in the live counts, which must be current (read since the last
+  // flip). Like a refused check_disable, it logs each recounted switch's
+  // old count and puts it back, so the live counts end unchanged.
+  // `required` is required_paths(constraint) for the constraint in force
+  // and `live_violated` violated_tors(live counts, constraint). Equals
+  // violated_tors(up_paths(&masked), constraint), in ToR id order.
+  // `masked_links` must list every set bit of `masked` (already-disabled
+  // extras are harmless).
+  void masked_violated_tors(std::vector<SwitchId>& violated,
+                            std::span<const SwitchId> live_violated,
+                            const LinkMask& masked,
+                            std::span<const LinkId> masked_links,
+                            std::span<const std::uint64_t> required);
 
   // Minimum path count per switch index: constraint.min_paths of each
   // ToR, 0 for every other switch. A ToR violates the constraint under
@@ -275,7 +276,8 @@ class PathCounter {
   std::vector<std::uint64_t> closure_;
   std::size_t closure_lo_ = SIZE_MAX;
   std::size_t closure_hi_ = 0;
-  // (switch, old count) per switch a fast-checker decision recounted.
+  // (switch, old count) per switch a fast-checker decision or a masked
+  // pass recounted.
   std::vector<std::pair<std::uint32_t, std::uint64_t>> undo_;
   // Per-switch upward closures; empty = not built.
   std::vector<common::DynamicBitset> tor_closures_;

@@ -678,9 +678,33 @@ TEST(CheckpointHiddenState, CorruptionSetPenaltyCacheDropped) {
   // Restore A's state into B: every key of the memo (pointer, version,
   // epoch) still matches, so only an explicit cache drop saves us.
   common::snap::Reader r(bytes);
-  b.restore_from(r);
+  b.restore_from(r, topo.link_count());
   EXPECT_EQ(b.total_active_penalty(topo, penalty),
             a.total_active_penalty(topo, penalty));
+}
+
+// A corruption set's restored link ids index the detection poll's
+// per-link marks and size its rate array, so an id at or past the
+// fabric's link count is rejected before either happens (found by
+// running the resealed mutants of ResealedEditsThrowOrRestore: a SEGV in
+// DetectionPipeline::handle_poll).
+TEST(CheckpointMutation, CorruptionSetLinkPastTheFabricThrows) {
+  core::CorruptionSet set;
+  set.mark(common::LinkId(3), 1e-4);
+  set.mark(common::LinkId(40), 2e-4);
+  common::snap::Writer w;
+  set.snapshot_to(w);
+  const std::string bytes = w.take();
+
+  core::CorruptionSet too_small;
+  common::snap::Reader r(bytes);
+  EXPECT_THROW(too_small.restore_from(r, 40), std::runtime_error);
+
+  core::CorruptionSet fits;
+  common::snap::Reader again(bytes);
+  fits.restore_from(again, 41);
+  EXPECT_EQ(fits.entries().size(), 2u);
+  EXPECT_EQ(fits.rate(common::LinkId(40)), 2e-4);
 }
 
 // The penalty accountant folds the active faults' links into a
@@ -929,9 +953,10 @@ TEST(CheckpointIntegrity, SketchDirtySwitchOutOfRangeThrows) {
 
 // Seeded edits of the sink-attached checkpoint, each resealed so the
 // decoder sees them: bit flips, varints inflated to huge values, and
-// cuts at section boundaries. Every one must either restore or throw
-// std::runtime_error; under ASan+UBSan none may touch memory it does
-// not own, overflow, or allocate without bound.
+// cuts at section boundaries. Every one must either restore and then
+// run to its horizon, or throw std::runtime_error (while restoring or
+// while running); under ASan+UBSan none may touch memory it does not
+// own, overflow, or allocate without bound.
 TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
   const topology::Topology trace_topo = small_topology();
   const auto events = small_trace(trace_topo);
@@ -955,6 +980,7 @@ TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
   common::Rng rng(77);
   std::size_t restored = 0;
   std::size_t rejected = 0;
+  std::size_t finished = 0;
   for (int round = 0; round < 2000; ++round) {
     std::string bytes = body;
     switch (round % 3) {
@@ -997,12 +1023,20 @@ TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
     try {
       sim.restore_run(events, ckpt);
       ++restored;
+      while (sim.step()) {
+      }
+      sim.finish_run();
+      ++finished;
     } catch (const std::runtime_error&) {
       ++rejected;
     }
   }
-  EXPECT_EQ(restored + rejected, 2000u);
+  RecordProperty("restored", static_cast<int>(restored));
+  RecordProperty("finished", static_cast<int>(finished));
+  RecordProperty("rejected", static_cast<int>(rejected));
+  EXPECT_EQ(finished + rejected, 2000u);
   EXPECT_GT(rejected, 0u);
+  EXPECT_GT(finished, 0u);
 }
 
 // Rewrites the first pending kRepair event of a sealed checkpoint

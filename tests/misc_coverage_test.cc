@@ -175,12 +175,18 @@ TEST(CorruptionSetPenalty, OnlyEnabledLinksCount) {
 
 // rate() reads a dense per-link array that mark/unmark write and a
 // restore rebuilds; it must always equal the entry's rate, and 0 for an
-// unmarked link or an id past every mark.
+// unmarked link or an id past every mark. active() filters an id-ordered
+// vector of the marked links kept beside it, and total_active_penalty
+// folds over that vector: on a fabric with every link enabled the
+// vector shows whole, and must be the map's keys, with the fold equal
+// bit for bit to one over the map.
 TEST(CorruptionSet, RateArrayMatchesEntries) {
   using common::LinkId;
   auto link_id = [](std::size_t i) {
     return LinkId(static_cast<LinkId::underlying_type>(i));
   };
+  const topology::Topology topo = topology::build_fat_tree(12);
+  const auto penalty = core::PenaltyFunction::tcp_throughput();
   std::size_t past_every_mark = 0;
   auto check = [&](const core::CorruptionSet& set, const char* when) {
     for (std::size_t i = 0; i < past_every_mark + 64; ++i) {
@@ -190,6 +196,17 @@ TEST(CorruptionSet, RateArrayMatchesEntries) {
           << when << ", link " << i;
     }
     EXPECT_EQ(set.rate(link_id(std::size_t{1} << 24)), 0.0) << when;
+    ASSERT_LT(past_every_mark, topo.link_count());
+    std::vector<LinkId> keys;
+    double total = 0.0;
+    for (const auto& [link, entry] : set.entries()) {
+      keys.push_back(link);
+      total += penalty(entry.rate);
+    }
+    std::vector<LinkId> active = {link_id(7)};  // Stale: overwritten.
+    set.active(topo, active);
+    EXPECT_EQ(active, keys) << when;
+    EXPECT_EQ(set.total_active_penalty(topo, penalty), total) << when;
   };
   common::Rng rng(2027);
   core::CorruptionSet set;
@@ -202,7 +219,7 @@ TEST(CorruptionSet, RateArrayMatchesEntries) {
       set.unmark(link_id(i));
     }
     past_every_mark = std::max(past_every_mark, i + 1);
-    if (step % 100 == 0) check(set, "live");
+    if (step % 25 == 0) check(set, "live");
   }
   ASSERT_GT(set.size(), 0u);
   check(set, "live");
@@ -214,7 +231,7 @@ TEST(CorruptionSet, RateArrayMatchesEntries) {
   core::CorruptionSet restored;
   restored.mark(link_id(past_every_mark + 100), 0.5);
   common::snap::Reader r(bytes);
-  restored.restore_from(r);
+  restored.restore_from(r, topo.link_count());
   past_every_mark += 101;
   check(restored, "restored");
   EXPECT_EQ(restored.entries().size(), set.size());

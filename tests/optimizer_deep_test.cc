@@ -143,7 +143,9 @@ TEST(OptimizerDeep, WorksOnFourTierTopologies) {
   EXPECT_TRUE(result.exact);
   EXPECT_TRUE(counter.feasible(counter.up_paths(), constraint));
   // Maximality: nothing else can be disabled alone.
-  for (common::LinkId link : corruption.active(topo)) {
+  std::vector<common::LinkId> active;
+  corruption.active(topo, active);
+  for (common::LinkId link : active) {
     LinkMask off(topo.link_count());
     off.set(link.index());
     EXPECT_FALSE(counter.feasible(counter.up_paths(&off), constraint))

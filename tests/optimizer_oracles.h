@@ -12,16 +12,23 @@
 #include "common/bitset.h"
 #include "common/ids.h"
 #include "corropt/path_counter.h"
-#include "corropt/segmentation.h"
 
 namespace corropt::testing {
 
-// segment_candidates as it ran before the word-AND pass: one closure bit
+// One segment as the oracles return it: owned copies of what
+// core::SegmentView shows.
+struct OracleSegment {
+  std::vector<common::LinkId> links;
+  std::vector<common::SwitchId> tors;
+};
+
+// Segmentation as it ran before the word-AND pass: one closure bit
 // test per (endangered ToR, candidate) pair, a member list per ToR, and
 // a union-find over the candidates' id-sorted indices that chains each
-// list's members to its first. Same contract: segments in the order of
-// their first endangered ToR, links id-sorted, ToRs in input order.
-inline std::vector<core::Segment> segment_candidates_per_bit(
+// list's members to its first. Same contract as core::Segmenter::split:
+// segments in the order of their first endangered ToR, links id-sorted,
+// ToRs in input order.
+inline std::vector<OracleSegment> segment_candidates_per_bit(
     core::PathCounter& paths, std::span<const common::LinkId> candidates,
     std::span<const common::SwitchId> endangered_tors) {
   if (candidates.empty()) return {};
@@ -54,7 +61,7 @@ inline std::vector<core::Segment> segment_candidates_per_bit(
     }
   }
 
-  std::vector<core::Segment> segments;
+  std::vector<OracleSegment> segments;
   std::vector<std::size_t> root_to_segment(links.size(), SIZE_MAX);
   for (std::size_t t = 0; t < endangered_tors.size(); ++t) {
     if (tor_members[t].empty()) continue;
@@ -71,6 +78,54 @@ inline std::vector<core::Segment> segment_candidates_per_bit(
     segments[root_to_segment[root]].links.push_back(links[i]);
   }
   return segments;
+}
+
+// The optimizer's pruning pass as it ran before it recounted in place:
+// copy `baseline` into `counts`, recount the masked links' downward
+// closure there (seeded with the lower endpoints of the masked links
+// that conduct, following enabled downlinks only), and report the ToRs
+// it pushes below `required`, merged with `baseline_violated`. Leaves
+// up_paths(&masked) in `counts`.
+inline std::vector<common::SwitchId> masked_violated_tors_copying(
+    const core::PathCounter& paths, std::span<const std::uint64_t> baseline,
+    std::span<const common::SwitchId> baseline_violated,
+    const core::LinkMask& masked, std::span<const common::LinkId> masked_links,
+    std::span<const std::uint64_t> required,
+    std::vector<std::uint64_t>& counts) {
+  const core::FabricIndex& ix = *paths.index();
+  const topology::Topology& topo = paths.topo();
+  const std::uint64_t* enabled = topo.enabled_mask().words().data();
+  counts.assign(baseline.begin(), baseline.end());
+  common::DynamicBitset closure(ix.order.size());
+  for (common::LinkId link : masked_links) {
+    if (topo.is_enabled(link)) {
+      closure.set(ix.sweep_pos[topo.link_at(link).lower.index()]);
+    }
+  }
+  std::vector<common::SwitchId> violated;
+  core::FabricIndex::SliceMemo memo;
+  for (std::size_t pos = ix.top_count; pos < ix.order.size(); ++pos) {
+    if (!closure.test(pos)) continue;
+    const core::FabricIndex::SweepNode& node = ix.nodes[pos - ix.top_count];
+    const std::uint64_t total = ix.node_sum(node, enabled,
+                                            masked.words().data(),
+                                            counts.data(), memo);
+    counts[node.sw] = total;
+    if ((node.flags & core::FabricIndex::kNodeTor) != 0 &&
+        total < required[node.sw] && baseline[node.sw] >= required[node.sw]) {
+      violated.push_back(common::SwitchId(node.sw));
+    }
+    for (std::uint32_t d = ix.down_offset[node.sw];
+         d < ix.down_offset[node.sw + 1]; ++d) {
+      if (topo.is_enabled(common::LinkId(ix.down_link[d]))) {
+        closure.set(ix.sweep_pos[ix.down_lower[d]]);
+      }
+    }
+  }
+  violated.insert(violated.end(), baseline_violated.begin(),
+                  baseline_violated.end());
+  std::sort(violated.begin(), violated.end());
+  return violated;
 }
 
 }  // namespace corropt::testing

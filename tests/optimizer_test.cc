@@ -460,5 +460,73 @@ TEST(Optimizer, ConstraintOverridesBetweenRunsMatchColdOptimizer) {
   EXPECT_GT(warm.incremental_stats().segment_reuses, 0u);
 }
 
+// Every (use_pruning, use_segmentation) combination keeps the segment
+// cache and the reused segment views across runs; churn over many runs
+// must leave each warm optimizer deciding exactly what a cold one does,
+// search effort included, with the ablations' single contested segment
+// and unpruned ToR list among the views it reuses.
+TEST(Optimizer, AblationsMatchColdOptimizerAcrossRuns) {
+  topology::XgftSpec spec;
+  spec.children_per_node = {3, 4};
+  spec.parents_per_node = {3, 3};
+  const double rates[] = {1e-6, 1e-5, 1e-4, 1e-3};
+  for (int variant = 0; variant < 4; ++variant) {
+    OptimizerConfig config;
+    config.use_pruning = (variant & 1) != 0;
+    config.use_segmentation = (variant & 2) != 0;
+    auto topo = topology::build_xgft(spec);
+    const CapacityConstraint constraint(0.6);
+    PathCounter paths(topo);
+    Optimizer warm(topo, paths, constraint, PenaltyFunction::linear(),
+                   config);
+    CorruptionSet corruption;
+    common::Rng rng(4040 + static_cast<std::uint64_t>(variant));
+    std::size_t disabled_total = 0;
+    for (int round = 0; round < 45; ++round) {
+      // Churn every third round; the two quiet rounds after it let even
+      // the one-segment ablation reach a run with nothing to re-solve.
+      if (round % 3 == 0) {
+        std::vector<common::LinkId> repaired;
+        for (const auto& [link, entry] : corruption.entries()) {
+          if (!topo.is_enabled(link) && rng.bernoulli(0.4)) {
+            repaired.push_back(link);
+          }
+        }
+        for (common::LinkId link : repaired) {
+          corruption.unmark(link);
+          topo.set_enabled(link, true);
+        }
+        // Grow the set on most churns and re-mark or clear on the rest,
+        // so the candidate count moves both ways.
+        const int marks = round % 9 == 6 ? 1 : 3;
+        for (int k = 0; k < marks; ++k) {
+          corruption.mark(
+              common::LinkId(static_cast<common::LinkId::underlying_type>(
+                  rng.uniform_index(topo.link_count()))),
+              rates[rng.uniform_index(4)]);
+        }
+        if (round % 15 == 12 && corruption.size() > 0) {
+          corruption.unmark(corruption.entries().begin()->first);
+        }
+      }
+
+      auto cold_topo = topo;
+      PathCounter cold_paths(cold_topo);
+      Optimizer cold(cold_topo, cold_paths, constraint,
+                     PenaltyFunction::linear(), config);
+      const OptimizerResult want = cold.run(corruption);
+      const OptimizerResult got = warm.run(corruption);
+      EXPECT_TRUE(same_outcome(got, want))
+          << "variant " << variant << " round " << round;
+      EXPECT_TRUE(topo.enabled_mask() == cold_topo.enabled_mask())
+          << "variant " << variant << " round " << round;
+      disabled_total += got.disabled.size();
+    }
+    EXPECT_GT(disabled_total, 0u) << "variant " << variant;
+    EXPECT_GT(warm.incremental_stats().segment_reuses, 0u)
+        << "variant " << variant;
+  }
+}
+
 }  // namespace
 }  // namespace corropt::core

@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include "common/rng.h"
 #include "corropt/capacity.h"
 #include "corropt/path_counter.h"
+#include "optimizer_oracles.h"
 #include "path_oracles.h"
 #include "topology/fat_tree.h"
 #include "topology/xgft.h"
@@ -134,20 +136,92 @@ TEST_P(IncrementalSweepRandomTest, MatchesFullMaskedSweep) {
 
   PathCounter counter(topo);
   const CapacityConstraint constraint(rng.uniform(0.4, 0.9));
-  const std::vector<std::uint64_t> baseline = counter.up_paths();
+  const std::vector<std::uint64_t> baseline = counter.live_counts();
   const std::vector<common::SwitchId> baseline_violated =
       counter.violated_tors(baseline, constraint);
   const std::vector<std::uint64_t> full = counter.up_paths(&mask);
+  const std::vector<std::uint64_t> required =
+      counter.required_paths(constraint);
 
-  std::vector<common::SwitchId> violated;
+  // The copying oracle recounts into its own array, which must end as
+  // the full masked sweep.
   std::vector<std::uint64_t> counts;
-  counter.masked_violated_tors_into(violated, baseline, baseline_violated,
-                                    mask, masked_links,
-                                    counter.required_paths(constraint),
-                                    counts);
-  EXPECT_EQ(violated, counter.violated_tors(full, constraint))
+  EXPECT_EQ(testing::masked_violated_tors_copying(counter, baseline,
+                                                  baseline_violated, mask,
+                                                  masked_links, required,
+                                                  counts),
+            counter.violated_tors(full, constraint))
       << "seed " << GetParam();
   EXPECT_EQ(counts, full) << "seed " << GetParam();
+
+  // The pass in the live counts finds the same ToRs and undoes itself.
+  std::vector<common::SwitchId> violated;
+  counter.masked_violated_tors(violated, baseline_violated, mask,
+                               masked_links, required);
+  EXPECT_EQ(violated, counter.violated_tors(full, constraint))
+      << "seed " << GetParam();
+  EXPECT_EQ(counter.live_counts(), baseline) << "seed " << GetParam();
+}
+
+// The in-place pass against the copying oracle on the fabrics the
+// optimizer meets: seeded masks of every density on the medium DCN and
+// on a breakout XGFT, partly disabled, one PathCounter throughout. Each
+// pass must return the oracle's ToRs and leave the live counts bit for
+// bit as they were, including after the fabric moves between passes.
+TEST(PathCounter, InPlaceMaskedPassMatchesCopyingOracle) {
+  XgftSpec spec;
+  spec.children_per_node = {4, 3, 2};
+  spec.parents_per_node = {3, 2, 2};
+  Topology xgft = topology::build_xgft(spec);
+  xgft.assign_breakout_groups(2, 0);
+  std::vector<std::pair<const char*, Topology>> cases;
+  cases.emplace_back("medium_dcn", topology::build_medium_dcn());
+  cases.emplace_back("xgft_breakout", std::move(xgft));
+  std::size_t fresh_violations = 0;
+  for (auto& [name, topo] : cases) {
+    common::Rng rng(0xA5u + topo.link_count());
+    PathCounter counter(topo);
+    const CapacityConstraint constraint(0.75);
+    const std::vector<std::uint64_t> required =
+        counter.required_paths(constraint);
+    for (int draw = 0; draw < 30; ++draw) {
+      // Move the fabric a little, then read the live counts.
+      for (std::size_t i = 0; i < topo.link_count(); ++i) {
+        if (rng.bernoulli(0.01)) {
+          const common::LinkId link(
+              static_cast<common::LinkId::underlying_type>(i));
+          topo.set_enabled(link, !topo.is_enabled(link));
+        }
+      }
+      const std::vector<std::uint64_t> live = counter.live_counts();
+      const std::vector<common::SwitchId> live_violated =
+          counter.violated_tors(live, constraint);
+      const double density[] = {0.002, 0.02, 0.2};
+      LinkMask mask(topo.link_count());
+      std::vector<common::LinkId> masked_links;
+      for (std::size_t i = 0; i < topo.link_count(); ++i) {
+        if (rng.bernoulli(density[draw % 3])) {
+          mask.set(i);
+          masked_links.push_back(common::LinkId(
+              static_cast<common::LinkId::underlying_type>(i)));
+        }
+      }
+      std::vector<std::uint64_t> counts;
+      const std::vector<common::SwitchId> want =
+          testing::masked_violated_tors_copying(counter, live, live_violated,
+                                                mask, masked_links, required,
+                                                counts);
+      std::vector<common::SwitchId> got;
+      counter.masked_violated_tors(got, live_violated, mask, masked_links,
+                                   required);
+      EXPECT_EQ(got, want) << name << " draw " << draw;
+      EXPECT_EQ(counter.live_counts(), live) << name << " draw " << draw;
+      EXPECT_EQ(counter.live_counts(), counter.up_paths())
+          << name << " draw " << draw;
+      fresh_violations += want.size() - live_violated.size();
+    }
+  }
+  EXPECT_GT(fresh_violations, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomTopologies, IncrementalSweepRandomTest,

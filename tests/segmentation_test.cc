@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -14,13 +15,40 @@
 namespace corropt::core {
 namespace {
 
+// The segmenter's output as owned copies, to compare with the oracle.
+std::vector<testing::OracleSegment> split(
+    Segmenter& segmenter, PathCounter& paths,
+    std::span<const common::LinkId> candidates,
+    std::span<const common::SwitchId> endangered) {
+  segmenter.split(paths, candidates, endangered);
+  std::vector<testing::OracleSegment> segments;
+  for (std::size_t i = 0; i < segmenter.size(); ++i) {
+    const SegmentView view = segmenter.segment(i);
+    segments.push_back({{view.links.begin(), view.links.end()},
+                        {view.tors.begin(), view.tors.end()}});
+  }
+  return segments;
+}
+
+std::vector<testing::OracleSegment> segment_candidates(
+    PathCounter& paths, std::span<const common::LinkId> candidates,
+    std::span<const common::SwitchId> endangered) {
+  Segmenter segmenter;
+  return split(segmenter, paths, candidates, endangered);
+}
+
 TEST(Segmentation, EmptyInputs) {
   const auto topo = topology::build_fat_tree(4);
   PathCounter counter(topo);
-  EXPECT_TRUE(segment_candidates(counter, {}, {}).empty());
+  Segmenter segmenter;
+  segmenter.split(counter, {}, {});
+  EXPECT_EQ(segmenter.size(), 0u);
+  EXPECT_TRUE(segmenter.safe().empty());
   const std::vector<common::LinkId> links = {common::LinkId(0)};
   // Candidates but no endangered ToRs: everything is "safe", no segment.
-  EXPECT_TRUE(segment_candidates(counter, links, {}).empty());
+  segmenter.split(counter, links, {});
+  EXPECT_EQ(segmenter.size(), 0u);
+  EXPECT_TRUE(std::ranges::equal(segmenter.safe(), links));
 }
 
 TEST(Segmentation, SafeLinksAreDropped) {
@@ -33,11 +61,15 @@ TEST(Segmentation, SafeLinksAreDropped) {
       topo.switch_at(other_pod_tor).uplinks[0],
   };
   const std::vector<common::SwitchId> endangered = {tor0};
-  const auto segments = segment_candidates(counter, candidates, endangered);
+  Segmenter segmenter;
+  const auto segments = split(segmenter, counter, candidates, endangered);
   ASSERT_EQ(segments.size(), 1u);
   EXPECT_EQ(segments[0].links,
             std::vector<common::LinkId>{topo.switch_at(tor0).uplinks[0]});
   EXPECT_EQ(segments[0].tors, endangered);
+  EXPECT_TRUE(std::ranges::equal(
+      segmenter.safe(),
+      std::vector<common::LinkId>{topo.switch_at(other_pod_tor).uplinks[0]}));
 }
 
 TEST(Segmentation, SharedTorMergesSegments) {
@@ -86,7 +118,7 @@ TEST(Segmentation, PartitionIsExhaustiveAndDisjoint) {
   const auto segments = segment_candidates(counter, candidates, endangered);
   EXPECT_EQ(segments.size(), 3u);
   std::vector<common::LinkId> covered;
-  for (const Segment& segment : segments) {
+  for (const testing::OracleSegment& segment : segments) {
     for (common::LinkId link : segment.links) covered.push_back(link);
   }
   std::sort(covered.begin(), covered.end());
@@ -97,11 +129,15 @@ TEST(Segmentation, PartitionIsExhaustiveAndDisjoint) {
 }
 
 // The word-AND pass must give the per-bit oracle's segments exactly:
-// the same links and ToRs, in the same order. Seeded candidate and
-// endangered sets, unsorted, each with two uplinks of one switch above
-// an endangered ToR (two candidates on one lower endpoint) and sparse
+// the same links and ToRs, in the same order, and as safe() the
+// candidates no oracle segment holds. Seeded candidate and endangered
+// sets, unsorted, each with two uplinks of one switch above an
+// endangered ToR (two candidates on one lower endpoint) and sparse
 // enough that some candidates are upstream of no endangered ToR; the
-// first draw per topology has no endangered ToR at all.
+// first draw per topology has no endangered ToR at all. One segmenter
+// serves every draw on every topology, and the candidate density swings
+// from draw to draw, so its arrays grow and shrink under it: a split
+// that read state left by an earlier one would show here.
 TEST(Segmentation, WordAndMatchesPerBitOracle) {
   topology::XgftSpec spec;
   spec.children_per_node = {4, 3, 2};
@@ -125,13 +161,19 @@ TEST(Segmentation, WordAndMatchesPerBitOracle) {
   };
   std::size_t shared_lower_held = 0;
   std::size_t dropped_candidates = 0;
+  std::size_t grew = 0;
+  std::size_t shrank = 0;
+  std::size_t previous = 0;
+  Segmenter segmenter;
   for (Case& c : cases) {
     const topology::Topology& topo = c.topo;
     PathCounter paths(topo);
     common::Rng rng(0x5E6u + topo.link_count());
-    const double link_p = std::min(0.5, 40.0 / topo.link_count());
     const double tor_p = std::min(0.5, 6.0 / topo.tors().size());
     for (int draw = 0; draw < 12; ++draw) {
+      const double density[] = {40.0, 160.0, 8.0};
+      const double link_p =
+          std::min(0.5, density[draw % 3] / topo.link_count());
       std::vector<common::SwitchId> endangered;
       if (draw > 0) {
         for (common::SwitchId tor : topo.tors()) {
@@ -169,10 +211,22 @@ TEST(Segmentation, WordAndMatchesPerBitOracle) {
       shuffle(candidates, rng);
       shuffle(endangered, rng);
 
-      const std::vector<Segment> got =
-          segment_candidates(paths, candidates, endangered);
-      const std::vector<Segment> want =
+      const std::vector<testing::OracleSegment> got =
+          split(segmenter, paths, candidates, endangered);
+      const std::vector<testing::OracleSegment> want =
           testing::segment_candidates_per_bit(paths, candidates, endangered);
+      grew += candidates.size() > previous ? 1 : 0;
+      shrank += candidates.size() < previous ? 1 : 0;
+      previous = candidates.size();
+      std::vector<common::LinkId> safe = candidates;
+      std::sort(safe.begin(), safe.end());
+      for (const testing::OracleSegment& segment : want) {
+        for (common::LinkId link : segment.links) {
+          safe.erase(std::lower_bound(safe.begin(), safe.end(), link));
+        }
+      }
+      EXPECT_TRUE(std::ranges::equal(segmenter.safe(), safe))
+          << c.name << " draw " << draw;
       ASSERT_EQ(got.size(), want.size()) << c.name << " draw " << draw;
       std::size_t held = 0;
       for (std::size_t i = 0; i < got.size(); ++i) {
@@ -194,9 +248,12 @@ TEST(Segmentation, WordAndMatchesPerBitOracle) {
       dropped_candidates += candidates.size() - held;
     }
   }
-  // The draws reached both cases the chains and the safe split exist for.
+  // The draws reached both cases the chains and the safe split exist for,
+  // and the candidate sets both grew and shrank between splits.
   EXPECT_GE(shared_lower_held, 4u * 11u);
   EXPECT_GT(dropped_candidates, 0u);
+  EXPECT_GE(grew, 4u * 4u);
+  EXPECT_GE(shrank, 4u * 4u);
 }
 
 }  // namespace
