@@ -10,10 +10,10 @@
 // journal record (nothing masked) of both replays into digests and
 // reports their equality, which the CI bench smoke asserts.
 //
-//   bench_runtime_controller [--quick] [--threads=N] [--json-dir=DIR]
+//   bench_runtime_controller [--quick] [--json-dir=DIR]
 //
-// --threads sets the optimizer's solver_threads in both replays (the
-// stream replay itself is serial so latency numbers stay honest).
+// Both replays run on the calling thread; --threads is accepted and has
+// no effect.
 #include <cstdio>
 #include <iterator>
 #include <string>
@@ -56,7 +56,7 @@ struct LoopOutcome {
 };
 
 LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
-                   bool verify, std::size_t solver_threads) {
+                   bool verify) {
   topology::Topology topo = bench::build_dcn(bench::Dcn::kLarge);
   obs::MetricsRegistry metrics;
   obs::EventJournal journal;
@@ -65,7 +65,6 @@ LoopOutcome replay(const std::vector<service::TelemetryEvent>& stream,
   service::ControlLoopConfig config;
   config.controller.mode = core::CheckerMode::kCorrOpt;
   config.controller.capacity_fraction = 0.875;
-  config.controller.optimizer.solver_threads = solver_threads;
   config.controller.verify_incremental = verify;
   service::ControlLoop loop(topo, config, &sink);
 
@@ -113,10 +112,10 @@ int main(int argc, char** argv) {
     const std::vector<service::TelemetryEvent> stream =
         service::make_churn_stream(stream_topo, params);
 
-    const LoopOutcome loop = replay(stream, false, args.threads);
+    const LoopOutcome loop = replay(stream, false);
     // Throws std::logic_error if any optimizer run diverges from a
     // fresh optimizer's.
-    const LoopOutcome verified = replay(stream, true, args.threads);
+    const LoopOutcome verified = replay(stream, true);
 
     const double dps =
         loop.stats.busy_seconds > 0.0
@@ -176,7 +175,6 @@ int main(int argc, char** argv) {
 
   bench::write_study_metrics_json(args.json_path("runtime_controller"),
                                   "runtime_controller",
-                                  "bench_runtime_controller", args.threads,
-                                  rows);
+                                  "bench_runtime_controller", 0, rows);
   return 0;
 }

@@ -98,8 +98,7 @@ class CorruptionSet {
   std::uint64_t epoch_ = 0;
 
   // Memoized total_active_penalty result and the keys it was computed
-  // under. Written only from the (single-threaded) control loop; the
-  // parallel segment solvers never call total_active_penalty.
+  // under. Written only from the (single-threaded) control loop.
   struct PenaltyCache {
     bool valid = false;
     const topology::Topology* topo = nullptr;

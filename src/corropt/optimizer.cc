@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
 #include "obs/timer.h"
 
 namespace corropt::core {
@@ -17,7 +16,7 @@ namespace {
 constexpr std::uint32_t kNoSlot = std::numeric_limits<std::uint32_t>::max();
 }  // namespace
 
-// Scratch for one segment solve. The segment's feasibility sweep is
+// Scratch for the segment solves. A segment's feasibility sweep is
 // "compiled" once per solve: only switches whose path counts a candidate
 // can change (an enabled uplink is a candidate, or leads to such a
 // switch) are swept per subset; contributions of everything else are
@@ -156,8 +155,8 @@ const std::vector<std::uint64_t>& Optimizer::sync_baseline() {
 
 void Optimizer::compile_region(SegmentView segment,
                                const common::DynamicBitset& region,
-                               std::span<const std::uint64_t> baseline,
-                               OptimizerSegmentScratch& s) const {
+                               std::span<const std::uint64_t> baseline) {
+  OptimizerSegmentScratch& s = *scratch_;
   const FabricIndex& fabric = *paths_->index();
   if (s.slot_of.size() != topo_->switch_count()) {
     s.slot_of.assign(topo_->switch_count(), kNoSlot);
@@ -236,14 +235,14 @@ void Optimizer::compile_region(SegmentView segment,
 
 OptimizerSegmentOutcome Optimizer::solve_segment(
     SegmentView segment, const common::DynamicBitset& region,
-    std::span<const std::uint64_t> baseline, const CorruptionSet& corruption,
-    OptimizerSegmentScratch& s) const {
+    std::span<const std::uint64_t> baseline, const CorruptionSet& corruption) {
   assert(!segment.links.empty());
   const std::size_t n = segment.links.size();
   OptimizerSegmentOutcome out;
   out.selected.assign(n, 0);
 
-  compile_region(segment, region, baseline, s);
+  compile_region(segment, region, baseline);
+  OptimizerSegmentScratch& s = *scratch_;
 
   // Disabling links never adds paths, so a ToR already below its
   // requirement at baseline dooms every subset: return the empty
@@ -468,8 +467,7 @@ void Optimizer::set_sink(obs::Sink* sink) {
 OptimizerResult Optimizer::run(const CorruptionSet& corruption) {
   const obs::ScopedTimer timer(obs_run_timer_);
   OptimizerResult result = run_impl(corruption);
-  // Recorded post-merge on the calling thread: deterministic for any
-  // solver_threads (the timer above is wall clock and exempt).
+  // Deterministic counters (the timer above is wall clock and exempt).
   obs_runs_.add();
   obs_disabled_.add(result.disabled.size());
   obs_pruned_.add(result.pruned_safe_disables);
@@ -541,14 +539,18 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
   // cached entry.
   for (LinkId link : safe) topo_->set_enabled(link, false);
 
-  // Segment reuse: a cached outcome answers a segment outright when its
-  // candidates, ToRs and rates are identical; sync_baseline already
-  // erased every entry whose region flipped. The probe reads the
-  // segment's views, so a hit copies nothing. A miss gets its entry now,
-  // on the calling thread, with its region: the union of its ToRs'
-  // upward closures.
-  applied_.resize(segments);
-  to_solve_.clear();
+  // One pass over the segments. A cached outcome answers a segment
+  // outright when its candidates, ToRs and rates are identical;
+  // sync_baseline already erased every entry whose region flipped. The
+  // probe reads the segment's views, so a hit copies nothing. A miss
+  // fills its entry, with its region (the union of its ToRs' upward
+  // closures), and solves into it. Either way the outcome's disables
+  // apply at once: a candidate of one segment never lies in another
+  // segment's sweep region (segmentation would have merged them), and
+  // `baseline` is the run-start live counts, so no later solve reads
+  // them. The next sync finds this run's disables among the flipped
+  // links and erases every entry whose region they touch.
+  result.disabled.assign(safe.begin(), safe.end());
   for (std::size_t i = 0; i < segments; ++i) {
     const SegmentView segment = segment_at(i);
     const auto key = static_cast<std::uint32_t>(segment.links.front().index());
@@ -559,67 +561,39 @@ OptimizerResult Optimizer::run_impl(const CorruptionSet& corruption) {
     for (std::size_t k = 0; hit && k < segment.links.size(); ++k) {
       hit = it->second.rates[k] == corruption.rate(segment.links[k]);
     }
+    CachedSegment& entry = it != segment_cache_.end() ? it->second
+                                                      : segment_cache_[key];
     if (hit) {
-      applied_[i] = &it->second;
       ++result.segment_reuses;
-      continue;
+    } else {
+      entry.links.assign(segment.links.begin(), segment.links.end());
+      entry.tors.assign(segment.tors.begin(), segment.tors.end());
+      entry.rates.resize(segment.links.size());
+      for (std::size_t k = 0; k < segment.links.size(); ++k) {
+        entry.rates[k] = corruption.rate(segment.links[k]);
+      }
+      entry.region.assign(topo_->switch_count());
+      for (SwitchId tor : segment.tors) {
+        entry.region |= paths_->tor_closure(tor);
+      }
+      entry.outcome =
+          solve_segment(segment, entry.region, baseline, corruption);
+      ++inc_stats_.segment_solves;
     }
-    CachedSegment& entry =
-        it != segment_cache_.end() ? it->second : segment_cache_[key];
-    entry.links.assign(segment.links.begin(), segment.links.end());
-    entry.tors.assign(segment.tors.begin(), segment.tors.end());
-    entry.rates.resize(segment.links.size());
-    for (std::size_t k = 0; k < segment.links.size(); ++k) {
-      entry.rates[k] = corruption.rate(segment.links[k]);
-    }
-    entry.region.assign(topo_->switch_count());
-    for (SwitchId tor : segment.tors) entry.region |= paths_->tor_closure(tor);
-    applied_[i] = &entry;
-    to_solve_.push_back(i);
-  }
-  inc_stats_.segment_reuses += result.segment_reuses;
-  inc_stats_.segment_solves += to_solve_.size();
-
-  // Solve segments against the shared pre-segment state, each into its
-  // own entry; candidates of one segment never enter another segment's
-  // sweep region (segmentation would have merged them), so deferring the
-  // set_enabled calls keeps this bit-identical to the serial schedule
-  // for any thread count. The next sync finds this run's disables among
-  // the flipped links and erases every entry whose region they touch,
-  // including ones just stored that selected a link.
-  const auto solve = [&](std::size_t j, OptimizerSegmentScratch& scratch) {
-    CachedSegment& entry = *applied_[to_solve_[j]];
-    entry.outcome = solve_segment(segment_at(to_solve_[j]), entry.region,
-                                  baseline, corruption, scratch);
-  };
-  const std::size_t workers = std::min(
-      std::max<std::size_t>(config_.solver_threads, 1), to_solve_.size());
-  if (workers > 1) {
-    common::ThreadPool pool(workers);
-    common::parallel_for_each(pool, to_solve_.size(), [&](std::size_t j) {
-      OptimizerSegmentScratch scratch;
-      solve(j, scratch);
-    });
-  } else {
-    for (std::size_t j = 0; j < to_solve_.size(); ++j) solve(j, *scratch_);
-  }
-
-  result.disabled.assign(safe.begin(), safe.end());
-  for (std::size_t i = 0; i < segments; ++i) {
-    const std::span<const LinkId> links = segment_at(i).links;
-    const OptimizerSegmentOutcome& outcome = applied_[i]->outcome;
+    const OptimizerSegmentOutcome& outcome = entry.outcome;
     result.exact = result.exact && outcome.exact;
     result.subsets_evaluated += outcome.subsets_evaluated;
     result.cache_skips += outcome.cache_skips;
     result.accept_skips += outcome.accept_skips;
     result.bound_skips += outcome.bound_skips;
-    for (std::size_t k = 0; k < links.size(); ++k) {
+    for (std::size_t k = 0; k < segment.links.size(); ++k) {
       if (outcome.selected[k] != 0) {
-        topo_->set_enabled(links[k], false);
-        result.disabled.push_back(links[k]);
+        topo_->set_enabled(segment.links[k], false);
+        result.disabled.push_back(segment.links[k]);
       }
     }
   }
+  inc_stats_.segment_reuses += result.segment_reuses;
 
   for (LinkId link : result.disabled) {
     result.disabled_penalty += penalty_(corruption.rate(link));

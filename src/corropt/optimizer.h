@@ -35,15 +35,14 @@
 //      whose path counts the segment's candidates can actually change —
 //      everything else is folded into per-switch baseline constants.
 //      A segment's sweep region is the union of its ToRs' closures,
-//      formed before any fan-out and walked word by word in sweep
-//      order; its baselines are the run's live counts, which the safe
-//      disables cannot touch (they lie outside every region).
+//      walked word by word in sweep order; its baselines are the run's
+//      live counts, which the safe disables cannot touch (they lie
+//      outside every region).
 //
-// Independent segments can be solved concurrently (`solver_threads`):
-// a candidate of one segment is never inside another segment's sweep
-// region (it would have been merged by segmentation), so solving against
-// the shared pre-segment topology state and applying the chosen disables
-// serially afterward is bit-identical to the serial schedule.
+// A run solves its segments one after another on the calling thread and
+// applies each segment's disables as soon as it is answered: a candidate
+// of one segment is never inside another segment's sweep region (it
+// would have been merged by segmentation), so no later solve reads them.
 //
 // Across runs the optimizer keeps per-segment solve outcomes (DESIGN.md
 // §12), and there is no mode without them. A segment's views probe the
@@ -95,8 +94,8 @@ struct OptimizerConfig {
   // candidates are not pre-filtered before enumeration.
   bool prefilter_singletons = true;
 
-  // Worker threads for solving independent segments concurrently; 1 (or
-  // 0) solves serially. Results are bit-identical for any value.
+  // No effect: a run solves every segment on the calling thread.
+  // Kept because perfbench's control_storm workload sets it.
   std::size_t solver_threads = 1;
 };
 
@@ -148,8 +147,7 @@ struct OptimizerIncrementalStats {
   std::size_t cold_fallbacks = 0;
 };
 
-// Per-solve scratch and the compiled sweep region; defined in the .cc.
-// Each concurrent segment solver owns one, so no state is shared.
+// Solve scratch and the compiled sweep region; defined in the .cc.
 struct OptimizerSegmentScratch;
 
 // What one segment solve decided and how hard it searched.
@@ -181,9 +179,7 @@ class Optimizer {
 
   // Attaches observability: every run() reports its OptimizerResult
   // counters to the registry and its wall time to the
-  // "optimizer.run_s" timer (DESIGN.md §8). Counters are recorded on
-  // the calling thread after the parallel segment merge, so they stay
-  // bit-identical for any `solver_threads`. Pass nullptr to detach.
+  // "optimizer.run_s" timer (DESIGN.md §8). Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
   [[nodiscard]] const OptimizerIncrementalStats& incremental_stats() const {
@@ -194,36 +190,32 @@ class Optimizer {
   OptimizerResult run_impl(const CorruptionSet& corruption);
 
   // Exact branch-and-bound (or greedy, over-budget) search within one
-  // segment. Pure with respect to `topo_`: reads link state, never
-  // writes, so segments may be solved concurrently. The outcome,
-  // search counters included, is a function of the segment, its
-  // candidates' rates, the enabled state of its sweep region, the
-  // constraint and the config alone.
+  // segment. Reads link state, never writes it. The outcome, search
+  // counters included, is a function of the segment, its candidates'
+  // rates, the enabled state of its sweep region, the constraint and
+  // the config alone.
   // `region` is the segment's sweep region and `baseline` the run's
   // live counts.
   OptimizerSegmentOutcome solve_segment(SegmentView segment,
                                         const common::DynamicBitset& region,
                                         std::span<const std::uint64_t> baseline,
-                                        const CorruptionSet& corruption,
-                                        OptimizerSegmentScratch& scratch) const;
+                                        const CorruptionSet& corruption);
 
-  // Compiles the affected switches of one segment's region into scratch.
+  // Compiles the affected switches of one segment's region into scratch_.
   void compile_region(SegmentView segment,
                       const common::DynamicBitset& region,
-                      std::span<const std::uint64_t> baseline,
-                      OptimizerSegmentScratch& scratch) const;
+                      std::span<const std::uint64_t> baseline);
 
   topology::Topology* topo_;
   const CapacityConstraint* constraint_;
   PenaltyFunction penalty_;
   OptimizerConfig config_;
   PathCounter* paths_;
-  // Scratch reused across runs (serial phases only), so a run whose
-  // segments all come from the cache allocates nothing: the run's
-  // candidates, their bits for the pruning pass (all clear between
-  // runs), the ToRs it endangers, the segments, the ablation's one
-  // contested segment, the sweep positions sync_baseline saw flip, and
-  // the serial solver's scratch.
+  // Scratch reused across runs, so a run whose segments all come from
+  // the cache allocates nothing: the run's candidates, their bits for
+  // the pruning pass (all clear between runs), the ToRs it endangers,
+  // the segments, the ablation's one contested segment, the sweep
+  // positions sync_baseline saw flip, and the solver's scratch.
   std::vector<LinkId> candidates_;
   common::DynamicBitset scratch_mask_;
   std::vector<SwitchId> endangered_;
@@ -245,11 +237,11 @@ class Optimizer {
   // A solved segment kept across runs, reused verbatim while its
   // candidates, ToRs and rates are identical: a run probes the cache
   // with the segment's views before it copies anything, and applies a
-  // hit's outcome where it lies. `region` is the segment's
-  // sweep region, the union of its ToRs' closures (switch bits indexed
-  // by sweep position): a solve reads the enabled state of exactly the
-  // uplinks whose lower endpoint is in it, so the entry is erased once
-  // such a link flips.
+  // hit's outcome where it lies; a miss solves into its entry.
+  // `region` is the segment's sweep region, the union of its ToRs'
+  // closures (switch bits indexed by sweep position): a solve reads the
+  // enabled state of exactly the uplinks whose lower endpoint is in it,
+  // so the entry is erased once such a link flips.
   struct CachedSegment {
     std::vector<LinkId> links;    // Segment candidates, id-sorted.
     std::vector<SwitchId> tors;   // Endangered ToRs of the segment.
@@ -262,12 +254,6 @@ class Optimizer {
 
   // Keyed by the segment's lowest candidate link id.
   std::unordered_map<std::uint32_t, CachedSegment> segment_cache_;
-  // Per segment of the run, the cache entry whose outcome it applies:
-  // a hit's, or the entry a fresh solve fills. Entries are nodes of
-  // segment_cache_, so inserting more keeps them in place.
-  std::vector<CachedSegment*> applied_;
-  // The segments to solve, as indices into applied_.
-  std::vector<std::size_t> to_solve_;
   // The constraint version the cache, baseline_violated_ and required_
   // were taken under; a per-ToR override changes what every solve
   // requires.

@@ -224,9 +224,8 @@ class PathCounter {
   // The switches reachable upward from `tor` over installed links,
   // disabled ones included, `tor` itself included: a switch_count-bit
   // mask indexed by sweep position. A link lies on some upward path from
-  // the ToR iff the mask holds sweep_pos[lower]. Built on the calling
-  // thread at the first request and kept for good, since it depends
-  // only on the wiring.
+  // the ToR iff the mask holds sweep_pos[lower]. Built at the first
+  // request and kept for good, since it depends only on the wiring.
   const common::DynamicBitset& tor_closure(SwitchId tor);
 
   [[nodiscard]] const std::vector<std::uint64_t>& design_paths() const {

@@ -252,6 +252,20 @@ void VotingBackend::walk(Self& self, Codec& c) {
 void VotingBackend::snapshot_to(common::snap::Writer& w) const {
   walk(*this, w);
 }
-void VotingBackend::restore_from(common::snap::Reader& r) { walk(*this, r); }
+void VotingBackend::restore_from(common::snap::Reader& r) {
+  walk(*this, r);
+  // decode's greedy loop ends because each pick explains at least one
+  // bad path: a link's votes must be exactly the bad paths through it.
+  std::vector<std::uint64_t> through(votes_.size(), 0);
+  for (const std::vector<common::LinkId>& path : bad_paths_) {
+    for (common::LinkId link : path) {
+      r.check(link.index() < through.size(),
+              "voting backend bad path link id out of range");
+      ++through[link.index()];
+    }
+  }
+  r.check(through == votes_,
+          "voting backend votes disagree with its bad paths");
+}
 
 }  // namespace corropt::detect

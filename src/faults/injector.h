@@ -38,8 +38,11 @@ class FaultInjector {
   // otherwise the fault persists and false is returned.
   bool try_repair(FaultId id, RepairAction action);
 
-  // Progresses time-dependent effects (decaying transmitters) to `now`.
+  // Progresses time-dependent effects (decaying transmitters) to `now`,
+  // which may not lie before the previous advance.
   void advance(common::SimTime now);
+  // The decay clock: the time of the last advance.
+  [[nodiscard]] common::SimTime now() const { return now_; }
 
   [[nodiscard]] const Fault* fault(FaultId id) const;
   // Ids of active faults affecting `link`, in injection order, read from

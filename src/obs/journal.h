@@ -12,8 +12,8 @@
 // Determinism: the journal is filled from the (single-threaded) event
 // loop of the controller/simulation, and the paper exhibits it supports
 // carry no wall-clock — so the JSONL stream write_event_jsonl() makes of
-// snapshot() is identical for any `solver_threads` / thread-pool size,
-// the same contract DESIGN.md §7 states for ScenarioRunner metrics
+// snapshot() is identical for any scenario-runner pool size, the same
+// contract DESIGN.md §7 states for ScenarioRunner metrics
 // (asserted by tests/obs_test.cc).
 //
 // Storage is a bounded ring: once `capacity` records are held the oldest

@@ -217,9 +217,13 @@ void MitigationSimulation::walk(Self& self, Codec& c) {
   c.object(self.sampler_);
   SimulationMetrics::walk(self.metrics_, c);
   walk_obs(c, self.config_.sink);
-  // The handlers trust what a pending event names: they index per-link
-  // arrays by its link and look its ticket up unchecked.
   if constexpr (Codec::kReading) {
+    // FaultInjector::advance only runs the decay clock forward, to the
+    // simulation's time.
+    c.check(self.injector_.now() >= 0 && self.injector_.now() <= now,
+            "fault injector clock outside [0, checkpoint time]");
+    // The handlers trust what a pending event names: they index per-link
+    // arrays by its link and look its ticket up unchecked.
     const std::size_t links = self.topo_->link_count();
     self.queue_.for_each_pending([&](const Event& event) {
       c.check(event.due >= now, "pending event due before the checkpoint");

@@ -951,25 +951,28 @@ TEST(CheckpointIntegrity, SketchDirtySwitchOutOfRangeThrows) {
                   "sketch backend dirty switch id out of range");
 }
 
-// Seeded edits of the sink-attached checkpoint, each resealed so the
-// decoder sees them: bit flips, varints inflated to huge values, and
-// cuts at section boundaries. Every one must either restore and then
-// run to its horizon, or throw std::runtime_error (while restoring or
-// while running); under ASan+UBSan none may touch memory it does not
-// own, overflow, or allocate without bound.
-TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
+// Seeded edits of the sink-attached checkpoint of the dense scenario on
+// one detection backend, each resealed so the decoder sees them: bit
+// flips, varints inflated to huge values, and cuts at section
+// boundaries (`backend_section` names the backend's own section). Every
+// one must either restore and then run to its horizon, or throw
+// std::runtime_error (while restoring or while running); under
+// ASan+UBSan none may touch memory it does not own, overflow, or
+// allocate without bound.
+void expect_resealed_edits_throw_or_restore(detect::BackendKind kind,
+                                            const char* backend_section) {
   const topology::Topology trace_topo = small_topology();
   const auto events = small_trace(trace_topo);
   SinkSet base_sinks;
   const Checkpoint base =
-      midday_checkpoint(small_config(&base_sinks.sink), events);
+      midday_checkpoint(backend_config(kind, &base_sinks.sink), events);
   const std::string body(common::snap::unseal(base.bytes));
 
   std::vector<std::size_t> boundaries{body.size()};
   for (const char* name :
        {"SIM0", "EVTQ", "RNG0", "TOPO", "NETS", "FLTS", "CTRL", "CORR", "FCHK",
-        "DPIP", "THRB", "MNTM", "RPIP", "TCKT", "PNLT", "CSMP", "MTRX",
-        "OBSS"}) {
+        "DPIP", backend_section, "MNTM", "RPIP", "TCKT", "PNLT", "CSMP",
+        "MTRX", "OBSS"}) {
     common::snap::Writer tag;
     tag.u64(common::snap::tag(name[0], name[1], name[2], name[3]));
     const std::size_t at = body.find(tag.take());
@@ -1019,7 +1022,7 @@ TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
 
     topology::Topology topo = small_topology();
     SinkSet sinks;
-    MitigationSimulation sim(topo, small_config(&sinks.sink));
+    MitigationSimulation sim(topo, backend_config(kind, &sinks.sink));
     try {
       sim.restore_run(events, ckpt);
       ++restored;
@@ -1031,12 +1034,27 @@ TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
       ++rejected;
     }
   }
-  RecordProperty("restored", static_cast<int>(restored));
-  RecordProperty("finished", static_cast<int>(finished));
-  RecordProperty("rejected", static_cast<int>(rejected));
+  ::testing::Test::RecordProperty("restored", static_cast<int>(restored));
+  ::testing::Test::RecordProperty("finished", static_cast<int>(finished));
+  ::testing::Test::RecordProperty("rejected", static_cast<int>(rejected));
   EXPECT_EQ(finished + rejected, 2000u);
   EXPECT_GT(rejected, 0u);
   EXPECT_GT(finished, 0u);
+}
+
+TEST(CheckpointMutation, ResealedEditsThrowOrRestore) {
+  expect_resealed_edits_throw_or_restore(detect::BackendKind::kThreshold,
+                                         "THRB");
+}
+
+TEST(CheckpointMutation, ResealedEditsThrowOrRestoreOnVoting) {
+  expect_resealed_edits_throw_or_restore(detect::BackendKind::kVoting,
+                                         "VOTB");
+}
+
+TEST(CheckpointMutation, ResealedEditsThrowOrRestoreOnSketch) {
+  expect_resealed_edits_throw_or_restore(detect::BackendKind::kSketch,
+                                         "SKTB");
 }
 
 // Rewrites the first pending kRepair event of a sealed checkpoint
@@ -1210,7 +1228,8 @@ void edit_faults(std::string& bytes,
 // penalty accountant indexes per-link arrays by its links, and clearing
 // or advancing it rebuilds its effects' directions, both unchecked. Its
 // id must also lie below the restored id counter, or the next injected
-// fault would collide with it.
+// fault would collide with it. The injector's decay clock may not lie
+// past the checkpoint: advance() only runs it forward.
 TEST(CheckpointMutation, FaultIdsPastTheirCountsThrow) {
   topology::Topology topo = small_topology();
   const auto events = small_trace(topo);
@@ -1233,6 +1252,10 @@ TEST(CheckpointMutation, FaultIdsPastTheirCountsThrow) {
              s.next_id = s.faults.back().id.value();
            },
            "active fault id at or past the next fault id"},
+          {[&base](FaultSection& s) { s.now = base.time + 1; },
+           "fault injector clock outside [0, checkpoint time]"},
+          {[](FaultSection& s) { s.now = -1; },
+           "fault injector clock outside [0, checkpoint time]"},
       };
   for (const auto& test_case : cases) {
     Checkpoint ckpt = base;
@@ -1477,6 +1500,94 @@ TEST(CheckpointMutation, ThresholdWindowPollsOutOfRangeThrows) {
   // The unedited splice still restores: the decoding above is faithful.
   Checkpoint same = base;
   edit_backend_payload(same.bytes, thrb, 2, set_first_polls(std::nullopt));
+  EXPECT_EQ(same.bytes, base.bytes);
+}
+
+// VotingBackend::decode takes the top-voted link and drops the bad paths
+// through it until no link has kMinVotes votes left, so it ends only if
+// a link's votes are exactly the bad paths through it; a restored vote
+// with no bad path behind it would loop there forever. Each bad path's
+// links must also lie in the fabric.
+TEST(CheckpointMutation, VotingVotesOutsideBadPathsThrow) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const ScenarioConfig config =
+      backend_config(detect::BackendKind::kVoting, nullptr);
+  const Checkpoint base = midday_checkpoint(config, events);
+  const std::uint32_t votb = common::snap::tag('V', 'O', 'T', 'B');
+  using Paths = std::vector<std::vector<common::LinkId>>;
+  // Re-encodes the payload after `edit` has seen the link count and
+  // changed the per-link votes or the bad paths.
+  const auto rewrite = [votb](auto edit) {
+    return [votb, edit](std::string& payload) {
+      common::snap::Reader r(payload);
+      common::snap::Writer w;
+      r.section(votb, 1, "voting backend");
+      w.section(votb, 1, "voting backend");
+      w.u64(r.u64());
+      const std::uint64_t links = r.u64();
+      w.u64(links);
+      std::vector<std::uint64_t> votes(links);
+      for (std::uint64_t& v : votes) v = r.u64();
+      std::vector<std::uint64_t> flows(links);
+      for (std::uint64_t& f : flows) f = r.u64();
+      Paths paths;
+      r.seq(paths, [&r](std::vector<common::LinkId>& path) { r.ids(path); });
+      edit(links, votes, paths);
+      for (const std::uint64_t v : votes) w.u64(v);
+      for (const std::uint64_t f : flows) w.u64(f);
+      w.seq(paths,
+            [&w](const std::vector<common::LinkId>& path) { w.ids(path); });
+      payload = w.take() + payload.substr(payload.size() - r.remaining());
+    };
+  };
+  const auto edited = [&](const auto& edit) {
+    Checkpoint ckpt = base;
+    edit_backend_payload(ckpt.bytes, votb, 1, rewrite(edit));
+    return ckpt;
+  };
+  {
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, config);
+    expect_rejected(
+        mirror, events,
+        edited([](std::uint64_t, std::vector<std::uint64_t>& votes, Paths&) {
+          ++votes[0];
+        }),
+        "voting backend votes disagree with its bad paths");
+  }
+  {
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, config);
+    expect_rejected(mirror, events,
+                    edited([](std::uint64_t links, std::vector<std::uint64_t>&,
+                              Paths& paths) {
+                      paths.push_back({common::LinkId(
+                          static_cast<std::uint32_t>(links))});
+                    }),
+                    "voting backend bad path link id out of range");
+  }
+  {
+    // A bad path with its vote is a state the backend can reach: it
+    // restores and runs to its horizon.
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, config);
+    mirror.restore_run(
+        events,
+        edited([](std::uint64_t, std::vector<std::uint64_t>& votes,
+                  Paths& paths) {
+          paths.push_back({common::LinkId(0)});
+          ++votes[0];
+        }));
+    while (mirror.step()) {
+    }
+    mirror.finish_run();
+  }
+  // The unedited splice is the checkpoint: the decoding above is faithful.
+  Checkpoint same = base;
+  edit_backend_payload(same.bytes, votb, 1,
+                       rewrite([](std::uint64_t, std::vector<std::uint64_t>&,
+                                  Paths&) {}));
   EXPECT_EQ(same.bytes, base.bytes);
 }
 

@@ -1,7 +1,7 @@
 // The observability contract (DESIGN.md §8): attaching a sink changes no
 // simulation outcome, and everything the sink collects — journal bytes
 // and metric values — is a pure function of the scenario, independent of
-// solver_threads and of the scenario-runner pool size. Wall-clock timers
+// the scenario-runner pool size. Wall-clock timers
 // are the one sanctioned exception and live in their own snapshot
 // section. The journal is also complete enough to reconstruct Figure
 // 14's penalty step function without touching SimulationMetrics.
@@ -482,7 +482,7 @@ namespace {
 // Small fat-tree with a dense fault process (the scenario_runner_test
 // shape) so a 5-day CorrOpt run exercises tickets, repairs, and the
 // optimizer.
-ScenarioJob make_obs_job(std::size_t solver_threads, bool collect_obs) {
+ScenarioJob make_obs_job(bool collect_obs) {
   ScenarioJob job;
   job.name = "obs/corropt";
   job.topology = [] { return topology::build_fat_tree(8); };
@@ -493,7 +493,6 @@ ScenarioJob make_obs_job(std::size_t solver_threads, bool collect_obs) {
   job.config.capacity_fraction = 0.75;
   job.config.duration = 5 * common::kDay;
   job.config.seed = derive_seed(43, 0);
-  job.config.optimizer.solver_threads = solver_threads;
   job.collect_obs = collect_obs;
   return job;
 }
@@ -516,8 +515,8 @@ TEST(ObsIntegrationTest, AttachedSinkIsWriteOnly) {
   // Acceptance criterion: attaching observability changes nothing the
   // simulation computes — penalty and capacity outputs are bit-identical
   // to a detached run.
-  const ScenarioResult detached = run_job(make_obs_job(1, false));
-  const ScenarioResult attached = run_job(make_obs_job(1, true));
+  const ScenarioResult detached = run_job(make_obs_job(false));
+  const ScenarioResult attached = run_job(make_obs_job(true));
   EXPECT_FALSE(detached.obs);
   ASSERT_TRUE(attached.obs);
 
@@ -544,30 +543,12 @@ TEST(ObsIntegrationTest, AttachedSinkIsWriteOnly) {
             b.controller.disabled_on_activation);
 }
 
-TEST(ObsIntegrationTest, JournalAndMetricsInvariantUnderSolverThreads) {
-  // Acceptance criterion: the journal byte stream and every deterministic
-  // metric are identical for solver_threads 1 and 4. Only the timers
-  // section (wall clock) may differ.
-  const ScenarioResult one = run_job(make_obs_job(1, true));
-  const ScenarioResult four = run_job(make_obs_job(4, true));
-  ASSERT_TRUE(one.obs);
-  ASSERT_TRUE(four.obs);
-  EXPECT_FALSE(one.obs->journal.empty());
-  EXPECT_EQ(one.obs->journal_dropped, 0u);
-  EXPECT_EQ(deterministic_bytes(one).journal,
-            deterministic_bytes(four).journal);
-  EXPECT_EQ(deterministic_bytes(one).metrics,
-            deterministic_bytes(four).metrics);
-  // And neither solver parallelism nor the sink changes the simulation.
-  EXPECT_EQ(one.metrics.integrated_penalty, four.metrics.integrated_penalty);
-}
-
 TEST(ObsIntegrationTest, RunnerPoolSizeDoesNotAffectCollectedObs) {
   // Per-job registries + submission-order aggregation make the runner's
   // obs output a pure function of the job list.
   std::vector<ScenarioJob> jobs;
-  jobs.push_back(make_obs_job(1, true));
-  jobs.push_back(make_obs_job(2, true));
+  jobs.push_back(make_obs_job(true));
+  jobs.push_back(make_obs_job(true));
   jobs[1].name = "obs/corropt2";
   jobs[1].trace_seed = derive_seed(42, 1);
   jobs[1].config.seed = derive_seed(43, 1);
@@ -585,8 +566,10 @@ TEST(ObsIntegrationTest, RunnerPoolSizeDoesNotAffectCollectedObs) {
 }
 
 TEST(ObsIntegrationTest, CountersAgreeWithSimulationMetrics) {
-  const ScenarioResult result = run_job(make_obs_job(1, true));
+  const ScenarioResult result = run_job(make_obs_job(true));
   ASSERT_TRUE(result.obs);
+  EXPECT_FALSE(result.obs->journal.empty());
+  EXPECT_EQ(result.obs->journal_dropped, 0u);
   const obs::MetricsSnapshot& snap = result.obs->metrics;
   const sim::SimulationMetrics& metrics = result.metrics;
   EXPECT_EQ(counter_value(snap, "sim.faults_injected"),
@@ -611,7 +594,7 @@ TEST(ObsIntegrationTest, JournalReconstructsFigure14PenaltySeries) {
   // exactly, and integrating that step function reproduces
   // integrated_penalty (up to floating-point association — the internal
   // integral splits spans at capacity samples and hourly bins).
-  const ScenarioResult result = run_job(make_obs_job(1, true));
+  const ScenarioResult result = run_job(make_obs_job(true));
   ASSERT_TRUE(result.obs);
 
   std::vector<sim::TimePoint> reconstructed;
@@ -647,7 +630,7 @@ TEST(ObsIntegrationTest, CallerSinkWinsOverCollectObs) {
   obs::MetricsRegistry registry;
   obs::EventJournal journal;
   obs::Sink sink{&registry, &journal, nullptr, 0};
-  ScenarioJob job = make_obs_job(1, true);
+  ScenarioJob job = make_obs_job(true);
   job.config.sink = &sink;
   const ScenarioResult result = run_job(job);
   EXPECT_FALSE(result.obs);

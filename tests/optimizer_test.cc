@@ -130,8 +130,10 @@ class OptimizerExactnessTest
 // its disabled penalty equals the brute-force optimum and the final
 // network state is feasible. The variant's bits 0-3 pick use_pruning,
 // use_segmentation, use_reject_cache and prefilter_singletons; bit 4
-// solves independent segments on two threads and bit 5 swaps the linear
-// penalty for the TCP-throughput one.
+// grades a warm optimizer (the instance is solved once and that run's
+// disables are re-enabled, so the second run finds the mask its cached
+// segments were solved under and answers every segment from the cache)
+// and bit 5 swaps the linear penalty for the TCP-throughput one.
 TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
   const int seed = std::get<0>(GetParam());
   const int variant = std::get<1>(GetParam());
@@ -167,10 +169,21 @@ TEST_P(OptimizerExactnessTest, MatchesBruteForce) {
   config.use_segmentation = (variant & 2) != 0;
   config.use_reject_cache = (variant & 4) != 0;
   config.prefilter_singletons = (variant & 8) != 0;
-  config.solver_threads = (variant & 16) != 0 ? 2 : 1;
   PathCounter paths(topo);
   Optimizer optimizer(topo, paths, constraint, penalty, config);
+  OptimizerResult first;
+  if ((variant & 16) != 0) {
+    first = optimizer.run(corruption);
+    for (common::LinkId link : first.disabled) topo.set_enabled(link, true);
+  }
   const OptimizerResult result = optimizer.run(corruption);
+  if ((variant & 16) != 0) {
+    // The same inputs again: the cache is invisible but for the reuses.
+    EXPECT_TRUE(same_outcome(first, result))
+        << "seed " << seed << " variant " << variant;
+    EXPECT_EQ(result.segment_reuses, result.segments)
+        << "seed " << seed << " variant " << variant;
+  }
 
   EXPECT_TRUE(result.exact);
   EXPECT_NEAR(result.disabled_penalty, expected, 1e-12)
@@ -282,54 +295,6 @@ TEST(Optimizer, SegmentationSplitsIndependentPods) {
   // In each pod only the worse link can be disabled (75% of 4 = 3 paths).
   EXPECT_EQ(result.disabled.size(), 2u);
   EXPECT_NEAR(result.remaining_penalty, 2e-4, 1e-12);
-}
-
-// One optimizer run on a multi-segment medium-DCN instance, capturing
-// the full result and the final enabled mask.
-OptimizerResult run_medium_instance(std::size_t solver_threads,
-                                    common::DynamicBitset& mask_out) {
-  topology::Topology topo = topology::build_medium_dcn();
-  common::Rng rng(909);
-  CorruptionSet corruption;
-  for (std::size_t index :
-       rng.sample_without_replacement(topo.link_count(), 120)) {
-    corruption.mark(
-        common::LinkId(static_cast<common::LinkId::underlying_type>(index)),
-        rng.log_uniform(1e-7, 1e-2));
-  }
-  CapacityConstraint constraint(0.875);
-  OptimizerConfig config;
-  config.solver_threads = solver_threads;
-  PathCounter paths(topo);
-  Optimizer optimizer(topo, paths, constraint, PenaltyFunction::linear(),
-                      config);
-  const OptimizerResult result = optimizer.run(corruption);
-  mask_out = topo.enabled_mask();
-  return result;
-}
-
-TEST(Optimizer, ThreadCountDoesNotChangeResults) {
-  // Contract: solver_threads is a pure speed knob. Every result field —
-  // disable list order, penalties, and all search diagnostics — and the
-  // final link state must be bit-identical for any thread count.
-  common::DynamicBitset serial_mask;
-  const OptimizerResult serial = run_medium_instance(1, serial_mask);
-  EXPECT_GE(serial.segments, 2u);  // Otherwise the test exercises nothing.
-  for (const std::size_t threads : {2u, 8u}) {
-    common::DynamicBitset mask;
-    const OptimizerResult parallel = run_medium_instance(threads, mask);
-    EXPECT_EQ(parallel.disabled, serial.disabled) << threads << " threads";
-    EXPECT_EQ(parallel.disabled_penalty, serial.disabled_penalty);
-    EXPECT_EQ(parallel.remaining_penalty, serial.remaining_penalty);
-    EXPECT_EQ(parallel.exact, serial.exact);
-    EXPECT_EQ(parallel.pruned_safe_disables, serial.pruned_safe_disables);
-    EXPECT_EQ(parallel.segments, serial.segments);
-    EXPECT_EQ(parallel.subsets_evaluated, serial.subsets_evaluated);
-    EXPECT_EQ(parallel.cache_skips, serial.cache_skips);
-    EXPECT_EQ(parallel.accept_skips, serial.accept_skips);
-    EXPECT_EQ(parallel.bound_skips, serial.bound_skips);
-    EXPECT_EQ(mask, serial_mask) << threads << " threads";
-  }
 }
 
 // A cached segment outcome is keyed on its region's links, candidates

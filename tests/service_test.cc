@@ -47,11 +47,10 @@ service::ChurnParams demanding_churn(std::uint64_t seed) {
   return params;
 }
 
-service::ControlLoopConfig loop_config(std::size_t solver_threads) {
+service::ControlLoopConfig loop_config() {
   service::ControlLoopConfig config;
   config.controller.mode = core::CheckerMode::kCorrOpt;
   config.controller.capacity_fraction = 0.875;
-  config.controller.optimizer.solver_threads = solver_threads;
   return config;
 }
 
@@ -127,18 +126,15 @@ TEST(ChurnStreamTest, WellFormed) {
 // The cache contract: after every event, the controller's optimizer run
 // equals that of a genuinely cold oracle — a fresh Optimizer handed the
 // same corruption set on a copy of the topology — in every result field
-// but segment_reuses, search counters included, for serial and parallel
-// segment solving. The run is read back from the journal (with
-// kOptimizerRun.detail1, subsets_evaluated, unmasked) and the registry.
-class EquivalenceTest : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(EquivalenceTest, IncrementalMatchesColdAfterEveryEvent) {
-  const std::size_t solver_threads = GetParam();
+// but segment_reuses, search counters included. The run is read back
+// from the journal (with kOptimizerRun.detail1, subsets_evaluated,
+// unmasked) and the registry.
+TEST(EquivalenceTest, IncrementalMatchesColdAfterEveryEvent) {
   topology::Topology topo = make_test_clos();
   const auto events = service::make_churn_stream(topo, demanding_churn(2026));
   ASSERT_GT(events.size(), 50u);
 
-  const service::ControlLoopConfig config = loop_config(solver_threads);
+  const service::ControlLoopConfig config = loop_config();
   obs::MetricsRegistry metrics;
   obs::EventJournal journal;
   obs::Sink sink{&metrics, &journal, nullptr, 0};
@@ -216,13 +212,10 @@ TEST_P(EquivalenceTest, IncrementalMatchesColdAfterEveryEvent) {
   EXPECT_GT(stats.baseline_delta_recounts, 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(SolverThreads, EquivalenceTest,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
-
 TEST(ServiceTest, VerifyIncrementalModeAcceptsChurn) {
   topology::Topology topo = make_test_clos();
   const auto events = service::make_churn_stream(topo, demanding_churn(5));
-  service::ControlLoopConfig config = loop_config(1);
+  service::ControlLoopConfig config = loop_config();
   config.controller.verify_incremental = true;
   service::ControlLoop loop(topo, config);
   // Throws std::logic_error on any cached-vs-cold divergence, search
@@ -246,9 +239,9 @@ TEST(ServiceTest, ExternalChangesNeedNoNote) {
       service::make_churn_stream(base, demanding_churn(2026));
   topology::Topology reference_topo = base;
   topology::Topology warm_topo = base;
-  service::ControlLoopConfig checked = loop_config(1);
+  service::ControlLoopConfig checked = loop_config();
   checked.controller.verify_incremental = true;
-  service::ControlLoop reference(reference_topo, loop_config(1));
+  service::ControlLoop reference(reference_topo, loop_config());
   service::ControlLoop warm(warm_topo, checked);
   // A loop with another history, which later takes over from a
   // checkpoint of the warm loop.
@@ -338,7 +331,7 @@ TEST(ServiceTest, UnchangedSegmentIsReused) {
   // taken down and brought back between runs leaves the mask, and so
   // the cached solution, as it was.
   topology::Topology topo = make_test_clos();
-  service::ControlLoopConfig config = loop_config(1);
+  service::ControlLoopConfig config = loop_config();
   service::ControlLoop loop(topo, config);
 
   const common::SwitchId tor0 = topo.tors().front();

@@ -29,17 +29,22 @@ otherwise. File-local helpers are not checked.
 
     python3 tools/check_unreached.py --fields
 
-A text scan that builds nothing: it lists every field of a src/ struct
+A text scan that builds nothing. It lists every field of a src/ struct
 named *Params, *Config, *Spec or *Options that no bench/, examples/,
-perfbench/ or src/ file sets, as Struct::field, one a line, and exits 1
-if there is any (0 otherwise). A field counts as set where some file
-assigns to `x.f` or `x.f.g` (`=` or a compound assignment; `->` works
-like `.`), calls a container mutator on it (`x.f.emplace_back(...)`),
-or names it in a designated initializer (`{.f = ...}`). Matching is by
-field name, so one set site covers every struct with a field of that
-name. A field whose type is another scanned struct is not listed
-itself: it is set through its own fields, which are. A config field
-nothing sets is a constant: name it next to its reader.
+perfbench/ or src/ file sets, as Struct::field, and every such field
+that no src/ file reads, as Struct::field (unread), one a line, and
+exits 1 if there is any (0 otherwise). A field counts as set where some
+file assigns to `x.f` or `x.f.g` (`=` or a compound assignment; `->`
+works like `.`), calls a container mutator on it
+(`x.f.emplace_back(...)`), or names it in a designated initializer
+(`{.f = ...}`); it counts as read where a src/ file names `x.f` or
+`x->f` anywhere else. Matching is by field name, so one site covers
+every struct with a field of that name. A field whose type is another
+scanned struct is not listed itself: it is set and read through its own
+fields, which are. A config field nothing sets is a constant: name it
+next to its reader. A field nothing reads is a dead knob: delete it.
+UNREAD_EXEMPT names the unread fields kept on purpose, each with its
+reason.
 """
 
 import argparse
@@ -234,31 +239,49 @@ def config_fields():
     return fields
 
 
-def set_field_names():
-    """Every name that some file of SETTER_DIRS assigns, mutates or
-    designates as `.name`."""
-    # A lookahead, so `a.b.c = 1` sets both b and c.
-    setter = re.compile(
-        r"(?=(?:\.|->)\s*(\w+)(?:\s*(?:\.|->)\s*\w+|\s*\[[^\]]*\])*\s*"
-        r"(?:[-+*/%|&^]|<<|>>)?=(?!=)"
-        r"|(?:\.|->)\s*(\w+)\s*\.\s*(?:" + "|".join(MUTATORS) + r")\s*\()")
+# What follows a field name where a statement sets it: any `.g`, `->g`
+# or `[i]` path, then `=` or a compound assignment; or a container
+# mutator call.
+SET_TAIL = (r"(?:\s*(?:\.|->)\s*\w+|\s*\[[^\]]*\])*\s*"
+            r"(?:[-+*/%|&^]|<<|>>)?=(?!=)"
+            r"|\s*\.\s*(?:" + "|".join(MUTATORS) + r")\s*\(")
+
+# Scanned fields no src/ file reads, each kept on purpose.
+UNREAD_EXEMPT = {
+    # A no-op since the optimizer always keeps its caches; perfbench's
+    # control_storm still sets it, so it goes with a benchmark change.
+    "ControllerConfig::incremental",
+    # A no-op since a run solves every segment on the calling thread;
+    # perfbench's control_storm still sets it, so it goes with a
+    # benchmark change.
+    "OptimizerConfig::solver_threads",
+}
+
+
+def field_names(directories, tail):
+    """Every name that some file of `directories` accesses as `.name` or
+    `->name` where the access is (tail=True) or is not (tail=False)
+    followed by SET_TAIL."""
+    access = re.compile(r"(?:\.|->)\s*(\w+)(?=(" + SET_TAIL + r")?)")
     names = set()
-    for directory in SETTER_DIRS:
+    for directory in directories:
         for path in source_files(directory):
             with open(path, encoding="utf-8") as handle:
                 code = strip_comments_and_strings(handle.read())
-            for match in setter.finditer(code):
-                names.add(match.group(1) or match.group(2))
+            for match in access.finditer(code):
+                if (match.group(2) is not None) == tail:
+                    names.add(match.group(1))
     return names
 
 
-def unset_config_fields():
-    fields = config_fields()
+def scanned(fields, names, exempt=()):
+    """Struct::field per scanned field whose name is not in `names`,
+    leaving out fields of a scanned struct type and `exempt`."""
     structs = {struct for struct, _, _ in fields}
-    names = set_field_names()
     return sorted(f"{struct}::{name}" for struct, name, kind in fields
                   if name not in names and
-                  re.sub(r"^.*::", "", kind) not in structs)
+                  re.sub(r"^.*::", "", kind) not in structs and
+                  f"{struct}::{name}" not in exempt)
 
 
 def main():
@@ -266,14 +289,20 @@ def main():
     parser.add_argument("--build-dir", default="build-unreached")
     parser.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     parser.add_argument("--fields", action="store_true",
-                        help="list config fields nothing sets; no build")
+                        help="list config fields nothing sets or src/ "
+                             "reads; no build")
     args = parser.parse_args()
 
     if args.fields:
-        unset = unset_config_fields()
+        fields = config_fields()
+        unset = scanned(fields, field_names(SETTER_DIRS, tail=True))
+        unread = scanned(fields, field_names(["src"], tail=False),
+                         UNREAD_EXEMPT)
         for field in unset:
             print(field)
-        return 1 if unset else 0
+        for field in unread:
+            print(f"{field} (unread)")
+        return 1 if unset or unread else 0
 
     main_tree = os.path.join(args.build_dir, "main")
     perf_tree = os.path.join(args.build_dir, "perfbench")
