@@ -8,8 +8,9 @@ namespace corropt::core {
 
 namespace {
 
-// Layout of the CTRL checkpoint section; version 2 dropped the audit log.
-constexpr std::uint16_t kSnapshotVersion = 2;
+// Layout of the CTRL checkpoint section; version 2 dropped the audit
+// log, version 3 the fast checker's FCHK section.
+constexpr std::uint16_t kSnapshotVersion = 3;
 
 }  // namespace
 
@@ -205,7 +206,6 @@ void Controller::walk(Self& self, Codec& c) {
   } else {
     c.object(self.corruption_);
   }
-  c.object(self.fast_checker_);
 }
 
 void Controller::snapshot_to(common::snap::Writer& w) const { walk(*this, w); }

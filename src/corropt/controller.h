@@ -144,8 +144,8 @@ class Controller {
   // changes a decision. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Checkpointing (DESIGN.md §14): stats, the corruption set and the
-  // fast checker's last mask words. The live counts and the optimizer's
+  // Checkpointing (DESIGN.md §14): stats and the corruption set. The
+  // fast checker keeps no state; the live counts and the optimizer's
   // state (mask words, closures, solved segments) are not serialized:
   // keyed on the enabled mask, they stay exact across the restore, and
   // results are identical either way. Config, constraint and callback

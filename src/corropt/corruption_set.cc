@@ -8,7 +8,6 @@ namespace corropt::core {
 
 void CorruptionSet::mark(LinkId link, double loss_rate) {
   assert(loss_rate >= 0.0);
-  ++epoch_;
   if (link.index() >= rate_of_.size()) rate_of_.resize(link.index() + 1, 0.0);
   rate_of_[link.index()] = loss_rate;
   const auto [it, inserted] =
@@ -22,7 +21,6 @@ void CorruptionSet::mark(LinkId link, double loss_rate) {
 }
 
 void CorruptionSet::unmark(LinkId link) {
-  ++epoch_;
   if (link.index() < rate_of_.size()) rate_of_[link.index()] = 0.0;
   if (entries_.erase(link) != 0) {
     marked_.erase(std::lower_bound(marked_.begin(), marked_.end(), link));
@@ -53,25 +51,18 @@ std::vector<LinkId> CorruptionSet::active_in_detection_order(
 
 double CorruptionSet::total_active_penalty(
     const topology::Topology& topo, const PenaltyFunction& penalty) const {
-  if (penalty_cache_.valid && penalty_cache_.topo == &topo &&
-      penalty_cache_.topo_version == topo.state_version() &&
-      penalty_cache_.epoch == epoch_ && penalty_cache_.penalty == penalty) {
-    return penalty_cache_.value;
-  }
   // Fold in link-id order, so a restored run and the fresh run it must
   // match byte for byte sum in the same order.
   double total = 0.0;
   for (LinkId link : marked_) {
     if (topo.is_enabled(link)) total += penalty(rate_of_[link.index()]);
   }
-  penalty_cache_ = PenaltyCache{true, &topo, topo.state_version(), epoch_,
-                                penalty, total};
   return total;
 }
 
 template <class Self, class Codec>
 void CorruptionSet::walk(Self& self, Codec& c, std::size_t link_count) {
-  c.section(common::snap::tag('C', 'O', 'R', 'R'), 1, "corruption set");
+  c.section(common::snap::tag('C', 'O', 'R', 'R'), 2, "corruption set");
   c.entries(self.entries_, [&c, link_count](auto& link, auto& entry) {
     c.id(link);
     // rate_of_ is sized by the highest link, and the detection poll
@@ -82,9 +73,6 @@ void CorruptionSet::walk(Self& self, Codec& c, std::size_t link_count) {
     c.u64(entry.detected_seq);
   });
   c.u64(self.next_seq_);
-  c.u64(self.epoch_);
-  // The memoized total holds a raw pointer to the source context's
-  // topology; never carry it across a restore.
   if constexpr (Codec::kReading) {
     self.marked_.clear();
     for (const auto& [link, entry] : self.entries_) {
@@ -96,7 +84,6 @@ void CorruptionSet::walk(Self& self, Codec& c, std::size_t link_count) {
     for (const auto& [link, entry] : self.entries_) {
       self.rate_of_[link.index()] = entry.rate;
     }
-    self.penalty_cache_ = PenaltyCache{};
   }
 }
 

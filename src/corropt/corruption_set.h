@@ -62,22 +62,16 @@ class CorruptionSet {
       const topology::Topology& topo) const;
 
   // Total penalty per unit time of active corrupting links:
-  // sum of I(f_l) over enabled corrupting links, folded in link-id
-  // order. O(1) while neither the set (epoch) nor the topology's link
-  // state (state_version) changed since the last call with the same
-  // topology and penalty function; the marked-links rescan only runs
-  // when one of those keys moved.
+  // sum of I(f_l) over enabled corrupting links, folded over the marked
+  // links in link-id order.
   [[nodiscard]] double total_active_penalty(
       const topology::Topology& topo, const PenaltyFunction& penalty) const;
 
   // Checkpointing (DESIGN.md §14): entries in link-id order plus the
-  // sequence and epoch counters. Restore rebuilds the marked links and
-  // the rate array from the entries and drops the memoized penalty
-  // cache — it holds a raw Topology pointer from the *source* context,
-  // which must never leak into a branch (see the regression test).
-  // `link_count` is the size of the fabric the set lives on: a restored
-  // link id at or past it throws std::runtime_error before anything is
-  // sized by it.
+  // sequence counter. Restore rebuilds the marked links and the rate
+  // array from the entries. `link_count` is the size of the fabric the
+  // set lives on: a restored link id at or past it throws
+  // std::runtime_error before anything is sized by it.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r, std::size_t link_count);
 
@@ -93,21 +87,6 @@ class CorruptionSet {
   std::vector<LinkId> marked_;
   std::vector<double> rate_of_;
   std::uint64_t next_seq_ = 0;
-  // Bumped on every mark/unmark; together with Topology::state_version()
-  // it keys the total_active_penalty cache.
-  std::uint64_t epoch_ = 0;
-
-  // Memoized total_active_penalty result and the keys it was computed
-  // under. Written only from the (single-threaded) control loop.
-  struct PenaltyCache {
-    bool valid = false;
-    const topology::Topology* topo = nullptr;
-    std::uint64_t topo_version = 0;
-    std::uint64_t epoch = 0;
-    PenaltyFunction penalty = PenaltyFunction::linear();
-    double value = 0.0;
-  };
-  mutable PenaltyCache penalty_cache_;
 };
 
 }  // namespace corropt::core

@@ -14,7 +14,7 @@
 // subtree rather than of the whole DCN. A refused disable or a mere
 // query puts the closure's old counts back. Links other actors flipped
 // are folded in by the next read, with no change notes; the checker
-// itself keeps only its last decision's mask words.
+// itself keeps no state, so a checkpoint holds nothing of it.
 //
 // Precondition for the incremental path: the network currently satisfies
 // every ToR's constraint (the controller maintains this invariant). ToRs
@@ -22,12 +22,9 @@
 // only closure ToRs need rechecking.
 #pragma once
 
-#include <cstdint>
 #include <span>
-#include <vector>
 
 #include "common/ids.h"
-#include "common/snapshot.h"
 #include "corropt/capacity.h"
 #include "corropt/path_counter.h"
 #include "obs/sink.h"
@@ -61,38 +58,23 @@ class FastChecker {
       const;
 
   // Attaches observability: per-decision counters ("fastcheck.checks",
-  // ".disables", ".cache_refreshes", ".closure_switches") and the
-  // "fastcheck.check_s" wall-clock timer. A cache refresh is a decision
-  // that finds the enabled mask differing from the one this checker last
-  // decided under (or finds none). Pass nullptr to detach.
+  // ".disables", ".closure_switches") and the "fastcheck.check_s"
+  // wall-clock timer. Pass nullptr to detach.
   void set_sink(obs::Sink* sink);
 
-  // Checkpointing (DESIGN.md §14): the mask words of the last decision,
-  // so a restored run counts the cache refreshes of the run that kept
-  // going. The shared counts are not serialized; the first read after a
-  // restore fills or folds them, which no counter observes.
-  void snapshot_to(common::snap::Writer& w) const;
-  void restore_from(common::snap::Reader& r);
-
  private:
-  template <class Self, class Codec>
-  static void walk(Self& self, Codec& c);
-
-  // One decision on the enabled `link`: records the mask it runs under,
-  // asks the path counter and counts the work.
+  // One decision on the enabled `link`: asks the path counter and
+  // counts the work.
   PathCounter::DisableCheck check(common::LinkId link, bool keep);
 
   topology::Topology* topo_;
   PathCounter* paths_;
   const CapacityConstraint* constraint_;
-  // Enabled-mask words of the last decision; empty before the first.
-  std::vector<std::uint64_t> seen_;
 
   // Observability (all inert when sink_ is null).
   obs::Sink* sink_ = nullptr;
   obs::Counter obs_checks_;
   obs::Counter obs_disables_;
-  obs::Counter obs_cache_refreshes_;
   obs::Counter obs_closure_switches_;
   obs::Histogram obs_check_timer_;
 };

@@ -180,8 +180,7 @@ class PathCounter {
   // flipped since the previous call, seeded from every flipped link
   // (a just-disabled link no longer conducts, but its removal still
   // changed the counts below it). Keyed on the mask itself, so nobody
-  // reports link changes and restores that rewind the state version stay
-  // exact.
+  // reports link changes and checkpoint restores stay exact.
   const std::vector<std::uint64_t>& live_counts();
 
   // The fast checker's decision: whether every ToR still meets

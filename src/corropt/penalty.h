@@ -31,11 +31,6 @@ class PenaltyFunction {
   // Evaluates I(loss_rate); monotone non-decreasing, I(0) = 0.
   [[nodiscard]] double operator()(double loss_rate) const;
 
-  // Two functions compare equal iff they evaluate identically everywhere
-  // (same kind). Lets caches key on the penalty in use.
-  friend bool operator==(const PenaltyFunction& a,
-                         const PenaltyFunction& b) = default;
-
  private:
   enum class Kind { kLinear, kStep, kTcp };
   explicit PenaltyFunction(Kind kind) : kind_(kind) {}

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <utility>
 
@@ -132,6 +133,10 @@ void FaultInjector::walk(Self& self, Codec& c) {
       c.f64(e.tx_power_delta_db);
       c.f64(e.tx_decay_db_per_day);
       c.f64(e.corruption_rate);
+      c.check(std::isfinite(e.extra_attenuation_db) &&
+                  std::isfinite(e.tx_power_delta_db) &&
+                  std::isfinite(e.tx_decay_db_per_day),
+              "fault effect attenuation, Tx delta or decay not finite");
       // A loss probability; a NaN fails both comparisons.
       c.check(e.corruption_rate >= 0.0 && e.corruption_rate <= 1.0,
               "fault effect corruption rate outside [0, 1]");
@@ -159,13 +164,25 @@ void FaultInjector::walk(Self& self, Codec& c) {
     }
     // Id order is injection order, so the rebuilt per-direction,
     // per-link, affected and decaying lists match the live ones.
-    // NetworkState restores the physical arrays bit-exactly itself; no
-    // rebuild_direction here (a recompute could round differently).
     self.by_direction_.clear();
     self.by_link_.clear();
     self.affected_.clear();
     self.decaying_.clear();
     for (const auto& [id, fault] : self.active_) self.index(fault);
+    // The physical state is a function of the active faults and the
+    // decay clock, so every direction is rebuilt from them: the faulted
+    // ones fold their effects, the rest return to nominal. Finite
+    // effects can still sum or decay past the range of a double; the
+    // rate, one minus a product of survivals in [0, 1], cannot leave
+    // [0, 1].
+    const telemetry::NetworkState& state = *self.state_;
+    for (std::size_t i = 0; i < topo.direction_count(); ++i) {
+      const DirectionId dir(static_cast<DirectionId::underlying_type>(i));
+      self.rebuild_direction(dir);
+      c.check(std::isfinite(state.tx_power_dbm(dir)) &&
+                  std::isfinite(state.direction(dir).extra_attenuation_db),
+              "rebuilt Tx power or attenuation not finite");
+    }
   }
 }
 

@@ -65,8 +65,11 @@ class FaultInjector {
   // Checkpointing (DESIGN.md §14): active faults (id order), the id
   // counter and the decay clock. `by_direction_`, `by_link_`,
   // `affected_` and `decaying_` are rebuilt (id order == injection
-  // order, which erase preserves); the physical state arrays are
-  // NetworkState's to serialize, so restore does not rebuild them.
+  // order, which erase preserves), and so is every direction of the
+  // NetworkState, which only this injector writes: restore resets the
+  // unfaulted directions to nominal and folds the faulted ones afresh.
+  // A restored effect must be finite, its rate in [0, 1], and every
+  // rebuilt Tx power and attenuation finite.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 

@@ -69,7 +69,6 @@ template <class Self, class Codec>
 void CapacitySampler::walk(Self& self, Codec& c) {
   c.section(common::snap::tag('C', 'S', 'M', 'P'), 1, "capacity sampler");
   c.u64(self.samples_);
-  if constexpr (Codec::kReading) self.cached_ = false;
 }
 
 void CapacitySampler::snapshot_to(common::snap::Writer& w) const {

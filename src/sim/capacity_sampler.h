@@ -10,10 +10,10 @@
 // Most hours nothing changes, so the (worst, sum) pair of the last
 // sample is kept under the topology's state version and reused while
 // the version stands. When it moved, the pair is rescanned over the
-// shared live counts (SimContext::up_paths), which fold in only the links
-// that flipped. The pair is derived state: never checkpointed, dropped
-// by start() and restore_from() — a restored topology can carry a
-// version this simulation already cached for different link state.
+// shared live counts (SimContext::paths), which fold in only the links
+// that flipped. The pair is derived state: never checkpointed and
+// dropped by start(). A restore needs no drop: restoring the topology
+// advances its version past any this sampler cached.
 #pragma once
 
 #include <cstdint>

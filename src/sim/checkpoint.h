@@ -1,15 +1,18 @@
 // sim::Checkpoint: one mid-run simulation state, frozen (DESIGN.md §14).
 //
-// A checkpoint is the complete serialized state of a MitigationSimulation
-// between two event dispatches: the kernel (clock + pending event heap),
-// the shared domain state (topology admin bits, NetworkState SoA, fault
-// set, controller + corruption set + fast checker, RNG stream), every
-// component's private books, the in-flight SimulationMetrics, and — when
-// a sink is attached — the decision journal and metrics registry
-// contents. Restoring it into a *same-configuration* simulation and
-// running to the horizon produces bit-identical metrics, journal bytes
-// and registry snapshots to a fresh end-to-end run (the branch
-// equivalence contract tests/branch_runner_test.cc asserts).
+// A checkpoint is the serialized state of a MitigationSimulation between
+// two event dispatches, minus everything restore can recompute: the
+// kernel (clock + pending event heap), the shared domain state (topology
+// enabled mask, fault set, controller stats + corruption set, RNG
+// stream), every component's private books, the in-flight
+// SimulationMetrics, and — when a sink is attached — the decision
+// journal and metrics registry contents. Restore derives the rest: the
+// NetworkState from the fault set, the penalty rate from ground truth,
+// the topology's enabled-link count from its mask (its state version
+// only moves forward). Restoring it into a *same-configuration*
+// simulation and running to the horizon produces bit-identical metrics,
+// journal bytes and registry snapshots to a fresh end-to-end run (the
+// branch equivalence contract tests/branch_runner_test.cc asserts).
 //
 // Restoring into a simulation with a *different* ScenarioConfig is the
 // counterfactual "what-if" mode: same history, different future. The

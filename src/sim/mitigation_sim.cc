@@ -196,7 +196,7 @@ void walk_obs(Codec& c, const obs::Sink* sink) {
 
 template <class Self, class Codec>
 void MitigationSimulation::walk(Self& self, Codec& c) {
-  c.section(kSimTag, 1, "simulation");
+  c.section(kSimTag, 2, "simulation");
   SimTime now = self.clock_.now();
   c.i64(now);
   c.check(now >= 0 && now <= self.config_.duration,
@@ -207,13 +207,11 @@ void MitigationSimulation::walk(Self& self, Codec& c) {
   c.object(self.queue_);
   c.object(self.rng_);
   c.object(*self.topo_);
-  c.object(self.state_);
   c.object(self.injector_);
   c.object(self.controller_);
   c.object(self.detection_);
   c.object(self.maintenance_);
   c.object(self.repair_);
-  c.object(self.accountant_);
   c.object(self.sampler_);
   SimulationMetrics::walk(self.metrics_, c);
   walk_obs(c, self.config_.sink);
@@ -265,6 +263,9 @@ void MitigationSimulation::restore_run(
 
   walk(*this, r);
   r.check(r.at_end(), "trailing bytes after the last section");
+  // The step-function rate is derived state: ground truth of the
+  // restored faults, network state and link state.
+  accountant_.refresh();
 
   // Reconcile config-derived schedule entries to *this* scenario.
   //

@@ -80,6 +80,10 @@ class MitigationSimulation {
                    const Checkpoint& ckpt);
 
  private:
+  // Tests compare the network state a restore rebuilt with a fresh
+  // run's through this probe; nothing in the library reads it.
+  friend struct NetworkStateProbe;
+
   // The checkpoint's field list, run by snapshot() and restore_run().
   template <class Self, class Codec>
   static void walk(Self& self, Codec& c);

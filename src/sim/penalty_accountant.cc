@@ -54,17 +54,4 @@ void PenaltyAccountant::record_sample() {
   ctx_.emit(event);
 }
 
-template <class Self, class Codec>
-void PenaltyAccountant::walk(Self& self, Codec& c) {
-  c.section(common::snap::tag('P', 'N', 'L', 'T'), 1, "penalty accountant");
-  c.f64(self.penalty_rate_);
-}
-
-void PenaltyAccountant::snapshot_to(common::snap::Writer& w) const {
-  walk(*this, w);
-}
-void PenaltyAccountant::restore_from(common::snap::Reader& r) {
-  walk(*this, r);
-}
-
 }  // namespace corropt::sim

@@ -5,7 +5,9 @@
 // integrate_until, which accrues `rate x span` into the run integral
 // and the hourly bins before moving Clock::now. After each dispatched
 // event the run loop refreshes the rate from ground truth and records a
-// penalty_series point (journalled as kPenaltySample).
+// penalty_series point (journalled as kPenaltySample). Nothing here is
+// checkpointed: the rate always equals the ground truth of the state it
+// was refreshed from, so a restore refreshes it (DESIGN.md §14).
 #pragma once
 
 #include "sim/sim_context.h"
@@ -28,13 +30,7 @@ class PenaltyAccountant {
   // Appends the current rate to the penalty series and journals it.
   void record_sample();
 
-  // Checkpointing (DESIGN.md §14): the current step-function rate.
-  void snapshot_to(common::snap::Writer& w) const;
-  void restore_from(common::snap::Reader& r);
-
  private:
-  template <class Self, class Codec>
-  static void walk(Self& self, Codec& c);
   [[nodiscard]] double true_penalty_rate();
 
   SimContext& ctx_;

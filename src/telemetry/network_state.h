@@ -15,6 +15,10 @@
 // returns a lightweight view whose members are references into the
 // arrays, so `state.direction(id).field` reads and writes one direction's
 // state.
+//
+// The state is never checkpointed: in a simulation faults::FaultInjector
+// is its only writer, and a restored injector rebuilds every direction from its
+// active faults and decay clock (DESIGN.md §14).
 #pragma once
 
 #include <span>
@@ -22,7 +26,6 @@
 
 #include "common/ids.h"
 #include "common/lossy.h"
-#include "common/snapshot.h"
 #include "telemetry/optical.h"
 #include "topology/topology.h"
 
@@ -103,17 +106,7 @@ class NetworkState {
     return link_corruption_rate(id) >= common::kLossyThreshold;
   }
 
-  // Checkpointing (DESIGN.md §14): the three flat per-direction arrays,
-  // bit-exact. The direction count is a guard against restoring into a
-  // state built from a different topology. A restored corruption rate
-  // must lie in [0, 1], and Tx power and attenuation must be finite.
-  void snapshot_to(common::snap::Writer& w) const;
-  void restore_from(common::snap::Reader& r);
-
  private:
-  template <class Self, class Codec>
-  static void walk(Self& self, Codec& c);
-
   const topology::Topology* topo_;
   OpticalTech tech_;
   // One entry per direction, all sized to topo().direction_count().

@@ -1,6 +1,8 @@
 #include "topology/topology.h"
 
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <cstdlib>
 
 #include "common/logging.h"
@@ -150,14 +152,19 @@ void Topology::validate() const {
 
 template <class Self, class Codec>
 void Topology::walk(Self& self, Codec& c) {
-  c.section(common::snap::tag('T', 'O', 'P', 'O'), 1, "topology");
+  c.section(common::snap::tag('T', 'O', 'P', 'O'), 2, "topology");
   c.guard(self.links_.size(), "topology link count");
   for (auto& word : self.enabled_mask_.words()) c.u64(word);
   const std::size_t tail = self.links_.size() % 64;
   c.check(tail == 0 || self.enabled_mask_.words().back() >> tail == 0,
           "topology mask sets a bit past the last link");
-  c.u64(self.enabled_links_);
-  c.u64(self.version_);
+  if constexpr (Codec::kReading) {
+    self.enabled_links_ = 0;
+    for (const std::uint64_t word : self.enabled_mask_.words()) {
+      self.enabled_links_ += static_cast<std::size_t>(std::popcount(word));
+    }
+    ++self.version_;
+  }
 }
 
 void Topology::snapshot_to(common::snap::Writer& w) const { walk(*this, w); }

@@ -130,19 +130,18 @@ class Topology {
   [[nodiscard]] std::size_t enabled_link_count() const {
     return enabled_links_;
   }
-  // Monotonic counter bumped by every effective link-state change;
-  // consumers (e.g. the corruption set's penalty memo) use it to detect
-  // staleness. Path-count caches key on enabled_mask() instead.
+  // Monotonic counter bumped by every effective link-state change and
+  // by every restore; the capacity sampler keys its last sample on it.
+  // Path-count caches key on enabled_mask() instead.
   [[nodiscard]] std::uint64_t state_version() const { return version_; }
 
   // --- checkpointing (DESIGN.md §14) ---------------------------------
-  // Serializes the dynamic link state: the enabled bitset, the enabled
-  // count, and the monotonic state version (restored faithfully;
-  // version-keyed caches still drop their memo on restore, since a
-  // rewound version can collide with one seen under other link state).
-  // Structure (switches, links, breakout groups) is not serialized:
-  // restore targets a topology rebuilt by the same factory, guarded by
-  // the link count.
+  // Serializes the dynamic link state, which is the enabled bitset
+  // alone. Restore recounts the enabled links from it and advances the
+  // state version (never rewinds it), so no version-keyed cache can
+  // meet a version it saw under other link state. Structure (switches,
+  // links, breakout groups) is not serialized: restore targets a
+  // topology rebuilt by the same factory, guarded by the link count.
   void snapshot_to(common::snap::Writer& w) const;
   void restore_from(common::snap::Reader& r);
 

@@ -13,9 +13,10 @@
 // at the midpoint boundary.
 //
 // The remaining cases pin down specific hidden-state hazards that were
-// fixed for checkpointing: path-count caches meeting a rewound state
-// version, the CorruptionSet's memoized penalty (raw Topology pointer),
-// and the fault injector's id-ordered active set; and malformed length
+// fixed for checkpointing: path-count caches meeting a restored mask,
+// the network state and penalty rate a restore recomputes instead of
+// reading, a restored corruption set folding its own contents, and the
+// fault injector's id-ordered active set; and malformed length
 // prefixes, which must fail instead of allocating.
 //
 // The wire format itself is pinned by recorded digests of fixed midpoint
@@ -25,6 +26,8 @@
 // cleanly, never crash.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -45,8 +48,8 @@
 #include "common/hash.h"
 #include "common/rng.h"
 #include "common/snapshot.h"
+#include "corropt/controller.h"
 #include "corropt/corruption_set.h"
-#include "corropt/path_counter.h"
 #include "corropt/penalty.h"
 #include "detect/sketch.h"
 #include "detect/threshold.h"
@@ -65,6 +68,25 @@
 #include "trace/trace.h"
 
 namespace corropt::sim {
+
+// Every direction's Tx power, attenuation and corruption rate, as bits.
+struct NetworkStateProbe {
+  static std::vector<std::array<std::uint64_t, 3>> read(
+      const MitigationSimulation& sim) {
+    const telemetry::NetworkState& state = sim.state_;
+    std::vector<std::array<std::uint64_t, 3>> out;
+    for (std::size_t i = 0; i < state.topo().direction_count(); ++i) {
+      const common::DirectionId dir(
+          static_cast<common::DirectionId::underlying_type>(i));
+      const telemetry::ConstDirectionView d = state.direction(dir);
+      out.push_back({std::bit_cast<std::uint64_t>(d.tx_power_dbm),
+                     std::bit_cast<std::uint64_t>(d.extra_attenuation_db),
+                     std::bit_cast<std::uint64_t>(d.corruption_rate)});
+    }
+    return out;
+  }
+};
+
 namespace {
 
 std::string fmt_double(double value) {
@@ -472,11 +494,10 @@ TEST(CheckpointBytes, MatchRecordedDigests) {
 
 // --- Hidden-state regressions -----------------------------------------
 
-// Restoring the same checkpoint twice into one simulation rewinds the
-// topology's state version to a value the controller has already seen
-// with a different enabled mask. A path-count cache keyed on that
-// version would reuse stale counts on the second replay; the mask-keyed
-// caches fold the difference in.
+// Restoring the same checkpoint twice into one simulation brings back
+// an enabled mask the controller's caches last saw before a whole
+// replay moved them on. The mask-keyed caches fold the difference in,
+// so the second replay matches the first.
 TEST(CheckpointHiddenState, SameCheckpointTwiceIntoDirtySim) {
   topology::Topology driver_topo = small_topology();
   const auto events = small_trace(driver_topo);
@@ -502,6 +523,86 @@ TEST(CheckpointHiddenState, SameCheckpointTwiceIntoDirtySim) {
         fingerprint(metrics, mirror_sinks.journal, mirror_sinks.registry));
   }
   EXPECT_EQ(prints[0], prints[1]);
+}
+
+// The network state is not checkpointed: restore rebuilds every
+// direction from the restored faults and decay clock. Restored into a
+// simulation that ran another trace, with decaying transmitters and
+// other faults on links the checkpoint leaves healthy, every direction
+// must read what the fresh run read at that boundary, the directions
+// only the other trace faulted included, and the run must finish as
+// the fresh one does.
+TEST(CheckpointHiddenState, RestoreIntoDirtySimulationRebuildsNetworkState) {
+  topology::Topology driver_topo = small_topology();
+  const auto events = small_trace(driver_topo);
+  SinkSet driver_sinks;
+  MitigationSimulation driver(driver_topo, small_config(&driver_sinks.sink));
+  driver.begin_run(events);
+  while (driver.now() < common::kDay && driver.step()) {
+  }
+  ASSERT_FALSE(driver.finished());
+  const Checkpoint ckpt = driver.snapshot();
+  const auto at_boundary = NetworkStateProbe::read(driver);
+  while (driver.step()) {
+  }
+  const SimulationMetrics driver_metrics = driver.finish_run();
+  const std::string reference = fingerprint(
+      driver_metrics, driver_sinks.journal, driver_sinks.registry);
+
+  // The other trace: a decaying transmitter and a damaged fiber on each
+  // of the last six links, one an hour.
+  topology::Topology mirror_topo = small_topology();
+  common::Rng rng(303);
+  faults::FaultFactory factory(mirror_topo, {}, rng);
+  std::vector<trace::TraceEvent> other;
+  std::vector<common::DirectionId> decaying;
+  for (std::size_t i = 0; i < 12; ++i) {
+    const common::LinkId link(static_cast<common::LinkId::underlying_type>(
+        mirror_topo.link_count() - 1 - i / 2));
+    trace::TraceEvent event;
+    event.time = static_cast<SimTime>(i + 1) * common::kHour;
+    event.fault = factory.make_fault(
+        link,
+        i % 2 == 0 ? faults::RootCause::kDecayingTransmitter
+                   : faults::RootCause::kDamagedFiber,
+        event.time);
+    for (const faults::DirectionEffect& effect : event.fault.effects) {
+      if (effect.tx_decay_db_per_day != 0.0) {
+        decaying.push_back(effect.direction);
+      }
+    }
+    other.push_back(std::move(event));
+  }
+  ASSERT_FALSE(decaying.empty());
+  SinkSet mirror_sinks;
+  MitigationSimulation mirror(mirror_topo, small_config(&mirror_sinks.sink));
+  mirror.begin_run(other);
+  while (mirror.now() < common::kDay + 6 * common::kHour && mirror.step()) {
+  }
+  // The test bites only if the dirty state differs where the checkpoint
+  // leaves a direction unfaulted, on a decaying transmitter among them.
+  const auto dirty = NetworkStateProbe::read(mirror);
+  const std::array<std::uint64_t, 3> nominal = {
+      std::bit_cast<std::uint64_t>(telemetry::default_tech().nominal_tx_dbm),
+      std::bit_cast<std::uint64_t>(0.0), std::bit_cast<std::uint64_t>(0.0)};
+  std::size_t stale_decaying = 0;
+  for (const common::DirectionId dir : decaying) {
+    const std::size_t d = dir.index();
+    if (at_boundary[d] == nominal && dirty[d] != nominal) ++stale_decaying;
+  }
+  ASSERT_GT(stale_decaying, 0u);
+
+  mirror.restore_run(events, ckpt);
+  const auto restored = NetworkStateProbe::read(mirror);
+  ASSERT_EQ(restored.size(), at_boundary.size());
+  for (std::size_t d = 0; d < restored.size(); ++d) {
+    EXPECT_EQ(restored[d], at_boundary[d]) << "direction " << d;
+  }
+  while (mirror.step()) {
+  }
+  const SimulationMetrics metrics = mirror.finish_run();
+  EXPECT_EQ(fingerprint(metrics, mirror_sinks.journal, mirror_sinks.registry),
+            reference);
 }
 
 // A mid-run checkpoint of the dense scenario without a sink, for the
@@ -530,23 +631,39 @@ std::size_t section_at(const std::string& bytes, std::uint32_t tag,
   return at;
 }
 
-// Offset just past the fast checker's section header (tag, version 3).
-std::size_t fchk_payload_at(const std::string& bytes) {
-  common::snap::Writer header;
-  header.section(common::snap::tag('F', 'C', 'H', 'K'), 3, "");
-  return section_at(bytes, common::snap::tag('F', 'C', 'H', 'K'), 3) +
-         header.take().size();
+// Expects restoring `ckpt` to throw std::runtime_error whose message
+// contains `what`.
+void expect_rejected(MitigationSimulation& sim,
+                     const std::vector<trace::TraceEvent>& events,
+                     const Checkpoint& ckpt, const std::string& what) {
+  try {
+    sim.restore_run(events, ckpt);
+    ADD_FAILURE() << "accepted; expected \"" << what << "\"";
+  } catch (const std::runtime_error& error) {
+    EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
+        << error.what();
+  }
 }
 
-// A real simulation checkpoint whose fast-checker section claims 2^40
-// words must be rejected as malformed, not turned into an allocation.
-TEST(CheckpointHiddenState, InflatedFastCheckerCountThrows) {
+// Offset just past the section header (tag, version) in `bytes`.
+std::size_t payload_at(const std::string& bytes, std::uint32_t tag,
+                       std::uint16_t version) {
+  common::snap::Writer header;
+  header.section(tag, version, "");
+  return section_at(bytes, tag, version) + header.take().size();
+}
+
+// A real simulation checkpoint whose fault injector section claims 2^40
+// active faults must be rejected as malformed, not turned into an
+// allocation.
+TEST(CheckpointMutation, InflatedFaultCountThrows) {
   topology::Topology topo = small_topology();
   const auto events = small_trace(topo);
   Checkpoint ckpt = midday_checkpoint(events);
 
-  // Replace the length prefix that follows the FCHK section header.
-  const std::size_t length_at = fchk_payload_at(ckpt.bytes);
+  // Replace the length prefix that follows the FLTS section header.
+  const std::size_t length_at =
+      payload_at(ckpt.bytes, common::snap::tag('F', 'L', 'T', 'S'), 1);
   std::size_t length_end = length_at;
   while ((static_cast<unsigned char>(ckpt.bytes[length_end]) & 0x80) != 0) {
     ++length_end;
@@ -558,47 +675,118 @@ TEST(CheckpointHiddenState, InflatedFastCheckerCountThrows) {
 
   topology::Topology mirror_topo = small_topology();
   MitigationSimulation mirror(mirror_topo, small_config(nullptr));
-  EXPECT_THROW(mirror.restore_run(events, ckpt), std::runtime_error);
+  expect_rejected(mirror, events, ckpt,
+                  "length prefix exceeds the remaining bytes");
 }
 
-// FCHK version 2 carried the checker's own path counts after its mask
-// words. A checkpoint holding such a section, well formed for its
-// version, must be rejected rather than misread as version 3.
-TEST(CheckpointHiddenState, FastCheckerVersion2SectionRejected) {
+// The corruption set's entries in CorruptionSet::walk's field order.
+struct CorruptionEntries {
+  std::vector<std::tuple<common::LinkId, double, std::uint64_t>> entries;
+  std::uint64_t next_seq = 0;
+};
+
+CorruptionEntries read_corruption_set(common::snap::Reader& r) {
+  CorruptionEntries out;
+  r.seq(out.entries, [&r](auto& entry) {
+    r.id(std::get<0>(entry));
+    r.f64(std::get<1>(entry));
+    r.u64(std::get<2>(entry));
+  });
+  r.u64(out.next_seq);
+  return out;
+}
+
+void write_corruption_entries(common::snap::Writer& w,
+                              const CorruptionEntries& set) {
+  w.seq(set.entries, [&w](const auto& entry) {
+    w.id(std::get<0>(entry));
+    w.f64(std::get<1>(entry));
+    w.u64(std::get<2>(entry));
+  });
+  w.u64(set.next_seq);
+}
+
+// The controller section before version 3 held a CORR version 1 (with
+// its mutation epoch) and the fast checker's FCHK section. A checkpoint
+// holding such a section, well formed for its version, must be
+// rejected rather than misread as version 3.
+TEST(CheckpointHiddenState, ControllerVersion2SectionRejected) {
   topology::Topology topo = small_topology();
   const auto events = small_trace(topo);
   Checkpoint ckpt = midday_checkpoint(events);
 
-  const std::size_t payload_at = fchk_payload_at(ckpt.bytes);
-  common::snap::Reader payload(
-      std::string_view(ckpt.bytes).substr(payload_at));
-  std::vector<std::uint64_t> seen(payload.length());
-  for (std::uint64_t& word : seen) word = payload.u64();
-  const std::size_t payload_end = ckpt.bytes.size() - payload.remaining();
+  const std::uint32_t ctrl = common::snap::tag('C', 'T', 'R', 'L');
+  const std::uint32_t corr = common::snap::tag('C', 'O', 'R', 'R');
+  const std::size_t at = section_at(ckpt.bytes, ctrl, 3);
+  common::snap::Reader r(std::string_view(ckpt.bytes).substr(at));
+  r.section(ctrl, 3, "controller");
+  core::Controller::Stats stats;
+  core::Controller::Stats::walk(stats, r);
+  r.section(corr, 2, "corruption set");
+  const CorruptionEntries set = read_corruption_set(r);
+  const std::size_t end = ckpt.bytes.size() - r.remaining();
 
   common::snap::Writer v2;
-  v2.section(common::snap::tag('F', 'C', 'H', 'K'), 2, "fast checker");
-  v2.u64(seen.size());
-  for (std::uint64_t word : seen) v2.u64(word);
-  const std::vector<std::uint64_t> counts =
-      core::PathCounter(topo).up_paths();
-  v2.u64(counts.size());
-  for (std::uint64_t count : counts) v2.u64(count);
-  common::snap::Writer v3_header;
-  v3_header.section(common::snap::tag('F', 'C', 'H', 'K'), 3, "");
-  const std::size_t section_at = payload_at - v3_header.take().size();
-  ckpt.bytes.replace(section_at, payload_end - section_at, v2.take());
+  v2.section(ctrl, 2, "controller");
+  core::Controller::Stats::walk(stats, v2);
+  v2.section(corr, 1, "corruption set");
+  write_corruption_entries(v2, set);
+  v2.u64(set.entries.size());  // The mutation epoch.
+  v2.section(common::snap::tag('F', 'C', 'H', 'K'), 3, "fast checker");
+  v2.u64(0);  // No decision yet: no mask words.
+  ckpt.bytes.replace(at, end - at, v2.take());
   reseal(ckpt.bytes);
 
   topology::Topology mirror_topo = small_topology();
   MitigationSimulation mirror(mirror_topo, small_config(nullptr));
-  try {
-    mirror.restore_run(events, ckpt);
-    ADD_FAILURE() << "a version 2 FCHK section was accepted";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find("fast checker section version"),
-              std::string::npos)
-        << error.what();
+  expect_rejected(mirror, events, ckpt, "controller section version mismatch");
+}
+
+// TOPO version 1 also stored the enabled-link count and the state
+// version after the mask, and CORR version 1 the set's mutation epoch.
+// Either section, well formed for its old version, must be rejected.
+TEST(CheckpointHiddenState, TopologyAndCorruptionSetVersion1Rejected) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  {
+    const std::uint32_t tag = common::snap::tag('T', 'O', 'P', 'O');
+    Checkpoint ckpt = base;
+    const std::size_t at = section_at(ckpt.bytes, tag, 2);
+    common::snap::Reader r(std::string_view(ckpt.bytes).substr(at));
+    r.section(tag, 2, "topology");
+    common::snap::Writer v1;
+    v1.section(tag, 1, "topology");
+    v1.u64(r.u64());  // The link-count guard.
+    for (std::size_t word = 0; word < topo.enabled_mask().words().size();
+         ++word) {
+      v1.u64(r.u64());
+    }
+    v1.u64(topo.link_count());  // The enabled-link count.
+    v1.u64(7);                  // The state version.
+    ckpt.bytes.replace(at, ckpt.bytes.size() - r.remaining() - at, v1.take());
+    reseal(ckpt.bytes);
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt, "topology section version mismatch");
+  }
+  {
+    const std::uint32_t tag = common::snap::tag('C', 'O', 'R', 'R');
+    Checkpoint ckpt = base;
+    const std::size_t at = section_at(ckpt.bytes, tag, 2);
+    common::snap::Reader r(std::string_view(ckpt.bytes).substr(at));
+    r.section(tag, 2, "corruption set");
+    const CorruptionEntries set = read_corruption_set(r);
+    common::snap::Writer v1;
+    v1.section(tag, 1, "corruption set");
+    write_corruption_entries(v1, set);
+    v1.u64(set.entries.size());  // The mutation epoch.
+    ckpt.bytes.replace(at, ckpt.bytes.size() - r.remaining() - at, v1.take());
+    reseal(ckpt.bytes);
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt,
+                    "corruption set section version mismatch");
   }
 }
 
@@ -611,11 +799,10 @@ std::uint64_t counter_value(const obs::MetricsRegistry& registry,
   return 0;
 }
 
-// FCHK stores only the mask words of the checker's last decision; the
-// shared path counts are filled cold after a restore. That fill must
-// not show in the fast checker's counters: a run restored mid-way
-// reports the same refreshes and closure sizes as the one that kept
-// going.
+// The fast checker keeps no state and the shared path counts are filled
+// cold after a restore. That fill must not show in the fast checker's
+// counters: a run restored mid-way reports the same closure sizes as
+// the one that kept going.
 TEST(CheckpointHiddenState, RestoredRunCountsSameFastCheckerWork) {
   // Collateral-aware arrivals take the full-sweep check; this case needs
   // the incremental one.
@@ -644,39 +831,31 @@ TEST(CheckpointHiddenState, RestoredRunCountsSameFastCheckerWork) {
   }
   (void)branch.finish_run();
 
-  for (const char* name :
-       {"fastcheck.cache_refreshes", "fastcheck.closure_switches"}) {
-    const std::uint64_t want = counter_value(fresh_sinks.registry, name);
-    EXPECT_GT(want, 0u) << name;
-    EXPECT_EQ(counter_value(branch_sinks.registry, name), want) << name;
-  }
+  const char* name = "fastcheck.closure_switches";
+  const std::uint64_t want = counter_value(fresh_sinks.registry, name);
+  EXPECT_GT(want, 0u) << name;
+  EXPECT_EQ(counter_value(branch_sinks.registry, name), want) << name;
 }
 
-// CorruptionSet memoizes total_active_penalty under (topology pointer,
-// state version, epoch). A restore rewinds the epoch counter, so a set
-// that was just used on a *different* timeline can present the exact
-// cache key with different contents. restore_from must invalidate the
-// cache (it also holds a raw Topology pointer from the source context).
-TEST(CheckpointHiddenState, CorruptionSetPenaltyCacheDropped) {
+// A set restored over one that was just used on a different timeline
+// folds its own restored contents, not anything it held before.
+TEST(CheckpointHiddenState, RestoredCorruptionSetFoldsItsOwnContents) {
   topology::Topology topo = small_topology();
   const core::PenaltyFunction penalty = core::PenaltyFunction::linear();
 
-  // Timeline A: link 0 corrupting at 1e-4. Snapshot at epoch 1.
+  // Timeline A: link 0 corrupting at 1e-4.
   core::CorruptionSet a;
   a.mark(common::LinkId(0), 1e-4);
   common::snap::Writer w;
   a.snapshot_to(w);
   const std::string bytes = w.take();
 
-  // Timeline B: a different link at a different rate, same epoch
-  // counter. Warm its memo against the same topology/version.
+  // Timeline B: a different link at a different rate, its total read.
   core::CorruptionSet b;
   b.mark(common::LinkId(5), 3e-3);
   const double timeline_b = b.total_active_penalty(topo, penalty);
   ASSERT_NE(timeline_b, a.total_active_penalty(topo, penalty));
 
-  // Restore A's state into B: every key of the memo (pointer, version,
-  // epoch) still matches, so only an explicit cache drop saves us.
   common::snap::Reader r(bytes);
   b.restore_from(r, topo.link_count());
   EXPECT_EQ(b.total_active_penalty(topo, penalty),
@@ -764,20 +943,6 @@ TEST(CheckpointHiddenState, ActiveFaultsStayIdOrderedAcrossChurnAndRestore) {
 
 // --- Integrity: checksum, trailing bytes, mutations ------------------
 
-// Expects restoring `ckpt` to throw std::runtime_error whose message
-// contains `what`.
-void expect_rejected(MitigationSimulation& sim,
-                     const std::vector<trace::TraceEvent>& events,
-                     const Checkpoint& ckpt, const std::string& what) {
-  try {
-    sim.restore_run(events, ckpt);
-    ADD_FAILURE() << "accepted; expected \"" << what << "\"";
-  } catch (const std::runtime_error& error) {
-    EXPECT_NE(std::string(error.what()).find(what), std::string::npos)
-        << error.what();
-  }
-}
-
 // FNV-1a changes its state on any single-byte change and every later
 // step is a bijection, so each one-bit flip anywhere in the checkpoint,
 // trailer included, must fail the checksum before anything is decoded.
@@ -828,7 +993,7 @@ TEST(CheckpointIntegrity, SeededBitFlipsWithSinkRejected) {
 }
 
 // The what-if bench's checkpoint: a 100x fault storm on the medium DCN,
-// frozen at 85% of a 6-day horizon with a sink attached (about 1.9 MB).
+// frozen at 85% of a 6-day horizon with a sink attached (about 1.0 MB).
 // A sample of its bits, spread over the whole length, each fails the
 // checksum.
 TEST(CheckpointIntegrity, SampledBitFlipsOfWhatifCheckpointRejected) {
@@ -849,7 +1014,7 @@ TEST(CheckpointIntegrity, SampledBitFlipsOfWhatifCheckpointRejected) {
       config, events, [branch_time](const MitigationSimulation& sim) {
         return sim.now() >= branch_time;
       });
-  ASSERT_GT(ckpt.bytes.size(), std::size_t{1} << 20);
+  ASSERT_GT(ckpt.bytes.size(), std::size_t{1} << 19);
 
   topology::Topology mirror_topo = factory();
   SinkSet mirror_sinks;
@@ -970,9 +1135,8 @@ void expect_resealed_edits_throw_or_restore(detect::BackendKind kind,
 
   std::vector<std::size_t> boundaries{body.size()};
   for (const char* name :
-       {"SIM0", "EVTQ", "RNG0", "TOPO", "NETS", "FLTS", "CTRL", "CORR", "FCHK",
-        "DPIP", backend_section, "MNTM", "RPIP", "TCKT", "PNLT", "CSMP",
-        "MTRX", "OBSS"}) {
+       {"SIM0", "EVTQ", "RNG0", "TOPO", "FLTS", "CTRL", "CORR", "DPIP",
+        backend_section, "MNTM", "RPIP", "TCKT", "CSMP", "MTRX", "OBSS"}) {
     common::snap::Writer tag;
     tag.u64(common::snap::tag(name[0], name[1], name[2], name[3]));
     const std::size_t at = body.find(tag.take());
@@ -1123,48 +1287,6 @@ TEST(CheckpointMutation, PendingRepairOutsideRestoredStateThrows) {
   }
 }
 
-// A restored corruption rate is a loss probability, and the Tx power
-// and attenuation feed the optical model: a NaN, a negative or a >1
-// rate would reach Rng::poisson's `mean >= 0` precondition the first
-// time the link is polled, so the decoder must reject it instead.
-TEST(CheckpointMutation, NetworkStateRateOutOfRangeThrows) {
-  topology::Topology topo = small_topology();
-  const auto events = small_trace(topo);
-  const Checkpoint base = midday_checkpoint(events);
-  const std::uint32_t nets = common::snap::tag('N', 'E', 'T', 'S');
-  const std::size_t at = section_at(base.bytes, nets, 2);
-  common::snap::Reader r(std::string_view(base.bytes).substr(at));
-  r.section(nets, 2, "network state");
-  const std::size_t directions = r.u64();
-  ASSERT_EQ(directions, topo.direction_count());
-  // The three per-direction double arrays follow, 8 bytes a value.
-  const std::size_t tx_at = base.bytes.size() - r.remaining();
-  const std::size_t attenuation_at = tx_at + 8 * directions;
-  const std::size_t rate_at = attenuation_at + 8 * directions;
-  const double inf = std::numeric_limits<double>::infinity();
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  const std::vector<std::tuple<std::size_t, double, std::string>> cases = {
-      {rate_at, nan, "network state corruption rate outside [0, 1]"},
-      {rate_at, -1e-9, "network state corruption rate outside [0, 1]"},
-      {rate_at + 8 * (directions - 1), 1.5,
-       "network state corruption rate outside [0, 1]"},
-      {rate_at, inf, "network state corruption rate outside [0, 1]"},
-      {tx_at, -inf, "network state Tx power not finite"},
-      {attenuation_at + 8, nan, "network state attenuation not finite"},
-  };
-  for (const auto& [offset, value, what] : cases) {
-    SCOPED_TRACE(::testing::Message() << "value " << value);
-    Checkpoint ckpt = base;
-    common::snap::Writer w;
-    w.f64(value);
-    ckpt.bytes.replace(offset, 8, w.take());
-    reseal(ckpt.bytes);
-    topology::Topology mirror_topo = small_topology();
-    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
-    expect_rejected(mirror, events, ckpt, what);
-  }
-}
-
 // The fault injector's section, decoded in FaultInjector::walk's field
 // order so a test can edit it and splice it back.
 struct FaultSection {
@@ -1275,6 +1397,54 @@ TEST(CheckpointMutation, FaultIdsPastTheirCountsThrow) {
   EXPECT_EQ(same.bytes, base.bytes);
 }
 
+// A restored fault's effects are folded into its directions' Tx power,
+// attenuation and corruption rate, which feed the optical model and
+// Rng::poisson's `mean >= 0` precondition: an effect that is not finite
+// must be rejected, and so must finite effects whose fold overflows.
+TEST(CheckpointMutation, FaultEffectNotFiniteThrows) {
+  topology::Topology topo = small_topology();
+  const auto events = small_trace(topo);
+  const Checkpoint base = midday_checkpoint(events);
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  using Edit = std::function<void(faults::DirectionEffect&)>;
+  const std::vector<Edit> edits = {
+      [nan](faults::DirectionEffect& e) { e.extra_attenuation_db = nan; },
+      [inf](faults::DirectionEffect& e) { e.extra_attenuation_db = inf; },
+      [inf](faults::DirectionEffect& e) { e.tx_power_delta_db = -inf; },
+      [nan](faults::DirectionEffect& e) { e.tx_power_delta_db = nan; },
+      [inf](faults::DirectionEffect& e) { e.tx_decay_db_per_day = inf; },
+      [nan](faults::DirectionEffect& e) { e.tx_decay_db_per_day = nan; },
+  };
+  for (std::size_t k = 0; k < edits.size(); ++k) {
+    SCOPED_TRACE(::testing::Message() << "edit " << k);
+    Checkpoint ckpt = base;
+    edit_faults(ckpt.bytes, [&](FaultSection& s) {
+      ASSERT_FALSE(s.faults.empty()) << "the checkpoint holds no fault";
+      ASSERT_FALSE(s.faults.back().effects.empty());
+      edits[k](s.faults.back().effects.back());
+    });
+    topology::Topology mirror_topo = small_topology();
+    MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+    expect_rejected(mirror, events, ckpt,
+                    "fault effect attenuation, Tx delta or decay not finite");
+  }
+  // Two finite attenuations on one direction that sum past DBL_MAX.
+  Checkpoint ckpt = base;
+  edit_faults(ckpt.bytes, [](FaultSection& s) {
+    ASSERT_FALSE(s.faults.empty()) << "the checkpoint holds no fault";
+    std::vector<faults::DirectionEffect>& effects = s.faults.back().effects;
+    ASSERT_FALSE(effects.empty());
+    effects.back().extra_attenuation_db =
+        std::numeric_limits<double>::max();
+    effects.push_back(effects.back());
+  });
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  expect_rejected(mirror, events, ckpt,
+                  "rebuilt Tx power or attenuation not finite");
+}
+
 // Re-encodes the body of the section `tag` (version `version`) of a
 // sealed checkpoint: `edit` reads a prefix of the body's fields from `r`
 // and writes their edited form to `w`; the bytes after that prefix stay
@@ -1371,6 +1541,44 @@ TEST(CheckpointMutation, DetectionAndMaintenanceLinksPastTheFabricThrow) {
   edit_section(same.bytes, dpip, 1, edit_pending([](Pending&) {}));
   edit_section(same.bytes, mntm, 1, edit_maintained([](Maintained&) {}));
   EXPECT_EQ(same.bytes, base.bytes);
+}
+
+// The topology restores only its mask: the enabled-link count is the
+// mask's popcount, never a stored number an edit could desync from it.
+// The capacity sampler records link_count() - enabled_link_count(), so
+// a resealed mask edit must show in the first sample after the restore.
+TEST(CheckpointMutation, TopologyMaskEditRecountsEnabledLinks) {
+  const std::vector<trace::TraceEvent> no_faults;
+  topology::Topology driver_topo = small_topology();
+  MitigationSimulation driver(driver_topo, small_config(nullptr));
+  driver.begin_run(no_faults);
+  Checkpoint ckpt = driver.snapshot();
+  ASSERT_TRUE(driver_topo.is_enabled(common::LinkId(0)));
+  // Disable link 0: clear bit 0 of the first mask word.
+  edit_section(ckpt.bytes, common::snap::tag('T', 'O', 'P', 'O'), 2,
+               [](common::snap::Reader& r, common::snap::Writer& w) {
+                 w.u64(r.u64());  // The link-count guard.
+                 w.u64(r.u64() & ~std::uint64_t{1});
+               });
+
+  topology::Topology mirror_topo = small_topology();
+  MitigationSimulation mirror(mirror_topo, small_config(nullptr));
+  mirror.restore_run(no_faults, ckpt);
+  EXPECT_FALSE(mirror_topo.is_enabled(common::LinkId(0)));
+  std::size_t enabled = 0;
+  for (std::size_t i = 0; i < mirror_topo.link_count(); ++i) {
+    enabled += mirror_topo.is_enabled(common::LinkId(
+                   static_cast<common::LinkId::underlying_type>(i)))
+                   ? 1
+                   : 0;
+  }
+  EXPECT_EQ(enabled, mirror_topo.link_count() - 1);
+  EXPECT_EQ(mirror_topo.enabled_link_count(), enabled);
+  while (mirror.step()) {
+  }
+  const SimulationMetrics metrics = mirror.finish_run();
+  ASSERT_FALSE(metrics.disabled_links.empty());
+  EXPECT_EQ(metrics.disabled_links.front().value, 1.0);
 }
 
 // A restored ticket's recommendation reaches the technician's switch

@@ -485,13 +485,11 @@ TEST(FaultInjector, AffectedLinksFollowTheDedupeWalk) {
     }
     if (op % 50 == 49) {
       common::snap::Writer w;
-      state->snapshot_to(w);
       injector->snapshot_to(w);
       const std::string bytes = w.take();
       auto state2 = std::make_unique<telemetry::NetworkState>(f.topo, f.tech);
       auto restored = std::make_unique<FaultInjector>(*state2);
       common::snap::Reader r(bytes);
-      state2->restore_from(r);
       restored->restore_from(r);
       injector = std::move(restored);
       state = std::move(state2);
@@ -559,7 +557,8 @@ void expect_full_rebuild(const FaultInjector& injector,
 // keep what inject and clear last computed. Both must read what a full
 // per-direction rebuild at the same instant reads. A cleared decaying
 // fault leaves the decaying list (advance looks every listed id up, so
-// a stale one throws), and so does one a restore rolls back.
+// a stale one throws), and so does one a restore rolls back; the
+// restore itself rebuilds every direction, not only the faulted ones.
 TEST(FaultInjector, AdvanceRebuildsOnlyDecayingFaults) {
   Fixture f;
   FaultFactory factory(f.topo, {}, f.rng);
@@ -594,7 +593,6 @@ TEST(FaultInjector, AdvanceRebuildsOnlyDecayingFaults) {
 
   // Freeze, add a third decaying fault and let it decay, then roll back.
   common::snap::Writer w;
-  f.state.snapshot_to(w);
   injector.snapshot_to(w);
   const std::string bytes = w.take();
   const std::size_t issued_at_snapshot = issued;
@@ -605,10 +603,13 @@ TEST(FaultInjector, AdvanceRebuildsOnlyDecayingFaults) {
   expect_full_rebuild(injector, f.state, issued, now,
                       "after a third decaying fault");
   common::snap::Reader r(bytes);
-  f.state.restore_from(r);
   injector.restore_from(r);
   EXPECT_EQ(injector.fault(decaying_c), nullptr);
   ASSERT_NE(injector.fault(decaying_b), nullptr);
+  // The restore rebuilt the state at the restored clock, the third
+  // fault's directions (faulted by no restored fault) included.
+  expect_full_rebuild(injector, f.state, issued_at_snapshot,
+                      3 * common::kDay, "right after the restore");
   now = 5 * common::kDay;
   EXPECT_NO_THROW(injector.advance(now));
   expect_full_rebuild(injector, f.state, issued_at_snapshot, now,

@@ -2,7 +2,7 @@
 // stream synthesis, the cached optimizer matching a fresh one after
 // every event (search counters included), external link changes and
 // checkpoint restores with no change notes, segment solution reuse, and
-// the corruption-set penalty cache it leans on.
+// the corruption-set penalty total it reads after every event.
 #include <algorithm>
 #include <cstdint>
 #include <string>
@@ -365,10 +365,9 @@ TEST(ServiceTest, UnchangedSegmentIsReused) {
   EXPECT_GT(stats.segment_reuses, reuses);
 }
 
-// Satellite: CorruptionSet::total_active_penalty is cached behind the
-// topology state version and the set's mutation epoch, so repeated
-// reads (Controller::active_penalty per telemetry event) are O(1); any
-// enable/disable/mark/unmark transition must invalidate it.
+// CorruptionSet::total_active_penalty (Controller::active_penalty, read
+// after every telemetry event) must follow every enable, disable, mark
+// and unmark, and the penalty function it is asked for.
 TEST(CorruptionPenaltyCacheTest, TracksTransitions) {
   topology::Topology topo = make_test_clos();
   const core::PenaltyFunction linear = core::PenaltyFunction::linear();
@@ -381,7 +380,7 @@ TEST(CorruptionPenaltyCacheTest, TracksTransitions) {
   EXPECT_EQ(corruption.total_active_penalty(topo, linear), 0.0);
   corruption.mark(a, 1e-3);
   EXPECT_EQ(corruption.total_active_penalty(topo, linear), linear(1e-3));
-  // Repeated read: served from cache, same value.
+  // Repeated read: same value.
   EXPECT_EQ(corruption.total_active_penalty(topo, linear), linear(1e-3));
   corruption.mark(b, 1e-4);
   EXPECT_EQ(corruption.total_active_penalty(topo, linear),
@@ -396,10 +395,10 @@ TEST(CorruptionPenaltyCacheTest, TracksTransitions) {
   // Clearing (unmark) removes the entry entirely.
   corruption.unmark(a);
   EXPECT_EQ(corruption.total_active_penalty(topo, linear), linear(1e-4));
-  // Re-marking at a new rate is picked up (epoch bump, same topology).
+  // Re-marking at a new rate is picked up.
   corruption.mark(b, 1e-2);
   EXPECT_EQ(corruption.total_active_penalty(topo, linear), linear(1e-2));
-  // A different penalty function must not be served the old cache.
+  // A different penalty function gives a different total.
   const core::PenaltyFunction log_pen = core::PenaltyFunction::tcp_throughput();
   EXPECT_NE(corruption.total_active_penalty(topo, log_pen),
             corruption.total_active_penalty(topo, linear));
